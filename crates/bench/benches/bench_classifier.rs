@@ -3,16 +3,20 @@
 //! Regenerates Table 1's evaluation (TF-IDF + SGD, 2/3–1/3 split) and
 //! compares the paper's hinge-loss SGD against logistic SGD, multinomial
 //! naive Bayes and the keyword-rule baseline — the design-choice ablation
-//! called out in DESIGN.md.
+//! called out in DESIGN.md. The `classify` group times one document at a
+//! time through the deployed classifier's fused `is_dox` and through the
+//! materialised `transform` + `decision_function` it replaces.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dox_bench::BenchFixture;
+use dox_core::training::DoxClassifier;
 use dox_ml::baseline::{KeywordBaseline, MultinomialNb};
-use dox_ml::eval::evaluate_classifier;
+use dox_ml::eval::{evaluate_classifier, train_full};
 use dox_ml::metrics::ClassificationReport;
 use dox_ml::sgd::{SgdClassifier, SgdConfig};
 use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
 use std::hint::black_box;
+use std::time::Instant;
 
 fn quality_note(name: &str, report: &ClassificationReport) {
     dox_obs::emit!(
@@ -105,5 +109,59 @@ fn bench_training(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_training);
+/// Per-document classify cost: the fused pass against materialising the
+/// TF-IDF vector, on the same documents and the same fitted model.
+fn bench_classify(c: &mut Criterion) {
+    let fixture = BenchFixture::new();
+    let (texts, labels) = fixture.training_sets(0.05);
+    let (deployed, _) = DoxClassifier::train(&texts, &labels, 7);
+    // The fit `DoxClassifier::train` deploys, with its parts exposed.
+    let (vect, clf) = train_full(
+        &texts,
+        &labels,
+        7,
+        SgdConfig::paper(),
+        TfidfConfig::default(),
+    );
+    let fused = || {
+        texts
+            .iter()
+            .filter(|t| deployed.is_dox(black_box(t)))
+            .count()
+    };
+    let materialised = || {
+        texts
+            .iter()
+            .filter(|t| clf.decision_function(&vect.transform(black_box(t))) > 0.0)
+            .count()
+    };
+    assert_eq!(fused(), materialised(), "the two paths must agree");
+
+    let mut group = c.benchmark_group("classify");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(texts.len() as u64));
+    group.bench_function("is_dox", |b| b.iter(fused));
+    group.bench_function("transform_decision_function", |b| b.iter(materialised));
+    group.finish();
+
+    let per_doc_ns = |f: &dyn Fn() -> usize| {
+        let start = Instant::now();
+        for _ in 0..5 {
+            black_box(f());
+        }
+        start.elapsed().as_nanos() as f64 / (5 * texts.len()) as f64
+    };
+    let (fused_ns, materialised_ns) = (per_doc_ns(&fused), per_doc_ns(&materialised));
+    dox_obs::emit!(
+        dox_obs::Level::Info,
+        "bench.classify",
+        "per-call",
+        docs = texts.len(),
+        is_dox_ns = format!("{fused_ns:.0}"),
+        transform_decision_ns = format!("{materialised_ns:.0}"),
+        ratio = format!("{:.2}", materialised_ns / fused_ns),
+    );
+}
+
+criterion_group!(benches, bench_training, bench_classify);
 criterion_main!(benches);

@@ -75,13 +75,16 @@ impl DoxClassifier {
 
     /// Classify one plain-text document.
     pub fn is_dox(&self, text: &str) -> bool {
-        self.model.predict(&self.vectorizer.transform(text))
+        self.decision(text) > 0.0
     }
 
     /// The raw decision value (distance from the separating hyperplane).
+    ///
+    /// Scored by the vectorizer's fused pass, bit-identical to
+    /// `model.decision_function(&vectorizer.transform(text))` without
+    /// building the TF-IDF vector.
     pub fn decision(&self, text: &str) -> f64 {
-        self.model
-            .decision_function(&self.vectorizer.transform(text))
+        self.vectorizer.dot(text, self.model.weights()) + self.model.intercept()
     }
 
     /// The most dox-indicative vocabulary terms, for model inspection.

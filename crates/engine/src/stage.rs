@@ -11,6 +11,7 @@ use crate::output::StagedDoc;
 use dox_obs::{Counter, Histogram, LocalHistogram, Registry};
 use dox_sites::collect::CollectedDoc;
 use dox_textkit::html::html_to_text;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// The classification stage seen by the engine: anything that can say
@@ -99,15 +100,17 @@ pub fn classify_and_extract<C: DoxDetector + ?Sized>(
     timings: &mut StageLocal,
 ) -> StagedDoc {
     let doc = &collected.doc;
-    let text = if doc.source.is_html() {
+    // Only a classified dox keeps its text, so plain bodies are borrowed
+    // and copied on that branch alone.
+    let text: Cow<'_, str> = if doc.source.is_html() {
         // dox-lint:allow(determinism) HTML-convert timing histogram; observation only
         let start = Instant::now();
         let text = html_to_text(&doc.body);
         timings.html_convert.record_duration(start.elapsed());
         timings.html_converted += 1;
-        text
+        Cow::Owned(text)
     } else {
-        doc.body.clone()
+        Cow::Borrowed(&doc.body)
     };
     // dox-lint:allow(determinism) classify timing histogram; observation only
     let start = Instant::now();
@@ -120,7 +123,7 @@ pub fn classify_and_extract<C: DoxDetector + ?Sized>(
     let start = Instant::now();
     let extracted = dox_extract::record::extract(&text);
     timings.extract.record_duration(start.elapsed());
-    Some((text, extracted))
+    Some((text.into_owned(), extracted))
 }
 
 #[cfg(test)]

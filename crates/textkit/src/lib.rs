@@ -15,7 +15,9 @@
 //!   used by the TF-IDF vectorizer and SGD classifier.
 //! - [`vocab`] — vocabulary construction with document-frequency pruning.
 //! - [`tfidf`] — a `TfidfVectorizer` equivalent (smooth idf, sublinear-tf
-//!   option, l2 normalization), matching sklearn 0.17 defaults.
+//!   option, l2 normalization), matching sklearn 0.17 defaults, with a
+//!   fused allocation-free scorer for inference (its frozen token→index
+//!   table lives in the private `table` module).
 //! - [`hashing`] — a stateless feature-hashing vectorizer.
 //! - [`similarity`] — shingling, Jaccard similarity and SimHash used by the
 //!   de-duplication stage (§3.1.4).
@@ -31,6 +33,7 @@ pub mod html;
 pub mod normalize;
 pub mod similarity;
 pub mod sparse;
+mod table;
 pub mod tfidf;
 pub mod tokenize;
 pub mod vocab;

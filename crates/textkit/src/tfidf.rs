@@ -10,11 +10,21 @@
 //!
 //! [`TfidfVectorizer`] reproduces that behaviour; every knob is exposed via
 //! [`TfidfConfig`] so ablation benchmarks can vary them.
+//!
+//! There are two ways to use a fitted vectorizer. [`TfidfVectorizer::transform`]
+//! materialises the document's [`SparseVec`]; training, the ablation
+//! baselines and model inspection need those vectors. Inference only needs
+//! `w·x`, so [`TfidfVectorizer::dot`] fuses tokenize, vectorize and score
+//! into one pass over borrowed words with reused scratch buffers, and
+//! evaluates the same floating-point operations in the same order, so its
+//! result is bit-identical to `transform(doc).dot_dense(weights)`.
 
 use crate::sparse::SparseVec;
-use crate::tokenize::{Tokenizer, TokenizerConfig};
+use crate::table::TokenTable;
+use crate::tokenize::{word_spans, Tokenizer, TokenizerConfig};
 use crate::vocab::{VocabBuilder, VocabConfig, Vocabulary};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Configuration for [`TfidfVectorizer`].
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +97,9 @@ pub struct TfidfVectorizer {
     config: TfidfConfig,
     tokenizer: Tokenizer,
     model: Option<TfidfModel>,
+    /// The fitted vocabulary, frozen for [`TfidfVectorizer::dot`]. Derived
+    /// from `model` in `fit`, never serialized.
+    table: TokenTable,
 }
 
 impl Default for TfidfVectorizer {
@@ -103,6 +116,7 @@ impl TfidfVectorizer {
             config,
             tokenizer,
             model: None,
+            table: TokenTable::default(),
         }
     }
 
@@ -128,6 +142,7 @@ impl TfidfVectorizer {
         }
         let vocab = builder.build(&self.config.vocab);
         let idf = compute_idf(&vocab, self.config.smooth_idf, self.config.use_idf);
+        self.table = TokenTable::new(&vocab);
         self.model = Some(TfidfModel { vocab, idf });
         self.model.as_ref().expect("just set")
     }
@@ -169,10 +184,167 @@ impl TfidfVectorizer {
         vec
     }
 
+    /// `transform(doc).dot_dense(weights)`, bit for bit, without building
+    /// the vector: the fused inference path.
+    ///
+    /// One pass lowercases `doc` into a reused per-thread buffer (ASCII
+    /// text in place; other text through `str::to_lowercase`, exactly as
+    /// [`Tokenizer::tokenize`] does), looks every borrowed word up in the
+    /// frozen `TokenTable` and counts the hits in a reused per-feature
+    /// array whose bitmap then yields them in feature order. tf·idf, the
+    /// l2 norm, the `1/norm` scale and the dot product are evaluated in
+    /// the materialised path's order, so no rounding differs. After the
+    /// first call on a thread it allocates nothing for ASCII text and once
+    /// (the lowercase copy) otherwise.
+    ///
+    /// An unfitted vectorizer has no vocabulary: every document is the
+    /// zero vector and scores `0.0`. Word n-grams are an ablation option
+    /// no deployed model uses; with them configured, `dot` scores the
+    /// materialised vector.
+    pub fn dot(&self, doc: &str, weights: &[f64]) -> f64 {
+        let Some(model) = &self.model else {
+            return 0.0;
+        };
+        if self.config.tokenizer.ngram_range != (1, 1) {
+            return self.transform(doc).dot_dense(weights);
+        }
+        let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        let score = self.fused_dot(model, doc, weights, &mut scratch);
+        if scratch.lowered.capacity() > MAX_RETAINED_BYTES {
+            scratch.lowered = String::new();
+        }
+        // Dropped instead when the thread is being torn down.
+        let _ = SCRATCH.try_with(|slot| slot.set(scratch));
+        score
+    }
+
+    fn fused_dot(
+        &self,
+        model: &TfidfModel,
+        doc: &str,
+        weights: &[f64],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let Scratch {
+            lowered,
+            counts,
+            values,
+        } = scratch;
+        let tok = &self.config.tokenizer;
+        let owned;
+        let text: &str = if !tok.lowercase {
+            doc
+        } else if doc.is_ascii() {
+            lowered.clear();
+            lowered.push_str(doc);
+            lowered.make_ascii_lowercase();
+            lowered
+        } else {
+            owned = doc.to_lowercase();
+            &owned
+        };
+
+        counts.prepare(model.n_features());
+        values.clear();
+        values.reserve(model.n_features());
+        for (start, end) in word_spans(text, tok.min_token_len) {
+            if let Some(idx) = self.table.get(&text[start..end]) {
+                counts.add(idx);
+            }
+        }
+
+        // `SparseVec::from_pairs` + `map_values`: tf·idf per feature, in
+        // feature order, zeros dropped.
+        counts.drain(|idx, count| {
+            let tf = count as f64;
+            let tf = if self.config.sublinear_tf {
+                1.0 + tf.ln()
+            } else {
+                tf
+            };
+            let v = tf * model.idf[idx as usize];
+            if v != 0.0 {
+                values.push((idx, v));
+            }
+        });
+        // `SparseVec::l2_normalize`, then `SparseVec::dot_dense`.
+        let mut factor = None;
+        if self.config.l2_normalize {
+            let norm = values.iter().map(|&(_, v)| v * v).sum::<f64>().sqrt();
+            if norm > 0.0 {
+                factor = Some(1.0 / norm);
+            }
+        }
+        let mut acc = 0.0;
+        for &(idx, v) in values.iter() {
+            let v = factor.map_or(v, |f| v * f);
+            if let Some(&w) = weights.get(idx as usize) {
+                acc += w * v;
+            }
+        }
+        acc
+    }
+
     /// Transform a batch of documents.
     pub fn transform_batch<S: AsRef<str>>(&self, docs: &[S]) -> Vec<SparseVec> {
         docs.iter().map(|d| self.transform(d.as_ref())).collect()
     }
+}
+
+/// A lowercase buffer grown past this by one huge document is released
+/// after the call instead of being kept for the thread's next.
+const MAX_RETAINED_BYTES: usize = 1 << 20;
+
+/// Buffers [`TfidfVectorizer::dot`] reuses across calls on one thread.
+#[derive(Default)]
+struct Scratch {
+    /// The ASCII-lowercased document.
+    lowered: String,
+    counts: FeatureCounts,
+    /// `(feature, tf·idf)` in feature order; as long as the vocabulary,
+    /// so it never grows mid-document.
+    values: Vec<(u32, f64)>,
+}
+
+/// Term counts of one document, dense over the vocabulary, with a bitmap
+/// of the features present so they are visited in feature order without
+/// sorting. All zero between documents.
+#[derive(Default)]
+struct FeatureCounts {
+    counts: Vec<u32>,
+    present: Vec<u64>,
+}
+
+impl FeatureCounts {
+    /// Make room for `n_features` features.
+    fn prepare(&mut self, n_features: usize) {
+        if self.counts.len() < n_features {
+            self.counts.resize(n_features, 0);
+            self.present.resize(n_features.div_ceil(64), 0);
+        }
+    }
+
+    fn add(&mut self, idx: u32) {
+        let i = idx as usize;
+        self.counts[i] += 1;
+        self.present[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Call `f(feature, count)` for every counted feature, ascending,
+    /// and reset the counts to zero.
+    fn drain(&mut self, mut f: impl FnMut(u32, u32)) {
+        for (w, word) in self.present.iter_mut().enumerate() {
+            while *word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                f(i as u32, std::mem::take(&mut self.counts[i]));
+                *word &= *word - 1;
+            }
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 fn compute_idf(vocab: &Vocabulary, smooth: bool, use_idf: bool) -> Vec<f64> {

@@ -67,7 +67,9 @@ impl Tokenizer {
         } else {
             text
         };
-        let words = split_words(text, self.config.min_token_len);
+        let words: Vec<&str> = word_spans(text, self.config.min_token_len)
+            .map(|(start, end)| &text[start..end])
+            .collect();
         let (lo, hi) = self.config.ngram_range;
         if (lo, hi) == (1, 1) {
             return words.into_iter().map(str::to_string).collect();
@@ -85,35 +87,55 @@ impl Tokenizer {
     }
 }
 
-/// Split `text` into maximal word-character runs of length at least
-/// `min_len` characters.
-fn split_words(text: &str, min_len: usize) -> Vec<&str> {
-    let mut words = Vec::new();
-    let mut start: Option<usize> = None;
-    let mut char_count = 0usize;
-    for (idx, ch) in text.char_indices() {
-        let is_word = ch.is_alphanumeric() || ch == '_';
-        match (is_word, start) {
-            (true, None) => {
-                start = Some(idx);
-                char_count = 1;
-            }
-            (true, Some(_)) => char_count += 1,
-            (false, Some(s)) => {
-                if char_count >= min_len {
-                    words.push(&text[s..idx]);
+/// The byte spans `(start, end)` of the maximal word-character runs of
+/// `text` that are at least `min_len` characters long, in text order.
+///
+/// This is the one implementation of sklearn's `\w\w+` rule: word
+/// characters are Unicode alphanumerics plus `_`. [`Tokenizer::tokenize`]
+/// and the fused TF-IDF scorer both walk it.
+pub(crate) fn word_spans(text: &str, min_len: usize) -> WordSpans<'_> {
+    WordSpans {
+        chars: text.char_indices(),
+        len: text.len(),
+        min_len,
+    }
+}
+
+/// Iterator returned by [`word_spans`].
+#[derive(Debug, Clone)]
+pub(crate) struct WordSpans<'a> {
+    chars: std::str::CharIndices<'a>,
+    len: usize,
+    min_len: usize,
+}
+
+impl Iterator for WordSpans<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let mut start = None;
+        let mut char_count = 0usize;
+        loop {
+            match self.chars.next() {
+                Some((idx, ch)) if ch.is_alphanumeric() || ch == '_' => {
+                    start.get_or_insert(idx);
+                    char_count += 1;
                 }
-                start = None;
+                Some((idx, _)) => {
+                    if let Some(s) = start.take() {
+                        if char_count >= self.min_len {
+                            return Some((s, idx));
+                        }
+                    }
+                    char_count = 0;
+                }
+                None => {
+                    let s = start?;
+                    return (char_count >= self.min_len).then_some((s, self.len));
+                }
             }
-            (false, None) => {}
         }
     }
-    if let Some(s) = start {
-        if char_count >= min_len {
-            words.push(&text[s..]);
-        }
-    }
-    words
 }
 
 #[cfg(test)]
@@ -192,6 +214,14 @@ mod tests {
     fn trailing_word_is_kept() {
         let t = Tokenizer::sklearn_default();
         assert_eq!(t.tokenize("ends with word"), vec!["ends", "with", "word"]);
+    }
+
+    #[test]
+    fn spans_index_the_original_text() {
+        let text = "éé a_1 ?? Ωx-y 中文";
+        let words: Vec<&str> = word_spans(text, 2).map(|(s, e)| &text[s..e]).collect();
+        assert_eq!(words, vec!["éé", "a_1", "Ωx", "中文"]);
+        assert_eq!(word_spans("x y", 1).count(), 2);
     }
 
     #[test]

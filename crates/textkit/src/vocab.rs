@@ -61,7 +61,13 @@ impl VocabBuilder {
         seen.sort_unstable();
         seen.dedup();
         for tok in seen {
-            *self.doc_freq.entry(tok.to_string()).or_insert(0) += 1;
+            // Only a token seen for the first time pays for an owned key.
+            match self.doc_freq.get_mut(tok) {
+                Some(df) => *df += 1,
+                None => {
+                    self.doc_freq.insert(tok.to_string(), 1);
+                }
+            }
         }
     }
 
