@@ -140,10 +140,7 @@ impl Pipeline {
         counters.total += 1;
         self.funnel.collected.inc();
         counters.per_period[usize::from(period - 1)] += 1;
-        *counters
-            .per_source
-            .entry(doc.source.name().to_string())
-            .or_insert(0) += 1;
+        counters.count_source(doc.source.name());
 
         let Some((text, extracted)) = stage else {
             return;

@@ -132,6 +132,17 @@ impl PipelineCounters {
         self.dox_per_period[i].saturating_sub(self.duplicates_per_period[i])
     }
 
+    /// Count one document from the source named `source`; the key is
+    /// allocated only the first time a source is seen.
+    pub fn count_source(&mut self, source: &str) {
+        match self.per_source.get_mut(source) {
+            Some(n) => *n += 1,
+            None => {
+                self.per_source.insert(source.to_string(), 1);
+            }
+        }
+    }
+
     /// Fold `other` into `self`, field by field. The engine accumulates
     /// the document-level counters in its router and the dedup-level
     /// counters in its committer; the merged result equals what one

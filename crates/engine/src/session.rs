@@ -101,7 +101,8 @@ enum StageOutcome {
 }
 
 /// A chunk after the stage: same sequence number, each document now
-/// paired with its outcome.
+/// paired with its outcome. Bodies are dropped at staging, so the staged
+/// queue holds no document text beyond a dox's classified text.
 struct StagedChunk {
     seq: u64,
     items: Vec<(u8, CollectedDoc, StageOutcome)>,
@@ -381,7 +382,7 @@ impl Session {
                         let items = chunk
                             .docs
                             .into_iter()
-                            .map(|(period, doc)| {
+                            .map(|(period, mut doc)| {
                                 let outcome = if exhausted {
                                     StageOutcome::Failed
                                 } else {
@@ -406,6 +407,9 @@ impl Session {
                                     };
                                     tracer.hop(doc.doc.id, hop("classify", at, verdict));
                                 }
+                                // The router never reads the body, and a
+                                // dox's text already travels in its outcome.
+                                doc.doc.body = String::new();
                                 (period, doc, outcome)
                             })
                             .collect();
@@ -464,11 +468,7 @@ impl Session {
                                 let slot = usize::from(period - 1);
                                 state.counters.total += 1;
                                 state.counters.per_period[slot] += 1;
-                                *state
-                                    .counters
-                                    .per_source
-                                    .entry(doc.source.name().to_string())
-                                    .or_insert(0) += 1;
+                                state.counters.count_source(doc.source.name());
                                 collected.inc();
                                 let staged_doc = match outcome {
                                     StageOutcome::Done(staged_doc) => staged_doc,
@@ -968,10 +968,7 @@ mod tests {
             let slot = usize::from(period - 1);
             out.counters.total += 1;
             out.counters.per_period[slot] += 1;
-            *out.counters
-                .per_source
-                .entry(collected.doc.source.name().to_string())
-                .or_insert(0) += 1;
+            out.counters.count_source(collected.doc.source.name());
             let Some((text, extracted)) =
                 classify_and_extract(&KeywordDetector, collected, &mut timings)
             else {

@@ -45,8 +45,9 @@
 use crate::metrics::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,6 +75,16 @@ const MIN_IO_TICK: Duration = Duration::from_millis(5);
 /// response whose budget expired during handler execution. Keeps a
 /// zero-window client from pinning the acceptor or a worker.
 const ERROR_WRITE_WINDOW: Duration = Duration::from_millis(250);
+
+/// Caps on draining a shed connection's unread request bytes before the
+/// close. Closing a socket with unread input makes the kernel answer with
+/// a reset, which can destroy the `503` before the client reads it. The
+/// drain runs on its own thread, and the caps bound what a silent or
+/// flooding client can hold there: bytes and time per connection, and
+/// connections at once (past that, a shed connection closes at once).
+const SHED_DRAIN_BYTES: usize = 64 * 1024;
+const SHED_DRAIN_WINDOW: Duration = Duration::from_millis(50);
+const SHED_DRAIN_MAX: usize = 256;
 
 /// First accept-error backoff delay; doubles per consecutive error.
 const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(1);
@@ -428,6 +439,7 @@ pub struct HttpServer {
     backlog: Arc<Backlog>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    drainer: Option<JoinHandle<()>>,
 }
 
 impl HttpServer {
@@ -476,12 +488,18 @@ impl HttpServer {
             config,
             metrics,
         });
+        // The acceptor owns the only sender, so the drainer exits once
+        // the acceptor does.
+        let (shed_tx, shed_rx) = sync_channel(SHED_DRAIN_MAX);
+        let drainer = std::thread::Builder::new()
+            .name("dox-http-shed".to_string())
+            .spawn(move || drain_loop(&shed_rx))?;
         let acceptor = {
             let backlog = Arc::clone(&backlog);
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("dox-http-accept".to_string())
-                .spawn(move || accept_loop(&listener, &backlog, &shared))?
+                .spawn(move || accept_loop(&listener, &backlog, &shared, &shed_tx))?
         };
         let pool = (0..workers)
             .map(|i| {
@@ -497,6 +515,7 @@ impl HttpServer {
             backlog,
             acceptor: Some(acceptor),
             workers: pool,
+            drainer: Some(drainer),
         })
     }
 
@@ -520,6 +539,9 @@ impl HttpServer {
         let _ = TcpStream::connect(self.addr);
         self.backlog.ready.notify_all();
         let _ = acceptor.join();
+        if let Some(drainer) = self.drainer.take() {
+            let _ = drainer.join();
+        }
         self.backlog.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -537,7 +559,12 @@ impl Drop for HttpServer {
 /// overflow with `503`, and back off exponentially on `accept()` errors
 /// (fd exhaustion returns `EMFILE` in a tight loop — the old
 /// `let Ok(stream) else continue` hot-spun through it).
-fn accept_loop(listener: &TcpListener, backlog: &Backlog, shared: &Shared) {
+fn accept_loop(
+    listener: &TcpListener,
+    backlog: &Backlog,
+    shared: &Shared,
+    drainer: &SyncSender<(TcpStream, Instant)>,
+) {
     let mut consecutive_errors: u32 = 0;
     loop {
         match listener.accept() {
@@ -550,7 +577,7 @@ fn accept_loop(listener: &TcpListener, backlog: &Backlog, shared: &Shared) {
                 if queue.len() >= shared.config.max_backlog.max(1) {
                     drop(queue);
                     shared.metrics.shed_total.inc();
-                    shed(stream, shared.config.retry_after_secs);
+                    shed(stream, shared.config.retry_after_secs, drainer);
                     continue;
                 }
                 queue.push_back((stream, Instant::now()));
@@ -576,13 +603,50 @@ fn accept_loop(listener: &TcpListener, backlog: &Backlog, shared: &Shared) {
 
 /// Answer a shed connection `503` + `Retry-After` without ever blocking
 /// the acceptor: the response is a single small write under a bounded
-/// write timeout, then the connection drops.
-fn shed(mut stream: TcpStream, retry_after_secs: u64) {
+/// write timeout, then the write side closes and the connection goes to
+/// [`drain_loop`] (or, when that is full, drops at once).
+fn shed(mut stream: TcpStream, retry_after_secs: u64, drainer: &SyncSender<(TcpStream, Instant)>) {
     let _ = stream.set_write_timeout(Some(ERROR_WRITE_WINDOW));
     let _ = stream.set_nodelay(true);
     let response =
         Response::error(503, "server overloaded, retry later").retry_after(retry_after_secs);
     let _ = stream.write_all(&render_response(&response, true));
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = drainer.try_send((stream, Instant::now() + SHED_DRAIN_WINDOW));
+    }
+}
+
+/// Read and discard what shed clients still send, until each one closes
+/// or hits its byte or time cap, then drop it; polls every
+/// [`MIN_IO_TICK`] while any connection is open. Returns when the
+/// acceptor's sender is gone.
+fn drain_loop(arrivals: &Receiver<(TcpStream, Instant)>) {
+    let mut open: Vec<(TcpStream, Instant, usize)> = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let arrival = if open.is_empty() {
+            arrivals.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        } else {
+            arrivals.recv_timeout(MIN_IO_TICK)
+        };
+        match arrival {
+            Ok((stream, deadline)) if open.len() < SHED_DRAIN_MAX => {
+                open.push((stream, deadline, 0));
+            }
+            Ok(_) | Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        let now = Instant::now();
+        open.retain_mut(|(stream, deadline, drained)| loop {
+            match stream.read(&mut buf) {
+                Ok(n) if n > 0 && *drained + n < SHED_DRAIN_BYTES => *drained += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break now < *deadline,
+                // Closed by the peer, failed, or over the byte cap.
+                _ => break false,
+            }
+        });
+    }
 }
 
 fn worker_loop(backlog: &Backlog, shared: &Shared) {
@@ -1285,6 +1349,43 @@ mod tests {
         assert!(busy.contains("\"slow\":true"), "{busy}");
         let queued = queued.join().expect("queued client");
         assert!(queued.contains("\"slow\":true"), "{queued}");
+        server.stop();
+    }
+
+    #[test]
+    fn silent_shed_clients_do_not_stall_admission() {
+        // Shed connections drain on their own thread: forty shed clients
+        // that never send nor close must not hold the acceptor for their
+        // drain windows (2 s if served one after another).
+        let server = HttpServer::start_with(
+            "127.0.0.1:0",
+            test_router(),
+            ServerConfig {
+                workers: 1,
+                max_backlog: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind ephemeral");
+        let addr = server.local_addr();
+        let busy = std::thread::spawn(move || get(addr, "/slow"));
+        std::thread::sleep(Duration::from_millis(100));
+        let queued = std::thread::spawn(move || get(addr, "/slow"));
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        let silent: Vec<TcpStream> = (0..40)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let shed = get(addr, "/ping");
+        let elapsed = started.elapsed();
+        assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
+        assert!(elapsed < Duration::from_secs(1), "shed took {elapsed:?}");
+        drop(silent);
+        assert!(busy.join().expect("busy client").contains("\"slow\":true"));
+        assert!(queued
+            .join()
+            .expect("queued client")
+            .contains("\"slow\":true"));
         server.stop();
     }
 

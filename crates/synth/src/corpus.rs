@@ -21,7 +21,7 @@ use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::fmt::Write;
 use std::ops::ControlFlow;
 
 /// The text-sharing sources the paper scrapes.
@@ -238,7 +238,7 @@ impl<'w> CorpusGenerator<'w> {
                 let dox_slots = pick_slots(docs_today, doxes_today, &mut self.rng);
                 for i in 0..docs_today {
                     let at = SimTime(day_start.0 + self.rng.random_range(0..MINUTES_PER_DAY));
-                    let doc = if dox_slots.contains(&i) {
+                    let doc = if dox_slots.binary_search(&i).is_ok() {
                         self.generate_dox_doc(source, at, dup_rate)
                     } else {
                         self.generate_paste_doc(source, at)
@@ -492,34 +492,60 @@ fn daily_quota(vol: SourceVolume, day: u64, days: u64) -> (u64, u64) {
     (docs, doxes.min(docs))
 }
 
-/// Choose `k` distinct slot indices in `0..n`.
-fn pick_slots(n: u64, k: u64, rng: &mut ChaCha8Rng) -> HashSet<u64> {
-    let mut slots = HashSet::with_capacity(k as usize);
+/// Choose `k` distinct slot indices in `0..n`, returned sorted.
+fn pick_slots(n: u64, k: u64, rng: &mut ChaCha8Rng) -> Vec<u64> {
+    let mut slots = Vec::with_capacity(k.min(n) as usize);
     while (slots.len() as u64) < k.min(n) {
-        slots.insert(rng.random_range(0..n));
+        let slot = rng.random_range(0..n);
+        if let Err(at) = slots.binary_search(&slot) {
+            slots.insert(at, slot);
+        }
     }
     slots
 }
 
 /// Wrap plain text as a chan post: escaped HTML with `<br>` line breaks and
 /// an optional quotelink header, as the boards serve it.
+///
+/// One pass into a pre-sized `String`. Escaping draws nothing, so the
+/// quotelink coin and its two ids are drawn first, in that order.
 fn wrap_chan_html(plain: &str, rng: &mut ChaCha8Rng) -> String {
-    let escaped = plain
-        .replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('\'', "&#039;");
-    let body = escaped.replace('\n', "<br>");
+    let escaped_len: usize = plain
+        .bytes()
+        .map(|b| match b {
+            b'&' => 5,
+            b'<' | b'>' | b'\n' => 4,
+            b'\'' => 6,
+            _ => 1,
+        })
+        .sum();
+    // The quotelink's fixed markup plus its two 8-digit ids.
+    const QUOTELINK: usize = r##"<a href="#p" class="quotelink">&gt;&gt;</a><br>"##.len() + 16;
+    let mut out = String::with_capacity(QUOTELINK + escaped_len);
     if rng.random_range(0.0..1.0) < 0.3 {
-        format!(
-            "<a href=\"#p{}\" class=\"quotelink\">&gt;&gt;{}</a><br>{}",
+        let _ = write!(
+            out,
+            "<a href=\"#p{}\" class=\"quotelink\">&gt;&gt;{}</a><br>",
             rng.random_range(10_000_000..99_999_999u64),
             rng.random_range(10_000_000..99_999_999u64),
-            body
-        )
-    } else {
-        body
+        );
     }
+    let mut verbatim = 0;
+    for (i, b) in plain.bytes().enumerate() {
+        let escape = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'\'' => "&#039;",
+            b'\n' => "<br>",
+            _ => continue,
+        };
+        out.push_str(&plain[verbatim..i]);
+        out.push_str(escape);
+        verbatim = i + 1;
+    }
+    out.push_str(&plain[verbatim..]);
+    out
 }
 
 #[cfg(test)]
@@ -527,6 +553,7 @@ mod tests {
     use super::*;
     use dox_geo::alloc::AllocConfig;
     use dox_geo::model::WorldConfig;
+    use std::collections::HashSet;
 
     fn fixture() -> (World, Allocation) {
         let world = World::generate(

@@ -11,6 +11,7 @@ use crate::markov::MarkovChain;
 use crate::truth::PasteKind;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
+use std::fmt::Write;
 
 /// A generated non-dox paste.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,10 +126,11 @@ fn dox_discussion(rng: &mut ChaCha8Rng) -> String {
     }
     if rng.random_range(0.0..1.0) < 0.5 {
         let feminine = rng.random_range(0.0..1.0) < 0.3;
-        out.push_str(&format!(
-            "pretty sure the guy is called {} or something\n",
+        let _ = writeln!(
+            out,
+            "pretty sure the guy is called {} or something",
             crate::names::first_name(rng, feminine).to_lowercase()
-        ));
+        );
     }
     out
 }
@@ -176,29 +178,32 @@ fn code_paste(rng: &mut ChaCha8Rng) -> String {
         0 => {
             out.push_str("#!/usr/bin/env python\n");
             for i in 0..n {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "def handler_{i}(payload):\n    value = payload.get('field_{i}', {})\n    return value * {}\n\n",
                     rng.random_range(0..100u32),
                     rng.random_range(2..9u32)
-                ));
+                );
             }
         }
         1 => {
             out.push_str("// build helper\n#include <stdio.h>\n");
             for i in 0..n {
-                out.push_str(&format!(
-                    "static int step_{i}(int x) {{ return x + {}; }}\n",
+                let _ = writeln!(
+                    out,
+                    "static int step_{i}(int x) {{ return x + {}; }}",
                     rng.random_range(1..50u32)
-                ));
+                );
             }
             out.push_str("int main(void) { printf(\"ok\\n\"); return 0; }\n");
         }
         _ => {
             for i in 0..n {
-                out.push_str(&format!(
-                    "function render{i}(el) {{\n  el.innerText = 'section {i}';\n  return {};\n}}\n",
+                let _ = writeln!(
+                    out,
+                    "function render{i}(el) {{\n  el.innerText = 'section {i}';\n  return {};\n}}",
                     rng.random_range(0..2u32)
-                ));
+                );
             }
         }
     }
@@ -207,36 +212,61 @@ fn code_paste(rng: &mut ChaCha8Rng) -> String {
 
 fn log_paste(rng: &mut ChaCha8Rng) -> String {
     let n = rng.random_range(10..40u32);
-    let mut out = String::new();
+    // ~70 bytes a line; the fields are appended without `core::fmt`.
+    let mut out = String::with_capacity(n as usize * 72);
     for _ in 0..n {
         let level = ["INFO", "WARN", "ERROR", "DEBUG"][rng.random_range(0..4)];
-        out.push_str(&format!(
-            "2016-08-{:02}T{:02}:{:02}:{:02}Z {level} worker-{}: request {} completed in {}ms\n",
-            rng.random_range(1..29u32),
-            rng.random_range(0..24u32),
-            rng.random_range(0..60u32),
-            rng.random_range(0..60u32),
-            rng.random_range(1..8u32),
-            rng.random_range(1000..99999u32),
-            rng.random_range(1..900u32),
-        ));
+        out.push_str("2016-08-");
+        push_decimal(&mut out, rng.random_range(1..29u32), 2);
+        out.push('T');
+        push_decimal(&mut out, rng.random_range(0..24u32), 2);
+        out.push(':');
+        push_decimal(&mut out, rng.random_range(0..60u32), 2);
+        out.push(':');
+        push_decimal(&mut out, rng.random_range(0..60u32), 2);
+        out.push_str("Z ");
+        out.push_str(level);
+        out.push_str(" worker-");
+        push_decimal(&mut out, rng.random_range(1..8u32), 1);
+        out.push_str(": request ");
+        push_decimal(&mut out, rng.random_range(1000..99999u32), 1);
+        out.push_str(" completed in ");
+        push_decimal(&mut out, rng.random_range(1..900u32), 1);
+        out.push_str("ms\n");
     }
     out
 }
 
+/// Append `n` in decimal, zero-padded to at least `width` digits (the
+/// bytes `format!("{n:0width$}")` writes).
+fn push_decimal(out: &mut String, mut n: u32, width: usize) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for _ in digits.len() - start..width {
+        out.push('0');
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 fn config_paste(rng: &mut ChaCha8Rng) -> String {
     let mut out = String::from("[server]\n");
-    out.push_str(&format!("port = {}\n", rng.random_range(1024..65535u32)));
-    out.push_str(&format!("workers = {}\n", rng.random_range(1..32u32)));
+    let _ = writeln!(out, "port = {}", rng.random_range(1024..65535u32));
+    let _ = writeln!(out, "workers = {}", rng.random_range(1..32u32));
     out.push_str("bind = 0.0.0.0\n\n[cache]\n");
-    out.push_str(&format!(
-        "ttl_seconds = {}\n",
-        rng.random_range(30..3600u32)
-    ));
-    out.push_str(&format!(
-        "max_entries = {}\n\n[logging]\nlevel = info\nfile = /var/log/app.log\n",
+    let _ = writeln!(out, "ttl_seconds = {}", rng.random_range(30..3600u32));
+    let _ = writeln!(
+        out,
+        "max_entries = {}\n\n[logging]\nlevel = info\nfile = /var/log/app.log",
         rng.random_range(100..100_000u32)
-    ));
+    );
     out
 }
 
@@ -258,11 +288,12 @@ fn chat_paste(rng: &mut ChaCha8Rng) -> String {
     let n = rng.random_range(8..25u32);
     let mut out = String::new();
     for _ in 0..n {
-        out.push_str(&format!(
-            "<{}> {}\n",
+        let _ = writeln!(
+            out,
+            "<{}> {}",
             users[rng.random_range(0..users.len())],
             lines[rng.random_range(0..lines.len())]
-        ));
+        );
     }
     out
 }
@@ -273,13 +304,14 @@ fn credential_dump(rng: &mut ChaCha8Rng) -> String {
     let n = rng.random_range(20..80u32);
     let mut out = String::from("combo list fresh checked\n");
     for i in 0..n {
-        out.push_str(&format!(
-            "user{}{}@mailbox.example:pass{}{}\n",
+        let _ = writeln!(
+            out,
+            "user{}{}@mailbox.example:pass{}{}",
             i,
             rng.random_range(100..999u32),
             rng.random_range(10..99u32),
             ["!", "", "#", "x"][rng.random_range(0..4)]
-        ));
+        );
     }
     out
 }
@@ -289,11 +321,12 @@ fn user_list(rng: &mut ChaCha8Rng) -> String {
     let n = rng.random_range(15..50u32);
     let mut out = String::from("member export 2016\nusername, email, joined\n");
     for i in 0..n {
-        out.push_str(&format!(
-            "member_{i}, member_{i}@postal.example, 2015-{:02}-{:02}\n",
+        let _ = writeln!(
+            out,
+            "member_{i}, member_{i}@postal.example, 2015-{:02}-{:02}",
             rng.random_range(1..13u32),
             rng.random_range(1..29u32)
-        ));
+        );
     }
     out
 }

@@ -11,6 +11,8 @@
 //! `<span class="quote">`), `<br>`, entity references, and tag stripping for
 //! everything else. `<script>` and `<style>` contents are dropped entirely.
 
+use std::fmt::Write;
+
 /// Convert an HTML fragment to semantically equivalent plain text.
 ///
 /// ```
@@ -29,37 +31,55 @@ pub fn html_to_text(html: &str) -> String {
 /// Unknown entities are passed through verbatim.
 pub fn decode_entities(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'&' {
-            if let Some(semi) = text[i..].find(';').map(|p| i + p) {
-                // entities are short; cap lookahead to avoid scanning far
-                if semi - i <= 10 {
-                    let ent = &text[i + 1..semi];
-                    if let Some(decoded) = decode_entity(ent) {
-                        out.push_str(&decoded);
-                        i = semi + 1;
-                        continue;
-                    }
-                }
-            }
-        }
-        let ch = text[i..].chars().next().expect("in-bounds char");
-        out.push(ch);
-        i += ch.len_utf8();
-    }
+    decode_into(text, false, &mut out);
     out
 }
 
-fn decode_entity(ent: &str) -> Option<String> {
+/// Append `text` to `out` with entities decoded; with `flatten`, every
+/// `\n`, `\r` and `\t` — raw or decoded — is written as a space.
+fn decode_into(text: &str, flatten: bool, out: &mut String) {
+    let mut i = 0;
+    while i < text.len() {
+        let ch = match entity_at(text, i) {
+            Some((ch, end)) => {
+                i = end;
+                ch
+            }
+            None => {
+                let ch = text[i..].chars().next().expect("in-bounds char");
+                i += ch.len_utf8();
+                ch
+            }
+        };
+        if flatten && matches!(ch, '\n' | '\r' | '\t') {
+            out.push(' ');
+        } else {
+            out.push(ch);
+        }
+    }
+}
+
+/// The entity reference starting at byte `i` of `text`, decoded, and the
+/// byte index just past its `;`.
+fn entity_at(text: &str, i: usize) -> Option<(char, usize)> {
+    let bytes = text.as_bytes();
+    if bytes[i] != b'&' {
+        return None;
+    }
+    // Entities are short; cap the lookahead for the `;`.
+    let window = &bytes[i..bytes.len().min(i + 11)];
+    let semi = i + window.iter().position(|&b| b == b';')?;
+    Some((decode_entity(&text[i + 1..semi])?, semi + 1))
+}
+
+fn decode_entity(ent: &str) -> Option<char> {
     match ent {
-        "amp" => Some("&".into()),
-        "lt" => Some("<".into()),
-        "gt" => Some(">".into()),
-        "quot" => Some("\"".into()),
-        "apos" => Some("'".into()),
-        "nbsp" => Some(" ".into()),
+        "amp" => Some('&'),
+        "lt" => Some('<'),
+        "gt" => Some('>'),
+        "quot" => Some('"'),
+        "apos" => Some('\''),
+        "nbsp" => Some(' '),
         _ => {
             let num = ent.strip_prefix('#')?;
             let code = if let Some(hex) = num.strip_prefix('x').or_else(|| num.strip_prefix('X')) {
@@ -67,7 +87,7 @@ fn decode_entity(ent: &str) -> Option<String> {
             } else {
                 num.parse::<u32>().ok()?
             };
-            char::from_u32(code).map(|c| c.to_string())
+            char::from_u32(code)
         }
     }
 }
@@ -82,10 +102,13 @@ struct Converter {
     out: String,
     list_stack: Vec<ListKind>,
     /// Skipping the body of `<script>`/`<style>`.
-    skip_until: Option<&'static str>,
+    skip_until: Option<&'static [u8]>,
     /// Inside a chan greentext quote span.
     quote_depth: usize,
     pending_quote_prefix: bool,
+    /// Decoded, flattened text of the current segment, reused across
+    /// segments.
+    scratch: String,
 }
 
 impl Converter {
@@ -96,10 +119,12 @@ impl Converter {
             skip_until: None,
             quote_depth: 0,
             pending_quote_prefix: false,
+            scratch: String::new(),
         }
     }
 
     fn run(mut self, html: &str) -> String {
+        self.out.reserve(html.len());
         let mut rest = html;
         while let Some(lt) = rest.find('<') {
             let (text, after) = rest.split_at(lt);
@@ -126,22 +151,23 @@ impl Converter {
         if self.skip_until.is_some() || text.is_empty() {
             return;
         }
-        let decoded = decode_entities(text);
+        let mut flat = std::mem::take(&mut self.scratch);
+        flat.clear();
         // Raw newlines in HTML source are soft whitespace, not line breaks.
-        let flat = decoded.replace(['\n', '\r', '\t'], " ");
+        decode_into(text, true, &mut flat);
         let trimmed = if self.out.ends_with('\n') || self.out.is_empty() {
             flat.trim_start()
         } else {
             &flat
         };
-        if trimmed.is_empty() {
-            return;
+        if !trimmed.is_empty() {
+            if self.pending_quote_prefix {
+                self.out.push_str("> ");
+                self.pending_quote_prefix = false;
+            }
+            self.out.push_str(trimmed);
         }
-        if self.pending_quote_prefix {
-            self.out.push_str("> ");
-            self.pending_quote_prefix = false;
-        }
-        self.out.push_str(trimmed);
+        self.scratch = flat;
     }
 
     fn handle_tag(&mut self, raw: &str) {
@@ -154,8 +180,18 @@ impl Converter {
         let name_end = name_part
             .find(|c: char| c.is_whitespace() || c == '/')
             .unwrap_or(name_part.len());
-        let name = name_part[..name_end].to_ascii_lowercase();
         let attrs = &name_part[name_end..];
+        // Lowercase into a stack buffer: every tag acted on below is short
+        // ASCII, so a longer name matches nothing.
+        let mut buf = [0u8; 16];
+        let name: &[u8] = match buf.get_mut(..name_end) {
+            Some(name) => {
+                name.copy_from_slice(&name_part.as_bytes()[..name_end]);
+                name.make_ascii_lowercase();
+                name
+            }
+            None => b"",
+        };
 
         if let Some(until) = self.skip_until {
             if closing && name == until {
@@ -164,29 +200,29 @@ impl Converter {
             return;
         }
 
-        match (name.as_str(), closing) {
-            ("script", false) => self.skip_until = Some("script"),
-            ("style", false) => self.skip_until = Some("style"),
-            ("br", _) | ("hr", _) => self.newline(),
-            ("p", _) | ("div", _) | ("tr", _) | ("table", _) | ("blockquote", _) => {
+        match (name, closing) {
+            (b"script", false) => self.skip_until = Some(b"script"),
+            (b"style", false) => self.skip_until = Some(b"style"),
+            (b"br", _) | (b"hr", _) => self.newline(),
+            (b"p", _) | (b"div", _) | (b"tr", _) | (b"table", _) | (b"blockquote", _) => {
                 self.newline();
             }
-            ("h1", _) | ("h2", _) | ("h3", _) | ("h4", _) | ("h5", _) | ("h6", _) => {
+            (b"h1", _) | (b"h2", _) | (b"h3", _) | (b"h4", _) | (b"h5", _) | (b"h6", _) => {
                 self.newline();
             }
-            ("ul", false) => {
+            (b"ul", false) => {
                 self.newline();
                 self.list_stack.push(ListKind::Unordered);
             }
-            ("ol", false) => {
+            (b"ol", false) => {
                 self.newline();
                 self.list_stack.push(ListKind::Ordered(0));
             }
-            ("ul", true) | ("ol", true) => {
+            (b"ul", true) | (b"ol", true) => {
                 self.list_stack.pop();
                 self.newline();
             }
-            ("li", false) => {
+            (b"li", false) => {
                 self.newline();
                 let depth = self.list_stack.len().max(1);
                 for _ in 0..depth {
@@ -196,16 +232,16 @@ impl Converter {
                     Some(ListKind::Ordered(n)) => {
                         *n += 1;
                         let n = *n;
-                        self.out.push_str(&format!("{n}. "));
+                        let _ = write!(self.out, "{n}. ");
                     }
                     _ => self.out.push_str("- "),
                 }
             }
-            ("span", false) if attrs.contains("quote") => {
+            (b"span", false) if attrs.contains("quote") => {
                 self.quote_depth += 1;
                 self.pending_quote_prefix = true;
             }
-            ("span", true) if self.quote_depth > 0 => {
+            (b"span", true) if self.quote_depth > 0 => {
                 self.quote_depth -= 1;
                 self.pending_quote_prefix = false;
             }
@@ -222,13 +258,23 @@ impl Converter {
 
 /// Trim leading/trailing blank lines and trailing spaces on each line.
 fn trim_blank_edges(text: &str) -> String {
-    let lines: Vec<&str> = text.lines().map(str::trim_end).collect();
-    let start = lines.iter().position(|l| !l.is_empty()).unwrap_or(0);
-    let end = lines
-        .iter()
-        .rposition(|l| !l.is_empty())
-        .map_or(0, |e| e + 1);
-    lines[start..end].join("\n")
+    let mut out = String::with_capacity(text.len());
+    // Blank lines seen since the last kept line; interior ones are kept.
+    let mut blank_run = 0;
+    for line in text.lines().map(str::trim_end) {
+        if line.is_empty() {
+            blank_run += 1;
+            continue;
+        }
+        if !out.is_empty() {
+            for _ in 0..=blank_run {
+                out.push('\n');
+            }
+        }
+        out.push_str(line);
+        blank_run = 0;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -340,5 +386,52 @@ mod tests {
         assert!(text.contains("Name: John Example"));
         assert!(text.contains("Phone: 555-0100"));
         assert_eq!(text.lines().count(), 4);
+    }
+
+    /// Edge cases of the single-pass decoder and the stack-buffer tag
+    /// names; the expected strings are the output of the converter this
+    /// one replaced.
+    #[test]
+    fn matches_the_allocating_converter_on_edge_cases() {
+        let cases = [
+            ("a&#10;b", "a b"),
+            ("line&#10;&#13;&#9;end", "line   end"),
+            ("a<br>&nbsp;&nbsp;b", "a\nb"),
+            ("&nbsp;lead", "lead"),
+            ("a<BR>b<Br/>c<bR />d", "a\nb\nc\nd"),
+            (
+                "a<verylongtagnameexceeding>b</verylongtagnameexceeding>c",
+                "abc",
+            ),
+            ("a<abcdefghijklmnop>b<abcdefghijklmnopq>c", "abc"),
+            (
+                "x<scriptxxxxxxxxxxxxxxxxx>y</scriptxxxxxxxxxxxxxxxxx>z",
+                "xyz",
+            ),
+            ("a<spän>b</SPÄN>c<bré>d", "abcd"),
+            ("<SCRIPT>var a = '<li>';</Script>after", "after"),
+            ("a<script>x</scriptaaaaaaaaaaaaaaaaaaa>y</SCRIPT>b", "ab"),
+            ("<STYLE>p{}</style>ok", "ok"),
+            ("&amp;#10; &#160;x&#160;<br>&#160;y", "&#10; \u{a0}x\ny"),
+            (
+                "&abcdefghijkl; &#x1F600; &#X41; &#+65; &;",
+                "&abcdefghijkl; 😀 A A &;",
+            ),
+            ("<OL><LI>one<LI>two</OL><P>para", "  1. one\n  2. two\npara"),
+            (
+                "<span class=\"quote\">&gt;greentext</span><BR>reply",
+                "> >greentext\nreply",
+            ),
+            ("  <p>  spaced  </p>  <p>  </p><p>x</p>  ", "spaced\nx"),
+        ];
+        for (html, text) in cases {
+            assert_eq!(html_to_text(html), text, "{html:?}");
+        }
+    }
+
+    #[test]
+    fn trim_keeps_interior_blank_lines() {
+        assert_eq!(trim_blank_edges("\n \na  \n\n b \n\n"), "a\n\n b");
+        assert_eq!(trim_blank_edges(" \n\n"), "");
     }
 }
