@@ -12,12 +12,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dox_bench::BenchFixture;
 use dox_core::pipeline::Pipeline;
 use dox_core::training::DoxClassifier;
-use dox_engine::{DedupSpillConfig, DoxDetector, Engine, EngineFaults, SessionCheckpoint};
+use dox_engine::{DedupSpillConfig, DoxDetector, Engine, EngineFaults, StoreCheckpoint};
 use dox_fault::{FaultPlanConfig, RetryPolicy};
 use dox_obs::{Registry, TraceConfig, Tracer};
 use dox_sites::collect::{CollectedDoc, Collector};
-use dox_store::{Store, Table};
-use serde::Deserialize;
+use dox_store::Store;
 use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -141,7 +140,8 @@ impl EngineFixture {
     }
 
     /// The same ingest with dedup shards spilling to the crash-safe
-    /// segment store and a durable (quiesce + commit) checkpoint every
+    /// segment store and a durable checkpoint (quiesce, stage the
+    /// [`StoreCheckpoint`] rows and header, commit) every
     /// [`STORE_CHECKPOINT_EVERY`] documents — the full price of
     /// store-backed durability. Leaves the populated store in `dir` so
     /// [`EngineFixture::store_resume_seconds`] can measure reopen cost.
@@ -149,7 +149,7 @@ impl EngineFixture {
         let _ = std::fs::remove_dir_all(dir);
         let registry = Registry::new();
         let store = Arc::new(Store::open(dir, &registry).expect("store opens"));
-        let table: Table<String, String> = Table::new(Arc::clone(&store), "bench");
+        let mut checkpoint = StoreCheckpoint::new(Arc::clone(&store), "bench");
         let engine = Engine::builder()
             .workers(workers)
             .shards(shards)
@@ -169,10 +169,8 @@ impl EngineFixture {
         for (i, (period, doc)) in self.docs.iter().enumerate() {
             session.ingest(*period, doc.clone()).expect("engine up");
             if (i + 1) % STORE_CHECKPOINT_EVERY == 0 {
-                let snapshot = session.checkpoint().expect("session quiesces");
-                let json = serde_json::to_string(&snapshot).expect("checkpoint encodes");
-                table
-                    .put(&"checkpoint".to_string(), &json)
+                checkpoint
+                    .stage(&mut session, self.seed, i as u64 + 1)
                     .expect("checkpoint stages");
                 store.checkpoint().expect("store commits");
             }
@@ -186,9 +184,9 @@ impl EngineFixture {
 
     /// Fastest seconds to stand a session back up from the store left
     /// by [`EngineFixture::run_engine_store`]: open + recover the
-    /// store, read the checkpoint, resume the engine session. This is
-    /// the O(checkpoint) path a `--resume` run takes instead of
-    /// re-ingesting the corpus.
+    /// store, load the checkpoint header and detected rows, resume the
+    /// engine session. This is the path a `--resume` run takes instead
+    /// of re-ingesting the corpus.
     fn store_resume_seconds(
         &self,
         samples: usize,
@@ -201,13 +199,11 @@ impl EngineFixture {
                 let start = Instant::now();
                 let registry = Registry::new();
                 let store = Arc::new(Store::open(dir, &registry).expect("store reopens"));
-                let table: Table<String, String> = Table::new(Arc::clone(&store), "bench");
-                let json = table
-                    .get(&"checkpoint".to_string())
-                    .expect("checkpoint reads")
-                    .expect("checkpoint exists");
-                let value = serde_json::from_str(&json).expect("checkpoint parses");
-                let checkpoint = SessionCheckpoint::from_value(&value).expect("checkpoint decodes");
+                let checkpoint = StoreCheckpoint::new(Arc::clone(&store), "bench")
+                    .load()
+                    .expect("checkpoint loads")
+                    .expect("checkpoint exists")
+                    .session;
                 let engine = Engine::builder()
                     .workers(workers)
                     .shards(shards)

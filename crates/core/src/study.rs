@@ -34,7 +34,8 @@ use crate::monitor::{Monitor, Schedule};
 use crate::pipeline::{Pipeline, PipelineCounters, PipelineOutput};
 use crate::training::{ClassifierSummary, DoxClassifier};
 use dox_engine::{
-    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, SessionCheckpoint,
+    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, Session, StampedCheckpoint,
+    StoreCheckpoint, StoreCheckpointError,
 };
 use dox_extract::accuracy::{evaluate_extractor, ExtractorEvaluation};
 use dox_fault::{BreakerConfig, CoverageGaps, FaultPlanConfig, FaultStats, RetryPolicy};
@@ -49,7 +50,7 @@ use dox_osn::filters::{FilterEra, FilterSchedule, StudyPeriods};
 use dox_osn::network::Network;
 use dox_osn::platform::SimOsnWorld;
 use dox_sites::collect::Collector;
-use dox_store::{Store, StoreError, Table as StoreTable};
+use dox_store::{Store, StoreError};
 use dox_synth::config::SynthConfig;
 use dox_synth::corpus::CorpusGenerator;
 use rand::RngExt;
@@ -76,9 +77,11 @@ pub struct Durability {
     /// Back the checkpoint and the dedup shards with a [`dox_store`]
     /// segment store in `checkpoint_dir/store` instead of a monolithic
     /// `study_checkpoint.json`. Dedup entries past the per-shard memory
-    /// cap spill into the store, checkpoint snapshots shrink to the
-    /// in-memory remainder, and resume cost is O(checkpoint), not
-    /// O(entries ever seen).
+    /// cap spill into the store, and the checkpoint is a
+    /// [`StoreCheckpoint`]: each detected dox is appended once as its
+    /// own row and every checkpoint rewrites only a small header
+    /// (counters, cursors, dox ids, the in-memory dedup remainder). A
+    /// checkpoint writes O(new doxes + header) bytes, not the whole log.
     pub store: bool,
     /// In-memory dedup entries per shard before spilling to the store
     /// (0 is treated as the default below; only used with `store`).
@@ -407,6 +410,9 @@ struct AnalysisInputs<'a> {
     classifier_summary: ClassifierSummary,
     extractor_eval: ExtractorEvaluation,
     output: &'a PipelineOutput,
+    /// The run's open store, if it has one; store-backed configs without
+    /// one (reference and service-mode runs) open `checkpoint_dir/store`.
+    store: Option<Arc<Store>>,
 }
 
 /// The complete result set — one field per paper table/figure.
@@ -467,30 +473,6 @@ pub struct ExperimentReport {
     /// fault plans whose every fault recovered, which is what makes a
     /// recovered run byte-identical to the clean one.
     pub coverage: CoverageGaps,
-}
-
-/// The on-disk resumable state of a study: the engine session checkpoint
-/// plus enough identity to refuse resuming under a different experiment.
-#[derive(Debug, Clone, Serialize)]
-struct StudyCheckpoint {
-    /// Fingerprint of `(seed, corpus volume, shards, fault plan)`.
-    fingerprint: u64,
-    /// Collected documents ingested into the engine so far. On resume the
-    /// deterministic generation/collection replays and the first
-    /// `docs_ingested` deliveries skip the (already absorbed) ingest.
-    docs_ingested: u64,
-    /// The engine's quiescent state.
-    session: SessionCheckpoint,
-}
-
-impl serde::Deserialize for StudyCheckpoint {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(StudyCheckpoint {
-            fingerprint: value.get("fingerprint")?.as_u64()?,
-            docs_ingested: value.get("docs_ingested")?.as_u64()?,
-            session: SessionCheckpoint::from_value(value.get("session")?)?,
-        })
-    }
 }
 
 /// What a resumed run must match: the corpus identity (seed + volume),
@@ -692,6 +674,7 @@ impl Study {
             classifier_summary: trained.summary,
             extractor_eval: trained.extractor_eval,
             output,
+            store: None,
         })
     }
 
@@ -770,7 +753,7 @@ impl Study {
         // sequential collection boundary — the head of every causal trace.
         collector.instrument(obs, &self.tracer);
         let mut events: Vec<DoxEvent> = Vec::new();
-        let output: PipelineOutput = if reference {
+        let (output, store): (PipelineOutput, Option<Arc<Store>>) = if reference {
             let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
             obs.gauge("pipeline.batch.threads")
                 .set(i64::try_from(threads).unwrap_or(i64::MAX));
@@ -789,7 +772,7 @@ impl Study {
                 });
                 pipeline.process_batch(&batch, period, threads);
             }
-            pipeline.into_output()
+            (pipeline.into_output(), None)
         } else {
             let mut engine_cfg = cfg.engine.clone();
             if let Some(plan) = &cfg.faults {
@@ -848,9 +831,9 @@ impl Study {
                     }
                     _ => None,
                 };
-            let ck_table: Option<StoreTable<String, String>> = store
+            let mut store_ck: Option<StoreCheckpoint> = store
                 .as_ref()
-                .map(|s| StoreTable::new(Arc::clone(s), "study"));
+                .map(|s| StoreCheckpoint::new(Arc::clone(s), "study"));
             let resume_skipped = obs.counter("study.resume.skipped_docs");
             let resume_replayed = obs.counter("study.resume.replayed_docs");
             let mut skip: u64 = 0;
@@ -866,23 +849,29 @@ impl Study {
                         cap_entries: cfg.durability.spill_cap(),
                     });
                 }
-                if cfg.durability.resume {
-                    let text = if let Some(table) = &ck_table {
-                        table
-                            .get(&"checkpoint".to_string())
-                            .map_err(|e| Error::Checkpoint(format!("read store checkpoint: {e}")))?
-                            .ok_or_else(|| {
-                                Error::Checkpoint("store holds no checkpoint to resume".into())
-                            })?
-                    } else {
-                        let path = checkpoint_path.as_ref().ok_or_else(|| {
-                            Error::Checkpoint("resume requested without a checkpoint dir".into())
-                        })?;
-                        std::fs::read_to_string(path).map_err(|e| {
-                            Error::Checkpoint(format!("read {}: {e}", path.display()))
-                        })?
-                    };
-                    let loaded: StudyCheckpoint = serde_json::from_str(&text)?;
+                let loaded: Option<StampedCheckpoint> = if !cfg.durability.resume {
+                    None
+                } else if let (Some(ck), Some(store)) = (&mut store_ck, &store) {
+                    let loaded = ck
+                        .load()
+                        .map_err(|e| Error::Checkpoint(format!("read store checkpoint: {e}")))?;
+                    // Killed before its first commit, a run leaves an
+                    // empty store: resuming it starts from the top.
+                    if loaded.is_none() && !store.is_empty() {
+                        return Err(Error::Checkpoint(
+                            "store holds no checkpoint to resume".into(),
+                        ));
+                    }
+                    loaded
+                } else {
+                    let path = checkpoint_path.as_ref().ok_or_else(|| {
+                        Error::Checkpoint("resume requested without a checkpoint dir".into())
+                    })?;
+                    let text = std::fs::read_to_string(path)
+                        .map_err(|e| Error::Checkpoint(format!("read {}: {e}", path.display())))?;
+                    Some(serde_json::from_str(&text)?)
+                };
+                if let Some(loaded) = loaded {
                     if loaded.fingerprint != fingerprint {
                         return Err(Error::Checkpoint(
                             "checkpoint belongs to a different experiment \
@@ -943,32 +932,37 @@ impl Study {
                         ingest_err = Some(e.into());
                         return ControlFlow::Break(());
                     }
-                    if (checkpoint_path.is_some() || ck_table.is_some())
+                    if (checkpoint_path.is_some() || store_ck.is_some())
                         && delivered.is_multiple_of(every)
                     {
-                        match session.checkpoint() {
-                            Ok(snapshot) => {
-                                let checkpoint = StudyCheckpoint {
-                                    fingerprint,
-                                    docs_ingested: delivered,
-                                    session: snapshot,
-                                };
-                                let wrote = if let Some(table) = &ck_table {
-                                    commit_checkpoint_to_store(table, &checkpoint)
-                                } else if let Some(path) = &checkpoint_path {
-                                    write_checkpoint(path, &checkpoint)
-                                } else {
-                                    Ok(())
-                                };
-                                if let Err(e) = wrote {
-                                    ingest_err = Some(e);
-                                    return ControlFlow::Break(());
-                                }
-                            }
-                            Err(e) => {
-                                ingest_err = Some(e.into());
-                                return ControlFlow::Break(());
-                            }
+                        let wrote = if let Some(ck) = &mut store_ck {
+                            commit_checkpoint_to_store(
+                                ck,
+                                &mut session,
+                                fingerprint,
+                                delivered,
+                                obs,
+                            )
+                        } else if let Some(path) = &checkpoint_path {
+                            session
+                                .checkpoint()
+                                .map_err(Error::from)
+                                .and_then(|snapshot| {
+                                    write_checkpoint(
+                                        path,
+                                        &StampedCheckpoint {
+                                            fingerprint,
+                                            docs_ingested: delivered,
+                                            session: snapshot,
+                                        },
+                                    )
+                                })
+                        } else {
+                            Ok(())
+                        };
+                        if let Err(e) = wrote {
+                            ingest_err = Some(e);
+                            return ControlFlow::Break(());
                         }
                     }
                     ControlFlow::Continue(())
@@ -985,7 +979,7 @@ impl Study {
                     docs_ingested: delivered.saturating_sub(1),
                 });
             }
-            session.finish()?
+            (session.finish()?, store)
         };
         // The first unique dox doubles as a sanity probe in the event
         // log. Its body is PII-dense by construction, so only a redacted
@@ -1018,6 +1012,7 @@ impl Study {
             classifier_summary,
             extractor_eval,
             output: &output,
+            store,
         })
     }
 
@@ -1037,6 +1032,7 @@ impl Study {
             classifier_summary,
             extractor_eval,
             output,
+            store,
         } = inputs;
         let cfg = &self.config;
         let seed = cfg.seed;
@@ -1107,14 +1103,18 @@ impl Study {
         // cursors: a restored account re-enrolls as a no-op, so a
         // re-run over an already-monitored store issues zero probes for
         // covered accounts and still reports identical histories.
-        if cfg.durability.store {
-            if let Some(dir) = &cfg.durability.checkpoint_dir {
-                let store = Store::open(dir.join("store"), obs)
-                    .map_err(|e| Error::Checkpoint(format!("open store for monitor: {e}")))?;
-                monitor
-                    .attach_store(Arc::new(store))
-                    .map_err(|e| Error::Checkpoint(format!("restore monitor state: {e}")))?;
-            }
+        let store = match (store, &cfg.durability.checkpoint_dir) {
+            (Some(store), _) => Some(store),
+            (None, Some(dir)) if cfg.durability.store => Some(Arc::new(
+                Store::open(dir.join("store"), obs)
+                    .map_err(|e| Error::Checkpoint(format!("open store for monitor: {e}")))?,
+            )),
+            _ => None,
+        };
+        if let Some(store) = store {
+            monitor
+                .attach_store(store)
+                .map_err(|e| Error::Checkpoint(format!("restore monitor state: {e}")))?;
         }
         let mut monitored_ids: Vec<AccountId> = Vec::new();
         let unique: Vec<&crate::pipeline::DetectedDox> = output.unique_doxes().collect();
@@ -1181,9 +1181,13 @@ impl Study {
         // Comment streams for monitored accounts, then §5.3.2.
         osn.generate_baseline_comments(&monitored_ids, (periods.period1.0, periods.period2.1));
         let comments = analyze_comments(&osn, &mut monitor);
-        monitor
-            .persist()
-            .map_err(|e| Error::Checkpoint(format!("persist monitor state: {e}")))?;
+        monitor.persist().map_err(|e| match e {
+            // The run's kill drill counts every commit on its store.
+            StoreError::Killed { .. } => Error::Halted {
+                docs_ingested: output.counters().total,
+            },
+            e => Error::Checkpoint(format!("persist monitor state: {e}")),
+        })?;
         obs.events().emit(
             Level::Info,
             "study",
@@ -1343,35 +1347,46 @@ impl Study {
 
 /// Atomically persist a checkpoint via the shared tmp + fsync + rename
 /// discipline, so a kill mid-write can never leave a torn checkpoint.
-fn write_checkpoint(path: &std::path::Path, checkpoint: &StudyCheckpoint) -> Result<()> {
+fn write_checkpoint(path: &std::path::Path, checkpoint: &StampedCheckpoint) -> Result<()> {
     let json = serde_json::to_string(checkpoint)?;
     dox_fault::write_file_atomic(path, json.as_bytes())
         .map_err(|e| Error::Checkpoint(format!("write {}: {e}", path.display())))
 }
 
-/// Persist a checkpoint into the segment store: the JSON goes into the
-/// `study` table and the store checkpoint's manifest swap commits it
-/// *and* any dedup entries spilled since the last commit in one atomic
-/// step — a crash can never separate the two.
+/// Persist a checkpoint into the segment store: stage the detected rows
+/// committed since the last checkpoint plus a fresh header (see
+/// [`StoreCheckpoint`]), then one store checkpoint's manifest swap
+/// commits them *and* any dedup entries spilled since the last commit in
+/// one atomic step — a crash can never separate them.
 ///
 /// A fault-drill kill armed on this commit surfaces as [`Error::Halted`],
 /// the same way the ingest kill switch does: the process is "dead" and
 /// must resume from the last durable commit.
 fn commit_checkpoint_to_store(
-    table: &StoreTable<String, String>,
-    checkpoint: &StudyCheckpoint,
+    checkpoint: &mut StoreCheckpoint,
+    session: &mut Session,
+    fingerprint: u64,
+    docs_ingested: u64,
+    obs: &Registry,
 ) -> Result<()> {
-    let json = serde_json::to_string(checkpoint)?;
-    table
-        .put(&"checkpoint".to_string(), &json)
-        .map_err(|e| Error::Checkpoint(format!("stage store checkpoint: {e}")))?;
-    match table.store().checkpoint() {
-        Ok(()) => Ok(()),
-        Err(StoreError::Killed { .. }) => Err(Error::Halted {
-            docs_ingested: checkpoint.docs_ingested,
-        }),
-        Err(e) => Err(Error::Checkpoint(format!("commit store checkpoint: {e}"))),
-    }
+    let staged = checkpoint
+        .stage(session, fingerprint, docs_ingested)
+        .map_err(|e| match e {
+            StoreCheckpointError::Engine(e) => Error::from(e),
+            e => Error::Checkpoint(format!("stage store checkpoint: {e}")),
+        })?;
+    checkpoint.store().checkpoint().map_err(|e| match e {
+        StoreError::Killed { .. } => Error::Halted { docs_ingested },
+        e => Error::Checkpoint(format!("commit store checkpoint: {e}")),
+    })?;
+    obs.counter("study.checkpoint.commits").inc();
+    obs.counter("study.checkpoint.detected_rows")
+        .add(staged.rows);
+    obs.counter("study.checkpoint.row_bytes")
+        .add(staged.row_bytes);
+    obs.counter("study.checkpoint.header_bytes")
+        .add(staged.header_bytes);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,18 +14,32 @@
 //! The format is JSON via the workspace's value-tree serde; field order
 //! and the sorted [`DedupSnapshot`] entry lists make the encoding a pure
 //! function of the state, so identical states produce identical bytes.
+//!
+//! ## Store layout
+//!
+//! [`StoreCheckpoint`] keeps a checkpoint in a [`dox_store`] segment
+//! store as one small **header** row (the snapshot minus its detected
+//! log, plus `detected_len` and the caller's fingerprint and ingest
+//! count) and one **detected row** per committed dox, keyed by its
+//! big-endian log index. The log only ever grows, so each checkpoint
+//! appends the rows committed since the previous one and rewrites the
+//! header: O(new doxes + header) bytes per checkpoint, and the only dead
+//! bytes the store accumulates are superseded headers.
 
 use crate::dedup::DedupSnapshot;
 use crate::output::{DetectedDox, PipelineCounters};
+use crate::{EngineError, Session};
+use dox_store::{Store, StoreError, Table};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Format version stamped into every checkpoint; bumped on any encoding
 /// change so a stale file is rejected instead of misread.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// The complete quiescent state of a [`Session`](crate::Session).
+/// The complete quiescent state of a [`Session`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SessionCheckpoint {
     /// Encoding version ([`CHECKPOINT_VERSION`]).
@@ -84,6 +98,284 @@ impl Deserialize for SessionCheckpoint {
                 .collect::<Option<Vec<_>>>()?,
         };
         (checkpoint.version == CHECKPOINT_VERSION).then_some(checkpoint)
+    }
+}
+
+/// Layout version stamped into every [`StoreCheckpoint`] header. A
+/// header without it — the monolithic layout that inlined the whole
+/// detected log — is rejected, never misread.
+pub const STORE_LAYOUT_VERSION: u32 = 2;
+
+/// Key of the header row inside the checkpoint table.
+const HEADER_KEY: &str = "checkpoint";
+
+/// Why a [`StoreCheckpoint`] could not be staged or loaded.
+#[derive(Debug)]
+pub enum StoreCheckpointError {
+    /// The session failed to quiesce.
+    Engine(EngineError),
+    /// The store failed to read or stage a row.
+    Store(StoreError),
+    /// JSON encoding failed.
+    Encode(serde_json::Error),
+    /// The header row is unreadable or written in another layout.
+    Header {
+        /// What failed validation.
+        detail: String,
+    },
+    /// The number of detected rows disagrees with the header's
+    /// `detected_len` (a missing or an extra row).
+    RowCount {
+        /// Rows the header promises.
+        expected: u64,
+        /// Rows found.
+        found: u64,
+    },
+    /// The detected rows are not keyed `0, 1, 2, …`.
+    KeyGap {
+        /// The key the next row should carry.
+        expected: u64,
+        /// The key it carries.
+        found: u64,
+    },
+    /// A detected row does not decode to a [`DetectedDox`].
+    Row {
+        /// Log index of the row.
+        index: u64,
+    },
+}
+
+impl std::fmt::Display for StoreCheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Engine(e) => write!(f, "checkpoint quiesce: {e}"),
+            Self::Store(e) => write!(f, "checkpoint store: {e}"),
+            Self::Encode(e) => write!(f, "checkpoint encode: {e}"),
+            Self::Header { detail } => write!(f, "checkpoint header: {detail}"),
+            Self::RowCount { expected, found } => write!(
+                f,
+                "checkpoint header promises {expected} detected rows, store holds {found}"
+            ),
+            Self::KeyGap { expected, found } => {
+                write!(f, "detected row key {found} where {expected} was expected")
+            }
+            Self::Row { index } => write!(f, "detected row {index} does not decode"),
+        }
+    }
+}
+
+impl std::error::Error for StoreCheckpointError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Engine(e) => Some(e),
+            Self::Store(e) => Some(e),
+            Self::Encode(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<StoreError> for StoreCheckpointError {
+    fn from(e: StoreError) -> Self {
+        Self::Store(e)
+    }
+}
+
+/// A session checkpoint stamped with its owner's identity: what
+/// [`StoreCheckpoint::load`] returns, and the whole of a monolithic JSON
+/// checkpoint file.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct StampedCheckpoint {
+    /// Fingerprint of the configuration the state belongs to; a resume
+    /// under another configuration must refuse it.
+    pub fingerprint: u64,
+    /// Documents ingested into the session so far.
+    pub docs_ingested: u64,
+    /// The session state, detected log included, ready for
+    /// [`SessionBuilder::resume_from`](crate::SessionBuilder::resume_from).
+    pub session: SessionCheckpoint,
+}
+
+impl Deserialize for StampedCheckpoint {
+    fn from_value(value: &Value) -> Option<Self> {
+        Some(StampedCheckpoint {
+            fingerprint: value.get("fingerprint")?.as_u64()?,
+            docs_ingested: value.get("docs_ingested")?.as_u64()?,
+            session: SessionCheckpoint::from_value(value.get("session")?)?,
+        })
+    }
+}
+
+/// What one [`StoreCheckpoint::stage`] call put into the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Staged {
+    /// Detected rows appended.
+    pub rows: u64,
+    /// Encoded bytes of those rows.
+    pub row_bytes: u64,
+    /// Encoded bytes of the header row.
+    pub header_bytes: u64,
+}
+
+/// The header row: a [`StampedCheckpoint`] whose session has an empty
+/// detected log, plus the layout version and the log's length.
+#[derive(Serialize)]
+struct Header {
+    layout: u32,
+    fingerprint: u64,
+    docs_ingested: u64,
+    detected_len: u64,
+    session: SessionCheckpoint,
+}
+
+/// Session checkpoints in a segment store, in the layout described in
+/// the [module docs](self): a header row in table `name` and append-once
+/// detected rows in table `name.detected`.
+///
+/// [`stage`](StoreCheckpoint::stage) only buffers puts; the caller's
+/// [`Store::checkpoint`] commits rows, header and any dedup spill
+/// together, so a crash leaves either the previous checkpoint or the new
+/// one, never a mix.
+#[derive(Debug)]
+pub struct StoreCheckpoint {
+    header: Table<String, String>,
+    rows: Table<u64, Vec<u8>>,
+    /// Detected rows already staged (or loaded) — the log prefix the
+    /// store holds.
+    persisted: u64,
+}
+
+impl StoreCheckpoint {
+    /// The checkpoint kept under table `name` in `store`.
+    pub fn new(store: Arc<Store>, name: &str) -> Self {
+        Self {
+            header: Table::new(Arc::clone(&store), name),
+            rows: Table::new(store, &format!("{name}.detected")),
+            persisted: 0,
+        }
+    }
+
+    /// The store the checkpoint lives in.
+    pub fn store(&self) -> &Arc<Store> {
+        self.header.store()
+    }
+
+    /// Quiesce `session` and stage its checkpoint: the detected rows
+    /// committed since the last `stage` (or [`load`](Self::load)),
+    /// serialized straight from the session's log, and a fresh header
+    /// carrying `fingerprint` and `docs_ingested`.
+    ///
+    /// # Errors
+    /// Quiesce and store failures, or [`StoreCheckpointError::RowCount`]
+    /// when the session's log is shorter than what was already staged
+    /// (it belongs to another run).
+    pub fn stage(
+        &mut self,
+        session: &mut Session,
+        fingerprint: u64,
+        docs_ingested: u64,
+    ) -> Result<Staged, StoreCheckpointError> {
+        let persisted = self.persisted;
+        let rows = &self.rows;
+        let (checkpoint, detected_len, row_bytes) = session
+            .with_quiescent(|checkpoint, detected| -> Result<_, StoreCheckpointError> {
+                let fresh = usize::try_from(persisted)
+                    .ok()
+                    .and_then(|from| detected.get(from..))
+                    .ok_or(StoreCheckpointError::RowCount {
+                        expected: persisted,
+                        found: detected.len() as u64,
+                    })?;
+                let mut row_bytes = 0u64;
+                for (index, dox) in (persisted..).zip(fresh) {
+                    let json = serde_json::to_string(dox).map_err(StoreCheckpointError::Encode)?;
+                    row_bytes += json.len() as u64;
+                    rows.put(&index, &json.into_bytes())?;
+                }
+                Ok((checkpoint, detected.len() as u64, row_bytes))
+            })
+            .map_err(StoreCheckpointError::Engine)??;
+        let header = serde_json::to_string(&Header {
+            layout: STORE_LAYOUT_VERSION,
+            fingerprint,
+            docs_ingested,
+            detected_len,
+            session: checkpoint,
+        })
+        .map_err(StoreCheckpointError::Encode)?;
+        self.header.put(&HEADER_KEY.to_string(), &header)?;
+        self.persisted = detected_len;
+        Ok(Staged {
+            rows: detected_len - persisted,
+            row_bytes,
+            header_bytes: header.len() as u64,
+        })
+    }
+
+    /// Read the committed checkpoint back, detected log included;
+    /// `Ok(None)` when the store holds no header. Later
+    /// [`stage`](Self::stage) calls append after the loaded log.
+    ///
+    /// # Errors
+    /// A typed [`StoreCheckpointError`] — never a panic, never a partial
+    /// checkpoint — when the header is unreadable or in another layout,
+    /// or the detected rows disagree with its `detected_len`.
+    pub fn load(&mut self) -> Result<Option<StampedCheckpoint>, StoreCheckpointError> {
+        let Some(text) = self.header.get(&HEADER_KEY.to_string())? else {
+            return Ok(None);
+        };
+        let header_err = |detail: String| StoreCheckpointError::Header { detail };
+        let value: Value =
+            serde_json::from_str(&text).map_err(|e| header_err(format!("not JSON: {e}")))?;
+        match value.get("layout").and_then(Value::as_u64) {
+            Some(layout) if layout == u64::from(STORE_LAYOUT_VERSION) => {}
+            Some(layout) => {
+                return Err(header_err(format!(
+                    "layout {layout}, expected {STORE_LAYOUT_VERSION}"
+                )))
+            }
+            None => {
+                return Err(header_err(
+                    "no layout version: a monolithic checkpoint from an older build".into(),
+                ))
+            }
+        }
+        // Past the layout field, a header reads as a stamped checkpoint
+        // with an empty log, plus the log's length.
+        let (Some(mut stamped), Some(detected_len)) = (
+            StampedCheckpoint::from_value(&value),
+            value.get("detected_len").and_then(Value::as_u64),
+        ) else {
+            return Err(header_err("fields do not decode".into()));
+        };
+        let session = &mut stamped.session;
+        if !session.detected.is_empty() {
+            return Err(header_err("session state inlines a detected log".into()));
+        }
+
+        let rows = self.rows.scan()?;
+        if rows.len() as u64 != detected_len {
+            return Err(StoreCheckpointError::RowCount {
+                expected: detected_len,
+                found: rows.len() as u64,
+            });
+        }
+        session.detected.reserve_exact(rows.len());
+        for (expected, (key, bytes)) in (0u64..).zip(rows) {
+            if key != expected {
+                return Err(StoreCheckpointError::KeyGap {
+                    expected,
+                    found: key,
+                });
+            }
+            let dox = std::str::from_utf8(&bytes)
+                .ok()
+                .and_then(|text| serde_json::from_str(text).ok())
+                .ok_or(StoreCheckpointError::Row { index: expected })?;
+            session.detected.push(dox);
+        }
+        self.persisted = detected_len;
+        Ok(Some(stamped))
     }
 }
 
@@ -149,5 +441,226 @@ mod tests {
             serde_json::from_str::<SessionCheckpoint>(&json).is_err(),
             "future version must not parse"
         );
+    }
+
+    /// Store-layout tests: a keyword-detector session over a scratch
+    /// store, and the hostile rows [`StoreCheckpoint::load`] must refuse.
+    mod store_layout {
+        use super::*;
+        use crate::{DoxDetector, Engine};
+        use dox_obs::Registry;
+        use dox_sites::collect::CollectedDoc;
+        use dox_synth::corpus::SynthDoc;
+        use dox_synth::truth::{GroundTruth, PasteKind};
+
+        struct Keyword;
+
+        impl DoxDetector for Keyword {
+            fn is_dox(&self, text: &str) -> bool {
+                text.contains("dox")
+            }
+        }
+
+        fn doc(id: u64) -> CollectedDoc {
+            let body = match id % 3 {
+                0 => format!("dox of victim{} fb: victim{}", id % 7, id % 7),
+                1 => format!("dox drop fb: victim{} tw: alt{id}", id % 5),
+                _ => format!("innocuous paste number {id}"),
+            };
+            CollectedDoc {
+                doc: SynthDoc {
+                    id,
+                    source: Source::Pastebin,
+                    posted_at: SimTime(id),
+                    body,
+                    deleted_after: None,
+                    truth: GroundTruth::Paste {
+                        kind: PasteKind::Code,
+                    },
+                },
+                collected_at: SimTime(id + 5),
+            }
+        }
+
+        fn scratch(tag: &str) -> std::path::PathBuf {
+            let dir = std::env::temp_dir()
+                .join(format!("dox_store_checkpoint_{}_{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        }
+
+        fn session(registry: &Registry) -> Session {
+            Engine::builder()
+                .workers(2)
+                .shards(3)
+                .chunk(8)
+                .build()
+                .expect("valid config")
+                .session_builder()
+                .detector(Arc::new(Keyword))
+                .registry(registry)
+                .start()
+                .expect("detector set")
+        }
+
+        /// Ingest docs `0..60` with a committed checkpoint after 30 and
+        /// 60, returning the store checkpoint and what
+        /// [`Session::checkpoint`] says at the end.
+        fn staged(dir: &std::path::Path) -> (StoreCheckpoint, SessionCheckpoint) {
+            let registry = Registry::new();
+            let store = Arc::new(Store::open(dir, &registry).expect("open"));
+            let mut ck = StoreCheckpoint::new(Arc::clone(&store), "t");
+            let mut session = session(&registry);
+            for id in 0..60 {
+                session.ingest(1, doc(id)).expect("valid");
+                if id % 30 == 29 {
+                    ck.stage(&mut session, 7, id + 1).expect("stages");
+                    store.checkpoint().expect("commits");
+                }
+            }
+            let expected = session.checkpoint().expect("quiesces");
+            (ck, expected)
+        }
+
+        #[test]
+        fn rows_are_appended_once_and_load_rebuilds_the_checkpoint() {
+            let dir = scratch("roundtrip");
+            let registry = Registry::new();
+            let store = Arc::new(Store::open(&dir, &registry).expect("open"));
+            let mut ck = StoreCheckpoint::new(Arc::clone(&store), "t");
+            let mut session = session(&registry);
+            let (mut total_rows, mut header_bytes) = (0, 0);
+            for id in 0..60 {
+                session.ingest(1, doc(id)).expect("valid");
+                if id % 20 == 19 {
+                    let staged = ck.stage(&mut session, 7, id + 1).expect("stages");
+                    total_rows += staged.rows;
+                    header_bytes += staged.header_bytes;
+                    store.checkpoint().expect("commits");
+                }
+            }
+            let expected = session.checkpoint().expect("quiesces");
+            assert_eq!(total_rows, expected.detected.len() as u64, "each row once");
+            let again = ck.stage(&mut session, 7, 60).expect("stages");
+            assert_eq!(again.rows, 0, "nothing new, nothing appended");
+            header_bytes += again.header_bytes;
+            store.checkpoint().expect("commits");
+            // Superseded headers are the only dead weight.
+            let dead = registry.gauge("store.dead_bytes").get() as u64;
+            assert!(dead > 0 && dead <= header_bytes, "{dead} vs {header_bytes}");
+            drop((ck, store));
+
+            let store = Arc::new(Store::open(&dir, &Registry::new()).expect("reopen"));
+            let loaded = StoreCheckpoint::new(store, "t")
+                .load()
+                .expect("loads")
+                .expect("has a header");
+            assert_eq!(loaded.fingerprint, 7);
+            assert_eq!(loaded.docs_ingested, 60);
+            assert_eq!(loaded.session, expected);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn an_empty_store_loads_nothing() {
+            let dir = scratch("empty");
+            let store = Arc::new(Store::open(&dir, &Registry::new()).expect("open"));
+            assert!(StoreCheckpoint::new(store, "t")
+                .load()
+                .expect("no error")
+                .is_none());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_missing_row_is_a_typed_error() {
+            let dir = scratch("missing");
+            let (mut ck, expected) = staged(&dir);
+            let last = expected.detected.len() as u64 - 1;
+            assert!(ck.rows.delete(&last).expect("delete"));
+            assert!(matches!(
+                ck.load(),
+                Err(StoreCheckpointError::RowCount { expected: e, found: f })
+                    if e == last + 1 && f == last
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn an_extra_row_past_detected_len_is_a_typed_error() {
+            let dir = scratch("extra");
+            let (mut ck, expected) = staged(&dir);
+            let len = expected.detected.len() as u64;
+            ck.rows.put(&len, &b"{}".to_vec()).expect("put");
+            assert!(matches!(
+                ck.load(),
+                Err(StoreCheckpointError::RowCount { expected: e, found: f })
+                    if e == len && f == len + 1
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_key_gap_is_a_typed_error() {
+            let dir = scratch("gap");
+            let (mut ck, expected) = staged(&dir);
+            let len = expected.detected.len() as u64;
+            // Same row count, but row 2 moved past the end.
+            let row = ck.rows.get(&2).expect("get").expect("row 2 exists");
+            assert!(ck.rows.delete(&2).expect("delete"));
+            ck.rows.put(&len, &row).expect("put");
+            assert!(matches!(
+                ck.load(),
+                Err(StoreCheckpointError::KeyGap {
+                    expected: 2,
+                    found: 3
+                })
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn an_undecodable_row_is_a_typed_error() {
+            let dir = scratch("garbage");
+            let (mut ck, _) = staged(&dir);
+            ck.rows.put(&1, &b"{\"doc_id\": 1}".to_vec()).expect("put");
+            assert!(matches!(
+                ck.load(),
+                Err(StoreCheckpointError::Row { index: 1 })
+            ));
+            ck.rows.put(&1, &vec![0xFF, 0xFE]).expect("put");
+            assert!(matches!(
+                ck.load(),
+                Err(StoreCheckpointError::Row { index: 1 })
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_monolithic_header_is_a_typed_error() {
+            let dir = scratch("monolithic");
+            let (mut ck, expected) = staged(&dir);
+            // The older layout: one row holding the whole stamped
+            // checkpoint, detected log inlined.
+            let old = serde_json::to_string(&StampedCheckpoint {
+                fingerprint: 7,
+                docs_ingested: 60,
+                session: expected,
+            })
+            .expect("encodes");
+            ck.header.put(&HEADER_KEY.to_string(), &old).expect("put");
+            assert!(matches!(
+                ck.load(),
+                Err(StoreCheckpointError::Header { .. })
+            ));
+            ck.header
+                .put(&HEADER_KEY.to_string(), &"not json".to_string())
+                .expect("put");
+            assert!(matches!(
+                ck.load(),
+                Err(StoreCheckpointError::Header { .. })
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

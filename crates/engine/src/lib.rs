@@ -59,7 +59,10 @@ pub mod reorder;
 pub mod session;
 pub mod stage;
 
-pub use checkpoint::{SessionCheckpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{
+    SessionCheckpoint, Staged, StampedCheckpoint, StoreCheckpoint, StoreCheckpointError,
+    CHECKPOINT_VERSION, STORE_LAYOUT_VERSION,
+};
 pub use dedup::{DedupSnapshot, DedupSpill, DedupSpillConfig, Deduplicator, DuplicateKind};
 pub use output::{DetectedDox, PipelineCounters, PipelineOutput, StagedDoc};
 pub use session::Session;

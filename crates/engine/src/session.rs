@@ -841,28 +841,43 @@ impl Session {
     /// to continue the stream in a later process; replaying the remaining
     /// documents yields output byte-identical to the uninterrupted run.
     pub fn checkpoint(&mut self) -> Result<SessionCheckpoint, EngineError> {
+        self.with_quiescent(|mut checkpoint, detected| {
+            checkpoint.detected = detected.to_vec();
+            checkpoint
+        })
+    }
+
+    /// Quiesce like [`checkpoint`](Session::checkpoint), then hand `f`
+    /// the snapshot *without* its detected log plus the committed log
+    /// itself, borrowed under the committer lock. The store encoder
+    /// serializes only the log's new tail from the borrow instead of
+    /// cloning the whole log.
+    pub(crate) fn with_quiescent<R>(
+        &mut self,
+        f: impl FnOnce(SessionCheckpoint, &[DetectedDox]) -> R,
+    ) -> Result<R, EngineError> {
         self.dispatch()?;
-        let target_chunks = self.next_chunk_seq;
         self.wait_quiescent()?;
         let router = lock(&self.shared.router);
         let committer = lock(&self.shared.committer);
-        Ok(SessionCheckpoint {
+        let checkpoint = SessionCheckpoint {
             version: CHECKPOINT_VERSION,
             shards: self.shards,
-            next_chunk_seq: target_chunks,
+            next_chunk_seq: self.next_chunk_seq,
             dox_seq: router.dox_seq,
             router_counters: router.counters.clone(),
             dox_ids: router.dox_ids.clone(),
             stage_gap_docs: router.stage_gap_docs,
             committer_counters: committer.counters.clone(),
-            detected: committer.detected.clone(),
+            detected: Vec::new(),
             dedups: self
                 .shared
                 .dedups
                 .iter()
                 .map(|d| lock(d).snapshot())
                 .collect(),
-        })
+        };
+        Ok(f(checkpoint, &committer.detected))
     }
 
     /// Close the stream and wait for every stage to drain, returning the

@@ -409,9 +409,35 @@ impl Store {
                 .map(|(k, loc)| (k.clone(), *loc))
                 .collect()
         };
+        // One read per committed segment, covering the span of its
+        // frames; pending frames are served from memory.
+        let (active_id, active_len) = {
+            let log = self.log.lock();
+            (log.active_id, log.active_len)
+        };
+        let committed = |loc: &Loc| loc.seg != active_id || loc.offset < active_len;
+        let mut spans: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for (_, loc) in locs.iter().filter(|(_, loc)| committed(loc)) {
+            let end = loc.offset + u64::from(loc.frame_len);
+            let span = spans.entry(loc.seg).or_insert((loc.offset, end));
+            span.0 = span.0.min(loc.offset);
+            span.1 = span.1.max(end);
+        }
+        let mut segments: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
+        for (seg, (start, end)) in spans {
+            let bytes = self.read_span(seg, start, (end - start) as usize)?;
+            segments.insert(seg, (start, bytes));
+        }
         let mut out = Vec::with_capacity(locs.len());
         for (key, loc) in locs {
-            if let Some(value) = self.read_value(loc)? {
+            let value = match segments.get(&loc.seg).filter(|_| committed(&loc)) {
+                Some((start, bytes)) => {
+                    let from = (loc.offset - start) as usize;
+                    decode_value(&bytes[from..from + loc.frame_len as usize])?
+                }
+                None => self.read_value(loc)?,
+            };
+            if let Some(value) = value {
                 out.push((key, value));
             }
         }
@@ -640,26 +666,24 @@ impl Store {
                 return Ok(frame.to_vec());
             }
         }
-        let path = segment_path(&self.dir, loc.seg);
+        self.read_span(loc.seg, loc.offset, loc.frame_len as usize)
+    }
+
+    /// Read `len` committed bytes of segment `seg` from `offset`.
+    fn read_span(&self, seg: u64, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+        let path = segment_path(&self.dir, seg);
         let mut file = File::open(&path).map_err(io_err("open segment"))?;
-        file.seek(SeekFrom::Start(loc.offset))
+        file.seek(SeekFrom::Start(offset))
             .map_err(io_err("seek segment"))?;
-        let mut frame = vec![0u8; loc.frame_len as usize];
-        file.read_exact(&mut frame)
+        let mut bytes = vec![0u8; len];
+        file.read_exact(&mut bytes)
             .map_err(io_err("read segment"))?;
-        Ok(frame)
+        Ok(bytes)
     }
 
     /// Decode the value behind `loc`, verifying the frame CRC.
     fn read_value(&self, loc: Loc) -> Result<Option<Vec<u8>>, StoreError> {
-        let frame = self.read_frame(loc)?;
-        match segment::decode_record(&frame) {
-            Some((record, _)) if !record.tombstone => Ok(Some(record.value.to_vec())),
-            Some(_) => Ok(None),
-            None => Err(StoreError::Corrupt {
-                detail: "indexed record failed its CRC".to_string(),
-            }),
-        }
+        decode_value(&self.read_frame(loc)?)
     }
 
     /// Push current segment/byte accounting into the registry gauges.
@@ -698,6 +722,18 @@ impl IndexState {
             }
             self.live_bytes += u64::from(loc.frame_len);
         }
+    }
+}
+
+/// Decode one indexed frame's value (`None` for a tombstone), verifying
+/// its CRC.
+fn decode_value(frame: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+    match segment::decode_record(frame) {
+        Some((record, _)) if !record.tombstone => Ok(Some(record.value.to_vec())),
+        Some(_) => Ok(None),
+        None => Err(StoreError::Corrupt {
+            detail: "indexed record failed its CRC".to_string(),
+        }),
     }
 }
 
@@ -907,6 +943,68 @@ mod tests {
         let store = Store::open(&dir, &registry()).expect("reopen");
         assert_eq!(store.get(b"keep").expect("get"), Some(b"1".to_vec()));
         assert_eq!(store.get(b"drop").expect("get"), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_prefix_reads_committed_and_pending_frames_across_segments() {
+        let dir = scratch("prefix_segments");
+        let opts = StoreOptions {
+            segment_max_bytes: 256,
+            compact_min_bytes: u64::MAX,
+            ..StoreOptions::default()
+        };
+        let store = Store::open_with(&dir, opts, &registry()).expect("open");
+        let key = |i: u64| format!("t\0{i:03}").into_bytes();
+        let mut expected = BTreeMap::new();
+        for i in 0..40u64 {
+            store.put(&key(i), &i.to_le_bytes()).expect("put");
+            expected.insert(key(i), i.to_le_bytes().to_vec());
+            store
+                .put(format!("u\0{i}").as_bytes(), b"other table")
+                .expect("put");
+            if i % 8 == 7 {
+                store.checkpoint().expect("checkpoint");
+            }
+        }
+        // Overwrites and a delete, committed and pending alike.
+        store.put(&key(3), b"rewritten").expect("put");
+        expected.insert(key(3), b"rewritten".to_vec());
+        store.checkpoint().expect("checkpoint");
+        store.put(&key(5), b"pending").expect("put");
+        expected.insert(key(5), b"pending".to_vec());
+        assert!(store.delete(&key(6)).expect("delete"));
+        expected.remove(&key(6));
+        assert!(
+            store.log.lock().sealed.len() > 1,
+            "the table spans several segments"
+        );
+        let hits: BTreeMap<Vec<u8>, Vec<u8>> = store
+            .scan_prefix(b"t\0")
+            .expect("scan")
+            .into_iter()
+            .collect();
+        assert_eq!(hits, expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_prefix_verifies_every_frame_crc() {
+        let dir = scratch("prefix_crc");
+        let store = Store::open(&dir, &registry()).expect("open");
+        store.put(b"t\0a", b"first value").expect("put");
+        store.put(b"t\0b", b"second value").expect("put");
+        store.checkpoint().expect("checkpoint");
+        // Flip one byte of the second frame's value on disk.
+        let seg = segment_path(&dir, 1);
+        let mut bytes = std::fs::read(&seg).expect("read segment");
+        let at = bytes.len() - 3;
+        bytes[at] ^= 0xFF;
+        std::fs::write(&seg, &bytes).expect("write segment");
+        assert!(matches!(
+            store.scan_prefix(b"t\0"),
+            Err(StoreError::Corrupt { .. })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,14 @@
 //!   and the manifest swap then resumed from the recovered store, are
 //!   both byte-identical to the in-memory run — with zero checkpointed
 //!   documents replayed through ingest and the Info-level event stream
-//!   unchanged.
+//!   unchanged;
+//! * a store kill at every commit point (before the segment write,
+//!   between write and manifest swap, after the swap), on the first and
+//!   the last checkpoint commit, resumes from the last durable commit to
+//!   the same bytes;
+//! * store checkpoints append each detected dox once: many checkpoints
+//!   never trigger compaction, and superseded headers are the only dead
+//!   bytes.
 
 use doxing_repro::core::report::to_json;
 use doxing_repro::core::study::{StudyConfig, StudyConfigBuilder};
@@ -241,6 +248,147 @@ fn store_backed_kill_mid_commit_and_resume_is_byte_identical() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn store_kill_at_every_commit_point_resumes_byte_identically() {
+    let (workers, shards) = (4, 8);
+    let dir = scratch_dir("store_points");
+    let store_base = |b: StudyConfigBuilder| {
+        b.checkpoint_dir(&dir)
+            .checkpoint_every(400)
+            .store_backed(true)
+            .spill_cap(64)
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    let clean_registry = Registry::new();
+    let clean = Study::with_registry(
+        store_base(base(workers, shards).faults(recoverable_plan())).build(),
+        clean_registry.clone(),
+    )
+    .run()
+    .expect("store-backed study runs");
+    assert_eq!(
+        to_json(&clean).expect("report serializes"),
+        clean_json(workers, shards)
+    );
+    let commits = clean_registry.counter("study.checkpoint.commits").get();
+    assert!(
+        commits >= 2,
+        "the drill needs distinct first and last commits"
+    );
+
+    let points = [
+        StoreKillPoint::BeforeSegmentWrite,
+        StoreKillPoint::BetweenWriteAndSwap,
+        StoreKillPoint::AfterManifestSwap,
+    ];
+    for nth in [1, commits] {
+        for point in points {
+            let _ = std::fs::remove_dir_all(&dir);
+            let killed_plan = FaultPlanConfig {
+                kill_at_store_commit: Some(nth),
+                kill_store_point: point,
+                ..recoverable_plan()
+            };
+            let killed_cfg = store_base(base(workers, shards).faults(killed_plan)).build();
+            match Study::with_registry(killed_cfg, Registry::new()).run() {
+                Err(Error::Halted { .. }) => {}
+                other => panic!("commit {nth} {point:?}: expected a halt, got {other:?}"),
+            }
+
+            let resumed_cfg = store_base(base(workers, shards).faults(recoverable_plan()))
+                .resume(true)
+                .build();
+            let registry = Registry::new();
+            let resumed = Study::with_registry(resumed_cfg, registry.clone())
+                .run()
+                .unwrap_or_else(|e| panic!("commit {nth} {point:?}: resume failed: {e}"));
+            assert_eq!(
+                to_json(&resumed).expect("report serializes"),
+                clean_json(workers, shards),
+                "commit {nth} {point:?}: kill + resume must re-emit the exact bytes"
+            );
+            assert_eq!(
+                registry.counter("study.resume.replayed_docs").get(),
+                0,
+                "commit {nth} {point:?}: resume must replay no checkpointed document"
+            );
+            // Only a published manifest makes the killed commit durable.
+            let durable = if point == StoreKillPoint::AfterManifestSwap {
+                nth
+            } else {
+                nth - 1
+            };
+            assert_eq!(
+                registry.counter("study.resume.skipped_docs").get(),
+                400 * durable,
+                "commit {nth} {point:?}: resume must start at the last durable commit"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn store_checkpoints_append_rows_and_never_compact() {
+    let dir = scratch_dir("store_append");
+    let _ = std::fs::remove_dir_all(&dir);
+    // A dox-dense corpus (6% of every source), so the detected log, not
+    // the header, makes up most of the store.
+    let dense = |b: StudyConfigBuilder| {
+        let mut cfg = b.build();
+        for period in [&mut cfg.synth.period1, &mut cfg.synth.period2] {
+            for source in [
+                &mut period.pastebin,
+                &mut period.chan4_b,
+                &mut period.chan4_pol,
+                &mut period.chan8_pol,
+                &mut period.chan8_baphomet,
+            ] {
+                source.doxes = source.doxes.max(source.total * 6 / 100);
+            }
+        }
+        cfg
+    };
+    let in_memory = Study::with_registry(dense(base(1, 8)), Registry::new())
+        .run()
+        .expect("in-memory study runs");
+    let registry = Registry::new();
+    let cfg = dense(
+        base(1, 8)
+            .checkpoint_dir(&dir)
+            .checkpoint_every(400)
+            .store_backed(true)
+            .spill_cap(32),
+    );
+    let report = Study::with_registry(cfg, registry.clone())
+        .run()
+        .expect("store-backed study runs");
+    assert_eq!(
+        to_json(&report).expect("report serializes"),
+        to_json(&in_memory).expect("report serializes")
+    );
+    assert_eq!(
+        registry.gauge("store.compactions").get(),
+        0,
+        "append-once checkpoints leave too little dead weight to compact"
+    );
+    let commits = registry.counter("study.checkpoint.commits").get();
+    assert!(commits >= 8, "only {commits} checkpoints");
+    // Superseded headers are the only dead bytes, so they stay within
+    // the sum of all headers staged — at most checkpoints × the largest.
+    let dead = registry.gauge("store.dead_bytes").get() as u64;
+    let headers = registry.counter("study.checkpoint.header_bytes").get();
+    assert!(
+        dead <= headers,
+        "{dead} dead bytes vs {headers} header bytes over {commits} checkpoints"
+    );
+    assert!(
+        registry.counter("study.checkpoint.detected_rows").get() <= report.pipeline.classified_dox,
+        "each detected dox is written at most once"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
