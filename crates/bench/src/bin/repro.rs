@@ -8,8 +8,6 @@
 //!   --seed <u64>       master seed (default: the study default)
 //!   --workers <n>      ingest-engine stage workers (default: all cores)
 //!   --shards <n>       ingest-engine dedup shards (default: 8)
-//!   --reference        run the sequential reference pipeline instead of
-//!                      the streaming engine (identical output, slower)
 //!   --table <id>       print one result only: fig1, t1..t10, fig2, fig3,
 //!                      v-ip, v-comments (default: everything)
 //!   --json <path>      also write the machine-readable report
@@ -17,14 +15,13 @@
 //!                      funnel counters, events) as JSON
 //!   --fault-plan <p>   inject deterministic faults from a JSON
 //!                      `FaultPlanConfig` (see DESIGN.md §9)
-//!   --checkpoint-dir <d>  persist resumable checkpoints into <d>
+//!   --checkpoint-dir <d>  persist resumable checkpoints, and spilled
+//!                      dedup state, into a crash-safe segment store
+//!                      under <d>; both commit atomically
 //!   --checkpoint-every <n> checkpoint cadence in documents (default 10000)
 //!   --resume           resume from the checkpoint in --checkpoint-dir
-//!   --store            store-backed durability: checkpoints and spilled
-//!                      dedup state commit atomically through the
-//!                      crash-safe segment store in --checkpoint-dir
 //!   --spill-cap <n>    in-memory dedup entries per shard before spilling
-//!                      to the store (default 65536; needs --store)
+//!                      to the store (default 65536; needs --checkpoint-dir)
 //!   --trace <path>     export sampled causal traces as JSONL (samples
 //!                      every document unless --trace-sample is given)
 //!   --trace-sample <ppm>  trace sampling rate, documents per million
@@ -34,10 +31,10 @@
 //! ```
 //!
 //! The report is a pure function of `(scale, seed)`: any `--workers` /
-//! `--shards` combination — and `--reference` — produces byte-identical
-//! `--json` output. So does any fault plan whose faults all recover, and
-//! a kill/`--resume` pair: checkpoint-resumed runs re-emit the exact
-//! bytes of the uninterrupted run. Tracing inherits the same contract:
+//! `--shards` combination produces byte-identical `--json` output. So
+//! does any fault plan whose faults all recover, and a kill/`--resume`
+//! pair: checkpoint-resumed runs re-emit the exact bytes of the
+//! uninterrupted run. Tracing inherits the same contract:
 //! `--trace` output is byte-identical for a fixed `(scale, seed, ppm)` at
 //! any worker/shard count, because hop timestamps come from the simulated
 //! clock and sampling is a pure hash of `(seed, document id)`.
@@ -65,7 +62,6 @@ struct Args {
     seed: Option<u64>,
     workers: Option<usize>,
     shards: Option<usize>,
-    reference: bool,
     table: Option<String>,
     json: Option<String>,
     metrics: Option<String>,
@@ -73,7 +69,6 @@ struct Args {
     checkpoint_dir: Option<String>,
     checkpoint_every: Option<u64>,
     resume: bool,
-    store: bool,
     spill_cap: Option<usize>,
     trace: Option<String>,
     trace_sample: Option<u32>,
@@ -87,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
         seed: None,
         workers: None,
         shards: None,
-        reference: false,
         table: None,
         json: None,
         metrics: None,
@@ -95,7 +89,6 @@ fn parse_args() -> Result<Args, String> {
         checkpoint_dir: None,
         checkpoint_every: None,
         resume: false,
-        store: false,
         spill_cap: None,
         trace: None,
         trace_sample: None,
@@ -124,7 +117,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--shards needs a value")?;
                 args.shards = Some(v.parse().map_err(|_| format!("bad shards {v:?}"))?);
             }
-            "--reference" => args.reference = true,
             "--table" => {
                 // Validated here, not after the study runs: a bad id must
                 // fail fast, before the (expensive) run and before the
@@ -155,7 +147,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--resume" => args.resume = true,
-            "--store" => args.store = true,
             "--spill-cap" => {
                 let v = it.next().ok_or("--spill-cap needs a value")?;
                 args.spill_cap = Some(v.parse().map_err(|_| format!("bad spill cap {v:?}"))?);
@@ -176,11 +167,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if args.store && args.checkpoint_dir.is_none() {
-        return Err("--store needs --checkpoint-dir".to_string());
-    }
-    if args.spill_cap.is_some() && !args.store {
-        return Err("--spill-cap needs --store".to_string());
+    if args.spill_cap.is_some() && args.checkpoint_dir.is_none() {
+        return Err("--spill-cap needs --checkpoint-dir".to_string());
     }
     Ok(args)
 }
@@ -210,16 +198,15 @@ const HELP: &str = "repro — regenerate every table/figure of the doxing study
   --seed <u64>     master seed
   --workers <n>    ingest-engine stage workers (default: all cores)
   --shards <n>     ingest-engine dedup shards (default: 8)
-  --reference      use the sequential reference pipeline (same output)
   --table <id>     fig1 t1 t2 t3 t4 t5 t6 t7 t8 t9 t10 fig2 fig3 v-ip v-comments
   --json <path>    write the JSON report
   --metrics <path> write the metrics/span snapshot as JSON
   --fault-plan <p> inject deterministic faults from a JSON FaultPlanConfig
-  --checkpoint-dir <d>   persist resumable checkpoints into <d>
+  --checkpoint-dir <d>   crash-safe store checkpoints + dedup spill in <d>
   --checkpoint-every <n> checkpoint cadence in documents (default 10000)
   --resume         resume from the checkpoint in --checkpoint-dir
-  --store          crash-safe store-backed checkpoints + dedup spill
   --spill-cap <n>  in-memory dedup entries per shard before spilling
+                   (needs --checkpoint-dir)
   --trace <path>   export sampled causal traces as JSONL
   --trace-sample <ppm>   trace sampling rate per million (default: all)
   --telemetry <addr>     serve GET /metrics and /traces on <addr>
@@ -271,7 +258,6 @@ fn main() -> ExitCode {
         config.durability.checkpoint_every_docs = every;
     }
     config.durability.resume = args.resume;
-    config.durability.store = args.store;
     if let Some(cap) = args.spill_cap {
         config.durability.spill_cap_entries = cap;
     }
@@ -314,11 +300,7 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    let r = match if args.reference {
-        study.run_reference()
-    } else {
-        study.run()
-    } {
+    let r = match study.run() {
         Ok(r) => r,
         Err(dox_core::Error::Halted { docs_ingested }) => {
             eprintln!(

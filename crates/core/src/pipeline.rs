@@ -82,59 +82,7 @@ impl Pipeline {
         let mut timings = StageLocal::default();
         let stage = classify_and_extract(&self.classifier, collected, &mut timings);
         timings.merge_into(&self.stages);
-        self.reduce(collected, period, stage);
-    }
 
-    /// Process a batch with the pure per-document work (HTML conversion,
-    /// vectorize + classify, extraction) fanned out over `threads` OS
-    /// threads. The stateful stages (counters, de-duplication) are applied
-    /// in batch order afterwards, so the result is **bit-identical** to
-    /// calling [`Pipeline::process`] sequentially.
-    pub fn process_batch(&mut self, batch: &[CollectedDoc], period: u8, threads: usize) {
-        if batch.is_empty() {
-            return;
-        }
-        let threads = threads.clamp(1, batch.len());
-        if threads == 1 {
-            for collected in batch {
-                self.process(collected, period);
-            }
-            return;
-        }
-        let classifier = &self.classifier;
-        let chunk = batch.len().div_ceil(threads);
-        let mut staged: Vec<Vec<StagedDoc>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        // Each worker times its stages locally; locals are
-                        // merged after the join so the hot loop stays free
-                        // of shared atomic traffic.
-                        let mut timings = StageLocal::default();
-                        let staged = slice
-                            .iter()
-                            .map(|c| classify_and_extract(classifier, c, &mut timings))
-                            .collect::<Vec<_>>();
-                        (staged, timings)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // dox-lint:allow(panic-hygiene) scoped-worker panics have nowhere sound to go but up
-                let (chunk_staged, mut timings) = h.join().expect("pipeline worker panicked");
-                timings.merge_into(&self.stages);
-                staged.push(chunk_staged);
-            }
-        });
-        for (collected, stage) in batch.iter().zip(staged.into_iter().flatten()) {
-            self.reduce(collected, period, stage);
-        }
-    }
-
-    /// Apply the stateful stages for one staged document.
-    fn reduce(&mut self, collected: &CollectedDoc, period: u8, stage: StagedDoc) {
         let doc = &collected.doc;
         let counters = &mut self.output.counters;
         counters.total += 1;
@@ -303,58 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batches_match_sequential_exactly() {
-        let world = World::generate(&WorldConfig::default(), 72);
-        let alloc = Allocation::generate(&world, &AllocConfig::default(), 72);
-        let cfg = SynthConfig::test_scale();
-        let mk = || {
-            let mut gen = CorpusGenerator::new(&world, &alloc, cfg.clone());
-            let (texts, labels) = gen.training_sets();
-            let (clf, _) = DoxClassifier::train(&texts, &labels, 72);
-            (gen, Pipeline::new(clf))
-        };
-        // Sequential reference.
-        let (mut gen_a, mut seq) = mk();
-        let mut collector_a = Collector::new(72);
-        for period in [1u8, 2] {
-            let _ = collector_a.collect_period(&mut gen_a, period, &mut |c| {
-                seq.process(&c, period);
-                ControlFlow::Continue(())
-            });
-        }
-        // Parallel over 4 threads, batched per period.
-        let (mut gen_b, mut par) = mk();
-        let mut collector_b = Collector::new(72);
-        for period in [1u8, 2] {
-            let mut batch = Vec::new();
-            let _ = collector_b.collect_period(&mut gen_b, period, &mut |c| {
-                batch.push(c);
-                ControlFlow::Continue(())
-            });
-            par.process_batch(&batch, period, 4);
-        }
-        assert_eq!(seq.counters(), par.counters());
-        assert_eq!(seq.detected().len(), par.detected().len());
-        for (a, b) in seq.detected().iter().zip(par.detected()) {
-            assert_eq!(a.doc_id, b.doc_id);
-            assert_eq!(a.text, b.text);
-            assert_eq!(a.extracted, b.extracted);
-            assert_eq!(a.duplicate, b.duplicate);
-        }
-    }
-
-    #[test]
-    fn empty_and_single_thread_batches() {
-        let p = run_pipeline();
-        // process_batch with an empty batch is a no-op (verified by the
-        // counters staying put on a finished pipeline).
-        let before = p.counters().clone();
-        let mut p = p;
-        p.process_batch(&[], 1, 8);
-        assert_eq!(*p.counters(), before);
-    }
-
-    #[test]
     fn metrics_registry_mirrors_funnel_counters() {
         let registry = dox_obs::Registry::new();
         let world = World::generate(&WorldConfig::default(), 71);
@@ -365,12 +261,10 @@ mod tests {
         let mut pipeline = Pipeline::with_registry(clf, &registry);
         let mut collector = Collector::new(71);
         for period in [1u8, 2] {
-            let mut batch = Vec::new();
             let _ = collector.collect_period(&mut gen, period, &mut |c| {
-                batch.push(c);
+                pipeline.process(&c, period);
                 ControlFlow::Continue(())
             });
-            pipeline.process_batch(&batch, period, 4);
         }
         let c = pipeline.counters();
         let snap = registry.snapshot();

@@ -34,8 +34,8 @@ use crate::monitor::{Monitor, Schedule};
 use crate::pipeline::{Pipeline, PipelineCounters, PipelineOutput};
 use crate::training::{ClassifierSummary, DoxClassifier};
 use dox_engine::{
-    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, Session, StampedCheckpoint,
-    StoreCheckpoint, StoreCheckpointError,
+    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, Session, StoreCheckpoint,
+    StoreCheckpointError,
 };
 use dox_extract::accuracy::{evaluate_extractor, ExtractorEvaluation};
 use dox_fault::{BreakerConfig, CoverageGaps, FaultPlanConfig, FaultStats, RetryPolicy};
@@ -65,8 +65,15 @@ use std::sync::Arc;
 /// Where and how often a study persists resumable checkpoints.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Durability {
-    /// Directory for `study_checkpoint.json`; `None` disables
-    /// checkpointing entirely.
+    /// Directory whose `store/` subdirectory holds the run's
+    /// [`dox_store`] segment store; `None` disables checkpointing
+    /// entirely. The store backs both the checkpoint and the dedup
+    /// shards: dedup entries past the per-shard memory cap spill into
+    /// it, and the checkpoint is a [`StoreCheckpoint`] — each detected
+    /// dox is appended once as its own row and every checkpoint rewrites
+    /// only a small header (counters, cursors, dox ids, the in-memory
+    /// dedup remainder). A checkpoint writes O(new doxes + header)
+    /// bytes, not the whole log.
     pub checkpoint_dir: Option<PathBuf>,
     /// Write a checkpoint every this many ingested documents (0 is
     /// treated as the default below).
@@ -74,17 +81,13 @@ pub struct Durability {
     /// Resume from the checkpoint in `checkpoint_dir` instead of starting
     /// fresh.
     pub resume: bool,
-    /// Back the checkpoint and the dedup shards with a [`dox_store`]
-    /// segment store in `checkpoint_dir/store` instead of a monolithic
-    /// `study_checkpoint.json`. Dedup entries past the per-shard memory
-    /// cap spill into the store, and the checkpoint is a
-    /// [`StoreCheckpoint`]: each detected dox is appended once as its
-    /// own row and every checkpoint rewrites only a small header
-    /// (counters, cursors, dox ids, the in-memory dedup remainder). A
-    /// checkpoint writes O(new doxes + header) bytes, not the whole log.
+    /// Never read: every run with a `checkpoint_dir` is store-backed.
+    /// Kept only so struct literals that still set it keep compiling;
+    /// it will be removed once none do.
     pub store: bool,
     /// In-memory dedup entries per shard before spilling to the store
-    /// (0 is treated as the default below; only used with `store`).
+    /// (0 is treated as the default below; only used with a
+    /// `checkpoint_dir`).
     pub spill_cap_entries: usize,
 }
 
@@ -318,7 +321,9 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Persist resumable checkpoints into `dir` during ingest.
+    /// Persist resumable checkpoints, and spill dedup state, into a
+    /// segment store under `dir` during ingest (see
+    /// [`Durability::checkpoint_dir`]).
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.config.durability.checkpoint_dir = Some(dir.into());
         self
@@ -331,14 +336,8 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Back checkpoints and dedup state with a segment store under the
-    /// checkpoint dir (see [`Durability::store`]).
-    pub fn store_backed(mut self, store: bool) -> Self {
-        self.config.durability.store = store;
-        self
-    }
-
-    /// In-memory dedup entries per shard before spilling to the store.
+    /// In-memory dedup entries per shard before spilling to the store
+    /// (needs a checkpoint dir).
     pub fn spill_cap(mut self, entries: usize) -> Self {
         self.config.durability.spill_cap_entries = entries;
         self
@@ -410,8 +409,9 @@ struct AnalysisInputs<'a> {
     classifier_summary: ClassifierSummary,
     extractor_eval: ExtractorEvaluation,
     output: &'a PipelineOutput,
-    /// The run's open store, if it has one; store-backed configs without
-    /// one (reference and service-mode runs) open `checkpoint_dir/store`.
+    /// The run's open store, if it has one; configs with a checkpoint dir
+    /// but no open store (reference and service-mode runs) open
+    /// `checkpoint_dir/store`.
     store: Option<Arc<Store>>,
 }
 
@@ -555,8 +555,9 @@ impl Study {
     }
 
     /// Execute the full reproduction through the sequential reference
-    /// [`Pipeline`] instead of the engine. Kept as the executable
-    /// specification the engine is compared against.
+    /// [`Pipeline`], one document at a time, instead of the engine. It
+    /// writes no checkpoints. Kept as the executable specification the
+    /// engine is compared against.
     pub fn run_reference(&self) -> Result<ExperimentReport> {
         self.run_inner(true)
     }
@@ -753,24 +754,14 @@ impl Study {
         // sequential collection boundary — the head of every causal trace.
         collector.instrument(obs, &self.tracer);
         let mut events: Vec<DoxEvent> = Vec::new();
-        let (output, store): (PipelineOutput, Option<Arc<Store>>) = if reference {
-            let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            obs.gauge("pipeline.batch.threads")
-                .set(i64::try_from(threads).unwrap_or(i64::MAX));
-            const BATCH: usize = 8_192;
+        let (output, store) = if reference {
             let mut pipeline = Pipeline::with_registry(classifier, obs);
             for period in [1u8, 2] {
-                let mut batch: Vec<dox_sites::collect::CollectedDoc> = Vec::with_capacity(BATCH);
                 let _ = collector.collect_period(&mut gen, period, &mut |collected| {
                     record_dox_event(&mut events, &collected);
-                    batch.push(collected);
-                    if batch.len() >= BATCH {
-                        pipeline.process_batch(&batch, period, threads);
-                        batch.clear();
-                    }
+                    pipeline.process(&collected, period);
                     ControlFlow::Continue(())
                 });
-                pipeline.process_batch(&batch, period, threads);
             }
             (pipeline.into_output(), None)
         } else {
@@ -786,20 +777,10 @@ impl Study {
 
             // Durability: `resume` replays the deterministic corpus and
             // skips the deliveries the checkpointed engine has already
-            // absorbed; periodic checkpoints snapshot the quiesced engine.
+            // absorbed; periodic checkpoints commit into the segment store
+            // under `checkpoint_dir`, so one manifest swap commits spilled
+            // dedup entries and the study checkpoint atomically.
             let fingerprint = config_fingerprint(cfg);
-            let store_mode = cfg.durability.store;
-            let checkpoint_path = if store_mode {
-                // Store mode keeps the checkpoint *inside* the store so
-                // one manifest swap commits spilled dedup entries and
-                // the study checkpoint atomically.
-                None
-            } else {
-                cfg.durability
-                    .checkpoint_dir
-                    .as_ref()
-                    .map(|d| d.join("study_checkpoint.json"))
-            };
             let every = cfg.durability.every();
             // The kill switches model an external SIGKILL; a resumed run
             // has already "survived" them, so they only arm on fresh runs.
@@ -808,29 +789,7 @@ impl Study {
             } else {
                 cfg.faults.as_ref().and_then(|p| p.kill_after_docs)
             };
-            let store: Option<Arc<Store>> =
-                match (&cfg.durability.checkpoint_dir, store_mode) {
-                    (Some(dir), true) => {
-                        let store_dir = dir.join("store");
-                        if !cfg.durability.resume {
-                            // A fresh run owns the store directory — stale
-                            // segments from an earlier experiment would
-                            // resurrect dedup state into the new corpus.
-                            let _ = std::fs::remove_dir_all(&store_dir);
-                        }
-                        let store = Store::open(&store_dir, obs)
-                            .map_err(|e| Error::Checkpoint(format!("open store: {e}")))?;
-                        if !cfg.durability.resume {
-                            if let Some((nth, point)) = cfg.faults.as_ref().and_then(|p| {
-                                p.kill_at_store_commit.map(|n| (n, p.kill_store_point))
-                            }) {
-                                store.arm_kill(nth, point);
-                            }
-                        }
-                        Some(Arc::new(store))
-                    }
-                    _ => None,
-                };
+            let store = open_checkpoint_store(cfg, obs)?;
             let mut store_ck: Option<StoreCheckpoint> = store
                 .as_ref()
                 .map(|s| StoreCheckpoint::new(Arc::clone(s), "study"));
@@ -849,27 +808,21 @@ impl Study {
                         cap_entries: cfg.durability.spill_cap(),
                     });
                 }
-                let loaded: Option<StampedCheckpoint> = if !cfg.durability.resume {
-                    None
-                } else if let (Some(ck), Some(store)) = (&mut store_ck, &store) {
-                    let loaded = ck
-                        .load()
-                        .map_err(|e| Error::Checkpoint(format!("read store checkpoint: {e}")))?;
-                    // Killed before its first commit, a run leaves an
-                    // empty store: resuming it starts from the top.
-                    if loaded.is_none() && !store.is_empty() {
-                        return Err(Error::Checkpoint(
-                            "store holds no checkpoint to resume".into(),
-                        ));
+                let loaded = match &mut store_ck {
+                    Some(ck) if cfg.durability.resume => {
+                        let loaded = ck.load().map_err(|e| {
+                            Error::Checkpoint(format!("read store checkpoint: {e}"))
+                        })?;
+                        // Killed before its first commit, a run leaves an
+                        // empty store: resuming it starts from the top.
+                        if loaded.is_none() && !ck.store().is_empty() {
+                            return Err(Error::Checkpoint(
+                                "store holds no checkpoint to resume".into(),
+                            ));
+                        }
+                        loaded
                     }
-                    loaded
-                } else {
-                    let path = checkpoint_path.as_ref().ok_or_else(|| {
-                        Error::Checkpoint("resume requested without a checkpoint dir".into())
-                    })?;
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| Error::Checkpoint(format!("read {}: {e}", path.display())))?;
-                    Some(serde_json::from_str(&text)?)
+                    _ => None,
                 };
                 if let Some(loaded) = loaded {
                     if loaded.fingerprint != fingerprint {
@@ -891,11 +844,6 @@ impl Study {
                     );
                     builder.resume_from(loaded.session).start()?
                 } else {
-                    if let Some(dir) = &cfg.durability.checkpoint_dir {
-                        std::fs::create_dir_all(dir).map_err(|e| {
-                            Error::Checkpoint(format!("create {}: {e}", dir.display()))
-                        })?;
-                    }
                     builder.start()?
                 }
             };
@@ -932,37 +880,18 @@ impl Study {
                         ingest_err = Some(e.into());
                         return ControlFlow::Break(());
                     }
-                    if (checkpoint_path.is_some() || store_ck.is_some())
-                        && delivered.is_multiple_of(every)
-                    {
-                        let wrote = if let Some(ck) = &mut store_ck {
-                            commit_checkpoint_to_store(
+                    if let Some(ck) = &mut store_ck {
+                        if delivered.is_multiple_of(every) {
+                            if let Err(e) = commit_checkpoint_to_store(
                                 ck,
                                 &mut session,
                                 fingerprint,
                                 delivered,
                                 obs,
-                            )
-                        } else if let Some(path) = &checkpoint_path {
-                            session
-                                .checkpoint()
-                                .map_err(Error::from)
-                                .and_then(|snapshot| {
-                                    write_checkpoint(
-                                        path,
-                                        &StampedCheckpoint {
-                                            fingerprint,
-                                            docs_ingested: delivered,
-                                            session: snapshot,
-                                        },
-                                    )
-                                })
-                        } else {
-                            Ok(())
-                        };
-                        if let Err(e) = wrote {
-                            ingest_err = Some(e);
-                            return ControlFlow::Break(());
+                            ) {
+                                ingest_err = Some(e);
+                                return ControlFlow::Break(());
+                            }
                         }
                     }
                     ControlFlow::Continue(())
@@ -1105,7 +1034,7 @@ impl Study {
         // covered accounts and still reports identical histories.
         let store = match (store, &cfg.durability.checkpoint_dir) {
             (Some(store), _) => Some(store),
-            (None, Some(dir)) if cfg.durability.store => Some(Arc::new(
+            (None, Some(dir)) => Some(Arc::new(
                 Store::open(dir.join("store"), obs)
                     .map_err(|e| Error::Checkpoint(format!("open store for monitor: {e}")))?,
             )),
@@ -1345,12 +1274,42 @@ impl Study {
     }
 }
 
-/// Atomically persist a checkpoint via the shared tmp + fsync + rename
-/// discipline, so a kill mid-write can never leave a torn checkpoint.
-fn write_checkpoint(path: &std::path::Path, checkpoint: &StampedCheckpoint) -> Result<()> {
-    let json = serde_json::to_string(checkpoint)?;
-    dox_fault::write_file_atomic(path, json.as_bytes())
-        .map_err(|e| Error::Checkpoint(format!("write {}: {e}", path.display())))
+/// Open the run's segment store at `checkpoint_dir/store`, or `None`
+/// when the run does not checkpoint. Store kill drills arm only on
+/// fresh runs, like the ingest kill switch.
+///
+/// # Errors
+/// [`Error::Checkpoint`] when `resume` is set without a checkpoint dir,
+/// or when the store cannot be opened.
+fn open_checkpoint_store(cfg: &StudyConfig, obs: &Registry) -> Result<Option<Arc<Store>>> {
+    let durability = &cfg.durability;
+    let Some(dir) = &durability.checkpoint_dir else {
+        if durability.resume {
+            return Err(Error::Checkpoint(
+                "resume requested without a checkpoint dir".into(),
+            ));
+        }
+        return Ok(None);
+    };
+    let store_dir = dir.join("store");
+    if !durability.resume {
+        // A fresh run owns the store directory — stale segments from an
+        // earlier experiment would resurrect dedup state into the new
+        // corpus.
+        let _ = std::fs::remove_dir_all(&store_dir);
+    }
+    let store =
+        Store::open(&store_dir, obs).map_err(|e| Error::Checkpoint(format!("open store: {e}")))?;
+    if !durability.resume {
+        if let Some((nth, point)) = cfg
+            .faults
+            .as_ref()
+            .and_then(|p| p.kill_at_store_commit.map(|n| (n, p.kill_store_point)))
+        {
+            store.arm_kill(nth, point);
+        }
+    }
+    Ok(Some(Arc::new(store)))
 }
 
 /// Persist a checkpoint into the segment store: stage the detected rows
@@ -1453,6 +1412,15 @@ mod tests {
             .report_from_ingest(&PipelineOutput::default())
             .expect_err("fault plans must be rejected");
         assert!(matches!(err, Error::ServiceMode(_)), "{err}");
+    }
+
+    #[test]
+    fn resume_without_a_checkpoint_dir_is_a_checkpoint_error() {
+        let config = StudyConfig::builder().scale(0.005).resume(true).build();
+        let err = Study::with_registry(config, Registry::new())
+            .run()
+            .expect_err("resume needs a checkpoint dir");
+        assert!(matches!(err, Error::Checkpoint(_)), "{err}");
     }
 
     #[test]

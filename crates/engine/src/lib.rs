@@ -353,123 +353,10 @@ impl Engine {
             spill: None,
         }
     }
-
-    /// Start a session reporting into the process-global metrics
-    /// registry.
-    #[deprecated(note = "use Engine::session_builder().detector(..).start()")]
-    pub fn session(&self, classifier: Arc<dyn DoxDetector>) -> Session {
-        Session::spawn(
-            &self.config,
-            classifier,
-            dox_obs::global(),
-            &Tracer::disabled(),
-            None,
-            None,
-        )
-    }
-
-    /// Start a session reporting into an explicit registry (tests and
-    /// side-by-side runs want isolated metrics).
-    #[deprecated(note = "use Engine::session_builder().detector(..).registry(..).start()")]
-    pub fn session_with_registry(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-    ) -> Session {
-        Session::spawn(
-            &self.config,
-            classifier,
-            registry,
-            &Tracer::disabled(),
-            None,
-            None,
-        )
-    }
-
-    /// Start a session that additionally records causal trace hops for
-    /// sampled documents into the given [`Tracer`]. Tracing is pure
-    /// observation: output stays byte-identical to an untraced session.
-    #[deprecated(
-        note = "use Engine::session_builder().detector(..).registry(..).tracer(..).start()"
-    )]
-    pub fn traced_session(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-        tracer: &Tracer,
-    ) -> Session {
-        Session::spawn(&self.config, classifier, registry, tracer, None, None)
-    }
-
-    /// Resume a session from a checkpoint, reporting into the
-    /// process-global metrics registry. The checkpoint must have been
-    /// taken under the same shard count; workers may differ freely.
-    ///
-    /// # Errors
-    /// [`EngineError::CheckpointShardMismatch`] when the checkpoint's
-    /// shard count differs from the engine's.
-    #[deprecated(note = "use Engine::session_builder().detector(..).resume_from(..).start()")]
-    pub fn resume_session(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Session, EngineError> {
-        self.session_builder()
-            .detector(classifier)
-            .resume_from(checkpoint)
-            .start()
-    }
-
-    /// Resume a session from a checkpoint into an explicit registry.
-    ///
-    /// # Errors
-    /// [`EngineError::CheckpointShardMismatch`] when the checkpoint's
-    /// shard count differs from the engine's.
-    #[deprecated(
-        note = "use Engine::session_builder().detector(..).registry(..).resume_from(..).start()"
-    )]
-    pub fn resume_session_with_registry(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Session, EngineError> {
-        self.session_builder()
-            .detector(classifier)
-            .registry(registry)
-            .resume_from(checkpoint)
-            .start()
-    }
-
-    /// Resume a session from a checkpoint with causal tracing attached.
-    ///
-    /// # Errors
-    /// [`EngineError::CheckpointShardMismatch`] when the checkpoint's
-    /// shard count differs from the engine's.
-    #[deprecated(
-        note = "use Engine::session_builder().detector(..).registry(..).tracer(..).resume_from(..).start()"
-    )]
-    pub fn resume_traced_session(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-        tracer: &Tracer,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Session, EngineError> {
-        self.session_builder()
-            .detector(classifier)
-            .registry(registry)
-            .tracer(tracer)
-            .resume_from(checkpoint)
-            .start()
-    }
 }
 
 /// One-stop configuration for starting a [`Session`], obtained from
-/// [`Engine::session_builder`]. Replaces the former six
-/// `Engine::{session, session_with_registry, traced_session,
-/// resume_session, resume_session_with_registry, resume_traced_session}`
-/// constructors with a single typed surface:
+/// [`Engine::session_builder`] — the only way to start one:
 ///
 /// * [`detector`](SessionBuilder::detector) — **required**; the trained
 ///   (or stub) classifier the stage workers call.
@@ -685,24 +572,6 @@ mod tests {
                 found: 8
             }
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_still_start_sessions() {
-        struct Never;
-        impl DoxDetector for Never {
-            fn is_dox(&self, _text: &str) -> bool {
-                false
-            }
-        }
-        let engine = Engine::builder().workers(1).build().expect("valid");
-        let registry = Registry::new();
-        let output = engine
-            .session_with_registry(Arc::new(Never), &registry)
-            .finish()
-            .expect("clean finish");
-        assert_eq!(output.counters().total, 0);
     }
 
     #[test]

@@ -158,7 +158,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("pipeline.funnel.collected").add(100);
         registry.counter("pipeline.funnel.classified_dox").add(9);
-        registry.gauge("pipeline.batch.threads").set(8);
+        registry.gauge("store.dead_bytes").set(8);
         let h = registry.histogram("pipeline.classify");
         for v in [100u64, 200, 400, 800, 100_000] {
             h.observe(v);
@@ -173,7 +173,7 @@ mod tests {
     fn snapshot_captures_all_metric_kinds() {
         let s = populated().snapshot();
         assert_eq!(s.counters["pipeline.funnel.collected"], 100);
-        assert_eq!(s.gauges["pipeline.batch.threads"], 8);
+        assert_eq!(s.gauges["store.dead_bytes"], 8);
         let h = &s.spans["pipeline.classify"];
         assert_eq!(h.count, 5);
         assert_eq!(h.sum, 101_500);

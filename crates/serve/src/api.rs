@@ -35,7 +35,7 @@ use dox_store::{Store, Table as StoreTable};
 use serde::value::{Number, Value};
 use serde::Deserialize;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -189,9 +189,6 @@ impl ServeState {
     /// store at `dir/store` with a single manifest swap — the drain is
     /// all-or-nothing, and a restore after a mid-drain crash sees the
     /// previous complete tenant set. Returns the drained tenant ids.
-    /// Legacy per-tenant `tenant_<id>.json` files under `dir` are
-    /// removed once the store commit lands (the layout they fed is
-    /// migrated by [`ServeState::restore_checkpoints`]).
     ///
     /// # Errors
     /// A message naming the first tenant that failed to quiesce, or the
@@ -240,73 +237,58 @@ impl ServeState {
         store
             .checkpoint()
             .map_err(|e| format!("commit {}: {e}", store_dir.display()))?;
-        remove_legacy_checkpoints(dir);
         Ok(drained)
     }
 
-    /// Restore every tenant checkpoint under `dir`: the segment store
-    /// at `dir/store` when one exists, plus any legacy per-tenant
-    /// `tenant_*.json` files whose id the store does not already hold
-    /// (they migrate into the store on the next drain). Returns the
-    /// restored tenant ids.
+    /// Restore every tenant checkpoint from the segment store at
+    /// `dir/store`. Returns the restored tenant ids; a directory with no
+    /// store restores none.
     ///
     /// # Errors
     /// A message naming the first unreadable, malformed or mismatched
-    /// checkpoint.
+    /// checkpoint, or `dir` itself when it cannot be read. A directory
+    /// with no store but a pre-store `tenant_*.json` file is an error
+    /// naming that file: restoring nothing would drop its tenant
+    /// without a word.
     pub fn restore_checkpoints(&self, dir: &Path) -> Result<Vec<String>, String> {
-        let mut restored = Vec::new();
-        let store_dir = dir.join("store");
-        if store_dir.join(dox_store::MANIFEST_NAME).exists() {
-            let store = Arc::new(
-                Store::open(&store_dir, &self.registry)
-                    .map_err(|e| format!("open {}: {e}", store_dir.display()))?,
-            );
-            let table: StoreTable<String, String> = StoreTable::new(store, TENANT_TABLE);
-            for (id, payload) in table
-                .scan()
-                .map_err(|e| format!("scan {}: {e}", store_dir.display()))?
-            {
-                let value: Value =
-                    serde_json::from_str(&payload).map_err(|e| format!("tenant '{id}': {e}"))?;
-                let tenant = Tenant::from_checkpoint_value(&value, &self.registry)
-                    .map_err(|e| format!("tenant '{id}': {e}"))?;
-                if !self.insert(tenant) {
-                    return Err(format!("store tenant '{id}': duplicate"));
-                }
-                restored.push(id);
-            }
-        }
         let entries =
             std::fs::read_dir(dir).map_err(|e| format!("checkpoint dir {}: {e}", dir.display()))?;
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(std::result::Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("tenant_") && n.ends_with(".json"))
-            })
-            .collect();
-        paths.sort();
-        for path in paths {
-            let raw =
-                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let store_dir = dir.join("store");
+        if !store_dir.join(dox_store::MANIFEST_NAME).exists() {
+            let old_file = entries
+                .filter_map(std::result::Result::ok)
+                .map(|e| e.path())
+                .filter(|p| {
+                    p.file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(|n| n.starts_with("tenant_") && n.ends_with(".json"))
+                })
+                .min();
+            return match old_file {
+                Some(path) => Err(format!(
+                    "{}: pre-store tenant checkpoint; tenants restore only from {}",
+                    path.display(),
+                    store_dir.display()
+                )),
+                None => Ok(Vec::new()),
+            };
+        }
+        let store = Arc::new(
+            Store::open(&store_dir, &self.registry)
+                .map_err(|e| format!("open {}: {e}", store_dir.display()))?,
+        );
+        let table: StoreTable<String, String> = StoreTable::new(store, TENANT_TABLE);
+        let mut restored = Vec::new();
+        for (id, payload) in table
+            .scan()
+            .map_err(|e| format!("scan {}: {e}", store_dir.display()))?
+        {
             let value: Value =
-                serde_json::from_str(&raw).map_err(|e| format!("{}: {e}", path.display()))?;
-            // The store is the newer layout; a legacy file whose id it
-            // already holds is a leftover from before the migration.
-            let legacy_id = value
-                .get("spec")
-                .and_then(|s| s.get("id"))
-                .and_then(Value::as_str);
-            if legacy_id.is_some_and(|id| self.get(id).is_some()) {
-                continue;
-            }
+                serde_json::from_str(&payload).map_err(|e| format!("tenant '{id}': {e}"))?;
             let tenant = Tenant::from_checkpoint_value(&value, &self.registry)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            let id = tenant.spec().id.clone();
+                .map_err(|e| format!("tenant '{id}': {e}"))?;
             if !self.insert(tenant) {
-                return Err(format!("{}: duplicate tenant '{id}'", path.display()));
+                return Err(format!("store tenant '{id}': duplicate"));
             }
             restored.push(id);
         }
@@ -354,27 +336,6 @@ impl Drop for MutationGuard<'_> {
         *inflight = inflight.saturating_sub(1);
         if *inflight == 0 {
             self.state.quiesced.notify_all();
-        }
-    }
-}
-
-/// Best-effort removal of pre-store `tenant_<id>.json` checkpoints once
-/// a store commit owns the tenant set. A leftover only shadows ids the
-/// store already restores, so failures here are non-fatal.
-fn remove_legacy_checkpoints(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for path in entries
-        .filter_map(std::result::Result::ok)
-        .map(|e| e.path())
-    {
-        let legacy = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("tenant_") && n.ends_with(".json"));
-        if legacy {
-            let _ = std::fs::remove_file(&path);
         }
     }
 }
@@ -708,39 +669,34 @@ mod tests {
             "drain commits through the segment store"
         );
 
-        // A pre-store checkpoint file beside the store: restore loads
-        // both layouts, the store taking precedence on id clashes.
-        let legacy = Tenant::start(spec("legacy"), &Registry::new()).expect("legacy starts");
-        let legacy_state = ServeState::new(Registry::new());
-        assert!(legacy_state.insert(legacy));
-        let value = lock(&legacy_state.get("legacy").expect("resident"))
-            .checkpoint_value()
-            .expect("checkpoint");
-        std::fs::write(
-            dir.join("tenant_legacy.json"),
-            serde_json::to_string(&value).expect("encode"),
-        )
-        .expect("write legacy file");
-
         let resumed = ServeState::new(Registry::new());
         let restored = resumed.restore_checkpoints(&dir).expect("restore");
-        assert_eq!(restored, vec!["alpha".to_string(), "legacy".to_string()]);
+        assert_eq!(restored, vec!["alpha".to_string()]);
         let alpha = resumed.get("alpha").expect("alpha resident");
         assert_eq!(lock(&alpha).docs_ingested(), ingested);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // The next drain migrates the legacy tenant into the store and
-        // removes its file.
-        let drained = resumed.drain_checkpoints(&dir).expect("second drain");
-        assert_eq!(drained, vec!["alpha".to_string(), "legacy".to_string()]);
+    #[test]
+    fn restore_refuses_pre_store_tenant_files_loudly() {
+        let dir = std::env::temp_dir().join(format!("dox_serve_{}_old", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServeState::new(Registry::new());
         assert!(
-            !dir.join("tenant_legacy.json").exists(),
-            "legacy checkpoint migrated into the store"
+            state.restore_checkpoints(&dir).is_err(),
+            "a missing checkpoint dir is an error"
         );
-        let migrated = ServeState::new(Registry::new());
-        let restored = migrated
+        std::fs::create_dir_all(&dir).expect("create dir");
+        assert_eq!(
+            state.restore_checkpoints(&dir).expect("empty dir"),
+            Vec::<String>::new()
+        );
+        std::fs::write(dir.join("tenant_old.json"), "{}").expect("write old file");
+        let err = state
             .restore_checkpoints(&dir)
-            .expect("restore migrated");
-        assert_eq!(restored, vec!["alpha".to_string(), "legacy".to_string()]);
+            .expect_err("an old tenant file without a store must not restore silently");
+        assert!(err.contains("tenant_old.json"), "{err}");
+        assert!(state.tenant_ids().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

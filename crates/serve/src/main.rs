@@ -11,7 +11,8 @@
 //!   --max-backlog <n>     connections allowed to wait for a worker;
 //!                         overflow is shed with 503 (default 1024)
 //!   --deadline-ms <ms>    per-request wall-clock budget (default 30000)
-//!   --checkpoint-dir <d>  where SIGTERM drain writes tenant_<id>.json
+//!   --checkpoint-dir <d>  SIGTERM drain commits every tenant into the
+//!                         segment store at <d>/store
 //!   --resume              restore every tenant checkpoint from
 //!                         --checkpoint-dir before serving
 //!   --quiet               suppress startup/drain notices on stderr
@@ -21,7 +22,8 @@
 //! the `/v1` API — see the `dox_serve::api` module docs for the route
 //! table. On SIGTERM (or SIGINT) it stops accepting mutations,
 //! quiesces every tenant through the engine's checkpoint protocol,
-//! writes one JSON checkpoint per tenant, and exits 0; a follow-up
+//! commits all of their checkpoints into the segment store at
+//! `<dir>/store` in one manifest swap, and exits 0; a follow-up
 //! `--resume` start restores every tenant byte-identically.
 
 use dox_obs::http::{HttpServer, ServerConfig};
@@ -78,7 +80,7 @@ const HELP: &str = "dox-serve — continuous-ingest service daemon
   --max-body <bytes>    request body limit (default 4 MiB)
   --max-backlog <n>     waiting-connection bound; overflow sheds 503 (default 1024)
   --deadline-ms <ms>    per-request wall-clock budget (default 30000)
-  --checkpoint-dir <d>  SIGTERM drain writes tenant_<id>.json here
+  --checkpoint-dir <d>  SIGTERM drain commits every tenant into <d>/store
   --resume              restore tenants from --checkpoint-dir first
   --quiet               no startup/drain notices";
 

@@ -9,6 +9,8 @@
 //! * a plan with unrecoverable faults degrades **loudly**: the report
 //!   differs, and every missing document is accounted for in
 //!   `report.coverage` — never silently dropped;
+//! * a checkpoint directory alone makes a run store-backed: checkpoints
+//!   commit into `<dir>/store`, never into a monolithic JSON file;
 //! * the same contracts hold for store-backed durability: a fault-free
 //!   store-backed run, and a run SIGKILLed between the segment write
 //!   and the manifest swap then resumed from the recovered store, are
@@ -29,6 +31,7 @@ use doxing_repro::core::{Error, Study};
 use doxing_repro::engine::EngineConfig;
 use doxing_repro::fault::{FaultDomain, FaultPlanConfig, OutageWindow, StoreKillPoint};
 use doxing_repro::obs::{Level, Registry};
+use doxing_repro::store::MANIFEST_NAME;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
@@ -155,6 +158,33 @@ fn kill_and_resume_reproduces_the_report_byte_for_byte() {
     }
 }
 
+#[test]
+fn a_checkpoint_dir_alone_checkpoints_through_the_store() {
+    let dir = scratch_dir("dir_only");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = base(1, 8)
+        .checkpoint_dir(&dir)
+        .checkpoint_every(400)
+        .build();
+    let r = Study::with_registry(cfg, Registry::new())
+        .run()
+        .expect("checkpointed study runs");
+    assert_eq!(
+        to_json(&r).expect("report serializes"),
+        clean_json(1, 8),
+        "checkpointing must not change a byte of the report"
+    );
+    assert!(
+        dir.join("store").join(MANIFEST_NAME).exists(),
+        "a checkpoint dir alone must commit checkpoints into <dir>/store"
+    );
+    assert!(
+        !dir.join("study_checkpoint.json").exists(),
+        "no monolithic JSON checkpoint may be written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The Info-and-louder event stream, rendered exactly as `emit` echoes
 /// it to stderr. Sequence numbers are not compared — a resumed run
 /// spends one on its Debug-level resume notice.
@@ -175,12 +205,8 @@ fn store_backed_kill_mid_commit_and_resume_is_byte_identical() {
         let _ = std::fs::remove_dir_all(&dir);
         // A tiny spill cap so every shard actually pages dedup state
         // out to the store instead of keeping the run in memory.
-        let store_base = |b: StudyConfigBuilder| {
-            b.checkpoint_dir(&dir)
-                .checkpoint_every(400)
-                .store_backed(true)
-                .spill_cap(64)
-        };
+        let store_base =
+            |b: StudyConfigBuilder| b.checkpoint_dir(&dir).checkpoint_every(400).spill_cap(64);
 
         // Store-backed run under the recoverable storm: spilling and
         // store checkpoints must not change a byte of the report. This
@@ -254,12 +280,8 @@ fn store_backed_kill_mid_commit_and_resume_is_byte_identical() {
 fn store_kill_at_every_commit_point_resumes_byte_identically() {
     let (workers, shards) = (4, 8);
     let dir = scratch_dir("store_points");
-    let store_base = |b: StudyConfigBuilder| {
-        b.checkpoint_dir(&dir)
-            .checkpoint_every(400)
-            .store_backed(true)
-            .spill_cap(64)
-    };
+    let store_base =
+        |b: StudyConfigBuilder| b.checkpoint_dir(&dir).checkpoint_every(400).spill_cap(64);
     let _ = std::fs::remove_dir_all(&dir);
     let clean_registry = Registry::new();
     let clean = Study::with_registry(
@@ -359,7 +381,6 @@ fn store_checkpoints_append_rows_and_never_compact() {
         base(1, 8)
             .checkpoint_dir(&dir)
             .checkpoint_every(400)
-            .store_backed(true)
             .spill_cap(32),
     );
     let report = Study::with_registry(cfg, registry.clone())
