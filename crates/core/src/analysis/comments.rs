@@ -10,11 +10,11 @@
 use crate::monitor::Monitor;
 use dox_osn::account::AccountId;
 use dox_osn::platform::SimOsnWorld;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// §5.3.2's numbers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CommentAnalysis {
     /// Comments recorded on victims' public accounts.
     pub total_comments: usize,

@@ -9,10 +9,10 @@
 
 use crate::labeling::LabeledDox;
 use dox_synth::truth::Community;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Table 7 counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CommunityBreakdown {
     /// Hackers.
     pub hacker: usize,

@@ -6,10 +6,10 @@
 
 use crate::labeling::LabeledDox;
 use dox_synth::truth::Gender;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Table 5 row values.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct Demographics {
     /// Minimum stated age.
     pub min_age: u8,

@@ -10,11 +10,11 @@
 //! at this graph size.
 
 use crate::pipeline::DetectedDox;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An undirected graph over doxer aliases.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct DoxerGraph {
     /// Alias per node index.
     pub aliases: Vec<String>,
@@ -155,7 +155,7 @@ fn bron_kerbosch(
 }
 
 /// The Figure 2 summary statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct DoxerNetworkSummary {
     /// Credited doxer aliases (the paper's 251).
     pub total_doxers: usize,

@@ -6,10 +6,10 @@
 
 use crate::labeling::LabeledDox;
 use dox_synth::truth::Motivation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Table 8 counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct MotivationBreakdown {
     /// Competitive doxes.
     pub competitive: usize,

@@ -8,11 +8,11 @@
 
 use crate::pipeline::DetectedDox;
 use dox_osn::network::Network;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The Table 9 counts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct OsnPresence {
     /// Doxes referencing each network.
     pub per_network: BTreeMap<Network, usize>,

@@ -9,11 +9,11 @@
 use crate::monitor::AccountHistory;
 use dox_osn::filters::{FilterEra, FilterSchedule};
 use dox_osn::network::Network;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One Table 10 row.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct StatusChangeRow {
     /// Accounts ending more private than they started.
     pub more_private: usize,
@@ -71,7 +71,7 @@ fn frac(n: usize, d: usize) -> f64 {
 pub type Bucket = (Network, Option<FilterEra>);
 
 /// The full Table 10 (minus the control row, added by the caller).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StatusChangeTable {
     /// Rows per bucket.
     pub rows: BTreeMap<String, StatusChangeRow>,

@@ -10,10 +10,10 @@ use crate::monitor::AccountHistory;
 use dox_osn::account::AccountStatus;
 use dox_osn::filters::{FilterEra, FilterSchedule};
 use dox_osn::network::Network;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Day-by-day status counts for one (network, era) panel of Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimelinePanel {
     /// The network.
     pub network: Network,
@@ -100,7 +100,7 @@ pub fn timeline_panel<'a>(
 /// §6.3 reaction timing over every monitored account: of the observed
 /// "more-private" transitions, the fraction landing within 24 hours and
 /// within 7 days of the dox being observed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ReactionTiming {
     /// More-private changes observed.
     pub total: usize,

@@ -17,10 +17,10 @@ use dox_geo::postal::PostalAddress;
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// §4.1's result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct IpValidation {
     /// Doxes sampled (paper: 50).
     pub sampled: usize,
@@ -102,7 +102,7 @@ fn geocode_extracted_address<'w>(
 
 /// Table 3's result, re-exported from the site substrate with the paper's
 /// framing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct DeletionValidation {
     /// Dox-labeled pastes posted in period 1.
     pub dox_total: u64,

@@ -36,6 +36,7 @@ const MAX_RATE_LIMIT_RETRIES: u32 = 8;
 
 /// The visit schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Schedule {
     /// Day offsets of the fixed early probes (paper: 0, 1, 2, 3, 7).
     pub early_days: Vec<u64>,
@@ -92,41 +93,9 @@ impl Schedule {
     }
 }
 
-// The vendored serde cannot derive `Deserialize`; structs round-trip
-// as field objects with unknown fields rejected.
-impl Deserialize for Schedule {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        let mut early_days = None;
-        let mut repeat_days = None;
-        let mut horizon_days = None;
-        let mut jitter_minutes = None;
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "early_days" => {
-                    early_days = Some(
-                        v.as_array()?
-                            .iter()
-                            .map(|d| d.as_u64())
-                            .collect::<Option<Vec<u64>>>()?,
-                    );
-                }
-                "repeat_days" => repeat_days = Some(v.as_u64()?),
-                "horizon_days" => horizon_days = Some(v.as_u64()?),
-                "jitter_minutes" => jitter_minutes = Some(v.as_u64()?),
-                _ => return None,
-            }
-        }
-        Some(Self {
-            early_days: early_days?,
-            repeat_days: repeat_days?,
-            horizon_days: horizon_days?,
-            jitter_minutes: jitter_minutes?,
-        })
-    }
-}
-
 /// The complete observation history of one monitored account.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AccountHistory {
     /// The account.
     pub account: AccountId,
@@ -134,34 +103,6 @@ pub struct AccountHistory {
     pub first_observed: SimTime,
     /// Observations, in probe order.
     pub observations: Vec<Observation>,
-}
-
-impl Deserialize for AccountHistory {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        let mut account = None;
-        let mut first_observed = None;
-        let mut observations = None;
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "account" => account = Some(AccountId::from_value(v)?),
-                "first_observed" => first_observed = Some(SimTime::from_value(v)?),
-                "observations" => {
-                    observations = Some(
-                        v.as_array()?
-                            .iter()
-                            .map(Observation::from_value)
-                            .collect::<Option<Vec<Observation>>>()?,
-                    );
-                }
-                _ => return None,
-            }
-        }
-        Some(Self {
-            account: account?,
-            first_observed: first_observed?,
-            observations: observations?,
-        })
-    }
 }
 
 impl AccountHistory {

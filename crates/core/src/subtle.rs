@@ -19,10 +19,10 @@
 
 use crate::training::DoxClassifier;
 use dox_extract::record::{extract, ExtractedDox};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the second stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SubtleConfig {
     /// Width of the gray zone below the decision boundary: documents with
     /// `decision > -margin` are eligible for promotion.
@@ -41,7 +41,7 @@ impl Default for SubtleConfig {
 }
 
 /// The verdict of the combined detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Verdict {
     /// The base classifier said dox.
     Classifier,

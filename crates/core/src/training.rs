@@ -10,7 +10,7 @@ use dox_ml::eval::{evaluate_classifier, train_full};
 use dox_ml::metrics::ClassificationReport;
 use dox_ml::sgd::{SgdClassifier, SgdConfig};
 use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The trained classifier stage: vectorizer plus linear model.
 #[derive(Clone)]
@@ -24,7 +24,7 @@ pub struct DoxClassifier {
 }
 
 /// Summary of the Table 1 run, serializable for EXPERIMENTS.md.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ClassifierSummary {
     /// Held-out report.
     pub report: ClassificationReport,

@@ -68,34 +68,24 @@ pub struct SessionCheckpoint {
     pub dedups: Vec<DedupSnapshot>,
 }
 
+// Hand-written for the version gate: a checkpoint in another encoding
+// version is rejected, never misread.
 impl Deserialize for SessionCheckpoint {
     fn from_value(value: &Value) -> Option<Self> {
+        fn field<T: Deserialize>(value: &Value, key: &str) -> Option<T> {
+            T::from_value(value.get(key)?)
+        }
         let checkpoint = SessionCheckpoint {
-            version: u32::try_from(value.get("version")?.as_u64()?).ok()?,
-            shards: usize::try_from(value.get("shards")?.as_u64()?).ok()?,
-            next_chunk_seq: value.get("next_chunk_seq")?.as_u64()?,
-            dox_seq: value.get("dox_seq")?.as_u64()?,
-            router_counters: PipelineCounters::from_value(value.get("router_counters")?)?,
-            dox_ids: value
-                .get("dox_ids")?
-                .as_array()?
-                .iter()
-                .map(Value::as_u64)
-                .collect::<Option<BTreeSet<_>>>()?,
-            stage_gap_docs: value.get("stage_gap_docs")?.as_u64()?,
-            committer_counters: PipelineCounters::from_value(value.get("committer_counters")?)?,
-            detected: value
-                .get("detected")?
-                .as_array()?
-                .iter()
-                .map(DetectedDox::from_value)
-                .collect::<Option<Vec<_>>>()?,
-            dedups: value
-                .get("dedups")?
-                .as_array()?
-                .iter()
-                .map(DedupSnapshot::from_value)
-                .collect::<Option<Vec<_>>>()?,
+            version: field(value, "version")?,
+            shards: field(value, "shards")?,
+            next_chunk_seq: field(value, "next_chunk_seq")?,
+            dox_seq: field(value, "dox_seq")?,
+            router_counters: field(value, "router_counters")?,
+            dox_ids: field(value, "dox_ids")?,
+            stage_gap_docs: field(value, "stage_gap_docs")?,
+            committer_counters: field(value, "committer_counters")?,
+            detected: field(value, "detected")?,
+            dedups: field(value, "dedups")?,
         };
         (checkpoint.version == CHECKPOINT_VERSION).then_some(checkpoint)
     }
@@ -182,8 +172,7 @@ impl From<StoreError> for StoreCheckpointError {
 }
 
 /// A session checkpoint stamped with its owner's identity: what
-/// [`StoreCheckpoint::load`] returns, and the whole of a monolithic JSON
-/// checkpoint file.
+/// [`StoreCheckpoint::load`] returns.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StampedCheckpoint {
     /// Fingerprint of the configuration the state belongs to; a resume
@@ -194,16 +183,6 @@ pub struct StampedCheckpoint {
     /// The session state, detected log included, ready for
     /// [`SessionBuilder::resume_from`](crate::SessionBuilder::resume_from).
     pub session: SessionCheckpoint,
-}
-
-impl Deserialize for StampedCheckpoint {
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(StampedCheckpoint {
-            fingerprint: value.get("fingerprint")?.as_u64()?,
-            docs_ingested: value.get("docs_ingested")?.as_u64()?,
-            session: SessionCheckpoint::from_value(value.get("session")?)?,
-        })
-    }
 }
 
 /// What one [`StoreCheckpoint::stage`] call put into the store.
@@ -219,7 +198,7 @@ pub struct Staged {
 
 /// The header row: a [`StampedCheckpoint`] whose session has an empty
 /// detected log, plus the layout version and the log's length.
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct Header {
     layout: u32,
     fingerprint: u64,
@@ -340,15 +319,16 @@ impl StoreCheckpoint {
                 ))
             }
         }
-        // Past the layout field, a header reads as a stamped checkpoint
-        // with an empty log, plus the log's length.
-        let (Some(mut stamped), Some(detected_len)) = (
-            StampedCheckpoint::from_value(&value),
-            value.get("detected_len").and_then(Value::as_u64),
-        ) else {
+        let Some(Header {
+            fingerprint,
+            docs_ingested,
+            detected_len,
+            mut session,
+            ..
+        }) = Header::from_value(&value)
+        else {
             return Err(header_err("fields do not decode".into()));
         };
-        let session = &mut stamped.session;
         if !session.detected.is_empty() {
             return Err(header_err("session state inlines a detected log".into()));
         }
@@ -375,7 +355,11 @@ impl StoreCheckpoint {
             session.detected.push(dox);
         }
         self.persisted = detected_len;
-        Ok(Some(stamped))
+        Ok(Some(StampedCheckpoint {
+            fingerprint,
+            docs_ingested,
+            session,
+        }))
     }
 }
 
@@ -422,14 +406,83 @@ mod tests {
         }
     }
 
+    /// Detected doxes built from a generated corpus: true doxes carry
+    /// their truth, pastes stand in for false positives (truth `None`),
+    /// and true doxes at every third log index are marked duplicates,
+    /// cycling through the three kinds.
+    fn corpus_detected() -> Vec<DetectedDox> {
+        use crate::dedup::DuplicateKind;
+        use dox_geo::alloc::{AllocConfig, Allocation};
+        use dox_geo::model::{World, WorldConfig};
+        use dox_synth::config::SynthConfig;
+        use dox_synth::corpus::CorpusGenerator;
+        use std::ops::ControlFlow;
+
+        let world = World::generate(
+            &WorldConfig {
+                countries: 2,
+                states_per_country: 3,
+                cities_per_state: 4,
+            },
+            5,
+        );
+        let alloc = Allocation::generate(&world, &AllocConfig::default(), 5);
+        let mut generator = CorpusGenerator::new(&world, &alloc, SynthConfig::test_scale());
+        let kinds = [
+            DuplicateKind::ExactBody,
+            DuplicateKind::AccountSet,
+            DuplicateKind::Fuzzy,
+        ];
+        let (mut doxes, mut pastes) = (Vec::new(), 0);
+        let _ = generator.generate_period(2, &mut |doc| {
+            let truth = doc.truth.as_dox().cloned().map(Box::new);
+            if truth.is_none() && pastes == 4 {
+                return ControlFlow::Continue(());
+            }
+            pastes += usize::from(truth.is_none());
+            let n = doxes.len();
+            let duplicate = (truth.is_some() && n % 3 == 0).then(|| (kinds[n % 9 / 3], n as u64));
+            doxes.push(DetectedDox {
+                doc_id: doc.id,
+                source: doc.source,
+                period: 2,
+                posted_at: doc.posted_at,
+                observed_at: doc.posted_at,
+                extracted: extract(&doc.body),
+                text: doc.body,
+                duplicate,
+                truth,
+            });
+            if doxes.len() < 24 {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        doxes
+    }
+
     #[test]
     fn checkpoints_round_trip_byte_identically() {
-        let original = sample();
-        let json = serde_json::to_string(&original).expect("serializes");
-        let parsed: SessionCheckpoint = serde_json::from_str(&json).expect("parses");
-        assert_eq!(parsed, original);
-        let rewritten = serde_json::to_string(&parsed).expect("serializes again");
-        assert_eq!(rewritten, json, "round trip is byte-stable");
+        let detected = corpus_detected();
+        assert!(detected.iter().any(|d| d.truth.is_none()));
+        assert!(detected
+            .iter()
+            .any(|d| d.truth.is_some() && d.duplicate.is_none()));
+        assert!(detected
+            .iter()
+            .any(|d| d.truth.is_some() && d.duplicate.is_some()));
+        let generated = SessionCheckpoint {
+            detected,
+            ..sample()
+        };
+        for original in [sample(), generated] {
+            let json = serde_json::to_string(&original).expect("serializes");
+            let parsed: SessionCheckpoint = serde_json::from_str(&json).expect("parses");
+            assert_eq!(parsed, original);
+            let rewritten = serde_json::to_string(&parsed).expect("serializes again");
+            assert_eq!(rewritten, json, "round trip is byte-stable");
+        }
     }
 
     #[test]

@@ -48,19 +48,6 @@ pub enum DuplicateKind {
     Fuzzy,
 }
 
-// The vendored serde cannot derive `Deserialize`; checkpoints round-trip
-// dedup state by hand.
-impl serde::Deserialize for DuplicateKind {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "ExactBody" => Some(DuplicateKind::ExactBody),
-            "AccountSet" => Some(DuplicateKind::AccountSet),
-            "Fuzzy" => Some(DuplicateKind::Fuzzy),
-            _ => None,
-        }
-    }
-}
-
 /// The stable routing signature of one classified dox: the hash of its
 /// non-empty account-set key, else the hash of its body.
 ///
@@ -198,17 +185,6 @@ pub struct DedupCounts {
     pub fuzzy: u64,
 }
 
-impl serde::Deserialize for DedupCounts {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(DedupCounts {
-            total: value.get("total")?.as_u64()?,
-            exact: value.get("exact")?.as_u64()?,
-            account_set: value.get("account_set")?.as_u64()?,
-            fuzzy: value.get("fuzzy")?.as_u64()?,
-        })
-    }
-}
-
 /// A serializable snapshot of one [`Deduplicator`]'s state.
 ///
 /// The live deduplicator keys its maps by hash for speed; the snapshot
@@ -228,56 +204,6 @@ pub struct DedupSnapshot {
     pub fuzzy_threshold: Option<u32>,
     /// Counters per kind.
     pub counts: DedupCounts,
-}
-
-impl serde::Deserialize for DedupSnapshot {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        use serde::value::Value;
-        let u64_pair = |v: &Value| {
-            let pair = v.as_array()?;
-            Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
-        };
-        Some(DedupSnapshot {
-            bodies: value
-                .get("bodies")?
-                .as_array()?
-                .iter()
-                .map(u64_pair)
-                .collect::<Option<Vec<_>>>()?,
-            account_sets: value
-                .get("account_sets")?
-                .as_array()?
-                .iter()
-                .map(|entry| {
-                    let entry = entry.as_array()?;
-                    let key = entry
-                        .first()?
-                        .as_array()?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.as_array()?;
-                            Some((
-                                Network::from_value(pair.first()?)?,
-                                pair.get(1)?.as_str()?.to_string(),
-                            ))
-                        })
-                        .collect::<Option<Vec<_>>>()?;
-                    Some((key, entry.get(1)?.as_u64()?))
-                })
-                .collect::<Option<Vec<_>>>()?,
-            simhashes: value
-                .get("simhashes")?
-                .as_array()?
-                .iter()
-                .map(u64_pair)
-                .collect::<Option<Vec<_>>>()?,
-            fuzzy_threshold: match value.get("fuzzy_threshold")? {
-                Value::Null => None,
-                other => Some(u32::try_from(other.as_u64()?).ok()?),
-            },
-            counts: DedupCounts::from_value(value.get("counts")?)?,
-        })
-    }
 }
 
 impl DedupCounts {

@@ -70,8 +70,7 @@ pub use stage::{classify_and_extract, DoxDetector, StageLocal, StageMetrics};
 
 use dox_fault::{FaultPlanConfig, RetryPolicy};
 use dox_obs::{Registry, Tracer};
-use serde::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// The panic message recovered from a dead engine thread — the chained
@@ -175,15 +174,6 @@ pub struct EngineFaults {
     /// Retry budget for poisoned chunks; a chunk whose poison count
     /// exceeds `policy.max_retries` becomes an explicit coverage gap.
     pub policy: RetryPolicy,
-}
-
-impl Deserialize for EngineFaults {
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(EngineFaults {
-            plan: FaultPlanConfig::from_value(value.get("plan")?)?,
-            policy: RetryPolicy::from_value(value.get("policy")?)?,
-        })
-    }
 }
 
 /// Tuning knobs for the ingest topology. None of them affect the result —

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A document the classifier flagged as a dox.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DetectedDox {
     /// Document id from the stream.
     pub doc_id: u64,
@@ -33,37 +33,6 @@ pub struct DetectedDox {
     /// Ground truth when the document really is a dox (false positives
     /// carry `None`). Used only by evaluation, never by inference.
     pub truth: Option<Box<DoxTruth>>,
-}
-
-// The vendored serde cannot derive `Deserialize`; checkpoints round-trip
-// detected doxes by hand, mirroring the derive's Serialize encoding.
-impl serde::Deserialize for DetectedDox {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        use serde::value::Value;
-        Some(DetectedDox {
-            doc_id: value.get("doc_id")?.as_u64()?,
-            source: Source::from_value(value.get("source")?)?,
-            period: u8::try_from(value.get("period")?.as_u64()?).ok()?,
-            posted_at: SimTime::from_value(value.get("posted_at")?)?,
-            observed_at: SimTime::from_value(value.get("observed_at")?)?,
-            text: value.get("text")?.as_str()?.to_string(),
-            extracted: ExtractedDox::from_value(value.get("extracted")?)?,
-            duplicate: match value.get("duplicate")? {
-                Value::Null => None,
-                other => {
-                    let pair = other.as_array()?;
-                    Some((
-                        DuplicateKind::from_value(pair.first()?)?,
-                        pair.get(1)?.as_u64()?,
-                    ))
-                }
-            },
-            truth: match value.get("truth")? {
-                Value::Null => None,
-                other => Some(Box::new(DoxTruth::from_value(other)?)),
-            },
-        })
-    }
 }
 
 /// Per-stage counters — the numbers on the Figure 1 funnel.
@@ -90,30 +59,6 @@ pub struct PipelineCounters {
     pub exact_duplicates: u64,
     /// Account-set duplicates.
     pub account_set_duplicates: u64,
-}
-
-impl serde::Deserialize for PipelineCounters {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        let period_pair = |v: &serde::value::Value| {
-            let pair = v.as_array()?;
-            Some([pair.first()?.as_u64()?, pair.get(1)?.as_u64()?])
-        };
-        Some(PipelineCounters {
-            per_source: value
-                .get("per_source")?
-                .as_object()?
-                .iter()
-                .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
-                .collect::<Option<BTreeMap<_, _>>>()?,
-            per_period: period_pair(value.get("per_period")?)?,
-            dox_per_period: period_pair(value.get("dox_per_period")?)?,
-            duplicates_per_period: period_pair(value.get("duplicates_per_period")?)?,
-            total: value.get("total")?.as_u64()?,
-            classified_dox: value.get("classified_dox")?.as_u64()?,
-            exact_duplicates: value.get("exact_duplicates")?.as_u64()?,
-            account_set_duplicates: value.get("account_set_duplicates")?.as_u64()?,
-        })
-    }
 }
 
 impl PipelineCounters {

@@ -17,11 +17,11 @@ use dox_osn::network::Network;
 use dox_synth::persona::Persona;
 use dox_synth::truth::DoxTruth;
 use dox_textkit::normalize::digits_only;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The fields Table 2 scores, in the paper's row order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Field {
     /// Instagram handle extraction.
     Instagram,
@@ -82,7 +82,7 @@ impl Field {
 }
 
 /// Accuracy accounting for one field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FieldScore {
     /// Documents where the extraction matched the hand label.
     pub correct: usize,
@@ -113,7 +113,7 @@ impl FieldScore {
 }
 
 /// The full Table 2: per-field scores over a labeled sample.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ExtractorEvaluation {
     /// Per-field accounting.
     pub scores: BTreeMap<Field, FieldScore>,

@@ -17,20 +17,6 @@ pub struct Credit {
     pub twitter: Option<String>,
 }
 
-// The vendored serde cannot derive `Deserialize`; engine checkpoints
-// round-trip extraction records by hand.
-impl serde::Deserialize for Credit {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(Credit {
-            alias: value.get("alias")?.as_str()?.to_string(),
-            twitter: match value.get("twitter")? {
-                serde::value::Value::Null => None,
-                other => Some(other.as_str()?.to_string()),
-            },
-        })
-    }
-}
-
 /// Phrases that open a credit clause.
 const OPENERS: &[&str] = &[
     "dropped by ",

@@ -51,75 +51,6 @@ pub struct ExtractedFields {
     pub usernames: Vec<String>,
 }
 
-// The vendored serde cannot derive `Deserialize`; engine checkpoints
-// round-trip extraction records by hand. Mirrors the derive's Serialize
-// encoding: options as null-or-value, tuples as arrays, IPs as strings.
-impl serde::Deserialize for ExtractedFields {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        use serde::value::Value;
-        let opt_str = |v: &Value| match v {
-            Value::Null => Some(None),
-            other => other.as_str().map(|s| Some(s.to_string())),
-        };
-        let strings = |v: &Value| {
-            v.as_array()?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<String>>>()
-        };
-        Some(ExtractedFields {
-            first_name: opt_str(value.get("first_name")?)?,
-            last_name: opt_str(value.get("last_name")?)?,
-            age: match value.get("age")? {
-                Value::Null => None,
-                other => Some(u8::try_from(other.as_u64()?).ok()?),
-            },
-            dob: match value.get("dob")? {
-                Value::Null => None,
-                other => {
-                    let parts = other.as_array()?;
-                    Some((
-                        u16::try_from(parts.first()?.as_u64()?).ok()?,
-                        u8::try_from(parts.get(1)?.as_u64()?).ok()?,
-                        u8::try_from(parts.get(2)?.as_u64()?).ok()?,
-                    ))
-                }
-            },
-            phones: strings(value.get("phones")?)?,
-            emails: strings(value.get("emails")?)?,
-            ips: value
-                .get("ips")?
-                .as_array()?
-                .iter()
-                .map(|ip| ip.as_str()?.parse().ok())
-                .collect::<Option<Vec<Ipv4Addr>>>()?,
-            address: opt_str(value.get("address")?)?,
-            zip: match value.get("zip")? {
-                Value::Null => None,
-                other => Some(u32::try_from(other.as_u64()?).ok()?),
-            },
-            ssns: strings(value.get("ssns")?)?,
-            credit_cards: strings(value.get("credit_cards")?)?,
-            school: opt_str(value.get("school")?)?,
-            isp: opt_str(value.get("isp")?)?,
-            passwords: strings(value.get("passwords")?)?,
-            family: value
-                .get("family")?
-                .as_array()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array()?;
-                    Some((
-                        pair.first()?.as_str()?.to_string(),
-                        pair.get(1)?.as_str()?.to_string(),
-                    ))
-                })
-                .collect::<Option<Vec<FamilyRef>>>()?,
-            usernames: strings(value.get("usernames")?)?,
-        })
-    }
-}
-
 /// Label aliases per field, lowercased.
 const NAME_LABELS: &[&str] = &["name", "real name", "full name"];
 const AGE_LABELS: &[&str] = &["age"];

@@ -10,10 +10,10 @@
 //! [`parse_line`] normalizes a line into `(label, values)` covering all of
 //! those shapes; [`split_values`] handles the multi-value separators.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A parsed semi-structured line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LabeledLine {
     /// The lowercased label.
     pub label: String,
@@ -24,7 +24,7 @@ pub struct LabeledLine {
 }
 
 /// The syntactic shape of a labeled line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum LineShape {
     /// `label: value` (or `label; value`).
     Separator,

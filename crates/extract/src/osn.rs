@@ -27,17 +27,6 @@ pub struct OsnRef {
     pub handle: String,
 }
 
-// The vendored serde cannot derive `Deserialize`; engine checkpoints
-// round-trip extraction records by hand.
-impl serde::Deserialize for OsnRef {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(OsnRef {
-            network: Network::from_value(value.get("network")?)?,
-            handle: value.get("handle")?.as_str()?.to_string(),
-        })
-    }
-}
-
 /// Extract every social-network account referenced in `text`.
 ///
 /// Results are deduplicated and sorted (network, handle).

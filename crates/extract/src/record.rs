@@ -43,28 +43,6 @@ impl ExtractedDox {
     }
 }
 
-// The vendored serde cannot derive `Deserialize`; engine checkpoints
-// round-trip extraction records by hand.
-impl serde::Deserialize for ExtractedDox {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(ExtractedDox {
-            osn: value
-                .get("osn")?
-                .as_array()?
-                .iter()
-                .map(OsnRef::from_value)
-                .collect::<Option<Vec<_>>>()?,
-            fields: ExtractedFields::from_value(value.get("fields")?)?,
-            credits: value
-                .get("credits")?
-                .as_array()?
-                .iter()
-                .map(Credit::from_value)
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
-}
-
 /// Run every extractor over `text` (plain text — convert chan HTML first
 /// with [`dox_textkit::html::html_to_text`]).
 ///

@@ -9,11 +9,11 @@
 //! `crates/fault/tests/backoff_props.rs` hold the proof to account.
 
 use crate::mix;
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// The backoff schedule: `delay(n) = min(cap, base·2ⁿ + jitter(n))`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct Backoff {
     /// First delay, in ticks (clamped to ≥ 1).
     pub base: u64,
@@ -64,26 +64,9 @@ impl Backoff {
     }
 }
 
-// Hand-written: the vendored serde derives `Serialize` only. Missing
-// fields fall back to defaults; unknown fields are rejected.
-impl Deserialize for Backoff {
-    fn from_value(value: &Value) -> Option<Self> {
-        let mut backoff = Backoff::default();
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "base" => backoff.base = v.as_u64()?,
-                "cap" => backoff.cap = v.as_u64()?,
-                "jitter_ppm" => backoff.jitter_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "seed" => backoff.seed = v.as_u64()?,
-                _ => return None,
-            }
-        }
-        Some(backoff)
-    }
-}
-
 /// How many times to retry, and how to wait between attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt (an op runs at most
     /// `max_retries + 1` times).
@@ -98,20 +81,6 @@ impl Default for RetryPolicy {
             max_retries: 5,
             backoff: Backoff::default(),
         }
-    }
-}
-
-impl Deserialize for RetryPolicy {
-    fn from_value(value: &Value) -> Option<Self> {
-        let mut policy = RetryPolicy::default();
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "max_retries" => policy.max_retries = u32::try_from(v.as_u64()?).ok()?,
-                "backoff" => policy.backoff = Backoff::from_value(v)?,
-                _ => return None,
-            }
-        }
-        Some(policy)
     }
 }
 

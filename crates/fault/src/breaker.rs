@@ -8,7 +8,6 @@
 //! drop an operation themselves, so document fate stays with the retry
 //! budget and the coverage-gap accounting.
 
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -50,7 +49,8 @@ impl std::fmt::Display for BreakerState {
 }
 
 /// Breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip the breaker.
     pub failure_threshold: u32,
@@ -64,24 +64,6 @@ impl Default for BreakerConfig {
             failure_threshold: 4,
             cooldown: 120,
         }
-    }
-}
-
-// Hand-written: the vendored serde derives `Serialize` only. Missing
-// fields fall back to defaults; unknown fields are rejected.
-impl Deserialize for BreakerConfig {
-    fn from_value(value: &Value) -> Option<Self> {
-        let mut config = BreakerConfig::default();
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "failure_threshold" => {
-                    config.failure_threshold = u32::try_from(v.as_u64()?).ok()?;
-                }
-                "cooldown" => config.cooldown = v.as_u64()?,
-                _ => return None,
-            }
-        }
-        Some(config)
     }
 }
 

@@ -22,7 +22,9 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// Where in the pipeline a fault is injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub enum FaultDomain {
     /// The `Collector`/`SiteHub` fetch boundary (document collection).
     #[default]
@@ -59,22 +61,6 @@ impl FaultDomain {
 impl std::fmt::Display for FaultDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-// The vendored serde has no derive for `Deserialize`; plan files are
-// parsed by hand off the value tree, with unknown fields rejected so a
-// typo in a `--fault-plan` file fails loudly instead of silently meaning
-// "default".
-impl Deserialize for FaultDomain {
-    fn from_value(value: &Value) -> Option<Self> {
-        match value.as_str()? {
-            "Collect" => Some(FaultDomain::Collect),
-            "Probe" => Some(FaultDomain::Probe),
-            "Comments" => Some(FaultDomain::Comments),
-            "Stage" => Some(FaultDomain::Stage),
-            _ => None,
-        }
     }
 }
 
@@ -160,7 +146,8 @@ impl std::fmt::Display for Fault {
 impl std::error::Error for Fault {}
 
 /// A scheduled partial outage of one target in one domain.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct OutageWindow {
     /// Injection boundary the outage applies to.
     pub domain: FaultDomain,
@@ -173,28 +160,15 @@ pub struct OutageWindow {
     pub until: u64,
 }
 
-impl Deserialize for OutageWindow {
-    fn from_value(value: &Value) -> Option<Self> {
-        let mut window = OutageWindow::default();
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "domain" => window.domain = FaultDomain::from_value(v)?,
-                "target" => window.target = v.as_str()?.to_string(),
-                "from" => window.from = v.as_u64()?,
-                "until" => window.until = v.as_u64()?,
-                _ => return None,
-            }
-        }
-        Some(window)
-    }
-}
-
 /// The serializable fault-plan format (`--fault-plan file.json`).
 ///
 /// All rates are parts-per-million so the config stays `Eq` and
 /// byte-stable across platforms. Everything defaults to zero: the default
-/// plan is all-healthy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// plan is all-healthy. A plan file may omit any key, but an unknown key
+/// is rejected, so a typo fails loudly instead of silently meaning
+/// "default".
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct FaultPlanConfig {
     /// Seed all fault decisions derive from (independent of the run seed
     /// so the same weather can be replayed over different corpora).
@@ -256,54 +230,6 @@ impl Default for FaultPlanConfig {
             kill_at_store_commit: None,
             kill_store_point: StoreKillPoint::default(),
         }
-    }
-}
-
-impl Deserialize for FaultPlanConfig {
-    fn from_value(value: &Value) -> Option<Self> {
-        let mut config = FaultPlanConfig::default();
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "seed" => config.seed = v.as_u64()?,
-                "transient_ppm" => config.transient_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "max_transient_failures" => {
-                    config.max_transient_failures = u32::try_from(v.as_u64()?).ok()?;
-                }
-                "hard_ppm" => config.hard_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "rate_limited_ppm" => config.rate_limited_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "retry_after" => config.retry_after = v.as_u64()?,
-                "server_error_code" => {
-                    config.server_error_code = u16::try_from(v.as_u64()?).ok()?;
-                }
-                "outages" => {
-                    config.outages = v
-                        .as_array()?
-                        .iter()
-                        .map(OutageWindow::from_value)
-                        .collect::<Option<Vec<_>>>()?;
-                }
-                "slow_chunk_ppm" => config.slow_chunk_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "slow_chunk_yields" => {
-                    config.slow_chunk_yields = u32::try_from(v.as_u64()?).ok()?;
-                }
-                "poison_chunk_ppm" => config.poison_chunk_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "kill_after_docs" => {
-                    config.kill_after_docs = match v {
-                        Value::Null => None,
-                        other => Some(other.as_u64()?),
-                    };
-                }
-                "kill_at_store_commit" => {
-                    config.kill_at_store_commit = match v {
-                        Value::Null => None,
-                        other => Some(other.as_u64()?),
-                    };
-                }
-                "kill_store_point" => config.kill_store_point = StoreKillPoint::from_value(v)?,
-                _ => return None,
-            }
-        }
-        Some(config)
     }
 }
 
@@ -677,6 +603,47 @@ mod tests {
         assert!(
             serde_json::from_str::<FaultPlanConfig>(r#"{"kill_store_point": "sideways"}"#).is_err()
         );
+    }
+
+    #[test]
+    fn config_types_fill_missing_keys_and_reject_unknown_ones() {
+        use crate::{Backoff, BreakerConfig, RetryPolicy};
+        let policy: RetryPolicy =
+            serde_json::from_str(r#"{"backoff": {"cap": 60}}"#).expect("partial policy");
+        let backoff = Backoff {
+            cap: 60,
+            ..Backoff::default()
+        };
+        assert_eq!(
+            policy,
+            RetryPolicy {
+                backoff,
+                ..RetryPolicy::default()
+            }
+        );
+        let breaker: BreakerConfig =
+            serde_json::from_str(r#"{"cooldown": 5}"#).expect("partial breaker");
+        assert_eq!(breaker.cooldown, 5);
+        assert_eq!(breaker.failure_threshold, 4, "default threshold");
+        let config: FaultPlanConfig =
+            serde_json::from_str(r#"{"outages": [{"target": "pastebin.com", "until": 9}]}"#)
+                .expect("partial outage");
+        assert_eq!(config.outages[0].domain, FaultDomain::Collect);
+        assert_eq!((config.outages[0].from, config.outages[0].until), (0, 9));
+        for typo in [
+            r#"{"seeed": 1}"#,
+            r#"{"outages": [{"target": "x", "form": 1}]}"#,
+            r#"{"outages": [{"domain": "Network"}]}"#,
+            r#"{"server_error_code": 65536}"#,
+        ] {
+            assert!(
+                serde_json::from_str::<FaultPlanConfig>(typo).is_err(),
+                "accepted {typo}"
+            );
+        }
+        assert!(serde_json::from_str::<RetryPolicy>(r#"{"backoff": {"jitter": 1}}"#).is_err());
+        assert!(serde_json::from_str::<BreakerConfig>(r#"{"threshold": 1}"#).is_err());
+        assert!(serde_json::from_str::<Backoff>(r#"{"jitter_ppm": 4294967296}"#).is_err());
     }
 
     #[test]

@@ -10,15 +10,15 @@ use crate::model::{CityId, StateId, World};
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// Identifier of an autonomous system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Asn(pub u32);
 
 /// A synthetic ISP: an ASN, a name, a home state and its address blocks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Isp {
     /// The autonomous system number.
     pub asn: Asn,
@@ -35,7 +35,7 @@ pub struct Isp {
 }
 
 /// Configuration for [`Allocation::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AllocConfig {
     /// ISPs per state.
     pub isps_per_state: u16,
@@ -56,7 +56,7 @@ impl Default for AllocConfig {
 }
 
 /// The complete address-space allocation of the synthetic internet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Allocation {
     isps: Vec<Isp>,
 }

@@ -13,11 +13,11 @@
 use crate::geoip::GeoIpDb;
 use crate::model::World;
 use crate::postal::PostalAddress;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// Outcome classes of the IP/postal consistency check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ConsistencyClass {
     /// The IP geolocates to the *same city* as the postal address — the
     /// paper's "the two match exactly" case (4 of 32 close matches).
@@ -63,7 +63,7 @@ pub fn classify_pair(
 /// Aggregate counts over a batch of classified pairs, in the shape the
 /// paper reports (36 doxes: 32 close-or-exact, 1 adjacent, 3 far; of the
 /// close ones, 4 exact).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ConsistencySummary {
     /// Exact coordinate matches.
     pub exact: usize,

@@ -1,6 +1,6 @@
 //! Geographic coordinates and great-circle distance.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Mean Earth radius in kilometres, as used by the haversine formula.
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
@@ -9,7 +9,7 @@ pub const EARTH_RADIUS_KM: f64 = 6371.0;
 ///
 /// Latitude is clamped-by-construction to `[-90, 90]` and longitude to
 /// `(-180, 180]` by [`LatLon::new`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatLon {
     /// Latitude in degrees, positive north.
     pub lat: f64,

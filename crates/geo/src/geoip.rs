@@ -8,11 +8,11 @@
 use crate::alloc::{Allocation, Asn};
 use crate::coords::LatLon;
 use crate::model::{CityId, StateId, World};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// The result of a successful geolocation query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GeoIpRecord {
     /// Owning autonomous system.
     pub asn: Asn,
@@ -27,7 +27,7 @@ pub struct GeoIpRecord {
     pub location: LatLon,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Entry {
     start: u32,
     /// Inclusive end of the block.
@@ -52,7 +52,7 @@ struct Entry {
 /// assert_eq!(record.asn, isp.asn);
 /// assert_eq!(record.state, isp.home_state);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GeoIpDb {
     entries: Vec<Entry>,
     isp_names: Vec<(Asn, String)>,

@@ -3,13 +3,13 @@
 //! `std::net::Ipv4Addr` covers parsing/formatting; this module adds the
 //! prefix arithmetic the allocator and longest-prefix-match database need.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// An IPv4 CIDR block: a network address and a prefix length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Cidr {
     network: u32,
     prefix_len: u8,

@@ -10,22 +10,22 @@ use crate::coords::LatLon;
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a country within a [`World`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CountryId(pub u16);
 
 /// Identifier of a state within a [`World`] (global, not per-country).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct StateId(pub u16);
 
 /// Identifier of a city within a [`World`] (global, not per-state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CityId(pub u32);
 
 /// A country: a named collection of states laid out on a grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Country {
     /// Identifier.
     pub id: CountryId,
@@ -40,7 +40,7 @@ pub struct Country {
 }
 
 /// A state/province: a named grid cell of a country containing cities.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct State {
     /// Identifier.
     pub id: StateId,
@@ -59,7 +59,7 @@ pub struct State {
 }
 
 /// A city: a named point with a zip-code range.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct City {
     /// Identifier.
     pub id: CityId,
@@ -76,7 +76,7 @@ pub struct City {
 }
 
 /// Configuration for [`World::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorldConfig {
     /// Number of countries (the first is primary). Must be ≥ 1.
     pub countries: u16,
@@ -97,7 +97,7 @@ impl Default for WorldConfig {
 }
 
 /// The fully generated synthetic world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct World {
     countries: Vec<Country>,
     states: Vec<State>,

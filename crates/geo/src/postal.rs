@@ -6,10 +6,10 @@
 
 use crate::coords::LatLon;
 use crate::model::{CityId, StateId, World};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A synthetic street address.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct PostalAddress {
     /// House number.
     pub number: u32,

@@ -9,7 +9,7 @@
 
 use dox_textkit::sparse::SparseVec;
 use dox_textkit::tokenize::Tokenizer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// A transparent keyword/heuristic dox detector.
@@ -17,7 +17,7 @@ use std::collections::HashSet;
 /// Scores a document by counting indicator hits; classifies as dox when the
 /// score reaches `threshold`. Indicators follow doxing-tutorial vocabulary:
 /// the word "dox" itself, labeled sensitive fields, and bragging phrases.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KeywordBaseline {
     /// Minimum number of distinct indicator hits to classify as dox.
     pub threshold: usize,
@@ -88,7 +88,7 @@ impl KeywordBaseline {
 }
 
 /// Multinomial naive Bayes over term-count vectors with Laplace smoothing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MultinomialNb {
     log_prior_pos: f64,
     log_prior_neg: f64,

@@ -1,10 +1,10 @@
 //! Classification metrics: confusion matrix, precision / recall / F1 and
 //! the classification-report layout the paper uses for Table 1.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A binary confusion matrix. The positive class is "dox".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ConfusionMatrix {
     /// True positives: doxes classified as doxes.
     pub tp: usize,
@@ -63,7 +63,7 @@ impl ConfusionMatrix {
 }
 
 /// Precision / recall / F1 / support for one class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ClassMetrics {
     /// Precision: of everything predicted into the class, how much belongs.
     pub precision: f64,
@@ -106,7 +106,7 @@ fn ratio(num: usize, den: usize) -> f64 {
 
 /// The two-class classification report of paper Table 1: per-class metrics
 /// plus the support-weighted average row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ClassificationReport {
     /// Metrics of the "Dox" class.
     pub dox: ClassMetrics,

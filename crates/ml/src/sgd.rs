@@ -18,10 +18,10 @@ use dox_textkit::sparse::SparseVec;
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Loss functions supported by [`SgdClassifier`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Loss {
     /// Hinge loss (linear SVM) — the sklearn default used by the paper.
     Hinge,
@@ -32,7 +32,7 @@ pub enum Loss {
 }
 
 /// Regularization penalties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Penalty {
     /// No regularization.
     None,
@@ -43,7 +43,7 @@ pub enum Penalty {
 }
 
 /// Hyper-parameters for [`SgdClassifier`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SgdConfig {
     /// Loss function.
     pub loss: Loss,
@@ -101,7 +101,7 @@ impl SgdConfig {
 
 /// A trained binary linear classifier. Labels are `true` (positive class,
 /// "dox") and `false` (negative class).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SgdClassifier {
     config: SgdConfig,
     weights: Vec<f64>,

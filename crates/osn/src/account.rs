@@ -16,31 +16,12 @@ use serde::{Deserialize, Serialize};
 /// For Instagram the uid is monotonically increasing with registration
 /// order, which is what makes the paper's random-sampling control possible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AccountId {
     /// The network this account lives on.
     pub network: Network,
     /// Per-network user id.
     pub uid: u64,
-}
-
-// The vendored serde cannot derive `Deserialize`; structs round-trip
-// as field objects with unknown fields rejected.
-impl Deserialize for AccountId {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        let mut network = None;
-        let mut uid = None;
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "network" => network = Some(Network::from_value(v)?),
-                "uid" => uid = Some(v.as_u64()?),
-                _ => return None,
-            }
-        }
-        Some(Self {
-            network: network?,
-            uid: uid?,
-        })
-    }
 }
 
 /// The externally observable status of an account.
@@ -52,18 +33,6 @@ pub enum AccountStatus {
     Private,
     /// Closed, deleted, suspended or otherwise gone.
     Inactive,
-}
-
-// Unit variants round-trip as their variant-name strings.
-impl Deserialize for AccountStatus {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "Public" => Some(Self::Public),
-            "Private" => Some(Self::Private),
-            "Inactive" => Some(Self::Inactive),
-            _ => None,
-        }
-    }
 }
 
 impl AccountStatus {
@@ -79,7 +48,7 @@ impl AccountStatus {
 }
 
 /// One status transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Transition {
     /// When the transition takes effect.
     pub at: SimTime,
@@ -88,7 +57,7 @@ pub struct Transition {
 }
 
 /// A simulated account.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Account {
     /// Identifier.
     pub id: AccountId,

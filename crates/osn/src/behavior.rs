@@ -25,14 +25,14 @@ use crate::filters::{FilterEra, FilterSchedule};
 use crate::network::Network;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The standard initial status mix of accounts mentioned in dox files.
 ///
 /// Doxers list accounts regardless of their privacy state; some victims
 /// were already private (that is how reopening — "more public" outcomes at
 /// 8.1 % on pre-filter Instagram — is possible at all).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InitialMix {
     /// Fraction initially private.
     pub private: f64,
@@ -57,7 +57,7 @@ impl InitialMix {
 
 /// Population-level reaction targets for one (network, era) cell of paper
 /// Table 10.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReactionRates {
     /// Fraction of doxed accounts ending the study more private than they
     /// began (includes closing entirely).
@@ -99,7 +99,7 @@ impl ReactionRates {
 /// Mixture model for the delay between a dox appearing and the victim's
 /// privacy reaction, matching §6.3: 35.8 % within 24 h, 90.6 % within 7
 /// days, remainder within 28 days.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DelayModel {
     /// P(delay < 24 h).
     pub within_day: f64,
@@ -120,7 +120,7 @@ impl Default for DelayModel {
 }
 
 /// The full behavioural model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BehaviorModel {
     /// Filter deployment schedule (decides which era a dox falls into).
     pub filters: FilterSchedule,

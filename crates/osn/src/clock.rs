@@ -22,20 +22,6 @@ pub struct SimTime(pub u64);
 )]
 pub struct SimDuration(pub u64);
 
-// The vendored serde cannot derive `Deserialize` (the derive expands to
-// nothing); newtype wrappers round-trip as their transparent integer.
-impl serde::Deserialize for SimTime {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        value.as_u64().map(SimTime)
-    }
-}
-
-impl serde::Deserialize for SimDuration {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        value.as_u64().map(SimDuration)
-    }
-}
-
 impl SimTime {
     /// The study epoch (start of collection period 1).
     pub const EPOCH: SimTime = SimTime(0);

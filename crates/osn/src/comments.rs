@@ -11,10 +11,10 @@ use crate::account::AccountId;
 use crate::clock::{SimDuration, SimTime};
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The tone of a comment (ground truth; the scraper only sees text).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CommentTone {
     /// Ordinary social chatter.
     Benign,
@@ -23,7 +23,7 @@ pub enum CommentTone {
 }
 
 /// A comment left on an account's public content.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Comment {
     /// The account commented on.
     pub on_account: AccountId,
@@ -39,7 +39,7 @@ pub struct Comment {
 }
 
 /// Parameters of the comment generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CommentModel {
     /// Expected benign comments per account over a study window.
     pub benign_per_account: f64,

@@ -13,10 +13,10 @@
 
 use crate::clock::SimTime;
 use crate::network::Network;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Whether a network's anti-abuse filtering was live at a given time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FilterEra {
     /// Before the network deployed abuse filtering (or never deployed).
     PreFilter,
@@ -25,7 +25,7 @@ pub enum FilterEra {
 }
 
 /// Per-network filter deployment times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FilterSchedule {
     /// Facebook's deployment time, if modeled.
     pub facebook: Option<SimTime>,
@@ -73,7 +73,7 @@ impl FilterSchedule {
 }
 
 /// The paper's collection periods, in days since the epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StudyPeriods {
     /// Period 1: `[start, end)` — the paper's 7/20/2016–8/31/2016.
     pub period1: (SimTime, SimTime),

@@ -28,23 +28,6 @@ pub enum Network {
     Skype,
 }
 
-// The vendored serde cannot derive `Deserialize`; unit variants
-// round-trip as their variant-name strings.
-impl serde::Deserialize for Network {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "Facebook" => Some(Network::Facebook),
-            "GooglePlus" => Some(Network::GooglePlus),
-            "Twitter" => Some(Network::Twitter),
-            "Instagram" => Some(Network::Instagram),
-            "YouTube" => Some(Network::YouTube),
-            "Twitch" => Some(Network::Twitch),
-            "Skype" => Some(Network::Skype),
-            _ => None,
-        }
-    }
-}
-
 impl Network {
     /// All networks, in Table 9 order (Skype last).
     pub const ALL: [Network; 7] = [

@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// One observation of an account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Observation {
     /// The account observed.
     pub account: AccountId,
@@ -27,29 +28,6 @@ pub struct Observation {
     pub at: SimTime,
     /// Status seen.
     pub status: AccountStatus,
-}
-
-// The vendored serde cannot derive `Deserialize`; structs round-trip
-// as field objects with unknown fields rejected.
-impl Deserialize for Observation {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        let mut account = None;
-        let mut at = None;
-        let mut status = None;
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "account" => account = Some(AccountId::from_value(v)?),
-                "at" => at = Some(SimTime::from_value(v)?),
-                "status" => status = Some(AccountStatus::from_value(v)?),
-                _ => return None,
-            }
-        }
-        Some(Self {
-            account: account?,
-            at: at?,
-            status: status?,
-        })
-    }
 }
 
 /// Errors a scrape request can produce.
@@ -78,7 +56,7 @@ impl std::fmt::Display for ScrapeError {
 impl std::error::Error for ScrapeError {}
 
 /// Token-bucket rate limiter over simulation time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RateLimiter {
     /// Requests admitted per sim-day.
     pub per_day: u64,

@@ -30,20 +30,8 @@ pub struct CollectedDoc {
     pub collected_at: SimTime,
 }
 
-// The vendored serde cannot derive `Deserialize`; `dox-serve`'s ingest
-// endpoint round-trips collected documents by hand, mirroring the
-// derive's Serialize encoding.
-impl serde::Deserialize for CollectedDoc {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(CollectedDoc {
-            doc: SynthDoc::from_value(value.get("doc")?)?,
-            collected_at: SimTime::from_value(value.get("collected_at")?)?,
-        })
-    }
-}
-
 /// Per-source collection counters (Figure 1 input volumes).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CollectionStats {
     counts: BTreeMap<Source, u64>,
 }

@@ -11,13 +11,13 @@
 //!    and [`SimPastebin::deletion_survey`] reproduce that protocol.
 
 use dox_osn::clock::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Metadata the service retains per paste (bodies are not stored — the
 /// collection feed hands them through at posting time, and the deletion
 /// survey needs only status).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PasteMeta {
     /// Document id (shared with the synthetic stream).
     pub id: u64,
@@ -35,7 +35,7 @@ pub struct SimPastebin {
 }
 
 /// The Table 3 survey result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeletionSurvey {
     /// Pastes the pipeline labeled dox.
     pub dox_total: u64,

@@ -5,10 +5,10 @@
 //! preserving every rate, so tests and CI runs exercise identical code
 //! paths at a fraction of the cost.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-source document volumes for one collection period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SourceVolume {
     /// Total documents posted on this source in the period.
     pub total: u64,
@@ -17,7 +17,7 @@ pub struct SourceVolume {
 }
 
 /// Volumes for one collection period across all sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PeriodVolumes {
     /// pastebin.com.
     pub pastebin: SourceVolume,
@@ -68,7 +68,7 @@ impl PeriodVolumes {
 /// Probability a dox file includes each demographic category — Table 6
 /// percentages (of 464 manually labeled doxes). Zip inclusion is
 /// conditional on address inclusion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FieldRates {
     /// Address (any form): 90.1 %.
     pub address: f64,
@@ -137,7 +137,7 @@ impl FieldRates {
 
 /// Probability a dox references each social network — Table 9 (% of the
 /// 5,530 detected doxes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OsnRates {
     /// Facebook: 17.8 %.
     pub facebook: f64,
@@ -193,7 +193,7 @@ impl OsnRates {
 }
 
 /// Victim community shares — Table 7 (% of labeled doxes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CommunityRates {
     /// Gamer: 11.4 %.
     pub gamer: f64,
@@ -216,7 +216,7 @@ impl CommunityRates {
 
 /// Stated-motivation shares — Table 8 (% of labeled doxes; the remainder
 /// state no motivation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MotivationRates {
     /// Competitive: 1.5 %.
     pub competitive: f64,
@@ -241,7 +241,7 @@ impl MotivationRates {
 }
 
 /// Demographic distribution — Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DemographicRates {
     /// Gender shares (male 82.2 %, female 16.3 %, other 0.4 %, normalized).
     pub male: f64,
@@ -278,7 +278,7 @@ impl DemographicRates {
 
 /// Duplicate / repost model — §3.1.4 and Table 4. Rates are *per period*
 /// fractions of dox postings that are duplicates of an earlier posting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DuplicateRates {
     /// Fraction of period-1 dox postings that duplicate an earlier dox
     /// (Table 4: (2,976 − 2,326) / 2,976).
@@ -310,7 +310,7 @@ impl DuplicateRates {
 
 /// Deletion dynamics — Table 3: within one month of posting, 12.8 % of
 /// pastebin dox files and 4.2 % of other files were deleted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DeletionRates {
     /// P(dox paste deleted within 30 days).
     pub dox_30d: f64,
@@ -329,7 +329,7 @@ impl DeletionRates {
 }
 
 /// The complete generation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SynthConfig {
     /// Master seed; every substream derives from it.
     pub seed: u64,

@@ -39,21 +39,6 @@ pub enum Source {
     Chan8Baphomet,
 }
 
-// The vendored serde cannot derive `Deserialize`; unit variants
-// round-trip as their variant-name strings.
-impl serde::Deserialize for Source {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "Pastebin" => Some(Source::Pastebin),
-            "Chan4B" => Some(Source::Chan4B),
-            "Chan4Pol" => Some(Source::Chan4Pol),
-            "Chan8Pol" => Some(Source::Chan8Pol),
-            "Chan8Baphomet" => Some(Source::Chan8Baphomet),
-            _ => None,
-        }
-    }
-}
-
 impl Source {
     /// All sources, Figure 1 order.
     pub const ALL: [Source; 5] = [
@@ -97,26 +82,6 @@ pub struct SynthDoc {
     pub deleted_after: Option<SimDuration>,
     /// Ground truth (never visible to the pipeline's inference path).
     pub truth: GroundTruth,
-}
-
-// The vendored serde cannot derive `Deserialize`; service-mode ingest
-// round-trips whole documents by hand, mirroring the derive's
-// Serialize encoding.
-impl serde::Deserialize for SynthDoc {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        use serde::value::Value;
-        Some(SynthDoc {
-            id: value.get("id")?.as_u64()?,
-            source: Source::from_value(value.get("source")?)?,
-            posted_at: SimTime::from_value(value.get("posted_at")?)?,
-            body: value.get("body")?.as_str()?.to_string(),
-            deleted_after: match value.get("deleted_after")? {
-                Value::Null => None,
-                other => Some(SimDuration::from_value(other)?),
-            },
-            truth: GroundTruth::from_value(value.get("truth")?)?,
-        })
-    }
 }
 
 /// A remembered dox posting, for the duplicate model.

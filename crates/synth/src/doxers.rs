@@ -15,10 +15,10 @@
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One doxer alias.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Doxer {
     /// Index into the population.
     pub id: u32,
@@ -34,7 +34,7 @@ pub struct Doxer {
 }
 
 /// The full attacker population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DoxerPopulation {
     doxers: Vec<Doxer>,
     teams: Vec<Vec<u32>>,

@@ -17,11 +17,11 @@ use dox_geo::postal::PostalAddress;
 use dox_osn::network::Network;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// A family member mention.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FamilyMember {
     /// Relation ("mother", "brother", …).
     pub relation: String,
@@ -30,7 +30,7 @@ pub struct FamilyMember {
 }
 
 /// A fully realized synthetic victim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Persona {
     /// Stable id.
     pub id: u64,

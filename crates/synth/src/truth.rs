@@ -120,116 +120,6 @@ pub struct DoxTruth {
     pub stub: bool,
 }
 
-// The engine checkpoints detected doxes — ground truth included — so the
-// truth types need typed deserialization, which the vendored serde cannot
-// derive. Unit variants round-trip as variant-name strings, structs as
-// objects keyed by field name.
-impl serde::Deserialize for Community {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "Gamer" => Some(Community::Gamer),
-            "Hacker" => Some(Community::Hacker),
-            "Celebrity" => Some(Community::Celebrity),
-            _ => None,
-        }
-    }
-}
-
-impl serde::Deserialize for Motivation {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "Competitive" => Some(Motivation::Competitive),
-            "Revenge" => Some(Motivation::Revenge),
-            "Justice" => Some(Motivation::Justice),
-            "Political" => Some(Motivation::Political),
-            _ => None,
-        }
-    }
-}
-
-impl serde::Deserialize for Gender {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "Male" => Some(Gender::Male),
-            "Female" => Some(Gender::Female),
-            "Other" => Some(Gender::Other),
-            _ => None,
-        }
-    }
-}
-
-impl serde::Deserialize for IncludedFields {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(IncludedFields {
-            address: value.get("address")?.as_bool()?,
-            zip: value.get("zip")?.as_bool()?,
-            phone: value.get("phone")?.as_bool()?,
-            family: value.get("family")?.as_bool()?,
-            email: value.get("email")?.as_bool()?,
-            dob: value.get("dob")?.as_bool()?,
-            age: value.get("age")?.as_bool()?,
-            real_name: value.get("real_name")?.as_bool()?,
-            school: value.get("school")?.as_bool()?,
-            usernames: value.get("usernames")?.as_bool()?,
-            isp: value.get("isp")?.as_bool()?,
-            ip: value.get("ip")?.as_bool()?,
-            passwords: value.get("passwords")?.as_bool()?,
-            physical: value.get("physical")?.as_bool()?,
-            criminal: value.get("criminal")?.as_bool()?,
-            ssn: value.get("ssn")?.as_bool()?,
-            credit_card: value.get("credit_card")?.as_bool()?,
-            financial: value.get("financial")?.as_bool()?,
-        })
-    }
-}
-
-impl serde::Deserialize for DoxTruth {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        use serde::value::Value;
-        let opt_u64 = |v: &Value| match v {
-            Value::Null => Some(None),
-            other => other.as_u64().map(Some),
-        };
-        Some(DoxTruth {
-            persona_id: value.get("persona_id")?.as_u64()?,
-            age: u8::try_from(value.get("age")?.as_u64()?).ok()?,
-            gender: Gender::from_value(value.get("gender")?)?,
-            primary_country: value.get("primary_country")?.as_bool()?,
-            fields: IncludedFields::from_value(value.get("fields")?)?,
-            osn_handles: value
-                .get("osn_handles")?
-                .as_array()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array()?;
-                    Some((
-                        Network::from_value(pair.first()?)?,
-                        pair.get(1)?.as_str()?.to_string(),
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-            community: match value.get("community")? {
-                Value::Null => None,
-                other => Some(Community::from_value(other)?),
-            },
-            motivation: match value.get("motivation")? {
-                Value::Null => None,
-                other => Some(Motivation::from_value(other)?),
-            },
-            credits: value
-                .get("credits")?
-                .as_array()?
-                .iter()
-                .map(|c| c.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            duplicate_of: opt_u64(value.get("duplicate_of")?)?,
-            exact_duplicate: value.get("exact_duplicate")?.as_bool()?,
-            sloppy: value.get("sloppy")?.as_bool()?,
-            stub: value.get("stub")?.as_bool()?,
-        })
-    }
-}
-
 /// The category of a non-dox paste (drives classifier error analysis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PasteKind {
@@ -273,27 +163,6 @@ impl PasteKind {
     }
 }
 
-// Service-mode ingest ships whole documents over the wire; unit
-// variants round-trip as variant-name strings.
-impl serde::Deserialize for PasteKind {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        match value.as_str()? {
-            "Code" => Some(PasteKind::Code),
-            "Log" => Some(PasteKind::Log),
-            "Config" => Some(PasteKind::Config),
-            "Chat" => Some(PasteKind::Chat),
-            "Prose" => Some(PasteKind::Prose),
-            "CredentialDump" => Some(PasteKind::CredentialDump),
-            "UserList" => Some(PasteKind::UserList),
-            "FormData" => Some(PasteKind::FormData),
-            "ProfileCard" => Some(PasteKind::ProfileCard),
-            "DoxTutorial" => Some(PasteKind::DoxTutorial),
-            "DoxDiscussion" => Some(PasteKind::DoxDiscussion),
-            _ => None,
-        }
-    }
-}
-
 /// Ground truth for any document in the corpus.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GroundTruth {
@@ -318,20 +187,6 @@ impl GroundTruth {
             GroundTruth::Dox(d) => Some(d),
             GroundTruth::Paste { .. } => None,
         }
-    }
-}
-
-// Mirrors the derive's externally-tagged enum encoding:
-// `{"Dox": <truth>}` / `{"Paste": {"kind": "<name>"}}`.
-impl serde::Deserialize for GroundTruth {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        if let Some(inner) = value.get("Dox") {
-            return Some(GroundTruth::Dox(Box::new(DoxTruth::from_value(inner)?)));
-        }
-        let paste = value.get("Paste")?;
-        Some(GroundTruth::Paste {
-            kind: PasteKind::from_value(paste.get("kind")?)?,
-        })
     }
 }
 

@@ -5,7 +5,7 @@
 //! and the SGD classifier in `dox-ml` operate on [`SparseVec`]: parallel
 //! `(index, value)` arrays with strictly increasing indices.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A sparse vector with strictly increasing indices.
 ///
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// - `indices` strictly increasing
 /// - no explicitly stored zeros are *required* to be absent, but all
 ///   constructors in this crate drop them.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct SparseVec {
     indices: Vec<u32>,
     values: Vec<f64>,

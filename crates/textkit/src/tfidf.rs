@@ -23,7 +23,7 @@ use crate::sparse::SparseVec;
 use crate::table::TokenTable;
 use crate::tokenize::{word_spans, Tokenizer, TokenizerConfig};
 use crate::vocab::{VocabBuilder, VocabConfig, Vocabulary};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::Cell;
 
 /// Configuration for [`TfidfVectorizer`].
@@ -57,7 +57,7 @@ impl Default for TfidfConfig {
 }
 
 /// A fitted TF-IDF model: vocabulary plus idf weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TfidfModel {
     vocab: Vocabulary,
     idf: Vec<f64>,

@@ -5,12 +5,12 @@
 //! weights. Construction is deterministic: feature indices are assigned by
 //! sorting the surviving tokens lexicographically, matching scikit-learn.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Document-frequency pruning options, mirroring sklearn's
 /// `min_df`/`max_df` parameters (defaults `1` and `1.0`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VocabConfig {
     /// Drop tokens appearing in fewer than this many documents.
     pub min_df: usize,
@@ -31,7 +31,7 @@ impl Default for VocabConfig {
 }
 
 /// A frozen token→index mapping with document frequencies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Vocabulary {
     index: HashMap<String, u32>,
     /// Document frequency per feature index.

@@ -1,8 +1,9 @@
 //! Overload-policy integration (DESIGN.md §13) over the live API:
 //! drain ordering — mutations refuse with 503 the instant a drain
 //! begins while already-admitted requests complete whole and the
-//! checkpoint reflects exactly the admitted documents — and per-tenant
-//! ingest quotas answering 429 + `Retry-After` that actually refill.
+//! checkpoint reflects exactly the admitted documents — per-tenant
+//! ingest quotas answering 429 + `Retry-After` that actually refill, and
+//! hostile JSON bodies answered 400 without taking the daemon down.
 
 use doxing_repro::core::study::Study;
 use doxing_repro::obs::http::DEFAULT_MAX_BODY;
@@ -285,5 +286,24 @@ fn quota_answers_429_with_retry_after_and_refills() {
     let (status, _, response) = roundtrip(&mut stream, "POST", "/v1/ingest", &body);
     assert_eq!(status, 200, "post-refill ingest admitted: {response}");
 
+    server.stop();
+}
+
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_daemon_keeps_serving() {
+    let state = Arc::new(ServeState::new(Registry::new()));
+    let (server, addr) = boot(&state);
+    // 10,000 levels: far past the parser's depth cap, and deep enough to
+    // overflow a worker thread's stack if the parser recursed unbounded.
+    let bodies = ["[".repeat(10_000), r#"{"a":"#.repeat(10_000)];
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    for path in ["/v1/ingest", "/v1/tenants"] {
+        for body in &bodies {
+            let (status, _, response) = roundtrip(&mut stream, "POST", path, body);
+            assert_eq!(status, 400, "{path} refuses nesting: {response}");
+        }
+    }
+    let (status, _, _) = roundtrip(&mut stream, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the daemon is still alive");
     server.stop();
 }
