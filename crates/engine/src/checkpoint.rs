@@ -2,14 +2,14 @@
 //! run.
 //!
 //! A checkpoint is taken only at **quiescence** — every dispatched chunk
-//! routed, every routed dox committed (see
-//! [`Session::checkpoint`](crate::Session::checkpoint)). At that moment
-//! both reorder buffers are empty, so the only sequencing state worth
-//! persisting is the pair of cursors (`next_chunk_seq`, `dox_seq`); the
-//! heavy state is the dedup shards, the funnel counters and the detected
-//! log. Restoring a checkpoint into a fresh session and replaying the
-//! remaining document stream yields output byte-identical to the
-//! uninterrupted run — the property the fault-matrix test enforces.
+//! committed (see [`Session::checkpoint`](crate::Session::checkpoint)).
+//! At that moment the reorder buffer is empty, so the only sequencing
+//! state worth persisting is the pair of cursors (`next_chunk_seq`,
+//! `dox_seq`); the heavy state is the dedup partitions, the funnel
+//! counters and the detected log. Restoring a checkpoint into a fresh
+//! session and replaying the remaining document stream yields output
+//! byte-identical to the uninterrupted run — the property the
+//! fault-matrix test enforces.
 //!
 //! The format is JSON via the workspace's value-tree serde; field order
 //! and the sorted [`DedupSnapshot`] entry lists make the encoding a pure
@@ -44,27 +44,29 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 pub struct SessionCheckpoint {
     /// Encoding version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// Dedup shard count the state was sharded for. A checkpoint can be
-    /// resumed under any worker count but **only** the same shard count —
-    /// dedup state is partitioned by `signature % shards`.
+    /// Dedup partition count the state was split for. A checkpoint can
+    /// be resumed under any worker count but **only** the same partition
+    /// count — dedup state is partitioned by `signature % shards`.
     pub shards: usize,
     /// The next chunk sequence number the session will stamp (and the
-    /// router's reorder cursor — equal at quiescence).
-    pub next_chunk_seq: u64,
-    /// The next dox sequence number the router will stamp (and the
     /// committer's reorder cursor — equal at quiescence).
+    pub next_chunk_seq: u64,
+    /// The next dox sequence number the committer will stamp.
     pub dox_seq: u64,
-    /// Funnel counters accumulated by the router (document-level half).
+    /// Funnel counters of the document-level half: documents per period
+    /// and source, classified doxes. The name predates the single
+    /// commit thread and is kept for checkpoint compatibility.
     pub router_counters: PipelineCounters,
     /// Ids of documents labeled dox so far.
     pub dox_ids: BTreeSet<u64>,
     /// Documents lost to poisoned stage workers so far.
     pub stage_gap_docs: u64,
-    /// Funnel counters accumulated by the committer (dedup-level half).
+    /// Funnel counters of the dedup-level half: duplicates per period
+    /// and kind.
     pub committer_counters: PipelineCounters,
     /// Every detected dox committed so far, stream order.
     pub detected: Vec<DetectedDox>,
-    /// One snapshot per dedup shard, shard order.
+    /// One snapshot per dedup partition, partition order.
     pub dedups: Vec<DedupSnapshot>,
 }
 

@@ -1,5 +1,5 @@
-//! De-duplication (paper §3.1.4), including the shard routing that lets
-//! the engine run many de-duplicators in parallel.
+//! De-duplication (paper §3.1.4), including the signature partitioning
+//! that splits the engine's dedup state into independent partitions.
 //!
 //! Two passes, in the paper's order:
 //!
@@ -14,18 +14,19 @@
 //! provided for the ablation benchmarks; it is **off** in the paper
 //! configuration.
 //!
-//! ## Sharding
+//! ## Partitioning
 //!
-//! [`Deduplicator`] is stateful and order-sensitive, which is why the
-//! original pipeline ran it serially. But the state two documents share is
-//! fully determined by their *routing signature* ([`shard_signature`]):
-//! the account-set key when one is extracted, otherwise the body hash.
-//! Extraction is a pure function of the body, so byte-identical bodies
-//! always carry identical account sets — every pair of documents that
-//! could ever match lands on the same signature, and therefore on the
-//! same shard under [`shard_of`]. Running one `Deduplicator` per shard
-//! over each shard's documents *in stream order* yields verdicts
-//! bit-identical to one global deduplicator over the whole stream.
+//! [`Deduplicator`] is stateful and order-sensitive, so the engine runs
+//! it serially, in stream order, on its commit thread. The state two
+//! documents share is fully determined by their *routing signature*
+//! ([`shard_signature`]): the account-set key when one is extracted,
+//! otherwise the body hash. Extraction is a pure function of the body, so
+//! byte-identical bodies always carry identical account sets — every pair
+//! of documents that could ever match lands on the same signature, and
+//! therefore in the same partition under [`shard_of`]. Running one
+//! `Deduplicator` per partition over its documents *in stream order*
+//! yields verdicts bit-identical to one global deduplicator over the
+//! whole stream, while each partition snapshots and spills on its own.
 
 use dox_extract::record::ExtractedDox;
 use dox_osn::network::Network;
@@ -101,19 +102,21 @@ pub fn account_set_key_bytes(key: &[(Network, String)]) -> Vec<u8> {
 /// [`SessionBuilder::spill`](crate::SessionBuilder::spill).
 #[derive(Debug, Clone)]
 pub struct DedupSpillConfig {
-    /// The store every shard spills into (distinct tables per shard).
+    /// The store every partition spills into (distinct tables per
+    /// partition).
     pub store: Arc<Store>,
-    /// In-memory entry cap per shard; past it, entries drain to the
+    /// In-memory entry cap per partition; past it, entries drain to the
     /// store and memory is cleared.
     pub cap_entries: usize,
 }
 
-/// Store-backed overflow for one [`Deduplicator`] shard.
+/// Store-backed overflow for one dedup partition's [`Deduplicator`].
 ///
-/// Lookups go memory-first, then to the shard's store tables; when the
-/// in-memory maps grow past `cap_entries`, everything drains to the
-/// store and memory starts empty again. Store appends are buffered in
-/// memory until the owning coordinator calls
+/// Lookups go memory-first, then to the partition's store tables; when
+/// the in-memory maps grow past `cap_entries`, everything drains to the
+/// store in sorted key order and memory starts empty again, so the
+/// spilled bytes are a pure function of the stream. Store appends are
+/// buffered in memory until the owning coordinator calls
 /// [`Store::checkpoint`], so the dedup hot path never does file I/O.
 ///
 /// Verdicts are unaffected: the union of memory and store entries is
@@ -127,8 +130,8 @@ pub struct DedupSpill {
 }
 
 impl DedupSpill {
-    /// Spill for shard `shard`, capped at `cap_entries` in-memory
-    /// entries. Shards get disjoint tables so they stay isolated.
+    /// Spill for partition `shard`, capped at `cap_entries` in-memory
+    /// entries. Partitions get disjoint tables so they stay isolated.
     pub fn new(store: Arc<Store>, shard: usize, cap_entries: usize) -> Self {
         Self {
             bodies: Table::new(Arc::clone(&store), &format!("dedup.bodies.{shard}")),
@@ -156,10 +159,10 @@ impl DedupSpill {
 #[derive(Debug, Default)]
 pub struct Deduplicator {
     /// Hash of every body seen → first doc id.
-    // dox-lint:allow(determinism) lookup-only map, never iterated; inserts follow commit order
+    // dox-lint:allow(determinism) iterated only by `snapshot` and the spill drain, which both sort first; inserts follow commit order
     bodies: HashMap<u64, u64>,
     /// Account-set key → first doc id.
-    // dox-lint:allow(determinism) lookup-only map, never iterated; inserts follow commit order
+    // dox-lint:allow(determinism) iterated only by `snapshot` and the spill drain, which both sort first; inserts follow commit order
     account_sets: HashMap<Vec<(Network, String)>, u64>,
     /// SimHashes of seen docs (only consulted when fuzzy matching is on).
     simhashes: Vec<(u64, u64)>,
@@ -321,16 +324,23 @@ impl Deduplicator {
         if self.bodies.len() + self.account_sets.len() <= spill.cap_entries {
             return;
         }
-        for (hash, orig) in self.bodies.drain() {
+        // Sorted before the puts, like `snapshot`: the maps drain in
+        // nondeterministic order, and the puts become segment bytes.
+        let mut bodies: Vec<(u64, u64)> = self.bodies.drain().collect();
+        bodies.sort_unstable();
+        for (hash, orig) in bodies {
             // dox-lint:allow(panic-hygiene) put only appends to the store's in-memory pending buffer; it cannot do I/O
             spill.bodies.put(&hash, &orig).expect("dedup spill write");
         }
-        for (key, orig) in self.account_sets.drain() {
-            spill
-                .sets
-                .put(&account_set_key_bytes(&key), &orig)
-                // dox-lint:allow(panic-hygiene) put only appends to the store's in-memory pending buffer; it cannot do I/O
-                .expect("dedup spill write");
+        let mut sets: Vec<(Vec<u8>, u64)> = self
+            .account_sets
+            .drain()
+            .map(|(key, orig)| (account_set_key_bytes(&key), orig))
+            .collect();
+        sets.sort_unstable();
+        for (key, orig) in sets {
+            // dox-lint:allow(panic-hygiene) put only appends to the store's in-memory pending buffer; it cannot do I/O
+            spill.sets.put(&key, &orig).expect("dedup spill write");
         }
     }
 

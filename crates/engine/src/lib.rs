@@ -4,10 +4,11 @@
 //! fill-then-drain batches: collect 8 k documents, block, fan the pure
 //! stage out, reduce, repeat. This crate replaces that with a streaming
 //! topology — a bounded work queue with real backpressure, a pool of
-//! stage workers, dedup state sharded by account-set signature, and
-//! sequence-number reorder buffers in front of every stateful commit —
-//! while keeping the output **byte-identical** to a sequential pass for
-//! any `(workers, shards)` configuration. Determinism is the contract:
+//! stage workers, and one commit thread that reorders their output by
+//! sequence number and de-duplicates inline over dedup state partitioned
+//! by account-set signature — while keeping the output
+//! **byte-identical** to a sequential pass for any `(workers, shards)`
+//! configuration. Determinism is the contract:
 //! an [`crate::output::PipelineOutput`] is a pure function of the
 //! document stream, never of thread scheduling.
 //!
@@ -188,7 +189,10 @@ pub struct EngineFaults {
 pub struct EngineConfig {
     /// Stage worker threads running the pure classify/extract stage.
     pub workers: usize,
-    /// Dedup shards (each owns an isolated [`Deduplicator`]).
+    /// Dedup partitions, each an isolated [`Deduplicator`] owning the
+    /// doxes whose signature routes to it. The committer runs them all
+    /// inline; the count shapes checkpoints and spill tables, not
+    /// threads.
     pub shards: usize,
     /// Bounded depth, in chunks, of the work and staged queues — the
     /// backpressure window.

@@ -88,11 +88,11 @@ impl PipelineCounters {
         }
     }
 
-    /// Fold `other` into `self`, field by field. The engine accumulates
-    /// the document-level counters in its router and the dedup-level
-    /// counters in its committer; the merged result equals what one
-    /// sequential pass would have counted because the two halves touch
-    /// disjoint fields.
+    /// Fold `other` into `self`, field by field. The engine's committer
+    /// keeps the document-level and dedup-level counters as two halves,
+    /// the split its checkpoints persist; the merged result equals what
+    /// one sequential pass would have counted because the two halves
+    /// touch disjoint fields.
     pub fn absorb(&mut self, other: &PipelineCounters) {
         for (source, n) in &other.per_source {
             *self.per_source.entry(source.clone()).or_insert(0) += n;

@@ -6,44 +6,38 @@
 //!                                             │
 //!                                     [staged queue]
 //!                                             │
-//!                                      router (reorders by chunk seq,
-//!                                       commits doc-level counters,
-//!                                       stamps dox_seq, routes by
-//!                                       shard_signature)
-//!                                        │   …   │
-//!                                 [shard queues ×S]
-//!                                        │   …   │
-//!                               dedup shards (stateful, isolated)
-//!                                        │   …   │
-//!                                   [verdict queue]
-//!                                             │
-//!                                      committer (reorders by dox_seq,
-//!                                       commits duplicate counters and
-//!                                       the detected-dox log)
+//!                                      committer (reorders by chunk seq,
+//!                                       then per document in stream
+//!                                       order: counts it, stamps dox_seq,
+//!                                       picks the dedup partition by
+//!                                       shard_signature, dedups, appends
+//!                                       to the detected-dox log)
 //! ```
 //!
-//! Determinism: the stage workers are pure, so only the two stateful
-//! commit points matter. The router observes chunks through a
-//! [`ReorderBuffer`] keyed on the chunk sequence number, so counters and
-//! `dox_seq` assignment happen in exact ingest order; dedup shards each
-//! own every document that could ever match each other (see
-//! [`crate::dedup::shard_signature`]) and process them in `dox_seq` order
-//! because their queues are FIFO and the router feeds them in order; the
-//! committer reorders verdicts back into `dox_seq` order before touching
-//! the duplicate counters and the detected log. The result is
-//! byte-identical to one sequential pass for any `(workers, shards)`.
+//! Determinism: the stage workers are pure, so only the committer's state
+//! matters. The committer observes chunks through a [`ReorderBuffer`]
+//! keyed on the chunk sequence number, so every counter, `dox_seq` stamp,
+//! dedup verdict, dedup spill and log append happens in exact ingest
+//! order. The dedup state is split into `shards` partitions, each owning
+//! every document that could ever match each other (see
+//! [`crate::dedup::shard_signature`]), so the partitioned verdicts equal
+//! one global deduplicator's. The result is byte-identical to one
+//! sequential pass for any `(workers, shards)`.
+//!
+//! De-duplication is a serial pass over the rare classified doxes (about
+//! 0.3 % of the paper's stream), so it runs inline on the commit thread:
+//! a session is W + 1 threads.
 //!
 //! ## Shared state and checkpoints
 //!
-//! The stateful stages keep their accumulations in a `Shared` block of
-//! mutexes rather than thread-local state so the session can observe them
-//! mid-run. [`Session::checkpoint`] flushes the partial chunk, waits for
-//! **quiescence** (every dispatched chunk routed, every routed dox
-//! committed — tracked by the `Progress` ledger and its condvar), then
-//! snapshots everything while the pipeline is momentarily idle. Both
-//! reorder buffers are provably empty at quiescence, so only their
-//! cursors are persisted. The mutexes are uncontended in steady state —
-//! each is locked by exactly one thread except during a checkpoint.
+//! The committer keeps its accumulations in one mutex-guarded state block
+//! rather than thread-local state so the session can observe it mid-run.
+//! [`Session::checkpoint`] flushes the partial chunk, waits on the same
+//! mutex's condvar for **quiescence** (the reorder cursor has reached
+//! every dispatched chunk), then snapshots the state under that lock. The
+//! reorder buffer is provably empty at quiescence, so only its cursor is
+//! persisted. The mutex is uncontended in steady state — only the
+//! committer locks it, except during a checkpoint or a live read.
 //!
 //! ## Fault injection
 //!
@@ -69,10 +63,8 @@ use crate::{EngineConfig, EngineError, StagePanic};
 use dox_fault::{FaultPlan, StageDirective};
 use dox_obs::trace::{fault_hop, hop};
 use dox_obs::{Counter, Gauge, Histogram, Registry, Tracer};
-use dox_osn::clock::SimTime;
 use dox_sites::collect::CollectedDoc;
-use dox_synth::corpus::Source;
-use dox_synth::truth::{DoxTruth, GroundTruth};
+use dox_synth::truth::GroundTruth;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -83,8 +75,8 @@ use std::time::{Duration, Instant};
 const QUIESCE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A batch of collected documents, stamped with the chunk sequence
-/// number the router reorders on. Each document carries its collection
-/// period (1 or 2).
+/// number the committer reorders on. Each document carries its
+/// collection period (1 or 2).
 struct WorkChunk {
     seq: u64,
     docs: Vec<(u8, CollectedDoc)>,
@@ -108,61 +100,28 @@ struct StagedChunk {
     items: Vec<(u8, CollectedDoc, StageOutcome)>,
 }
 
-/// One classified dox on its way to a dedup shard.
-struct DoxJob {
-    dox_seq: u64,
-    period: u8,
-    doc_id: u64,
-    source: Source,
-    posted_at: SimTime,
-    observed_at: SimTime,
-    text: String,
-    extracted: dox_extract::record::ExtractedDox,
-    truth: Option<Box<DoxTruth>>,
-}
-
-/// A dedup shard's verdict for one dox.
-struct Verdict {
-    job: DoxJob,
-    duplicate: Option<(DuplicateKind, u64)>,
-}
-
-/// The router's accumulated state (document-level commit point).
+/// The committer's accumulated state. The funnel counters are kept in
+/// the two halves a [`SessionCheckpoint`] persists: document-level
+/// (`router_counters`) and dedup-level (`committer_counters`).
 #[derive(Default)]
-struct RouterState {
+struct CommitState {
     reorder: ReorderBuffer<Vec<(u8, CollectedDoc, StageOutcome)>>,
-    counters: PipelineCounters,
+    doc_counters: PipelineCounters,
+    dedup_counters: PipelineCounters,
     dox_ids: BTreeSet<u64>,
     dox_seq: u64,
     stage_gap_docs: u64,
-}
-
-/// The committer's accumulated state (dedup-level commit point).
-#[derive(Default)]
-struct CommitterState {
-    reorder: ReorderBuffer<Verdict>,
-    counters: PipelineCounters,
+    /// One deduplicator per partition, indexed by [`shard_of`].
+    dedups: Vec<Deduplicator>,
     detected: Vec<DetectedDox>,
 }
 
-/// Completion ledger backing the quiesce protocol: the session is
-/// quiescent exactly when `chunks_routed` equals the number of chunks
-/// dispatched and every routed dox has been committed.
-#[derive(Default)]
-struct Progress {
-    chunks_routed: u64,
-    doxes_routed: u64,
-    doxes_committed: u64,
-}
-
-/// State shared between the session handle and its worker threads so
-/// checkpoints can observe it at quiescence.
+/// The committer's state plus the condvar it signals after every staged
+/// chunk, shared with the session handle so checkpoints can observe the
+/// state at quiescence.
 struct Shared {
-    router: Mutex<RouterState>,
-    committer: Mutex<CommitterState>,
-    dedups: Vec<Mutex<Deduplicator>>,
-    progress: Mutex<Progress>,
-    quiesced: Condvar,
+    state: Mutex<CommitState>,
+    committed: Condvar,
 }
 
 /// Lock a mutex, recovering the guard if a panicking thread poisoned it —
@@ -213,11 +172,7 @@ pub struct Session {
     shared: Arc<Shared>,
     work: Arc<Queue<WorkChunk>>,
     staged: Arc<Queue<StagedChunk>>,
-    shard_queues: Vec<Arc<Queue<DoxJob>>>,
-    verdicts: Arc<Queue<Verdict>>,
     stage_workers: Vec<JoinHandle<()>>,
-    router: Option<JoinHandle<()>>,
-    shard_workers: Vec<JoinHandle<()>>,
     committer: Option<JoinHandle<()>>,
     queue_depth: Gauge,
     stalls: Counter,
@@ -234,8 +189,8 @@ impl Session {
         restore: Option<SessionCheckpoint>,
         spill: Option<DedupSpillConfig>,
     ) -> Self {
-        // Each shard gets its own store tables; lookups union memory with
-        // the store, so attaching the spill after a restore is sound.
+        // Each partition gets its own store tables; lookups union memory
+        // with the store, so attaching the spill after a restore is sound.
         let attach = |shard: usize, mut dedup: Deduplicator| {
             if let Some(cfg) = &spill {
                 dedup.attach_spill(DedupSpill::new(
@@ -244,72 +199,50 @@ impl Session {
                     cfg.cap_entries,
                 ));
             }
-            Mutex::new(dedup)
+            dedup
         };
         let work: Arc<Queue<WorkChunk>> = Arc::new(Queue::bounded(config.queue_depth));
         let staged: Arc<Queue<StagedChunk>> = Arc::new(Queue::bounded(config.queue_depth));
-        let shard_queues: Vec<Arc<Queue<DoxJob>>> = (0..config.shards)
-            .map(|_| Arc::new(Queue::bounded(config.queue_depth.max(4) * config.chunk)))
-            .collect();
-        let verdicts: Arc<Queue<Verdict>> =
-            Arc::new(Queue::bounded(config.queue_depth * config.chunk));
 
         let next_chunk_seq = restore.as_ref().map_or(0, |cp| cp.next_chunk_seq);
-        let shared = Arc::new(match restore {
-            None => Shared {
-                router: Mutex::new(RouterState::default()),
-                committer: Mutex::new(CommitterState::default()),
+        let state = match restore {
+            None => CommitState {
                 dedups: (0..config.shards)
                     .map(|shard| attach(shard, Deduplicator::new()))
                     .collect(),
-                progress: Mutex::new(Progress::default()),
-                quiesced: Condvar::new(),
+                ..CommitState::default()
             },
-            Some(cp) => Shared {
-                router: Mutex::new(RouterState {
-                    reorder: ReorderBuffer::with_next(cp.next_chunk_seq),
-                    counters: cp.router_counters,
-                    dox_ids: cp.dox_ids,
-                    dox_seq: cp.dox_seq,
-                    stage_gap_docs: cp.stage_gap_docs,
-                }),
-                committer: Mutex::new(CommitterState {
-                    reorder: ReorderBuffer::with_next(cp.dox_seq),
-                    counters: cp.committer_counters,
-                    detected: cp.detected,
-                }),
+            // A checkpoint is taken at quiescence: everything dispatched
+            // was committed, so only the reorder cursor carries over.
+            Some(cp) => CommitState {
+                reorder: ReorderBuffer::with_next(cp.next_chunk_seq),
+                doc_counters: cp.router_counters,
+                dedup_counters: cp.committer_counters,
+                dox_ids: cp.dox_ids,
+                dox_seq: cp.dox_seq,
+                stage_gap_docs: cp.stage_gap_docs,
                 dedups: cp
                     .dedups
                     .into_iter()
                     .enumerate()
                     .map(|(shard, s)| attach(shard, Deduplicator::restore(s)))
                     .collect(),
-                // A checkpoint is taken at quiescence: everything dispatched
-                // was routed and committed.
-                progress: Mutex::new(Progress {
-                    chunks_routed: cp.next_chunk_seq,
-                    doxes_routed: cp.dox_seq,
-                    doxes_committed: cp.dox_seq,
-                }),
-                quiesced: Condvar::new(),
+                detected: cp.detected,
             },
+        };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(state),
+            committed: Condvar::new(),
         });
 
         let stage_metrics = StageMetrics::resolve(registry);
-        let collected = registry.counter("pipeline.funnel.collected");
-        let classified_dox = registry.counter("pipeline.funnel.classified_dox");
-        let duplicates = registry.counter("pipeline.funnel.duplicates");
-        let unique = registry.counter("pipeline.funnel.unique");
-        let stage_gaps = registry.counter("engine.fault.stage_exhausted_docs");
-        let dedup_ns = registry.histogram("pipeline.stage.dedup");
         registry.gauge("engine.workers").set(config.workers as i64);
         registry.gauge("engine.shards").set(config.shards as i64);
 
-        // Per-queue depth gauges plus a shared backpressure ledger: every
+        // The staged-queue depth gauge plus a backpressure ledger: every
         // blocking push past the ingest boundary lands its stall here, so
         // `GET /metrics` can show where the pipe is tight right now.
         let staged_depth = registry.gauge("engine.queue.staged.depth");
-        let verdicts_depth = registry.gauge("engine.queue.verdicts.depth");
         let bp_stalls = registry.counter("engine.queue.backpressure.stalls");
         let bp_ns = registry.histogram("engine.queue.backpressure_ns");
 
@@ -407,7 +340,7 @@ impl Session {
                                     };
                                     tracer.hop(doc.doc.id, hop("classify", at, verdict));
                                 }
-                                // The router never reads the body, and a
+                                // The committer never reads the body, and a
                                 // dox's text already travels in its outcome.
                                 doc.doc.body = String::new();
                                 (period, doc, outcome)
@@ -432,218 +365,119 @@ impl Session {
             })
             .collect();
 
-        let router = {
+        let committer = {
             let staged = Arc::clone(&staged);
             let shared = Arc::clone(&shared);
-            let shard_queues = shard_queues.clone();
             let shards = config.shards;
-            let shard_docs: Vec<Counter> = (0..shards)
+            let partition_docs: Vec<Counter> = (0..shards)
                 .map(|i| registry.counter(&format!("engine.shard.{i}.docs")))
                 .collect();
-            let shard_depths: Vec<Gauge> = (0..shards)
-                .map(|i| registry.gauge(&format!("engine.shard.{i}.queue_depth")))
+            let partition_ns: Vec<Histogram> = (0..shards)
+                .map(|i| registry.histogram(&format!("engine.shard.{i}.dedup_ns")))
                 .collect();
-            let collected = collected.clone();
-            let classified_dox = classified_dox.clone();
-            let stage_gaps = stage_gaps.clone();
-            let tracer = tracer.clone();
+            let collected = registry.counter("pipeline.funnel.collected");
+            let classified_dox = registry.counter("pipeline.funnel.classified_dox");
+            let duplicates = registry.counter("pipeline.funnel.duplicates");
+            let unique = registry.counter("pipeline.funnel.unique");
+            let stage_gaps = registry.counter("engine.fault.stage_exhausted_docs");
             let route_ns = registry.histogram("pipeline.stage.route");
-            let bp_stalls = bp_stalls.clone();
-            let bp_ns = bp_ns.clone();
+            let dedup_ns = registry.histogram("pipeline.stage.dedup");
+            let tracer = tracer.clone();
             std::thread::spawn(move || {
-                'drain: while let Some(chunk) = staged.pop() {
-                    // Commit under the router lock, collect the routable
-                    // jobs, then release before the (blocking) queue pushes.
-                    let mut jobs: Vec<(usize, DoxJob)> = Vec::new();
-                    let mut chunks_ready = 0u64;
+                while let Some(chunk) = staged.pop() {
                     // dox-lint:allow(determinism) route-stage timing histogram; observation only
                     let route_start = Instant::now();
-                    {
-                        let mut state = lock(&shared.router);
-                        state.reorder.push(chunk.seq, chunk.items);
-                        while let Some(items) = state.reorder.pop_ready() {
-                            chunks_ready += 1;
-                            for (period, doc, outcome) in items {
-                                let CollectedDoc { doc, collected_at } = doc;
-                                let slot = usize::from(period - 1);
-                                state.counters.total += 1;
-                                state.counters.per_period[slot] += 1;
-                                state.counters.count_source(doc.source.name());
-                                collected.inc();
-                                let staged_doc = match outcome {
-                                    StageOutcome::Done(staged_doc) => staged_doc,
-                                    StageOutcome::Failed => {
-                                        state.stage_gap_docs += 1;
-                                        stage_gaps.inc();
-                                        if tracer.sampled(doc.id) {
-                                            tracer.hop(
-                                                doc.id,
-                                                hop(
-                                                    "stage_gap",
-                                                    collected_at.0,
-                                                    "document lost to exhausted poison",
-                                                ),
-                                            );
-                                        }
-                                        continue;
+                    let mut dedup_total = Duration::ZERO;
+                    let mut guard = lock(&shared.state);
+                    let state = &mut *guard;
+                    state.reorder.push(chunk.seq, chunk.items);
+                    while let Some(items) = state.reorder.pop_ready() {
+                        for (period, doc, outcome) in items {
+                            let CollectedDoc { doc, collected_at } = doc;
+                            let slot = usize::from(period - 1);
+                            state.doc_counters.total += 1;
+                            state.doc_counters.per_period[slot] += 1;
+                            state.doc_counters.count_source(doc.source.name());
+                            collected.inc();
+                            let staged_doc = match outcome {
+                                StageOutcome::Done(staged_doc) => staged_doc,
+                                StageOutcome::Failed => {
+                                    state.stage_gap_docs += 1;
+                                    stage_gaps.inc();
+                                    if tracer.sampled(doc.id) {
+                                        tracer.hop(
+                                            doc.id,
+                                            hop(
+                                                "stage_gap",
+                                                collected_at.0,
+                                                "document lost to exhausted poison",
+                                            ),
+                                        );
+                                    }
+                                    continue;
+                                }
+                            };
+                            let Some((text, extracted)) = staged_doc else {
+                                continue;
+                            };
+                            state.doc_counters.classified_dox += 1;
+                            state.doc_counters.dox_per_period[slot] += 1;
+                            classified_dox.inc();
+                            state.dox_ids.insert(doc.id);
+                            let dox_seq = state.dox_seq;
+                            state.dox_seq += 1;
+                            let sig = shard_signature(&text, &extracted);
+                            let shard = shard_of(sig, shards);
+                            let sampled = tracer.sampled(doc.id);
+                            if sampled {
+                                // The hop carries the partition *signature*,
+                                // not its index: the signature is a pure
+                                // function of content, so traces stay
+                                // byte-identical across shard counts.
+                                tracer.hop(
+                                    doc.id,
+                                    hop(
+                                        "route",
+                                        collected_at.0,
+                                        format!("sig={sig:016x} dox_seq={dox_seq}"),
+                                    ),
+                                );
+                            }
+                            partition_docs[shard].inc();
+                            // dox-lint:allow(determinism) per-partition dedup latency histogram; never enters the report
+                            let dedup_start = Instant::now();
+                            let duplicate = state.dedups[shard].check(doc.id, &text, &extracted);
+                            let elapsed = dedup_start.elapsed();
+                            dedup_total += elapsed;
+                            dedup_ns.observe_duration(elapsed);
+                            partition_ns[shard].observe_duration(elapsed);
+                            if sampled {
+                                let (note, fate) = match &duplicate {
+                                    None => ("unique".to_string(), "unique"),
+                                    Some((kind, of)) => {
+                                        (format!("duplicate kind={kind:?} of={of}"), "duplicate")
                                     }
                                 };
-                                let Some((text, extracted)) = staged_doc else {
-                                    continue;
-                                };
-                                state.counters.classified_dox += 1;
-                                state.counters.dox_per_period[slot] += 1;
-                                classified_dox.inc();
-                                state.dox_ids.insert(doc.id);
-                                let sig = shard_signature(&text, &extracted);
-                                let shard = shard_of(sig, shards);
-                                let truth = match doc.truth {
-                                    GroundTruth::Dox(t) => Some(t),
-                                    GroundTruth::Paste { .. } => None,
-                                };
-                                if tracer.sampled(doc.id) {
-                                    // The hop carries the shard *signature*,
-                                    // not the shard index: the signature is a
-                                    // pure function of content, so traces stay
-                                    // byte-identical across shard counts.
-                                    tracer.hop(
-                                        doc.id,
-                                        hop(
-                                            "route",
-                                            collected_at.0,
-                                            format!("sig={sig:016x} dox_seq={}", state.dox_seq),
-                                        ),
-                                    );
-                                }
-                                let job = DoxJob {
-                                    dox_seq: state.dox_seq,
-                                    period,
-                                    doc_id: doc.id,
-                                    source: doc.source,
-                                    posted_at: doc.posted_at,
-                                    observed_at: collected_at,
-                                    text,
-                                    extracted,
-                                    truth,
-                                };
-                                state.dox_seq += 1;
-                                jobs.push((shard, job));
-                            }
-                        }
-                    }
-                    route_ns.observe_duration(route_start.elapsed());
-                    let routed = jobs.len() as u64;
-                    for (shard, job) in jobs {
-                        shard_docs[shard].inc();
-                        match shard_queues[shard].push(job) {
-                            Ok(pushed) => {
-                                shard_depths[shard].set(pushed.depth as i64);
-                                if pushed.stalled_for > Duration::ZERO {
-                                    bp_stalls.inc();
-                                    bp_ns.observe_duration(pushed.stalled_for);
-                                }
-                            }
-                            Err(_) => break 'drain,
-                        }
-                    }
-                    // One progress update per staged chunk, *after* the
-                    // pushes: a checkpoint observing `chunks_routed` caught
-                    // up is guaranteed every routed job already sits in a
-                    // shard queue, so `doxes_committed == doxes_routed`
-                    // really means the pipe is empty.
-                    let mut progress = lock(&shared.progress);
-                    progress.chunks_routed += chunks_ready;
-                    progress.doxes_routed += routed;
-                    shared.quiesced.notify_all();
-                }
-            })
-        };
-
-        let shard_workers = shard_queues
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let q = Arc::clone(q);
-                let verdicts = Arc::clone(&verdicts);
-                let shared = Arc::clone(&shared);
-                let dedup_ns = dedup_ns.clone();
-                let shard_ns = registry.histogram(&format!("engine.shard.{i}.dedup_ns"));
-                let tracer = tracer.clone();
-                let verdicts_depth = verdicts_depth.clone();
-                let bp_stalls = bp_stalls.clone();
-                let bp_ns = bp_ns.clone();
-                std::thread::spawn(move || {
-                    while let Some(job) = q.pop() {
-                        // dox-lint:allow(determinism) per-shard dedup latency histogram; never enters the report
-                        let start = Instant::now();
-                        let duplicate =
-                            lock(&shared.dedups[i]).check(job.doc_id, &job.text, &job.extracted);
-                        let elapsed = start.elapsed();
-                        dedup_ns.observe_duration(elapsed);
-                        shard_ns.observe_duration(elapsed);
-                        if tracer.sampled(job.doc_id) {
-                            let note = match &duplicate {
-                                None => "unique".to_string(),
-                                Some((kind, of)) => format!("duplicate kind={kind:?} of={of}"),
-                            };
-                            tracer.hop(job.doc_id, hop("dedup", job.observed_at.0, note));
-                        }
-                        match verdicts.push(Verdict { job, duplicate }) {
-                            Ok(pushed) => {
-                                verdicts_depth.set(pushed.depth as i64);
-                                if pushed.stalled_for > Duration::ZERO {
-                                    bp_stalls.inc();
-                                    bp_ns.observe_duration(pushed.stalled_for);
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        let committer = {
-            let verdicts = Arc::clone(&verdicts);
-            let shared = Arc::clone(&shared);
-            let tracer = tracer.clone();
-            let commit_ns = registry.histogram("pipeline.stage.commit");
-            std::thread::spawn(move || {
-                while let Some(verdict) = verdicts.pop() {
-                    let mut committed = 0u64;
-                    // dox-lint:allow(determinism) commit-stage timing histogram; observation only
-                    let commit_start = Instant::now();
-                    {
-                        let mut state = lock(&shared.committer);
-                        state.reorder.push(verdict.job.dox_seq, verdict);
-                        while let Some(Verdict { job, duplicate }) = state.reorder.pop_ready() {
-                            committed += 1;
-                            if tracer.sampled(job.doc_id) {
-                                let fate = if duplicate.is_some() {
-                                    "duplicate"
-                                } else {
-                                    "unique"
-                                };
+                                tracer.hop(doc.id, hop("dedup", collected_at.0, note));
                                 tracer.hop(
-                                    job.doc_id,
+                                    doc.id,
                                     hop(
                                         "commit",
-                                        job.observed_at.0,
-                                        format!("dox_seq={} {fate}", job.dox_seq),
+                                        collected_at.0,
+                                        format!("dox_seq={dox_seq} {fate}"),
                                     ),
                                 );
                             }
                             match duplicate {
                                 Some((kind, _)) => {
-                                    state.counters.duplicates_per_period
-                                        [usize::from(job.period - 1)] += 1;
+                                    state.dedup_counters.duplicates_per_period[slot] += 1;
                                     duplicates.inc();
                                     match kind {
                                         DuplicateKind::ExactBody => {
-                                            state.counters.exact_duplicates += 1
+                                            state.dedup_counters.exact_duplicates += 1
                                         }
                                         DuplicateKind::AccountSet => {
-                                            state.counters.account_set_duplicates += 1
+                                            state.dedup_counters.account_set_duplicates += 1
                                         }
                                         DuplicateKind::Fuzzy => {}
                                     }
@@ -651,24 +485,24 @@ impl Session {
                                 None => unique.inc(),
                             }
                             state.detected.push(DetectedDox {
-                                doc_id: job.doc_id,
-                                source: job.source,
-                                period: job.period,
-                                posted_at: job.posted_at,
-                                observed_at: job.observed_at,
-                                text: job.text,
-                                extracted: job.extracted,
+                                doc_id: doc.id,
+                                source: doc.source,
+                                period,
+                                posted_at: doc.posted_at,
+                                observed_at: collected_at,
+                                text,
+                                extracted,
                                 duplicate,
-                                truth: job.truth,
+                                truth: match doc.truth {
+                                    GroundTruth::Dox(t) => Some(t),
+                                    GroundTruth::Paste { .. } => None,
+                                },
                             });
                         }
                     }
-                    commit_ns.observe_duration(commit_start.elapsed());
-                    if committed > 0 {
-                        let mut progress = lock(&shared.progress);
-                        progress.doxes_committed += committed;
-                        shared.quiesced.notify_all();
-                    }
+                    drop(guard);
+                    shared.committed.notify_all();
+                    route_ns.observe_duration(route_start.elapsed().saturating_sub(dedup_total));
                 }
             })
         };
@@ -681,11 +515,7 @@ impl Session {
             shared,
             work,
             staged,
-            shard_queues,
-            verdicts,
             stage_workers,
-            router: Some(router),
-            shard_workers,
             committer: Some(committer),
             queue_depth: registry.gauge("engine.queue.depth"),
             stalls: registry.counter("engine.queue.stalls"),
@@ -740,24 +570,20 @@ impl Session {
     /// open — it can never quiesce.
     fn any_thread_dead(&self) -> bool {
         self.stage_workers.iter().any(JoinHandle::is_finished)
-            || self.router.as_ref().is_some_and(JoinHandle::is_finished)
-            || self.shard_workers.iter().any(JoinHandle::is_finished)
             || self.committer.as_ref().is_some_and(JoinHandle::is_finished)
     }
 
-    /// Block until the pipeline is quiescent: every dispatched chunk
-    /// routed, every routed dox committed. Both reorder buffers are
-    /// provably empty at that point.
-    fn wait_quiescent(&self) -> Result<(), EngineError> {
+    /// Block until the pipeline is quiescent — every dispatched chunk
+    /// committed, so the reorder buffer is empty — and return the
+    /// committed state, still locked.
+    fn wait_quiescent(&self) -> Result<MutexGuard<'_, CommitState>, EngineError> {
         let target_chunks = self.next_chunk_seq;
         // dox-lint:allow(determinism) wall-clock deadline guards liveness of the wait only; it never shapes results
         let deadline = Instant::now() + QUIESCE_TIMEOUT;
-        let mut progress = lock(&self.shared.progress);
+        let mut state = lock(&self.shared.state);
         loop {
-            if progress.chunks_routed == target_chunks
-                && progress.doxes_committed == progress.doxes_routed
-            {
-                return Ok(());
+            if state.reorder.next_seq() == target_chunks {
+                return Ok(state);
             }
             if self.any_thread_dead() {
                 return Err(EngineError::Disconnected);
@@ -768,10 +594,10 @@ impl Session {
             }
             let (guard, _) = self
                 .shared
-                .quiesced
-                .wait_timeout(progress, Duration::from_millis(50))
+                .committed
+                .wait_timeout(state, Duration::from_millis(50))
                 .unwrap_or_else(PoisonError::into_inner);
-            progress = guard;
+            state = guard;
         }
     }
 
@@ -791,7 +617,7 @@ impl Session {
     /// drain within the quiesce deadline.
     pub fn flush(&mut self) -> Result<(), EngineError> {
         self.dispatch()?;
-        self.wait_quiescent()
+        self.wait_quiescent().map(drop)
     }
 
     /// How many classified doxes have been committed so far (unique and
@@ -799,7 +625,7 @@ impl Session {
     /// [`detected_since`](Session::detected_since). Monotonic; resumed
     /// sessions count their restored log too.
     pub fn committed_len(&self) -> usize {
-        lock(&self.shared.committer).detected.len()
+        lock(&self.shared.state).detected.len()
     }
 
     /// Clone the committed detected-dox log from `since` (a previous
@@ -807,8 +633,8 @@ impl Session {
     /// after [`flush`](Session::flush) for a stable read; between flushes
     /// the log only ever grows, so a cursor never skips entries.
     pub fn detected_since(&self, since: usize) -> Vec<DetectedDox> {
-        let committer = lock(&self.shared.committer);
-        committer.detected.get(since..).unwrap_or_default().to_vec()
+        let state = lock(&self.shared.state);
+        state.detected.get(since..).unwrap_or_default().to_vec()
     }
 
     /// Flush, then clone the full [`PipelineOutput`] as of everything
@@ -819,24 +645,23 @@ impl Session {
     /// # Errors
     /// Propagates [`flush`](Session::flush) errors.
     pub fn output_snapshot(&mut self) -> Result<PipelineOutput, EngineError> {
-        self.flush()?;
-        let router = lock(&self.shared.router);
-        let committer = lock(&self.shared.committer);
-        let mut counters = router.counters.clone();
-        counters.absorb(&committer.counters);
+        self.dispatch()?;
+        let state = self.wait_quiescent()?;
+        let mut counters = state.doc_counters.clone();
+        counters.absorb(&state.dedup_counters);
         Ok(PipelineOutput {
-            detected: committer.detected.clone(),
+            detected: state.detected.clone(),
             counters,
-            dox_ids: router.dox_ids.clone(),
-            stage_gap_docs: router.stage_gap_docs,
+            dox_ids: state.dox_ids.clone(),
+            stage_gap_docs: state.stage_gap_docs,
         })
     }
 
     /// Capture a resumable snapshot of the session without closing it.
     ///
     /// Flushes the buffered partial chunk (chunk boundaries never affect
-    /// results), waits for the pipeline to quiesce, then snapshots every
-    /// stateful stage. Feed the snapshot to
+    /// results), waits for the pipeline to quiesce, then snapshots the
+    /// committed state. Feed the snapshot to
     /// [`SessionBuilder::resume_from`](crate::SessionBuilder::resume_from)
     /// to continue the stream in a later process; replaying the remaining
     /// documents yields output byte-identical to the uninterrupted run.
@@ -849,7 +674,7 @@ impl Session {
 
     /// Quiesce like [`checkpoint`](Session::checkpoint), then hand `f`
     /// the snapshot *without* its detected log plus the committed log
-    /// itself, borrowed under the committer lock. The store encoder
+    /// itself, borrowed under the state lock. The store encoder
     /// serializes only the log's new tail from the borrow instead of
     /// cloning the whole log.
     pub(crate) fn with_quiescent<R>(
@@ -857,27 +682,20 @@ impl Session {
         f: impl FnOnce(SessionCheckpoint, &[DetectedDox]) -> R,
     ) -> Result<R, EngineError> {
         self.dispatch()?;
-        self.wait_quiescent()?;
-        let router = lock(&self.shared.router);
-        let committer = lock(&self.shared.committer);
+        let state = self.wait_quiescent()?;
         let checkpoint = SessionCheckpoint {
             version: CHECKPOINT_VERSION,
             shards: self.shards,
             next_chunk_seq: self.next_chunk_seq,
-            dox_seq: router.dox_seq,
-            router_counters: router.counters.clone(),
-            dox_ids: router.dox_ids.clone(),
-            stage_gap_docs: router.stage_gap_docs,
-            committer_counters: committer.counters.clone(),
+            dox_seq: state.dox_seq,
+            router_counters: state.doc_counters.clone(),
+            dox_ids: state.dox_ids.clone(),
+            stage_gap_docs: state.stage_gap_docs,
+            committer_counters: state.dedup_counters.clone(),
             detected: Vec::new(),
-            dedups: self
-                .shared
-                .dedups
-                .iter()
-                .map(|d| lock(d).snapshot())
-                .collect(),
+            dedups: state.dedups.iter().map(Deduplicator::snapshot).collect(),
         };
-        Ok(f(checkpoint, &committer.detected))
+        Ok(f(checkpoint, &state.detected))
     }
 
     /// Close the stream and wait for every stage to drain, returning the
@@ -890,53 +708,41 @@ impl Session {
             worker.join().map_err(stage_failed("stage worker"))?;
         }
         self.staged.close();
-        if let Some(router) = self.router.take() {
-            router.join().map_err(stage_failed("router"))?;
-        }
-        for q in &self.shard_queues {
-            q.close();
-        }
-        for worker in self.shard_workers.drain(..) {
-            worker.join().map_err(stage_failed("dedup shard"))?;
-        }
-        self.verdicts.close();
         if let Some(committer) = self.committer.take() {
             committer.join().map_err(stage_failed("committer"))?;
         }
-        let router = std::mem::take(&mut *lock(&self.shared.router));
-        let committer = std::mem::take(&mut *lock(&self.shared.committer));
-        let mut counters = router.counters;
-        counters.absorb(&committer.counters);
+        let state = std::mem::take(&mut *lock(&self.shared.state));
+        let mut counters = state.doc_counters;
+        counters.absorb(&state.dedup_counters);
         self.queue_depth.set(0);
         Ok(PipelineOutput {
-            detected: committer.detected,
+            detected: state.detected,
             counters,
-            dox_ids: router.dox_ids,
-            stage_gap_docs: router.stage_gap_docs,
+            dox_ids: state.dox_ids,
+            stage_gap_docs: state.stage_gap_docs,
         })
     }
 }
 
 impl Drop for Session {
-    /// Closing every queue lets the worker threads exit if the session is
+    /// Closing both queues lets the engine threads exit if the session is
     /// dropped without [`finish`](Session::finish); the threads are then
     /// detached, not joined.
     fn drop(&mut self) {
         self.work.close();
         self.staged.close();
-        for q in &self.shard_queues {
-            q.close();
-        }
-        self.verdicts.close();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::StoreCheckpoint;
     use crate::{Engine, EngineFaults};
     use dox_fault::{FaultPlanConfig, RetryPolicy};
-    use dox_synth::corpus::SynthDoc;
+    use dox_osn::clock::SimTime;
+    use dox_store::Store;
+    use dox_synth::corpus::{Source, SynthDoc};
     use dox_synth::truth::PasteKind;
 
     /// A detector that flags documents containing "dox".
@@ -1252,6 +1058,70 @@ mod tests {
                 expected: 3,
                 found: 2
             })
+        );
+    }
+
+    #[test]
+    fn spilling_store_bytes_are_identical_across_worker_counts() {
+        // Spill puts and checkpoint rows are segment bytes, so the store a
+        // run leaves behind must be a pure function of the stream too.
+        let store_files = |workers: usize| -> Vec<(std::ffi::OsString, Vec<u8>)> {
+            let dir = std::env::temp_dir().join(format!(
+                "dox_session_spill_{}_w{workers}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let registry = Registry::new();
+            let store = Arc::new(Store::open(&dir, &registry).expect("open store"));
+            let engine = Engine::builder()
+                .workers(workers)
+                .shards(3)
+                .queue_depth(2)
+                .chunk(16)
+                .build()
+                .expect("valid config");
+            let mut session = engine
+                .session_builder()
+                .detector(Arc::new(KeywordDetector))
+                .registry(&registry)
+                .spill(DedupSpillConfig {
+                    store: Arc::clone(&store),
+                    cap_entries: 2,
+                })
+                .start()
+                .expect("detector set");
+            let mut checkpoint = StoreCheckpoint::new(Arc::clone(&store), "checkpoint");
+            let docs = corpus();
+            let cut = 97; // mid-chunk on purpose
+            for (i, (period, doc)) in docs.iter().enumerate() {
+                session.ingest(*period, doc.clone()).expect("valid");
+                if i + 1 == cut || i + 1 == docs.len() {
+                    checkpoint
+                        .stage(&mut session, 7, i as u64 + 1)
+                        .expect("stages");
+                    store.checkpoint().expect("commits");
+                }
+            }
+            session.finish().expect("drains");
+            drop(checkpoint);
+            drop(store);
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .expect("store dir")
+                .map(|entry| {
+                    let path = entry.expect("dir entry").path();
+                    let name = path.file_name().expect("file name").to_owned();
+                    (name, std::fs::read(&path).expect("store file"))
+                })
+                .collect();
+            files.sort();
+            let _ = std::fs::remove_dir_all(&dir);
+            files
+        };
+        let single = store_files(1);
+        assert!(single.len() >= 2, "a manifest and at least one segment");
+        assert!(
+            single == store_files(4),
+            "store bytes must not depend on the worker count"
         );
     }
 

@@ -34,7 +34,24 @@ step "baseline: uninterrupted fault-free run"
 "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
     --json "$scratch/clean.json" > /dev/null
 
-# The drill: dedup shards spill to disk, the checkpoint commits inside
+step "store determinism: spilling runs at --workers 1 and --workers 4"
+# Spill drains and checkpoint rows are segment bytes: two uninterrupted
+# store-backed runs that differ only in worker count must leave
+# byte-identical stores behind.
+for workers in 1 4; do
+    "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
+        --workers "$workers" \
+        --checkpoint-dir "$scratch/spill_w$workers" --checkpoint-every 5000 \
+        --spill-cap 8 > /dev/null
+done
+if diff -r "$scratch/spill_w1/store" "$scratch/spill_w4/store"; then
+    echo "identical: $(ls "$scratch/spill_w1/store" | wc -l) store files"
+else
+    echo "FAIL: store bytes depend on the worker count" >&2
+    exit 1
+fi
+
+# The drill: dedup partitions spill to disk, the checkpoint commits inside
 # the segment store, and recovery must also survive a *torn segment
 # tail* we forge by appending garbage past the committed length — the
 # exact on-disk state a crash mid-append leaves behind.

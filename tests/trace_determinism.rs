@@ -115,13 +115,12 @@ const WALL_CLOCK_METRICS: &[&str] = &[
     "engine.queue.stall_ns",
     "engine.queue.depth",
     "engine.queue.staged.depth",
-    "engine.queue.verdicts.depth",
     "engine.queue.backpressure.stalls",
     "engine.queue.backpressure_ns",
 ];
 
 fn is_wall_clock(name: &str) -> bool {
-    WALL_CLOCK_METRICS.contains(&name) || name.ends_with(".queue_depth")
+    WALL_CLOCK_METRICS.contains(&name)
 }
 
 /// The deterministic projection of a snapshot: counters and gauges minus
