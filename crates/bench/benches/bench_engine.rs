@@ -1,12 +1,14 @@
-//! Streaming ingest engine throughput: the sharded `dox-engine` session at
-//! several worker/shard topologies against the sequential reference
-//! `Pipeline`, over one pre-collected two-period corpus.
+//! Streaming ingest engine overheads: the `dox-engine` session at one
+//! pinned topology, plain and with the fault plan, tracing and the
+//! store-backed dedup armed, over one pre-collected two-period corpus.
+//! Before anything is timed, the engine is checked against the
+//! sequential reference `Pipeline` at several worker/shard topologies.
 //!
-//! Besides the usual stdout report, the measured medians are recorded into
-//! `BENCH_engine.json` at the workspace root so throughput is tracked
-//! across commits. Numbers are honest wall-clock medians on whatever
-//! machine runs the bench — on a single hardware thread the multi-worker
-//! configurations mostly measure coordination overhead, not speedup.
+//! Besides the usual stdout report, the fastest pass of each
+//! configuration is recorded into `BENCH_engine.json` at the workspace
+//! root, where `scripts/trace_overhead_gate.sh` and
+//! `scripts/store_overhead_gate.sh` read it. End-to-end throughput is
+//! measured by perfbench, not here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dox_bench::BenchFixture;
@@ -24,9 +26,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const SCALE: f64 = 0.01;
+/// Topologies the engine must agree with the reference at.
 const TOPOLOGIES: [(usize, usize); 4] = [(1, 1), (1, 8), (2, 8), (4, 8)];
-/// Topology used for the tracing-overhead and per-stage measurements.
-const TRACE_TOPOLOGY: (usize, usize) = (4, 8);
+/// The one timed topology: every `BENCH_engine.json` row runs at it.
+const TIMED_TOPOLOGY: (usize, usize) = (4, 8);
 /// In-memory dedup entries per shard before spilling to the store —
 /// far below the corpus size, so every shard actually pages out.
 const STORE_SPILL_CAP: usize = 4_096;
@@ -236,19 +239,6 @@ impl EngineFixture {
         pipeline.unique_doxes().count()
     }
 
-    /// Median seconds per full-corpus pass over `samples` runs.
-    fn time_median(&self, samples: usize, mut run: impl FnMut(&Self) -> usize) -> f64 {
-        let mut times: Vec<f64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(run(self));
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(|a, b| a.total_cmp(b));
-        times[times.len() / 2]
-    }
-
     /// Fastest seconds per full-corpus pass over `samples` runs. The
     /// trace-overhead gate compares against a pinned baseline, so it
     /// wants the low-noise statistic, not the median.
@@ -263,48 +253,7 @@ impl EngineFixture {
     }
 }
 
-/// One untimed instrumented pass: per-stage observation counts and
-/// docs/s derived from the `pipeline.stage.*` span histograms.
-fn per_stage_rows(fixture: &EngineFixture) -> String {
-    let (workers, shards) = TRACE_TOPOLOGY;
-    let engine = Engine::builder()
-        .workers(workers)
-        .shards(shards)
-        .build()
-        .expect("valid engine config");
-    let detector: Arc<dyn DoxDetector> = fixture.classifier.clone();
-    let registry = Registry::new();
-    let mut session = engine
-        .session_builder()
-        .detector(detector)
-        .registry(&registry)
-        .start()
-        .expect("detector set");
-    for (period, doc) in &fixture.docs {
-        session.ingest(*period, doc.clone()).expect("engine up");
-    }
-    let _ = session.finish().expect("engine finishes");
-    let snapshot = registry.snapshot();
-    let mut rows = Vec::new();
-    for (name, h) in &snapshot.spans {
-        let Some(stage) = name.strip_prefix("pipeline.stage.") else {
-            continue;
-        };
-        if h.count == 0 || h.sum == 0 {
-            continue;
-        }
-        rows.push(format!(
-            "    {{ \"stage\": \"{stage}\", \"count\": {}, \"total_ns\": {}, \
-             \"docs_per_sec\": {:.0} }}",
-            h.count,
-            h.sum,
-            h.count as f64 / (h.sum as f64 / 1e9)
-        ));
-    }
-    rows.join(",\n")
-}
-
-/// Record the medians where commit history can see them.
+/// Record the fastest passes where commit history can see them.
 fn write_json(fixture: &EngineFixture, samples: usize) {
     let samples = std::env::var("DOX_BENCH_SAMPLES")
         .ok()
@@ -312,41 +261,29 @@ fn write_json(fixture: &EngineFixture, samples: usize) {
         .filter(|&n: &usize| n > 0)
         .unwrap_or(samples);
     let docs = fixture.docs.len();
-    let reference = fixture.time_median(samples, EngineFixture::run_reference);
-    let mut entries = Vec::new();
-    entries.push(format!(
-        "    {{ \"config\": \"reference\", \"seconds\": {reference:.6}, \"docs_per_sec\": {:.0} }}",
-        docs as f64 / reference
-    ));
-    for (workers, shards) in TOPOLOGIES {
-        let t = fixture.time_median(samples, |f| f.run_engine(workers, shards));
-        entries.push(format!(
-            "    {{ \"config\": \"engine w{workers} s{shards}\", \"workers\": {workers}, \
-             \"shards\": {shards}, \"seconds\": {t:.6}, \"docs_per_sec\": {:.0}, \
-             \"speedup_vs_reference\": {:.3} }}",
-            docs as f64 / t,
-            reference / t
-        ));
-        // The fault layer armed with an all-healthy plan: the overhead of
-        // resilience when nothing goes wrong (contract: within a few
-        // percent of the plain engine).
-        let tf = fixture.time_median(samples, |f| f.run_engine_healthy_plan(workers, shards));
-        entries.push(format!(
-            "    {{ \"config\": \"engine w{workers} s{shards} healthy-plan\", \
-             \"workers\": {workers}, \"shards\": {shards}, \"seconds\": {tf:.6}, \
-             \"docs_per_sec\": {:.0}, \"speedup_vs_reference\": {:.3}, \
-             \"overhead_vs_no_plan\": {:.3} }}",
-            docs as f64 / tf,
-            reference / tf,
-            tf / t
-        ));
-    }
-    // Tracing overhead at the reference topology: disabled must price out
-    // at zero (scripts/trace_overhead_gate.sh holds it within 2% of the
-    // pre-tracing baseline) and 1% sampling at low single digits. Timed
-    // with `time_min` — see its doc comment.
-    let (tw, ts) = TRACE_TOPOLOGY;
+    // Every row is timed with `time_min` — see its doc comment — and
+    // priced against the plain engine.
+    let (tw, ts) = TIMED_TOPOLOGY;
     let plain = fixture.time_min(samples, |f| f.run_engine(tw, ts));
+    let mut entries = vec![format!(
+        "    {{ \"config\": \"engine w{tw} s{ts}\", \"workers\": {tw}, \"shards\": {ts}, \
+         \"timer\": \"min\", \"seconds\": {plain:.6}, \"docs_per_sec\": {:.0} }}",
+        docs as f64 / plain
+    )];
+    // The fault layer armed with an all-healthy plan: the overhead of
+    // resilience when nothing goes wrong (contract: within a few percent
+    // of the plain engine).
+    let healthy = fixture.time_min(samples, |f| f.run_engine_healthy_plan(tw, ts));
+    entries.push(format!(
+        "    {{ \"config\": \"engine w{tw} s{ts} healthy-plan\", \"workers\": {tw}, \
+         \"shards\": {ts}, \"timer\": \"min\", \"seconds\": {healthy:.6}, \
+         \"docs_per_sec\": {:.0}, \"overhead_vs_no_plan\": {:.3} }}",
+        docs as f64 / healthy,
+        healthy / plain
+    ));
+    // Tracing overhead: disabled must price out at zero
+    // (scripts/trace_overhead_gate.sh holds it within 2% of the
+    // pre-tracing baseline) and 1% sampling at low single digits.
     for (label, ppm) in [("trace-off", 0u32), ("trace-1pct", 10_000)] {
         let t = fixture.time_min(samples, |f| f.run_engine_traced(tw, ts, ppm));
         entries.push(format!(
@@ -357,8 +294,8 @@ fn write_json(fixture: &EngineFixture, samples: usize) {
             t / plain
         ));
     }
-    // Store-backed dedup + durable checkpoints at the reference
-    // topology: scripts/store_overhead_gate.sh holds this within 10%
+    // Store-backed dedup + durable checkpoints:
+    // scripts/store_overhead_gate.sh holds this within 10%
     // of the plain engine (best-of-N, like the trace gate), and the
     // resume row records the O(checkpoint) restart the store buys.
     let store_dir = std::env::temp_dir().join(format!("dox_bench_store_{}", std::process::id()));
@@ -380,10 +317,8 @@ fn write_json(fixture: &EngineFixture, samples: usize) {
     let _ = std::fs::remove_dir_all(&store_dir);
     let json = format!(
         "{{\n  \"bench\": \"engine_ingest\",\n  \"scale\": {SCALE},\n  \"documents\": {docs},\n  \
-         \"hardware_threads\": {},\n  \"samples\": {samples},\n  \"per_stage\": [\n{}\n  ],\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
+         \"hardware_threads\": {},\n  \"samples\": {samples},\n  \"results\": [\n{}\n  ]\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        per_stage_rows(fixture),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
@@ -414,14 +349,14 @@ fn bench_engine(c: &mut Criterion) {
         );
     }
     assert_eq!(
-        fixture.run_engine_traced(TRACE_TOPOLOGY.0, TRACE_TOPOLOGY.1, 1_000_000),
+        fixture.run_engine_traced(TIMED_TOPOLOGY.0, TIMED_TOPOLOGY.1, 1_000_000),
         expect,
         "engine tracing every document disagrees with the reference pipeline"
     );
     let store_dir =
         std::env::temp_dir().join(format!("dox_bench_store_{}_verify", std::process::id()));
     assert_eq!(
-        fixture.run_engine_store(TRACE_TOPOLOGY.0, TRACE_TOPOLOGY.1, &store_dir),
+        fixture.run_engine_store(TIMED_TOPOLOGY.0, TIMED_TOPOLOGY.1, &store_dir),
         expect,
         "engine with store-backed dedup disagrees with the reference pipeline"
     );
@@ -430,26 +365,17 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
     group.throughput(Throughput::Elements(docs));
-    group.bench_function("reference_pipeline", |b| {
-        b.iter(|| black_box(fixture.run_reference()))
+    let (tw, ts) = TIMED_TOPOLOGY;
+    let topology = format!("w{tw}_s{ts}");
+    group.bench_function(BenchmarkId::new("ingest", &topology), |b| {
+        b.iter(|| black_box(fixture.run_engine(tw, ts)))
     });
-    for (workers, shards) in TOPOLOGIES {
-        group.bench_with_input(
-            BenchmarkId::new("ingest", format!("w{workers}_s{shards}")),
-            &(workers, shards),
-            |b, &(workers, shards)| b.iter(|| black_box(fixture.run_engine(workers, shards))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("ingest_healthy_plan", format!("w{workers}_s{shards}")),
-            &(workers, shards),
-            |b, &(workers, shards)| {
-                b.iter(|| black_box(fixture.run_engine_healthy_plan(workers, shards)))
-            },
-        );
-    }
+    group.bench_function(BenchmarkId::new("ingest_healthy_plan", &topology), |b| {
+        b.iter(|| black_box(fixture.run_engine_healthy_plan(tw, ts)))
+    });
     for (label, ppm) in [("off", 0u32), ("1pct", 10_000)] {
         group.bench_with_input(BenchmarkId::new("ingest_traced", label), &ppm, |b, &ppm| {
-            b.iter(|| black_box(fixture.run_engine_traced(TRACE_TOPOLOGY.0, TRACE_TOPOLOGY.1, ppm)))
+            b.iter(|| black_box(fixture.run_engine_traced(tw, ts, ppm)))
         });
     }
     group.finish();

@@ -49,13 +49,13 @@ pub struct SessionCheckpoint {
     /// count — dedup state is partitioned by `signature % shards`.
     pub shards: usize,
     /// The next chunk sequence number the session will stamp (and the
-    /// committer's reorder cursor — equal at quiescence).
+    /// commit reorder cursor — equal at quiescence).
     pub next_chunk_seq: u64,
-    /// The next dox sequence number the committer will stamp.
+    /// The next dox sequence number a commit pass will stamp.
     pub dox_seq: u64,
     /// Funnel counters of the document-level half: documents per period
-    /// and source, classified doxes. The name predates the single
-    /// commit thread and is kept for checkpoint compatibility.
+    /// and source, classified doxes. The name predates the worker-run
+    /// commit pass and is kept for checkpoint compatibility.
     pub router_counters: PipelineCounters,
     /// Ids of documents labeled dox so far.
     pub dox_ids: BTreeSet<u64>,

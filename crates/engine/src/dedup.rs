@@ -17,7 +17,7 @@
 //! ## Partitioning
 //!
 //! [`Deduplicator`] is stateful and order-sensitive, so the engine runs
-//! it serially, in stream order, on its commit thread. The state two
+//! it serially, in stream order, in its commit pass. The state two
 //! documents share is fully determined by their *routing signature*
 //! ([`shard_signature`]): the account-set key when one is extracted,
 //! otherwise the body hash. Extraction is a pure function of the body, so

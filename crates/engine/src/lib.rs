@@ -4,9 +4,9 @@
 //! fill-then-drain batches: collect 8 k documents, block, fan the pure
 //! stage out, reduce, repeat. This crate replaces that with a streaming
 //! topology — a bounded work queue with real backpressure, a pool of
-//! stage workers, and one commit thread that reorders their output by
-//! sequence number and de-duplicates inline over dedup state partitioned
-//! by account-set signature — while keeping the output
+//! stage workers that, one commit pass at a time, reorder their output
+//! by sequence number and de-duplicate inline over dedup state
+//! partitioned by account-set signature — while keeping the output
 //! **byte-identical** to a sequential pass for any `(workers, shards)`
 //! configuration. Determinism is the contract:
 //! an [`crate::output::PipelineOutput`] is a pure function of the
@@ -103,8 +103,8 @@ pub enum EngineError {
     /// `ingest` was handed a period outside the study's two collection
     /// periods.
     InvalidPeriod(u8),
-    /// A stage queue was closed while the session was still feeding it
-    /// (only possible if a downstream thread died).
+    /// A stage worker died while the session was still feeding or
+    /// waiting on it; [`Session::finish`] reports its panic.
     Disconnected,
     /// A named engine thread panicked; the recovered panic message is the
     /// chained [`source`](std::error::Error::source).
@@ -190,12 +190,12 @@ pub struct EngineConfig {
     /// Stage worker threads running the pure classify/extract stage.
     pub workers: usize,
     /// Dedup partitions, each an isolated [`Deduplicator`] owning the
-    /// doxes whose signature routes to it. The committer runs them all
+    /// doxes whose signature routes to it. The commit pass runs them all
     /// inline; the count shapes checkpoints and spill tables, not
     /// threads.
     pub shards: usize,
-    /// Bounded depth, in chunks, of the work and staged queues — the
-    /// backpressure window.
+    /// Bounded depth, in chunks, of the work queue — the backpressure
+    /// window.
     pub queue_depth: usize,
     /// Documents per work chunk (amortizes queue handoff).
     pub chunk: usize,

@@ -88,8 +88,8 @@ impl PipelineCounters {
         }
     }
 
-    /// Fold `other` into `self`, field by field. The engine's committer
-    /// keeps the document-level and dedup-level counters as two halves,
+    /// Fold `other` into `self`, field by field. The engine's commit
+    /// state keeps the document-level and dedup-level counters as two halves,
     /// the split its checkpoints persist; the merged result equals what
     /// one sequential pass would have counted because the two halves
     /// touch disjoint fields.

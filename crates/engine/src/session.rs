@@ -2,42 +2,45 @@
 //! deterministic commit protocol.
 //!
 //! ```text
-//! caller ──ingest()──▶ [work queue] ──▶ stage workers (×W, pure)
-//!                                             │
-//!                                     [staged queue]
-//!                                             │
-//!                                      committer (reorders by chunk seq,
-//!                                       then per document in stream
-//!                                       order: counts it, stamps dox_seq,
-//!                                       picks the dedup partition by
-//!                                       shard_signature, dedups, appends
-//!                                       to the detected-dox log)
+//! caller ──ingest()──▶ [work queue] ──▶ stage workers (×W): classify the
+//!                                        chunk, then, under the state lock,
+//!                                        reorder by chunk seq and commit
+//!                                        per document in stream order:
+//!                                        count it, stamp dox_seq, pick the
+//!                                        dedup partition by shard_signature,
+//!                                        dedup, append to the detected log
 //! ```
 //!
-//! Determinism: the stage workers are pure, so only the committer's state
-//! matters. The committer observes chunks through a [`ReorderBuffer`]
-//! keyed on the chunk sequence number, so every counter, `dox_seq` stamp,
-//! dedup verdict, dedup spill and log append happens in exact ingest
-//! order. The dedup state is split into `shards` partitions, each owning
-//! every document that could ever match each other (see
+//! Determinism: the stage is pure, so only the commit state matters. A
+//! worker commits through a [`ReorderBuffer`] keyed on the chunk sequence
+//! number, so every counter, `dox_seq` stamp, dedup verdict, dedup spill
+//! and log append happens in exact ingest order, whichever worker runs
+//! the pass. The dedup state is split into `shards` partitions, each
+//! owning every document that could ever match each other (see
 //! [`crate::dedup::shard_signature`]), so the partitioned verdicts equal
 //! one global deduplicator's. The result is byte-identical to one
 //! sequential pass for any `(workers, shards)`.
 //!
 //! De-duplication is a serial pass over the rare classified doxes (about
-//! 0.3 % of the paper's stream), so it runs inline on the commit thread:
-//! a session is W + 1 threads.
+//! 0.3 % of the paper's stream), so it runs inline on whichever worker
+//! releases the next chunk in sequence: a session is its W workers.
 //!
 //! ## Shared state and checkpoints
 //!
-//! The committer keeps its accumulations in one mutex-guarded state block
-//! rather than thread-local state so the session can observe it mid-run.
-//! [`Session::checkpoint`] flushes the partial chunk, waits on the same
-//! mutex's condvar for **quiescence** (the reorder cursor has reached
-//! every dispatched chunk), then snapshots the state under that lock. The
-//! reorder buffer is provably empty at quiescence, so only its cursor is
-//! persisted. The mutex is uncontended in steady state — only the
-//! committer locks it, except during a checkpoint or a live read.
+//! The commit state lives in one mutex-guarded block rather than
+//! thread-local state, so every worker can commit to it and the session
+//! can observe it mid-run. [`Session::checkpoint`] flushes the partial
+//! chunk, waits on the same mutex's condvar for **quiescence** (the
+//! reorder cursor has reached every dispatched chunk), then snapshots the
+//! state under that lock. The reorder buffer is provably empty at
+//! quiescence, so only its cursor is persisted. Workers take the lock
+//! only after the stage, never while waiting on a queue, so they never
+//! block on each other for longer than one commit pass.
+//!
+//! A worker that panics, in the stage or mid-commit, closes the work
+//! queue as it unwinds, so the producer fails with
+//! [`EngineError::Disconnected`] instead of hanging, and
+//! [`Session::finish`] reports the panic as [`EngineError::StageFailed`].
 //!
 //! ## Fault injection
 //!
@@ -75,7 +78,7 @@ use std::time::{Duration, Instant};
 const QUIESCE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A batch of collected documents, stamped with the chunk sequence
-/// number the committer reorders on. Each document carries its
+/// number the commit pass reorders on. Each document carries its
 /// collection period (1 or 2).
 struct WorkChunk {
     seq: u64,
@@ -92,20 +95,15 @@ enum StageOutcome {
     Failed,
 }
 
-/// A chunk after the stage: same sequence number, each document now
-/// paired with its outcome. Bodies are dropped at staging, so the staged
-/// queue holds no document text beyond a dox's classified text.
-struct StagedChunk {
-    seq: u64,
-    items: Vec<(u8, CollectedDoc, StageOutcome)>,
-}
+/// A staged chunk's documents, each paired with its stage outcome.
+type StagedItems = Vec<(u8, CollectedDoc, StageOutcome)>;
 
-/// The committer's accumulated state. The funnel counters are kept in
-/// the two halves a [`SessionCheckpoint`] persists: document-level
+/// The session's accumulated commit state. The funnel counters are kept
+/// in the two halves a [`SessionCheckpoint`] persists: document-level
 /// (`router_counters`) and dedup-level (`committer_counters`).
 #[derive(Default)]
 struct CommitState {
-    reorder: ReorderBuffer<Vec<(u8, CollectedDoc, StageOutcome)>>,
+    reorder: ReorderBuffer<StagedItems>,
     doc_counters: PipelineCounters,
     dedup_counters: PipelineCounters,
     dox_ids: BTreeSet<u64>,
@@ -116,34 +114,44 @@ struct CommitState {
     detected: Vec<DetectedDox>,
 }
 
-/// The committer's state plus the condvar it signals after every staged
-/// chunk, shared with the session handle so checkpoints can observe the
-/// state at quiescence.
+/// The commit state plus the condvar signalled after every commit pass,
+/// shared by the workers and the session handle so checkpoints can
+/// observe the state at quiescence.
 struct Shared {
     state: Mutex<CommitState>,
     committed: Condvar,
 }
 
 /// Lock a mutex, recovering the guard if a panicking thread poisoned it —
-/// same policy as [`crate::queue`]: state mutations are single-assignment
-/// per document, so observers prefer the last consistent state over
-/// propagating a panic.
+/// same policy as [`crate::queue`]: observers prefer the last state over
+/// propagating a panic. Quiescence waits still treat a poisoned state
+/// lock as a dead worker.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Map a thread panic payload into the chained cause on
-/// [`EngineError::StageFailed`].
-fn stage_failed(stage: &'static str) -> impl FnOnce(Box<dyn std::any::Any + Send>) -> EngineError {
-    move |payload| {
-        let message = payload
-            .downcast_ref::<&'static str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panic payload was not a string".to_string());
-        EngineError::StageFailed {
-            stage,
-            cause: StagePanic(message),
+/// Map a stage worker's panic payload into
+/// [`EngineError::StageFailed`], keeping the panic message as the cause.
+fn stage_failed(payload: Box<dyn std::any::Any + Send>) -> EngineError {
+    let message = payload
+        .downcast_ref::<&'static str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic payload was not a string".to_string());
+    EngineError::StageFailed {
+        stage: "stage worker",
+        cause: StagePanic(message),
+    }
+}
+
+/// Closes the work queue when its stage worker unwinds, so the producer's
+/// next push fails instead of blocking on a queue nobody drains.
+struct CloseOnPanic(Arc<Queue<WorkChunk>>);
+
+impl Drop for CloseOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
         }
     }
 }
@@ -171,9 +179,7 @@ pub struct Session {
     buf: Vec<(u8, CollectedDoc)>,
     shared: Arc<Shared>,
     work: Arc<Queue<WorkChunk>>,
-    staged: Arc<Queue<StagedChunk>>,
     stage_workers: Vec<JoinHandle<()>>,
-    committer: Option<JoinHandle<()>>,
     queue_depth: Gauge,
     stalls: Counter,
     stall_ns: Histogram,
@@ -202,7 +208,6 @@ impl Session {
             dedup
         };
         let work: Arc<Queue<WorkChunk>> = Arc::new(Queue::bounded(config.queue_depth));
-        let staged: Arc<Queue<StagedChunk>> = Arc::new(Queue::bounded(config.queue_depth));
 
         let next_chunk_seq = restore.as_ref().map_or(0, |cp| cp.next_chunk_seq);
         let state = match restore {
@@ -234,17 +239,150 @@ impl Session {
             state: Mutex::new(state),
             committed: Condvar::new(),
         });
+        // The commit pass each worker runs after its stage: hand the
+        // staged chunk to the reorder buffer, then commit every chunk it
+        // releases, in stream order, under the state lock.
+        let commit = {
+            let shared = Arc::clone(&shared);
+            let shards = config.shards;
+            let partition_docs: Vec<Counter> = (0..shards)
+                .map(|i| registry.counter(&format!("engine.shard.{i}.docs")))
+                .collect();
+            let partition_ns: Vec<Histogram> = (0..shards)
+                .map(|i| registry.histogram(&format!("engine.shard.{i}.dedup_ns")))
+                .collect();
+            let collected = registry.counter("pipeline.funnel.collected");
+            let classified_dox = registry.counter("pipeline.funnel.classified_dox");
+            let duplicates = registry.counter("pipeline.funnel.duplicates");
+            let unique = registry.counter("pipeline.funnel.unique");
+            let stage_gaps = registry.counter("engine.fault.stage_exhausted_docs");
+            let route_ns = registry.histogram("pipeline.stage.route");
+            let dedup_ns = registry.histogram("pipeline.stage.dedup");
+            let tracer = tracer.clone();
+            Arc::new(move |seq: u64, items: StagedItems| {
+                let mut guard = lock(&shared.state);
+                // dox-lint:allow(determinism) route-stage timing histogram; observation only
+                let route_start = Instant::now();
+                let mut dedup_total = Duration::ZERO;
+                let state = &mut *guard;
+                state.reorder.push(seq, items);
+                while let Some(items) = state.reorder.pop_ready() {
+                    for (period, doc, outcome) in items {
+                        let CollectedDoc { doc, collected_at } = doc;
+                        let slot = usize::from(period - 1);
+                        state.doc_counters.total += 1;
+                        state.doc_counters.per_period[slot] += 1;
+                        state.doc_counters.count_source(doc.source.name());
+                        collected.inc();
+                        let staged_doc = match outcome {
+                            StageOutcome::Done(staged_doc) => staged_doc,
+                            StageOutcome::Failed => {
+                                state.stage_gap_docs += 1;
+                                stage_gaps.inc();
+                                if tracer.sampled(doc.id) {
+                                    tracer.hop(
+                                        doc.id,
+                                        hop(
+                                            "stage_gap",
+                                            collected_at.0,
+                                            "document lost to exhausted poison",
+                                        ),
+                                    );
+                                }
+                                continue;
+                            }
+                        };
+                        let Some((text, extracted)) = staged_doc else {
+                            continue;
+                        };
+                        state.doc_counters.classified_dox += 1;
+                        state.doc_counters.dox_per_period[slot] += 1;
+                        classified_dox.inc();
+                        state.dox_ids.insert(doc.id);
+                        let dox_seq = state.dox_seq;
+                        state.dox_seq += 1;
+                        let sig = shard_signature(&text, &extracted);
+                        let shard = shard_of(sig, shards);
+                        let sampled = tracer.sampled(doc.id);
+                        if sampled {
+                            // The hop carries the partition *signature*, not its
+                            // index: the signature is a pure function of content,
+                            // so traces stay byte-identical across shard counts.
+                            tracer.hop(
+                                doc.id,
+                                hop(
+                                    "route",
+                                    collected_at.0,
+                                    format!("sig={sig:016x} dox_seq={dox_seq}"),
+                                ),
+                            );
+                        }
+                        partition_docs[shard].inc();
+                        // dox-lint:allow(determinism) per-partition dedup latency histogram; never enters the report
+                        let dedup_start = Instant::now();
+                        let duplicate = state.dedups[shard].check(doc.id, &text, &extracted);
+                        let elapsed = dedup_start.elapsed();
+                        dedup_total += elapsed;
+                        dedup_ns.observe_duration(elapsed);
+                        partition_ns[shard].observe_duration(elapsed);
+                        if sampled {
+                            let (note, fate) = match &duplicate {
+                                None => ("unique".to_string(), "unique"),
+                                Some((kind, of)) => {
+                                    (format!("duplicate kind={kind:?} of={of}"), "duplicate")
+                                }
+                            };
+                            tracer.hop(doc.id, hop("dedup", collected_at.0, note));
+                            tracer.hop(
+                                doc.id,
+                                hop(
+                                    "commit",
+                                    collected_at.0,
+                                    format!("dox_seq={dox_seq} {fate}"),
+                                ),
+                            );
+                        }
+                        match duplicate {
+                            Some((kind, _)) => {
+                                state.dedup_counters.duplicates_per_period[slot] += 1;
+                                duplicates.inc();
+                                match kind {
+                                    DuplicateKind::ExactBody => {
+                                        state.dedup_counters.exact_duplicates += 1
+                                    }
+                                    DuplicateKind::AccountSet => {
+                                        state.dedup_counters.account_set_duplicates += 1
+                                    }
+                                    DuplicateKind::Fuzzy => {}
+                                }
+                            }
+                            None => unique.inc(),
+                        }
+                        state.detected.push(DetectedDox {
+                            doc_id: doc.id,
+                            source: doc.source,
+                            period,
+                            posted_at: doc.posted_at,
+                            observed_at: collected_at,
+                            text,
+                            extracted,
+                            duplicate,
+                            truth: match doc.truth {
+                                GroundTruth::Dox(t) => Some(t),
+                                GroundTruth::Paste { .. } => None,
+                            },
+                        });
+                    }
+                }
+                drop(guard);
+                shared.committed.notify_all();
+                route_ns.observe_duration(route_start.elapsed().saturating_sub(dedup_total));
+            })
+        };
 
         let stage_metrics = StageMetrics::resolve(registry);
         registry.gauge("engine.workers").set(config.workers as i64);
         registry.gauge("engine.shards").set(config.shards as i64);
-
-        // The staged-queue depth gauge plus a backpressure ledger: every
-        // blocking push past the ingest boundary lands its stall here, so
-        // `GET /metrics` can show where the pipe is tight right now.
-        let staged_depth = registry.gauge("engine.queue.staged.depth");
-        let bp_stalls = registry.counter("engine.queue.backpressure.stalls");
-        let bp_ns = registry.histogram("engine.queue.backpressure_ns");
 
         let fault_ctx: Option<(FaultPlan, u32)> = config
             .faults
@@ -254,7 +392,7 @@ impl Session {
         let stage_workers = (0..config.workers)
             .map(|_| {
                 let work = Arc::clone(&work);
-                let staged = Arc::clone(&staged);
+                let commit = Arc::clone(&commit);
                 let classifier = Arc::clone(&classifier);
                 let stage_metrics = stage_metrics.clone();
                 let fault_ctx = fault_ctx.clone();
@@ -262,11 +400,8 @@ impl Session {
                 let slow_chunks = registry.counter("engine.fault.slow_chunks");
                 let poisoned_chunks = registry.counter("engine.fault.poisoned_chunks");
                 let stage_retries = registry.counter("engine.fault.stage_retries");
-                let exhausted_docs = registry.counter("engine.fault.stage_exhausted_docs");
-                let staged_depth = staged_depth.clone();
-                let bp_stalls = bp_stalls.clone();
-                let bp_ns = bp_ns.clone();
                 std::thread::spawn(move || {
+                    let _close_on_panic = CloseOnPanic(Arc::clone(&work));
                     while let Some(chunk) = work.pop() {
                         let mut exhausted = false;
                         // The chunk's fault weather, kept so sampled
@@ -288,8 +423,9 @@ impl Session {
                                 StageDirective::Poison { failures } => {
                                     poisoned_chunks.inc();
                                     if failures > *max_retries {
+                                        // The commit pass counts the
+                                        // lost documents, once each.
                                         exhausted = true;
-                                        exhausted_docs.add(chunk.docs.len() as u64);
                                         if tracer.enabled() {
                                             fault_event = Some((
                                                 failures + 1,
@@ -340,172 +476,20 @@ impl Session {
                                     };
                                     tracer.hop(doc.doc.id, hop("classify", at, verdict));
                                 }
-                                // The committer never reads the body, and a
-                                // dox's text already travels in its outcome.
+                                // The commit pass never reads the body, and
+                                // a dox's text already travels in its
+                                // outcome, so early arrivals wait in the
+                                // reorder buffer without it.
                                 doc.doc.body = String::new();
                                 (period, doc, outcome)
                             })
                             .collect();
                         timings.merge_into(&stage_metrics);
-                        match staged.push(StagedChunk {
-                            seq: chunk.seq,
-                            items,
-                        }) {
-                            Ok(pushed) => {
-                                staged_depth.set(pushed.depth as i64);
-                                if pushed.stalled_for > Duration::ZERO {
-                                    bp_stalls.inc();
-                                    bp_ns.observe_duration(pushed.stalled_for);
-                                }
-                            }
-                            Err(_) => break,
-                        }
+                        commit(chunk.seq, items);
                     }
                 })
             })
             .collect();
-
-        let committer = {
-            let staged = Arc::clone(&staged);
-            let shared = Arc::clone(&shared);
-            let shards = config.shards;
-            let partition_docs: Vec<Counter> = (0..shards)
-                .map(|i| registry.counter(&format!("engine.shard.{i}.docs")))
-                .collect();
-            let partition_ns: Vec<Histogram> = (0..shards)
-                .map(|i| registry.histogram(&format!("engine.shard.{i}.dedup_ns")))
-                .collect();
-            let collected = registry.counter("pipeline.funnel.collected");
-            let classified_dox = registry.counter("pipeline.funnel.classified_dox");
-            let duplicates = registry.counter("pipeline.funnel.duplicates");
-            let unique = registry.counter("pipeline.funnel.unique");
-            let stage_gaps = registry.counter("engine.fault.stage_exhausted_docs");
-            let route_ns = registry.histogram("pipeline.stage.route");
-            let dedup_ns = registry.histogram("pipeline.stage.dedup");
-            let tracer = tracer.clone();
-            std::thread::spawn(move || {
-                while let Some(chunk) = staged.pop() {
-                    // dox-lint:allow(determinism) route-stage timing histogram; observation only
-                    let route_start = Instant::now();
-                    let mut dedup_total = Duration::ZERO;
-                    let mut guard = lock(&shared.state);
-                    let state = &mut *guard;
-                    state.reorder.push(chunk.seq, chunk.items);
-                    while let Some(items) = state.reorder.pop_ready() {
-                        for (period, doc, outcome) in items {
-                            let CollectedDoc { doc, collected_at } = doc;
-                            let slot = usize::from(period - 1);
-                            state.doc_counters.total += 1;
-                            state.doc_counters.per_period[slot] += 1;
-                            state.doc_counters.count_source(doc.source.name());
-                            collected.inc();
-                            let staged_doc = match outcome {
-                                StageOutcome::Done(staged_doc) => staged_doc,
-                                StageOutcome::Failed => {
-                                    state.stage_gap_docs += 1;
-                                    stage_gaps.inc();
-                                    if tracer.sampled(doc.id) {
-                                        tracer.hop(
-                                            doc.id,
-                                            hop(
-                                                "stage_gap",
-                                                collected_at.0,
-                                                "document lost to exhausted poison",
-                                            ),
-                                        );
-                                    }
-                                    continue;
-                                }
-                            };
-                            let Some((text, extracted)) = staged_doc else {
-                                continue;
-                            };
-                            state.doc_counters.classified_dox += 1;
-                            state.doc_counters.dox_per_period[slot] += 1;
-                            classified_dox.inc();
-                            state.dox_ids.insert(doc.id);
-                            let dox_seq = state.dox_seq;
-                            state.dox_seq += 1;
-                            let sig = shard_signature(&text, &extracted);
-                            let shard = shard_of(sig, shards);
-                            let sampled = tracer.sampled(doc.id);
-                            if sampled {
-                                // The hop carries the partition *signature*,
-                                // not its index: the signature is a pure
-                                // function of content, so traces stay
-                                // byte-identical across shard counts.
-                                tracer.hop(
-                                    doc.id,
-                                    hop(
-                                        "route",
-                                        collected_at.0,
-                                        format!("sig={sig:016x} dox_seq={dox_seq}"),
-                                    ),
-                                );
-                            }
-                            partition_docs[shard].inc();
-                            // dox-lint:allow(determinism) per-partition dedup latency histogram; never enters the report
-                            let dedup_start = Instant::now();
-                            let duplicate = state.dedups[shard].check(doc.id, &text, &extracted);
-                            let elapsed = dedup_start.elapsed();
-                            dedup_total += elapsed;
-                            dedup_ns.observe_duration(elapsed);
-                            partition_ns[shard].observe_duration(elapsed);
-                            if sampled {
-                                let (note, fate) = match &duplicate {
-                                    None => ("unique".to_string(), "unique"),
-                                    Some((kind, of)) => {
-                                        (format!("duplicate kind={kind:?} of={of}"), "duplicate")
-                                    }
-                                };
-                                tracer.hop(doc.id, hop("dedup", collected_at.0, note));
-                                tracer.hop(
-                                    doc.id,
-                                    hop(
-                                        "commit",
-                                        collected_at.0,
-                                        format!("dox_seq={dox_seq} {fate}"),
-                                    ),
-                                );
-                            }
-                            match duplicate {
-                                Some((kind, _)) => {
-                                    state.dedup_counters.duplicates_per_period[slot] += 1;
-                                    duplicates.inc();
-                                    match kind {
-                                        DuplicateKind::ExactBody => {
-                                            state.dedup_counters.exact_duplicates += 1
-                                        }
-                                        DuplicateKind::AccountSet => {
-                                            state.dedup_counters.account_set_duplicates += 1
-                                        }
-                                        DuplicateKind::Fuzzy => {}
-                                    }
-                                }
-                                None => unique.inc(),
-                            }
-                            state.detected.push(DetectedDox {
-                                doc_id: doc.id,
-                                source: doc.source,
-                                period,
-                                posted_at: doc.posted_at,
-                                observed_at: collected_at,
-                                text,
-                                extracted,
-                                duplicate,
-                                truth: match doc.truth {
-                                    GroundTruth::Dox(t) => Some(t),
-                                    GroundTruth::Paste { .. } => None,
-                                },
-                            });
-                        }
-                    }
-                    drop(guard);
-                    shared.committed.notify_all();
-                    route_ns.observe_duration(route_start.elapsed().saturating_sub(dedup_total));
-                }
-            })
-        };
 
         Self {
             chunk: config.chunk,
@@ -514,9 +498,7 @@ impl Session {
             buf: Vec::with_capacity(config.chunk),
             shared,
             work,
-            staged,
             stage_workers,
-            committer: Some(committer),
             queue_depth: registry.gauge("engine.queue.depth"),
             stalls: registry.counter("engine.queue.stalls"),
             stall_ns: registry.histogram("engine.queue.stall_ns"),
@@ -525,7 +507,8 @@ impl Session {
     }
 
     /// Feed one collected document from the given period (1 or 2) into
-    /// the engine. Blocks when the work queue is full (backpressure).
+    /// the engine. Blocks when the work queue is full (backpressure), and
+    /// fails with [`EngineError::Disconnected`] once a stage worker died.
     pub fn ingest(&mut self, period: u8, doc: CollectedDoc) -> Result<(), EngineError> {
         if !(1..=2).contains(&period) {
             return Err(EngineError::InvalidPeriod(period));
@@ -566,13 +549,6 @@ impl Session {
         }
     }
 
-    /// True when some engine thread has exited while the session is still
-    /// open — it can never quiesce.
-    fn any_thread_dead(&self) -> bool {
-        self.stage_workers.iter().any(JoinHandle::is_finished)
-            || self.committer.as_ref().is_some_and(JoinHandle::is_finished)
-    }
-
     /// Block until the pipeline is quiescent — every dispatched chunk
     /// committed, so the reorder buffer is empty — and return the
     /// committed state, still locked.
@@ -582,11 +558,16 @@ impl Session {
         let deadline = Instant::now() + QUIESCE_TIMEOUT;
         let mut state = lock(&self.shared.state);
         loop {
+            // A dead worker first: one that died mid-commit may have moved
+            // the cursor past a half-applied chunk, and it poisons the
+            // state lock before its thread finishes.
+            if self.shared.state.is_poisoned()
+                || self.stage_workers.iter().any(JoinHandle::is_finished)
+            {
+                return Err(EngineError::Disconnected);
+            }
             if state.reorder.next_seq() == target_chunks {
                 return Ok(state);
-            }
-            if self.any_thread_dead() {
-                return Err(EngineError::Disconnected);
             }
             // dox-lint:allow(determinism) liveness deadline, see above
             if Instant::now() >= deadline {
@@ -612,7 +593,7 @@ impl Session {
     /// chunk boundaries are invisible to the commit protocol.
     ///
     /// # Errors
-    /// [`EngineError::Disconnected`] if an engine thread died, or
+    /// [`EngineError::Disconnected`] if a stage worker died, or
     /// [`EngineError::CheckpointStalled`] if the pipeline failed to
     /// drain within the quiesce deadline.
     pub fn flush(&mut self) -> Result<(), EngineError> {
@@ -701,16 +682,20 @@ impl Session {
     /// Close the stream and wait for every stage to drain, returning the
     /// combined output. The result is byte-identical to a sequential pass
     /// over the same documents in the same order.
+    ///
+    /// # Errors
+    /// [`EngineError::StageFailed`] with the panic message if a stage
+    /// worker died.
     pub fn finish(mut self) -> Result<PipelineOutput, EngineError> {
-        self.dispatch()?;
+        // A failed dispatch means a worker died: join every worker first,
+        // so the error carries its panic rather than a bare `Disconnected`.
+        let dispatched = self.dispatch();
         self.work.close();
-        for worker in self.stage_workers.drain(..) {
-            worker.join().map_err(stage_failed("stage worker"))?;
+        let joined: Vec<_> = self.stage_workers.drain(..).map(JoinHandle::join).collect();
+        for result in joined {
+            result.map_err(stage_failed)?;
         }
-        self.staged.close();
-        if let Some(committer) = self.committer.take() {
-            committer.join().map_err(stage_failed("committer"))?;
-        }
+        dispatched?;
         let state = std::mem::take(&mut *lock(&self.shared.state));
         let mut counters = state.doc_counters;
         counters.absorb(&state.dedup_counters);
@@ -725,12 +710,11 @@ impl Session {
 }
 
 impl Drop for Session {
-    /// Closing both queues lets the engine threads exit if the session is
-    /// dropped without [`finish`](Session::finish); the threads are then
+    /// Closing the work queue lets the workers exit if the session is
+    /// dropped without [`finish`](Session::finish); they are then
     /// detached, not joined.
     fn drop(&mut self) {
         self.work.close();
-        self.staged.close();
     }
 }
 
@@ -924,6 +908,59 @@ mod tests {
         let mut session = start(&engine, &registry);
         session.ingest(1, doc(1, "a dox fb: someone")).unwrap();
         drop(session);
+    }
+
+    /// A detector that panics on one body and flags nothing else.
+    struct PanickingDetector;
+
+    impl DoxDetector for PanickingDetector {
+        fn is_dox(&self, text: &str) -> bool {
+            if text == "poison" {
+                panic!("detector choked on the poison body");
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_fails_the_session_instead_of_hanging() {
+        for workers in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            // A regression wedges the session, so it runs on a helper
+            // thread that the test abandons after the deadline.
+            std::thread::spawn(move || {
+                let engine = Engine::builder()
+                    .workers(workers)
+                    .queue_depth(1)
+                    .chunk(1)
+                    .build()
+                    .expect("valid config");
+                let registry = Registry::new();
+                let mut session = engine
+                    .session_builder()
+                    .detector(Arc::new(PanickingDetector))
+                    .registry(&registry)
+                    .start()
+                    .expect("detector set");
+                let fed = (0..50u64)
+                    .try_for_each(|i| {
+                        session.ingest(1, doc(i, if i == 10 { "poison" } else { "paste" }))
+                    })
+                    .and_then(|()| session.flush());
+                let _ = tx.send((fed, session.finish().map(drop)));
+            });
+            let (fed, finished) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("workers({workers}): session hung on a dead worker"));
+            assert_eq!(fed, Err(EngineError::Disconnected), "workers({workers})");
+            match finished {
+                Err(EngineError::StageFailed { stage, cause }) => {
+                    assert_eq!(stage, "stage worker");
+                    assert!(cause.0.contains("poison body"), "cause: {cause}");
+                }
+                other => panic!("workers({workers}): expected StageFailed, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1130,6 +1167,7 @@ mod tests {
         shards: usize,
         plan: FaultPlanConfig,
         policy: RetryPolicy,
+        registry: &Registry,
     ) -> PipelineOutput {
         let engine = Engine::builder()
             .workers(workers)
@@ -1139,8 +1177,7 @@ mod tests {
             .faults(EngineFaults { plan, policy })
             .build()
             .expect("valid config");
-        let registry = Registry::new();
-        let mut session = start(&engine, &registry);
+        let mut session = start(&engine, registry);
         for (period, doc) in corpus() {
             session.ingest(period, doc).expect("valid");
         }
@@ -1158,7 +1195,13 @@ mod tests {
             ..FaultPlanConfig::default()
         };
         for (workers, shards) in [(1usize, 1usize), (4, 8)] {
-            let out = run_engine_with_faults(workers, shards, plan.clone(), RetryPolicy::default());
+            let out = run_engine_with_faults(
+                workers,
+                shards,
+                plan.clone(),
+                RetryPolicy::default(),
+                &Registry::new(),
+            );
             assert_same(&out, &reference);
             assert_eq!(out.stage_gap_docs, 0);
         }
@@ -1176,8 +1219,14 @@ mod tests {
             max_retries: 0,
             ..RetryPolicy::default()
         };
-        let out = run_engine_with_faults(2, 2, plan, policy);
+        let registry = Registry::new();
+        let out = run_engine_with_faults(2, 2, plan, policy, &registry);
         assert!(out.stage_gap_docs > 0, "poison must surface as gaps");
+        assert_eq!(
+            registry.counter("engine.fault.stage_exhausted_docs").get(),
+            out.stage_gap_docs,
+            "each lost document is counted once"
+        );
         let reference = sequential(&corpus());
         assert_eq!(
             out.counters.total, reference.counters.total,

@@ -623,7 +623,6 @@ impl Tenant {
     /// # Errors
     /// Engine errors while quiescing.
     pub fn checkpoint_value(&mut self) -> Result<Value> {
-        self.session.flush()?;
         let checkpoint = self.session.checkpoint()?;
         Ok(Value::Object(vec![
             ("spec".to_string(), self.spec.to_value()),

@@ -106,17 +106,14 @@ fn traces_cover_the_whole_pipeline_and_stay_redacted() {
 }
 
 /// Metric names whose values depend on wall-clock scheduling, not on
-/// `(config, seed)`: queue-depth gauges are sampled mid-flight,
-/// stall/backpressure counters depend on how fast each thread drained,
+/// `(config, seed)`: the queue-depth gauge is sampled mid-flight, the
+/// stall counters depend on how fast the workers drained,
 /// and span histograms are durations. Everything else must reproduce
 /// exactly.
 const WALL_CLOCK_METRICS: &[&str] = &[
     "engine.queue.stalls",
     "engine.queue.stall_ns",
     "engine.queue.depth",
-    "engine.queue.staged.depth",
-    "engine.queue.backpressure.stalls",
-    "engine.queue.backpressure_ns",
 ];
 
 fn is_wall_clock(name: &str) -> bool {
