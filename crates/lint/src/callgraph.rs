@@ -12,7 +12,9 @@
 //!   receiver type is known, and falls back to "every method with this
 //!   name" (a deliberate over-approximation — better a reviewed
 //!   suppression than a silent leak) when it is not;
-//! * free `name(…)` calls resolve by bare name.
+//! * free `name(…)` calls resolve to the caller's own file's free
+//!   function of that name when there is one (Rust scoping never looks
+//!   past it), else by bare name across the workspace.
 //!
 //! Resolution never leaves the workspace: calls into `std` or vendored
 //! crates return no candidates, and each rule models the handful of
@@ -118,8 +120,9 @@ impl Workspace {
     }
 
     /// Resolve a free/qualified call expression (`foo(…)`,
-    /// `Type::method(…)`, `module::foo(…)`) to candidate definitions.
-    pub fn resolve_call(&self, callee: &Expr) -> Vec<FnId> {
+    /// `Type::method(…)`, `module::foo(…)`) made inside `from` to
+    /// candidate definitions.
+    pub fn resolve_call(&self, callee: &Expr, from: FnId) -> Vec<FnId> {
         let Expr::Path { segs, .. } = callee else {
             return Vec::new();
         };
@@ -137,7 +140,19 @@ impl Workspace {
                     .unwrap_or_default();
             }
         }
-        self.by_name.get(name).cloned().unwrap_or_default()
+        let all = self.by_name.get(name).cloned().unwrap_or_default();
+        if segs.len() == 1 {
+            let file = self.entry(from).file;
+            let local: Vec<FnId> = all
+                .iter()
+                .copied()
+                .filter(|id| self.entry(*id).file == file && self.entry(*id).info.qual.is_none())
+                .collect();
+            if !local.is_empty() {
+                return local;
+            }
+        }
+        all
     }
 
     /// Resolve `recv.method(…)` to candidate definitions. When the
@@ -202,6 +217,14 @@ mod tests {
         }
     }
 
+    /// The id of the function named `name` in file `file`.
+    fn fn_in(w: &Workspace, file: usize, name: &str) -> FnId {
+        (0..w.fns.len())
+            .map(FnId)
+            .find(|id| w.entry(*id).file == file && w.entry(*id).info.def.name == name)
+            .expect("fixture defines the function")
+    }
+
     #[test]
     fn qualified_and_free_calls_resolve() {
         let w = ws(&[
@@ -210,15 +233,40 @@ mod tests {
                 "impl Tenant { fn report(&self) {} }\nfn report() {}\nfn free() {}",
             ),
             ("crates/b/src/lib.rs", "fn free() {}"),
+            ("crates/c/src/lib.rs", "fn caller() {}"),
         ]);
+        let from = fn_in(&w, 2, "caller");
         // Type::method hits only the impl.
-        let ids = w.resolve_call(&path(&["Tenant", "report"]));
+        let ids = w.resolve_call(&path(&["Tenant", "report"]), from);
         assert_eq!(ids.len(), 1);
         assert_eq!(w.entry(ids[0]).info.qual.as_deref(), Some("Tenant"));
-        // Bare name hits both candidates across files.
-        assert_eq!(w.resolve_call(&path(&["free"])).len(), 2);
+        // From a third file, a bare name hits both candidates.
+        assert_eq!(w.resolve_call(&path(&["free"]), from).len(), 2);
         // Unknown stays empty.
-        assert!(w.resolve_call(&path(&["nope"])).is_empty());
+        assert!(w.resolve_call(&path(&["nope"]), from).is_empty());
+    }
+
+    #[test]
+    fn bare_call_prefers_the_callers_own_file() {
+        let w = ws(&[
+            ("crates/a/src/lib.rs", "fn fixture() {}\nfn caller() {}"),
+            ("crates/b/src/lib.rs", "fn fixture() {}"),
+        ]);
+        let ids = w.resolve_call(&path(&["fixture"]), fn_in(&w, 0, "caller"));
+        assert_eq!(ids, vec![fn_in(&w, 0, "fixture")]);
+        // A qualified path is not a bare name: no local preference.
+        let qualified = w.resolve_call(&path(&["b", "fixture"]), fn_in(&w, 0, "caller"));
+        assert_eq!(qualified.len(), 2);
+        // A same-named method is out of a bare call's scope.
+        let w = ws(&[
+            (
+                "crates/a/src/lib.rs",
+                "impl S { fn fixture(&self) {} }\nfn caller() {}",
+            ),
+            ("crates/b/src/lib.rs", "fn fixture() {}"),
+        ]);
+        let ids = w.resolve_call(&path(&["fixture"]), fn_in(&w, 0, "caller"));
+        assert_eq!(ids.len(), 2);
     }
 
     #[test]

@@ -1,22 +1,14 @@
-//! `lint.toml`: rule configuration and the checked-in baseline.
+//! `lint.toml`: the checked-in baseline.
 //!
 //! The file is read with a small TOML-subset reader (sections, string /
 //! integer / boolean values, and string arrays that may span lines) so the
-//! analyzer stays dependency-free. Everything has a default — a missing
-//! `lint.toml` means "strict, empty baseline".
+//! analyzer stays dependency-free. A missing `lint.toml` means "strict,
+//! empty baseline". The rules have no knobs: their source, sink and
+//! blocking-call tables are constants in the rule modules (`taint`,
+//! `detflow`, `lockorder`), so a change to what a rule checks is a
+//! reviewed code change.
 //!
 //! ```toml
-//! [pii-taint]
-//! # "Type.field" entries are typed sources; bare names are the fallback
-//! # used only when the receiver type cannot be resolved.
-//! source_fields = ["SynthDoc.body", "OsnRef.handle", "body", "ssn"]
-//! sink_fns = ["Response::ok"]
-//! sink_methods = ["emit"]
-//! allow_crates = ["synth"]
-//!
-//! [lock-order]
-//! blocking_methods = ["write_all", "accept"]
-//!
 //! [baseline]
 //! entries = [
 //!     # "<file>: <rule>: <count>" — exactly <count> findings of <rule>
@@ -25,12 +17,9 @@
 //! ]
 //! ```
 //!
-//! Migration note (dox-lint v2): the `[pii-sink]` section (`deny`
-//! identifier fragments) and `[determinism] ordered_paths` are gone —
-//! superseded by the `pii-taint` and `determinism-flow` dataflow rules,
-//! which follow values instead of matching names/paths. Old keys are
-//! ignored if present (the reader skips unknown keys), but should be
-//! deleted.
+//! Unknown sections and keys — including the retired rule tables
+//! (`[pii-taint]`, `[lock-order]`, `[determinism-flow]`) and the v1
+//! `[pii-sink]`/`[determinism]` keys — are ignored.
 
 use std::collections::BTreeMap;
 
@@ -47,110 +36,10 @@ pub struct BaselineEntry {
 }
 
 /// Parsed configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// PII taint sources: `Type.field` entries match a field read on a
-    /// resolved receiver type; bare field names are the conservative
-    /// fallback when the receiver type is unknown.
-    pub taint_source_fields: Vec<String>,
-    /// Free/associated functions whose return value is PII-tainted.
-    pub taint_source_fns: Vec<String>,
-    /// `Type::fn` calls that are log/wire sinks.
-    pub taint_sink_fns: Vec<String>,
-    /// Method names that are log/wire sinks on any receiver.
-    pub taint_sink_methods: Vec<String>,
-    /// Crate directory names (under `crates/`) exempt from `pii-taint` —
-    /// the synthetic-corpus generator whose whole job is fabricating
-    /// PII-shaped text.
-    pub taint_allow_crates: Vec<String>,
-    /// Method names that block (I/O, accept, join) for `lock-order`'s
-    /// "guard held across blocking call" check.
-    pub lock_blocking_methods: Vec<String>,
-    /// Serialization sink functions for `determinism-flow`
-    /// (`module::fn` or bare fn names).
-    pub detflow_sink_fns: Vec<String>,
-    /// Serialization sink methods for `determinism-flow`.
-    pub detflow_sink_methods: Vec<String>,
     /// Grandfathered findings.
     pub baseline: Vec<BaselineEntry>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            taint_source_fields: [
-                // Typed sources: the synthetic data model's content and
-                // ground-truth fields...
-                "CollectedDoc.body",
-                "SynthDoc.body",
-                "SynthDoc.truth",
-                "OsnRef.handle",
-                "Persona.first_name",
-                "Persona.last_name",
-                "Persona.dob",
-                "Persona.address",
-                // ...and every extractor output field.
-                "ExtractedFields.first_name",
-                "ExtractedFields.last_name",
-                "ExtractedFields.dob",
-                "ExtractedFields.phones",
-                "ExtractedFields.emails",
-                "ExtractedFields.ips",
-                "ExtractedFields.address",
-                "ExtractedFields.zip",
-                "ExtractedFields.ssns",
-                // Bare fallbacks, used only when the receiver type is
-                // unknown to the symbol model.
-                "body",
-                "truth",
-                "handle",
-                "ssn",
-                "ssns",
-                "address",
-                "phone",
-                "phones",
-                "email",
-                "emails",
-                "dob",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            taint_source_fns: Vec::new(),
-            taint_sink_fns: ["Response::ok", "Response::json", "Response::error"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            taint_sink_methods: ["emit", "hop"].iter().map(|s| s.to_string()).collect(),
-            taint_allow_crates: vec!["synth".to_string()],
-            lock_blocking_methods: [
-                "write_all",
-                "read_exact",
-                "read_to_string",
-                "read_to_end",
-                "read_line",
-                "flush",
-                "accept",
-                "connect",
-                "join",
-                "recv",
-                "recv_timeout",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            detflow_sink_fns: [
-                "serde_json::to_string",
-                "serde_json::to_string_pretty",
-                "serde_json::to_vec",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            detflow_sink_methods: vec!["to_value".to_string()],
-            baseline: Vec::new(),
-        }
-    }
 }
 
 impl Config {
@@ -159,39 +48,12 @@ impl Config {
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut config = Config::default();
         for (section, key, value) in parse_toml_subset(text)? {
-            match (section.as_str(), key.as_str()) {
-                ("pii-taint", "source_fields") => {
-                    config.taint_source_fields = value.into_strings()?;
-                }
-                ("pii-taint", "source_fns") => {
-                    config.taint_source_fns = value.into_strings()?;
-                }
-                ("pii-taint", "sink_fns") => {
-                    config.taint_sink_fns = value.into_strings()?;
-                }
-                ("pii-taint", "sink_methods") => {
-                    config.taint_sink_methods = value.into_strings()?;
-                }
-                ("pii-taint", "allow_crates") => {
-                    config.taint_allow_crates = value.into_strings()?;
-                }
-                ("lock-order", "blocking_methods") => {
-                    config.lock_blocking_methods = value.into_strings()?;
-                }
-                ("determinism-flow", "sink_fns") => {
-                    config.detflow_sink_fns = value.into_strings()?;
-                }
-                ("determinism-flow", "sink_methods") => {
-                    config.detflow_sink_methods = value.into_strings()?;
-                }
-                ("baseline", "entries") => {
-                    config.baseline = value
-                        .into_strings()?
-                        .iter()
-                        .map(|s| parse_baseline_entry(s))
-                        .collect::<Result<_, _>>()?;
-                }
-                _ => {}
+            if section == "baseline" && key == "entries" {
+                config.baseline = value
+                    .into_strings()?
+                    .iter()
+                    .map(|s| parse_baseline_entry(s))
+                    .collect::<Result<_, _>>()?;
             }
         }
         Ok(config)
@@ -416,12 +278,8 @@ mod tests {
 
     #[test]
     fn defaults_without_file() {
-        let c = Config::default();
-        assert!(c.taint_source_fields.iter().any(|d| d == "SynthDoc.body"));
-        assert!(c.taint_source_fields.iter().any(|d| d == "ssn"));
-        assert!(c.taint_sink_methods.iter().any(|d| d == "emit"));
-        assert!(c.lock_blocking_methods.iter().any(|d| d == "write_all"));
-        assert!(c.baseline.is_empty());
+        assert!(Config::default().baseline.is_empty());
+        assert!(Config::parse("").expect("parses").baseline.is_empty());
     }
 
     #[test]
@@ -450,11 +308,7 @@ entries = [
 "#,
         )
         .expect("parses");
-        assert_eq!(c.taint_source_fields, vec!["SynthDoc.body", "ssn"]);
-        assert_eq!(c.taint_sink_methods, vec!["emit"]);
-        assert_eq!(c.taint_allow_crates, vec!["synth", "demo"]);
-        assert_eq!(c.lock_blocking_methods, vec!["accept"]);
-        assert_eq!(c.detflow_sink_fns.len(), 2);
+        // The retired rule-table sections parse and are ignored.
         assert_eq!(
             c.baseline,
             vec![BaselineEntry {
@@ -468,13 +322,12 @@ entries = [
     #[test]
     fn retired_v1_keys_are_ignored() {
         // `[pii-sink] deny` and `[determinism] ordered_paths` no longer
-        // exist; old configs still parse (unknown keys are skipped) and
-        // leave the defaults intact.
+        // exist; old configs still parse (unknown keys are skipped).
         let c = Config::parse(
             "[pii-sink]\ndeny = [\"body\"]\n[determinism]\nordered_paths = [\"x.rs\"]\n",
         )
         .expect("parses");
-        assert!(c.taint_source_fields.iter().any(|d| d == "SynthDoc.body"));
+        assert!(c.baseline.is_empty());
     }
 
     #[test]
@@ -488,8 +341,8 @@ entries = [
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let c = Config::parse("[pii-taint]\nsource_fields = [\"a#b\"]\n").expect("parses");
-        assert_eq!(c.taint_source_fields, vec!["a#b"]);
+        let c = Config::parse("[baseline]\nentries = [\"a#b.rs: r: 1\"]\n").expect("parses");
+        assert_eq!(c.baseline[0].file, "a#b.rs");
     }
 
     #[test]

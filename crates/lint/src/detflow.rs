@@ -8,12 +8,11 @@
 //! finding the moment it flows into `serde_json::to_string`/`to_vec`
 //! or a `.to_value()` conversion.
 //!
-//! This retires the old `[determinism] ordered_paths` file list, which
-//! banned the *container* on hand-maintained paths. The dataflow rule
-//! follows the *value* instead: owning a `HashMap` is fine, iterating
-//! it into a `Vec` that gets serialized is not, and the analysis
-//! crosses function boundaries via the same summary fixpoint the taint
-//! rule uses.
+//! The rule follows the *value*, not the container: owning a `HashMap`
+//! is fine, iterating it into a `Vec` that gets serialized is not. It
+//! runs on the shared mask walker (`flow.rs`), where the mark bit means
+//! "derived from unordered iteration", so the flow is followed across
+//! function boundaries exactly as `pii-taint` follows PII.
 //!
 //! Ordering sanitizers cut the flow:
 //! * collecting into an ordered container (`collect::<BTreeMap<_, _>>()`
@@ -21,8 +20,8 @@
 //! * an explicit `sort` / `sort_by` / `sort_unstable*` / `sort_by_key`
 //!   on the binding;
 //! * order-insensitive reductions (`sum`, `product`, `count`, `len`,
-//!   `max`, `min`, `max_by_key`, `min_by_key`, `all`, `any`, `fold`
-//!   with commutative use is *not* assumed — `fold` stays unordered).
+//!   `max`, `min`, `max_by_key`, `min_by_key`, `all`, `any`; `fold` is
+//!   *not* assumed commutative and stays unordered).
 //!
 //! Sources are typed-only: the rule fires on `iter()`/`keys()`/… only
 //! when the receiver resolves to a `HashMap`/`HashSet` through the
@@ -32,19 +31,24 @@
 //!
 //! [`ExperimentReport`]: ../dox_core/study/struct.ExperimentReport.html
 
-use crate::callgraph::{FnId, Workspace};
-use crate::config::Config;
+use crate::callgraph::Workspace;
 use crate::diag::Diagnostic;
-use crate::parser::{Block, Expr, Stmt, Ty};
+use crate::flow::{self, CallRole, MethodSite, Policy, Walker, MARK};
+use crate::parser::Ty;
 use crate::rules::Suppressions;
-use crate::symbols::TypeEnv;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The rule name.
 pub const RULE: &str = "determinism-flow";
 
-/// Mask bit for "derived from unordered iteration".
-const UNORDERED: u64 = 1 << 63;
+/// `(module, fn)` serialization sinks (`serde_json::to_string`).
+const SINK_FNS: [(&str, &str); 3] = [
+    ("serde_json", "to_string"),
+    ("serde_json", "to_string_pretty"),
+    ("serde_json", "to_vec"),
+];
+
+/// Serialization sink methods (`.to_value()`).
+const SINK_METHODS: [&str; 1] = ["to_value"];
 
 /// Iteration methods that surface a container's (unordered) elements.
 const ITER_METHODS: [&str; 8] = [
@@ -82,50 +86,6 @@ const SORTS: [&str; 6] = [
     "sort_unstable_by_key",
 ];
 
-/// Methods that push a value into their receiver (taint transfers to
-/// the receiver variable).
-const RECV_SINKS: [&str; 5] = ["push", "insert", "extend", "append", "push_str"];
-
-/// Per-function dataflow summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Summary {
-    returns: u64,
-    param_sink: u64,
-}
-
-/// Resolved sink configuration.
-struct Spec {
-    /// `(penultimate, last)` path-segment pairs (`serde_json::to_string`).
-    sink_fns: BTreeSet<(String, String)>,
-    /// Bare sink function names (single-segment entries).
-    sink_fn_names: BTreeSet<String>,
-    /// Method sinks (`.to_value()`).
-    sink_methods: BTreeSet<String>,
-}
-
-impl Spec {
-    fn from_config(cfg: &Config) -> Self {
-        let mut sink_fns = BTreeSet::new();
-        let mut sink_fn_names = BTreeSet::new();
-        for entry in &cfg.detflow_sink_fns {
-            match entry.rsplit_once("::") {
-                Some((module, name)) => {
-                    let module = module.rsplit("::").next().unwrap_or(module);
-                    sink_fns.insert((module.to_string(), name.to_string()));
-                }
-                None => {
-                    sink_fn_names.insert(entry.clone());
-                }
-            }
-        }
-        Spec {
-            sink_fns,
-            sink_fn_names,
-            sink_methods: cfg.detflow_sink_methods.iter().cloned().collect(),
-        }
-    }
-}
-
 /// Whether a type is (a wrapper around) an unordered std container.
 fn is_unordered_ty(ty: &Ty) -> bool {
     matches!(ty.peeled().name.as_str(), "HashMap" | "HashSet")
@@ -140,493 +100,94 @@ fn is_ordered_collect(ty: &Ty) -> bool {
 }
 
 /// Run the rule over the whole workspace.
-pub fn check(ws: &Workspace, cfg: &Config, sup: &Suppressions<'_>, out: &mut Vec<Diagnostic>) {
-    let spec = Spec::from_config(cfg);
-    let mut summaries = vec![Summary::default(); ws.fns.len()];
-    for _ in 0..20 {
-        let mut changed = false;
-        for id in 0..ws.fns.len() {
-            let id = FnId(id);
-            let mut cx = FlowCx::new(ws, &spec, &summaries, id, None);
-            let summary = cx.run();
-            if summary != summaries[id.0] {
-                summaries[id.0] = summary;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for id in 0..ws.fns.len() {
-        let id = FnId(id);
-        let mut findings = Vec::new();
-        let mut cx = FlowCx::new(ws, &spec, &summaries, id, Some(&mut findings));
-        cx.run();
-        let rel = &ws.file_of(id).rel;
-        for (line, col, message) in findings {
-            if !sup.allowed(rel, line, RULE) {
-                out.push(Diagnostic::new(rel, line, col, RULE, message));
-            }
-        }
-    }
+pub fn check(ws: &Workspace, sup: &Suppressions<'_>, out: &mut Vec<Diagnostic>) {
+    flow::fixpoint(ws, RULE, sup, out, |summaries, id, findings| {
+        flow::walk(ws, &DetFlow, summaries, id, findings)
+    });
 }
 
-/// Per-function analysis context.
-struct FlowCx<'a, 'f> {
-    ws: &'a Workspace,
-    spec: &'a Spec,
-    summaries: &'a [Summary],
-    id: FnId,
-    env: TypeEnv<'a>,
-    taint: BTreeMap<String, u64>,
-    summary: Summary,
-    findings: Option<&'f mut Vec<(u32, u32, String)>>,
-}
+/// The `determinism-flow` policy for the shared walker.
+struct DetFlow;
 
-impl<'a, 'f> FlowCx<'a, 'f> {
-    fn new(
-        ws: &'a Workspace,
-        spec: &'a Spec,
-        summaries: &'a [Summary],
-        id: FnId,
-        findings: Option<&'f mut Vec<(u32, u32, String)>>,
-    ) -> Self {
-        let mut taint = BTreeMap::new();
-        let def = &ws.entry(id).info.def;
-        for (i, (name, _)) in def.params.iter().enumerate().take(62) {
-            taint.insert(name.clone(), 1u64 << i);
-        }
-        Self {
-            ws,
-            spec,
-            summaries,
-            id,
-            env: ws.env_for(id),
-            taint,
-            summary: Summary::default(),
-            findings,
+impl Policy for DetFlow {
+    /// `let x: BTreeMap<…> = …collect();` — the annotation is the
+    /// ordering sanitizer.
+    fn clears_on_bind(&self, ty: &Ty) -> bool {
+        is_ordered_collect(ty)
+    }
+
+    /// `for k in map` / `for (k, v) in &map`: iterating the container
+    /// itself is the unordered source.
+    fn iter_source(&self, ty: &Ty) -> bool {
+        is_unordered_ty(ty)
+    }
+
+    fn call_role(&self, segs: &[String]) -> CallRole {
+        if flow::path_ends_in(segs, &SINK_FNS) {
+            CallRole::Sink(segs.join("::"))
+        } else {
+            CallRole::Plain
         }
     }
 
-    fn run(&mut self) -> Summary {
-        let info = &self.ws.entry(self.id).info;
-        if info.def.degraded {
-            return Summary::default();
-        }
-        let Some(body) = &info.def.body else {
-            return Summary::default();
-        };
-        let tail = self.walk_block(body);
-        self.summary.returns |= tail;
-        self.summary
-    }
-
-    fn report(&mut self, line: u32, col: u32, message: String) {
-        if let Some(findings) = self.findings.as_deref_mut() {
-            if !findings.iter().any(|(l, c, _)| *l == line && *c == col) {
-                findings.push((line, col, message));
-            }
-        }
-    }
-
-    fn walk_block(&mut self, block: &Block) -> u64 {
-        let mut tail = 0;
-        for stmt in &block.stmts {
-            tail = 0;
-            match stmt {
-                Stmt::Let {
-                    bound, ty, init, ..
-                } => {
-                    let mut mask = init.as_ref().map_or(0, |e| self.eval(e));
-                    // `let x: BTreeMap<…> = …collect();` — the annotation
-                    // is the ordering sanitizer.
-                    if ty.as_ref().is_some_and(is_ordered_collect) {
-                        mask &= !UNORDERED;
-                    }
-                    let inferred = ty
-                        .clone()
-                        .or_else(|| init.as_ref().and_then(|e| self.env.type_of(e)));
-                    for name in bound {
-                        self.taint.insert(name.clone(), mask);
-                        if let Some(t) = &inferred {
-                            self.env.bind(name, t.clone());
-                        }
-                    }
-                }
-                Stmt::Semi(e) => {
-                    self.eval(e);
-                }
-                Stmt::Expr(e) => {
-                    tail = self.eval(e);
-                }
-                Stmt::Item(_) => {}
-            }
-        }
-        tail
-    }
-
-    fn eval(&mut self, expr: &Expr) -> u64 {
-        match expr {
-            Expr::Lit { .. } | Expr::Opaque { .. } => 0,
-            Expr::Path { segs, .. } => {
-                if segs.len() == 1 {
-                    self.taint.get(&segs[0]).copied().unwrap_or(0)
-                } else {
-                    0
-                }
-            }
-            Expr::Field { base, .. } => self.eval(base),
-            // Keyed access is order-independent even on a hash container;
-            // only propagate masks the operands already carry.
-            Expr::Index { base, index } => self.eval(base) | self.eval(index),
-            Expr::Unary { inner } => self.eval(inner),
-            Expr::Group { parts } => parts.iter().map(|p| self.eval(p)).fold(0, |a, b| a | b),
-            Expr::Struct { fields, .. } => fields
-                .iter()
-                .map(|(_, v)| self.eval(v))
-                .fold(0, |a, b| a | b),
-            Expr::Block(b) => self.walk_block(b),
-            Expr::Return { value } => {
-                let mask = value.as_ref().map_or(0, |v| self.eval(v));
-                self.summary.returns |= mask;
-                0
-            }
-            Expr::Assign { target, value, .. } => {
-                let mask = self.eval(value);
-                if let Expr::Path { segs, .. } = target.as_ref() {
-                    if segs.len() == 1 {
-                        self.taint.insert(segs[0].clone(), mask);
-                        if let Some(ty) = self.env.type_of(value) {
-                            self.env.bind(&segs[0], ty);
-                        }
-                        return 0;
-                    }
-                }
-                self.eval(target);
-                0
-            }
-            Expr::If {
-                bound,
-                cond,
-                then,
-                els,
-            } => {
-                let cond_mask = self.eval(cond);
-                for name in bound {
-                    self.taint.insert(name.clone(), cond_mask);
-                }
-                let mut mask = self.walk_block(then);
-                if let Some(e) = els {
-                    mask |= self.eval(e);
-                }
-                mask
-            }
-            Expr::Match { scrutinee, arms } => {
-                let scrut_mask = self.eval(scrutinee);
-                let mut mask = 0;
-                for arm in arms {
-                    for name in &arm.bound {
-                        self.taint.insert(name.clone(), scrut_mask);
-                    }
-                    if let Some(g) = &arm.guard {
-                        self.eval(g);
-                    }
-                    mask |= self.eval(&arm.body);
-                }
-                mask
-            }
-            Expr::For {
-                bound, iter, body, ..
-            } => {
-                let mut iter_mask = self.eval(iter);
-                let iter_ty = self.env.type_of(iter);
-                // `for k in map` / `for (k, v) in &map`: iterating the
-                // container itself is the unordered source.
-                if iter_ty.as_ref().is_some_and(is_unordered_ty) {
-                    iter_mask |= UNORDERED;
-                }
-                self.bind_elements(bound, iter_mask, iter_ty.as_ref());
-                self.walk_block(body);
-                0
-            }
-            Expr::While { bound, cond, body } => {
-                let cond_mask = self.eval(cond);
-                for name in bound {
-                    self.taint.insert(name.clone(), cond_mask);
-                }
-                self.walk_block(body);
-                0
-            }
-            Expr::Closure { params, body, .. } => {
-                for name in params {
-                    self.taint.insert(name.clone(), 0);
-                }
-                self.eval(body)
-            }
-            Expr::Macro { name, args, .. } => {
-                // `format!`/`vec!`/`write!` compose; none are sinks here
-                // (display output is the `pii-taint` rule's concern, wire
-                // bytes go through the serde sinks below). Inline format
-                // captures (`format!("{k}={v}")`) carry their variables'
-                // masks.
-                let mut masks: Vec<u64> = args.iter().map(|a| self.eval(a)).collect();
-                for arg in args {
-                    if let Expr::Lit {
-                        kind: crate::lexer::TokenKind::Str,
-                        text,
-                        ..
-                    } = arg
-                    {
-                        for cap in crate::rules::inline_format_args(text) {
-                            masks.push(self.taint.get(&cap).copied().unwrap_or(0));
-                        }
-                    }
-                }
-                if (name == "write" || name == "writeln") && args.len() >= 2 {
-                    if let Some(Expr::Path { segs, .. }) = args.first() {
-                        if segs.len() == 1 {
-                            let payload = masks.iter().skip(1).fold(0, |a, b| a | b);
-                            *self.taint.entry(segs[0].clone()).or_insert(0) |= payload;
-                            return 0;
-                        }
-                    }
-                }
-                masks.iter().fold(0, |a, b| a | b)
-            }
-            Expr::Call {
-                callee,
-                args,
-                line,
-                col,
-            } => self.eval_call(callee, args, *line, *col),
-            Expr::MethodCall {
-                recv,
-                method,
-                turbofish,
-                args,
-                line,
-                col,
-            } => self.eval_method(recv, method, turbofish, args, *line, *col),
+    fn method(&self, w: &mut Walker<'_, '_>, site: &MethodSite<'_>) -> Option<u64> {
+        let recv_mask = site.masks[0];
+        if ITER_METHODS.contains(&site.method) && site.recv_ty.is_some_and(is_unordered_ty) {
+            Some(recv_mask | MARK)
+        } else if site.method == "collect" && site.turbofish.first().is_some_and(is_ordered_collect)
+        {
+            Some(recv_mask & !MARK)
+        } else if SORTS.contains(&site.method) {
+            w.clear_mark(site.recv);
+            Some(0)
+        } else if ORDER_FREE.contains(&site.method) {
+            Some(0)
+        } else if SINK_METHODS.contains(&site.method) {
+            let sink = format!(".{}()", site.method);
+            w.sink_hit(&[(None, recv_mask)], &sink, site.line, site.col);
+            Some(0)
+        } else {
+            None
         }
     }
 
-    fn bind_elements(&mut self, bound: &[String], mask: u64, coll_ty: Option<&Ty>) {
-        for name in bound {
-            self.taint.insert(name.clone(), mask);
-        }
-        if let Some(ty) = coll_ty {
-            let ty = ty.peeled();
-            if bound.len() == 1 && ty.args.len() == 1 {
-                self.env.bind(&bound[0], ty.args[0].clone());
-            } else if bound.len() == 2 && ty.args.len() == 2 {
-                self.env.bind(&bound[0], ty.args[0].clone());
-                self.env.bind(&bound[1], ty.args[1].clone());
-            }
-        }
+    fn sink_message(&self, _what: &str, sink: &str) -> String {
+        format!(
+            "value derived from HashMap/HashSet iteration reaches `{sink}` — \
+             serialized output must be deterministic; sort or collect into a \
+             BTree container before serializing"
+        )
     }
 
-    fn eval_call(&mut self, callee: &Expr, args: &[Expr], line: u32, col: u32) -> u64 {
-        let arg_masks: Vec<u64> = args.iter().map(|a| self.eval(a)).collect();
-        if let Expr::Path { segs, .. } = callee {
-            let is_sink = match segs.len() {
-                0 => false,
-                1 => self.spec.sink_fn_names.contains(&segs[0]),
-                n => {
-                    self.spec
-                        .sink_fns
-                        .contains(&(segs[n - 2].clone(), segs[n - 1].clone()))
-                        || self.spec.sink_fn_names.contains(&segs[n - 1])
-                }
-            };
-            if is_sink {
-                let label = segs.join("::");
-                self.sink_hit(&arg_masks, &label, line, col);
-                return 0;
-            }
-        }
-        let candidates = self.ws.resolve_call(callee);
-        self.apply_callees(&candidates, &arg_masks, callee_label(callee), line, col)
-    }
-
-    fn eval_method(
-        &mut self,
-        recv: &Expr,
-        method: &str,
-        turbofish: &[Ty],
-        args: &[Expr],
-        line: u32,
-        col: u32,
-    ) -> u64 {
-        let recv_mask = self.eval(recv);
-        let recv_ty = self.env.type_of(recv);
-        let mut arg_masks = Vec::with_capacity(args.len() + 1);
-        arg_masks.push(recv_mask);
-        for arg in args {
-            if let Expr::Closure { params, body, .. } = arg {
-                let elem_ty = recv_ty.as_ref().map(|t| t.peeled().clone());
-                self.bind_elements(
-                    params,
-                    recv_mask,
-                    elem_ty.as_ref().filter(|t| !t.args.is_empty()),
-                );
-                arg_masks.push(self.eval(body));
-            } else {
-                arg_masks.push(self.eval(arg));
-            }
-        }
-        // Source: iterating an unordered container.
-        if ITER_METHODS.contains(&method) && recv_ty.as_ref().is_some_and(is_unordered_ty) {
-            return recv_mask | UNORDERED;
-        }
-        // Sanitizers.
-        if method == "collect" && turbofish.first().is_some_and(is_ordered_collect) {
-            return recv_mask & !UNORDERED;
-        }
-        if SORTS.contains(&method) {
-            if let Expr::Path { segs, .. } = recv {
-                if segs.len() == 1 {
-                    if let Some(mask) = self.taint.get_mut(&segs[0]) {
-                        *mask &= !UNORDERED;
-                    }
-                }
-            }
-            return 0;
-        }
-        if ORDER_FREE.contains(&method) {
-            return 0;
-        }
-        // Receiver mutation (`acc.push(item)`): unordered items make the
-        // accumulator unordered.
-        if RECV_SINKS.contains(&method) {
-            let payload = arg_masks.iter().skip(1).fold(0, |a, b| a | b);
-            if let Expr::Path { segs, .. } = recv {
-                if segs.len() == 1 {
-                    *self.taint.entry(segs[0].clone()).or_insert(0) |= payload;
-                    return 0;
-                }
-            }
-            return recv_mask | payload;
-        }
-        // Sink methods (`.to_value()`).
-        if self.spec.sink_methods.contains(method) && recv_mask & UNORDERED != 0 {
-            self.sink_hit(&[recv_mask], &format!(".{method}()"), line, col);
-            return 0;
-        }
-        let candidates = self.ws.resolve_method(recv_ty.as_ref(), method);
-        if candidates.is_empty() {
-            return arg_masks.iter().fold(0, |a, b| a | b);
-        }
-        self.apply_callees(&candidates, &arg_masks, method, line, col)
-    }
-
-    fn apply_callees(
-        &mut self,
-        candidates: &[FnId],
-        arg_masks: &[u64],
-        label: &str,
-        line: u32,
-        col: u32,
-    ) -> u64 {
-        if candidates.is_empty() {
-            return arg_masks.iter().fold(0, |a, b| a | b);
-        }
-        let mut ret = 0;
-        for id in candidates {
-            let s = self.summaries[id.0];
-            if s.returns & UNORDERED != 0 {
-                ret |= UNORDERED;
-            }
-            for (i, mask) in arg_masks.iter().enumerate().take(62) {
-                if s.returns & (1 << i) != 0 {
-                    ret |= mask;
-                }
-                if s.param_sink & (1 << i) != 0 {
-                    if *mask & UNORDERED != 0 {
-                        let callee = &self.ws.entry(*id).info.def.name;
-                        self.report(
-                            line,
-                            col,
-                            format!(
-                                "unordered-iteration value in argument {i} of `{label}` is \
-                                 serialized inside `{callee}` — impose an order (sort, or \
-                                 collect into a BTree container) first"
-                            ),
-                        );
-                    }
-                    self.summary.param_sink |= *mask & !UNORDERED;
-                }
-            }
-        }
-        ret
-    }
-
-    fn sink_hit(&mut self, masks: &[u64], sink: &str, line: u32, col: u32) {
-        for mask in masks {
-            if mask & UNORDERED != 0 {
-                self.report(
-                    line,
-                    col,
-                    format!(
-                        "value derived from HashMap/HashSet iteration reaches `{sink}` — \
-                         serialized output must be deterministic; sort or collect into a \
-                         BTree container before serializing"
-                    ),
-                );
-            }
-            self.summary.param_sink |= mask & !UNORDERED;
-        }
-    }
-}
-
-fn callee_label(callee: &Expr) -> &str {
-    match callee {
-        Expr::Path { segs, .. } => segs.last().map_or("?", String::as_str),
-        _ => "?",
+    fn callee_message(&self, i: usize, label: &str, callee: &str) -> String {
+        format!(
+            "unordered-iteration value in argument {i} of `{label}` is \
+             serialized inside `{callee}` — impose an order (sort, or \
+             collect into a BTree container) first"
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
-    use crate::rules::{FileInput, Prepared};
-    use crate::symbols::FileModel;
-
-    fn check_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let inputs: Vec<FileInput> = sources
-            .iter()
-            .map(|(rel, src)| FileInput {
-                rel: rel.to_string(),
-                class: crate::walker::classify(rel),
-                crate_name: crate::walker::crate_name(rel),
-                text: src.to_string(),
-            })
-            .collect();
-        let preps: Vec<Prepared> = inputs.iter().map(Prepared::new).collect();
-        let models = preps
-            .iter()
-            .map(|p| FileModel::build(p.input, &parse_file(&p.code)))
-            .collect();
-        let ws = Workspace::build(models);
-        let sup = Suppressions::new(&preps);
-        let mut out = Vec::new();
-        check(&ws, &Config::default(), &sup, &mut out);
-        out
-    }
+    use crate::flow::tests::check_sources;
 
     const STATE: &str = "pub struct State { counts: HashMap<String, u64> }\n";
 
     #[test]
     fn iteration_into_serialization_flagged() {
-        let diags = check_sources(&[(
-            "crates/engine/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
                  let rows: Vec<String> = self.counts.iter().map(|kv| fmt(kv)).collect();\n\
                  serde_json::to_string(&rows).unwrap()\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, RULE);
         assert!(
@@ -637,70 +198,85 @@ mod tests {
 
     #[test]
     fn btree_collect_sanitizes() {
-        let turbofish = check_sources(&[(
-            "crates/engine/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
+        let turbofish = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
                  let rows = self.counts.iter().collect::<BTreeMap<_, _>>();\n\
                  serde_json::to_string(&rows).unwrap()\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert!(turbofish.is_empty(), "{turbofish:?}");
-        let annotated = check_sources(&[(
-            "crates/engine/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
+        let annotated = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
                  let rows: BTreeMap<String, u64> = self.counts.clone().into_iter().collect();\n\
                  serde_json::to_string(&rows).unwrap()\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert!(annotated.is_empty(), "{annotated:?}");
     }
 
     #[test]
     fn sort_sanitizes() {
-        let diags = check_sources(&[(
-            "crates/engine/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
                  let mut rows: Vec<String> = self.counts.keys().cloned().collect();\n\
                  rows.sort();\n\
                  serde_json::to_string(&rows).unwrap()\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn order_free_reductions_are_clean() {
-        let diags = check_sources(&[(
-            "crates/engine/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
                  let total: u64 = self.counts.values().sum();\n\
                  serde_json::to_string(&total).unwrap()\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn for_loop_accumulation_flagged() {
-        let diags = check_sources(&[(
-            "crates/core/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/core/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
                  let mut rows = Vec::new();\n\
                  for (k, v) in &self.counts {{ rows.push(format!(\"{{k}}={{v}}\")); }}\n\
                  serde_json::to_string(&rows).unwrap()\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
     }
 
     #[test]
     fn interprocedural_flow_reported_at_call_site() {
-        let diags = check_sources(&[
+        let diags = check_sources(check, &[
             ("crates/core/src/model.rs", STATE),
             (
                 "crates/core/src/ser.rs",
@@ -721,39 +297,48 @@ mod tests {
     #[test]
     fn untyped_receiver_is_not_assumed_unordered() {
         // `rows.iter()` on an unknown type: no finding (typed-only rule).
-        let diags = check_sources(&[(
-            "crates/engine/src/x.rs",
-            "fn dump(rows: &Rows) -> String {\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                "fn dump(rows: &Rows) -> String {\n\
              let v: Vec<String> = rows.items.iter().cloned().collect();\n\
              serde_json::to_string(&v).unwrap()\n}",
-        )]);
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn to_value_method_is_a_sink() {
-        let diags = check_sources(&[(
-            "crates/serve/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/serve/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) {{\n\
                  let rows: Vec<String> = self.counts.keys().cloned().collect();\n\
                  let v = rows.to_value();\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
     }
 
     #[test]
     fn suppression_is_honored() {
-        let diags = check_sources(&[(
-            "crates/engine/src/x.rs",
-            &format!(
-                "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{STATE}impl State {{\nfn dump(&self) -> String {{\n\
                  let rows: Vec<String> = self.counts.keys().cloned().collect();\n\
                  // dox-lint:allow(determinism-flow) diagnostic dump, order-insensitive consumer\n\
                  serde_json::to_string(&rows).unwrap()\n}}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

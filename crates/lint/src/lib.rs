@@ -12,12 +12,16 @@
 //! feeds an error-tolerant recursive-descent parser ([`parser`]), each
 //! file flattens into a symbol model of functions and struct field
 //! types ([`symbols`]), and the models merge into one workspace-wide
-//! call graph ([`callgraph`]). Fast token rules run per file; three
-//! interprocedural dataflow rules — [`taint`] (PII sources to log/wire
-//! sinks, `redact()` the sole sanitizer), [`lockorder`] (lock-acquisition
-//! cycles and guards held across blocking calls) and [`detflow`]
+//! call graph ([`callgraph`]). Three token rules run per file
+//! ([`rules`]); three interprocedural dataflow rules — [`taint`] (PII
+//! sources to log/wire sinks, `redact()` the sole sanitizer),
+//! [`lockorder`] (lock-acquisition cycles, guards held across blocking
+//! calls, re-locks and guards bound to `_`) and [`detflow`]
 //! (hash-ordered iteration into serialization) — run over the merged
-//! model via per-function summaries driven to a fixpoint.
+//! model on one core: a shared fixpoint loop over per-function
+//! summaries, and, for `pii-taint` and `determinism-flow`, one mask
+//! walker that each rule parameterizes with its sources, sanitizers and
+//! sinks.
 //!
 //! Run it from the quality gate:
 //!
@@ -40,6 +44,7 @@ pub mod callgraph;
 pub mod config;
 pub mod detflow;
 pub mod diag;
+mod flow;
 pub mod lexer;
 pub mod lockorder;
 pub mod parser;
@@ -76,15 +81,16 @@ impl RunReport {
     }
 }
 
-/// Lint every checkable file under `root` with `config`: token rules
-/// per file, then the workspace-level dataflow rules (`pii-taint`,
-/// `lock-order`, `determinism-flow`) over the merged symbol model.
+/// Lint every checkable file under `root`: token rules per file, then
+/// the workspace-level dataflow rules (`pii-taint`, `lock-order`,
+/// `determinism-flow`) over the merged symbol model, then `config`'s
+/// baseline.
 pub fn run_workspace(root: &Path, config: &Config) -> std::io::Result<RunReport> {
     let files = walker::collect_files(root)?;
     let preps: Vec<Prepared> = files.iter().map(Prepared::new).collect();
     let mut all = Vec::new();
     for prep in &preps {
-        all.extend(rules::run_rules(prep, config));
+        all.extend(rules::run_rules(prep));
     }
     let models = preps
         .iter()
@@ -92,9 +98,9 @@ pub fn run_workspace(root: &Path, config: &Config) -> std::io::Result<RunReport>
         .collect();
     let ws = callgraph::Workspace::build(models);
     let sup = rules::Suppressions::new(&preps);
-    taint::check(&ws, config, &sup, &mut all);
-    lockorder::check(&ws, config, &sup, &mut all);
-    detflow::check(&ws, config, &sup, &mut all);
+    taint::check(&ws, &sup, &mut all);
+    lockorder::check(&ws, &sup, &mut all);
+    detflow::check(&ws, &sup, &mut all);
     all.sort_by_key(Diagnostic::sort_key);
     Ok(apply_baseline(all, config, files.len()))
 }
@@ -160,10 +166,7 @@ mod tests {
     }
 
     fn cfg_with(entries: Vec<BaselineEntry>) -> Config {
-        Config {
-            baseline: entries,
-            ..Config::default()
-        }
+        Config { baseline: entries }
     }
 
     fn entry(file: &str, rule: &str, count: usize) -> BaselineEntry {

@@ -17,18 +17,25 @@
 //!    deadlock outright when the blocked peer needs it).
 //!    `Condvar::wait(g)` atomically releases its *own* guard, so only
 //!    *other* held guards are flagged there.
+//! 3. **Guard discipline** — re-locking a mutex while one of its named
+//!    guards is still live (a self-deadlock with `std::sync::Mutex`),
+//!    and a guard freshly acquired into a `let` that binds nothing
+//!    (`let _ = m.lock();` releases it immediately).
 //!
 //! Guard liveness follows `let` bindings: a guard lives until `drop`,
 //! shadowing, or the end of its block; an unbound acquisition
 //! (`x.lock().unwrap().push(…)`) is a statement-scoped temporary.
 //! Closure bodies are analyzed with an empty held set — they may run on
 //! another thread, so the definition site's guards are not "held" there.
-//! Self-edges (re-acquiring the same lock) are `lock-discipline`'s job
-//! and skipped here.
+//! A re-lock is checked against direct acquisitions only; acquisitions
+//! inside callees add order edges but no self-edges.
+//!
+//! The rule runs on the shared fixpoint loop (`flow.rs`) over every
+//! scanned file.
 
 use crate::callgraph::{FnId, Workspace};
-use crate::config::Config;
 use crate::diag::Diagnostic;
+use crate::flow::{self, callee_label, Findings};
 use crate::parser::{Block, Expr, Stmt};
 use crate::rules::Suppressions;
 use crate::symbols::TypeEnv;
@@ -36,6 +43,22 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The rule name.
 pub const RULE: &str = "lock-order";
+
+/// Method names that block (I/O, accept, join, channel receives): a
+/// guard must not be held across them.
+const BLOCKING: [&str; 11] = [
+    "write_all",
+    "read_exact",
+    "read_to_string",
+    "read_to_end",
+    "read_line",
+    "flush",
+    "accept",
+    "connect",
+    "join",
+    "recv",
+    "recv_timeout",
+];
 
 /// Methods that pass a guard through unchanged.
 const GUARD_PASSTHROUGH: [&str; 5] = ["unwrap", "expect", "unwrap_or_else", "into_inner", "as_mut"];
@@ -65,46 +88,21 @@ struct Edge {
 }
 
 /// Run the rule over the whole workspace.
-pub fn check(ws: &Workspace, cfg: &Config, sup: &Suppressions<'_>, out: &mut Vec<Diagnostic>) {
-    let blocking: BTreeSet<&str> = cfg
-        .lock_blocking_methods
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let mut summaries = vec![Summary::default(); ws.fns.len()];
-    for _ in 0..20 {
-        let mut changed = false;
-        for id in 0..ws.fns.len() {
-            let id = FnId(id);
-            let mut cx = LockCx::new(ws, &blocking, &summaries, id);
-            let summary = cx.run();
-            if summary != summaries[id.0] {
-                summaries[id.0] = summary;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
+pub fn check(ws: &Workspace, sup: &Suppressions<'_>, out: &mut Vec<Diagnostic>) {
     let mut edges: Vec<Edge> = Vec::new();
-    for id in 0..ws.fns.len() {
-        let id = FnId(id);
-        let mut cx = LockCx::new(ws, &blocking, &summaries, id);
-        cx.report = true;
-        cx.run();
-        let rel = &ws.file_of(id).rel;
-        for (line, col, message) in cx.findings {
-            if !sup.allowed(rel, line, RULE) {
-                out.push(Diagnostic::new(rel, line, col, RULE, message));
-            }
+    flow::fixpoint(ws, RULE, sup, out, |summaries, id, findings| {
+        let reporting = findings.is_some();
+        let mut cx = LockCx::new(ws, summaries, id, findings);
+        let summary = cx.run();
+        if reporting {
+            let rel = &ws.file_of(id).rel;
+            edges.extend(cx.edges.into_iter().map(|e| Edge {
+                file: rel.clone(),
+                ..e
+            }));
         }
-        for mut e in cx.edges {
-            e.file = rel.clone();
-            edges.push(e);
-        }
-    }
+        summary
+    });
     report_cycles(&edges, sup, out);
 }
 
@@ -159,55 +157,51 @@ fn report_cycles(edges: &[Edge], sup: &Suppressions<'_>, out: &mut Vec<Diagnosti
     }
 }
 
-/// A live guard in some scope.
+/// A live guard, bound to a variable, in some scope.
 #[derive(Debug, Clone)]
 struct Held {
     lock: String,
-    var: Option<String>,
+    var: String,
 }
 
 /// Per-function walk context.
-struct LockCx<'a> {
+struct LockCx<'a, 'f> {
     ws: &'a Workspace,
-    blocking: &'a BTreeSet<&'a str>,
     summaries: &'a [Summary],
     id: FnId,
     env: TypeEnv<'a>,
     /// Scope stack of live guards.
     held: Vec<Vec<Held>>,
+    /// Acquisitions so far (a `let` that binds nothing is flagged only
+    /// when its initializer acquired a guard afresh).
+    acquired: usize,
     summary: Summary,
-    report: bool,
-    findings: Vec<(u32, u32, String)>,
+    findings: Option<&'f mut Findings>,
     edges: Vec<Edge>,
 }
 
-impl<'a> LockCx<'a> {
+impl<'a, 'f> LockCx<'a, 'f> {
     fn new(
         ws: &'a Workspace,
-        blocking: &'a BTreeSet<&'a str>,
         summaries: &'a [Summary],
         id: FnId,
+        findings: Option<&'f mut Findings>,
     ) -> Self {
         Self {
             ws,
-            blocking,
             summaries,
             id,
             env: ws.env_for(id),
             held: vec![Vec::new()],
+            acquired: 0,
             summary: Summary::default(),
-            report: false,
-            findings: Vec::new(),
+            findings,
             edges: Vec::new(),
         }
     }
 
     fn run(&mut self) -> Summary {
-        let info = &self.ws.entry(self.id).info;
-        if info.def.degraded {
-            return Summary::default();
-        }
-        let Some(body) = &info.def.body else {
+        let Some(body) = flow::body_of(self.ws, self.id) else {
             return Summary::default();
         };
         let tail = self.walk_block(body);
@@ -216,14 +210,7 @@ impl<'a> LockCx<'a> {
     }
 
     fn finding(&mut self, line: u32, col: u32, message: String) {
-        if self.report
-            && !self
-                .findings
-                .iter()
-                .any(|(l, c, _)| *l == line && *c == col)
-        {
-            self.findings.push((line, col, message));
-        }
+        flow::note(&mut self.findings, line, col, message);
     }
 
     fn held_guards(&self) -> Vec<Held> {
@@ -245,6 +232,7 @@ impl<'a> LockCx<'a> {
             }
         }
         self.summary.acquires.insert(lock.to_string());
+        self.acquired += 1;
     }
 
     /// A blocking operation at `line`: flag every held guard.
@@ -255,7 +243,7 @@ impl<'a> LockCx<'a> {
         let held = self.held_guards();
         let held: Vec<&Held> = held
             .iter()
-            .filter(|h| released.is_none_or(|r| h.var.as_deref() != Some(r)))
+            .filter(|h| released != Some(h.var.as_str()))
             .collect();
         if let Some(h) = held.first() {
             self.finding(
@@ -272,7 +260,7 @@ impl<'a> LockCx<'a> {
 
     fn drop_var(&mut self, name: &str) {
         for scope in &mut self.held {
-            scope.retain(|h| h.var.as_deref() != Some(name));
+            scope.retain(|h| h.var != name);
         }
     }
 
@@ -286,18 +274,34 @@ impl<'a> LockCx<'a> {
             tail = None;
             match stmt {
                 Stmt::Let {
-                    bound, ty, init, ..
+                    bound,
+                    ty,
+                    init,
+                    line,
+                    col,
                 } => {
+                    let before = self.acquired;
                     let guard = init.as_ref().and_then(|e| self.eval(e));
                     let inferred = ty
                         .clone()
                         .or_else(|| init.as_ref().and_then(|e| self.env.type_of(e)));
+                    let fresh = self.acquired > before;
+                    if let Some(lock) = guard.as_ref().filter(|_| fresh && bound.is_empty()) {
+                        self.finding(
+                            *line,
+                            *col,
+                            format!(
+                                "lock guard of `{lock}` bound to `_` is dropped \
+                                 immediately — bind it to a name (or drop the call)"
+                            ),
+                        );
+                    }
                     if bound.len() == 1 {
                         self.drop_var(&bound[0]);
                         if let (Some(lock), Some(scope)) = (guard, self.held.last_mut()) {
                             scope.push(Held {
                                 lock,
-                                var: Some(bound[0].clone()),
+                                var: bound[0].clone(),
                             });
                         }
                         if let Some(t) = inferred {
@@ -328,7 +332,7 @@ impl<'a> LockCx<'a> {
                     self.held
                         .iter()
                         .flatten()
-                        .find(|h| h.var.as_deref() == Some(segs[0].as_str()))
+                        .find(|h| h.var == segs[0])
                         .map(|h| h.lock.clone())
                 } else {
                     None
@@ -374,7 +378,7 @@ impl<'a> LockCx<'a> {
                         if let (Some(lock), Some(scope)) = (guard, self.held.last_mut()) {
                             scope.push(Held {
                                 lock,
-                                var: Some(segs[0].clone()),
+                                var: segs[0].clone(),
                             });
                         }
                         return None;
@@ -480,7 +484,7 @@ impl<'a> LockCx<'a> {
             self.eval(a);
         }
         let mut guard = None;
-        for id in self.ws.resolve_call(callee) {
+        for id in self.ws.resolve_call(callee, self.id) {
             let s = self.summaries[id.0].clone();
             self.apply_summary(&s, line, col, callee_label(callee));
             guard = guard.or(s.returns_guard);
@@ -513,11 +517,8 @@ impl<'a> LockCx<'a> {
                 col,
                 released.as_deref(),
             );
-            if let Some(var) = released {
-                // The guard is returned (re-acquired) by the wait, so the
-                // binding usually stays live; leave it held.
-                let _ = var;
-            }
+            // The wait hands its guard back (re-acquired), so the binding
+            // stays held.
             return None;
         }
         let recv_guard = self.eval(recv);
@@ -543,6 +544,15 @@ impl<'a> LockCx<'a> {
             || (matches!(method, "read" | "write") && args.is_empty() && is_lock_recv);
         if acquires && (is_lock_recv || recv_ty.is_none()) {
             let lock = self.lock_id(recv);
+            if let Some(h) = self.held.iter().flatten().find(|h| h.lock == lock) {
+                let message = format!(
+                    "`{lock}` is locked again while guard `{}` from the same mutex is still \
+                     live in this scope — this deadlocks std::sync::Mutex (drop the first \
+                     guard, or restructure)",
+                    h.var
+                );
+                self.finding(line, col, message);
+            }
             self.acquire(&lock, line, col);
             return Some(lock);
         }
@@ -564,7 +574,7 @@ impl<'a> LockCx<'a> {
                     | "[slice]"
             )
         });
-        if self.blocking.contains(method) && !data_recv {
+        if BLOCKING.contains(&method) && !data_recv {
             self.block_here(&format!(".{method}()"), line, col, None);
             return None;
         }
@@ -617,13 +627,6 @@ impl<'a> LockCx<'a> {
     }
 }
 
-fn callee_label(callee: &Expr) -> &str {
-    match callee {
-        Expr::Path { segs, .. } => segs.last().map_or("?", String::as_str),
-        _ => "?",
-    }
-}
-
 /// Whether a type is (a shared-pointer wrapper around) a lock.
 fn is_lock_ty(ty: &crate::parser::Ty) -> bool {
     match ty.name.as_str() {
@@ -647,37 +650,13 @@ fn render(expr: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
-    use crate::rules::{FileInput, Prepared};
-    use crate::symbols::FileModel;
-
-    fn check_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let inputs: Vec<FileInput> = sources
-            .iter()
-            .map(|(rel, src)| FileInput {
-                rel: rel.to_string(),
-                class: crate::walker::classify(rel),
-                crate_name: crate::walker::crate_name(rel),
-                text: src.to_string(),
-            })
-            .collect();
-        let preps: Vec<Prepared> = inputs.iter().map(Prepared::new).collect();
-        let models = preps
-            .iter()
-            .map(|p| FileModel::build(p.input, &parse_file(&p.code)))
-            .collect();
-        let ws = Workspace::build(models);
-        let sup = Suppressions::new(&preps);
-        let mut out = Vec::new();
-        check(&ws, &Config::default(), &sup, &mut out);
-        out
-    }
+    use crate::flow::tests::check_sources;
 
     const TWO_LOCKS: &str = "pub struct S { a: Mutex<u32>, b: Mutex<u32> }\n";
 
     #[test]
     fn opposite_orders_cycle() {
-        let diags = check_sources(&[(
+        let diags = check_sources(check, &[(
             "crates/engine/src/x.rs",
             &format!(
                 "{TWO_LOCKS}impl S {{\n\
@@ -691,7 +670,7 @@ mod tests {
 
     #[test]
     fn consistent_order_is_clean() {
-        let diags = check_sources(&[(
+        let diags = check_sources(check, &[(
             "crates/engine/src/x.rs",
             &format!(
                 "{TWO_LOCKS}impl S {{\n\
@@ -704,7 +683,7 @@ mod tests {
 
     #[test]
     fn cycle_through_callee_summary() {
-        let diags = check_sources(&[(
+        let diags = check_sources(check, &[(
             "crates/engine/src/x.rs",
             &format!(
                 "{TWO_LOCKS}impl S {{\n\
@@ -722,63 +701,81 @@ mod tests {
 
     #[test]
     fn guard_across_blocking_write_flagged_drop_clears() {
-        let flagged = check_sources(&[(
-            "crates/obs/src/x.rs",
-            "pub struct S { a: Mutex<u32> }\nimpl S {\n\
+        let flagged = check_sources(
+            check,
+            &[(
+                "crates/obs/src/x.rs",
+                "pub struct S { a: Mutex<u32> }\nimpl S {\n\
              fn bad(&self, out: &mut TcpStream) {\n\
              let g = self.a.lock().unwrap();\nout.write_all(b\"x\");\n}\n}",
-        )]);
+            )],
+        );
         assert_eq!(flagged.len(), 1, "{flagged:?}");
         assert!(flagged[0].message.contains("write_all"), "{flagged:?}");
-        let clean = check_sources(&[(
-            "crates/obs/src/x.rs",
-            "pub struct S { a: Mutex<u32> }\nimpl S {\n\
+        let clean = check_sources(
+            check,
+            &[(
+                "crates/obs/src/x.rs",
+                "pub struct S { a: Mutex<u32> }\nimpl S {\n\
              fn ok(&self, out: &mut TcpStream) {\n\
              let g = self.a.lock().unwrap();\ndrop(g);\nout.write_all(b\"x\");\n}\n}",
-        )]);
+            )],
+        );
         assert!(clean.is_empty(), "{clean:?}");
     }
 
     #[test]
     fn scoped_guard_released_at_block_end() {
-        let diags = check_sources(&[(
-            "crates/obs/src/x.rs",
-            "pub struct S { a: Mutex<u32> }\nimpl S {\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/obs/src/x.rs",
+                "pub struct S { a: Mutex<u32> }\nimpl S {\n\
              fn ok(&self, out: &mut TcpStream) {\n\
              { let g = self.a.lock().unwrap(); }\nout.write_all(b\"x\");\n}\n}",
-        )]);
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn condvar_wait_releases_own_guard_flags_others() {
-        let own = check_sources(&[(
-            "crates/engine/src/x.rs",
-            "pub struct S { a: Mutex<u32>, cv: Condvar }\nimpl S {\n\
+        let own = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                "pub struct S { a: Mutex<u32>, cv: Condvar }\nimpl S {\n\
              fn ok(&self) { let g = self.a.lock().unwrap(); let g = self.cv.wait(g); }\n}",
-        )]);
+            )],
+        );
         assert!(own.is_empty(), "{own:?}");
-        let other = check_sources(&[(
-            "crates/engine/src/x.rs",
-            "pub struct S { a: Mutex<u32>, b: Mutex<u32>, cv: Condvar }\nimpl S {\n\
+        let other = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                "pub struct S { a: Mutex<u32>, b: Mutex<u32>, cv: Condvar }\nimpl S {\n\
              fn bad(&self) {\nlet g = self.a.lock().unwrap();\nlet h = self.b.lock().unwrap();\n\
              let h = self.cv.wait(h);\n}\n}",
-        )]);
+            )],
+        );
         assert_eq!(other.len(), 1, "{other:?}");
         assert!(other[0].message.contains("Condvar"), "{other:?}");
     }
 
     #[test]
     fn guard_returning_helper_participates_in_edges() {
-        let diags = check_sources(&[(
-            "crates/serve/src/x.rs",
-            &format!(
-                "{TWO_LOCKS}impl S {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/serve/src/x.rs",
+                &format!(
+                    "{TWO_LOCKS}impl S {{\n\
                  fn grab(&self) -> MutexGuard<u32> {{ self.a.lock().unwrap() }}\n\
                  fn one(&self) {{ let g = self.grab(); let h = self.b.lock().unwrap(); }}\n\
                  fn two(&self) {{ let g = self.b.lock().unwrap(); let h = self.grab(); }}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert!(!diags.is_empty(), "{diags:?}");
     }
 
@@ -786,27 +783,72 @@ mod tests {
     fn closure_body_starts_with_empty_held_set() {
         // The spawn'd closure acquires `a`; the spawner holds `b` at the
         // definition site — no edge (the closure runs elsewhere).
-        let diags = check_sources(&[(
-            "crates/engine/src/x.rs",
-            &format!(
-                "{TWO_LOCKS}impl S {{\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{TWO_LOCKS}impl S {{\n\
                  fn go(&self) {{ let g = self.b.lock().unwrap(); \
                  spawn(|| {{ let h = self.a.lock().unwrap(); }}); }}\n}}"
-            ),
-        )]);
+                ),
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    const ONE_LOCK: &str = "pub struct S { m: Mutex<u32> }\n";
+
+    fn lint_method(body: &str) -> Vec<Diagnostic> {
+        check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!("{ONE_LOCK}impl S {{\nfn f(&self) {{ {body} }}\n}}"),
+            )],
+        )
+    }
+
+    #[test]
+    fn relock_flagged_drop_and_sibling_scopes_clear() {
+        let relock = lint_method("let a = self.m.lock(); let b = self.m.lock();");
+        assert_eq!(relock.len(), 1, "{relock:?}");
+        assert!(relock[0].message.contains("locked again"), "{relock:?}");
+        assert!(relock[0].message.contains("`a`"), "{relock:?}");
+        let dropped = lint_method("let a = self.m.lock(); drop(a); let b = self.m.lock();");
+        assert!(dropped.is_empty(), "{dropped:?}");
+        let sibling = lint_method("{ let a = self.m.lock(); } { let b = self.m.lock(); }");
+        assert!(sibling.is_empty(), "{sibling:?}");
+    }
+
+    #[test]
+    fn fresh_guard_bound_to_nothing_flagged() {
+        let diags = lint_method("let _ = self.m.lock();");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("bound to `_`"), "{diags:?}");
+        // Reported at the `let` token.
+        assert_eq!((diags[0].line, diags[0].col), (3, 15), "{diags:?}");
+        // Discarding an existing guard (or a tuple of them) acquires
+        // nothing new.
+        let live = lint_method("let g = self.m.lock(); let _ = g;");
+        assert!(live.is_empty(), "{live:?}");
+        let pair = lint_method("let a = self.m.lock(); let b = 1; let _ = (a, b);");
+        assert!(pair.is_empty(), "{pair:?}");
     }
 
     #[test]
     fn suppression_is_honored() {
-        let diags = check_sources(&[(
-            "crates/obs/src/x.rs",
-            "pub struct S { a: Mutex<u32> }\nimpl S {\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/obs/src/x.rs",
+                "pub struct S { a: Mutex<u32> }\nimpl S {\n\
              fn bad(&self, out: &mut TcpStream) {\n\
              let g = self.a.lock().unwrap();\n\
              // dox-lint:allow(lock-order) short critical section, bounded write\n\
              out.write_all(b\"x\");\n}\n}",
-        )]);
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

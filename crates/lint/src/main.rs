@@ -35,9 +35,9 @@ RULES:
     determinism       no wall-clock/entropy calls in library code outside crates/obs
     determinism-flow  dataflow: HashMap/HashSet-iteration values must not reach
                       serialization unsorted
-    lock-discipline   no guards bound to _; no re-locking a held mutex in one scope
     lock-order        dataflow: no lock-acquisition-order cycles; no guard held
-                      across blocking I/O or a Condvar wait
+                      across blocking I/O or a Condvar wait; no re-locking a mutex
+                      whose named guard is live; no fresh guard bound to _
     unsafe-audit      no `unsafe` outside vendor/; crate roots carry forbid(unsafe_code)
 
 Suppress a single line with `// dox-lint:allow(rule) <reason>`; grandfather

@@ -303,6 +303,8 @@ pub enum Stmt {
         init: Option<Expr>,
         /// Line of the `let`.
         line: u32,
+        /// Column of the `let`.
+        col: u32,
     },
     /// An expression statement terminated by `;`.
     Semi(Expr),
@@ -1153,7 +1155,7 @@ impl<'a> Parser<'a> {
 
     /// Parse `let pat (: ty)? (= expr)? (else { … })? ;` within `limit`.
     fn parse_let(&mut self, limit: usize) -> Stmt {
-        let line = self.peek().map_or(0, |t| t.line);
+        let (line, col) = self.span();
         self.eat_ident("let");
         // Pattern tokens up to a top-level `:` (type), `=` (init) or `;`.
         let pat_start = self.pos;
@@ -1219,6 +1221,7 @@ impl<'a> Parser<'a> {
             ty,
             init,
             line,
+            col,
         }
     }
 

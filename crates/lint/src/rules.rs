@@ -1,9 +1,10 @@
-//! The rule registry: every project-specific lint, run over a prepared
-//! token stream.
+//! The token rules, the rule-name registry, and the per-file indexes
+//! every rule shares.
 //!
-//! Rules are deliberately token-level (no AST): each one encodes an
-//! invariant of *this* workspace — see DESIGN.md §"Static analysis" for
-//! the catalogue. All rules honor:
+//! Three rules are token-level (no AST) — `panic-hygiene`,
+//! `determinism` and `unsafe-audit`; each encodes an invariant of *this*
+//! workspace (see DESIGN.md §"Static analysis" for the catalogue). They
+//! honor:
 //!
 //! * **file class** — library code is policed, `tests/`, benches,
 //!   `src/bin/` and examples are not (except `unsafe-audit`, which is
@@ -11,8 +12,11 @@
 //! * **`#[cfg(test)]` regions** — in-file test modules count as tests;
 //! * **inline suppressions** — `// dox-lint:allow(rule-a, rule-b) reason`
 //!   on the offending line, or standing alone on the line above it.
+//!
+//! The workspace-level dataflow rules (`taint`, `lockorder`, `detflow`)
+//! honor the same suppressions through [`Suppressions`], but check every
+//! scanned file, tests included.
 
-use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -246,23 +250,20 @@ fn matching_close(code: &[Token], open_idx: usize, open: char, close: char) -> O
 /// per-file from [`run_rules`]; `pii-taint`, `lock-order` and
 /// `determinism-flow` are workspace-level dataflow rules (see the
 /// `taint`, `lockorder` and `detflow` modules).
-pub const RULE_NAMES: [&str; 7] = [
+pub const RULE_NAMES: [&str; 6] = [
     "panic-hygiene",
     "pii-taint",
     "determinism",
     "determinism-flow",
-    "lock-discipline",
     "lock-order",
     "unsafe-audit",
 ];
 
-/// Run every token-level rule over one prepared file. (`_cfg` is kept
-/// for signature stability; the token rules are currently config-free.)
-pub fn run_rules(prep: &Prepared<'_>, _cfg: &Config) -> Vec<Diagnostic> {
+/// Run every token-level rule over one prepared file.
+pub fn run_rules(prep: &Prepared<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     panic_hygiene(prep, &mut out);
     determinism(prep, &mut out);
-    lock_discipline(prep, &mut out);
     unsafe_audit(prep, &mut out);
     out.sort_by_key(|d| (d.line, d.col, d.rule));
     out
@@ -313,19 +314,6 @@ fn panic_hygiene(prep: &Prepared<'_>, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// Index of the token closing the group opened at `open` (any of
-/// `(`/`[`/`{`); `None` when `open` is not an opening delimiter.
-#[allow(dead_code)]
-fn group_end(code: &[Token], open: usize) -> Option<usize> {
-    let (o, c) = match code.get(open)?.punct()? {
-        '(' => ('(', ')'),
-        '[' => ('[', ']'),
-        '{' => ('{', '}'),
-        _ => return None,
-    };
-    matching_close(code, open, o, c)
 }
 
 /// Extract the captured identifiers from a format string literal:
@@ -402,181 +390,6 @@ fn determinism(prep: &Prepared<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
-
-/// `lock-discipline`: a lock guard bound to `_` (released immediately —
-/// almost always a bug), and re-locking a mutex that already has a live
-/// named guard in the same scope (self-deadlock with `std::sync::Mutex`).
-fn lock_discipline(prep: &Prepared<'_>, out: &mut Vec<Diagnostic>) {
-    const RULE: &str = "lock-discipline";
-    if !matches!(prep.input.class, FileClass::Library | FileClass::Bin) {
-        return;
-    }
-    let code = &prep.code;
-    // (brace_depth, receiver, guard_name) for live named guards.
-    let mut guards: Vec<(i32, String, String)> = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < code.len() {
-        let tok = &code[i];
-        match tok.punct() {
-            Some('{') => {
-                depth += 1;
-                i += 1;
-                continue;
-            }
-            Some('}') => {
-                guards.retain(|&(d, _, _)| d < depth);
-                depth -= 1;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        // `drop(name)` releases a guard early.
-        if tok.is_ident("drop") && code.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            if let (Some(arg), Some(close)) = (code.get(i + 2), code.get(i + 3)) {
-                if arg.kind == TokenKind::Ident && close.is_punct(')') {
-                    guards.retain(|(_, _, name)| name != &arg.text);
-                }
-            }
-        }
-        // `let _ = …;` whose initializer takes a guard.
-        if tok.is_ident("let") && code.get(i + 1).is_some_and(|t| t.is_ident("_")) {
-            if let Some(semi) = stmt_end(code, i + 2) {
-                if let Some(m) = find_guard_call(code, i + 2, semi) {
-                    if !prep.skip(code[m].line, RULE) {
-                        out.push(Diagnostic::new(
-                            &prep.input.rel,
-                            tok.line,
-                            tok.col,
-                            RULE,
-                            format!(
-                                "lock guard from `.{}()` bound to `_` is dropped \
-                                 immediately — bind it to a name (or drop the call)",
-                                code[m].text
-                            ),
-                        ));
-                    }
-                }
-                i = semi + 1;
-                continue;
-            }
-        }
-        // Any `.lock()`-family call: re-lock check, then guard recording.
-        let is_guard_call = tok.kind == TokenKind::Ident
-            && GUARD_METHODS.contains(&tok.text.as_str())
-            && i > 0
-            && code[i - 1].is_punct('.')
-            && code.get(i + 1).is_some_and(|t| t.is_punct('('))
-            && code.get(i + 2).is_some_and(|t| t.is_punct(')'));
-        if is_guard_call {
-            let recv = receiver_of(code, i - 1);
-            if !recv.is_empty() && !prep.skip(tok.line, RULE) {
-                if let Some((_, _, name)) = guards.iter().find(|(_, r, _)| r == &recv) {
-                    out.push(Diagnostic::new(
-                        &prep.input.rel,
-                        tok.line,
-                        tok.col,
-                        RULE,
-                        format!(
-                            "`{recv}` is locked again while guard `{name}` from the same \
-                             mutex is still live in this scope — this deadlocks \
-                             std::sync::Mutex (drop the first guard, or restructure)"
-                        ),
-                    ));
-                }
-            }
-            // Record `let NAME = recv.lock()…` bindings.
-            if let Some((name_tok, let_idx)) = binding_name(code, i) {
-                if !recv.is_empty() && code[let_idx].line == tok.line {
-                    guards.push((depth, recv, name_tok));
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Index of the `;` ending the statement starting at `from` (top-level
-/// with respect to every delimiter).
-fn stmt_end(code: &[Token], from: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (k, tok) in code.iter().enumerate().skip(from) {
-        match tok.punct() {
-            Some('(') | Some('[') | Some('{') => depth += 1,
-            Some(')') | Some(']') | Some('}') => {
-                if depth == 0 {
-                    return None;
-                }
-                depth -= 1;
-            }
-            Some(';') if depth == 0 => return Some(k),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// First `.lock()`/`.read()`/`.write()` in `code[from..to]`.
-fn find_guard_call(code: &[Token], from: usize, to: usize) -> Option<usize> {
-    (from..to).find(|&k| {
-        code[k].kind == TokenKind::Ident
-            && GUARD_METHODS.contains(&code[k].text.as_str())
-            && k > 0
-            && code[k - 1].is_punct('.')
-            && code.get(k + 1).is_some_and(|t| t.is_punct('('))
-            && code.get(k + 2).is_some_and(|t| t.is_punct(')'))
-    })
-}
-
-/// The dotted receiver chain ending at the `.` at `dot_idx`:
-/// `self.state.lock()` → `"self.state"`. Walks back over idents, `.`,
-/// and `::`.
-fn receiver_of(code: &[Token], dot_idx: usize) -> String {
-    let mut parts: Vec<&str> = Vec::new();
-    let mut k = dot_idx;
-    while k > 0 {
-        let prev = &code[k - 1];
-        match prev.kind {
-            TokenKind::Ident | TokenKind::Number => parts.push(&prev.text),
-            TokenKind::Punct if prev.is_punct('.') || prev.is_punct(':') => parts.push(&prev.text),
-            _ => break,
-        }
-        k -= 1;
-    }
-    parts.reverse();
-    parts.concat()
-}
-
-/// For a guard call at `call_idx`, the `let` binding name when the
-/// statement has the shape `let NAME = …`; returns `(name, let_index)`.
-fn binding_name(code: &[Token], call_idx: usize) -> Option<(String, usize)> {
-    // Walk back to the statement start: the nearest `;`, `{` or `}`.
-    let mut k = call_idx;
-    while k > 0 {
-        let t = &code[k - 1];
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-            break;
-        }
-        k -= 1;
-    }
-    let let_idx = k;
-    if !code.get(let_idx).is_some_and(|t| t.is_ident("let")) {
-        return None;
-    }
-    let mut name_idx = let_idx + 1;
-    if code.get(name_idx).is_some_and(|t| t.is_ident("mut")) {
-        name_idx += 1;
-    }
-    let name = code.get(name_idx)?;
-    if name.kind == TokenKind::Ident && name.text != "_" {
-        Some((name.text.clone(), let_idx))
-    } else {
-        None
-    }
-}
-
 /// `unsafe-audit`: no `unsafe` anywhere outside `vendor/`, and every
 /// `dox-*` crate root must carry `#![forbid(unsafe_code)]`.
 fn unsafe_audit(prep: &Prepared<'_>, out: &mut Vec<Diagnostic>) {
@@ -630,7 +443,7 @@ mod tests {
     fn run(src: &str) -> Vec<Diagnostic> {
         let input = lib_input(src);
         let prep = Prepared::new(&input);
-        run_rules(&prep, &Config::default())
+        run_rules(&prep)
     }
 
     #[test]
@@ -669,9 +482,7 @@ mod tests {
             text: src.into(),
         };
         let prep = Prepared::new(&obs);
-        assert!(run_rules(&prep, &Config::default())
-            .iter()
-            .all(|d| d.rule != "determinism"));
+        assert!(run_rules(&prep).iter().all(|d| d.rule != "determinism"));
     }
 
     #[test]
@@ -684,26 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_guard_flagged() {
-        let src = "fn f(&self) { let _ = self.state.lock(); }\n";
-        assert!(run(src).iter().any(|d| d.rule == "lock-discipline"));
-    }
-
-    #[test]
-    fn relock_same_scope_flagged_but_drop_clears() {
-        let relock = "fn f(&self) { let a = self.m.lock(); let b = self.m.lock(); }\n";
-        assert!(run(relock).iter().any(|d| d.rule == "lock-discipline"));
-        let dropped = "fn f(&self) { let a = self.m.lock(); drop(a); let b = self.m.lock(); }\n";
-        assert!(
-            run(dropped).iter().all(|d| d.rule != "lock-discipline"),
-            "{:?}",
-            run(dropped)
-        );
-        let sibling = "fn f(&self) { { let a = self.m.lock(); } { let b = self.m.lock(); } }\n";
-        assert!(run(sibling).iter().all(|d| d.rule != "lock-discipline"));
-    }
-
-    #[test]
     fn unsafe_flagged_everywhere() {
         let input = FileInput {
             rel: "tests/x.rs".into(),
@@ -712,9 +503,7 @@ mod tests {
             text: "fn f() { unsafe { core::hint::unreachable_unchecked() } }\n".into(),
         };
         let prep = Prepared::new(&input);
-        assert!(run_rules(&prep, &Config::default())
-            .iter()
-            .any(|d| d.rule == "unsafe-audit"));
+        assert!(run_rules(&prep).iter().any(|d| d.rule == "unsafe-audit"));
     }
 
     #[test]
@@ -726,7 +515,7 @@ mod tests {
             text: "//! docs\npub mod m;\n".into(),
         };
         let prep = Prepared::new(&input);
-        let diags = run_rules(&prep, &Config::default());
+        let diags = run_rules(&prep);
         assert!(diags
             .iter()
             .any(|d| d.rule == "unsafe-audit" && d.message.contains("forbid")));
@@ -735,7 +524,7 @@ mod tests {
             ..input
         };
         let prep = Prepared::new(&ok);
-        assert!(run_rules(&prep, &Config::default()).is_empty());
+        assert!(run_rules(&prep).is_empty());
     }
 
     #[test]

@@ -1,700 +1,160 @@
 //! `pii-taint`: interprocedural taint analysis from PII sources to
 //! log/wire sinks, with `dox_obs::redact()` as the sole sanitizer.
 //!
-//! This replaces the old `pii-sink` identifier-fragment heuristic: a
-//! value is dangerous because of where it *came from* (a document body,
-//! an extracted handle, synthetic ground truth), not because of what a
-//! variable happens to be named — renaming `body` to `payload` no
-//! longer hides a leak.
+//! A value is dangerous because of where it *came from* (a document
+//! body, an extracted handle, synthetic ground truth), not because of
+//! what a variable happens to be named — renaming `body` to `payload`
+//! does not hide a leak. The rule runs on the shared mask walker
+//! (`flow.rs`): the mark bit means "derived from a PII source", and
+//! per-function summaries carry a leak across functions and crates to
+//! the exact sink (or call) site.
 //!
-//! The analysis abstracts every value to a taint mask: one bit per
-//! function parameter plus a `SOURCE` bit for values derived from a
-//! configured PII source field. Per-function summaries (`returns` mask,
-//! parameters-that-reach-a-sink set) are iterated to a fixpoint over
-//! the workspace call graph, so a leak that crosses three functions in
-//! two crates is still reported — at the exact sink (or call) site.
-//!
-//! * **Sources** — typed struct-field reads (`SynthDoc.body`,
-//!   `OsnRef.handle`, `ExtractedFields.ssns`, …) when the receiver type
-//!   resolves; a bare field-name fallback (`.body`, `.handle`, …) when
-//!   it does not. Config: `[pii-taint] source_fields` (entries with a
-//!   dot are typed, without are bare).
-//! * **Sinks** — the print/log macros (`println!`, `eprintln!`, …),
-//!   `write!`/`writeln!` to a non-buffer writer, the `.emit(…)` event
-//!   method, `Tracer::hop` notes, and the HTTP response constructors
-//!   (`Response::ok/json/error`). Config: `sink_fns`, `sink_methods`.
+//! * **Sources** — typed struct-field reads (`TYPED_SOURCES`:
+//!   `SynthDoc.body`, `OsnRef.handle`, `ExtractedFields.ssns`, …) when
+//!   the receiver type resolves to a workspace struct; a bare field-name
+//!   fallback (`BARE_SOURCES`: `.body`, `.handle`, …) when it does not.
+//! * **Sinks** — the print macros (`println!`, `eprintln!`, …),
+//!   `write!`/`writeln!` to a writer that is not a local `String`/`Vec`
+//!   buffer, the `SINK_METHODS` (`.emit(…)` events, `Tracer::hop`
+//!   notes), and the `SINK_FNS` (the HTTP response constructors).
+//!   `format!`, `vec!` and writes into a buffer only compose.
 //! * **Sanitizer** — a `redact(…)` call erases taint (its display form
 //!   is a length+fingerprint, never content). Nothing else does.
 //!
-//! Functions whose bodies failed to parse are skipped (never guessed
-//! at); crates in `allow_crates` (the synthetic-PII generator) are
-//! exempt.
+//! The `EXEMPT_CRATE` (the synthetic-PII generator) is exempt.
 
-use crate::callgraph::{FnId, Workspace};
-use crate::config::Config;
+use crate::callgraph::Workspace;
 use crate::diag::Diagnostic;
-use crate::lexer::TokenKind;
-use crate::parser::{Block, Expr, Stmt, Ty};
-use crate::rules::{inline_format_args, Suppressions};
-use crate::symbols::TypeEnv;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::flow::{self, CallRole, MethodSite, Policy, Summary, Walker};
+use crate::parser::Ty;
+use crate::rules::Suppressions;
 
 /// The rule name.
 pub const RULE: &str = "pii-taint";
 
-/// Taint-mask bit for "derived from a PII source".
-const SOURCE: u64 = 1 << 63;
+/// `(struct, field)` reads that are PII sources when the receiver type
+/// resolves: the synthetic data model's content and ground truth, and
+/// every extractor output field.
+const TYPED_SOURCES: [(&str, &str); 17] = [
+    ("CollectedDoc", "body"),
+    ("SynthDoc", "body"),
+    ("SynthDoc", "truth"),
+    ("OsnRef", "handle"),
+    ("Persona", "first_name"),
+    ("Persona", "last_name"),
+    ("Persona", "dob"),
+    ("Persona", "address"),
+    ("ExtractedFields", "first_name"),
+    ("ExtractedFields", "last_name"),
+    ("ExtractedFields", "dob"),
+    ("ExtractedFields", "phones"),
+    ("ExtractedFields", "emails"),
+    ("ExtractedFields", "ips"),
+    ("ExtractedFields", "address"),
+    ("ExtractedFields", "zip"),
+    ("ExtractedFields", "ssns"),
+];
+
+/// Field names that are sources when the receiver type is unknown to
+/// the symbol model.
+const BARE_SOURCES: [&str; 11] = [
+    "body", "truth", "handle", "ssn", "ssns", "address", "phone", "phones", "email", "emails",
+    "dob",
+];
+
+/// `Type::fn` calls that are wire sinks.
+const SINK_FNS: [(&str, &str); 3] = [
+    ("Response", "ok"),
+    ("Response", "json"),
+    ("Response", "error"),
+];
+
+/// Methods that are log sinks on any receiver.
+const SINK_METHODS: [&str; 2] = ["emit", "hop"];
+
+/// The crate (under `crates/`) exempt from the rule: the synthetic-corpus
+/// generator, whose whole job is fabricating PII-shaped text.
+const EXEMPT_CRATE: &str = "synth";
 
 /// Print-style macros that are always sinks.
 const SINK_MACROS: [&str; 4] = ["println", "eprintln", "print", "eprint"];
 
-/// Macros that only combine values (taint flows through).
-const FORMAT_MACROS: [&str; 3] = ["format", "format_args", "vec"];
-
-/// Methods that resolve nowhere but clearly propagate their receiver.
-/// (Unknown methods propagate too; this list exists only for clarity.)
-const _PROPAGATE_METHODS: [&str; 4] = ["clone", "to_string", "as_str", "trim"];
-
-/// Resolved source/sink configuration.
-struct Spec {
-    /// Struct name → source field names.
-    typed: BTreeMap<String, BTreeSet<String>>,
-    /// Field names treated as sources when the receiver type is unknown.
-    bare: BTreeSet<String>,
-    /// Free/associated functions whose return value is a source.
-    source_fns: BTreeSet<String>,
-    /// `Type::fn` call sinks.
-    sink_fns: BTreeSet<(String, String)>,
-    /// Method-call sinks (any receiver).
-    sink_methods: BTreeSet<String>,
-    /// Crates exempt from the rule.
-    allow_crates: Vec<String>,
-}
-
-impl Spec {
-    fn from_config(cfg: &Config) -> Self {
-        let mut typed: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut bare = BTreeSet::new();
-        for entry in &cfg.taint_source_fields {
-            match entry.split_once('.') {
-                Some((ty, field)) if !ty.is_empty() => {
-                    typed
-                        .entry(ty.to_string())
-                        .or_default()
-                        .insert(field.to_string());
-                }
-                Some((_, field)) => {
-                    bare.insert(field.to_string());
-                }
-                None => {
-                    bare.insert(entry.clone());
-                }
-            }
-        }
-        let sink_fns = cfg
-            .taint_sink_fns
-            .iter()
-            .filter_map(|s| {
-                s.split_once("::")
-                    .map(|(t, f)| (t.to_string(), f.to_string()))
-            })
-            .collect();
-        Spec {
-            typed,
-            bare,
-            source_fns: cfg.taint_source_fns.iter().cloned().collect(),
-            sink_fns,
-            sink_methods: cfg.taint_sink_methods.iter().cloned().collect(),
-            allow_crates: cfg.taint_allow_crates.clone(),
-        }
-    }
-
-    fn is_source_field(&self, recv_ty: Option<&Ty>, field: &str) -> bool {
-        match recv_ty {
-            Some(ty) => self
-                .typed
-                .get(&ty.peeled().name)
-                .is_some_and(|fields| fields.contains(field)),
-            None => self.bare.contains(field),
-        }
-    }
-}
-
-/// Per-function dataflow summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Summary {
-    /// Taint mask of the return value: `SOURCE` and/or parameter bits.
-    returns: u64,
-    /// Bit i set: an argument passed as parameter i reaches a sink
-    /// inside this function (or a callee).
-    param_sink: u64,
-}
-
 /// Run the rule over the whole workspace.
-pub fn check(ws: &Workspace, cfg: &Config, sup: &Suppressions<'_>, out: &mut Vec<Diagnostic>) {
-    let spec = Spec::from_config(cfg);
-    let mut summaries = vec![Summary::default(); ws.fns.len()];
-    // Fixpoint: masks only grow, so this converges; 20 rounds bounds
-    // pathological call chains.
-    for _ in 0..20 {
-        let mut changed = false;
-        for id in 0..ws.fns.len() {
-            let id = FnId(id);
-            if exempt(ws, &spec, id) {
-                continue;
-            }
-            let mut cx = FnCx::new(ws, &spec, &summaries, id, None);
-            let summary = cx.run();
-            if summary != summaries[id.0] {
-                summaries[id.0] = summary;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Final pass: emit findings now that callee summaries are stable.
-    for id in 0..ws.fns.len() {
-        let id = FnId(id);
-        if exempt(ws, &spec, id) {
-            continue;
-        }
-        let mut findings = Vec::new();
-        let mut cx = FnCx::new(ws, &spec, &summaries, id, Some(&mut findings));
-        cx.run();
-        let rel = &ws.file_of(id).rel;
-        for (line, col, message) in findings {
-            if !sup.allowed(rel, line, RULE) {
-                out.push(Diagnostic::new(rel, line, col, RULE, message));
-            }
-        }
-    }
-}
-
-fn exempt(ws: &Workspace, spec: &Spec, id: FnId) -> bool {
-    let file = ws.file_of(id);
-    match &file.crate_name {
-        Some(name) => spec.allow_crates.contains(name),
-        None => false,
-    }
-}
-
-/// The per-function analysis context.
-struct FnCx<'a, 'f> {
-    ws: &'a Workspace,
-    spec: &'a Spec,
-    summaries: &'a [Summary],
-    id: FnId,
-    env: TypeEnv<'a>,
-    taint: BTreeMap<String, u64>,
-    summary: Summary,
-    /// `Some` in the reporting pass: `(line, col, message)` per finding.
-    findings: Option<&'f mut Vec<(u32, u32, String)>>,
-}
-
-impl<'a, 'f> FnCx<'a, 'f> {
-    fn new(
-        ws: &'a Workspace,
-        spec: &'a Spec,
-        summaries: &'a [Summary],
-        id: FnId,
-        findings: Option<&'f mut Vec<(u32, u32, String)>>,
-    ) -> Self {
-        let mut taint = BTreeMap::new();
-        let def = &ws.entry(id).info.def;
-        for (i, (name, _)) in def.params.iter().enumerate().take(62) {
-            taint.insert(name.clone(), 1u64 << i);
-        }
-        Self {
-            ws,
-            spec,
-            summaries,
-            id,
-            env: ws.env_for(id),
-            taint,
-            summary: Summary::default(),
-            findings,
-        }
-    }
-
-    fn run(&mut self) -> Summary {
-        let info = &self.ws.entry(self.id).info;
-        if info.def.degraded {
+pub fn check(ws: &Workspace, sup: &Suppressions<'_>, out: &mut Vec<Diagnostic>) {
+    flow::fixpoint(ws, RULE, sup, out, |summaries, id, findings| {
+        if ws.file_of(id).crate_name.as_deref() == Some(EXEMPT_CRATE) {
             return Summary::default();
         }
-        let Some(body) = &info.def.body else {
-            return Summary::default();
-        };
-        let tail = self.walk_block(body);
-        self.summary.returns |= tail;
-        self.summary
-    }
+        flow::walk(ws, &Taint, summaries, id, findings)
+    });
+}
 
-    fn report(&mut self, line: u32, col: u32, message: String) {
-        if let Some(findings) = self.findings.as_deref_mut() {
-            if !findings.iter().any(|(l, c, _)| *l == line && *c == col) {
-                findings.push((line, col, message));
-            }
+/// The `pii-taint` policy for the shared walker.
+struct Taint;
+
+impl Policy for Taint {
+    fn field_source(&self, base_ty: Option<&Ty>, field: &str) -> bool {
+        match base_ty {
+            Some(ty) => TYPED_SOURCES.contains(&(ty.peeled().name.as_str(), field)),
+            None => BARE_SOURCES.contains(&field),
         }
     }
 
-    /// Walk a block; returns the taint of its tail expression.
-    fn walk_block(&mut self, block: &Block) -> u64 {
-        let mut tail = 0;
-        for stmt in &block.stmts {
-            tail = 0;
-            match stmt {
-                Stmt::Let {
-                    bound, ty, init, ..
-                } => {
-                    let mask = init.as_ref().map_or(0, |e| self.eval(e));
-                    let inferred = ty
-                        .clone()
-                        .or_else(|| init.as_ref().and_then(|e| self.env.type_of(e)));
-                    for name in bound {
-                        self.taint.insert(name.clone(), mask);
-                        if let Some(t) = &inferred {
-                            self.env.bind(name, t.clone());
-                        }
-                    }
-                }
-                Stmt::Semi(e) => {
-                    self.eval(e);
-                }
-                Stmt::Expr(e) => {
-                    tail = self.eval(e);
-                }
-                Stmt::Item(_) => {}
-            }
-        }
-        tail
-    }
-
-    /// Evaluate an expression to its taint mask, reporting sink hits.
-    fn eval(&mut self, expr: &Expr) -> u64 {
-        match expr {
-            Expr::Lit { .. } | Expr::Opaque { .. } => 0,
-            Expr::Path { segs, .. } => {
-                if segs.len() == 1 {
-                    self.taint.get(&segs[0]).copied().unwrap_or(0)
-                } else {
-                    0
-                }
-            }
-            Expr::Field { base, name, .. } => {
-                // Typed matching only counts when the struct is actually in
-                // the workspace model; a resolvable-but-unknown type (e.g. a
-                // std type) still gets the conservative bare-name fallback.
-                let base_ty = self
-                    .env
-                    .type_of(base)
-                    .filter(|t| self.ws.table.contains_key(&t.peeled().name));
-                let mut mask = self.eval(base);
-                if self.spec.is_source_field(base_ty.as_ref(), name) {
-                    mask |= SOURCE;
-                }
-                mask
-            }
-            Expr::Unary { inner } => self.eval(inner),
-            Expr::Index { base, index } => self.eval(base) | self.eval(index),
-            Expr::Group { parts } => parts.iter().map(|p| self.eval(p)).fold(0, |a, b| a | b),
-            Expr::Struct { fields, .. } => fields
-                .iter()
-                .map(|(_, v)| self.eval(v))
-                .fold(0, |a, b| a | b),
-            Expr::Block(b) => self.walk_block(b),
-            Expr::Return { value } => {
-                let mask = value.as_ref().map_or(0, |v| self.eval(v));
-                self.summary.returns |= mask;
-                0
-            }
-            Expr::Assign { target, value, .. } => {
-                let mask = self.eval(value);
-                if let Expr::Path { segs, .. } = target.as_ref() {
-                    if segs.len() == 1 {
-                        self.taint.insert(segs[0].clone(), mask);
-                        if let Some(ty) = self.env.type_of(value) {
-                            self.env.bind(&segs[0], ty);
-                        }
-                        return 0;
-                    }
-                }
-                self.eval(target);
-                0
-            }
-            Expr::If {
-                bound,
-                cond,
-                then,
-                els,
-            } => {
-                let cond_mask = self.eval(cond);
-                for name in bound {
-                    self.taint.insert(name.clone(), cond_mask);
-                }
-                let mut mask = self.walk_block(then);
-                if let Some(e) = els {
-                    mask |= self.eval(e);
-                }
-                mask
-            }
-            Expr::Match { scrutinee, arms } => {
-                let scrut_mask = self.eval(scrutinee);
-                let scrut_ty = self.env.type_of(scrutinee);
-                let mut mask = 0;
-                for arm in arms {
-                    for name in &arm.bound {
-                        self.taint.insert(name.clone(), scrut_mask);
-                        if let Some(ty) = &scrut_ty {
-                            // Payload of a matched value: approximate
-                            // with the scrutinee's (peeled) type args.
-                            if let Some(inner) = ty.args.first() {
-                                self.env.bind(name, inner.clone());
-                            }
-                        }
-                    }
-                    if let Some(g) = &arm.guard {
-                        self.eval(g);
-                    }
-                    mask |= self.eval(&arm.body);
-                }
-                mask
-            }
-            Expr::For {
-                bound, iter, body, ..
-            } => {
-                let iter_mask = self.eval(iter);
-                let iter_ty = self.env.type_of(iter);
-                // `for (i, x) in xs.iter().enumerate()` — the index is a
-                // counter, never content: only the payload binding gets
-                // the collection's taint.
-                let enumerated = matches!(
-                    iter.as_ref(),
-                    Expr::MethodCall { method, .. } if method == "enumerate"
-                ) && bound.len() == 2;
-                if enumerated {
-                    self.taint.insert(bound[0].clone(), 0);
-                    self.taint.insert(bound[1].clone(), iter_mask);
-                } else {
-                    self.bind_elements(bound, iter_mask, iter_ty.as_ref());
-                }
-                self.walk_block(body);
-                0
-            }
-            Expr::While { bound, cond, body } => {
-                let cond_mask = self.eval(cond);
-                for name in bound {
-                    self.taint.insert(name.clone(), cond_mask);
-                }
-                self.walk_block(body);
-                0
-            }
-            Expr::Closure { params, body, .. } => {
-                // Bare closure (not an iterator-adapter argument — those
-                // are handled at the MethodCall): parameters are
-                // untainted, captures keep their masks.
-                for name in params {
-                    self.taint.insert(name.clone(), 0);
-                }
-                self.eval(body)
-            }
-            Expr::Macro {
-                name, args, line, ..
-            } => self.eval_macro(name, args, *line),
-            Expr::Call {
-                callee,
-                args,
-                line,
-                col,
-            } => self.eval_call(callee, args, *line, *col),
-            Expr::MethodCall {
-                recv,
-                method,
-                args,
-                line,
-                col,
-                ..
-            } => self.eval_method(recv, method, args, *line, *col),
-        }
-    }
-
-    /// Bind loop/closure element variables: the collection's taint, and
-    /// element types from the collection's generic args when they line
-    /// up (`for (k, v) in map` with `Map<K, V>`).
-    fn bind_elements(&mut self, bound: &[String], mask: u64, coll_ty: Option<&Ty>) {
-        for name in bound {
-            self.taint.insert(name.clone(), mask);
-        }
-        if let Some(ty) = coll_ty {
-            let ty = ty.peeled();
-            if bound.len() == 1 && ty.args.len() == 1 {
-                self.env.bind(&bound[0], ty.args[0].clone());
-            } else if bound.len() == 2 && ty.args.len() == 2 {
-                self.env.bind(&bound[0], ty.args[0].clone());
-                self.env.bind(&bound[1], ty.args[1].clone());
-            }
-        }
-    }
-
-    fn eval_macro(&mut self, name: &str, args: &[Expr], line: u32) -> u64 {
-        // Taint of the inline captures in the format-string argument at
-        // `fmt_idx` plus every argument from `fmt_idx` on.
-        let arg_masks: Vec<u64> = args.iter().map(|a| self.eval(a)).collect();
-        let capture_taint = |cx: &Self, fmt_idx: usize| -> Vec<(String, u64)> {
-            let mut out = Vec::new();
-            if let Some(Expr::Lit {
-                kind: TokenKind::Str,
-                text,
-                ..
-            }) = args.get(fmt_idx)
-            {
-                for cap in inline_format_args(text) {
-                    let mask = cx.taint.get(&cap).copied().unwrap_or(0);
-                    out.push((cap, mask));
-                }
-            }
-            out
-        };
+    fn macro_sink(&self, name: &str, buffer: bool) -> Option<String> {
         if SINK_MACROS.contains(&name) {
-            let mut masks: Vec<(Option<String>, u64)> =
-                arg_masks.iter().map(|m| (None, *m)).collect();
-            masks.extend(
-                capture_taint(self, 0)
-                    .into_iter()
-                    .map(|(cap, m)| (Some(cap), m)),
-            );
-            self.sink_hit(&masks, &format!("`{name}!`"), line);
-            return 0;
-        }
-        if name == "write" || name == "writeln" {
-            // Writing into an in-memory buffer is composition, not a
-            // sink: the taint transfers to the buffer variable.
-            let buffer_var = args.first().and_then(|w| match w {
-                Expr::Path { segs, .. } if segs.len() == 1 => {
-                    let ty = self.env.lookup(&segs[0]);
-                    let name = ty.map(|t| t.name.as_str());
-                    matches!(name, Some("String" | "Vec")).then(|| segs[0].clone())
-                }
-                _ => None,
-            });
-            let payload: u64 = arg_masks.iter().skip(1).fold(0, |a, b| a | b)
-                | capture_taint(self, 1).iter().fold(0, |a, (_, m)| a | m);
-            match buffer_var {
-                Some(var) => {
-                    let entry = self.taint.entry(var).or_insert(0);
-                    *entry |= payload;
-                }
-                None => {
-                    let mut masks: Vec<(Option<String>, u64)> =
-                        arg_masks.iter().skip(1).map(|m| (None, *m)).collect();
-                    masks.extend(
-                        capture_taint(self, 1)
-                            .into_iter()
-                            .map(|(cap, m)| (Some(cap), m)),
-                    );
-                    self.sink_hit(&masks, &format!("`{name}!` to a writer"), line);
-                }
-            }
-            return 0;
-        }
-        if FORMAT_MACROS.contains(&name) {
-            let captures = capture_taint(self, 0);
-            return arg_masks.iter().fold(0, |a, b| a | b)
-                | captures.iter().fold(0, |a, (_, m)| a | m);
-        }
-        // Unknown macro: combine (assert!/debug_assert! messages stay on
-        // the conservative side).
-        arg_masks.iter().fold(0, |a, b| a | b)
-    }
-
-    fn eval_call(&mut self, callee: &Expr, args: &[Expr], line: u32, col: u32) -> u64 {
-        // The sanitizer: `redact(x)` output carries no content.
-        if let Expr::Path { segs, .. } = callee {
-            if segs.last().is_some_and(|s| s == "redact") {
-                for a in args {
-                    self.eval(a);
-                }
-                return 0;
-            }
-            // Configured sink fns (`Response::ok(...)`).
-            if segs.len() >= 2 {
-                let key = (segs[segs.len() - 2].clone(), segs[segs.len() - 1].clone());
-                if self.spec.sink_fns.contains(&key) {
-                    let masks: Vec<(Option<String>, u64)> =
-                        args.iter().map(|a| (None, self.eval(a))).collect();
-                    self.sink_hit(&masks, &format!("`{}::{}`", key.0, key.1), line);
-                    return 0;
-                }
-            }
-            // Configured source fns.
-            if segs
-                .last()
-                .is_some_and(|s| self.spec.source_fns.contains(s))
-            {
-                for a in args {
-                    self.eval(a);
-                }
-                return SOURCE;
-            }
-        }
-        let arg_masks: Vec<u64> = args.iter().map(|a| self.eval(a)).collect();
-        let candidates = self.ws.resolve_call(callee);
-        self.apply_callees(&candidates, &arg_masks, callee_label(callee), line, col)
-    }
-
-    fn eval_method(
-        &mut self,
-        recv: &Expr,
-        method: &str,
-        args: &[Expr],
-        line: u32,
-        col: u32,
-    ) -> u64 {
-        let recv_mask = self.eval(recv);
-        let recv_ty = self.env.type_of(recv);
-        // Closure arguments to iterator adapters see the collection's
-        // elements: bind their parameters to the receiver's taint/types.
-        let mut arg_masks = Vec::with_capacity(args.len() + 1);
-        arg_masks.push(recv_mask);
-        for arg in args {
-            if let Expr::Closure { params, body, .. } = arg {
-                let elem_ty = recv_ty.as_ref().map(|t| t.peeled().clone());
-                self.bind_elements(
-                    params,
-                    recv_mask,
-                    elem_ty.as_ref().filter(|t| !t.args.is_empty()),
-                );
-                // A closure param named like the element still gets the
-                // receiver's taint even without type info.
-                arg_masks.push(self.eval(body));
-            } else {
-                arg_masks.push(self.eval(arg));
-            }
-        }
-        // Scalar aggregates carry no content: a length or element count
-        // of a tainted collection is safe to log.
-        if matches!(method, "len" | "is_empty" | "count") && args.is_empty() {
-            return 0;
-        }
-        // Configured method sinks (`.emit(…)`, `.hop(…)`).
-        if self.spec.sink_methods.contains(method) {
-            let masks: Vec<(Option<String>, u64)> =
-                arg_masks.iter().skip(1).map(|m| (None, *m)).collect();
-            self.sink_hit(&masks, &format!("`.{method}(…)`"), line);
-            return 0;
-        }
-        let candidates = self.ws.resolve_method(recv_ty.as_ref(), method);
-        if candidates.is_empty() {
-            // Unresolved (std or generic) method: taint flows from the
-            // receiver and every argument into the result.
-            return arg_masks.iter().fold(0, |a, b| a | b);
-        }
-        self.apply_callees(&candidates, &arg_masks, method, line, col)
-    }
-
-    /// Fold callee summaries into the caller: compute the return mask,
-    /// propagate param-sink obligations, and report arguments whose
-    /// source taint reaches a sink inside the callee.
-    fn apply_callees(
-        &mut self,
-        candidates: &[FnId],
-        arg_masks: &[u64],
-        label: &str,
-        line: u32,
-        col: u32,
-    ) -> u64 {
-        if candidates.is_empty() {
-            return arg_masks.iter().fold(0, |a, b| a | b);
-        }
-        let mut ret = 0;
-        for id in candidates {
-            let s = self.summaries[id.0];
-            if s.returns & SOURCE != 0 {
-                ret |= SOURCE;
-            }
-            for (i, mask) in arg_masks.iter().enumerate().take(62) {
-                if s.returns & (1 << i) != 0 {
-                    ret |= mask;
-                }
-                if s.param_sink & (1 << i) != 0 {
-                    if *mask & SOURCE != 0 {
-                        let callee = &self.ws.entry(*id).info.def.name;
-                        self.report(
-                            line,
-                            col,
-                            format!(
-                                "PII-tainted argument {i} of `{label}` reaches a log/wire \
-                                 sink inside `{callee}` — redact() before the call or \
-                                 inside the callee"
-                            ),
-                        );
-                    }
-                    self.summary.param_sink |= *mask & !SOURCE;
-                }
-            }
-        }
-        ret
-    }
-
-    /// A sink consumed `masks` (optionally named inline captures):
-    /// report source taint, record parameter obligations.
-    fn sink_hit(&mut self, masks: &[(Option<String>, u64)], sink: &str, line: u32) {
-        for (cap, mask) in masks {
-            if mask & SOURCE != 0 {
-                let what = match cap {
-                    Some(c) => format!("inline capture `{{{c}}}`"),
-                    None => "argument".to_string(),
-                };
-                self.report(
-                    line,
-                    1,
-                    format!(
-                        "PII-tainted {what} reaches {sink} unredacted — wrap the value \
-                         in dox_obs::redact() (the only sanctioned sanitizer)"
-                    ),
-                );
-            }
-            self.summary.param_sink |= mask & !SOURCE;
+            Some(format!("`{name}!`"))
+        } else if (name == "write" || name == "writeln") && !buffer {
+            Some(format!("`{name}!` to a writer"))
+        } else {
+            None
         }
     }
-}
 
-fn callee_label(callee: &Expr) -> &str {
-    match callee {
-        Expr::Path { segs, .. } => segs.last().map_or("?", String::as_str),
-        _ => "?",
+    fn call_role(&self, segs: &[String]) -> CallRole {
+        if segs.last().is_some_and(|s| s == "redact") {
+            CallRole::Sanitizer
+        } else if flow::path_ends_in(segs, &SINK_FNS) {
+            CallRole::Sink(format!("`{}`", segs[segs.len() - 2..].join("::")))
+        } else {
+            CallRole::Plain
+        }
+    }
+
+    fn method(&self, w: &mut Walker<'_, '_>, site: &MethodSite<'_>) -> Option<u64> {
+        // A length or element count of a tainted collection carries no
+        // content.
+        if matches!(site.method, "len" | "is_empty" | "count") && site.masks.len() == 1 {
+            return Some(0);
+        }
+        if SINK_METHODS.contains(&site.method) {
+            let args: Vec<_> = site.masks[1..].iter().map(|m| (None, *m)).collect();
+            let sink = format!("`.{}(…)`", site.method);
+            w.sink_hit(&args, &sink, site.line, site.col);
+            return Some(0);
+        }
+        None
+    }
+
+    fn sink_message(&self, what: &str, sink: &str) -> String {
+        format!(
+            "PII-tainted {what} reaches {sink} unredacted — wrap the value \
+             in dox_obs::redact() (the only sanctioned sanitizer)"
+        )
+    }
+
+    fn callee_message(&self, i: usize, label: &str, callee: &str) -> String {
+        format!(
+            "PII-tainted argument {i} of `{label}` reaches a log/wire \
+             sink inside `{callee}` — redact() before the call or \
+             inside the callee"
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
-    use crate::rules::{FileInput, Prepared};
-    use crate::symbols::FileModel;
-
-    fn check_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let inputs: Vec<FileInput> = sources
-            .iter()
-            .map(|(rel, src)| FileInput {
-                rel: rel.to_string(),
-                class: crate::walker::classify(rel),
-                crate_name: crate::walker::crate_name(rel),
-                text: src.to_string(),
-            })
-            .collect();
-        let preps: Vec<Prepared> = inputs.iter().map(Prepared::new).collect();
-        let models = preps
-            .iter()
-            .map(|p| FileModel::build(p.input, &parse_file(&p.code)))
-            .collect();
-        let ws = Workspace::build(models);
-        let sup = Suppressions::new(&preps);
-        let mut out = Vec::new();
-        check(&ws, &Config::default(), &sup, &mut out);
-        out
-    }
+    use crate::flow::tests::check_sources;
 
     const DATA_MODEL: &str = "
 pub struct SynthDoc { pub id: u64, pub body: String, pub truth: GroundTruth }
@@ -703,72 +163,89 @@ pub struct CollectedDoc { pub doc: SynthDoc, pub collected_at: SimTime }
 
     #[test]
     fn direct_field_to_macro_sink() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/engine/src/x.rs",
-                "fn log(doc: &CollectedDoc) { eprintln!(\"{}\", doc.doc.body); }",
-            ),
-        ]);
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/engine/src/x.rs",
+                    "fn log(doc: &CollectedDoc) { eprintln!(\"{}\", doc.doc.body); }",
+                ),
+            ],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, RULE);
         assert_eq!(diags[0].file, "crates/engine/src/x.rs");
+        // Reported at the sink itself.
+        assert_eq!(diags[0].col, 30, "{diags:?}");
     }
 
     #[test]
     fn rename_does_not_hide_the_leak() {
         // The old pii-sink heuristic matched the *name* `body`; the taint
         // rule follows the value through an innocently-named local.
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/engine/src/x.rs",
-                "fn log(doc: &CollectedDoc) { let payload = doc.doc.body.clone(); \
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/engine/src/x.rs",
+                    "fn log(doc: &CollectedDoc) { let payload = doc.doc.body.clone(); \
                  println!(\"{payload}\"); }",
-            ),
-        ]);
+                ),
+            ],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
     }
 
     #[test]
     fn redact_sanitizes() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/engine/src/x.rs",
-                "fn log(doc: &CollectedDoc) { eprintln!(\"{}\", redact(&doc.doc.body)); }",
-            ),
-        ]);
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/engine/src/x.rs",
+                    "fn log(doc: &CollectedDoc) { eprintln!(\"{}\", redact(&doc.doc.body)); }",
+                ),
+            ],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn interprocedural_leak_through_helper() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/engine/src/x.rs",
-                "fn describe(d: &CollectedDoc) -> String { format!(\"{}\", d.doc.body) }\n\
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/engine/src/x.rs",
+                    "fn describe(d: &CollectedDoc) -> String { format!(\"{}\", d.doc.body) }\n\
                  fn log(doc: &CollectedDoc) { let s = describe(doc); println!(\"{s}\"); }",
-            ),
-        ]);
+                ),
+            ],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("println"), "{diags:?}");
     }
 
     #[test]
     fn param_sink_reported_at_call_site() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/obs/src/x.rs",
-                "fn announce(msg: String) { println!(\"{msg}\"); }",
-            ),
-            (
-                "crates/engine/src/y.rs",
-                "fn leak(doc: &CollectedDoc) { announce(doc.doc.body.clone()); }",
-            ),
-        ]);
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/obs/src/x.rs",
+                    "fn announce(msg: String) { println!(\"{msg}\"); }",
+                ),
+                (
+                    "crates/engine/src/y.rs",
+                    "fn leak(doc: &CollectedDoc) { announce(doc.doc.body.clone()); }",
+                ),
+            ],
+        );
         // One finding at the call site in engine (the announce body only
         // sees parameter taint, never SOURCE directly).
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -778,90 +255,111 @@ pub struct CollectedDoc { pub doc: SynthDoc, pub collected_at: SimTime }
 
     #[test]
     fn bare_field_fallback_without_type_info() {
-        let diags = check_sources(&[(
-            "crates/osn/src/x.rs",
-            "fn log(r: &Unknown) { eprintln!(\"{}\", r.handle); }",
-        )]);
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/osn/src/x.rs",
+                "fn log(r: &Unknown) { eprintln!(\"{}\", r.handle); }",
+            )],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
     }
 
     #[test]
     fn known_type_beats_bare_fallback() {
         // `.handle` on a known non-PII struct is not a source.
-        let diags = check_sources(&[(
-            "crates/engine/src/x.rs",
-            "pub struct Worker { pub handle: JoinHandle }\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                "pub struct Worker { pub handle: JoinHandle }\n\
              fn log(w: &Worker) { eprintln!(\"{:?}\", w.handle); }",
-        )]);
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn emit_method_and_response_ctor_are_sinks() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/serve/src/x.rs",
-                "fn handle(events: &EventLog, doc: &CollectedDoc) -> Response {\n\
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/serve/src/x.rs",
+                    "fn handle(events: &EventLog, doc: &CollectedDoc) -> Response {\n\
                  events.emit(Level::Info, \"t\", doc.doc.body.clone(), vec![]);\n\
                  Response::ok(doc.doc.body.clone())\n}",
-            ),
-        ]);
+                ),
+            ],
+        );
         assert_eq!(diags.len(), 2, "{diags:?}");
     }
 
     #[test]
     fn synth_crate_is_exempt() {
-        let diags = check_sources(&[(
-            "crates/synth/src/render.rs",
-            "pub struct SynthDoc { pub body: String }\n\
+        let diags = check_sources(
+            check,
+            &[(
+                "crates/synth/src/render.rs",
+                "pub struct SynthDoc { pub body: String }\n\
              fn debug(d: &SynthDoc) { eprintln!(\"{}\", d.body); }",
-        )]);
+            )],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn suppression_comment_is_honored() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/engine/src/x.rs",
-                "fn log(doc: &CollectedDoc) {\n\
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/engine/src/x.rs",
+                    "fn log(doc: &CollectedDoc) {\n\
                  // dox-lint:allow(pii-taint) synthetic demo output\n\
                  eprintln!(\"{}\", doc.doc.body);\n}",
-            ),
-        ]);
+                ),
+            ],
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn write_to_string_buffer_then_sink_is_tracked() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/core/src/x.rs",
-                "fn render(doc: &CollectedDoc) {\n\
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/core/src/x.rs",
+                    "fn render(doc: &CollectedDoc) {\n\
                  let mut buf = String::new();\n\
                  write!(buf, \"{}\", doc.doc.body);\n\
                  println!(\"{buf}\");\n}",
-            ),
-        ]);
+                ),
+            ],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 4, "{diags:?}");
     }
 
     #[test]
     fn match_arm_binding_carries_taint() {
-        let diags = check_sources(&[
-            ("crates/synth/src/corpus.rs", DATA_MODEL),
-            (
-                "crates/ml/src/x.rs",
-                "fn log(doc: &CollectedDoc) {\n\
+        let diags = check_sources(
+            check,
+            &[
+                ("crates/synth/src/corpus.rs", DATA_MODEL),
+                (
+                    "crates/ml/src/x.rs",
+                    "fn log(doc: &CollectedDoc) {\n\
                  match Some(doc.doc.body.clone()) {\n\
                  Some(text) => println!(\"{text}\"),\n\
                  None => {}\n}\n}",
-            ),
-        ]);
+                ),
+            ],
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
     }
 }

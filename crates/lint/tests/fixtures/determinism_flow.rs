@@ -28,3 +28,11 @@ pub fn btree_is_fine(counts: &HashMap<String, u64>) -> String {
     }
     serde_json::to_string(&rows).unwrap_or_default()
 }
+
+pub fn enumerate_index_is_fine(counts: &HashMap<String, u64>) -> String {
+    let mut idx = Vec::new();
+    for (i, _e) in counts.iter().enumerate() {
+        idx.push(i);
+    }
+    serde_json::to_string(&idx).unwrap_or_default()
+}

@@ -1,4 +1,4 @@
-//! Fixture: lock-discipline findings.
+//! Fixture: lock-order guard discipline (a `_` guard, a re-lock).
 
 use std::sync::{Mutex, PoisonError};
 

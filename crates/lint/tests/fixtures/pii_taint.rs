@@ -1,5 +1,5 @@
 //! Fixture: pii-taint dataflow — typed sources, propagation through
-//! locals and calls, the redact() sanitizer, and the allow escape hatch.
+//! locals, calls and pushes, the redact() sanitizer, the allow escape hatch.
 
 pub struct CollectedDoc {
     pub body: String,
@@ -39,4 +39,16 @@ pub fn untainted_field_is_fine(doc: &CollectedDoc) {
 pub fn suppressed_leak(doc: &CollectedDoc) {
     // dox-lint:allow(pii-taint) fixture: demonstrates the escape hatch
     println!("{}", doc.body);
+}
+
+pub fn leaks_through_push(doc: &CollectedDoc) {
+    let mut parts = Vec::new();
+    parts.push(doc.body.clone());
+    println!("{parts:?}");
+}
+
+pub fn leaks_through_push_str(doc: &CollectedDoc) {
+    let mut line = String::new();
+    line.push_str(&doc.body);
+    println!("{line}");
 }
