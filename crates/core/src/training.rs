@@ -4,11 +4,13 @@
 //! "proof-of-work" archives as positives (749 at paper scale) and a
 //! manually vetted random crawl of pastebin as negatives (4,220). The
 //! evaluation protocol is a 2/3–1/3 split; the deployed model is then
-//! retrained on the full labeled corpus.
+//! retrained on the full labeled corpus. The texts are tokenized once for
+//! both fits.
 
-use dox_ml::eval::{evaluate_classifier, train_full};
+use dox_ml::eval::{evaluate_corpus, train_full_corpus};
 use dox_ml::metrics::ClassificationReport;
 use dox_ml::sgd::{SgdClassifier, SgdConfig};
+use dox_textkit::corpus::TokenizedCorpus;
 use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
 use serde::Serialize;
 
@@ -40,21 +42,9 @@ impl DoxClassifier {
     /// # Panics
     /// Panics if `texts` is empty or lengths differ.
     pub fn train(texts: &[String], labels: &[bool], seed: u64) -> (Self, ClassifierSummary) {
-        let outcome = evaluate_classifier(
-            texts,
-            labels,
-            2.0 / 3.0,
-            seed,
-            SgdConfig::paper(),
-            TfidfConfig::default(),
-        );
-        let (vectorizer, model) = train_full(
-            texts,
-            labels,
-            seed,
-            SgdConfig::paper(),
-            TfidfConfig::default(),
-        );
+        let corpus = TokenizedCorpus::new(texts, &TfidfConfig::default());
+        let outcome = evaluate_corpus(&corpus, labels, 2.0 / 3.0, seed, SgdConfig::paper());
+        let (vectorizer, model) = train_full_corpus(&corpus, labels, seed, SgdConfig::paper());
         let positives = labels.iter().filter(|&&l| l).count();
         let negatives = labels.len() - positives;
         let summary = ClassifierSummary {
@@ -71,6 +61,16 @@ impl DoxClassifier {
             },
             summary,
         )
+    }
+
+    /// The fitted vectorizer (vocabulary and idf weights).
+    pub fn vectorizer(&self) -> &TfidfVectorizer {
+        &self.vectorizer
+    }
+
+    /// The trained linear model.
+    pub fn model(&self) -> &SgdClassifier {
+        &self.model
     }
 
     /// Classify one plain-text document.

@@ -4,22 +4,27 @@
 //! corpus with TF-IDF, splits two-thirds / one-third, fits the SGD model on
 //! the training part and reports per-class metrics on the held-out part.
 //! [`evaluate_classifier`] packages that protocol so the pipeline, the
-//! benchmarks and the integration tests all run the identical procedure.
+//! benchmarks and the integration tests all run the identical procedure;
+//! [`train_full`] fits the deployed model on the whole corpus.
+//!
+//! Both take raw texts and are thin wrappers over [`evaluate_corpus`] and
+//! [`train_full_corpus`], which take a [`TokenizedCorpus`]: a caller that
+//! evaluates and then deploys tokenizes its texts once for both. The
+//! evaluation's held-out fold needs no vectorizer of its own, only the
+//! training fold's token-id remap and idf weights.
 
 use crate::metrics::ClassificationReport;
 use crate::sgd::{SgdClassifier, SgdConfig};
 use crate::split::{stratified_split, take};
+use dox_textkit::corpus::TokenizedCorpus;
+use dox_textkit::sparse::SparseVec;
 use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
 
-/// Everything produced by one classifier evaluation run.
+/// What one classifier evaluation run reports.
 #[derive(Debug, Clone)]
 pub struct EvalOutcome {
     /// Held-out classification report (paper Table 1 shape).
     pub report: ClassificationReport,
-    /// The fitted vectorizer (vocabulary + idf), reusable for inference.
-    pub vectorizer: TfidfVectorizer,
-    /// The trained classifier.
-    pub classifier: SgdClassifier,
     /// Sizes: `(train, test)`.
     pub sizes: (usize, usize),
 }
@@ -28,7 +33,7 @@ pub struct EvalOutcome {
 ///
 /// - `texts`/`labels`: the labeled corpus (positive = dox).
 /// - `train_fraction`: the paper uses `2.0/3.0`.
-/// - `seed`: governs the split and SGD shuffling.
+/// - `seed`: governs the split; SGD shuffles by `sgd.seed`.
 ///
 /// The vectorizer is fitted on the **training fold only** — fitting idf on
 /// the full corpus would leak document frequencies from the evaluation set.
@@ -43,32 +48,43 @@ pub fn evaluate_classifier<S: AsRef<str>>(
     sgd: SgdConfig,
     tfidf: TfidfConfig,
 ) -> EvalOutcome {
-    assert_eq!(texts.len(), labels.len(), "texts/labels length mismatch");
-    assert!(!texts.is_empty(), "cannot evaluate with no samples");
+    let corpus = TokenizedCorpus::new(texts, &tfidf);
+    evaluate_corpus(&corpus, labels, train_fraction, seed, sgd)
+}
+
+/// [`evaluate_classifier`] on a corpus already tokenized with the TF-IDF
+/// settings it carries.
+///
+/// # Panics
+/// Panics if the corpus is empty or its length differs from `labels`.
+pub fn evaluate_corpus(
+    corpus: &TokenizedCorpus,
+    labels: &[bool],
+    train_fraction: f64,
+    seed: u64,
+    sgd: SgdConfig,
+) -> EvalOutcome {
+    assert_eq!(corpus.len(), labels.len(), "texts/labels length mismatch");
+    assert!(!corpus.is_empty(), "cannot evaluate with no samples");
 
     let (train_idx, test_idx) = stratified_split(labels, train_fraction, seed);
-    let train_texts: Vec<&str> = train_idx.iter().map(|&i| texts[i].as_ref()).collect();
-    let test_texts: Vec<&str> = test_idx.iter().map(|&i| texts[i].as_ref()).collect();
-    let train_labels = take(labels, &train_idx);
-    let test_labels = take(labels, &test_idx);
+    let fold = corpus.fit(&train_idx);
+    let train_vecs: Vec<SparseVec> = train_idx.iter().map(|&i| fold.transform(i)).collect();
+    let classifier = SgdClassifier::fit(
+        sgd,
+        fold.n_features(),
+        &train_vecs,
+        &take(labels, &train_idx),
+    );
 
-    let mut vectorizer = TfidfVectorizer::new(tfidf);
-    let train_vecs = vectorizer.fit_transform(&train_texts);
-    let n_features = vectorizer
-        .model()
-        .expect("fit_transform fitted the model")
-        .n_features();
-
-    let classifier = SgdClassifier::fit(sgd, n_features, &train_vecs, &train_labels);
-
-    let test_vecs = vectorizer.transform_batch(&test_texts);
-    let predicted = classifier.predict_batch(&test_vecs);
-    let report = ClassificationReport::from_labels(&predicted, &test_labels);
+    let predicted: Vec<bool> = test_idx
+        .iter()
+        .map(|&i| classifier.predict(&fold.transform(i)))
+        .collect();
+    let report = ClassificationReport::from_labels(&predicted, &take(labels, &test_idx));
 
     EvalOutcome {
         report,
-        vectorizer,
-        classifier,
         sizes: (train_idx.len(), test_idx.len()),
     }
 }
@@ -80,19 +96,30 @@ pub fn train_full<S: AsRef<str>>(
     texts: &[S],
     labels: &[bool],
     seed: u64,
-    mut sgd: SgdConfig,
+    sgd: SgdConfig,
     tfidf: TfidfConfig,
 ) -> (TfidfVectorizer, SgdClassifier) {
-    assert_eq!(texts.len(), labels.len(), "texts/labels length mismatch");
+    train_full_corpus(&TokenizedCorpus::new(texts, &tfidf), labels, seed, sgd)
+}
+
+/// [`train_full`] on a corpus already tokenized with the TF-IDF settings
+/// it carries.
+///
+/// # Panics
+/// Panics if the corpus length differs from `labels`.
+pub fn train_full_corpus(
+    corpus: &TokenizedCorpus,
+    labels: &[bool],
+    seed: u64,
+    mut sgd: SgdConfig,
+) -> (TfidfVectorizer, SgdClassifier) {
+    assert_eq!(corpus.len(), labels.len(), "texts/labels length mismatch");
     sgd.seed = seed;
-    let mut vectorizer = TfidfVectorizer::new(tfidf);
-    let vecs = vectorizer.fit_transform(texts);
-    let n_features = vectorizer
-        .model()
-        .expect("fit_transform fitted the model")
-        .n_features();
-    let classifier = SgdClassifier::fit(sgd, n_features, &vecs, labels);
-    (vectorizer, classifier)
+    let all: Vec<usize> = (0..corpus.len()).collect();
+    let fit = corpus.fit(&all);
+    let vecs: Vec<SparseVec> = all.iter().map(|&i| fit.transform(i)).collect();
+    let classifier = SgdClassifier::fit(sgd, fit.n_features(), &vecs, labels);
+    (fit.vectorizer(), classifier)
 }
 
 /// One operating point on a precision–recall curve.

@@ -14,6 +14,9 @@
 //! - [`sparse`] — sorted-index sparse vectors and the linear-algebra kernels
 //!   used by the TF-IDF vectorizer and SGD classifier.
 //! - [`vocab`] — vocabulary construction with document-frequency pruning.
+//! - [`corpus`] — a training corpus tokenized once into interned token
+//!   ids, from which every TF-IDF fit builds its vocabulary, idf weights
+//!   and vectors.
 //! - [`tfidf`] — a `TfidfVectorizer` equivalent (smooth idf, sublinear-tf
 //!   option, l2 normalization), matching sklearn 0.17 defaults, with a
 //!   fused allocation-free scorer for inference (its frozen token→index
@@ -28,6 +31,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod corpus;
 pub mod hashing;
 pub mod html;
 pub mod normalize;

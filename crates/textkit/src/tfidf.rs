@@ -11,18 +11,27 @@
 //! [`TfidfVectorizer`] reproduces that behaviour; every knob is exposed via
 //! [`TfidfConfig`] so ablation benchmarks can vary them.
 //!
+//! Fitting runs on a [`TokenizedCorpus`]: each text is tokenized once
+//! into interned token ids, and the vocabulary, idf weights and training
+//! vectors are all built from those ids. [`TfidfVectorizer::fit`] and
+//! [`TfidfVectorizer::fit_transform`] wrap it; a caller that fits more
+//! than once on the same texts (the classifier's evaluation fold, then
+//! its full corpus) builds the corpus itself and fits on document subsets.
+//!
 //! There are two ways to use a fitted vectorizer. [`TfidfVectorizer::transform`]
-//! materialises the document's [`SparseVec`]; training, the ablation
-//! baselines and model inspection need those vectors. Inference only needs
+//! materialises the document's [`SparseVec`]; the ablation baselines and
+//! model inspection need those vectors, and training builds the same ones
+//! from token ids ([`crate::corpus::CorpusFit::transform`]). Inference only needs
 //! `w·x`, so [`TfidfVectorizer::dot`] fuses tokenize, vectorize and score
 //! into one pass over borrowed words with reused scratch buffers, and
 //! evaluates the same floating-point operations in the same order, so its
 //! result is bit-identical to `transform(doc).dot_dense(weights)`.
 
+use crate::corpus::TokenizedCorpus;
 use crate::sparse::SparseVec;
 use crate::table::TokenTable;
 use crate::tokenize::{word_spans, Tokenizer, TokenizerConfig};
-use crate::vocab::{VocabBuilder, VocabConfig, Vocabulary};
+use crate::vocab::{VocabConfig, Vocabulary};
 use serde::Serialize;
 use std::cell::Cell;
 
@@ -120,6 +129,15 @@ impl TfidfVectorizer {
         }
     }
 
+    /// A vectorizer fitted to `vocab` and its `idf` weights.
+    pub(crate) fn fitted(config: TfidfConfig, vocab: Vocabulary, idf: Vec<f64>) -> Self {
+        Self {
+            table: TokenTable::new(&vocab),
+            model: Some(TfidfModel { vocab, idf }),
+            ..Self::new(config)
+        }
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &TfidfConfig {
         &self.config
@@ -132,25 +150,19 @@ impl TfidfVectorizer {
 
     /// Fit the vocabulary and idf weights on `corpus`.
     pub fn fit<S: AsRef<str>>(&mut self, corpus: &[S]) -> &TfidfModel {
-        let mut builder = VocabBuilder::new();
-        let tokenized: Vec<Vec<String>> = corpus
-            .iter()
-            .map(|doc| self.tokenizer.tokenize(doc.as_ref()))
-            .collect();
-        for toks in &tokenized {
-            builder.add_document(toks);
-        }
-        let vocab = builder.build(&self.config.vocab);
-        let idf = compute_idf(&vocab, self.config.smooth_idf, self.config.use_idf);
-        self.table = TokenTable::new(&vocab);
-        self.model = Some(TfidfModel { vocab, idf });
-        self.model.as_ref().expect("just set")
+        let corpus = TokenizedCorpus::new(corpus, &self.config);
+        let all: Vec<usize> = (0..corpus.len()).collect();
+        *self = corpus.fit(&all).vectorizer();
+        self.model.as_ref().expect("just fitted")
     }
 
-    /// Fit on `corpus` and transform every document.
+    /// Fit on `corpus` and transform every document, tokenizing each once.
     pub fn fit_transform<S: AsRef<str>>(&mut self, corpus: &[S]) -> Vec<SparseVec> {
-        self.fit(corpus);
-        corpus.iter().map(|d| self.transform(d.as_ref())).collect()
+        let corpus = TokenizedCorpus::new(corpus, &self.config);
+        let all: Vec<usize> = (0..corpus.len()).collect();
+        let fit = corpus.fit(&all);
+        *self = fit.vectorizer();
+        all.iter().map(|&doc| fit.transform(doc)).collect()
     }
 
     /// Transform one document into a TF-IDF vector.
@@ -169,19 +181,7 @@ impl TfidfVectorizer {
                 pairs.push((idx, 1.0));
             }
         }
-        let counts = SparseVec::from_pairs(pairs);
-        let mut vec = counts.map_values(|idx, tf| {
-            let tf = if self.config.sublinear_tf {
-                1.0 + tf.ln()
-            } else {
-                tf
-            };
-            tf * model.idf[idx as usize]
-        });
-        if self.config.l2_normalize {
-            vec.l2_normalize();
-        }
-        vec
+        weigh(&self.config, &model.idf, &SparseVec::from_pairs(pairs))
     }
 
     /// `transform(doc).dot_dense(weights)`, bit for bit, without building
@@ -347,15 +347,38 @@ thread_local! {
     static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
-fn compute_idf(vocab: &Vocabulary, smooth: bool, use_idf: bool) -> Vec<f64> {
-    let n = vocab.n_docs() as f64;
-    (0..vocab.len() as u32)
-        .map(|idx| {
-            if !use_idf {
+/// A document vector from its term counts: tf·idf per feature (zeros
+/// dropped), then the l2 normalization when configured. The one tail of
+/// [`TfidfVectorizer::transform`] and [`crate::corpus::CorpusFit::transform`].
+pub(crate) fn weigh(config: &TfidfConfig, idf: &[f64], counts: &SparseVec) -> SparseVec {
+    let mut vec = counts.map_values(|idx, tf| {
+        let tf = if config.sublinear_tf {
+            1.0 + tf.ln()
+        } else {
+            tf
+        };
+        tf * idf[idx as usize]
+    });
+    if config.l2_normalize {
+        vec.l2_normalize();
+    }
+    vec
+}
+
+/// The idf weight of each feature from its document frequency.
+pub(crate) fn compute_idf(
+    doc_freq: impl Iterator<Item = u32>,
+    n_docs: usize,
+    config: &TfidfConfig,
+) -> Vec<f64> {
+    let n = n_docs as f64;
+    doc_freq
+        .map(|df| {
+            if !config.use_idf {
                 return 1.0;
             }
-            let df = vocab.doc_freq(idx) as f64;
-            if smooth {
+            let df = df as f64;
+            if config.smooth_idf {
                 ((1.0 + n) / (1.0 + df)).ln() + 1.0
             } else {
                 (n / df).ln() + 1.0

@@ -78,24 +78,47 @@ impl VocabBuilder {
 
     /// Freeze into a [`Vocabulary`], applying pruning.
     pub fn build(self, config: &VocabConfig) -> Vocabulary {
-        let n_docs = self.n_docs;
-        let max_df = (config.max_df_ratio * n_docs as f64).floor() as u32;
-        let mut entries: Vec<(String, u32)> = self
-            .doc_freq
-            .into_iter()
-            .filter(|&(_, df)| df as usize >= config.min_df && (n_docs == 0 || df <= max_df))
-            .collect();
-        if let Some(cap) = config.max_features {
-            // Keep highest-df tokens; tie-break lexicographically for
-            // determinism (sklearn keeps highest term frequency — df is the
-            // closest stable analogue available here).
-            entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            entries.truncate(cap);
-        }
+        let mut entries: Vec<(String, u32)> = self.doc_freq.into_iter().collect();
+        entries.sort_unstable();
+        Vocabulary::from_selected(select(entries, self.n_docs, config), self.n_docs)
+    }
+}
+
+/// The one pruning rule: keep the `(token, df)` entries that pass
+/// `min_df` and `max_df_ratio`, and cap them at `max_features`.
+///
+/// `entries` come in token order and the kept ones leave in it, which is
+/// feature order. Keys must be distinct and order as their tokens do:
+/// the tokens themselves, or ids ranked in token order.
+pub(crate) fn select<K: Ord>(
+    mut entries: Vec<(K, u32)>,
+    n_docs: usize,
+    config: &VocabConfig,
+) -> Vec<(K, u32)> {
+    let max_df = (config.max_df_ratio * n_docs as f64).floor() as u32;
+    entries.retain(|&(_, df)| df as usize >= config.min_df && (n_docs == 0 || df <= max_df));
+    if let Some(cap) = config.max_features {
+        // Keep highest-df tokens; tie-break lexicographically for
+        // determinism (sklearn keeps highest term frequency — df is the
+        // closest stable analogue available here).
+        entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        entries.truncate(cap);
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut index = HashMap::with_capacity(entries.len());
-        let mut doc_freq = Vec::with_capacity(entries.len());
-        for (i, (tok, df)) in entries.into_iter().enumerate() {
+    }
+    entries
+}
+
+impl Vocabulary {
+    /// The vocabulary of `entries`, `(token, df)` in feature order as
+    /// [`select`] returns them.
+    pub(crate) fn from_selected(
+        entries: impl IntoIterator<Item = (String, u32)>,
+        n_docs: usize,
+    ) -> Self {
+        let entries = entries.into_iter();
+        let mut index = HashMap::with_capacity(entries.size_hint().0);
+        let mut doc_freq = Vec::with_capacity(entries.size_hint().0);
+        for (i, (tok, df)) in entries.enumerate() {
             index.insert(tok, i as u32);
             doc_freq.push(df);
         }
@@ -105,9 +128,7 @@ impl VocabBuilder {
             n_docs,
         }
     }
-}
 
-impl Vocabulary {
     /// Fit a vocabulary over pre-tokenized documents in one call.
     pub fn fit<S: AsRef<str>>(docs: &[Vec<S>], config: &VocabConfig) -> Self {
         let mut b = VocabBuilder::new();

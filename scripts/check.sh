@@ -64,6 +64,11 @@ cargo test -q
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
+step "perfbench smoke test (every workload on tiny inputs, outputs checked)"
+# perfbench is a workspace of its own that links the library crates by
+# path, so no step above builds it; this one does, and runs each workload.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step "chaos smoke test (SIGKILL mid-ingest, resume, byte-compare)"
 scripts/chaos_smoke.sh
 
