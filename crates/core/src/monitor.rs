@@ -438,6 +438,12 @@ impl Monitor {
         self.histories.get(&account)
     }
 
+    /// Remove and return `account`'s history, for callers that only tally
+    /// it. A taken account enrolls afresh if it is enrolled again.
+    pub(crate) fn take_history(&mut self, account: AccountId) -> Option<AccountHistory> {
+        self.histories.remove(&account)
+    }
+
     /// Number of monitored accounts.
     pub fn len(&self) -> usize {
         self.histories.len()

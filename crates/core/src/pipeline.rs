@@ -6,8 +6,8 @@
 //! of accounts/fields/credits for classified doxes, then streaming
 //! de-duplication. Everything needed by the downstream analyses is
 //! accumulated in the pipeline state: detected doxes with their extraction
-//! records, per-stage counters, and the dox-labeled document ids (for the
-//! Table 3 deletion survey).
+//! records (whose sources, ids and posting times label the Table 3
+//! deletion survey), per-stage counters, and the dox-labeled document ids.
 //!
 //! Production runs go through the streaming
 //! [`Engine`](dox_engine::Engine) instead; this type remains the
@@ -137,7 +137,7 @@ impl Pipeline {
         self.output.unique_doxes()
     }
 
-    /// Whether the pipeline labeled document `id` a dox (Table 3 survey).
+    /// Whether the pipeline labeled document `id` a dox.
     pub fn labeled_dox(&self, id: u64) -> bool {
         self.output.labeled_dox(id)
     }

@@ -45,7 +45,7 @@ use dox_geo::model::{World, WorldConfig};
 use dox_obs::trace::fault_hop;
 use dox_obs::{redact, Level, Registry, StageSpan, TraceConfig, Tracer};
 use dox_osn::account::AccountId;
-use dox_osn::clock::{SimDuration, SimTime};
+use dox_osn::clock::SimTime;
 use dox_osn::filters::{FilterEra, FilterSchedule, StudyPeriods};
 use dox_osn::network::Network;
 use dox_osn::platform::SimOsnWorld;
@@ -1092,18 +1092,20 @@ impl Study {
             horizon_days: periods.period2.1.since(periods.period1.0).days(),
             jitter_minutes: 0,
         };
+        // The rows are sums, so each control history is tallied as soon
+        // as it is probed and then dropped: the paper's 13,392-account
+        // baseline costs two rows, not one history per account.
         let mut control_monitor = Monitor::with_registry(control_schedule, obs);
-        let control_ids = osn.sample_instagram_uids(cfg.control_sample);
-        for id in &control_ids {
-            control_monitor.enroll_and_probe(&osn, *id, periods.period1.0);
-        }
         let mut control_row = StatusChangeRow::default();
         let mut control_row_active = StatusChangeRow::default();
-        for h in control_monitor.histories() {
-            control_row.add(h);
-            let active = osn.account(h.account).is_some_and(|a| a.is_active());
-            if active {
-                control_row_active.add(h);
+        for id in osn.sample_instagram_uids(cfg.control_sample) {
+            control_monitor.enroll_and_probe(&osn, id, periods.period1.0);
+            let Some(h) = control_monitor.take_history(id) else {
+                continue;
+            };
+            control_row.add(&h);
+            if osn.account(id).is_some_and(|a| a.is_active()) {
+                control_row_active.add(&h);
             }
         }
 
@@ -1206,9 +1208,7 @@ impl Study {
         let deletion: DeletionValidation = collector
             .hub()
             .pastebin()
-            .deletion_survey(periods.period1, SimDuration::from_days(30), &|id| {
-                output.labeled_dox(id)
-            })
+            .deletion_survey(detected.iter().map(|d| (d.source, d.doc_id, d.posted_at)))
             .into();
 
         let ip_validation = validate_by_ip(detected, world, geoip, cfg.ip_validation_sample, seed);

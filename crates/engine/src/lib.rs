@@ -195,9 +195,12 @@ pub struct EngineConfig {
     /// threads.
     pub shards: usize,
     /// Bounded depth, in chunks, of the work queue — the backpressure
-    /// window.
+    /// window. At most `(queue_depth + workers + 1) × chunk` documents
+    /// are in flight: queued, being staged by a worker, or being batched
+    /// by the producer.
     pub queue_depth: usize,
-    /// Documents per work chunk (amortizes queue handoff).
+    /// Documents per work chunk. Larger chunks amortize queue handoff
+    /// and the commit lock; smaller ones shrink the in-flight window.
     pub chunk: usize,
     /// Deterministic stage-fault injection; `None` runs fault-free.
     pub faults: Option<EngineFaults>,
@@ -210,8 +213,8 @@ impl Default for EngineConfig {
         Self {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shards: 8,
-            queue_depth: 4,
-            chunk: 1024,
+            queue_depth: 8,
+            chunk: 256,
             faults: None,
         }
     }

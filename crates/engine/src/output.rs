@@ -114,8 +114,8 @@ impl PipelineCounters {
 pub type StagedDoc = Option<(String, ExtractedDox)>;
 
 /// Everything an ingest run accumulates: the detected doxes (stream
-/// order), the funnel counters, and the set of document ids labeled dox
-/// (the Table 3 deletion survey's membership oracle).
+/// order, the Table 3 deletion survey's dox labels), the funnel
+/// counters, and the set of document ids labeled dox.
 #[derive(Debug, Default)]
 pub struct PipelineOutput {
     /// Every detected dox, stream order.
@@ -141,7 +141,7 @@ impl PipelineOutput {
         self.detected.iter().filter(|d| d.duplicate.is_none())
     }
 
-    /// Whether the run labeled document `id` a dox (Table 3 survey).
+    /// Whether the run labeled document `id` a dox.
     pub fn labeled_dox(&self, id: u64) -> bool {
         self.dox_ids.contains(&id)
     }

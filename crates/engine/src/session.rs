@@ -162,9 +162,11 @@ impl Drop for CloseOnPanic {
 /// feed it with [`ingest`](Session::ingest) and close it with
 /// [`finish`](Session::finish). The calling thread is the producer: when
 /// the work queue is full, `ingest` blocks — that backpressure is what
-/// bounds memory to roughly `queue_depth × chunk` documents regardless of
-/// corpus size. [`checkpoint`](Session::checkpoint) captures a resumable
-/// snapshot mid-stream.
+/// bounds the documents in flight to `(queue_depth + workers + 1) × chunk`
+/// regardless of corpus size: `queue_depth` chunks queued, one per stage
+/// worker, and the one the producer is filling.
+/// [`checkpoint`](Session::checkpoint) captures a resumable snapshot
+/// mid-stream.
 ///
 /// For resident (service-mode) sessions that never `finish`,
 /// [`flush`](Session::flush) forces everything ingested so far through

@@ -18,7 +18,9 @@
 //! * collecting into an ordered container (`collect::<BTreeMap<_, _>>()`
 //!   turbofish, or a `let` annotated with a `BTree*` type);
 //! * an explicit `sort` / `sort_by` / `sort_unstable*` / `sort_by_key`
-//!   on the binding;
+//!   on the binding, or a call to a function that sorts the parameter
+//!   the binding is passed as (`order(&mut rows)`; the callee's summary
+//!   records which parameters it sorts);
 //! * order-insensitive reductions (`sum`, `product`, `count`, `len`,
 //!   `max`, `min`, `max_by_key`, `min_by_key`, `all`, `any`; `fold` is
 //!   *not* assumed commutative and stays unordered).
@@ -239,6 +241,65 @@ mod tests {
             )],
         );
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    /// The `dump` body shared by the sort-in-a-helper fixtures: the
+    /// unordered `rows` go through `call` (e.g. `order(&mut rows)`)
+    /// before serializing.
+    fn helper_fixture(helpers: &str, call: &str) -> Vec<Diagnostic> {
+        check_sources(
+            check,
+            &[(
+                "crates/engine/src/x.rs",
+                &format!(
+                    "{STATE}{helpers}\nimpl State {{\nfn dump(&self) -> String {{\n\
+                 let mut rows = self.counts.keys().cloned().collect();\n\
+                 {call};\n\
+                 serde_json::to_string(&rows).unwrap()\n}}\n}}"
+                ),
+            )],
+        )
+    }
+
+    #[test]
+    fn sort_inside_a_helper_sanitizes_the_callers_argument() {
+        let direct = helper_fixture(
+            "fn order(rows: &mut Vec<String>) { rows.sort(); }",
+            "order(&mut rows)",
+        );
+        assert!(direct.is_empty(), "{direct:?}");
+        let transitive = helper_fixture(
+            "fn order(rows: &mut Vec<String>) { tidy(rows); }\n\
+             fn tidy(v: &mut Vec<String>) { v.sort_unstable(); }",
+            "order(&mut rows)",
+        );
+        assert!(transitive.is_empty(), "{transitive:?}");
+        let method = helper_fixture(
+            "impl State { fn order(&self, rows: &mut Vec<String>) { rows.sort(); } }",
+            "self.order(&mut rows)",
+        );
+        assert!(method.is_empty(), "{method:?}");
+    }
+
+    #[test]
+    fn helper_that_does_not_sort_its_parameter_keeps_the_finding() {
+        let untouched = helper_fixture(
+            "fn order(rows: &mut Vec<String>) { rows.push(String::new()); }",
+            "order(&mut rows)",
+        );
+        assert_eq!(untouched.len(), 1, "{untouched:?}");
+        // Sorting a shadowing local is not a sort of the parameter.
+        let shadowed = helper_fixture(
+            "fn order(rows: &mut Vec<String>) { let mut rows = rows.clone(); rows.sort(); }",
+            "order(&mut rows)",
+        );
+        assert_eq!(shadowed.len(), 1, "{shadowed:?}");
+        // A method that sorts its receiver's field, not the argument.
+        let other_param = helper_fixture(
+            "impl State { fn order(&mut self, rows: &mut Vec<String>) { self.keys.sort(); } }",
+            "self.order(&mut rows)",
+        );
+        assert_eq!(other_param.len(), 1, "{other_param:?}");
     }
 
     #[test]

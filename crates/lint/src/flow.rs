@@ -5,7 +5,8 @@
 //! * [`fixpoint`] — the one solver loop every dataflow rule (`pii-taint`,
 //!   `determinism-flow`, `lock-order`) runs on. It re-analyzes every
 //!   workspace function, feeding each the current callee summaries,
-//!   until no summary changes (summaries only grow, so this converges;
+//!   until no summary changes (summaries only grow, except that a
+//!   callee found to clear a mark in place can remove marks upstream;
 //!   a round bound caps pathological call chains), then makes one
 //!   reporting pass whose findings are filtered by `dox-lint:allow`
 //!   suppressions.
@@ -122,6 +123,11 @@ pub(crate) struct Summary {
     /// Bit `i` set: an argument passed as parameter `i` reaches a sink
     /// inside this function (or a callee).
     param_sink: u64,
+    /// Bit `i` set: this function (or a callee) clears [`MARK`] on
+    /// parameter `i` in place, e.g. sorts it. Through `&mut` the caller
+    /// sees the change; a by-value argument is moved and never read
+    /// again, so the caller's argument variable loses the mark either way.
+    clears_param: u64,
 }
 
 /// How a rule treats a free or associated function call.
@@ -205,8 +211,10 @@ pub(crate) fn walk(
         return Summary::default();
     };
     let mut masks = BTreeMap::new();
+    let mut params = BTreeMap::new();
     for (i, (name, _)) in ws.entry(id).info.def.params.iter().enumerate().take(62) {
         masks.insert(name.clone(), 1u64 << i);
+        params.insert(name.clone(), i);
     }
     let mut w = Walker {
         ws,
@@ -215,6 +223,7 @@ pub(crate) fn walk(
         id,
         env: ws.env_for(id),
         masks,
+        params,
         summary: Summary::default(),
         findings,
     };
@@ -231,16 +240,32 @@ pub(crate) struct Walker<'a, 'f> {
     id: FnId,
     env: TypeEnv<'a>,
     masks: BTreeMap<String, u64>,
+    /// Parameter names not yet shadowed or reassigned, with their index.
+    params: BTreeMap<String, usize>,
     summary: Summary,
     findings: Option<&'f mut Findings>,
 }
 
 impl Walker<'_, '_> {
-    /// Clear [`MARK`] on the local variable `expr`, if it is one.
+    /// Clear [`MARK`] on the local variable `expr` (through any `&mut`),
+    /// if it is one; clearing a parameter is recorded in the summary.
     pub(crate) fn clear_mark(&mut self, expr: &Expr) {
-        if let Some(mask) = local(expr).and_then(|v| self.masks.get_mut(v)) {
+        let Some(var) = local(peel_unary(expr)) else {
+            return;
+        };
+        if let Some(mask) = self.masks.get_mut(var) {
             *mask &= !MARK;
         }
+        if let Some(&i) = self.params.get(var) {
+            self.summary.clears_param |= 1 << i;
+        }
+    }
+
+    /// (Re)bind a local: it now holds `mask`, and if it named a parameter
+    /// it no longer does.
+    fn bind(&mut self, name: String, mask: u64) {
+        self.params.remove(&name);
+        self.masks.insert(name, mask);
     }
 
     /// Walk a block; returns the mask of its tail expression.
@@ -260,7 +285,7 @@ impl Walker<'_, '_> {
                         .clone()
                         .or_else(|| init.as_ref().and_then(|e| self.env.type_of(e)));
                     for name in bound {
-                        self.masks.insert(name.clone(), mask);
+                        self.bind(name.clone(), mask);
                         if let Some(t) = &inferred {
                             self.env.bind(name, t.clone());
                         }
@@ -309,7 +334,7 @@ impl Walker<'_, '_> {
                 let mask = self.eval(value);
                 match local(target) {
                     Some(var) => {
-                        self.masks.insert(var.clone(), mask);
+                        self.bind(var.clone(), mask);
                         if let Some(ty) = self.env.type_of(value) {
                             self.env.bind(var, ty);
                         }
@@ -328,7 +353,7 @@ impl Walker<'_, '_> {
             } => {
                 let cond_mask = self.eval(cond);
                 for name in bound {
-                    self.masks.insert(name.clone(), cond_mask);
+                    self.bind(name.clone(), cond_mask);
                 }
                 let mut mask = self.walk_block(then);
                 if let Some(e) = els {
@@ -347,7 +372,7 @@ impl Walker<'_, '_> {
                 let mut mask = 0;
                 for arm in arms {
                     for name in &arm.bound {
-                        self.masks.insert(name.clone(), scrut_mask);
+                        self.bind(name.clone(), scrut_mask);
                         if let Some(ty) = &payload_ty {
                             self.env.bind(name, ty.clone());
                         }
@@ -375,8 +400,8 @@ impl Walker<'_, '_> {
                     Expr::MethodCall { method, .. } if method == "enumerate"
                 ) && bound.len() == 2;
                 if enumerated {
-                    self.masks.insert(bound[0].clone(), 0);
-                    self.masks.insert(bound[1].clone(), mask);
+                    self.bind(bound[0].clone(), 0);
+                    self.bind(bound[1].clone(), mask);
                 } else {
                     self.bind_elements(bound, mask, iter_ty.as_ref());
                 }
@@ -386,7 +411,7 @@ impl Walker<'_, '_> {
             Expr::While { bound, cond, body } => {
                 let cond_mask = self.eval(cond);
                 for name in bound {
-                    self.masks.insert(name.clone(), cond_mask);
+                    self.bind(name.clone(), cond_mask);
                 }
                 self.walk_block(body);
                 0
@@ -396,7 +421,7 @@ impl Walker<'_, '_> {
                 // the method call): parameters carry nothing, captures
                 // keep their masks.
                 for name in params {
-                    self.masks.insert(name.clone(), 0);
+                    self.bind(name.clone(), 0);
                 }
                 self.eval(body)
             }
@@ -426,7 +451,10 @@ impl Walker<'_, '_> {
                     }
                     CallRole::Plain => {
                         let candidates = self.ws.resolve_call(callee, self.id);
-                        self.apply_callees(&candidates, &masks, callee_label(callee), *line, *col)
+                        let label = callee_label(callee);
+                        let ret = self.apply_callees(&candidates, &masks, label, *line, *col);
+                        self.clear_args(&candidates, args.iter());
+                        ret
                     }
                 }
             }
@@ -451,7 +479,7 @@ impl Walker<'_, '_> {
     /// up (`for (k, v) in map` with `Map<K, V>`).
     fn bind_elements(&mut self, bound: &[String], mask: u64, coll_ty: Option<&Ty>) {
         for name in bound {
-            self.masks.insert(name.clone(), mask);
+            self.bind(name.clone(), mask);
         }
         if let Some(ty) = coll_ty {
             let ty = ty.peeled();
@@ -555,7 +583,27 @@ impl Walker<'_, '_> {
             }
         }
         let candidates = self.ws.resolve_method(recv_ty.as_ref(), method);
-        self.apply_callees(&candidates, &masks, method, line, col)
+        let ret = self.apply_callees(&candidates, &masks, method, line, col);
+        self.clear_args(&candidates, std::iter::once(recv).chain(args));
+        ret
+    }
+
+    /// After a call: clear [`MARK`] on each argument variable that every
+    /// candidate callee clears in place (`order(&mut rows)` sorting
+    /// `rows`). `args` lines up with the callee's parameters.
+    fn clear_args<'e>(&mut self, candidates: &[FnId], args: impl Iterator<Item = &'e Expr>) {
+        let Some(clears) = candidates
+            .iter()
+            .map(|id| self.summaries[id.0].clears_param)
+            .reduce(|a, b| a & b)
+        else {
+            return;
+        };
+        for (i, arg) in args.enumerate().take(62) {
+            if clears & (1 << i) != 0 {
+                self.clear_mark(arg);
+            }
+        }
     }
 
     /// Fold callee summaries into the caller: compute the return mask,
@@ -615,6 +663,14 @@ impl Walker<'_, '_> {
             self.summary.param_sink |= mask & !MARK;
         }
     }
+}
+
+/// `expr` with any unary operators (`&mut`, `*`) stripped.
+fn peel_unary(mut expr: &Expr) -> &Expr {
+    while let Expr::Unary { inner } = expr {
+        expr = inner;
+    }
+    expr
 }
 
 /// The variable a single-segment path names.

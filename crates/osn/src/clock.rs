@@ -27,7 +27,7 @@ impl SimTime {
     pub const EPOCH: SimTime = SimTime(0);
 
     /// Construct from whole days since the epoch.
-    pub fn from_days(days: u64) -> Self {
+    pub const fn from_days(days: u64) -> Self {
         SimTime(days * MINUTES_PER_DAY)
     }
 
@@ -57,7 +57,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// From whole days.
-    pub fn from_days(days: u64) -> Self {
+    pub const fn from_days(days: u64) -> Self {
         SimDuration(days * MINUTES_PER_DAY)
     }
 

@@ -90,7 +90,7 @@ impl Default for StudyPeriods {
 impl StudyPeriods {
     /// The paper's timeline: 42-day summer period, 49-day winter period
     /// starting 152 days after the epoch.
-    pub fn paper() -> Self {
+    pub const fn paper() -> Self {
         Self {
             period1: (SimTime::from_days(0), SimTime::from_days(42)),
             period2: (SimTime::from_days(152), SimTime::from_days(201)),

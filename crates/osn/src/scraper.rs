@@ -103,7 +103,6 @@ impl RateLimiter {
 pub struct Scraper {
     limiter: RateLimiter,
     requests_made: u64,
-    observations: Vec<Observation>,
 }
 
 impl Scraper {
@@ -112,7 +111,6 @@ impl Scraper {
         Self {
             limiter: RateLimiter::new(requests_per_day),
             requests_made: 0,
-            observations: Vec::new(),
         }
     }
 
@@ -131,13 +129,11 @@ impl Scraper {
         self.limiter.admit(now)?;
         self.requests_made += 1;
         let account = world.account(id).ok_or(ScrapeError::UnknownAccount(id))?;
-        let obs = Observation {
+        Ok(Observation {
             account: id,
             at: now,
             status: account.status_at(now),
-        };
-        self.observations.push(obs);
-        Ok(obs)
+        })
     }
 
     /// Fetch the public comments visible on `id` at `now`.
@@ -167,11 +163,6 @@ impl Scraper {
     /// Total requests issued (probes + comment fetches).
     pub fn requests_made(&self) -> u64 {
         self.requests_made
-    }
-
-    /// Every observation recorded so far, in probe order.
-    pub fn observations(&self) -> &[Observation] {
-        &self.observations
     }
 }
 
@@ -205,7 +196,6 @@ mod tests {
             late.status,
             w.account(id).unwrap().status_at(SimTime::from_days(60))
         );
-        assert_eq!(s.observations().len(), 2);
         assert_eq!(s.requests_made(), 2);
     }
 

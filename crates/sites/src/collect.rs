@@ -87,10 +87,12 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Create a collector with a fresh [`SiteHub`].
-    pub fn new(seed: u64) -> Self {
+    /// Create a collector with a fresh [`SiteHub`]. The sites simulate
+    /// nothing random, so no state depends on `seed`; fault plans carry
+    /// their own seed.
+    pub fn new(_seed: u64) -> Self {
         Self {
-            hub: SiteHub::new(seed),
+            hub: SiteHub::new(),
             stats_p1: CollectionStats::default(),
             stats_p2: CollectionStats::default(),
             faults: None,
@@ -226,7 +228,7 @@ impl Collector {
         }
     }
 
-    /// The underlying sites (deletion surveys, board inspection).
+    /// The underlying sites (deletion survey, per-site posting counts).
     pub fn hub(&self) -> &SiteHub {
         &self.hub
     }
@@ -397,7 +399,7 @@ mod tests {
             "every generated document is either delivered or an explicit gap"
         );
         assert_eq!(
-            collector.hub().total_ingested() as u64,
+            collector.hub().total_ingested(),
             total,
             "the sites saw every post even when the collector missed it"
         );
@@ -452,7 +454,7 @@ mod tests {
     #[test]
     fn hub_sees_every_document() {
         let (world, alloc, config) = setup();
-        let total = config.total_documents() as usize;
+        let total = config.total_documents();
         let mut gen = CorpusGenerator::new(&world, &alloc, config);
         let mut collector = Collector::new(9);
         let _ = collector.collect_period(&mut gen, 1, &mut |_| ControlFlow::Continue(()));

@@ -1,57 +1,36 @@
 //! The five sites together.
 //!
-//! [`SiteHub`] ingests the synthetic document stream, routing each document
-//! to its service: pastebin records paste metadata (with precomputed
-//! deletion times from the Table 3 model), chan boards assign posts to
-//! threads. The hub is the stateful "internet" the collection client
-//! scrapes.
+//! [`SiteHub`] ingests the synthetic document stream, routing each
+//! document to its service: pastebin tallies the Table 3 deletion survey
+//! from the paste's precomputed deletion time; every site counts its
+//! postings. No site keeps a record per post, so the hub's memory does
+//! not grow with the corpus. The hub is the stateful "internet" the
+//! collection client scrapes.
 
-use crate::chan::SimChanBoard;
 use crate::pastebin::SimPastebin;
 use dox_synth::corpus::{Source, SynthDoc};
 
 /// The five text-sharing sites.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SiteHub {
     pastebin: SimPastebin,
-    chan4_b: SimChanBoard,
-    chan4_pol: SimChanBoard,
-    chan8_pol: SimChanBoard,
-    chan8_baphomet: SimChanBoard,
+    /// Postings per site, indexed by `Source as usize`.
+    ingested: [u64; Source::ALL.len()],
 }
 
 impl SiteHub {
     /// Create the sites.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            pastebin: SimPastebin::new(),
-            chan4_b: SimChanBoard::new("b", 150, seed ^ 1),
-            chan4_pol: SimChanBoard::new("pol", 200, seed ^ 2),
-            chan8_pol: SimChanBoard::new("pol8", 80, seed ^ 3),
-            chan8_baphomet: SimChanBoard::new("baphomet", 40, seed ^ 4),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Ingest one document from the synthetic stream.
     pub fn ingest(&mut self, doc: &SynthDoc) {
-        match doc.source {
-            Source::Pastebin => {
-                let deleted_at = doc.deleted_after.map(|d| doc.posted_at + d);
-                self.pastebin.post(doc.id, doc.posted_at, deleted_at);
-            }
-            Source::Chan4B => {
-                self.chan4_b.post(doc.id, doc.posted_at);
-            }
-            Source::Chan4Pol => {
-                self.chan4_pol.post(doc.id, doc.posted_at);
-            }
-            Source::Chan8Pol => {
-                self.chan8_pol.post(doc.id, doc.posted_at);
-            }
-            Source::Chan8Baphomet => {
-                self.chan8_baphomet.post(doc.id, doc.posted_at);
-            }
+        if doc.source == Source::Pastebin {
+            let deleted_at = doc.deleted_after.map(|d| doc.posted_at + d);
+            self.pastebin.post(doc.id, doc.posted_at, deleted_at);
         }
+        self.ingested[doc.source as usize] += 1;
     }
 
     /// The pastebin service (deletion surveys).
@@ -59,24 +38,14 @@ impl SiteHub {
         &self.pastebin
     }
 
-    /// A chan board by source; `None` for [`Source::Pastebin`].
-    pub fn board(&self, source: Source) -> Option<&SimChanBoard> {
-        match source {
-            Source::Pastebin => None,
-            Source::Chan4B => Some(&self.chan4_b),
-            Source::Chan4Pol => Some(&self.chan4_pol),
-            Source::Chan8Pol => Some(&self.chan8_pol),
-            Source::Chan8Baphomet => Some(&self.chan8_baphomet),
-        }
+    /// Documents posted to `source`.
+    pub fn ingested(&self, source: Source) -> u64 {
+        self.ingested[source as usize]
     }
 
     /// Total documents ingested across all sites.
-    pub fn total_ingested(&self) -> usize {
-        self.pastebin.len()
-            + self.chan4_b.posts().len()
-            + self.chan4_pol.posts().len()
-            + self.chan8_pol.posts().len()
-            + self.chan8_baphomet.posts().len()
+    pub fn total_ingested(&self) -> u64 {
+        self.ingested.iter().sum()
     }
 }
 
@@ -93,9 +62,10 @@ mod tests {
         let world = World::generate(&WorldConfig::default(), 1);
         let alloc = Allocation::generate(&world, &AllocConfig::default(), 1);
         let config = SynthConfig::test_scale();
-        let expected = config.total_documents() as usize;
+        let expected = config.total_documents();
+        let p2_chan_b = config.period2.chan4_b.total;
         let mut gen = CorpusGenerator::new(&world, &alloc, config);
-        let mut hub = SiteHub::new(1);
+        let mut hub = SiteHub::new();
         let mut sink = |d: dox_synth::corpus::SynthDoc| {
             hub.ingest(&d);
             std::ops::ControlFlow::Continue(())
@@ -103,8 +73,9 @@ mod tests {
         let _ = gen.generate_period(1, &mut sink);
         let _ = gen.generate_period(2, &mut sink);
         assert_eq!(hub.total_ingested(), expected);
-        assert!(!hub.pastebin().is_empty());
-        assert!(!hub.board(Source::Chan4B).unwrap().posts().is_empty());
-        assert!(hub.board(Source::Pastebin).is_none());
+        assert!(hub.ingested(Source::Pastebin) > 0);
+        assert!(hub.ingested(Source::Chan4B) >= p2_chan_b);
+        let survey = hub.pastebin().deletion_survey([]);
+        assert!(survey.other_total > 0 && survey.other_total < hub.ingested(Source::Pastebin));
     }
 }

@@ -7,13 +7,10 @@
 //! `/pol/`,`/baphomet/`. This crate stands in for those services:
 //!
 //! - [`hub`] — [`hub::SiteHub`]: the five sites, ingesting the synthetic
-//!   document stream and recording per-document metadata (source, posting
-//!   time, deletion time) for the accounting and validation analyses.
-//! - [`pastebin`] — the pastebin-like service: per-paste availability
-//!   checks (drives the Table 3 deletion survey) and a paged scrape API.
-//! - [`chan`] — chan-board structure: posts grouped into threads, board
-//!   catalogs (the measurement pipeline only needs the post bodies, but
-//!   the thread structure keeps ingestion realistic).
+//!   document stream: per-site posting counts, and the pastebin's
+//!   deletion tally.
+//! - [`pastebin`] — the pastebin-like service: the Table 3 deletion
+//!   survey, tallied as each paste is posted, with no per-paste archive.
 //! - [`collect`] — the collection client: merges the sites' feeds into one
 //!   chronological stream of [`collect::CollectedDoc`]s with per-source
 //!   counters (Figure 1's input volumes).
@@ -21,7 +18,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod chan;
 pub mod collect;
 pub mod hub;
 pub mod pastebin;

@@ -6,32 +6,41 @@
 //!    posted. The [`crate::collect::Collector`] consumes this.
 //! 2. **Per-paste availability**: a paste can later be deleted (by the
 //!    poster, by an expiry date, or after an abuse report). The paper's
-//!    Table 3 survey re-visits period-1 pastes a month later and compares
-//!    deletion rates of dox vs non-dox files; [`SimPastebin::is_available`]
-//!    and [`SimPastebin::deletion_survey`] reproduce that protocol.
+//!    Table 3 survey re-visits period-1 pastes [`SURVEY_DELAY`] after
+//!    posting and compares deletion rates of dox vs non-dox files.
+//!
+//! The survey needs one fact per window paste — was it gone at its check
+//! time? — and the deletion time is known when the paste is posted, so
+//! [`SimPastebin::post`] tallies it then. The service keeps no per-paste
+//! archive: its state is the window's paste count plus the ids of the
+//! window pastes deleted by their check time (~20k at paper scale), and
+//! [`SimPastebin::deletion_survey`] joins those with the pipeline's dox
+//! labels at the end of the run.
 
-use dox_osn::clock::SimTime;
+use dox_osn::clock::{SimDuration, SimTime};
+use dox_osn::filters::StudyPeriods;
+use dox_synth::corpus::Source;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
-/// Metadata the service retains per paste (bodies are not stored — the
-/// collection feed hands them through at posting time, and the deletion
-/// survey needs only status).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct PasteMeta {
-    /// Document id (shared with the synthetic stream).
-    pub id: u64,
-    /// Posting time.
-    pub posted_at: SimTime,
-    /// Deletion time, if the paste was ever deleted.
-    pub deleted_at: Option<SimTime>,
+/// The Table 3 survey window, `[start, end)`: collection period 1.
+pub const SURVEY_WINDOW: (SimTime, SimTime) = StudyPeriods::paper().period1;
+
+/// How long after posting the survey checks whether a paste is gone.
+pub const SURVEY_DELAY: SimDuration = SimDuration::from_days(30);
+
+/// Whether a paste posted at `t` is in [`SURVEY_WINDOW`].
+fn in_window(t: SimTime) -> bool {
+    SURVEY_WINDOW.0 <= t && t < SURVEY_WINDOW.1
 }
 
-/// The simulated pastebin service.
+/// The simulated pastebin service: the Table 3 survey's running tally.
 #[derive(Debug, Clone, Default)]
 pub struct SimPastebin {
-    pastes: Vec<PasteMeta>,
-    index: HashMap<u64, usize>,
+    /// Pastes posted in the survey window.
+    window_posted: u64,
+    /// Ids of window pastes deleted by their check time.
+    window_deleted: BTreeSet<u64>,
 }
 
 /// The Table 3 survey result.
@@ -75,183 +84,83 @@ impl SimPastebin {
 
     /// Record a posted paste. `deleted_at` is precomputed by the corpus
     /// model (Table 3 rates); `None` means the paste is never deleted.
-    ///
-    /// # Panics
-    /// Panics on duplicate ids.
+    /// A paste in [`SURVEY_WINDOW`] counts as deleted when it is gone at
+    /// its check time, `posted_at + SURVEY_DELAY` (a deletion at exactly
+    /// that time counts).
     pub fn post(&mut self, id: u64, posted_at: SimTime, deleted_at: Option<SimTime>) {
-        assert!(
-            self.index.insert(id, self.pastes.len()).is_none(),
-            "paste id {id} posted twice"
-        );
-        self.pastes.push(PasteMeta {
-            id,
-            posted_at,
-            deleted_at,
-        });
-    }
-
-    /// Number of recorded pastes.
-    pub fn len(&self) -> usize {
-        self.pastes.len()
-    }
-
-    /// True when no pastes are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pastes.is_empty()
-    }
-
-    /// Whether paste `id` is still retrievable at `at`. Unknown ids are
-    /// unavailable.
-    pub fn is_available(&self, id: u64, at: SimTime) -> bool {
-        match self.index.get(&id) {
-            Some(&i) => {
-                let p = &self.pastes[i];
-                p.posted_at <= at && p.deleted_at.is_none_or(|d| d > at)
-            }
-            None => false,
+        if !in_window(posted_at) {
+            return;
+        }
+        self.window_posted += 1;
+        if deleted_at.is_some_and(|d| d <= posted_at + SURVEY_DELAY) {
+            self.window_deleted.insert(id);
         }
     }
 
-    /// Metadata of paste `id`.
-    pub fn meta(&self, id: u64) -> Option<PasteMeta> {
-        self.index.get(&id).map(|&i| self.pastes[i])
-    }
-
-    /// The paid scraping API: return up to `limit` paste ids posted at or
-    /// after `since`, oldest first, together with a cursor for the next
-    /// page (`None` when the listing is exhausted). Deleted pastes still
-    /// appear in the listing — the API reports postings; availability is a
-    /// separate check, exactly the split the Table 3 survey relies on.
+    /// Run the Table 3 protocol: every paste posted in [`SURVEY_WINDOW`],
+    /// checked [`SURVEY_DELAY`] after posting, split by whether the
+    /// pipeline labeled it a dox.
+    ///
+    /// `labeled` yields the source, id and posting time of each document
+    /// the pipeline labeled dox, in any order; chan posts, pastes outside
+    /// the window and repeated ids are skipped.
     ///
     /// # Panics
-    /// Panics when `limit == 0`.
-    pub fn scrape_page(
-        &self,
-        since: SimTime,
-        cursor: Option<usize>,
-        limit: usize,
-    ) -> (Vec<PasteMeta>, Option<usize>) {
-        assert!(limit > 0, "page limit must be positive");
-        let start = cursor.unwrap_or_else(|| self.pastes.partition_point(|p| p.posted_at < since));
-        let end = (start + limit).min(self.pastes.len());
-        let page = self.pastes[start..end].to_vec();
-        let next = (end < self.pastes.len()).then_some(end);
-        (page, next)
-    }
-
-    /// Run the Table 3 protocol: for every paste posted in
-    /// `[window.0, window.1)`, check availability one `survey_delay` after
-    /// posting, splitting by whether the pipeline labeled it a dox
-    /// (`is_dox(id)`).
+    /// Panics when `labeled` names more window pastes than were posted.
     pub fn deletion_survey(
         &self,
-        window: (SimTime, SimTime),
-        survey_delay: dox_osn::clock::SimDuration,
-        is_dox: &dyn Fn(u64) -> bool,
+        labeled: impl IntoIterator<Item = (Source, u64, SimTime)>,
     ) -> DeletionSurvey {
-        let mut s = DeletionSurvey::default();
-        for p in &self.pastes {
-            if p.posted_at < window.0 || p.posted_at >= window.1 {
-                continue;
-            }
-            let check_at = p.posted_at + survey_delay;
-            let deleted = !self.is_available(p.id, check_at);
-            if is_dox(p.id) {
-                s.dox_total += 1;
-                s.dox_deleted += u64::from(deleted);
-            } else {
-                s.other_total += 1;
-                s.other_deleted += u64::from(deleted);
-            }
+        let dox: BTreeSet<u64> = labeled
+            .into_iter()
+            .filter(|&(source, _, posted_at)| source == Source::Pastebin && in_window(posted_at))
+            .map(|(_, id, _)| id)
+            .collect();
+        let dox_total = dox.len() as u64;
+        assert!(
+            dox_total <= self.window_posted,
+            "{dox_total} labeled window pastes but only {} posted",
+            self.window_posted
+        );
+        let dox_deleted = dox.intersection(&self.window_deleted).count() as u64;
+        DeletionSurvey {
+            dox_total,
+            dox_deleted,
+            other_total: self.window_posted - dox_total,
+            other_deleted: self.window_deleted.len() as u64 - dox_deleted,
         }
-        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dox_osn::clock::SimDuration;
 
-    #[test]
-    fn availability_respects_post_and_delete_times() {
-        let mut pb = SimPastebin::new();
-        pb.post(1, SimTime::from_days(5), Some(SimTime::from_days(10)));
-        assert!(!pb.is_available(1, SimTime::from_days(4)));
-        assert!(pb.is_available(1, SimTime::from_days(5)));
-        assert!(pb.is_available(1, SimTime::from_days(9)));
-        assert!(!pb.is_available(1, SimTime::from_days(10)));
-        assert!(!pb.is_available(99, SimTime::from_days(5)));
+    fn day(d: u64) -> SimTime {
+        SimTime::from_days(d)
     }
 
-    #[test]
-    fn never_deleted_pastes_stay_available() {
-        let mut pb = SimPastebin::new();
-        pb.post(2, SimTime::from_days(1), None);
-        assert!(pb.is_available(2, SimTime::from_days(10_000)));
-    }
-
-    #[test]
-    #[should_panic(expected = "posted twice")]
-    fn duplicate_id_panics() {
-        let mut pb = SimPastebin::new();
-        pb.post(1, SimTime::EPOCH, None);
-        pb.post(1, SimTime::EPOCH, None);
-    }
-
-    #[test]
-    fn scrape_pages_cover_the_listing_once() {
-        let mut pb = SimPastebin::new();
-        for i in 0..25 {
-            pb.post(i, SimTime::from_days(i), None);
-        }
-        let mut collected = Vec::new();
-        let mut cursor = None;
-        loop {
-            let (page, next) = pb.scrape_page(SimTime::from_days(5), cursor, 10);
-            assert!(page.len() <= 10);
-            collected.extend(page.into_iter().map(|p| p.id));
-            match next {
-                Some(c) => cursor = Some(c),
-                None => break,
-            }
-        }
-        // Ids 5..=24, oldest first, each exactly once.
-        assert_eq!(collected, (5..25).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn scrape_lists_deleted_pastes_too() {
-        let mut pb = SimPastebin::new();
-        pb.post(1, SimTime::from_days(1), Some(SimTime::from_days(2)));
-        let (page, next) = pb.scrape_page(SimTime::EPOCH, None, 10);
-        assert_eq!(page.len(), 1);
-        assert!(next.is_none());
-        assert!(!pb.is_available(1, SimTime::from_days(3)));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_page_limit_panics() {
-        SimPastebin::new().scrape_page(SimTime::EPOCH, None, 0);
+    fn paste(id: u64, posted_at: SimTime) -> (Source, u64, SimTime) {
+        (Source::Pastebin, id, posted_at)
     }
 
     #[test]
     fn survey_splits_by_label_and_window() {
         let mut pb = SimPastebin::new();
         // two doxes in-window, one deleted within 30 days
-        pb.post(1, SimTime::from_days(1), Some(SimTime::from_days(8)));
-        pb.post(2, SimTime::from_days(2), None);
+        pb.post(1, day(1), Some(day(8)));
+        pb.post(2, day(2), None);
         // two others, one deleted
-        pb.post(3, SimTime::from_days(3), Some(SimTime::from_days(20)));
-        pb.post(4, SimTime::from_days(4), None);
+        pb.post(3, day(3), Some(day(20)));
+        pb.post(4, day(4), None);
         // out-of-window dox, ignored
-        pb.post(5, SimTime::from_days(100), Some(SimTime::from_days(101)));
-        let survey = pb.deletion_survey(
-            (SimTime::EPOCH, SimTime::from_days(42)),
-            SimDuration::from_days(30),
-            &|id| id <= 2,
-        );
+        pb.post(5, day(100), Some(day(101)));
+        let survey = pb.deletion_survey([
+            paste(1, day(1)),
+            paste(2, day(2)),
+            paste(5, day(100)),
+            (Source::Chan4Pol, 6, day(5)),
+        ]);
         assert_eq!(survey.dox_total, 2);
         assert_eq!(survey.dox_deleted, 1);
         assert_eq!(survey.other_total, 2);
@@ -262,23 +171,33 @@ mod tests {
     #[test]
     fn deletion_after_survey_horizon_not_counted() {
         let mut pb = SimPastebin::new();
-        pb.post(1, SimTime::from_days(1), Some(SimTime::from_days(35)));
-        let survey = pb.deletion_survey(
-            (SimTime::EPOCH, SimTime::from_days(42)),
-            SimDuration::from_days(30),
-            &|_| true,
+        pb.post(1, day(1), Some(day(35)));
+        pb.post(2, day(1), Some(day(31)));
+        let survey = pb.deletion_survey([paste(1, day(1)), paste(2, day(1))]);
+        assert_eq!(
+            survey.dox_deleted, 1,
+            "day 35 > day 31 check; day 31 is the check itself"
         );
-        assert_eq!(survey.dox_deleted, 0, "deleted at day 35 > day 31 check");
+    }
+
+    #[test]
+    fn repeated_labels_count_once() {
+        let mut pb = SimPastebin::new();
+        pb.post(1, day(1), Some(day(2)));
+        let survey = pb.deletion_survey([paste(1, day(1)), paste(1, day(1))]);
+        assert_eq!((survey.dox_total, survey.dox_deleted), (1, 1));
+        assert_eq!((survey.other_total, survey.other_deleted), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "labeled window pastes")]
+    fn labels_for_unposted_window_pastes_panic() {
+        SimPastebin::new().deletion_survey([paste(1, day(1))]);
     }
 
     #[test]
     fn empty_survey_rates_are_zero() {
-        let pb = SimPastebin::new();
-        let s = pb.deletion_survey(
-            (SimTime::EPOCH, SimTime::from_days(1)),
-            SimDuration::from_days(30),
-            &|_| true,
-        );
+        let s = SimPastebin::new().deletion_survey([]);
         assert_eq!(s.dox_rate(), 0.0);
         assert_eq!(s.other_rate(), 0.0);
     }

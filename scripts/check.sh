@@ -75,6 +75,9 @@ scripts/chaos_smoke.sh
 step "serve smoke test (daemon ingest, SIGTERM drain, resume, byte-compare)"
 scripts/serve_smoke.sh
 
+step "paper-scale gate (repro --scale 1.0: checked-in report bytes, peak RSS <= 80 MiB)"
+scripts/paper_scale_gate.sh
+
 step "overload gate (10x burst: shed, quota, deadline, recovery, flat RSS)"
 scripts/overload_gate.sh
 

@@ -249,36 +249,6 @@ proptest! {
         prop_assert!(seen.iter().all(|&c| c == 1));
     }
 
-    // ---------- pastebin scrape pagination ----------
-
-    #[test]
-    fn scrape_pages_partition_the_listing(
-        n in 0u64..120,
-        limit in 1usize..40,
-        since_day in 0u64..50,
-    ) {
-        use doxing_repro::osn::clock::SimTime;
-        use doxing_repro::sites::pastebin::SimPastebin;
-        let mut pb = SimPastebin::new();
-        for i in 0..n {
-            pb.post(i, SimTime::from_days(i), None);
-        }
-        let since = SimTime::from_days(since_day);
-        let mut seen = Vec::new();
-        let mut cursor = None;
-        loop {
-            let (page, next) = pb.scrape_page(since, cursor, limit);
-            prop_assert!(page.len() <= limit);
-            seen.extend(page.iter().map(|p| p.id));
-            match next {
-                Some(c) => cursor = Some(c),
-                None => break,
-            }
-        }
-        let expected: Vec<u64> = (since_day.min(n)..n).collect();
-        prop_assert_eq!(seen, expected);
-    }
-
     // ---------- subtle detector ----------
 
     #[test]
