@@ -14,7 +14,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dox_bench::BenchFixture;
 use dox_core::pipeline::Pipeline;
 use dox_core::training::DoxClassifier;
-use dox_engine::{DedupSpillConfig, DoxDetector, Engine, EngineFaults, StoreCheckpoint};
+use dox_engine::{
+    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, StoreCheckpoint,
+};
 use dox_fault::{FaultPlanConfig, RetryPolicy};
 use dox_obs::{Registry, TraceConfig, Tracer};
 use dox_sites::collect::{CollectedDoc, Collector};
@@ -84,11 +86,13 @@ impl EngineFixture {
         shards: usize,
         faults: Option<EngineFaults>,
     ) -> usize {
-        let mut builder = Engine::builder().workers(workers).shards(shards);
-        if let Some(faults) = faults {
-            builder = builder.faults(faults);
-        }
-        let engine = builder.build().expect("valid engine config");
+        let engine = Engine::from_config(EngineConfig {
+            workers,
+            shards,
+            faults,
+            ..EngineConfig::default()
+        })
+        .expect("valid engine config");
         let detector: Arc<dyn DoxDetector> = self.classifier.clone();
         let mut session = engine
             .session_builder()
@@ -109,11 +113,12 @@ impl EngineFixture {
     /// disabled fast path (one relaxed atomic load per stage), anything
     /// else the cost of actually recording hops for that share of docs.
     fn run_engine_traced(&self, workers: usize, shards: usize, sample_ppm: u32) -> usize {
-        let engine = Engine::builder()
-            .workers(workers)
-            .shards(shards)
-            .build()
-            .expect("valid engine config");
+        let engine = Engine::from_config(EngineConfig {
+            workers,
+            shards,
+            ..EngineConfig::default()
+        })
+        .expect("valid engine config");
         let detector: Arc<dyn DoxDetector> = self.classifier.clone();
         let tracer = if sample_ppm == 0 {
             Tracer::disabled()
@@ -153,11 +158,12 @@ impl EngineFixture {
         let registry = Registry::new();
         let store = Arc::new(Store::open(dir, &registry).expect("store opens"));
         let mut checkpoint = StoreCheckpoint::new(Arc::clone(&store), "bench");
-        let engine = Engine::builder()
-            .workers(workers)
-            .shards(shards)
-            .build()
-            .expect("valid engine config");
+        let engine = Engine::from_config(EngineConfig {
+            workers,
+            shards,
+            ..EngineConfig::default()
+        })
+        .expect("valid engine config");
         let detector: Arc<dyn DoxDetector> = self.classifier.clone();
         let mut session = engine
             .session_builder()
@@ -207,11 +213,12 @@ impl EngineFixture {
                     .expect("checkpoint loads")
                     .expect("checkpoint exists")
                     .session;
-                let engine = Engine::builder()
-                    .workers(workers)
-                    .shards(shards)
-                    .build()
-                    .expect("valid engine config");
+                let engine = Engine::from_config(EngineConfig {
+                    workers,
+                    shards,
+                    ..EngineConfig::default()
+                })
+                .expect("valid engine config");
                 let detector: Arc<dyn DoxDetector> = self.classifier.clone();
                 let session = engine
                     .session_builder()

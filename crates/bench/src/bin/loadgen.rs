@@ -1,22 +1,10 @@
-//! Load generator for the `dox-serve` service mode.
+//! Load generator for the `dox-serve` service mode. Steady-state ingest
+//! throughput is measured by perfbench's `--workload serve`; this binary
+//! keeps the modes the serve scripts drive.
 //!
-//! Boots the service router in-process on an ephemeral port, creates
-//! N tenants, and drives each over its own raw `TcpStream` with
-//! keep-alive `POST /v1/ingest` batches drawn from the tenant's own
-//! deterministic document stream. Records sustained request and
-//! document throughput, ingest latency quantiles, and *alert lag* —
-//! the wall-clock time from submitting a batch that commits a dox to
-//! that dox being readable on the `GET /v1/alerts` cursor — then
-//! writes `BENCH_serve.json` at the workspace root.
-//!
-//! ```text
-//! cargo run --release -p dox-bench --bin loadgen
-//! DOX_BENCH_SAMPLES=5 cargo run --release -p dox-bench --bin loadgen
-//! ```
-//!
-//! Two auxiliary modes serve `scripts/serve_smoke.sh`, which drives an
-//! *external* `dox-serve` daemon and needs the service and batch sides
-//! derived from the exact same [`TenantSpec`] → `StudyConfig` mapping:
+//! Two modes serve `scripts/serve_smoke.sh`, which drives an *external*
+//! `dox-serve` daemon and needs the service and batch sides derived from
+//! the exact same [`TenantSpec`] → `StudyConfig` mapping:
 //!
 //! ```text
 //! loadgen client --addr <host:port> --id t0 --seed 99 [--create]
@@ -38,12 +26,12 @@
 //! answer 503 + `Retry-After`, quota breaches answer 429, the backlog
 //! gauge never exceeds its bound, admitted p99 stays within the
 //! deadline budget, memory stays flat, and a closed-loop recovery pass
-//! returns to 100% goodput — and merges an `"overload"` section into
-//! `BENCH_serve.json`.
+//! returns to 100% goodput — and writes its results as the `"overload"`
+//! section of `BENCH_serve.json`.
 
 use dox_core::study::Study;
 use dox_fault::{Fault, FaultDomain, FaultPlan, FaultPlanConfig};
-use dox_obs::http::{ServerConfig, DEFAULT_MAX_BODY};
+use dox_obs::http::ServerConfig;
 use dox_obs::{HttpServer, Registry, Tracer};
 use dox_serve::{router, QuotaSpec, ServeState, TenantSpec};
 use serde::value::{Number, Value};
@@ -56,19 +44,14 @@ use std::time::{Duration, Instant};
 
 /// Study scale per tenant (matches `bench_engine`'s corpus scale).
 const SCALE: f64 = 0.01;
-/// Documents each tenant ingests per round.
+/// Documents of the overload corpus.
 const DOCS_PER_TENANT: usize = 600;
 /// Documents per `POST /v1/ingest` request.
 const BATCH_DOCS: usize = 30;
-/// HTTP worker threads serving the socket.
-const HTTP_WORKERS: usize = 8;
-/// Tenant counts to sweep (the contended point is the interesting one).
-const TENANT_COUNTS: [usize; 3] = [1, 2, 4];
 /// Engine topology per tenant, fixed for reproducibility.
 const TENANT_WORKERS: usize = 2;
 const TENANT_SHARDS: usize = 8;
-/// Seed for tenant `i` is `BASE_SEED + i`: distinct corpora, distinct
-/// detectors, so tenants do not share any cache-warm state.
+/// Default `--seed` of the smoke modes.
 const BASE_SEED: u64 = 40;
 
 fn spec(id: &str, seed: u64) -> TenantSpec {
@@ -149,114 +132,6 @@ fn read_response(stream: &mut TcpStream) -> (u16, String) {
     let mut body = vec![0u8; content_length];
     stream.read_exact(&mut body).expect("response body");
     (status, String::from_utf8_lossy(&body).to_string())
-}
-
-/// What one tenant's client thread measured.
-struct ClientStats {
-    ingest_ns: Vec<u64>,
-    alert_lag_ns: Vec<u64>,
-    requests: usize,
-    docs: usize,
-    alerts_seen: u64,
-}
-
-/// Drive one tenant: sequential keep-alive ingest batches, with an
-/// alert-cursor read after every batch that committed something.
-fn drive_tenant(addr: &str, id: &str, batches: &[(u8, Vec<Value>)]) -> ClientStats {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut stats = ClientStats {
-        ingest_ns: Vec::new(),
-        alert_lag_ns: Vec::new(),
-        requests: 0,
-        docs: 0,
-        alerts_seen: 0,
-    };
-    let mut cursor = 0u64;
-    for (period, docs) in batches {
-        let body = serde_json::to_string(&Value::Object(vec![
-            ("tenant".to_string(), Value::String(id.to_string())),
-            (
-                "period".to_string(),
-                Value::Number(Number::U64(u64::from(*period))),
-            ),
-            ("docs".to_string(), Value::Array(docs.clone())),
-        ]))
-        .expect("batch serializes");
-        let sent = Instant::now();
-        let (status, response) = roundtrip(&mut stream, "POST", "/v1/ingest", &body);
-        let ingest_done = sent.elapsed();
-        assert_eq!(status, 200, "ingest failed: {response}");
-        stats.ingest_ns.push(ingest_done.as_nanos() as u64);
-        stats.requests += 1;
-        stats.docs += docs.len();
-
-        let outcome: Value = serde_json::from_str(&response).expect("outcome JSON");
-        let committed = outcome.get("doxes").and_then(Value::as_u64).unwrap_or(0)
-            + outcome
-                .get("duplicates")
-                .and_then(Value::as_u64)
-                .unwrap_or(0);
-        if committed > 0 {
-            // Alert lag: submit-to-visible for this batch's doxes.
-            let path = format!("/v1/alerts?tenant={id}&cursor={cursor}");
-            let (status, page) = roundtrip(&mut stream, "GET", &path, "");
-            assert_eq!(status, 200, "alerts failed: {page}");
-            let page: Value = serde_json::from_str(&page).expect("alerts JSON");
-            let next = page.get("cursor").and_then(Value::as_u64).expect("cursor");
-            assert_eq!(
-                next - cursor,
-                committed,
-                "alerts visible immediately after ingest"
-            );
-            stats.alert_lag_ns.push(sent.elapsed().as_nanos() as u64);
-            stats.alerts_seen += committed;
-            cursor = next;
-        }
-    }
-    stats
-}
-
-/// One measured round at a given tenant count: fresh server, fresh
-/// tenants, one client thread per tenant. Returns wall seconds plus
-/// the merged per-thread stats.
-fn run_round(count: usize, batch_sets: &[Vec<(u8, Vec<Value>)>]) -> (f64, Vec<ClientStats>) {
-    let state = Arc::new(ServeState::new(Registry::new()));
-    let server = HttpServer::start(
-        "127.0.0.1:0",
-        router(Arc::clone(&state), &Tracer::disabled()),
-        HTTP_WORKERS,
-        DEFAULT_MAX_BODY,
-    )
-    .expect("server binds");
-    let addr = server.local_addr().to_string();
-
-    // Tenant creation (detector training) happens before the clock.
-    for (i, _) in batch_sets.iter().enumerate().take(count) {
-        let body = serde_json::to_string(&spec(&format!("t{i}"), BASE_SEED + i as u64).to_value())
-            .expect("spec serializes");
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        let (status, response) = roundtrip(&mut stream, "POST", "/v1/tenants", &body);
-        assert_eq!(status, 201, "tenant create failed: {response}");
-    }
-
-    let started = Instant::now();
-    let stats: Vec<ClientStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..count)
-            .map(|i| {
-                let addr = addr.clone();
-                let batches = &batch_sets[i];
-                scope.spawn(move || drive_tenant(&addr, &format!("t{i}"), batches))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let seconds = started.elapsed().as_secs_f64();
-    server.stop();
-    (seconds, stats)
 }
 
 /// Quantile (by rank) of a sorted nanosecond series, in milliseconds.
@@ -691,23 +566,10 @@ fn bench_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json")
 }
 
-/// Merge the overload section into `BENCH_serve.json`, preserving the
-/// throughput rows the default bench mode wrote (and vice versa).
+/// Write `BENCH_serve.json` as the overload section alone.
 fn write_overload_section(section: Value) {
     let path = bench_path();
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
-        .unwrap_or_else(|| Value::Object(Vec::new()));
-    if !matches!(doc, Value::Object(_)) {
-        doc = Value::Object(Vec::new());
-    }
-    if let Value::Object(fields) = &mut doc {
-        match fields.iter_mut().find(|(k, _)| k == "overload") {
-            Some((_, slot)) => *slot = section,
-            None => fields.push(("overload".to_string(), section)),
-        }
-    }
+    let doc = Value::Object(vec![("overload".to_string(), section)]);
     let text = format!("{}\n", pretty(&doc, 0));
     match std::fs::write(path, text) {
         Ok(()) => println!("wrote {path} (overload section)"),
@@ -1064,96 +926,21 @@ fn run_overload() {
     }
 }
 
+const USAGE: &str = "usage: loadgen client --addr <host:port> --id <id> --seed <n> [--create] \
+                     [--half first|second] [--report <path>]
+       loadgen batch --seed <n> --out <path>
+       loadgen overload";
+
 fn main() {
     let mut argv = std::env::args();
     argv.next(); // program name
     match argv.next().as_deref() {
-        Some("client") => return run_client(&parse_smoke_args(argv)),
-        Some("batch") => return run_batch(&parse_smoke_args(argv)),
-        Some("overload") => return run_overload(),
-        Some(other) => panic!("unknown mode {other:?} (expected client|batch|overload|none)"),
-        None => {}
-    }
-    let samples = std::env::var("DOX_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(3);
-
-    let max_tenants = TENANT_COUNTS.iter().copied().max().unwrap_or(1);
-    eprintln!("loadgen: rendering {max_tenants} tenant corpora (scale {SCALE}) ...");
-    let batch_sets: Vec<Vec<(u8, Vec<Value>)>> = (0..max_tenants)
-        .map(|i| batches_for_seed(BASE_SEED + i as u64))
-        .collect();
-
-    let mut entries = Vec::new();
-    for count in TENANT_COUNTS {
-        let mut best_seconds = f64::INFINITY;
-        let mut ingest_ns: Vec<u64> = Vec::new();
-        let mut alert_ns: Vec<u64> = Vec::new();
-        let mut requests = 0usize;
-        let mut docs = 0usize;
-        let mut alerts = 0u64;
-        for sample in 0..samples {
-            let (seconds, stats) = run_round(count, &batch_sets);
-            if seconds < best_seconds {
-                best_seconds = seconds;
-                requests = stats.iter().map(|s| s.requests).sum();
-                docs = stats.iter().map(|s| s.docs).sum();
-                alerts = stats.iter().map(|s| s.alerts_seen).sum();
-            }
-            for s in &stats {
-                ingest_ns.extend_from_slice(&s.ingest_ns);
-                alert_ns.extend_from_slice(&s.alert_lag_ns);
-            }
-            eprintln!(
-                "loadgen: t{count} sample {}/{samples}: {seconds:.3}s",
-                sample + 1
-            );
+        Some("client") => run_client(&parse_smoke_args(argv)),
+        Some("batch") => run_batch(&parse_smoke_args(argv)),
+        Some("overload") => run_overload(),
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         }
-        ingest_ns.sort_unstable();
-        alert_ns.sort_unstable();
-        entries.push(format!(
-            "    {{ \"config\": \"serve t{count}\", \"tenants\": {count}, \"requests\": {requests}, \
-             \"docs\": {docs}, \"alerts\": {alerts}, \"seconds\": {best_seconds:.6}, \
-             \"requests_per_sec\": {:.0}, \"docs_per_sec\": {:.0}, \
-             \"ingest_p50_ms\": {:.3}, \"ingest_p99_ms\": {:.3}, \
-             \"alert_lag_p50_ms\": {:.3}, \"alert_lag_p99_ms\": {:.3} }}",
-            requests as f64 / best_seconds,
-            docs as f64 / best_seconds,
-            quantile_ms(&ingest_ns, 0.50),
-            quantile_ms(&ingest_ns, 0.99),
-            quantile_ms(&alert_ns, 0.50),
-            quantile_ms(&alert_ns, 0.99),
-        ));
-    }
-
-    let mut json = format!(
-        "{{\n  \"bench\": \"serve_ingest\",\n  \"scale\": {SCALE},\n  \
-         \"docs_per_tenant\": {DOCS_PER_TENANT},\n  \"batch_docs\": {BATCH_DOCS},\n  \
-         \"http_workers\": {HTTP_WORKERS},\n  \"tenant_topology\": \"w{TENANT_WORKERS} s{TENANT_SHARDS}\",\n  \
-         \"hardware_threads\": {},\n  \"samples\": {samples},\n  \"results\": [\n{}\n  ]\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        entries.join(",\n")
-    );
-    let path = bench_path();
-    // Keep an `overload` section written by `loadgen overload` — the
-    // two modes own disjoint keys of the same report.
-    let previous_overload = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
-        .and_then(|doc| doc.get("overload").cloned());
-    if let Some(overload) = previous_overload {
-        if let Some(tail) = json.rfind("\n}") {
-            json.truncate(tail);
-            json.push_str(&format!(
-                ",\n  \"overload\": {}\n}}\n",
-                pretty(&overload, 1)
-            ));
-        }
-    }
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
     }
 }

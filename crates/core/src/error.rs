@@ -1,7 +1,7 @@
 //! Typed errors for the study driver and report serialization.
 //!
 //! Fallible entry points ([`Study::run`](crate::study::Study::run),
-//! [`Engine::builder`](dox_engine::Engine)'s `build`, report
+//! [`Engine::from_config`](dox_engine::Engine::from_config), report
 //! serialization) return [`Error`] instead of panicking, so binaries and
 //! services embedding the reproduction can surface failures without
 //! aborting the process.

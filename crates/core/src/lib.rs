@@ -57,8 +57,6 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::report::{full_report, to_json};
     pub use crate::study::{ExperimentReport, Study, StudyConfig, StudyConfigBuilder};
-    pub use dox_engine::{
-        Engine, EngineBuilder, EngineConfig, EngineError, Session, SessionBuilder,
-    };
+    pub use dox_engine::{Engine, EngineConfig, EngineError, Session, SessionBuilder};
     pub use dox_obs::Registry;
 }

@@ -32,12 +32,11 @@ use crate::{EngineError, Session};
 use dox_store::{Store, StoreError, Table};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Format version stamped into every checkpoint; bumped on any encoding
 /// change so a stale file is rejected instead of misread.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// The complete quiescent state of a [`Session`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -54,16 +53,13 @@ pub struct SessionCheckpoint {
     /// The next dox sequence number a commit pass will stamp.
     pub dox_seq: u64,
     /// Funnel counters of the document-level half: documents per period
-    /// and source, classified doxes. The name predates the worker-run
-    /// commit pass and is kept for checkpoint compatibility.
-    pub router_counters: PipelineCounters,
-    /// Ids of documents labeled dox so far.
-    pub dox_ids: BTreeSet<u64>,
+    /// and source, classified doxes.
+    pub doc_counters: PipelineCounters,
     /// Documents lost to poisoned stage workers so far.
     pub stage_gap_docs: u64,
     /// Funnel counters of the dedup-level half: duplicates per period
     /// and kind.
-    pub committer_counters: PipelineCounters,
+    pub dedup_counters: PipelineCounters,
     /// Every detected dox committed so far, stream order.
     pub detected: Vec<DetectedDox>,
     /// One snapshot per dedup partition, partition order.
@@ -82,10 +78,9 @@ impl Deserialize for SessionCheckpoint {
             shards: field(value, "shards")?,
             next_chunk_seq: field(value, "next_chunk_seq")?,
             dox_seq: field(value, "dox_seq")?,
-            router_counters: field(value, "router_counters")?,
-            dox_ids: field(value, "dox_ids")?,
+            doc_counters: field(value, "doc_counters")?,
             stage_gap_docs: field(value, "stage_gap_docs")?,
-            committer_counters: field(value, "committer_counters")?,
+            dedup_counters: field(value, "dedup_counters")?,
             detected: field(value, "detected")?,
             dedups: field(value, "dedups")?,
         };
@@ -377,7 +372,7 @@ mod tests {
         let mut dedup = Deduplicator::new();
         let body = "Name: A Person\nfb: a.person9";
         dedup.check(3, body, &extract(body));
-        let router_counters = PipelineCounters {
+        let doc_counters = PipelineCounters {
             total: 5,
             per_period: [3, 2],
             per_source: [("pastebin.com".to_string(), 5)].into_iter().collect(),
@@ -389,10 +384,9 @@ mod tests {
             shards: 2,
             next_chunk_seq: 4,
             dox_seq: 1,
-            router_counters,
-            dox_ids: [3u64].into_iter().collect(),
+            doc_counters,
             stage_gap_docs: 0,
-            committer_counters: PipelineCounters::default(),
+            dedup_counters: PipelineCounters::default(),
             detected: vec![DetectedDox {
                 doc_id: 3,
                 source: Source::Pastebin,
@@ -502,7 +496,7 @@ mod tests {
     /// store, and the hostile rows [`StoreCheckpoint::load`] must refuse.
     mod store_layout {
         use super::*;
-        use crate::{DoxDetector, Engine};
+        use crate::{DoxDetector, Engine, EngineConfig};
         use dox_obs::Registry;
         use dox_sites::collect::CollectedDoc;
         use dox_synth::corpus::SynthDoc;
@@ -545,17 +539,18 @@ mod tests {
         }
 
         fn session(registry: &Registry) -> Session {
-            Engine::builder()
-                .workers(2)
-                .shards(3)
-                .chunk(8)
-                .build()
-                .expect("valid config")
-                .session_builder()
-                .detector(Arc::new(Keyword))
-                .registry(registry)
-                .start()
-                .expect("detector set")
+            Engine::from_config(EngineConfig {
+                workers: 2,
+                shards: 3,
+                chunk: 8,
+                ..EngineConfig::default()
+            })
+            .expect("valid config")
+            .session_builder()
+            .detector(Arc::new(Keyword))
+            .registry(registry)
+            .start()
+            .expect("detector set")
         }
 
         /// Ingest docs `0..60` with a committed checkpoint after 30 and
@@ -688,6 +683,31 @@ mod tests {
                 ck.load(),
                 Err(StoreCheckpointError::Row { index: 1 })
             ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_version_1_header_is_a_typed_error() {
+            let dir = scratch("version1");
+            let (mut ck, _) = staged(&dir);
+            let header = ck
+                .header
+                .get(&HEADER_KEY.to_string())
+                .expect("get")
+                .expect("header");
+            // Version 1 named the counter halves `router_counters` and
+            // `committer_counters` and carried a `dox_ids` set.
+            let v1 = header
+                .replace("\"version\":2", "\"version\":1")
+                .replace("\"doc_counters\"", "\"router_counters\"")
+                .replace("\"dedup_counters\"", "\"committer_counters\"")
+                .replace("\"stage_gap_docs\"", "\"dox_ids\":[0,1],\"stage_gap_docs\"");
+            assert_ne!(v1, header);
+            ck.header.put(&HEADER_KEY.to_string(), &v1).expect("put");
+            assert!(
+                matches!(ck.load(), Err(StoreCheckpointError::Header { .. })),
+                "a version 1 header must be refused, not misread"
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
 

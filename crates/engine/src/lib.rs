@@ -15,7 +15,7 @@
 //! # Example
 //!
 //! ```
-//! use dox_engine::{DoxDetector, Engine};
+//! use dox_engine::{DoxDetector, Engine, EngineConfig};
 //! use std::sync::Arc;
 //!
 //! struct Keyword;
@@ -23,7 +23,11 @@
 //!     fn is_dox(&self, text: &str) -> bool { text.contains("dox") }
 //! }
 //!
-//! let engine = Engine::builder().workers(2).shards(4).build()?;
+//! let engine = Engine::from_config(EngineConfig {
+//!     workers: 2,
+//!     shards: 4,
+//!     ..EngineConfig::default()
+//! })?;
 //! let registry = dox_obs::Registry::new();
 //! let mut session = engine
 //!     .session_builder()
@@ -42,7 +46,7 @@
 //!
 //! # Fault tolerance
 //!
-//! An engine built with [`EngineBuilder::faults`] injects deterministic
+//! An engine whose [`EngineConfig::faults`] is set injects deterministic
 //! stage faults from a [`dox_fault::FaultPlanConfig`] — slow and poisoned
 //! chunks — and [`Session::checkpoint`] plus
 //! [`SessionBuilder::resume_from`] make a killed run resumable with
@@ -178,7 +182,8 @@ pub struct EngineFaults {
 }
 
 /// Tuning knobs for the ingest topology. None of them affect the result —
-/// only throughput and memory. Build one through [`Engine::builder`].
+/// only throughput and memory. Build an engine from one with
+/// [`Engine::from_config`].
 ///
 /// The one exception to "never affects the result" is `faults`
 /// (`EngineConfig::faults`): an exhausted poisoned chunk drops its
@@ -238,63 +243,6 @@ impl EngineConfig {
     }
 }
 
-/// Builder for [`Engine`] — the crate's front door.
-///
-/// ```
-/// let engine = dox_engine::Engine::builder()
-///     .workers(4)
-///     .shards(8)
-///     .queue_depth(4)
-///     .build()
-///     .expect("non-zero topology");
-/// assert_eq!(engine.config().workers, 4);
-/// ```
-#[derive(Debug, Clone, Default)]
-#[must_use = "builders do nothing until build() is called"]
-pub struct EngineBuilder {
-    config: EngineConfig,
-}
-
-impl EngineBuilder {
-    /// Set the stage worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Set the dedup shard count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Set the bounded queue depth, in chunks.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.config.queue_depth = depth;
-        self
-    }
-
-    /// Set the number of documents batched per work chunk.
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.config.chunk = chunk;
-        self
-    }
-
-    /// Inject deterministic stage faults from a seeded plan.
-    pub fn faults(mut self, faults: EngineFaults) -> Self {
-        self.config.faults = Some(faults);
-        self
-    }
-
-    /// Validate the topology and produce the engine.
-    pub fn build(self) -> Result<Engine, EngineError> {
-        self.config.validate()?;
-        Ok(Engine {
-            config: self.config,
-        })
-    }
-}
-
 /// A validated ingest topology. Cheap to clone; spawns threads only when
 /// a [`Session`] starts.
 #[derive(Debug, Clone)]
@@ -303,12 +251,26 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Start configuring an engine.
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::default()
-    }
-
-    /// Build directly from a config (equivalent to the builder).
+    /// Validate `config` and produce the engine — the one way to build
+    /// one.
+    ///
+    /// ```
+    /// use dox_engine::{Engine, EngineConfig};
+    ///
+    /// let engine = Engine::from_config(EngineConfig {
+    ///     workers: 4,
+    ///     shards: 8,
+    ///     queue_depth: 4,
+    ///     ..EngineConfig::default()
+    /// })
+    /// .expect("non-zero topology");
+    /// assert_eq!(engine.config().workers, 4);
+    /// ```
+    ///
+    /// # Errors
+    /// [`EngineError::ZeroWorkers`], [`EngineError::ZeroShards`],
+    /// [`EngineError::ZeroQueueDepth`] or [`EngineError::ZeroChunk`] for
+    /// a zero knob.
     pub fn from_config(config: EngineConfig) -> Result<Self, EngineError> {
         config.validate()?;
         Ok(Self { config })
@@ -324,13 +286,16 @@ impl Engine {
     /// isolated registry, a tracer, and a checkpoint to resume from.
     ///
     /// ```
-    /// # use dox_engine::{DoxDetector, Engine};
+    /// # use dox_engine::{DoxDetector, Engine, EngineConfig};
     /// # use std::sync::Arc;
     /// # struct Keyword;
     /// # impl DoxDetector for Keyword {
     /// #     fn is_dox(&self, text: &str) -> bool { text.contains("dox") }
     /// # }
-    /// let engine = Engine::builder().workers(1).build()?;
+    /// let engine = Engine::from_config(EngineConfig {
+    ///     workers: 1,
+    ///     ..EngineConfig::default()
+    /// })?;
     /// let registry = dox_obs::Registry::new();
     /// let session = engine
     ///     .session_builder()
@@ -480,43 +445,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_rejects_zero_workers() {
+    fn from_config_rejects_zero_workers() {
+        let config = EngineConfig {
+            workers: 0,
+            ..EngineConfig::default()
+        };
         assert_eq!(
-            Engine::builder().workers(0).build().unwrap_err(),
+            Engine::from_config(config).unwrap_err(),
             EngineError::ZeroWorkers
         );
     }
 
     #[test]
-    fn builder_rejects_zero_queue_depth() {
+    fn from_config_rejects_zero_queue_depth() {
+        let config = EngineConfig {
+            queue_depth: 0,
+            ..EngineConfig::default()
+        };
         assert_eq!(
-            Engine::builder().queue_depth(0).build().unwrap_err(),
+            Engine::from_config(config).unwrap_err(),
             EngineError::ZeroQueueDepth
         );
     }
 
     #[test]
-    fn builder_rejects_zero_shards_and_chunk() {
+    fn from_config_rejects_zero_shards_and_chunk() {
+        let config = EngineConfig {
+            shards: 0,
+            ..EngineConfig::default()
+        };
         assert_eq!(
-            Engine::builder().shards(0).build().unwrap_err(),
+            Engine::from_config(config).unwrap_err(),
             EngineError::ZeroShards
         );
+        let config = EngineConfig {
+            chunk: 0,
+            ..EngineConfig::default()
+        };
         assert_eq!(
-            Engine::builder().chunk(0).build().unwrap_err(),
+            Engine::from_config(config).unwrap_err(),
             EngineError::ZeroChunk
         );
     }
 
     #[test]
     fn defaults_are_usable() {
-        let engine = Engine::builder().build().expect("defaults valid");
+        let engine = Engine::from_config(EngineConfig::default()).expect("defaults valid");
         assert!(engine.config().workers >= 1);
         assert!(engine.config().queue_depth >= 1);
     }
 
     #[test]
     fn session_builder_requires_a_detector() {
-        let engine = Engine::builder().workers(1).build().expect("valid");
+        let engine = Engine::from_config(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        })
+        .expect("valid");
         let err = engine
             .session_builder()
             .start()
@@ -534,11 +519,12 @@ mod tests {
                 false
             }
         }
-        let engine = Engine::builder()
-            .workers(1)
-            .shards(8)
-            .build()
-            .expect("valid");
+        let engine = Engine::from_config(EngineConfig {
+            workers: 1,
+            shards: 8,
+            ..EngineConfig::default()
+        })
+        .expect("valid");
         let registry = Registry::new();
         let mut session = engine
             .session_builder()
@@ -549,11 +535,12 @@ mod tests {
         let checkpoint = session.checkpoint().expect("quiescent checkpoint");
         session.finish().expect("clean finish");
 
-        let narrower = Engine::builder()
-            .workers(1)
-            .shards(4)
-            .build()
-            .expect("valid");
+        let narrower = Engine::from_config(EngineConfig {
+            workers: 1,
+            shards: 4,
+            ..EngineConfig::default()
+        })
+        .expect("valid");
         let err = narrower
             .session_builder()
             .detector(Arc::new(Never))

@@ -8,7 +8,7 @@ use dox_osn::clock::SimTime;
 use dox_synth::corpus::Source;
 use dox_synth::truth::DoxTruth;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A document the classifier flagged as a dox.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,16 +114,14 @@ impl PipelineCounters {
 pub type StagedDoc = Option<(String, ExtractedDox)>;
 
 /// Everything an ingest run accumulates: the detected doxes (stream
-/// order, the Table 3 deletion survey's dox labels), the funnel
-/// counters, and the set of document ids labeled dox.
+/// order; their ids are the documents labeled dox, which the Table 3
+/// deletion survey reads) and the funnel counters.
 #[derive(Debug, Default)]
 pub struct PipelineOutput {
     /// Every detected dox, stream order.
     pub detected: Vec<DetectedDox>,
     /// Figure 1 funnel counters.
     pub counters: PipelineCounters,
-    /// Ids of documents labeled dox.
-    pub dox_ids: BTreeSet<u64>,
     /// Documents dropped because a poisoned stage worker exhausted its
     /// retry budget — an explicit coverage gap, never a silent loss. Zero
     /// in fault-free and fully-recovered runs.
@@ -139,11 +137,6 @@ impl PipelineOutput {
     /// Detected doxes that survived de-duplication.
     pub fn unique_doxes(&self) -> impl Iterator<Item = &DetectedDox> {
         self.detected.iter().filter(|d| d.duplicate.is_none())
-    }
-
-    /// Whether the run labeled document `id` a dox.
-    pub fn labeled_dox(&self, id: u64) -> bool {
-        self.dox_ids.contains(&id)
     }
 
     /// Stage counters.

@@ -68,7 +68,6 @@ use dox_obs::trace::{fault_hop, hop};
 use dox_obs::{Counter, Gauge, Histogram, Registry, Tracer};
 use dox_sites::collect::CollectedDoc;
 use dox_synth::truth::GroundTruth;
-use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -100,13 +99,12 @@ type StagedItems = Vec<(u8, CollectedDoc, StageOutcome)>;
 
 /// The session's accumulated commit state. The funnel counters are kept
 /// in the two halves a [`SessionCheckpoint`] persists: document-level
-/// (`router_counters`) and dedup-level (`committer_counters`).
+/// (`doc_counters`) and dedup-level (`dedup_counters`).
 #[derive(Default)]
 struct CommitState {
     reorder: ReorderBuffer<StagedItems>,
     doc_counters: PipelineCounters,
     dedup_counters: PipelineCounters,
-    dox_ids: BTreeSet<u64>,
     dox_seq: u64,
     stage_gap_docs: u64,
     /// One deduplicator per partition, indexed by [`shard_of`].
@@ -223,9 +221,8 @@ impl Session {
             // was committed, so only the reorder cursor carries over.
             Some(cp) => CommitState {
                 reorder: ReorderBuffer::with_next(cp.next_chunk_seq),
-                doc_counters: cp.router_counters,
-                dedup_counters: cp.committer_counters,
-                dox_ids: cp.dox_ids,
+                doc_counters: cp.doc_counters,
+                dedup_counters: cp.dedup_counters,
                 dox_seq: cp.dox_seq,
                 stage_gap_docs: cp.stage_gap_docs,
                 dedups: cp
@@ -300,7 +297,6 @@ impl Session {
                         state.doc_counters.classified_dox += 1;
                         state.doc_counters.dox_per_period[slot] += 1;
                         classified_dox.inc();
-                        state.dox_ids.insert(doc.id);
                         let dox_seq = state.dox_seq;
                         state.dox_seq += 1;
                         let sig = shard_signature(&text, &extracted);
@@ -635,7 +631,6 @@ impl Session {
         Ok(PipelineOutput {
             detected: state.detected.clone(),
             counters,
-            dox_ids: state.dox_ids.clone(),
             stage_gap_docs: state.stage_gap_docs,
         })
     }
@@ -671,10 +666,9 @@ impl Session {
             shards: self.shards,
             next_chunk_seq: self.next_chunk_seq,
             dox_seq: state.dox_seq,
-            router_counters: state.doc_counters.clone(),
-            dox_ids: state.dox_ids.clone(),
+            doc_counters: state.doc_counters.clone(),
             stage_gap_docs: state.stage_gap_docs,
-            committer_counters: state.dedup_counters.clone(),
+            dedup_counters: state.dedup_counters.clone(),
             detected: Vec::new(),
             dedups: state.dedups.iter().map(Deduplicator::snapshot).collect(),
         };
@@ -705,7 +699,6 @@ impl Session {
         Ok(PipelineOutput {
             detected: state.detected,
             counters,
-            dox_ids: state.dox_ids,
             stage_gap_docs: state.stage_gap_docs,
         })
     }
@@ -783,7 +776,6 @@ mod tests {
             };
             out.counters.classified_dox += 1;
             out.counters.dox_per_period[slot] += 1;
-            out.dox_ids.insert(collected.doc.id);
             let duplicate = dedup.check(collected.doc.id, &text, &extracted);
             if let Some((kind, _)) = duplicate {
                 out.counters.duplicates_per_period[slot] += 1;
@@ -824,13 +816,14 @@ mod tests {
     }
 
     fn run_engine(workers: usize, shards: usize, chunk: usize) -> PipelineOutput {
-        let engine = Engine::builder()
-            .workers(workers)
-            .shards(shards)
-            .queue_depth(2)
-            .chunk(chunk)
-            .build()
-            .expect("valid config");
+        let engine = Engine::from_config(EngineConfig {
+            workers,
+            shards,
+            queue_depth: 2,
+            chunk,
+            ..EngineConfig::default()
+        })
+        .expect("valid config");
         let registry = Registry::new();
         let mut session = start(&engine, &registry);
         for (period, doc) in corpus() {
@@ -841,7 +834,6 @@ mod tests {
 
     fn assert_same(a: &PipelineOutput, b: &PipelineOutput) {
         assert_eq!(a.counters, b.counters);
-        assert_eq!(a.dox_ids, b.dox_ids);
         assert_eq!(a.stage_gap_docs, b.stage_gap_docs);
         assert_eq!(a.detected.len(), b.detected.len());
         for (x, y) in a.detected.iter().zip(&b.detected) {
@@ -863,7 +855,7 @@ mod tests {
 
     #[test]
     fn invalid_period_is_rejected_without_killing_the_session() {
-        let engine = Engine::builder().build().expect("default config");
+        let engine = Engine::from_config(EngineConfig::default()).expect("default config");
         let registry = Registry::new();
         let mut session = start(&engine, &registry);
         assert_eq!(
@@ -879,7 +871,12 @@ mod tests {
 
     #[test]
     fn funnel_metrics_are_recorded() {
-        let engine = Engine::builder().workers(2).shards(2).build().unwrap();
+        let engine = Engine::from_config(EngineConfig {
+            workers: 2,
+            shards: 2,
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let registry = Registry::new();
         let mut session = start(&engine, &registry);
         for (period, doc) in corpus() {
@@ -904,8 +901,31 @@ mod tests {
     }
 
     #[test]
+    fn a_credit_line_after_a_length_changing_lowercase_commits() {
+        // `İ` lowercases to more bytes than it holds; the credit parser
+        // must not slice the text at offsets from a lowercased copy.
+        let engine = Engine::from_config(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let registry = Registry::new();
+        let mut session = start(&engine, &registry);
+        let body = "a dox fb: someone\nİ dropped by éé\n";
+        session.ingest(1, doc(1, body)).unwrap();
+        session.flush().expect("the stage worker survives");
+        let out = session.finish().expect("the session finishes");
+        assert_eq!(out.detected.len(), 1);
+        assert_eq!(out.detected[0].text, body);
+    }
+
+    #[test]
     fn dropping_a_session_does_not_hang() {
-        let engine = Engine::builder().workers(2).build().unwrap();
+        let engine = Engine::from_config(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let registry = Registry::new();
         let mut session = start(&engine, &registry);
         session.ingest(1, doc(1, "a dox fb: someone")).unwrap();
@@ -931,12 +951,13 @@ mod tests {
             // A regression wedges the session, so it runs on a helper
             // thread that the test abandons after the deadline.
             std::thread::spawn(move || {
-                let engine = Engine::builder()
-                    .workers(workers)
-                    .queue_depth(1)
-                    .chunk(1)
-                    .build()
-                    .expect("valid config");
+                let engine = Engine::from_config(EngineConfig {
+                    workers,
+                    queue_depth: 1,
+                    chunk: 1,
+                    ..EngineConfig::default()
+                })
+                .expect("valid config");
                 let registry = Registry::new();
                 let mut session = engine
                     .session_builder()
@@ -970,13 +991,14 @@ mod tests {
         let reference = sequential(&corpus());
         for (workers, shards) in [(1usize, 1usize), (4, 8)] {
             let build = || {
-                Engine::builder()
-                    .workers(workers)
-                    .shards(shards)
-                    .queue_depth(2)
-                    .chunk(16)
-                    .build()
-                    .expect("valid config")
+                Engine::from_config(EngineConfig {
+                    workers,
+                    shards,
+                    queue_depth: 2,
+                    chunk: 16,
+                    ..EngineConfig::default()
+                })
+                .expect("valid config")
             };
             let registry = Registry::new();
             let mut first = start(&build(), &registry);
@@ -1011,12 +1033,13 @@ mod tests {
         // A checkpoint must be a pure observation: taking one and carrying
         // on in the same session must not perturb the output.
         let reference = sequential(&corpus());
-        let engine = Engine::builder()
-            .workers(3)
-            .shards(4)
-            .chunk(16)
-            .build()
-            .unwrap();
+        let engine = Engine::from_config(EngineConfig {
+            workers: 3,
+            shards: 4,
+            chunk: 16,
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let registry = Registry::new();
         let mut session = start(&engine, &registry);
         for (i, (period, doc)) in corpus().into_iter().enumerate() {
@@ -1033,12 +1056,13 @@ mod tests {
     fn flush_and_live_observation_match_finish() {
         // Service mode reads the committed log without closing the
         // stream; those reads must agree with what finish() reports.
-        let engine = Engine::builder()
-            .workers(2)
-            .shards(3)
-            .chunk(16)
-            .build()
-            .unwrap();
+        let engine = Engine::from_config(EngineConfig {
+            workers: 2,
+            shards: 3,
+            chunk: 16,
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let registry = Registry::new();
         let mut session = start(&engine, &registry);
         let docs = corpus();
@@ -1067,23 +1091,25 @@ mod tests {
 
     #[test]
     fn resume_rejects_mismatched_shard_count() {
-        let engine = Engine::builder()
-            .workers(1)
-            .shards(2)
-            .chunk(8)
-            .build()
-            .unwrap();
+        let engine = Engine::from_config(EngineConfig {
+            workers: 1,
+            shards: 2,
+            chunk: 8,
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let registry = Registry::new();
         let mut session = start(&engine, &registry);
         session.ingest(1, doc(1, "a dox fb: someone")).unwrap();
         let snapshot = session.checkpoint().expect("quiesces");
         drop(session);
-        let other = Engine::builder()
-            .workers(1)
-            .shards(3)
-            .chunk(8)
-            .build()
-            .unwrap();
+        let other = Engine::from_config(EngineConfig {
+            workers: 1,
+            shards: 3,
+            chunk: 8,
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let registry = Registry::new();
         assert_eq!(
             other
@@ -1112,13 +1138,14 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let registry = Registry::new();
             let store = Arc::new(Store::open(&dir, &registry).expect("open store"));
-            let engine = Engine::builder()
-                .workers(workers)
-                .shards(3)
-                .queue_depth(2)
-                .chunk(16)
-                .build()
-                .expect("valid config");
+            let engine = Engine::from_config(EngineConfig {
+                workers,
+                shards: 3,
+                queue_depth: 2,
+                chunk: 16,
+                ..EngineConfig::default()
+            })
+            .expect("valid config");
             let mut session = engine
                 .session_builder()
                 .detector(Arc::new(KeywordDetector))
@@ -1171,14 +1198,14 @@ mod tests {
         policy: RetryPolicy,
         registry: &Registry,
     ) -> PipelineOutput {
-        let engine = Engine::builder()
-            .workers(workers)
-            .shards(shards)
-            .queue_depth(2)
-            .chunk(16)
-            .faults(EngineFaults { plan, policy })
-            .build()
-            .expect("valid config");
+        let engine = Engine::from_config(EngineConfig {
+            workers,
+            shards,
+            queue_depth: 2,
+            chunk: 16,
+            faults: Some(EngineFaults { plan, policy }),
+        })
+        .expect("valid config");
         let mut session = start(&engine, registry);
         for (period, doc) in corpus() {
             session.ingest(period, doc).expect("valid");

@@ -17,7 +17,7 @@ pub struct Credit {
     pub twitter: Option<String>,
 }
 
-/// Phrases that open a credit clause.
+/// Phrases that open a credit clause, matched ignoring ASCII case.
 const OPENERS: &[&str] = &[
     "dropped by ",
     "doxed by ",
@@ -25,28 +25,33 @@ const OPENERS: &[&str] = &[
     "credit to ",
     "credits: ",
 ];
-/// Phrases that attach additional parties.
+/// Phrases that attach additional parties, matched ignoring ASCII case.
 const CONNECTORS: &[&str] = &[", thanks to ", " thanks to ", " with help from "];
 
 /// Extract the credit list from a document.
 pub fn extract_credits(text: &str) -> Vec<Credit> {
-    let lower = text.to_lowercase();
     let mut out: Vec<Credit> = Vec::new();
     for opener in OPENERS {
         let mut search = 0usize;
-        while let Some(rel) = lower[search..].find(opener) {
-            let start = search + rel + opener.len();
+        while let Some(at) = find_ignore_ascii_case(text, opener, search) {
+            let start = at + opener.len();
             // The clause runs to end-of-line.
             let end = text[start..].find('\n').map_or(text.len(), |e| start + e);
-            let clause = &text[start..end];
-            parse_clause(clause, &mut out);
-            search = end.min(lower.len());
-            if search >= lower.len() {
-                break;
-            }
+            parse_clause(&text[start..end], &mut out);
+            search = end;
         }
     }
     dedup(out)
+}
+
+/// The offset of the first match of the ASCII `needle` in `s` at or after
+/// `from`, ignoring ASCII case. Matching bytes of the original text keeps
+/// every offset on a char boundary of `s`.
+fn find_ignore_ascii_case(s: &str, needle: &str, from: usize) -> Option<usize> {
+    s.as_bytes()[from..]
+        .windows(needle.len())
+        .position(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+        .map(|at| from + at)
 }
 
 fn parse_clause(clause: &str, out: &mut Vec<Credit>) {
@@ -60,10 +65,7 @@ fn parse_clause(clause: &str, out: &mut Vec<Credit>) {
     }
     for seg in segments {
         // Trim trailing prose ("for the ssn info", "for the help").
-        let seg = match find_insensitive(seg, " for ") {
-            Some(i) => &seg[..i],
-            None => seg,
-        };
+        let seg = find_ignore_ascii_case(seg, " for ", 0).map_or(seg, |i| &seg[..i]);
         for part in split_parties(seg) {
             if let Some(c) = parse_party(part) {
                 out.push(c);
@@ -72,24 +74,16 @@ fn parse_clause(clause: &str, out: &mut Vec<Credit>) {
     }
 }
 
+/// Split `s` on the ASCII `sep`, ignoring ASCII case.
 fn split_insensitive<'a>(s: &'a str, sep: &str) -> Vec<&'a str> {
-    let lower = s.to_lowercase();
-    let sep_lower = sep.to_lowercase();
     let mut parts = Vec::new();
     let mut start = 0usize;
-    let mut from = 0usize;
-    while let Some(rel) = lower[from..].find(&sep_lower) {
-        let at = from + rel;
+    while let Some(at) = find_ignore_ascii_case(s, sep, start) {
         parts.push(&s[start..at]);
         start = at + sep.len();
-        from = start;
     }
     parts.push(&s[start..]);
     parts
-}
-
-fn find_insensitive(s: &str, needle: &str) -> Option<usize> {
-    s.to_lowercase().find(&needle.to_lowercase())
 }
 
 /// Split a party list on `" and "` and commas.

@@ -10,21 +10,19 @@
 //! [`parse_line`] normalizes a line into `(label, values)` covering all of
 //! those shapes; [`split_values`] handles the multi-value separators.
 
-use serde::Serialize;
-
-/// A parsed semi-structured line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct LabeledLine {
+/// A parsed semi-structured line, borrowing its values from the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabeledLine<'a> {
     /// The lowercased label.
     pub label: String,
     /// The value strings, in order.
-    pub values: Vec<String>,
+    pub values: Vec<&'a str>,
     /// Which syntactic shape matched.
     pub shape: LineShape,
 }
 
 /// The syntactic shape of a labeled line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineShape {
     /// `label: value` (or `label; value`).
     Separator,
@@ -35,20 +33,14 @@ pub enum LineShape {
 /// Split a value string on the multi-value separators doxers use:
 /// `" - "`, `" and "`, `","`. Empty fragments are dropped; fragments are
 /// trimmed.
-pub fn split_values(raw: &str) -> Vec<String> {
+pub fn split_values(raw: &str) -> Vec<&str> {
     // Apply separators in decreasing specificity; " - " before "-" is
     // deliberate: hyphens inside handles must survive.
-    let mut parts: Vec<String> = vec![raw.to_string()];
+    let mut parts = vec![raw];
     for sep in [" - ", " and ", ","] {
         parts = parts
             .into_iter()
-            .flat_map(|p| {
-                p.split(sep)
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|p| p.split(sep).map(str::trim).filter(|s| !s.is_empty()))
             .collect();
     }
     parts
@@ -56,20 +48,21 @@ pub fn split_values(raw: &str) -> Vec<String> {
 
 /// Parse one line into a [`LabeledLine`], if it matches the grammar.
 ///
-/// - Separator shape: a label of at most `max_label_words` words before the
-///   first `:` or `;`.
-/// - Bare shape: `LABEL value` where the first token is short (≤ 12 chars)
-///   and the remainder is 1–3 handle-like tokens.
-pub fn parse_line(line: &str) -> Option<LabeledLine> {
+/// - Separator shape: a label of at most three words before the first
+///   `:` or `;`.
+/// - Bare shape: `LABEL value` where the first token is short (≤ 4 bytes)
+///   or all uppercase, and the remainder is 1–2 handle-like tokens.
+pub fn parse_line(line: &str) -> Option<LabeledLine<'_>> {
     let line = line.trim();
     if line.is_empty() {
         return None;
     }
-    if let Some((label, rest)) = dox_textkit::normalize::split_label(line, &[':', ';']) {
+    if let Some((label, rest)) = line.split_once([':', ';']) {
+        let label = label.trim();
         if label.is_empty() || label.split_whitespace().count() > 3 {
             return None;
         }
-        let values = split_values(&rest);
+        let values = split_values(rest.trim());
         if values.is_empty() {
             return None;
         }
@@ -87,11 +80,11 @@ pub fn parse_line(line: &str) -> Option<LabeledLine> {
     if !abbreviation_like {
         return None;
     }
-    let rest: Vec<&str> = words.collect();
-    if rest.is_empty() || rest.len() > 2 {
+    let values: Vec<&str> = words.collect();
+    if values.is_empty() || values.len() > 2 {
         return None;
     }
-    if !rest
+    if !values
         .iter()
         .all(|w| dox_textkit::normalize::is_handle_like(w))
     {
@@ -99,13 +92,14 @@ pub fn parse_line(line: &str) -> Option<LabeledLine> {
     }
     Some(LabeledLine {
         label: first.to_lowercase(),
-        values: rest.into_iter().map(str::to_string).collect(),
+        values,
         shape: LineShape::Bare,
     })
 }
 
-/// Parse every line of `text`.
-pub fn parse_lines(text: &str) -> Vec<LabeledLine> {
+/// Parse every line of `text`. [`crate::extract`] calls this once per
+/// document and hands the result to the OSN and field passes.
+pub fn parse_lines(text: &str) -> Vec<LabeledLine<'_>> {
     text.lines().filter_map(parse_line).collect()
 }
 

@@ -3,19 +3,20 @@
 //! Three extraction passes, mirroring the "mixture of statistical and
 //! heuristic approaches" of §3.1.3:
 //!
-//! 1. **URL pass** — scan for known profile hosts (`facebook.com/<h>`,
-//!    `twitch.tv/<h>`, …) anywhere in the text.
-//! 2. **Label pass** — run the [`crate::lines`] grammar and match labels
-//!    against each network's alias list ("FB", "fbs", "insta", "ttv", …).
+//! 1. **URL pass** — find known profile hosts (`facebook.com/<h>`,
+//!    `twitch.tv/<h>`, …) anywhere in the text, in one walk over its `/`
+//!    bytes.
+//! 2. **Label pass** — match the labels of the document's parsed
+//!    [`crate::lines`] against each network's alias list ("FB", "fbs",
+//!    "insta", "ttv", …).
 //! 3. **Validation** — candidate handles must satisfy the handle grammar
 //!    and pass length sanity checks; URLs found in label values are routed
 //!    back through the URL parser.
 
-use crate::lines::{parse_lines, LabeledLine};
+use crate::lines::LabeledLine;
 use dox_osn::network::Network;
 use dox_textkit::normalize::is_handle_like;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// One extracted account reference.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -27,14 +28,17 @@ pub struct OsnRef {
     pub handle: String,
 }
 
-/// Extract every social-network account referenced in `text`.
+/// Extract every social-network account referenced in `text`, whose
+/// parsed lines are `lines`.
 ///
 /// Results are deduplicated and sorted (network, handle).
-pub fn extract_osn(text: &str) -> Vec<OsnRef> {
-    let mut found: BTreeSet<OsnRef> = BTreeSet::new();
+pub fn extract_osn(text: &str, lines: &[LabeledLine<'_>]) -> Vec<OsnRef> {
+    let mut found = Vec::new();
     url_pass(text, &mut found);
-    label_pass(&parse_lines(text), &mut found);
-    found.into_iter().collect()
+    label_pass(lines, &mut found);
+    found.sort_unstable();
+    found.dedup();
+    found
 }
 
 /// Minimum / maximum plausible handle lengths.
@@ -44,25 +48,29 @@ fn valid_handle(h: &str) -> bool {
     HANDLE_LEN.contains(&h.len()) && is_handle_like(h)
 }
 
-fn url_pass(text: &str, found: &mut BTreeSet<OsnRef>) {
-    for network in Network::ALL {
-        for host in network.url_hosts() {
-            let mut rest = text;
-            while let Some(pos) = rest.find(host) {
-                let after = &rest[pos + host.len()..];
-                if let Some(path) = after.strip_prefix('/') {
-                    // Google+ vanity URLs carry a leading '+'.
-                    let path = path.strip_prefix('+').unwrap_or(path);
-                    let handle: String = path
-                        .chars()
-                        .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
-                        .collect();
-                    let handle = handle.trim_end_matches('.').to_lowercase();
-                    if valid_handle(&handle) && !is_path_keyword(&handle) {
-                        found.insert(OsnRef { network, handle });
-                    }
+/// Every `host/handle` in `text`: at each `/`, the hosts the text before
+/// it ends with. This finds the refs a per-host search skipping overlapped
+/// occurrences finds: no host holds a `/`, and a host that can overlap
+/// itself (`m.facebook.com`) has a suffix host of its network that cannot
+/// (`facebook.com`).
+fn url_pass(text: &str, found: &mut Vec<OsnRef>) {
+    for (slash, _) in text.match_indices('/') {
+        let (before, path) = (&text[..slash], &text[slash + 1..]);
+        for network in Network::ALL {
+            if !network.url_hosts().iter().any(|h| before.ends_with(h)) {
+                continue;
+            }
+            // Google+ vanity URLs carry a leading '+'.
+            let path = path.strip_prefix('+').unwrap_or(path);
+            let len = path
+                .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.')))
+                .unwrap_or(path.len());
+            let handle = path[..len].trim_end_matches('.');
+            if valid_handle(handle) {
+                let handle = handle.to_ascii_lowercase();
+                if !is_path_keyword(&handle) {
+                    found.push(OsnRef { network, handle });
                 }
-                rest = &rest[pos + host.len()..];
             }
         }
     }
@@ -88,7 +96,7 @@ fn is_path_keyword(seg: &str) -> bool {
     )
 }
 
-fn label_pass(lines: &[LabeledLine], found: &mut BTreeSet<OsnRef>) {
+fn label_pass(lines: &[LabeledLine<'_>], found: &mut Vec<OsnRef>) {
     for line in lines {
         let Some(network) = Network::parse(&line.label) else {
             continue;
@@ -106,7 +114,7 @@ fn label_pass(lines: &[LabeledLine], found: &mut BTreeSet<OsnRef>) {
                 .trim_start_matches('+')
                 .to_lowercase();
             if valid_handle(&handle) {
-                found.insert(OsnRef { network, handle });
+                found.push(OsnRef { network, handle });
             }
         }
     }
@@ -117,7 +125,7 @@ mod tests {
     use super::*;
 
     fn refs(text: &str) -> Vec<(Network, String)> {
-        extract_osn(text)
+        extract_osn(text, &crate::lines::parse_lines(text))
             .into_iter()
             .map(|r| (r.network, r.handle))
             .collect()
@@ -214,5 +222,25 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(refs("").is_empty());
+    }
+
+    #[test]
+    fn hosts_hold_no_slash_and_self_overlaps_have_a_suffix_host() {
+        // `url_pass` relies on both (see its docs).
+        let overlaps = |h: &str| (1..h.len()).any(|k| h.ends_with(&h[..k]));
+        for network in Network::ALL {
+            let hosts = network.url_hosts();
+            for host in hosts {
+                assert!(!host.contains('/'), "{host}");
+                if overlaps(host) {
+                    assert!(
+                        hosts
+                            .iter()
+                            .any(|s| s.len() < host.len() && host.ends_with(s) && !overlaps(s)),
+                        "{host} can overlap itself and has no suffix host"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! The aggregate extraction record.
 //!
-//! [`extract`] runs every extractor over one plain-text document and
-//! returns an [`ExtractedDox`]: the OSN account references (used for
+//! [`extract`] parses one plain-text document's lines once, runs every
+//! extractor over the text and those parsed lines, and returns an
+//! [`ExtractedDox`]: the OSN account references (used for
 //! de-duplication and monitoring), the sensitive fields (Table 6
 //! accounting and §4.1 validation) and the doxer credits (Figure 2).
 
 use crate::credits::{extract_credits, Credit};
 use crate::fields::{extract_fields, ExtractedFields};
+use crate::lines::parse_lines;
 use crate::osn::{extract_osn, OsnRef};
 use dox_osn::network::Network;
 use serde::{Deserialize, Serialize};
@@ -55,9 +57,10 @@ impl ExtractedDox {
 /// assert_eq!(record.osn.len(), 1);
 /// ```
 pub fn extract(text: &str) -> ExtractedDox {
+    let lines = parse_lines(text);
     ExtractedDox {
-        osn: extract_osn(text),
-        fields: extract_fields(text),
+        osn: extract_osn(text, &lines),
+        fields: extract_fields(text, &lines),
         credits: extract_credits(text),
     }
 }
@@ -113,5 +116,18 @@ dropped by ByteCrow_3 and @HexMancer_8
     fn handles_on_missing_network() {
         let e = extract(DOX);
         assert!(e.handles_on(Network::Twitch).is_empty());
+    }
+
+    #[test]
+    fn length_changing_lowercase_before_a_credit() {
+        // `İ` lowercases to three bytes: offsets from a lowercased copy
+        // would land mid-char here and misread the aliases.
+        let e = extract("İ dropped by éé\n");
+        assert!(e.credits.is_empty());
+        let e = extract("İ dropped by Alice and Bob\n");
+        let aliases: Vec<&str> = e.credits.iter().map(|c| c.alias.as_str()).collect();
+        assert_eq!(aliases, vec!["Alice", "Bob"]);
+        let e = extract("ẞ \u{212A} Doxed By Vex_7 THANKS TO Kel_9");
+        assert_eq!(e.credits.len(), 2, "{:?}", e.credits);
     }
 }

@@ -64,18 +64,6 @@ pub fn is_handle_like(word: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.')
 }
 
-/// Split a line at the first occurrence of any of the given separator
-/// characters, returning `(label, rest)` with both sides trimmed.
-///
-/// Returns `None` when no separator occurs. This is the first step of the
-/// semi-structured "label: value" parsing described in §3.1.3 of the paper.
-pub fn split_label(line: &str, separators: &[char]) -> Option<(String, String)> {
-    let idx = line.find(|c| separators.contains(&c))?;
-    let (label, rest) = line.split_at(idx);
-    let rest = &rest[rest.chars().next().map_or(0, char::len_utf8)..];
-    Some((label.trim().to_string(), rest.trim().to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,29 +107,5 @@ mod tests {
         assert!(!is_handle_like(""));
         assert!(!is_handle_like("has space"));
         assert!(!is_handle_like("emoji😀"));
-    }
-
-    #[test]
-    fn split_label_basic() {
-        assert_eq!(
-            split_label("Facebook: https://facebook.com/example", &[':']),
-            Some((
-                "Facebook".to_string(),
-                "https://facebook.com/example".to_string()
-            ))
-        );
-    }
-
-    #[test]
-    fn split_label_semicolon_variant() {
-        assert_eq!(
-            split_label("facebooks; example and example2", &[':', ';']),
-            Some(("facebooks".to_string(), "example and example2".to_string()))
-        );
-    }
-
-    #[test]
-    fn split_label_none_when_missing() {
-        assert_eq!(split_label("FB example", &[':', ';']), None);
     }
 }

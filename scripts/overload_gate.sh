@@ -20,8 +20,8 @@
 #   * a closed-loop recovery pass returns to 100% goodput
 #   * RSS stays flat across burst + recovery (sheds must not queue)
 #
-# The run also merges an "overload" section into BENCH_serve.json;
-# the throughput rows written by the default loadgen mode survive.
+# The run also writes its results into BENCH_serve.json as the
+# "overload" section, the file's only section.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -156,3 +156,61 @@ fn parallel_tenants_match_their_batch_reports_byte_for_byte() {
 
     server.stop();
 }
+
+/// A dox whose text lowercases to more bytes than it holds, ahead of a
+/// credit line, must not take its tenant down: the ingest that carries it
+/// and the next one both answer 200.
+#[test]
+fn a_length_changing_lowercase_before_a_credit_keeps_the_tenant_serving() {
+    let state = Arc::new(ServeState::new(Registry::new()));
+    let server = HttpServer::start(
+        "127.0.0.1:0",
+        router(Arc::clone(&state), &Tracer::disabled()),
+        2,
+        DEFAULT_MAX_BODY,
+    )
+    .expect("server binds");
+    let addr = server.local_addr().to_string();
+    let spec = spec(0, SEEDS[0]);
+    let body = serde_json::to_string(&spec.to_value()).expect("spec serializes");
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let (status, response) = roundtrip(&mut stream, "POST", "/v1/tenants", &body);
+    assert_eq!(status, 201, "tenant create failed: {response}");
+
+    // The stream's first dox, with the line appended, then the document
+    // after it.
+    let study = Study::with_registry(spec.study_config(), Registry::new());
+    let mut picked = Vec::new();
+    study
+        .synthetic_stream(&mut |period, mut doc| {
+            if !picked.is_empty() {
+                picked.push((period, doc));
+                return ControlFlow::Break(());
+            }
+            if doc.doc.truth.is_dox() {
+                doc.doc.body.push_str("\nİ dropped by éé\n");
+                picked.push((period, doc));
+            }
+            ControlFlow::Continue(())
+        })
+        .expect("stream replays");
+    assert_eq!(picked.len(), 2);
+
+    for (i, (period, doc)) in picked.iter().enumerate() {
+        let body = serde_json::to_string(&Value::Object(vec![
+            ("tenant".to_string(), Value::String(spec.id.clone())),
+            (
+                "period".to_string(),
+                Value::Number(Number::U64(u64::from(*period))),
+            ),
+            ("docs".to_string(), Value::Array(vec![doc.to_value()])),
+        ]))
+        .expect("batch serializes");
+        let (status, response) = roundtrip(&mut stream, "POST", "/v1/ingest", &body);
+        assert_eq!(status, 200, "ingest {i} failed: {response}");
+        if i == 0 {
+            assert!(response.contains("\"dox\""), "not classified: {response}");
+        }
+    }
+    server.stop();
+}
