@@ -7,17 +7,24 @@
 //! naive Bayes and the keyword-rule baseline — the design-choice ablation
 //! called out in DESIGN.md. The `classify` group times one document at a
 //! time through the deployed classifier's fused `is_dox` and through the
-//! materialised `transform` + `decision_function` it replaces.
+//! materialised `transform` + `decision_function` it replaces. The
+//! `study_stream` group runs the study's own document stream (scale 0.01,
+//! chan posts through `html_to_text` as the engine's stage does) through
+//! the deployed detector, and reports ns/doc and MB/s for `is_dox` and for
+//! `html_to_text`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dox_bench::BenchFixture;
+use dox_core::study::{Study, StudyConfig};
 use dox_core::training::DoxClassifier;
 use dox_ml::baseline::{KeywordBaseline, MultinomialNb};
 use dox_ml::eval::evaluate_classifier;
 use dox_ml::metrics::ClassificationReport;
 use dox_ml::sgd::{SgdClassifier, SgdConfig};
+use dox_textkit::html::html_to_text;
 use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
 use std::hint::black_box;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 fn quality_note(name: &str, report: &ClassificationReport) {
@@ -167,5 +174,69 @@ fn bench_classify(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_training, bench_classify);
+/// Median seconds of `passes` timed runs of `f`.
+fn median_secs(passes: usize, f: &dyn Fn() -> usize) -> f64 {
+    let mut secs: Vec<f64> = (0..passes)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[passes / 2]
+}
+
+/// Classify and HTML-convert cost per document and per byte on the
+/// study's own stream: every collected document, chan posts converted
+/// first, through the detector the study deploys.
+fn bench_study_stream(c: &mut Criterion) {
+    let study = Study::new(StudyConfig::builder().seed(7).scale(0.01).build());
+    let detector = study.train_detector().expect("training succeeds");
+    let (mut texts, mut html) = (Vec::new(), Vec::new());
+    study
+        .synthetic_stream(&mut |_, collected| {
+            let body = collected.doc.body;
+            if collected.doc.source.is_html() {
+                texts.push(html_to_text(&body));
+                html.push(body);
+            } else {
+                texts.push(body);
+            }
+            ControlFlow::Continue(())
+        })
+        .expect("fault-free stream");
+    let text_bytes: usize = texts.iter().map(String::len).sum();
+    let html_bytes: usize = html.iter().map(String::len).sum();
+    let classify = || {
+        texts
+            .iter()
+            .filter(|t| detector.is_dox(black_box(t)))
+            .count()
+    };
+    let convert = || html.iter().map(|h| html_to_text(black_box(h)).len()).sum();
+
+    let mut group = c.benchmark_group("study_stream");
+    group.sample_size(10);
+    group.throughput(Throughput::Bytes(text_bytes as u64));
+    group.bench_function("is_dox", |b| b.iter(classify));
+    group.throughput(Throughput::Bytes(html_bytes as u64));
+    group.bench_function("html_to_text", |b| b.iter(convert));
+    group.finish();
+
+    let (classify_s, convert_s) = (median_secs(9, &classify), median_secs(9, &convert));
+    dox_obs::emit!(
+        dox_obs::Level::Info,
+        "bench.study_stream",
+        "per-doc",
+        docs = texts.len(),
+        html_docs = html.len(),
+        is_dox_ns_per_doc = format!("{:.0}", classify_s * 1e9 / texts.len() as f64),
+        is_dox_mb_per_s = format!("{:.0}", text_bytes as f64 / classify_s / 1e6),
+        html_to_text_ns_per_doc = format!("{:.0}", convert_s * 1e9 / html.len() as f64),
+        html_to_text_mb_per_s = format!("{:.0}", html_bytes as f64 / convert_s / 1e6),
+    );
+}
+
+criterion_group!(benches, bench_training, bench_classify, bench_study_stream);
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 //! A third mode backs `scripts/overload_gate.sh`:
 //!
 //! ```text
-//! loadgen overload
+//! loadgen overload [--out <path>]
 //! ```
 //!
 //! It boots a deliberately small server (2 workers, 16-slot backlog,
@@ -27,7 +27,7 @@
 //! gauge never exceeds its bound, admitted p99 stays within the
 //! deadline budget, memory stays flat, and a closed-loop recovery pass
 //! returns to 100% goodput — and writes its results as the `"overload"`
-//! section of `BENCH_serve.json`.
+//! section of `BENCH_serve.json`, or of the file `--out` names.
 
 use dox_core::study::Study;
 use dox_fault::{Fault, FaultDomain, FaultPlan, FaultPlanConfig};
@@ -562,13 +562,11 @@ fn pretty(value: &Value, depth: usize) -> String {
     }
 }
 
-fn bench_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json")
-}
+/// The checked-in results file `loadgen overload` writes by default.
+const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
 
-/// Write `BENCH_serve.json` as the overload section alone.
-fn write_overload_section(section: Value) {
-    let path = bench_path();
+/// Write `path` as the overload section alone.
+fn write_overload_section(path: &str, section: Value) {
     let doc = Value::Object(vec![("overload".to_string(), section)]);
     let text = format!("{}\n", pretty(&doc, 0));
     match std::fs::write(path, text) {
@@ -577,9 +575,10 @@ fn write_overload_section(section: Value) {
     }
 }
 
-/// The overload/chaos gate. Exits nonzero on any policy violation.
+/// The overload/chaos gate, writing its results to `out`. Exits nonzero
+/// on any policy violation.
 #[allow(clippy::too_many_lines)]
-fn run_overload() {
+fn run_overload(out: &str) {
     eprintln!("loadgen overload: rendering corpus (scale {SCALE}) ...");
     let all_batches = batches_for_seed(OVL_SEED);
     let first_period = all_batches.first().map_or(1, |(p, _)| *p);
@@ -839,7 +838,7 @@ fn run_overload() {
         ("recovery_retries".to_string(), int(recovery_retries as u64)),
         ("rss_growth_bytes".to_string(), int(rss_growth)),
     ]);
-    write_overload_section(section);
+    write_overload_section(out, section);
 
     // The gate proper: every clause is one promise from DESIGN.md §13.
     let mut failures: Vec<String> = Vec::new();
@@ -929,7 +928,7 @@ fn run_overload() {
 const USAGE: &str = "usage: loadgen client --addr <host:port> --id <id> --seed <n> [--create] \
                      [--half first|second] [--report <path>]
        loadgen batch --seed <n> --out <path>
-       loadgen overload";
+       loadgen overload [--out <path>]";
 
 fn main() {
     let mut argv = std::env::args();
@@ -937,7 +936,14 @@ fn main() {
     match argv.next().as_deref() {
         Some("client") => run_client(&parse_smoke_args(argv)),
         Some("batch") => run_batch(&parse_smoke_args(argv)),
-        Some("overload") => run_overload(),
+        Some("overload") => match (argv.next().as_deref(), argv.next(), argv.next()) {
+            (None, _, _) => run_overload(BENCH_PATH),
+            (Some("--out"), Some(path), None) => run_overload(&path),
+            _ => {
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
+        },
         _ => {
             eprintln!("{USAGE}");
             std::process::exit(2);

@@ -37,26 +37,37 @@ pub fn decode_entities(text: &str) -> String {
 
 /// Append `text` to `out` with entities decoded; with `flatten`, every
 /// `\n`, `\r` and `\t` — raw or decoded — is written as a space.
+///
+/// The text between those bytes and `&` is copied a run at a time. All
+/// four are ASCII, so a run never splits a UTF-8 sequence.
 fn decode_into(text: &str, flatten: bool, out: &mut String) {
-    let mut i = 0;
-    while i < text.len() {
-        let ch = match entity_at(text, i) {
-            Some((ch, end)) => {
-                i = end;
-                ch
+    let bytes = text.as_bytes();
+    // `text[run..at]` is copied verbatim once a special byte ends it.
+    let mut run = 0;
+    let mut at = 0;
+    while let Some(off) = bytes[at..]
+        .iter()
+        .position(|&b| b == b'&' || (flatten && matches!(b, b'\n' | b'\r' | b'\t')))
+    {
+        at += off;
+        let (ch, end) = match entity_at(text, at) {
+            Some(decoded) => decoded,
+            None if bytes[at] == b'&' => {
+                // Not an entity: the `&` stays in the run.
+                at += 1;
+                continue;
             }
-            None => {
-                let ch = text[i..].chars().next().expect("in-bounds char");
-                i += ch.len_utf8();
-                ch
-            }
+            None => (' ', at + 1),
         };
-        if flatten && matches!(ch, '\n' | '\r' | '\t') {
-            out.push(' ');
+        out.push_str(&text[run..at]);
+        out.push(if flatten && matches!(ch, '\n' | '\r' | '\t') {
+            ' '
         } else {
-            out.push(ch);
-        }
+            ch
+        });
+        (run, at) = (end, end);
     }
+    out.push_str(&text[run..]);
 }
 
 /// The entity reference starting at byte `i` of `text`, decoded, and the
@@ -106,9 +117,6 @@ struct Converter {
     /// Inside a chan greentext quote span.
     quote_depth: usize,
     pending_quote_prefix: bool,
-    /// Decoded, flattened text of the current segment, reused across
-    /// segments.
-    scratch: String,
 }
 
 impl Converter {
@@ -119,7 +127,6 @@ impl Converter {
             skip_until: None,
             quote_depth: 0,
             pending_quote_prefix: false,
-            scratch: String::new(),
         }
     }
 
@@ -151,23 +158,24 @@ impl Converter {
         if self.skip_until.is_some() || text.is_empty() {
             return;
         }
-        let mut flat = std::mem::take(&mut self.scratch);
-        flat.clear();
-        // Raw newlines in HTML source are soft whitespace, not line breaks.
-        decode_into(text, true, &mut flat);
-        let trimmed = if self.out.ends_with('\n') || self.out.is_empty() {
-            flat.trim_start()
-        } else {
-            &flat
-        };
-        if !trimmed.is_empty() {
-            if self.pending_quote_prefix {
-                self.out.push_str("> ");
-                self.pending_quote_prefix = false;
-            }
-            self.out.push_str(trimmed);
+        let before = self.out.len();
+        let trim = self.out.is_empty() || self.out.ends_with('\n');
+        if self.pending_quote_prefix {
+            self.out.push_str("> ");
         }
-        self.scratch = flat;
+        // Raw newlines in HTML source are soft whitespace, not line breaks.
+        let at = self.out.len();
+        decode_into(text, true, &mut self.out);
+        if trim {
+            let blank = self.out[at..].len() - self.out[at..].trim_start().len();
+            self.out.drain(at..at + blank);
+        }
+        if self.out.len() == at {
+            // Nothing but trimmed whitespace: no text, so no quote prefix.
+            self.out.truncate(before);
+        } else {
+            self.pending_quote_prefix = false;
+        }
     }
 
     fn handle_tag(&mut self, raw: &str) {

@@ -30,7 +30,7 @@
 use crate::corpus::TokenizedCorpus;
 use crate::sparse::SparseVec;
 use crate::table::TokenTable;
-use crate::tokenize::{word_spans, Tokenizer, TokenizerConfig};
+use crate::tokenize::{ascii_word_spans, word_spans, Tokenizer, TokenizerConfig};
 use crate::vocab::{VocabConfig, Vocabulary};
 use serde::Serialize;
 use std::cell::Cell;
@@ -187,15 +187,18 @@ impl TfidfVectorizer {
     /// `transform(doc).dot_dense(weights)`, bit for bit, without building
     /// the vector: the fused inference path.
     ///
-    /// One pass lowercases `doc` into a reused per-thread buffer (ASCII
-    /// text in place; other text through `str::to_lowercase`, exactly as
-    /// [`Tokenizer::tokenize`] does), looks every borrowed word up in the
-    /// frozen `TokenTable` and counts the hits in a reused per-feature
-    /// array whose bitmap then yields them in feature order. tf·idf, the
-    /// l2 norm, the `1/norm` scale and the dot product are evaluated in
-    /// the materialised path's order, so no rounding differs. After the
-    /// first call on a thread it allocates nothing for ASCII text and once
-    /// (the lowercase copy) otherwise.
+    /// One pass finds the document's words, looks each up in the frozen
+    /// `TokenTable` and counts the hits in a reused per-feature array
+    /// whose bitmaps then yield them in feature order. An ASCII document
+    /// (with lowercasing on) is scanned byte by byte against a word-byte
+    /// class table, and each word is looked up case-folded in place, so
+    /// nothing is copied or decoded. Any other text takes the tokenizer's
+    /// path: `str::to_lowercase` into an owned copy when lowercasing, then
+    /// `word_spans` and exact lookups. tf·idf, the l2 norm, the `1/norm`
+    /// scale and the dot product are evaluated in the materialised path's
+    /// order, so no rounding differs. After the first call on a thread it
+    /// allocates nothing for ASCII text and once (the lowercase copy)
+    /// otherwise.
     ///
     /// An unfitted vectorizer has no vocabulary: every document is the
     /// zero vector and scores `0.0`. Word n-grams are an ablation option
@@ -210,9 +213,6 @@ impl TfidfVectorizer {
         }
         let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
         let score = self.fused_dot(model, doc, weights, &mut scratch);
-        if scratch.lowered.capacity() > MAX_RETAINED_BYTES {
-            scratch.lowered = String::new();
-        }
         // Dropped instead when the thread is being torn down.
         let _ = SCRATCH.try_with(|slot| slot.set(scratch));
         score
@@ -225,31 +225,30 @@ impl TfidfVectorizer {
         weights: &[f64],
         scratch: &mut Scratch,
     ) -> f64 {
-        let Scratch {
-            lowered,
-            counts,
-            values,
-        } = scratch;
+        let Scratch { counts, values } = scratch;
         let tok = &self.config.tokenizer;
-        let owned;
-        let text: &str = if !tok.lowercase {
-            doc
-        } else if doc.is_ascii() {
-            lowered.clear();
-            lowered.push_str(doc);
-            lowered.make_ascii_lowercase();
-            lowered
-        } else {
-            owned = doc.to_lowercase();
-            &owned
-        };
-
         counts.prepare(model.n_features());
         values.clear();
         values.reserve(model.n_features());
-        for (start, end) in word_spans(text, tok.min_token_len) {
-            if let Some(idx) = self.table.get(&text[start..end]) {
-                counts.add(idx);
+        if tok.lowercase && doc.is_ascii() {
+            let bytes = doc.as_bytes();
+            ascii_word_spans(bytes, tok.min_token_len, |start, end| {
+                if let Some(idx) = self.table.get_folded(bytes, start, end) {
+                    counts.add(idx);
+                }
+            });
+        } else {
+            let owned;
+            let text = if tok.lowercase {
+                owned = doc.to_lowercase();
+                &owned
+            } else {
+                doc
+            };
+            for (start, end) in word_spans(text, tok.min_token_len) {
+                if let Some(idx) = self.table.get(&text[start..end]) {
+                    counts.add(idx);
+                }
             }
         }
 
@@ -291,15 +290,9 @@ impl TfidfVectorizer {
     }
 }
 
-/// A lowercase buffer grown past this by one huge document is released
-/// after the call instead of being kept for the thread's next.
-const MAX_RETAINED_BYTES: usize = 1 << 20;
-
 /// Buffers [`TfidfVectorizer::dot`] reuses across calls on one thread.
 #[derive(Default)]
 struct Scratch {
-    /// The ASCII-lowercased document.
-    lowered: String,
     counts: FeatureCounts,
     /// `(feature, tf·idf)` in feature order; as long as the vocabulary,
     /// so it never grows mid-document.
@@ -308,11 +301,14 @@ struct Scratch {
 
 /// Term counts of one document, dense over the vocabulary, with a bitmap
 /// of the features present so they are visited in feature order without
-/// sorting. All zero between documents.
+/// sorting, and a bitmap of the bitmap's non-zero words so a document
+/// visits only the words it touched. All zero between documents.
 #[derive(Default)]
 struct FeatureCounts {
     counts: Vec<u32>,
     present: Vec<u64>,
+    /// Bit `w` set when `present[w]` is non-zero.
+    dirty: Vec<u64>,
 }
 
 impl FeatureCounts {
@@ -321,6 +317,7 @@ impl FeatureCounts {
         if self.counts.len() < n_features {
             self.counts.resize(n_features, 0);
             self.present.resize(n_features.div_ceil(64), 0);
+            self.dirty.resize(self.present.len().div_ceil(64), 0);
         }
     }
 
@@ -328,16 +325,22 @@ impl FeatureCounts {
         let i = idx as usize;
         self.counts[i] += 1;
         self.present[i / 64] |= 1 << (i % 64);
+        self.dirty[i / 4096] |= 1 << (i / 64 % 64);
     }
 
     /// Call `f(feature, count)` for every counted feature, ascending,
     /// and reset the counts to zero.
     fn drain(&mut self, mut f: impl FnMut(u32, u32)) {
-        for (w, word) in self.present.iter_mut().enumerate() {
-            while *word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                f(i as u32, std::mem::take(&mut self.counts[i]));
-                *word &= *word - 1;
+        for (d, dirty) in self.dirty.iter_mut().enumerate() {
+            while *dirty != 0 {
+                let w = d * 64 + dirty.trailing_zeros() as usize;
+                let word = &mut self.present[w];
+                while *word != 0 {
+                    let i = w * 64 + word.trailing_zeros() as usize;
+                    f(i as u32, std::mem::take(&mut self.counts[i]));
+                    *word &= *word - 1;
+                }
+                *dirty &= *dirty - 1;
             }
         }
     }

@@ -92,7 +92,8 @@ impl Tokenizer {
 ///
 /// This is the one implementation of sklearn's `\w\w+` rule: word
 /// characters are Unicode alphanumerics plus `_`. [`Tokenizer::tokenize`]
-/// and the fused TF-IDF scorer both walk it.
+/// and the fused TF-IDF scorer both walk it; the scorer's ASCII pass
+/// walks [`ascii_word_spans`], its byte-at-a-time equal on ASCII text.
 pub(crate) fn word_spans(text: &str, min_len: usize) -> WordSpans<'_> {
     WordSpans {
         chars: text.char_indices(),
@@ -134,6 +135,38 @@ impl Iterator for WordSpans<'_> {
                     return (char_count >= self.min_len).then_some((s, self.len));
                 }
             }
+        }
+    }
+}
+
+/// Bytes of sklearn's `\w` class in ASCII text: `0-9`, `A-Z`, `a-z`, `_`.
+static WORD_BYTE: [bool; 256] = {
+    let mut class = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = (b as u8).is_ascii_alphanumeric() || b == b'_' as usize;
+        b += 1;
+    }
+    class
+};
+
+/// [`word_spans`] of ASCII text, byte by byte: calls `f(start, end)` for
+/// each maximal word-byte run at least `min_len` bytes long, in order. On
+/// ASCII text a byte is a char and lowercasing moves no word boundary, so
+/// these are the spans `word_spans` finds in the lowercased text.
+pub(crate) fn ascii_word_spans(bytes: &[u8], min_len: usize, mut f: impl FnMut(usize, usize)) {
+    let min_len = min_len.max(1);
+    let mut at = 0;
+    while at < bytes.len() {
+        while at < bytes.len() && !WORD_BYTE[usize::from(bytes[at])] {
+            at += 1;
+        }
+        let start = at;
+        while at < bytes.len() && WORD_BYTE[usize::from(bytes[at])] {
+            at += 1;
+        }
+        if at - start >= min_len {
+            f(start, at);
         }
     }
 }
@@ -222,6 +255,27 @@ mod tests {
         let words: Vec<&str> = word_spans(text, 2).map(|(s, e)| &text[s..e]).collect();
         assert_eq!(words, vec!["éé", "a_1", "Ωx", "中文"]);
         assert_eq!(word_spans("x y", 1).count(), 2);
+    }
+
+    #[test]
+    fn ascii_spans_equal_word_spans_on_ascii_text() {
+        let all: String = (0u8..0x80).map(char::from).collect();
+        for text in [
+            "",
+            "x",
+            "ab",
+            " a bb_2 C-dd\tEe9 ",
+            "trailing_word",
+            "__init__: 42, v2!",
+            &all,
+        ] {
+            for min_len in 0..4 {
+                let mut ascii = Vec::new();
+                ascii_word_spans(text.as_bytes(), min_len, |s, e| ascii.push((s, e)));
+                let chars: Vec<_> = word_spans(text, min_len).collect();
+                assert_eq!(ascii, chars, "{text:?} min_len {min_len}");
+            }
+        }
     }
 
     #[test]
