@@ -5,7 +5,13 @@
 //! `dropped by DoxerAlice and @DoxerBob, thanks to Charlie (@DoxerCharlie)
 //! for the SSN info`. [`extract_credits`] recovers the alias list plus any
 //! attached Twitter handles; the Figure 2 clique analysis consumes these.
+//!
+//! The scan of [`crate::extract`] looks for the openers as it walks each
+//! line (`opener_at`); the first of each opener on a line opens a clause
+//! that runs to the end of the line. Phrases are matched ignoring ASCII
+//! case on the original bytes, so every offset is a char boundary.
 
+use crate::scan::{Parts, Phrase, Span};
 use serde::{Deserialize, Serialize};
 
 /// One credited party.
@@ -18,7 +24,7 @@ pub struct Credit {
 }
 
 /// Phrases that open a credit clause, matched ignoring ASCII case.
-const OPENERS: &[&str] = &[
+pub(crate) const OPENERS: [&str; 5] = [
     "dropped by ",
     "doxed by ",
     "dox by ",
@@ -26,78 +32,100 @@ const OPENERS: &[&str] = &[
     "credits: ",
 ];
 /// Phrases that attach additional parties, matched ignoring ASCII case.
-const CONNECTORS: &[&str] = &[", thanks to ", " thanks to ", " with help from "];
+const CONNECTORS: [Phrase; 3] = [
+    Phrase::new(", thanks to "),
+    Phrase::new(" thanks to "),
+    Phrase::new(" with help from "),
+];
+/// Trailing prose after the parties ("for the ssn info").
+const FOR: Phrase = Phrase::new(" for ");
+/// Between parties.
+const AND: Phrase = Phrase::new(" and ");
 
 /// Extract the credit list from a document.
 pub fn extract_credits(text: &str) -> Vec<Credit> {
-    let mut out: Vec<Credit> = Vec::new();
-    for opener in OPENERS {
-        let mut search = 0usize;
-        while let Some(at) = find_ignore_ascii_case(text, opener, search) {
-            let start = at + opener.len();
-            // The clause runs to end-of-line.
-            let end = text[start..].find('\n').map_or(text.len(), |e| start + e);
-            parse_clause(&text[start..end], &mut out);
-            search = end;
-        }
-    }
-    dedup(out)
+    crate::scan::scan(text, Parts::CREDITS).credits
 }
 
-/// The offset of the first match of the ASCII `needle` in `s` at or after
-/// `from`, ignoring ASCII case. Matching bytes of the original text keeps
-/// every offset on a char boundary of `s`.
-fn find_ignore_ascii_case(s: &str, needle: &str, from: usize) -> Option<usize> {
-    s.as_bytes()[from..]
-        .windows(needle.len())
-        .position(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
-        .map(|at| from + at)
+/// The opener (index into [`OPENERS`]) that starts at the start of `s`.
+pub(crate) fn opener_at(s: &[u8]) -> Option<usize> {
+    // Every opener's second letter is an `r` or an `o`.
+    if !matches!(s.get(1), Some(b'r' | b'R' | b'o' | b'O')) {
+        return None;
+    }
+    OPENERS.iter().position(|o| {
+        s.get(..o.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(o.as_bytes()))
+    })
 }
 
-fn parse_clause(clause: &str, out: &mut Vec<Credit>) {
-    // Split off connector tails first ("…, thanks to X for the info").
-    let mut segments: Vec<&str> = vec![clause];
-    for conn in CONNECTORS {
-        segments = segments
-            .into_iter()
-            .flat_map(|s| split_insensitive(s, conn))
-            .collect();
+/// The parties one scan found, as `(opener, alias, twitter)` spans.
+#[derive(Debug, Default)]
+pub(crate) struct CreditScan {
+    found: Vec<(usize, Span, Option<Span>)>,
+    merged: Vec<(Span, Option<Span>)>,
+}
+
+impl CreditScan {
+    /// Forget the previous document.
+    pub fn reset(&mut self) {
+        self.found.clear();
+        self.merged.clear();
     }
-    for seg in segments {
-        // Trim trailing prose ("for the ssn info", "for the help").
-        let seg = find_ignore_ascii_case(seg, " for ", 0).map_or(seg, |i| &seg[..i]);
-        for part in split_parties(seg) {
-            if let Some(c) = parse_party(part) {
-                out.push(c);
+
+    /// The parties of the clause `clause` (a slice of `text`) that
+    /// `opener` opened.
+    pub fn clause(&mut self, text: &str, opener: usize, clause: &str) {
+        // Split off connector tails first ("…, thanks to X for the info").
+        let segments = CONNECTORS[0]
+            .split(clause, true)
+            .flat_map(|s| CONNECTORS[1].split(s, true))
+            .flat_map(|s| CONNECTORS[2].split(s, true));
+        for seg in segments {
+            // Trim trailing prose ("for the ssn info", "for the help").
+            let seg = FOR.find(seg, 0, true).map_or(seg, |i| &seg[..i]);
+            let parties = AND
+                .split(seg, true)
+                .flat_map(|p| p.split(','))
+                .map(str::trim)
+                .filter(|p| !p.is_empty());
+            for (alias, twitter) in parties.filter_map(parse_party) {
+                let twitter = twitter.map(|t| Span::of(text, t));
+                self.found.push((opener, Span::of(text, alias), twitter));
             }
         }
     }
-}
 
-/// Split `s` on the ASCII `sep`, ignoring ASCII case.
-fn split_insensitive<'a>(s: &'a str, sep: &str) -> Vec<&'a str> {
-    let mut parts = Vec::new();
-    let mut start = 0usize;
-    while let Some(at) = find_ignore_ascii_case(s, sep, start) {
-        parts.push(&s[start..at]);
-        start = at + sep.len();
+    /// The credits in opener order, then text order, one per alias
+    /// (ignoring ASCII case): a later mention fills in a missing Twitter
+    /// handle.
+    pub fn finish(&mut self, text: &str) -> Vec<Credit> {
+        for opener in 0..OPENERS.len() {
+            for &(_, alias, twitter) in self.found.iter().filter(|f| f.0 == opener) {
+                let alias_text = alias.get(text);
+                match self
+                    .merged
+                    .iter_mut()
+                    .find(|(a, _)| a.get(text).eq_ignore_ascii_case(alias_text))
+                {
+                    Some((_, existing)) => *existing = existing.or(twitter),
+                    None => self.merged.push((alias, twitter)),
+                }
+            }
+        }
+        self.merged
+            .iter()
+            .map(|&(alias, twitter)| Credit {
+                alias: alias.get(text).to_owned(),
+                twitter: twitter.map(|t| t.get(text).to_owned()),
+            })
+            .collect()
     }
-    parts.push(&s[start..]);
-    parts
 }
 
-/// Split a party list on `" and "` and commas.
-fn split_parties(seg: &str) -> Vec<&str> {
-    split_insensitive(seg, " and ")
-        .into_iter()
-        .flat_map(|p| p.split(','))
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .collect()
-}
-
-/// Parse one party: `Alias`, `@handle`, or `Alias (@handle)`.
-fn parse_party(part: &str) -> Option<Credit> {
+/// Parse one party — `Alias`, `@handle`, or `Alias (@handle)` — into its
+/// alias and Twitter handle, both borrowed from `part`.
+fn parse_party(part: &str) -> Option<(&str, Option<&str>)> {
     let part = part.trim().trim_end_matches('.');
     if part.is_empty() || part.split_whitespace().count() > 3 {
         return None;
@@ -109,58 +137,32 @@ fn parse_party(part: &str) -> Option<Credit> {
         if alias.is_empty() {
             return None;
         }
-        let twitter = inner.strip_prefix('@').map(str::to_string);
-        return Some(Credit {
-            alias: alias.to_string(),
-            twitter,
-        });
+        return Some((alias, inner.strip_prefix('@')));
     }
     // "@handle" form: the handle is both alias and Twitter identity.
     if let Some(handle) = part.strip_prefix('@') {
-        if !valid_alias(handle) {
-            return None;
-        }
-        return Some(Credit {
-            alias: handle.to_string(),
-            twitter: Some(handle.to_string()),
-        });
+        return valid_alias(handle).then_some((handle, Some(handle)));
     }
-    if !valid_alias(part) {
-        return None;
-    }
-    Some(Credit {
-        alias: part.to_string(),
-        twitter: None,
-    })
+    valid_alias(part).then_some((part, None))
 }
 
 fn valid_alias(a: &str) -> bool {
     !a.is_empty()
         && a.len() <= 30
-        && a.chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
-}
-
-fn dedup(credits: Vec<Credit>) -> Vec<Credit> {
-    let mut out: Vec<Credit> = Vec::new();
-    for c in credits {
-        if let Some(existing) = out
-            .iter_mut()
-            .find(|e| e.alias.eq_ignore_ascii_case(&c.alias))
-        {
-            if existing.twitter.is_none() {
-                existing.twitter = c.twitter;
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
+        && a.bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.'))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_opener_passes_the_second_letter_filter() {
+        for (k, o) in OPENERS.iter().enumerate() {
+            assert_eq!(opener_at(o.to_uppercase().as_bytes()), Some(k));
+        }
+    }
 
     #[test]
     fn paper_example_parses_fully() {

@@ -9,6 +9,8 @@
 //!
 //! - [`lines`] — the line-level grammar: `label: value`, `label; v1 - v2`,
 //!   `LABEL value`, multi-value separators ("a - b", "a and b", commas).
+//! - `scan` — the one pass over a document's bytes that applies every
+//!   rule below and allocates only what the returned record keeps.
 //! - [`osn`] — social-network account extraction: profile-URL patterns,
 //!   label aliases ("FB", "fbs", "insta", …), handle validation.
 //! - [`fields`] — sensitive-field extractors: names, age, date of birth,
@@ -30,5 +32,6 @@ pub mod fields;
 pub mod lines;
 pub mod osn;
 pub mod record;
+mod scan;
 
 pub use record::{extract, ExtractedDox};

@@ -1,21 +1,23 @@
 //! Social-network account extraction.
 //!
-//! Three extraction passes, mirroring the "mixture of statistical and
-//! heuristic approaches" of §3.1.3:
+//! Three rules, mirroring the "mixture of statistical and heuristic
+//! approaches" of §3.1.3, all applied during the one scan of
+//! [`crate::extract`]:
 //!
-//! 1. **URL pass** — find known profile hosts (`facebook.com/<h>`,
-//!    `twitch.tv/<h>`, …) anywhere in the text, in one walk over its `/`
-//!    bytes.
-//! 2. **Label pass** — match the labels of the document's parsed
-//!    [`crate::lines`] against each network's alias list ("FB", "fbs",
+//! 1. **URL rule** — at each `/` the scan meets, the known profile hosts
+//!    (`facebook.com/<h>`, `twitch.tv/<h>`, …) the text before it ends
+//!    with.
+//! 2. **Label rule** — the labels of the document's labeled lines
+//!    ([`crate::lines`]) against each network's alias list ("FB", "fbs",
 //!    "insta", "ttv", …).
 //! 3. **Validation** — candidate handles must satisfy the handle grammar
-//!    and pass length sanity checks; URLs found in label values are routed
-//!    back through the URL parser.
+//!    and pass length sanity checks. A label value holding a `/` is left
+//!    to the URL rule, which has already seen it: the host wins over the
+//!    label.
 
-use crate::lines::LabeledLine;
+use crate::lines::LineValues;
+use crate::scan::{lower_cmp, lowercase, Parts, Span};
 use dox_osn::network::Network;
-use dox_textkit::normalize::is_handle_like;
 use serde::{Deserialize, Serialize};
 
 /// One extracted account reference.
@@ -28,34 +30,73 @@ pub struct OsnRef {
     pub handle: String,
 }
 
-/// Extract every social-network account referenced in `text`, whose
-/// parsed lines are `lines`.
+/// Extract every social-network account referenced in `text`.
 ///
 /// Results are deduplicated and sorted (network, handle).
-pub fn extract_osn(text: &str, lines: &[LabeledLine<'_>]) -> Vec<OsnRef> {
-    let mut found = Vec::new();
-    url_pass(text, &mut found);
-    label_pass(lines, &mut found);
-    found.sort_unstable();
-    found.dedup();
-    found
+pub fn extract_osn(text: &str) -> Vec<OsnRef> {
+    crate::scan::scan(text, Parts::OSN).osn
 }
 
 /// Minimum / maximum plausible handle lengths.
 const HANDLE_LEN: std::ops::RangeInclusive<usize> = 3..=40;
 
-fn valid_handle(h: &str) -> bool {
-    HANDLE_LEN.contains(&h.len()) && is_handle_like(h)
+/// The handle alphabet (`dox_textkit::normalize::is_handle_like`), on
+/// bytes: no byte of a longer char is in it.
+fn handle_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.')
 }
 
-/// Every `host/handle` in `text`: at each `/`, the hosts the text before
-/// it ends with. This finds the refs a per-host search skipping overlapped
-/// occurrences finds: no host holds a `/`, and a host that can overlap
-/// itself (`m.facebook.com`) has a suffix host of its network that cannot
-/// (`facebook.com`).
-fn url_pass(text: &str, found: &mut Vec<OsnRef>) {
-    for (slash, _) in text.match_indices('/') {
+/// Whether `h` lowercased (Unicode `to_lowercase`) is a valid handle.
+fn valid_lowercased_handle(h: &str) -> bool {
+    if h.bytes().all(handle_byte) {
+        return HANDLE_LEN.contains(&h.len());
+    }
+    if h.is_ascii() {
+        return false;
+    }
+    // Only U+212A KELVIN SIGN lowercases to ASCII; any other non-ASCII
+    // char leaves a char no handle holds.
+    let mut len = 0;
+    h.chars().flat_map(char::to_lowercase).all(|c| {
+        len += c.len_utf8();
+        c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.')
+    }) && HANDLE_LEN.contains(&len)
+}
+
+/// Every network's name and label aliases, lowercased, in
+/// `Network::ALL` order: the labels `Network::parse` accepts.
+pub(crate) fn network_labels() -> impl Iterator<Item = (String, Network)> {
+    Network::ALL.into_iter().flat_map(|n| {
+        std::iter::once(n.name().to_lowercase())
+            .chain(n.label_aliases().iter().map(|a| (*a).to_owned()))
+            .map(move |label| (label, n))
+    })
+}
+
+/// The account references one scan found, as `(network, handle span)`;
+/// the handle is the span lowercased.
+#[derive(Debug, Default)]
+pub(crate) struct OsnScan {
+    found: Vec<(Network, Span)>,
+}
+
+impl OsnScan {
+    /// Forget the previous document.
+    pub fn reset(&mut self) {
+        self.found.clear();
+    }
+
+    /// Every `host/handle` whose `/` is at byte `slash`: the hosts the
+    /// text before it ends with. This finds the refs a per-host search
+    /// skipping overlapped occurrences finds: no host holds a `/`, and a
+    /// host that can overlap itself (`m.facebook.com`) has a suffix host of
+    /// its network that cannot (`facebook.com`).
+    pub fn slash(&mut self, text: &str, slash: usize) {
         let (before, path) = (&text[..slash], &text[slash + 1..]);
+        // Every host ends in `m`, `e` or `v` (`.com`, `.me`, `.be`, `.tv`).
+        if !matches!(before.as_bytes().last(), Some(b'm' | b'e' | b'v')) {
+            return;
+        }
         for network in Network::ALL {
             if !network.url_hosts().iter().any(|h| before.ends_with(h)) {
                 continue;
@@ -63,61 +104,58 @@ fn url_pass(text: &str, found: &mut Vec<OsnRef>) {
             // Google+ vanity URLs carry a leading '+'.
             let path = path.strip_prefix('+').unwrap_or(path);
             let len = path
-                .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.')))
+                .bytes()
+                .position(|b| !handle_byte(b))
                 .unwrap_or(path.len());
             let handle = path[..len].trim_end_matches('.');
-            if valid_handle(handle) {
-                let handle = handle.to_ascii_lowercase();
-                if !is_path_keyword(&handle) {
-                    found.push(OsnRef { network, handle });
-                }
+            // Every byte is in the handle alphabet by construction.
+            if HANDLE_LEN.contains(&handle.len()) && !is_path_keyword(handle) {
+                self.found.push((network, Span::of(text, handle)));
             }
         }
     }
-}
 
-/// URL path segments that are site features, not profile handles.
-fn is_path_keyword(seg: &str) -> bool {
-    matches!(
-        seg,
-        "watch"
-            | "channel"
-            | "user"
-            | "profile"
-            | "pages"
-            | "groups"
-            | "search"
-            | "home"
-            | "login"
-            | "share"
-            | "hashtag"
-            | "intent"
-            | "status"
-    )
-}
-
-fn label_pass(lines: &[LabeledLine<'_>], found: &mut Vec<OsnRef>) {
-    for line in lines {
-        let Some(network) = Network::parse(&line.label) else {
-            continue;
-        };
-        for value in &line.values {
-            // URLs inside label values go through the URL parser so the
-            // host wins over the label (a "links:" line may mix networks).
+    /// The handles of a line labeled with `network`'s name or alias.
+    pub fn labeled(&mut self, text: &str, network: Network, values: LineValues<'_>) {
+        for value in values.iter() {
             if value.contains('/') {
-                url_pass(value, found);
                 continue;
             }
             // '@' marks Twitter-style mentions; '+' marks Google+ handles.
-            let handle = value
-                .trim_start_matches('@')
-                .trim_start_matches('+')
-                .to_lowercase();
-            if valid_handle(&handle) {
-                found.push(OsnRef { network, handle });
+            let handle = value.trim_start_matches('@').trim_start_matches('+');
+            if valid_lowercased_handle(handle) {
+                self.found.push((network, Span::of(text, handle)));
             }
         }
     }
+
+    /// The references sorted by `(network, handle)`, each once.
+    pub fn finish(&mut self, text: &str) -> Vec<OsnRef> {
+        let order = |a: &(Network, Span), b: &(Network, Span)| {
+            a.0.cmp(&b.0)
+                .then_with(|| lower_cmp(a.1.get(text), b.1.get(text)))
+        };
+        self.found.sort_unstable_by(order);
+        self.found.dedup_by(|a, b| order(a, b).is_eq());
+        self.found
+            .iter()
+            .map(|&(network, handle)| OsnRef {
+                network,
+                handle: lowercase(handle.get(text)),
+            })
+            .collect()
+    }
+}
+
+/// URL path segments that are site features, not profile handles
+/// (compared ignoring ASCII case, as the handle is lowercased).
+fn is_path_keyword(seg: &str) -> bool {
+    [
+        "watch", "channel", "user", "profile", "pages", "groups", "search", "home", "login",
+        "share", "hashtag", "intent", "status",
+    ]
+    .iter()
+    .any(|k| seg.eq_ignore_ascii_case(k))
 }
 
 #[cfg(test)]
@@ -125,7 +163,7 @@ mod tests {
     use super::*;
 
     fn refs(text: &str) -> Vec<(Network, String)> {
-        extract_osn(text, &crate::lines::parse_lines(text))
+        extract_osn(text)
             .into_iter()
             .map(|r| (r.network, r.handle))
             .collect()
@@ -225,8 +263,29 @@ mod tests {
     }
 
     #[test]
+    fn kelvin_sign_lowercases_to_an_ascii_handle() {
+        assert_eq!(
+            refs("ig: \u{212A}aia_s\nfb: İgor_1"),
+            vec![(Network::Instagram, "kaia_s".into())]
+        );
+    }
+
+    #[test]
+    fn hosts_end_in_m_e_or_v() {
+        // `OsnScan::slash` skips a `/` after any other byte.
+        for network in Network::ALL {
+            for host in network.url_hosts() {
+                assert!(
+                    matches!(host.as_bytes().last(), Some(b'm' | b'e' | b'v')),
+                    "{host}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn hosts_hold_no_slash_and_self_overlaps_have_a_suffix_host() {
-        // `url_pass` relies on both (see its docs).
+        // `OsnScan::slash` relies on both (see its docs).
         let overlaps = |h: &str| (1..h.len()).any(|k| h.ends_with(&h[..k]));
         for network in Network::ALL {
             let hosts = network.url_hosts();

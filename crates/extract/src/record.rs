@@ -1,15 +1,15 @@
 //! The aggregate extraction record.
 //!
-//! [`extract`] parses one plain-text document's lines once, runs every
-//! extractor over the text and those parsed lines, and returns an
-//! [`ExtractedDox`]: the OSN account references (used for
-//! de-duplication and monitoring), the sensitive fields (Table 6
-//! accounting and §4.1 validation) and the doxer credits (Figure 2).
+//! [`extract`] walks one plain-text document once, applying every
+//! extraction rule as it goes, and returns an [`ExtractedDox`]: the OSN
+//! account references (used for de-duplication and monitoring), the
+//! sensitive fields (Table 6 accounting and §4.1 validation) and the
+//! doxer credits (Figure 2).
 
-use crate::credits::{extract_credits, Credit};
-use crate::fields::{extract_fields, ExtractedFields};
-use crate::lines::parse_lines;
-use crate::osn::{extract_osn, OsnRef};
+use crate::credits::Credit;
+use crate::fields::ExtractedFields;
+use crate::osn::OsnRef;
+use crate::scan::{scan, Parts};
 use dox_osn::network::Network;
 use serde::{Deserialize, Serialize};
 
@@ -57,12 +57,7 @@ impl ExtractedDox {
 /// assert_eq!(record.osn.len(), 1);
 /// ```
 pub fn extract(text: &str) -> ExtractedDox {
-    let lines = parse_lines(text);
-    ExtractedDox {
-        osn: extract_osn(text, &lines),
-        fields: extract_fields(text, &lines),
-        credits: extract_credits(text),
-    }
+    scan(text, Parts::ALL)
 }
 
 #[cfg(test)]

@@ -235,6 +235,142 @@ proptest! {
     }
 }
 
+/// Every dox of the dense mix (every source at 6% doxes) at scale 0.01 on
+/// seed 13, which no other check or benchmark uses, chan bodies converted
+/// from HTML as the pipeline does.
+#[test]
+fn dense_mix_on_an_unseen_seed_matches_the_oracle() {
+    let seed = 13u64;
+    let world = World::generate(&WorldConfig::default(), seed);
+    let alloc = Allocation::generate(&world, &AllocConfig::default(), seed);
+    let mut config = SynthConfig {
+        seed,
+        ..SynthConfig::at_scale(0.01)
+    };
+    for period in [&mut config.period1, &mut config.period2] {
+        for source in [
+            &mut period.pastebin,
+            &mut period.chan4_b,
+            &mut period.chan4_pol,
+            &mut period.chan8_pol,
+            &mut period.chan8_baphomet,
+        ] {
+            source.doxes = source.doxes.max(source.total * 6 / 100);
+        }
+    }
+    let mut generator = CorpusGenerator::new(&world, &alloc, config);
+    let mut doxes = 0usize;
+    let mut check = |doc: dox_synth::corpus::SynthDoc| {
+        if doc.truth.is_dox() {
+            let text = if doc.source.is_html() {
+                html_to_text(&doc.body)
+            } else {
+                doc.body
+            };
+            assert!(comparable(&text), "corpus text left out: {text:?}");
+            assert_matches_oracle(&text);
+            doxes += 1;
+        }
+        ControlFlow::Continue(())
+    };
+    let _ = generator.generate_period(1, &mut check);
+    let _ = generator.generate_period(2, &mut check);
+    assert!(doxes > 500, "{doxes} doxes");
+}
+
+/// The field grammar's edges: phone, SSN, card, IPv4 and email shapes and
+/// near-misses, glued to digits and the bytes the shapes are made of,
+/// separated by every kind of line break and by Unicode whitespace, next
+/// to non-ASCII letters — where a byte scanner can drift from
+/// `split_whitespace`, `trim` and `is_alphanumeric`.
+const FIELD_ATOMS: &[&str] = &[
+    "312-555-0188",
+    "(312) 555-0188",
+    "(312)555-0188",
+    "(312)  555-0188",
+    "1-312-555-0188",
+    "1 312.555.0188",
+    "1-(312) 555-0188",
+    "312.555-0188",
+    "31-555-0188",
+    "912-34-5678",
+    "912-345-678",
+    "9999 1234 5678 9012",
+    "9999-1234-5678-9012",
+    "9999-1234-5678",
+    "1234",
+    "0042",
+    "12345",
+    "73.20.1.5",
+    "255.255.255.255",
+    "256.1.1.1",
+    "01.2.3.4",
+    "1.2.3",
+    "1.2.3.4.5",
+    "a@b.co",
+    "Jo.Doe@Mail.Example",
+    "x@y",
+    "@z.com",
+    "a@b..c",
+    "a@-b.c",
+    "0",
+    "1",
+    "7",
+    "55",
+    ".",
+    "..",
+    "-",
+    "(",
+    ")",
+    "@",
+    ",",
+    ";",
+    ":",
+    "/",
+    " ",
+    "  ",
+    "\t",
+    "\r",
+    "\r\n",
+    "\n",
+    "\u{A0}",
+    "\u{2028}",
+    "\u{3000}",
+    "\u{B}",
+    "\u{C}",
+    "\u{85}",
+    "é",
+    "ü",
+    "ß",
+    "Σ",
+    "ñ",
+    "名",
+    "ig: ",
+    "fb ",
+    "Phone: ",
+    "SSN ",
+    "Email: ",
+    "IP: ",
+    "Age: ",
+    "Name: ",
+    "user_1",
+    "x.y-z",
+    "twitter.com/",
+];
+
+proptest! {
+    #[test]
+    fn field_grammar_edges_match_the_oracle(atoms in vec(0usize..FIELD_ATOMS.len(), 0..60)) {
+        let text: String = atoms.iter().map(|&i| FIELD_ATOMS[i]).collect();
+        prop_assert_eq!(extract(&text), oracle::extract(&text), "text: {:?}", text);
+    }
+}
+
+#[test]
+fn every_field_atom_is_comparable() {
+    assert!(FIELD_ATOMS.iter().all(|a| comparable(a)));
+}
+
 #[test]
 fn empty_text_matches_the_oracle() {
     assert_matches_oracle("");

@@ -5,9 +5,9 @@
 //! (phone) and 95.2 % (Instagram) — and operate on the plain-text form of a
 //! document (chan HTML is converted upstream).
 
+use super::ip::find_ipv4_literals;
 use super::lines::{parse_lines, LabeledLine};
 use dox_extract::fields::{ExtractedFields, FamilyRef};
-use dox_geo::ip::find_ipv4_literals;
 
 /// Label aliases per field, lowercased.
 const NAME_LABELS: &[&str] = &["name", "real name", "full name"];

@@ -13,6 +13,7 @@
 
 mod credits;
 mod fields;
+mod ip;
 mod lines;
 mod osn;
 

@@ -134,42 +134,67 @@ impl FromStr for Cidr {
 /// offsets. Candidate tokens must be exactly four dot-separated decimal
 /// octets in `0..=255`; version-like strings (`1.2.3.4.5`) are rejected.
 pub fn find_ipv4_literals(text: &str) -> Vec<(usize, Ipv4Addr)> {
+    ipv4_literals(text).collect()
+}
+
+/// The literals [`find_ipv4_literals`] returns, found lazily in one pass
+/// over the bytes without allocating.
+///
+/// A candidate is a maximal run of digits and dots that starts at a digit
+/// not preceded by an ASCII letter, digit or dot (so `v1.2.3.4` and
+/// `x.1.2.3.4` are not addresses). Trailing dots end a sentence, not the
+/// address; the rest must be four octets of one to three digits, at most
+/// 255 and without a leading zero, as [`Ipv4Addr`]'s parser wants them.
+pub fn ipv4_literals(text: &str) -> impl Iterator<Item = (usize, Ipv4Addr)> + '_ {
     let bytes = text.as_bytes();
-    let mut out = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        if !bytes[i].is_ascii_digit() {
-            i += 1;
-            continue;
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
+            if !bytes[i].is_ascii_digit() {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let prev = start.checked_sub(1).map(|p| bytes[p]);
+            let mut ok = !prev.is_some_and(|b| b.is_ascii_alphanumeric() || b == b'.');
+            let (mut octets, mut parts) = ([0u8; 4], 0usize);
+            let (mut value, mut digits, mut dots) = (0u32, 0usize, 0usize);
+            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+                let b = bytes[i];
+                i += 1;
+                if b == b'.' {
+                    dots += 1;
+                    continue;
+                }
+                if dots > 0 {
+                    // The octet before these dots is complete; two dots in
+                    // a row leave an empty octet between them.
+                    ok &= dots == 1 && push_octet(&mut octets, &mut parts, value, digits);
+                    (value, digits, dots) = (0, 0, 0);
+                }
+                // A leading zero is only allowed as the whole octet.
+                ok &= digits == 0 || value != 0;
+                value = (value * 10 + u32::from(b - b'0')).min(1000);
+                digits += 1;
+                ok &= digits <= 3;
+            }
+            ok &= push_octet(&mut octets, &mut parts, value, digits) && parts == 4;
+            if ok {
+                return Some((start, Ipv4Addr::from(octets)));
+            }
         }
-        // Token = maximal run of digits and dots.
-        let start = i;
-        while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-            i += 1;
-        }
-        let token = &text[start..i];
-        // Reject if embedded in a larger word (e.g. "v1.2.3.4").
-        let prev_ok =
-            start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'.');
-        if !prev_ok {
-            continue;
-        }
-        let token = token.trim_end_matches('.');
-        let parts: Vec<&str> = token.split('.').collect();
-        if parts.len() != 4 {
-            continue;
-        }
-        if !parts
-            .iter()
-            .all(|p| !p.is_empty() && p.len() <= 3 && p.parse::<u16>().is_ok_and(|v| v <= 255))
-        {
-            continue;
-        }
-        if let Ok(ip) = token.parse::<Ipv4Addr>() {
-            out.push((start, ip));
-        }
-    }
-    out
+        None
+    })
+}
+
+/// Append one parsed octet; false when it is out of range or a fifth one.
+fn push_octet(octets: &mut [u8; 4], parts: &mut usize, value: u32, digits: usize) -> bool {
+    let (Some(slot), Ok(octet)) = (octets.get_mut(*parts), u8::try_from(value)) else {
+        return false;
+    };
+    *slot = octet;
+    *parts += 1;
+    digits > 0
 }
 
 #[cfg(test)]
@@ -242,6 +267,19 @@ mod tests {
         assert!(find_ipv4_literals("version 1.2.3.4.5 here").is_empty());
         assert!(find_ipv4_literals("v1.2.3.4").is_empty());
         assert!(find_ipv4_literals("300.1.1.1").is_empty());
+    }
+
+    #[test]
+    fn find_ips_octet_grammar() {
+        let ips =
+            |t: &str| -> Vec<String> { ipv4_literals(t).map(|(_, ip)| ip.to_string()).collect() };
+        assert_eq!(
+            ips("0.0.0.0 255.255.255.255"),
+            ["0.0.0.0", "255.255.255.255"]
+        );
+        assert!(ips("01.2.3.4 1.2.3.04 1..2.3 1.2.3 .1.2.3.4").is_empty());
+        assert!(ips("1234.1.1.1 99999999999.1.1.1 1.2.3.4.").len() == 1);
+        assert_eq!(ips("a 9.8.7.6... é1.2.3.4"), ["9.8.7.6", "1.2.3.4"]);
     }
 
     #[test]

@@ -64,6 +64,11 @@ cargo test -q
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
+step "extractor bench smoke (every bench_extractor row runs once)"
+# The rows behind the extraction speed claims (full record, per rule set,
+# the dense study mix) run here, not only compile.
+cargo bench -p dox-bench --bench bench_extractor -- --test
+
 step "perfbench smoke test (every workload on tiny inputs, outputs checked)"
 # perfbench is a workspace of its own that links the library crates by
 # path, so no step above builds it; this one does, and runs each workload.
