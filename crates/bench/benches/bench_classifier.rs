@@ -1,13 +1,11 @@
-//! Classifier benchmarks (paper Table 1) and model ablations.
+//! Classifier benchmarks (paper Table 1).
 //!
 //! Regenerates Table 1's evaluation (TF-IDF + SGD, 2/3–1/3 split), times
 //! it alone (`train_paper_protocol`) and with the deployed full-corpus fit
-//! the study pays for (`train_deployed`, `DoxClassifier::train`), and
-//! compares the paper's hinge-loss SGD against logistic SGD, multinomial
-//! naive Bayes and the keyword-rule baseline — the design-choice ablation
-//! called out in DESIGN.md. The `classify` group times one document at a
-//! time through the deployed classifier's fused `is_dox` and through the
-//! materialised `transform` + `decision_function` it replaces. The
+//! the study pays for (`train_deployed`, `DoxClassifier::train`). The
+//! `classify` group times one document at a time through the deployed
+//! classifier's fused `is_dox` and through the materialised `transform` +
+//! `decision_function` it is checked against. The
 //! `study_stream` group runs the study's own document stream (scale 0.01,
 //! chan posts through `html_to_text` as the engine's stage does) through
 //! the deployed detector, and reports ns/doc and MB/s for `is_dox` and for
@@ -17,12 +15,10 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dox_bench::BenchFixture;
 use dox_core::study::{Study, StudyConfig};
 use dox_core::training::DoxClassifier;
-use dox_ml::baseline::{KeywordBaseline, MultinomialNb};
 use dox_ml::eval::evaluate_classifier;
 use dox_ml::metrics::ClassificationReport;
-use dox_ml::sgd::{SgdClassifier, SgdConfig};
+use dox_ml::sgd::SgdConfig;
 use dox_textkit::html::html_to_text;
-use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
 use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -48,24 +44,8 @@ fn bench_training(c: &mut Criterion) {
 
     // Print the Table 1 numbers once per run so `cargo bench` output
     // documents the quality alongside the speed.
-    let outcome = evaluate_classifier(
-        &texts,
-        &labels,
-        2.0 / 3.0,
-        7,
-        SgdConfig::paper(),
-        TfidfConfig::default(),
-    );
+    let outcome = evaluate_classifier(&texts, &labels, 2.0 / 3.0, 7, SgdConfig::paper());
     quality_note("sgd-hinge", &outcome.report);
-    let logistic = evaluate_classifier(
-        &texts,
-        &labels,
-        2.0 / 3.0,
-        7,
-        SgdConfig::logistic(),
-        TfidfConfig::default(),
-    );
-    quality_note("sgd-log", &logistic.report);
 
     let mut group = c.benchmark_group("classifier");
     group.sample_size(10);
@@ -77,7 +57,6 @@ fn bench_training(c: &mut Criterion) {
                 2.0 / 3.0,
                 7,
                 SgdConfig::paper(),
-                TfidfConfig::default(),
             ))
         })
     });
@@ -91,40 +70,7 @@ fn bench_training(c: &mut Criterion) {
         })
     });
 
-    // Inference throughput over a pre-vectorized batch.
-    let mut vect = TfidfVectorizer::default();
-    let vecs = vect.fit_transform(&texts);
-    let n_features = vect.model().expect("fitted").n_features();
-    let clf = SgdClassifier::fit(SgdConfig::paper(), n_features, &vecs, &labels);
-    group.bench_function("predict_batch", |b| {
-        b.iter(|| black_box(clf.predict_batch(black_box(&vecs))))
-    });
-
-    let nb = MultinomialNb::fit(n_features, &vecs, &labels, 1.0);
-    group.bench_function("naive_bayes_predict_batch", |b| {
-        b.iter(|| black_box(nb.predict_batch(black_box(&vecs))))
-    });
-
-    let kw = KeywordBaseline::default();
-    group.bench_function("keyword_baseline_predict", |b| {
-        b.iter(|| {
-            let hits = texts.iter().filter(|t| kw.predict(black_box(t))).count();
-            black_box(hits)
-        })
-    });
     group.finish();
-
-    // Ablation quality notes.
-    let nb_pred = nb.predict_batch(&vecs);
-    quality_note(
-        "naive-bayes(train-set)",
-        &ClassificationReport::from_labels(&nb_pred, &labels),
-    );
-    let kw_pred: Vec<bool> = texts.iter().map(|t| kw.predict(t)).collect();
-    quality_note(
-        "keyword-rules(train-set)",
-        &ClassificationReport::from_labels(&kw_pred, &labels),
-    );
 }
 
 /// Per-document classify cost: the fused pass against materialising the

@@ -6,8 +6,7 @@
 //! (`cargo run -p dox-bench --release --bin repro -- --scale 0.05`);
 //! the Criterion benches (`cargo bench`) measure the throughput of each
 //! pipeline stage plus ablations of the design choices called out in
-//! DESIGN.md (fitted TF-IDF vs hashing vectorizer, SGD vs naive Bayes vs
-//! keyword rules, account-set dedup vs SimHash, filter-era counterfactual).
+//! DESIGN.md (account-set dedup vs SimHash, filter-era counterfactual).
 //!
 //! This library exposes the shared fixture builders the benches use so
 //! they stay consistent and cheap to construct.

@@ -11,7 +11,7 @@ use dox_ml::eval::{evaluate_corpus, train_full_corpus};
 use dox_ml::metrics::ClassificationReport;
 use dox_ml::sgd::{SgdClassifier, SgdConfig};
 use dox_textkit::corpus::TokenizedCorpus;
-use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
+use dox_textkit::tfidf::TfidfVectorizer;
 use serde::Serialize;
 
 /// The trained classifier stage: vectorizer plus linear model.
@@ -42,7 +42,7 @@ impl DoxClassifier {
     /// # Panics
     /// Panics if `texts` is empty or lengths differ.
     pub fn train(texts: &[String], labels: &[bool], seed: u64) -> (Self, ClassifierSummary) {
-        let corpus = TokenizedCorpus::new(texts, &TfidfConfig::default());
+        let corpus = TokenizedCorpus::new(texts);
         let outcome = evaluate_corpus(&corpus, labels, 2.0 / 3.0, seed, SgdConfig::paper());
         let (vectorizer, model) = train_full_corpus(&corpus, labels, seed, SgdConfig::paper());
         let positives = labels.iter().filter(|&&l| l).count();

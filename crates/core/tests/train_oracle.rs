@@ -20,7 +20,6 @@ use dox_ml::sgd::{SgdClassifier, SgdConfig};
 use dox_ml::split::{stratified_split, take};
 use dox_synth::corpus::CorpusGenerator;
 use dox_textkit::corpus::TokenizedCorpus;
-use dox_textkit::tfidf::TfidfConfig;
 use oracle::{assert_same_model, same_bits, OracleFit};
 
 fn check_seed(seed: u64) {
@@ -29,16 +28,15 @@ fn check_seed(seed: u64) {
     let alloc = Allocation::generate(&world, &cfg.alloc, cfg.seed);
     let (texts, labels) = CorpusGenerator::new(&world, &alloc, cfg.synth.clone()).training_sets();
     let (classifier, summary) = DoxClassifier::train(&texts, &labels, seed);
-    let tfidf = TfidfConfig::default();
 
     // The evaluation: fit on the training fold, score the held-out fold.
     let (train_idx, test_idx) = stratified_split(&labels, 2.0 / 3.0, seed);
-    let fold = OracleFit::new(&take(&texts, &train_idx), &tfidf);
+    let fold = OracleFit::new(&take(&texts, &train_idx));
     let train_vecs: Vec<_> = train_idx
         .iter()
         .map(|&i| fold.transform(&texts[i]))
         .collect();
-    let corpus = TokenizedCorpus::new(&texts, &tfidf);
+    let corpus = TokenizedCorpus::new(&texts);
     let corpus_fold = corpus.fit(&train_idx);
     assert_same_model(corpus_fold.vectorizer().model().expect("fitted"), &fold);
     for (&i, expected) in train_idx.iter().zip(&train_vecs) {
@@ -69,7 +67,7 @@ fn check_seed(seed: u64) {
     assert_eq!(classifier.training_sizes, summary.corpus_sizes);
 
     // The deployed model: the whole corpus, SGD seeded by the study seed.
-    let full = OracleFit::new(&texts, &tfidf);
+    let full = OracleFit::new(&texts);
     let vecs: Vec<_> = texts.iter().map(|t| full.transform(t)).collect();
     let mut sgd = SgdConfig::paper();
     sgd.seed = seed;

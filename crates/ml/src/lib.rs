@@ -8,26 +8,23 @@
 //! two-thirds / one-third split, reporting per-class precision, recall, F1
 //! and support (paper Table 1). This crate implements:
 //!
-//! - [`sgd`] — a binary `SGDClassifier` with hinge / log / modified-huber
-//!   losses, L2/L1/none penalties and sklearn's `optimal` learning-rate
-//!   schedule.
+//! - [`sgd`] — that binary `SGDClassifier` and only it: hinge loss, L2
+//!   penalty, sklearn's `optimal` learning-rate schedule, 20 shuffled
+//!   epochs; the shuffle seed is its one setting.
 //! - [`metrics`] — confusion matrices, per-class precision/recall/F1 and the
 //!   classification-report layout used by Table 1.
-//! - [`split`] — deterministic shuffled and stratified train/test splits and
-//!   k-fold cross-validation.
-//! - [`baseline`] — the comparison points: a keyword-rule dox detector and a
-//!   multinomial naive-Bayes classifier.
+//! - [`split`] — the deterministic stratified train/test split and the
+//!   Fisher–Yates shuffle it and the SGD epochs share.
 //! - [`eval`] — end-to-end "vectorize, train, evaluate" helpers shared by
 //!   the pipeline, benchmarks and tests.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod eval;
 pub mod metrics;
 pub mod sgd;
 pub mod split;
 
 pub use metrics::{ClassMetrics, ClassificationReport, ConfusionMatrix};
-pub use sgd::{Loss, Penalty, SgdClassifier, SgdConfig};
+pub use sgd::{SgdClassifier, SgdConfig};

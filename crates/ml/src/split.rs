@@ -1,9 +1,10 @@
 //! Deterministic dataset splitting.
 //!
 //! The paper evaluates the classifier with "a randomly selected two-thirds
-//! training set, one-third evaluation set" (§3.1.2). [`train_test_split`]
-//! reproduces that protocol; [`stratified_split`] and [`kfold`] support the
-//! extended evaluation in the benchmarks.
+//! training set, one-third evaluation set" (§3.1.2). The study draws that
+//! split with [`stratified_split`], so the rare dox class keeps its share
+//! in both halves. [`shuffle`] is the one Fisher–Yates shuffle, which the
+//! split and the SGD epochs both draw from.
 
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
@@ -11,18 +12,6 @@ use rand_chacha::ChaCha8Rng;
 
 /// Index sets produced by a split: `(train, test)`.
 pub type SplitIndices = (Vec<usize>, Vec<usize>);
-
-/// Shuffle `0..n` and split at `train_fraction` (clamped to `[0,1]`).
-///
-/// The paper's protocol is `train_test_split(n, 2.0 / 3.0, seed)`.
-pub fn train_test_split(n: usize, train_fraction: f64, seed: u64) -> SplitIndices {
-    let mut order: Vec<usize> = (0..n).collect();
-    shuffle(&mut order, seed);
-    let cut = ((n as f64) * train_fraction.clamp(0.0, 1.0)).round() as usize;
-    let cut = cut.min(n);
-    let test = order.split_off(cut);
-    (order, test)
-}
 
 /// Split preserving the label ratio in both halves.
 ///
@@ -35,57 +24,28 @@ pub fn stratified_split(labels: &[bool], train_fraction: f64, seed: u64) -> Spli
     let mut train = Vec::new();
     let mut test = Vec::new();
     for (salt, mut class) in [(1u64, pos), (2u64, neg)] {
-        shuffle(&mut class, seed.wrapping_add(salt));
+        shuffle(&mut class, &mut rng(seed.wrapping_add(salt)));
         let cut = ((class.len() as f64) * train_fraction.clamp(0.0, 1.0)).round() as usize;
         let cut = cut.min(class.len());
         test.extend_from_slice(&class[cut..]);
         train.extend_from_slice(&class[..cut]);
     }
     // Keep downstream iteration order independent of class grouping.
-    shuffle(&mut train, seed.wrapping_add(3));
-    shuffle(&mut test, seed.wrapping_add(4));
+    shuffle(&mut train, &mut rng(seed.wrapping_add(3)));
+    shuffle(&mut test, &mut rng(seed.wrapping_add(4)));
     (train, test)
 }
 
-/// K-fold cross-validation index sets: `k` pairs of `(train, test)`.
-///
-/// # Panics
-/// Panics if `k < 2` or `k > n`.
-pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<SplitIndices> {
-    assert!(k >= 2, "k must be at least 2");
-    assert!(k <= n, "k must not exceed the number of samples");
-    let mut order: Vec<usize> = (0..n).collect();
-    shuffle(&mut order, seed);
-    let base = n / k;
-    let extra = n % k;
-    let mut folds = Vec::with_capacity(k);
-    let mut start = 0usize;
-    for f in 0..k {
-        let len = base + usize::from(f < extra);
-        folds.push(order[start..start + len].to_vec());
-        start += len;
-    }
-    (0..k)
-        .map(|f| {
-            let test = folds[f].clone();
-            let train = folds
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != f)
-                .flat_map(|(_, fold)| fold.iter().copied())
-                .collect();
-            (train, test)
-        })
-        .collect()
-}
-
-/// Deterministic Fisher–Yates shuffle keyed by `seed`.
-pub fn shuffle(order: &mut [usize], seed: u64) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+/// Fisher–Yates shuffle of `order`, drawing from `rng`.
+pub fn shuffle(order: &mut [usize], rng: &mut ChaCha8Rng) {
     for i in (1..order.len()).rev() {
         let j = rng.random_range(0..=i);
         order.swap(i, j);
     }
+}
+
+fn rng(seed: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed)
 }
 
 /// Select the elements of `items` at `indices` (cloning).
@@ -97,43 +57,6 @@ pub fn take<T: Clone>(items: &[T], indices: &[usize]) -> Vec<T> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-
-    #[test]
-    fn split_is_a_partition() {
-        let (train, test) = train_test_split(100, 2.0 / 3.0, 7);
-        assert_eq!(train.len() + test.len(), 100);
-        let all: HashSet<usize> = train.iter().chain(&test).copied().collect();
-        assert_eq!(all.len(), 100);
-        assert_eq!(train.len(), 67); // round(100 * 2/3)
-    }
-
-    #[test]
-    fn split_is_deterministic() {
-        assert_eq!(train_test_split(50, 0.5, 42), train_test_split(50, 0.5, 42));
-        assert_ne!(
-            train_test_split(50, 0.5, 42).0,
-            train_test_split(50, 0.5, 43).0
-        );
-    }
-
-    #[test]
-    fn split_edge_fractions() {
-        let (train, test) = train_test_split(10, 0.0, 1);
-        assert!(train.is_empty());
-        assert_eq!(test.len(), 10);
-        let (train, test) = train_test_split(10, 1.0, 1);
-        assert_eq!(train.len(), 10);
-        assert!(test.is_empty());
-        let (train, test) = train_test_split(10, 7.5, 1); // clamped
-        assert_eq!(train.len(), 10);
-        assert!(test.is_empty());
-    }
-
-    #[test]
-    fn split_empty_dataset() {
-        let (train, test) = train_test_split(0, 0.5, 1);
-        assert!(train.is_empty() && test.is_empty());
-    }
 
     #[test]
     fn stratified_preserves_ratio() {
@@ -153,39 +76,6 @@ mod tests {
         let (train, test) = stratified_split(&labels, 0.6, 11);
         let all: HashSet<usize> = train.iter().chain(&test).copied().collect();
         assert_eq!(all.len(), 97);
-    }
-
-    #[test]
-    fn kfold_covers_each_sample_once_as_test() {
-        let folds = kfold(23, 5, 3);
-        assert_eq!(folds.len(), 5);
-        let mut seen = [0usize; 23];
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 23);
-            for &i in test {
-                seen[i] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn kfold_balanced_sizes() {
-        let folds = kfold(10, 3, 1);
-        let sizes: Vec<usize> = folds.iter().map(|(_, t)| t.len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn kfold_rejects_k1() {
-        kfold(10, 1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not exceed")]
-    fn kfold_rejects_k_gt_n() {
-        kfold(3, 5, 0);
     }
 
     #[test]

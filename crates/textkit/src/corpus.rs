@@ -7,18 +7,18 @@
 //! every distinct token once, and keeps each document as its sorted
 //! `(token id, count)` pairs. Ids are ranks in token order, and so is
 //! every vocabulary's feature order, so a [`CorpusFit`] over any subset of
-//! the documents is integer work: count df over ids, prune with the
-//! vocabulary's one rule, and remap ids to feature indices in the order
-//! they already have.
+//! the documents is integer work: count df over ids, keep every id the
+//! subset uses, and remap ids to feature indices in the order they
+//! already have.
 //!
 //! [`TfidfVectorizer::fit`] runs on this corpus too, so the crate has one
 //! fit path, and [`CorpusFit::transform`] of a document is bit-identical to
 //! [`TfidfVectorizer::transform`] of its text.
 
 use crate::sparse::SparseVec;
-use crate::tfidf::{compute_idf, weigh, TfidfConfig, TfidfVectorizer};
-use crate::tokenize::{word_spans, Tokenizer};
-use crate::vocab::{select, Vocabulary};
+use crate::tfidf::{smooth_idf, weigh, TfidfModel, TfidfVectorizer};
+use crate::tokenize::word_spans;
+use crate::vocab::Vocabulary;
 use std::collections::HashMap;
 
 /// Marks a token id that has no feature in a fit.
@@ -28,10 +28,9 @@ const DROPPED: u32 = u32::MAX;
 ///
 /// ```
 /// use dox_textkit::corpus::TokenizedCorpus;
-/// use dox_textkit::tfidf::TfidfConfig;
 ///
 /// let texts = ["Name and ADDRESS of the victim", "fn main() {}", "the victim"];
-/// let corpus = TokenizedCorpus::new(&texts, &TfidfConfig::default());
+/// let corpus = TokenizedCorpus::new(&texts);
 /// let fold = corpus.fit(&[0, 2]);
 /// let vectorizer = fold.vectorizer();
 /// assert_eq!(fold.transform(1), vectorizer.transform(texts[1]));
@@ -39,7 +38,6 @@ const DROPPED: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TokenizedCorpus {
-    config: TfidfConfig,
     /// Every distinct token, in lexicographic order; a token's id is its
     /// position.
     tokens: Vec<String>,
@@ -48,38 +46,31 @@ pub struct TokenizedCorpus {
 }
 
 impl TokenizedCorpus {
-    /// Tokenize `texts` with `config`'s tokenizer settings.
+    /// Tokenize `texts`.
     ///
-    /// Text is lowercased as [`Tokenizer::tokenize`] does it (ASCII in a
-    /// reused buffer, anything else through `str::to_lowercase`) and split
-    /// with the tokenizer's own word rule, with no owned `String` per
-    /// token. Without lowercasing, or with word n-grams, whatever
-    /// [`Tokenizer::tokenize`] emits is interned.
-    pub fn new<S: AsRef<str>>(texts: &[S], config: &TfidfConfig) -> Self {
-        let tok = &config.tokenizer;
-        let tokenizer = Tokenizer::new(tok.clone());
-        let words_only = tok.lowercase && tok.ngram_range == (1, 1);
+    /// Text is lowercased as [`crate::Tokenizer::tokenize`] does it (ASCII
+    /// in a reused buffer, anything else through `str::to_lowercase`) and
+    /// split with the tokenizer's own word rule, with no owned `String`
+    /// per token.
+    pub fn new<S: AsRef<str>>(texts: &[S]) -> Self {
         let mut index: HashMap<String, u32> = HashMap::new();
         let mut lowered = String::new();
         let mut occurrences: Vec<Vec<u32>> = Vec::with_capacity(texts.len());
         for text in texts {
             let text = text.as_ref();
-            let mut ids = Vec::new();
-            if words_only {
-                if text.is_ascii() {
-                    lowered.clear();
-                    lowered.push_str(text);
-                    lowered.make_ascii_lowercase();
-                } else {
-                    lowered = text.to_lowercase();
-                }
-                let words = word_spans(&lowered, tok.min_token_len);
-                ids.extend(words.map(|(start, end)| intern(&mut index, &lowered[start..end])));
+            if text.is_ascii() {
+                lowered.clear();
+                lowered.push_str(text);
+                lowered.make_ascii_lowercase();
             } else {
-                let emitted = tokenizer.tokenize(text);
-                ids.extend(emitted.iter().map(|t| intern(&mut index, t)));
+                lowered = text.to_lowercase();
             }
-            occurrences.push(ids);
+            let words = word_spans(&lowered);
+            occurrences.push(
+                words
+                    .map(|(start, end)| intern(&mut index, &lowered[start..end]))
+                    .collect(),
+            );
         }
         // Renumber the first-seen ids by rank in token order.
         let mut interned: Vec<(String, u32)> = index.into_iter().collect();
@@ -106,11 +97,7 @@ impl TokenizedCorpus {
                 doc
             })
             .collect();
-        Self {
-            config: config.clone(),
-            tokens,
-            docs,
-        }
+        Self { tokens, docs }
     }
 
     /// Number of documents.
@@ -125,9 +112,8 @@ impl TokenizedCorpus {
 
     /// Fit a vocabulary and idf weights on the documents `docs` (indices
     /// into the corpus), exactly as [`TfidfVectorizer::fit`] would on
-    /// their texts: df is counted over the listed documents, then pruned
-    /// and ordered by the one rule [`crate::vocab::VocabBuilder::build`]
-    /// applies.
+    /// their texts: df is counted over the listed documents, and every
+    /// token they use becomes a feature, in token order.
     ///
     /// # Panics
     /// Panics if an index is out of range.
@@ -138,19 +124,21 @@ impl TokenizedCorpus {
                 doc_freq[id as usize] += 1;
             }
         }
-        // Ids order as their tokens do, so they stand in for them.
-        let seen = doc_freq
+        // Ids order as their tokens do, so id order is feature order.
+        let kept: Vec<(u32, u32)> = doc_freq
             .iter()
             .enumerate()
             .filter(|&(_, &df)| df > 0)
             .map(|(id, &df)| (id as u32, df))
             .collect();
-        let kept = select(seen, docs.len(), &self.config.vocab);
         let mut features = vec![DROPPED; self.tokens.len()];
         for (feature, &(id, _)) in kept.iter().enumerate() {
             features[id as usize] = feature as u32;
         }
-        let idf = compute_idf(kept.iter().map(|&(_, df)| df), docs.len(), &self.config);
+        let idf = kept
+            .iter()
+            .map(|&(_, df)| smooth_idf(df, docs.len()))
+            .collect();
         CorpusFit {
             corpus: self,
             kept,
@@ -206,26 +194,26 @@ impl CorpusFit<'_> {
                 (feature != DROPPED).then_some((feature, f64::from(count)))
             })
             .unzip();
-        weigh(
-            &self.corpus.config,
-            &self.idf,
-            &SparseVec::from_parts(indices, counts),
-        )
+        weigh(&self.idf, &SparseVec::from_parts(indices, counts))
     }
 
-    /// The fitted vectorizer: its `String`-keyed vocabulary and the frozen
-    /// table the fused scorer reads, for inference on new text.
-    pub fn vectorizer(&self) -> TfidfVectorizer {
+    /// The fitted model: its vocabulary, with the frozen table every
+    /// lookup reads, and its idf weights.
+    pub(crate) fn model(&self) -> TfidfModel {
         let tokens = &self.corpus.tokens;
         let entries = self
             .kept
             .iter()
             .map(|&(id, df)| (tokens[id as usize].clone(), df));
-        TfidfVectorizer::fitted(
-            self.corpus.config.clone(),
-            Vocabulary::from_selected(entries, self.n_docs),
+        TfidfModel::new(
+            Vocabulary::from_entries(entries, self.n_docs),
             self.idf.clone(),
         )
+    }
+
+    /// The fitted vectorizer, for inference on new text.
+    pub fn vectorizer(&self) -> TfidfVectorizer {
+        TfidfVectorizer::fitted(self.model())
     }
 }
 
@@ -235,35 +223,27 @@ mod tests {
 
     #[test]
     fn documents_are_id_counts_with_ids_in_token_order() {
-        let corpus = TokenizedCorpus::new(&["b A b", "a ÄÄ", "", "!!"], &TfidfConfig::default());
-        let config = TfidfConfig {
-            tokenizer: crate::tokenize::TokenizerConfig {
-                min_token_len: 1,
-                ..Default::default()
-            },
-            ..TfidfConfig::default()
-        };
-        let short = TokenizedCorpus::new(&["b A b", "a ÄÄ", "", "!!"], &config);
-        assert_eq!(corpus.tokens, ["ää"]);
-        assert_eq!(corpus.docs, [vec![], vec![(0, 1)], vec![], vec![]]);
-        assert_eq!(short.tokens, ["a", "b", "ää"]);
+        let corpus = TokenizedCorpus::new(&["bb AA bb", "aa ÄÄ", "", "!! x"]);
+        assert_eq!(corpus.tokens, ["aa", "bb", "ää"]);
         assert_eq!(
-            short.docs,
+            corpus.docs,
             [vec![(0, 1), (1, 2)], vec![(0, 1), (2, 1)], vec![], vec![]]
         );
-        assert_eq!(short.len(), 4);
+        assert_eq!(corpus.len(), 4);
     }
 
     #[test]
     fn tokens_unseen_by_the_fit_are_dropped() {
         let texts = ["alpha beta", "beta gamma", "gamma delta"];
-        let corpus = TokenizedCorpus::new(&texts, &TfidfConfig::default());
+        let corpus = TokenizedCorpus::new(&texts);
         let fold = corpus.fit(&[0, 1]);
         assert_eq!(fold.n_features(), 3);
         let vectorizer = fold.vectorizer();
         let vocab = vectorizer.model().expect("fitted").vocabulary();
         assert_eq!(vocab.tokens_in_order(), ["alpha", "beta", "gamma"]);
         assert_eq!(vocab.n_docs(), 2);
+        let df: Vec<u32> = (0..3).map(|idx| vocab.doc_freq(idx)).collect();
+        assert_eq!(df, [1, 2, 1], "documents, not occurrences");
         assert_eq!(fold.transform(2), vectorizer.transform(texts[2]));
         assert_eq!(fold.transform(2).nnz(), 1);
         assert!(corpus

@@ -10,6 +10,8 @@
 //! ordered and unordered lists, blockquotes (chan "greentext" uses
 //! `<span class="quote">`), `<br>`, entity references, and tag stripping for
 //! everything else. `<script>` and `<style>` contents are dropped entirely.
+//! List items indent by nesting depth up to eight levels and no further,
+//! so hostile nesting cannot make the output grow faster than the input.
 
 use std::fmt::Write;
 
@@ -102,6 +104,11 @@ fn decode_entity(ent: &str) -> Option<char> {
         }
     }
 }
+
+/// List levels that indent an item; deeper lists indent no further, so
+/// each `<li>` writes at most this many two-space steps however deeply
+/// the lists nest.
+const MAX_INDENT_LEVELS: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ListKind {
@@ -232,7 +239,7 @@ impl Converter {
             }
             (b"li", false) => {
                 self.newline();
-                let depth = self.list_stack.len().max(1);
+                let depth = self.list_stack.len().clamp(1, MAX_INDENT_LEVELS);
                 for _ in 0..depth {
                     self.out.push_str("  ");
                 }
@@ -325,6 +332,14 @@ mod tests {
     fn nested_lists_indent() {
         let html = "<ul><li>outer<ul><li>inner</li></ul></li></ul>";
         assert_eq!(html_to_text(html), "  - outer\n    - inner");
+    }
+
+    #[test]
+    fn deep_lists_indent_at_most_eight_levels() {
+        let html = format!("{}<li>deep", "<ul>".repeat(20));
+        assert_eq!(html_to_text(&html), format!("{}- deep", "  ".repeat(8)));
+        let html = format!("{}<li>x", "<ol>".repeat(9));
+        assert_eq!(html_to_text(&html), format!("{}1. x", "  ".repeat(8)));
     }
 
     #[test]

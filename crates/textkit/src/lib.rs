@@ -6,22 +6,23 @@
 //! `TfidfVectorizer` and pre-processes chan HTML with `html2text`. This crate
 //! provides from-scratch, dependency-free equivalents:
 //!
-//! - [`normalize`] — unicode-light text normalization helpers.
-//! - [`tokenize`] — word tokenizers and n-gram expansion compatible with the
-//!   scikit-learn default token pattern (`\w\w+`).
+//! - [`normalize`] — the extraction stage's phone and handle helpers.
+//! - [`tokenize`] — the word tokenizer: lowercase, then the scikit-learn
+//!   default token pattern (`\w\w+`) as unigrams.
 //! - [`html`] — an `html2text`-style converter that maps HTML markup to
 //!   semantically equivalent plain text (lists, breaks, entity decoding).
 //! - [`sparse`] — sorted-index sparse vectors and the linear-algebra kernels
 //!   used by the TF-IDF vectorizer and SGD classifier.
-//! - [`vocab`] — vocabulary construction with document-frequency pruning.
+//! - [`vocab`] — the fitted vocabulary: tokens in feature order, document
+//!   frequencies, and the frozen token→index table every lookup reads
+//!   (private `table` module).
 //! - [`corpus`] — a training corpus tokenized once into interned token
 //!   ids, from which every TF-IDF fit builds its vocabulary, idf weights
 //!   and vectors.
-//! - [`tfidf`] — a `TfidfVectorizer` equivalent (smooth idf, sublinear-tf
-//!   option, l2 normalization), matching sklearn 0.17 defaults, with a
-//!   fused allocation-free scorer for inference (its frozen token→index
-//!   table lives in the private `table` module).
-//! - [`hashing`] — a stateless feature-hashing vectorizer.
+//! - [`tfidf`] — a `TfidfVectorizer` at scikit-learn 0.17's defaults and
+//!   only those (unigrams, raw tf, smooth idf, l2 normalization, no
+//!   pruning), with a fused allocation-free scorer for inference.
+//! - [`hashing`] — FNV-1a, the stable hash behind dedup keys and shingles.
 //! - [`similarity`] — shingling, Jaccard similarity and SimHash used by the
 //!   de-duplication stage (§3.1.4).
 //!

@@ -5,8 +5,6 @@
 //! and the SGD classifier in `dox-ml` operate on [`SparseVec`]: parallel
 //! `(index, value)` arrays with strictly increasing indices.
 
-use serde::Serialize;
-
 /// A sparse vector with strictly increasing indices.
 ///
 /// Invariants (maintained by every constructor and checked by
@@ -15,7 +13,7 @@ use serde::Serialize;
 /// - `indices` strictly increasing
 /// - no explicitly stored zeros are *required* to be absent, but all
 ///   constructors in this crate drop them.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVec {
     indices: Vec<u32>,
     values: Vec<f64>,
@@ -158,11 +156,6 @@ impl SparseVec {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Sum of absolute values (l1 norm).
-    pub fn l1_norm(&self) -> f64 {
-        self.values.iter().map(|v| v.abs()).sum()
-    }
-
     /// Scale every stored value in place.
     pub fn scale(&mut self, factor: f64) {
         for v in &mut self.values {
@@ -176,16 +169,6 @@ impl SparseVec {
         let n = self.l2_norm();
         if n > 0.0 {
             self.scale(1.0 / n);
-        }
-    }
-
-    /// Cosine similarity in `[−1, 1]`; zero when either vector is zero.
-    pub fn cosine(&self, other: &SparseVec) -> f64 {
-        let denom = self.l2_norm() * other.l2_norm();
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.dot(other) / denom
         }
     }
 
@@ -274,10 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn norms() {
+    fn l2_norm_of_a_3_4_vector() {
         let s = v(&[(0, 3.0), (1, -4.0)]);
         assert_eq!(s.l2_norm(), 5.0);
-        assert_eq!(s.l1_norm(), 7.0);
     }
 
     #[test]
@@ -288,16 +270,6 @@ mod tests {
         let mut z = SparseVec::new();
         z.l2_normalize();
         assert!(z.is_empty());
-    }
-
-    #[test]
-    fn cosine_bounds() {
-        let a = v(&[(0, 1.0)]);
-        let b = v(&[(0, 2.0)]);
-        let c = v(&[(1, 1.0)]);
-        assert!((a.cosine(&b) - 1.0).abs() < 1e-12);
-        assert_eq!(a.cosine(&c), 0.0);
-        assert_eq!(a.cosine(&SparseVec::new()), 0.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! A frozen token → feature-index table for inference.
+//! The frozen token → feature-index table.
 //!
-//! [`Vocabulary`] keeps its `HashMap<String, u32>` for serialization and
-//! for the materialised [`crate::TfidfVectorizer::transform`] path; that
-//! map hashes every probe with keyed SipHash. The fused scorer instead
-//! looks each word up in a [`TokenTable`]: open addressing with linear
-//! probing over a power-of-two slot array.
+//! Every lookup in a fitted vocabulary goes through a [`TokenTable`]:
+//! [`crate::vocab::Vocabulary::get`] (which the materialised
+//! [`crate::TfidfVectorizer::transform`] calls) and the fused scorer's
+//! case-folding [`TokenTable::get_folded`]. It is open addressing with
+//! linear probing over a power-of-two slot array.
 //!
 //! **Slot layout.** A slot is 16 bytes: the token's first 8 bytes as a
 //! little-endian word (zero-padded past the token's end), its length and
@@ -27,8 +27,6 @@
 //! fixed by the training vocabulary, the load factor is at most ½, and a
 //! lookup of attacker-chosen text can only walk a chain that already
 //! exists, ending at its first empty slot — it cannot grow one.
-
-use crate::vocab::Vocabulary;
 
 /// Marks an empty slot.
 const EMPTY: u32 = u32::MAX;
@@ -67,9 +65,9 @@ pub(crate) struct TokenTable {
 }
 
 impl TokenTable {
-    /// Freeze `vocab` into a lookup table.
-    pub(crate) fn new(vocab: &Vocabulary) -> Self {
-        let tokens = vocab.tokens_in_order();
+    /// Freeze `tokens`, in feature-index order, into a lookup table;
+    /// `doc_freq` is their training document frequency, parallel to them.
+    pub(crate) fn new(tokens: &[String], doc_freq: &[u32]) -> Self {
         let n_slots = (tokens.len() * 2).next_power_of_two().max(2);
         let mut table = Self {
             slots: vec![VACANT; n_slots],
@@ -78,7 +76,7 @@ impl TokenTable {
             rest_at: Vec::with_capacity(tokens.len()),
         };
         let mask = n_slots - 1;
-        for token in &tokens {
+        for token in tokens {
             table.rest_at.push(table.rests.len() as u32);
             table
                 .rests
@@ -87,7 +85,7 @@ impl TokenTable {
         // The most frequent training tokens claim their home slots first,
         // so a typical hit is found at the first slot it probes.
         let mut by_df: Vec<u32> = (0..tokens.len() as u32).collect();
-        by_df.sort_by_key(|&idx| std::cmp::Reverse(vocab.doc_freq(idx)));
+        by_df.sort_by_key(|&idx| std::cmp::Reverse(doc_freq[idx as usize]));
         for idx in by_df {
             let token = tokens[idx as usize].as_bytes();
             let (head, tail) = words(token, 0, token.len());
@@ -221,20 +219,30 @@ fn hash(len: usize, head: u64, tail: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::VocabConfig;
+    use std::collections::HashMap;
 
-    fn vocab(tokens: &[&str]) -> Vocabulary {
-        Vocabulary::fit(&[tokens.to_vec()], &VocabConfig::default())
+    /// A table over `tokens`, sorted and deduplicated as a vocabulary's
+    /// are, and the map from each token to its feature index.
+    fn table(tokens: &[&str]) -> (TokenTable, HashMap<String, u32>) {
+        let mut tokens: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        let doc_freq: Vec<u32> = (0..tokens.len() as u32).map(|i| i % 7 + 1).collect();
+        let map = tokens
+            .iter()
+            .zip(0..)
+            .map(|(t, i)| (t.clone(), i))
+            .collect();
+        (TokenTable::new(&tokens, &doc_freq), map)
     }
 
     #[test]
-    fn agrees_with_the_vocabulary_on_hits_and_misses() {
+    fn agrees_with_a_map_on_hits_and_misses() {
         let words: Vec<String> = (0..2_000).map(|i| format!("tok{i}_{}", i * 7919)).collect();
         let refs: Vec<&str> = words.iter().map(String::as_str).collect();
-        let v = vocab(&refs);
-        let table = TokenTable::new(&v);
+        let (table, map) = table(&refs);
         for w in &refs {
-            assert_eq!(table.get(w), v.get(w), "{w}");
+            assert_eq!(table.get(w), map.get(*w).copied(), "{w}");
         }
         for miss in ["", "tok", "tok1_", "tok0_0x", "zzzzzzzzzzzzzzzzzz", "é"] {
             assert_eq!(table.get(miss), None, "{miss}");
@@ -244,10 +252,9 @@ mod tests {
     #[test]
     fn long_and_non_ascii_tokens_round_trip() {
         let long = "a".repeat(300);
-        let v = vocab(&["i̇stanbul", "σοφία", "ab", "abcdefgh", "abcdefghi", &long]);
-        let table = TokenTable::new(&v);
-        for t in v.tokens_in_order() {
-            assert_eq!(table.get(t), v.get(t));
+        let (table, map) = table(&["i̇stanbul", "σοφία", "ab", "abcdefgh", "abcdefghi", &long]);
+        for (t, &idx) in &map {
+            assert_eq!(table.get(t), Some(idx));
         }
         assert_eq!(table.get("abcdefg"), None);
         assert_eq!(table.get(&long[1..]), None);
@@ -256,7 +263,7 @@ mod tests {
     #[test]
     fn empty_tables_find_nothing() {
         assert_eq!(TokenTable::default().get("dox"), None);
-        assert_eq!(TokenTable::new(&vocab(&[])).get("dox"), None);
+        assert_eq!(table(&[]).0.get("dox"), None);
         assert_eq!(TokenTable::default().get_folded(b"dox", 0, 3), None);
     }
 
@@ -293,7 +300,7 @@ mod tests {
             "MiXeD",
             "mixedcaselonger_Tail",
         ];
-        let table = TokenTable::new(&vocab(&stored));
+        let (table, _) = table(&stored);
         let mut probes: Vec<String> = stored.iter().map(|t| t.to_string()).collect();
         probes.extend(stored.iter().map(|t| t.to_ascii_uppercase()));
         probes.extend(

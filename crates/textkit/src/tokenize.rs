@@ -1,104 +1,63 @@
-//! Word tokenization and n-gram expansion.
+//! Word tokenization.
 //!
 //! The paper's classifier uses scikit-learn's `TfidfVectorizer` with default
-//! parameters, whose token pattern is `(?u)\b\w\w+\b`: maximal runs of word
-//! characters (alphanumerics plus underscore) of length at least two.
-//! [`Tokenizer`] reproduces that behaviour without a regex engine.
+//! parameters: the text is lowercased and its tokens are the matches of
+//! `(?u)\b\w\w+\b`, maximal runs of word characters (alphanumerics plus
+//! underscore) at least two characters long, as unigrams. [`Tokenizer`]
+//! reproduces exactly that, without a regex engine; it has no options.
 
-/// Configuration for [`Tokenizer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenizerConfig {
-    /// Lowercase the input before tokenizing (sklearn default: `true`).
-    pub lowercase: bool,
-    /// Minimum token length in characters (sklearn default: `2`).
-    pub min_token_len: usize,
-    /// Inclusive n-gram range `(lo, hi)` over words (sklearn default `(1,1)`).
-    pub ngram_range: (usize, usize),
-}
+/// The shortest token, in chars: the two `\w` of `\w\w+`.
+pub(crate) const MIN_TOKEN_LEN: usize = 2;
 
-impl Default for TokenizerConfig {
-    fn default() -> Self {
-        Self {
-            lowercase: true,
-            min_token_len: 2,
-            ngram_range: (1, 1),
-        }
-    }
-}
+/// The tokenizer's settings, of which there are none.
+///
+/// Kept, with [`Tokenizer::new`], only so the benchmark harness's
+/// classify layer (`perfbench/src/layers.rs`) compiles until that layer
+/// is rewritten to time the fused scorer.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TokenizerConfig;
 
-/// A deterministic word tokenizer matching the scikit-learn default token
-/// pattern `\w\w+` with optional word n-gram expansion.
+/// A deterministic word tokenizer: lowercase, then scikit-learn's
+/// `\w\w+` unigrams.
 #[derive(Debug, Clone, Default)]
-pub struct Tokenizer {
-    config: TokenizerConfig,
-}
+pub struct Tokenizer;
 
 impl Tokenizer {
-    /// Create a tokenizer with the given configuration.
-    pub fn new(config: TokenizerConfig) -> Self {
-        Self { config }
+    /// The tokenizer; `config` carries nothing (see [`TokenizerConfig`]).
+    pub fn new(_config: TokenizerConfig) -> Self {
+        Self
     }
 
-    /// Create a tokenizer matching scikit-learn `TfidfVectorizer` defaults.
-    pub fn sklearn_default() -> Self {
-        Self::new(TokenizerConfig::default())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TokenizerConfig {
-        &self.config
-    }
-
-    /// Tokenize `text` into owned tokens, including n-gram expansion.
+    /// Tokenize `text` into owned tokens.
     ///
-    /// Word characters are Unicode alphanumerics plus `_`; every maximal run
-    /// of length `>= min_token_len` becomes a token. N-grams of words are
-    /// joined with a single space, matching sklearn's convention.
+    /// The text is lowercased with `str::to_lowercase`; word characters
+    /// are Unicode alphanumerics plus `_`, and every maximal run of at
+    /// least two of them becomes a token.
     ///
     /// ```
-    /// let t = dox_textkit::Tokenizer::sklearn_default();
+    /// let t = dox_textkit::Tokenizer;
     /// assert_eq!(t.tokenize("Dox'd: John_Doe a I"), vec!["dox", "john_doe"]);
     /// ```
     pub fn tokenize(&self, text: &str) -> Vec<String> {
-        let lowered;
-        let text = if self.config.lowercase {
-            lowered = text.to_lowercase();
-            &lowered
-        } else {
-            text
-        };
-        let words: Vec<&str> = word_spans(text, self.config.min_token_len)
-            .map(|(start, end)| &text[start..end])
-            .collect();
-        let (lo, hi) = self.config.ngram_range;
-        if (lo, hi) == (1, 1) {
-            return words.into_iter().map(str::to_string).collect();
-        }
-        let mut out = Vec::new();
-        for n in lo..=hi {
-            if n == 0 || n > words.len() {
-                continue;
-            }
-            for window in words.windows(n) {
-                out.push(window.join(" "));
-            }
-        }
-        out
+        let text = text.to_lowercase();
+        word_spans(&text)
+            .map(|(start, end)| text[start..end].to_string())
+            .collect()
     }
 }
 
 /// The byte spans `(start, end)` of the maximal word-character runs of
-/// `text` that are at least `min_len` characters long, in text order.
+/// `text` that are at least [`MIN_TOKEN_LEN`] characters long, in text
+/// order.
 ///
 /// This is the one implementation of sklearn's `\w\w+` rule: word
 /// characters are Unicode alphanumerics plus `_`. [`Tokenizer::tokenize`]
 /// and the fused TF-IDF scorer both walk it; the scorer's ASCII pass
 /// walks [`ascii_word_spans`], its byte-at-a-time equal on ASCII text.
-pub(crate) fn word_spans(text: &str, min_len: usize) -> WordSpans<'_> {
+pub(crate) fn word_spans(text: &str) -> WordSpans<'_> {
     WordSpans {
         chars: text.char_indices(),
         len: text.len(),
-        min_len,
     }
 }
 
@@ -107,7 +66,6 @@ pub(crate) fn word_spans(text: &str, min_len: usize) -> WordSpans<'_> {
 pub(crate) struct WordSpans<'a> {
     chars: std::str::CharIndices<'a>,
     len: usize,
-    min_len: usize,
 }
 
 impl Iterator for WordSpans<'_> {
@@ -124,7 +82,7 @@ impl Iterator for WordSpans<'_> {
                 }
                 Some((idx, _)) => {
                     if let Some(s) = start.take() {
-                        if char_count >= self.min_len {
+                        if char_count >= MIN_TOKEN_LEN {
                             return Some((s, idx));
                         }
                     }
@@ -132,7 +90,7 @@ impl Iterator for WordSpans<'_> {
                 }
                 None => {
                     let s = start?;
-                    return (char_count >= self.min_len).then_some((s, self.len));
+                    return (char_count >= MIN_TOKEN_LEN).then_some((s, self.len));
                 }
             }
         }
@@ -151,11 +109,11 @@ static WORD_BYTE: [bool; 256] = {
 };
 
 /// [`word_spans`] of ASCII text, byte by byte: calls `f(start, end)` for
-/// each maximal word-byte run at least `min_len` bytes long, in order. On
+/// each maximal word-byte run at least [`MIN_TOKEN_LEN`] bytes long, in
+/// order. On
 /// ASCII text a byte is a char and lowercasing moves no word boundary, so
 /// these are the spans `word_spans` finds in the lowercased text.
-pub(crate) fn ascii_word_spans(bytes: &[u8], min_len: usize, mut f: impl FnMut(usize, usize)) {
-    let min_len = min_len.max(1);
+pub(crate) fn ascii_word_spans(bytes: &[u8], mut f: impl FnMut(usize, usize)) {
     let mut at = 0;
     while at < bytes.len() {
         while at < bytes.len() && !WORD_BYTE[usize::from(bytes[at])] {
@@ -165,7 +123,7 @@ pub(crate) fn ascii_word_spans(bytes: &[u8], min_len: usize, mut f: impl FnMut(u
         while at < bytes.len() && WORD_BYTE[usize::from(bytes[at])] {
             at += 1;
         }
-        if at - start >= min_len {
+        if at - start >= MIN_TOKEN_LEN {
             f(start, at);
         }
     }
@@ -177,7 +135,7 @@ mod tests {
 
     #[test]
     fn default_matches_sklearn_pattern() {
-        let t = Tokenizer::sklearn_default();
+        let t = Tokenizer;
         // single-character tokens are dropped, punctuation splits
         assert_eq!(
             t.tokenize("I am a dox-file, v2!"),
@@ -187,74 +145,35 @@ mod tests {
 
     #[test]
     fn underscore_is_word_char() {
-        let t = Tokenizer::sklearn_default();
+        let t = Tokenizer;
         assert_eq!(t.tokenize("snake_case_name"), vec!["snake_case_name"]);
     }
 
     #[test]
-    fn lowercasing_can_be_disabled() {
-        let t = Tokenizer::new(TokenizerConfig {
-            lowercase: false,
-            ..TokenizerConfig::default()
-        });
-        assert_eq!(t.tokenize("DoX DoX"), vec!["DoX", "DoX"]);
-    }
-
-    #[test]
-    fn bigrams_join_with_space() {
-        let t = Tokenizer::new(TokenizerConfig {
-            ngram_range: (1, 2),
-            ..TokenizerConfig::default()
-        });
-        assert_eq!(
-            t.tokenize("full name here"),
-            vec!["full", "name", "here", "full name", "name here"]
-        );
-    }
-
-    #[test]
-    fn pure_bigrams() {
-        let t = Tokenizer::new(TokenizerConfig {
-            ngram_range: (2, 2),
-            ..TokenizerConfig::default()
-        });
-        assert_eq!(t.tokenize("aa bb cc"), vec!["aa bb", "bb cc"]);
-    }
-
-    #[test]
-    fn ngram_longer_than_text_is_empty() {
-        let t = Tokenizer::new(TokenizerConfig {
-            ngram_range: (3, 3),
-            ..TokenizerConfig::default()
-        });
-        assert!(t.tokenize("aa bb").is_empty());
-    }
-
-    #[test]
     fn unicode_words_survive() {
-        let t = Tokenizer::sklearn_default();
+        let t = Tokenizer;
         assert_eq!(t.tokenize("héllo wörld"), vec!["héllo", "wörld"]);
     }
 
     #[test]
     fn empty_input() {
-        let t = Tokenizer::sklearn_default();
+        let t = Tokenizer;
         assert!(t.tokenize("").is_empty());
         assert!(t.tokenize("!!! ... ---").is_empty());
     }
 
     #[test]
     fn trailing_word_is_kept() {
-        let t = Tokenizer::sklearn_default();
+        let t = Tokenizer;
         assert_eq!(t.tokenize("ends with word"), vec!["ends", "with", "word"]);
     }
 
     #[test]
     fn spans_index_the_original_text() {
         let text = "éé a_1 ?? Ωx-y 中文";
-        let words: Vec<&str> = word_spans(text, 2).map(|(s, e)| &text[s..e]).collect();
+        let words: Vec<&str> = word_spans(text).map(|(s, e)| &text[s..e]).collect();
         assert_eq!(words, vec!["éé", "a_1", "Ωx", "中文"]);
-        assert_eq!(word_spans("x y", 1).count(), 2);
+        assert_eq!(word_spans("x y").count(), 0);
     }
 
     #[test]
@@ -269,18 +188,16 @@ mod tests {
             "__init__: 42, v2!",
             &all,
         ] {
-            for min_len in 0..4 {
-                let mut ascii = Vec::new();
-                ascii_word_spans(text.as_bytes(), min_len, |s, e| ascii.push((s, e)));
-                let chars: Vec<_> = word_spans(text, min_len).collect();
-                assert_eq!(ascii, chars, "{text:?} min_len {min_len}");
-            }
+            let mut ascii = Vec::new();
+            ascii_word_spans(text.as_bytes(), |s, e| ascii.push((s, e)));
+            let chars: Vec<_> = word_spans(text).collect();
+            assert_eq!(ascii, chars, "{text:?}");
         }
     }
 
     #[test]
     fn min_len_respects_chars_not_bytes() {
-        let t = Tokenizer::sklearn_default();
+        let t = Tokenizer;
         // 'éé' is two chars, four bytes; must be kept.
         assert_eq!(t.tokenize("éé"), vec!["éé"]);
     }

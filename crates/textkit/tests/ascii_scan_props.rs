@@ -11,8 +11,7 @@
 //! 8, 9, 16 and 17 bytes, tokens sharing a length and head but not a
 //! tail, and tokens sharing a tail but not a head.
 
-use dox_textkit::tfidf::{TfidfConfig, TfidfVectorizer};
-use dox_textkit::tokenize::TokenizerConfig;
+use dox_textkit::tfidf::TfidfVectorizer;
 use proptest::prelude::*;
 
 /// Vocabulary words, already lowercase.
@@ -126,19 +125,7 @@ fn document(seed: u64, max_len: usize, end_on_word: bool) -> String {
     String::from_utf8(doc).expect("ASCII")
 }
 
-fn fitted(variant: usize) -> TfidfVectorizer {
-    let mut cfg = TfidfConfig::default();
-    match variant {
-        0 => {}
-        1 => cfg.sublinear_tf = true,
-        2 => cfg.l2_normalize = false,
-        _ => {
-            cfg.tokenizer = TokenizerConfig {
-                min_token_len: 1,
-                ..TokenizerConfig::default()
-            }
-        }
-    }
+fn fitted() -> TfidfVectorizer {
     // Uneven document frequencies, so idf varies by feature.
     let corpus: Vec<String> = (0..9)
         .map(|d| {
@@ -151,7 +138,7 @@ fn fitted(variant: usize) -> TfidfVectorizer {
                 .join(" q ")
         })
         .collect();
-    let mut v = TfidfVectorizer::new(cfg);
+    let mut v = TfidfVectorizer::default();
     v.fit(&corpus);
     v
 }
@@ -184,9 +171,8 @@ proptest! {
         seed in any::<u64>(),
         max_len in 0usize..=4096,
         end_on_word in any::<bool>(),
-        variant in 0usize..4,
     ) {
-        let v = fitted(variant);
+        let v = fitted();
         let doc = document(seed, max_len, end_on_word);
         assert_bit_identical(&v, &doc, &weights(&v))?;
     }
@@ -198,7 +184,7 @@ proptest! {
         edit in 0usize..3,
         sep in 0usize..separators().len(),
     ) {
-        let v = fitted(0);
+        let v = fitted();
         let w = weights(&v);
         let mut token: Vec<u8> = VOCAB[word_at].as_bytes().to_vec();
         match edit {
@@ -229,7 +215,7 @@ proptest! {
 
 #[test]
 fn every_vocabulary_word_is_found_in_any_case() {
-    let v = fitted(0);
+    let v = fitted();
     let w = weights(&v);
     for token in VOCAB {
         for doc in [

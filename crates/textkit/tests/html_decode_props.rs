@@ -6,7 +6,9 @@
 //! produce the same bytes, and neither may panic: lone and repeated `&`,
 //! unterminated, overlong and out-of-range references, multibyte chars
 //! next to `&` and `;`, raw and encoded CR/LF/TAB, unclosed `<`, and a
-//! megabyte of `&amp;`.
+//! megabyte of `&amp;`. Nor may the text outgrow the HTML by more than
+//! 8×: thousands of nested `<ul>`/`<ol>`, unmatched closers, an unclosed
+//! `<` after megabytes of text and 100k greentext spans stay linear.
 
 #[path = "oracle/html.rs"]
 mod oracle;
@@ -84,12 +86,9 @@ const PIECES: &[&str] = &[
 ];
 
 fn assert_same(doc: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        html_to_text(doc),
-        oracle::html_to_text(doc),
-        "html_to_text on {:?}",
-        doc
-    );
+    let text = html_to_text(doc);
+    prop_assert!(text.len() <= 8 * doc.len(), "{:?} grew to {:?}", doc, text);
+    prop_assert_eq!(text, oracle::html_to_text(doc), "html_to_text on {:?}", doc);
     prop_assert_eq!(
         decode_entities(doc),
         oracle::decode_entities(doc),
@@ -140,9 +139,28 @@ fn edge_documents_match_the_char_at_a_time_decoder() {
         "&amp;".repeat(200_000),
         format!("{}&amp", "&amp;".repeat(1000)),
         "é".repeat(10_000) + "&#x41;",
+        // 2,000 open lists: at two spaces per open list per item, the
+        // text would be ~440x the HTML.
+        "<ul>".repeat(2_000) + &"<li>x".repeat(2_000),
+        "<ol>".repeat(2_000) + &"<li>x".repeat(2_000),
+        "<ul><ol>".repeat(1_000) + &"<li>x</li>".repeat(1_000) + &"</ol></ul>".repeat(1_000),
+        "<ol><li>".repeat(3_000),
+        "</ul>".repeat(10_000) + "<li>x" + &"</ol><li>y".repeat(10_000),
+        // An unclosed `<` after megabytes of text is text to the end.
+        "Name: John Doe<br>Phone: 555-0100 &amp; more\n".repeat(60_000) + "<ul<li",
+        "<span class=\"quote\">&gt;q</span><br>".repeat(100_000),
+        "<span class=\"quote\"></span>".repeat(100_000),
     ];
     for doc in &cases {
-        assert_eq!(html_to_text(doc), oracle::html_to_text(doc), "{:.80?}", doc);
+        let text = html_to_text(doc);
+        assert!(
+            text.len() <= 8 * doc.len(),
+            "{} bytes of HTML became {} bytes of text: {:.80?}",
+            doc.len(),
+            text.len(),
+            doc
+        );
+        assert_eq!(text, oracle::html_to_text(doc), "{:.80?}", doc);
         assert_eq!(
             decode_entities(doc),
             oracle::decode_entities(doc),

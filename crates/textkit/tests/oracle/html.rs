@@ -74,6 +74,11 @@ fn decode_entity(ent: &str) -> Option<char> {
     }
 }
 
+/// List levels that indent an item; deeper lists indent no further, so
+/// each `<li>` writes at most this many two-space steps however deeply
+/// the lists nest.
+const MAX_INDENT_LEVELS: usize = 8;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ListKind {
     Unordered,
@@ -206,7 +211,7 @@ impl Converter {
             }
             (b"li", false) => {
                 self.newline();
-                let depth = self.list_stack.len().max(1);
+                let depth = self.list_stack.len().clamp(1, MAX_INDENT_LEVELS);
                 for _ in 0..depth {
                     self.out.push_str("  ");
                 }

@@ -69,6 +69,12 @@ step "extractor bench smoke (every bench_extractor row runs once)"
 # the dense study mix) run here, not only compile.
 cargo bench -p dox-bench --bench bench_extractor -- --test
 
+step "classifier and TF-IDF bench smoke (every row runs once)"
+# clippy only compiles these benches; here each row runs, and the
+# fused and materialised classify paths are checked to agree.
+cargo bench -p dox-bench --bench bench_classifier -- --test
+cargo bench -p dox-bench --bench bench_tfidf -- --test
+
 step "perfbench smoke test (every workload on tiny inputs, outputs checked)"
 # perfbench is a workspace of its own that links the library crates by
 # path, so no step above builds it; this one does, and runs each workload.

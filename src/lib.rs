@@ -7,8 +7,10 @@
 //! This façade crate re-exports every subsystem so that downstream users (and
 //! the runnable examples in `examples/`) can depend on a single crate:
 //!
-//! - [`textkit`] — tokenization, HTML→text, sparse vectors, TF-IDF.
-//! - [`ml`] — SGD linear classifiers, baselines, evaluation metrics.
+//! - [`textkit`] — tokenization, HTML→text, sparse vectors, TF-IDF at
+//!   scikit-learn's defaults.
+//! - [`ml`] — the paper's SGD linear classifier, evaluation metrics, the
+//!   stratified split.
 //! - [`geo`] — synthetic geography, geo-IP, postal geocoding, consistency.
 //! - [`synth`] — synthetic persona / dox / paste corpus generation.
 //! - [`osn`] — simulated online social network platforms and scraping.
