@@ -1,9 +1,9 @@
 //! De-duplication benchmarks (paper §3.1.4): the streaming dedup over a
-//! realistic dox stream with reposts, plus the SimHash-fuzzy ablation.
+//! realistic dox stream with reposts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dox_bench::BenchFixture;
-use dox_core::dedup::Deduplicator;
+use dox_core::dedup::{Deduplicator, DuplicateKind};
 use dox_extract::record::{extract, ExtractedDox};
 use dox_obs::Level;
 use std::hint::black_box;
@@ -41,33 +41,29 @@ fn bench_dedup(c: &mut Criterion) {
             for (i, (text, rec)) in stream.iter().enumerate() {
                 black_box(d.check(i as u64, text, rec));
             }
-            black_box(d.counts)
-        })
-    });
-    group.bench_function("with_fuzzy_simhash_300_docs", |b| {
-        b.iter(|| {
-            let mut d = Deduplicator::with_fuzzy(3);
-            for (i, (text, rec)) in stream.iter().enumerate() {
-                black_box(d.check(i as u64, text, rec));
-            }
-            black_box(d.counts)
+            black_box(d)
         })
     });
     group.finish();
 
     // Report the funnel split once (feeds the Figure 1 notes).
     let mut d = Deduplicator::new();
+    let (mut exact, mut account_set, mut unique) = (0u64, 0u64, 0u64);
     for (i, (text, rec)) in stream.iter().enumerate() {
-        d.check(i as u64, text, rec);
+        match d.check(i as u64, text, rec) {
+            Some((DuplicateKind::ExactBody, _)) => exact += 1,
+            Some((DuplicateKind::AccountSet, _)) => account_set += 1,
+            None => unique += 1,
+        }
     }
     dox_obs::emit!(
         Level::Info,
         "bench.fig1.dedup",
         "funnel split",
-        total = d.counts.total,
-        exact = d.counts.exact,
-        account_set = d.counts.account_set,
-        unique = d.counts.unique(),
+        total = stream.len(),
+        exact = exact,
+        account_set = account_set,
+        unique = unique,
     );
 }
 

@@ -5,8 +5,8 @@
 //! The `repro` binary regenerates every table and figure of the paper
 //! (`cargo run -p dox-bench --release --bin repro -- --scale 0.05`);
 //! the Criterion benches (`cargo bench`) measure the throughput of each
-//! pipeline stage plus ablations of the design choices called out in
-//! DESIGN.md (account-set dedup vs SimHash, filter-era counterfactual).
+//! pipeline stage plus the filter-era counterfactual ablation called out
+//! in DESIGN.md.
 //!
 //! This library exposes the shared fixture builders the benches use so
 //! they stay consistent and cheap to construct.

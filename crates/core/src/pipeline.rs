@@ -107,7 +107,6 @@ impl Pipeline {
             match kind {
                 DuplicateKind::ExactBody => counters.exact_duplicates += 1,
                 DuplicateKind::AccountSet => counters.account_set_duplicates += 1,
-                DuplicateKind::Fuzzy => {}
             }
         } else {
             self.funnel.unique.inc();

@@ -71,9 +71,9 @@ pub struct Durability {
     /// shards: dedup entries past the per-shard memory cap spill into
     /// it, and the checkpoint is a [`StoreCheckpoint`] — each detected
     /// dox is appended once as its own row and every checkpoint rewrites
-    /// only a small header (counters, cursors, dox ids, the in-memory
-    /// dedup remainder). A checkpoint writes O(new doxes + header)
-    /// bytes, not the whole log.
+    /// only a small header (counters, cursors, the in-memory dedup
+    /// remainder). A checkpoint writes O(new doxes + header) bytes, not
+    /// the whole log.
     pub checkpoint_dir: Option<PathBuf>,
     /// Write a checkpoint every this many ingested documents (0 is
     /// treated as the default below).
@@ -794,7 +794,6 @@ impl Study {
                 .as_ref()
                 .map(|s| StoreCheckpoint::new(Arc::clone(s), "study"));
             let resume_skipped = obs.counter("study.resume.skipped_docs");
-            let resume_replayed = obs.counter("study.resume.replayed_docs");
             let mut skip: u64 = 0;
             let mut session = {
                 let mut builder = engine
@@ -869,12 +868,6 @@ impl Study {
                         // resume must work from the last periodic snapshot.
                         halted = true;
                         return ControlFlow::Break(());
-                    }
-                    if skip > 0 && delivered <= skip {
-                        // Pinned at zero by the fault matrix: a non-zero
-                        // count means a checkpointed doc reached ingest
-                        // again (O(checkpoint) resume broken).
-                        resume_replayed.inc();
                     }
                     if let Err(e) = session.ingest(period, collected) {
                         ingest_err = Some(e.into());

@@ -35,8 +35,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Format version stamped into every checkpoint; bumped on any encoding
-/// change so a stale file is rejected instead of misread.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// change so a stale checkpoint is rejected instead of misread.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The complete quiescent state of a [`Session`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -88,11 +88,6 @@ impl Deserialize for SessionCheckpoint {
     }
 }
 
-/// Layout version stamped into every [`StoreCheckpoint`] header. A
-/// header without it — the monolithic layout that inlined the whole
-/// detected log — is rejected, never misread.
-pub const STORE_LAYOUT_VERSION: u32 = 2;
-
 /// Key of the header row inside the checkpoint table.
 const HEADER_KEY: &str = "checkpoint";
 
@@ -105,7 +100,8 @@ pub enum StoreCheckpointError {
     Store(StoreError),
     /// JSON encoding failed.
     Encode(serde_json::Error),
-    /// The header row is unreadable or written in another layout.
+    /// The header row is unreadable or written in another checkpoint
+    /// version.
     Header {
         /// What failed validation.
         detail: String,
@@ -194,10 +190,9 @@ pub struct Staged {
 }
 
 /// The header row: a [`StampedCheckpoint`] whose session has an empty
-/// detected log, plus the layout version and the log's length.
+/// detected log, plus the log's length.
 #[derive(Serialize, Deserialize)]
 struct Header {
-    layout: u32,
     fingerprint: u64,
     docs_ingested: u64,
     detected_len: u64,
@@ -272,7 +267,6 @@ impl StoreCheckpoint {
             })
             .map_err(StoreCheckpointError::Engine)??;
         let header = serde_json::to_string(&Header {
-            layout: STORE_LAYOUT_VERSION,
             fingerprint,
             docs_ingested,
             detected_len,
@@ -294,8 +288,9 @@ impl StoreCheckpoint {
     ///
     /// # Errors
     /// A typed [`StoreCheckpointError`] — never a panic, never a partial
-    /// checkpoint — when the header is unreadable or in another layout,
-    /// or the detected rows disagree with its `detected_len`.
+    /// checkpoint — when the header is unreadable or carries another
+    /// [`CHECKPOINT_VERSION`], or the detected rows disagree with its
+    /// `detected_len`.
     pub fn load(&mut self) -> Result<Option<StampedCheckpoint>, StoreCheckpointError> {
         let Some(text) = self.header.get(&HEADER_KEY.to_string())? else {
             return Ok(None);
@@ -303,25 +298,25 @@ impl StoreCheckpoint {
         let header_err = |detail: String| StoreCheckpointError::Header { detail };
         let value: Value =
             serde_json::from_str(&text).map_err(|e| header_err(format!("not JSON: {e}")))?;
-        match value.get("layout").and_then(Value::as_u64) {
-            Some(layout) if layout == u64::from(STORE_LAYOUT_VERSION) => {}
-            Some(layout) => {
-                return Err(header_err(format!(
-                    "layout {layout}, expected {STORE_LAYOUT_VERSION}"
-                )))
-            }
-            None => {
-                return Err(header_err(
-                    "no layout version: a monolithic checkpoint from an older build".into(),
-                ))
-            }
+        let Some(version) = value
+            .get("session")
+            .and_then(|session| session.get("version"))
+            .and_then(Value::as_u64)
+        else {
+            return Err(header_err(
+                "no checkpoint version: a checkpoint from an older build".into(),
+            ));
+        };
+        if version != u64::from(CHECKPOINT_VERSION) {
+            return Err(header_err(format!(
+                "checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+            )));
         }
         let Some(Header {
             fingerprint,
             docs_ingested,
             detected_len,
             mut session,
-            ..
         }) = Header::from_value(&value)
         else {
             return Err(header_err("fields do not decode".into()));
@@ -405,7 +400,7 @@ mod tests {
     /// Detected doxes built from a generated corpus: true doxes carry
     /// their truth, pastes stand in for false positives (truth `None`),
     /// and true doxes at every third log index are marked duplicates,
-    /// cycling through the three kinds.
+    /// alternating the two kinds.
     fn corpus_detected() -> Vec<DetectedDox> {
         use crate::dedup::DuplicateKind;
         use dox_geo::alloc::{AllocConfig, Allocation};
@@ -424,11 +419,7 @@ mod tests {
         );
         let alloc = Allocation::generate(&world, &AllocConfig::default(), 5);
         let mut generator = CorpusGenerator::new(&world, &alloc, SynthConfig::test_scale());
-        let kinds = [
-            DuplicateKind::ExactBody,
-            DuplicateKind::AccountSet,
-            DuplicateKind::Fuzzy,
-        ];
+        let kinds = [DuplicateKind::ExactBody, DuplicateKind::AccountSet];
         let (mut doxes, mut pastes) = (Vec::new(), 0);
         let _ = generator.generate_period(2, &mut |doc| {
             let truth = doc.truth.as_dox().cloned().map(Box::new);
@@ -437,7 +428,7 @@ mod tests {
             }
             pastes += usize::from(truth.is_none());
             let n = doxes.len();
-            let duplicate = (truth.is_some() && n % 3 == 0).then(|| (kinds[n % 9 / 3], n as u64));
+            let duplicate = (truth.is_some() && n % 3 == 0).then(|| (kinds[n % 6 / 3], n as u64));
             doxes.push(DetectedDox {
                 doc_id: doc.id,
                 source: doc.source,
@@ -687,27 +678,34 @@ mod tests {
         }
 
         #[test]
-        fn a_version_1_header_is_a_typed_error() {
-            let dir = scratch("version1");
+        fn a_version_2_header_is_a_typed_error() {
+            let dir = scratch("version2");
             let (mut ck, _) = staged(&dir);
             let header = ck
                 .header
                 .get(&HEADER_KEY.to_string())
                 .expect("get")
                 .expect("header");
-            // Version 1 named the counter halves `router_counters` and
-            // `committer_counters` and carried a `dox_ids` set.
-            let v1 = header
-                .replace("\"version\":2", "\"version\":1")
-                .replace("\"doc_counters\"", "\"router_counters\"")
-                .replace("\"dedup_counters\"", "\"committer_counters\"")
-                .replace("\"stage_gap_docs\"", "\"dox_ids\":[0,1],\"stage_gap_docs\"");
-            assert_ne!(v1, header);
-            ck.header.put(&HEADER_KEY.to_string(), &v1).expect("put");
-            assert!(
-                matches!(ck.load(), Err(StoreCheckpointError::Header { .. })),
-                "a version 1 header must be refused, not misread"
-            );
+            // Version 2 stamped a store `layout` beside the session
+            // version, and every dedup partition carried the removed
+            // near-duplicate pass's state and a `counts` tally.
+            let v2 = format!("{{\"layout\":2,{}", &header[1..])
+                .replace("\"version\":3", "\"version\":2")
+                .replace(
+                    "{\"bodies\":",
+                    "{\"simhashes\":[],\"fuzzy_threshold\":null,\
+                     \"counts\":{\"total\":0,\"exact\":0,\"account_set\":0,\"fuzzy\":0},\
+                     \"bodies\":",
+                );
+            assert!(v2.contains("\"version\":2") && v2.contains("\"counts\""));
+            ck.header.put(&HEADER_KEY.to_string(), &v2).expect("put");
+            match ck.load() {
+                Err(e @ StoreCheckpointError::Header { .. }) => assert!(
+                    e.to_string().contains("checkpoint version 2, expected 3"),
+                    "{e}"
+                ),
+                other => panic!("a version 2 header must be refused, got {other:?}"),
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
 

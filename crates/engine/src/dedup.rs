@@ -10,10 +10,6 @@
 //!    (788 files, 14.2 %). The paper "saw no instances of dox files which
 //!    had overlapping but non-identical sets".
 //!
-//! A third, optional fuzzy pass (SimHash near-duplicate detection) is
-//! provided for the ablation benchmarks; it is **off** in the paper
-//! configuration.
-//!
 //! ## Partitioning
 //!
 //! [`Deduplicator`] is stateful and order-sensitive, so the engine runs
@@ -32,7 +28,6 @@ use dox_extract::record::ExtractedDox;
 use dox_osn::network::Network;
 use dox_store::{Store, Table};
 use dox_textkit::hashing::fnv1a;
-use dox_textkit::similarity::{hamming, simhash};
 use serde::{Deserialize, Serialize};
 // dox-lint:allow(determinism) see the field-level justifications on `Deduplicator`
 use std::collections::HashMap;
@@ -45,8 +40,6 @@ pub enum DuplicateKind {
     ExactBody,
     /// Identical extracted OSN account set.
     AccountSet,
-    /// SimHash near-duplicate (optional third pass).
-    Fuzzy,
 }
 
 /// The stable routing signature of one classified dox: the hash of its
@@ -164,28 +157,9 @@ pub struct Deduplicator {
     /// Account-set key → first doc id.
     // dox-lint:allow(determinism) iterated only by `snapshot` and the spill drain, which both sort first; inserts follow commit order
     account_sets: HashMap<Vec<(Network, String)>, u64>,
-    /// SimHashes of seen docs (only consulted when fuzzy matching is on).
-    simhashes: Vec<(u64, u64)>,
     /// Store-backed overflow; `None` keeps the classic all-in-memory
     /// behaviour.
     spill: Option<DedupSpill>,
-    /// Enable the fuzzy third pass with this Hamming threshold.
-    pub fuzzy_threshold: Option<u32>,
-    /// Counters per kind.
-    pub counts: DedupCounts,
-}
-
-/// Duplicate counters, for the Figure 1 funnel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DedupCounts {
-    /// Documents checked.
-    pub total: u64,
-    /// Exact-body duplicates found.
-    pub exact: u64,
-    /// Account-set duplicates found.
-    pub account_set: u64,
-    /// Fuzzy duplicates found (0 in the paper configuration).
-    pub fuzzy: u64,
 }
 
 /// A serializable snapshot of one [`Deduplicator`]'s state.
@@ -200,45 +174,12 @@ pub struct DedupSnapshot {
     pub bodies: Vec<(u64, u64)>,
     /// `(account-set key, first doc id)` pairs, sorted by key.
     pub account_sets: Vec<(Vec<(Network, String)>, u64)>,
-    /// SimHashes of seen docs, insertion order (only non-empty when the
-    /// fuzzy pass is on, which the engine never enables).
-    pub simhashes: Vec<(u64, u64)>,
-    /// Fuzzy threshold, when the third pass is enabled.
-    pub fuzzy_threshold: Option<u32>,
-    /// Counters per kind.
-    pub counts: DedupCounts,
-}
-
-impl DedupCounts {
-    /// All duplicates.
-    pub fn duplicates(&self) -> u64 {
-        self.exact + self.account_set + self.fuzzy
-    }
-
-    /// Documents surviving dedup.
-    pub fn unique(&self) -> u64 {
-        self.total - self.duplicates()
-    }
 }
 
 impl Deduplicator {
-    /// A deduplicator in the paper configuration (no fuzzy pass).
+    /// An empty deduplicator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A deduplicator with the fuzzy SimHash pass enabled.
-    ///
-    /// The fuzzy pass matches on body similarity alone, which the routing
-    /// signature does not preserve — a fuzzy deduplicator is only sound
-    /// unsharded. The engine always builds paper-configuration (non-fuzzy)
-    /// deduplicators; the fuzzy pass exists for the sequential ablation
-    /// benchmarks.
-    pub fn with_fuzzy(threshold: u32) -> Self {
-        Self {
-            fuzzy_threshold: Some(threshold),
-            ..Self::default()
-        }
     }
 
     /// Capture this deduplicator's state as a stable snapshot (entries
@@ -255,9 +196,6 @@ impl Deduplicator {
         DedupSnapshot {
             bodies,
             account_sets,
-            simhashes: self.simhashes.clone(),
-            fuzzy_threshold: self.fuzzy_threshold,
-            counts: self.counts,
         }
     }
 
@@ -267,10 +205,7 @@ impl Deduplicator {
         Self {
             bodies: snapshot.bodies.into_iter().collect(),
             account_sets: snapshot.account_sets.into_iter().collect(),
-            simhashes: snapshot.simhashes,
             spill: None,
-            fuzzy_threshold: snapshot.fuzzy_threshold,
-            counts: snapshot.counts,
         }
     }
 
@@ -281,15 +216,7 @@ impl Deduplicator {
     /// the store's committed tables, which the owning coordinator makes
     /// atomic by checkpointing the store and the session snapshot in one
     /// store commit.
-    ///
-    /// # Panics
-    /// If the fuzzy pass is enabled — SimHash lookups are similarity
-    /// scans, not key lookups, and never spill.
     pub fn attach_spill(&mut self, spill: DedupSpill) {
-        assert!(
-            self.fuzzy_threshold.is_none(),
-            "dedup spill does not support the fuzzy pass"
-        );
         self.spill = Some(spill);
     }
 
@@ -353,37 +280,20 @@ impl Deduplicator {
         body: &str,
         extracted: &ExtractedDox,
     ) -> Option<(DuplicateKind, u64)> {
-        self.counts.total += 1;
-
         let body_hash = fnv1a(body.as_bytes());
         if let Some(orig) = self.lookup_body(body_hash) {
-            self.counts.exact += 1;
             return Some((DuplicateKind::ExactBody, orig));
         }
 
         let key = extracted.account_set_key();
         if !key.is_empty() {
             if let Some(orig) = self.lookup_set(&key) {
-                self.counts.account_set += 1;
                 // Remember the body so an exact repost of this duplicate is
                 // still caught by pass 1.
                 self.bodies.insert(body_hash, orig);
                 self.maybe_spill();
                 return Some((DuplicateKind::AccountSet, orig));
             }
-        }
-
-        if let Some(threshold) = self.fuzzy_threshold {
-            let h = simhash(body);
-            if let Some(&(_, orig)) = self
-                .simhashes
-                .iter()
-                .find(|(sh, _)| hamming(*sh, h) <= threshold)
-            {
-                self.counts.fuzzy += 1;
-                return Some((DuplicateKind::Fuzzy, orig));
-            }
-            self.simhashes.push((h, doc_id));
         }
 
         self.bodies.insert(body_hash, doc_id);
@@ -405,13 +315,37 @@ mod tests {
         "[posted later]\nfull dox again\nFB person.a1\ntwitter; person_a1\nUPDATE: lol";
     const DOX_B: &str = "Name: B Person\nFacebook: facebook.com/person.b2";
 
+    type Verdict = Option<(DuplicateKind, u64)>;
+
+    /// Feed `bodies` to `d` as docs `1..`, returning every verdict.
+    fn run(d: &mut Deduplicator, bodies: &[&str]) -> Vec<Verdict> {
+        (1u64..)
+            .zip(bodies)
+            .map(|(id, body)| d.check(id, body, &extract(body)))
+            .collect()
+    }
+
+    /// The Figure 1 split of `verdicts`: `(exact, account_set, unique)`.
+    fn tally(verdicts: &[Verdict]) -> (usize, usize, usize) {
+        let count = |want: Option<DuplicateKind>| {
+            verdicts
+                .iter()
+                .filter(|v| v.map(|(kind, _)| kind) == want)
+                .count()
+        };
+        (
+            count(Some(DuplicateKind::ExactBody)),
+            count(Some(DuplicateKind::AccountSet)),
+            count(None),
+        )
+    }
+
     #[test]
     fn exact_body_caught() {
         let mut d = Deduplicator::new();
-        let e = extract(DOX_A);
-        assert!(d.check(1, DOX_A, &e).is_none());
-        assert_eq!(d.check(2, DOX_A, &e), Some((DuplicateKind::ExactBody, 1)));
-        assert_eq!(d.counts.exact, 1);
+        let verdicts = run(&mut d, &[DOX_A, DOX_A]);
+        assert_eq!(verdicts, [None, Some((DuplicateKind::ExactBody, 1))]);
+        assert_eq!(tally(&verdicts), (1, 0, 1));
     }
 
     #[test]
@@ -425,10 +359,7 @@ mod tests {
     #[test]
     fn different_victims_not_duplicates() {
         let mut d = Deduplicator::new();
-        assert!(d.check(1, DOX_A, &extract(DOX_A)).is_none());
-        assert!(d.check(2, DOX_B, &extract(DOX_B)).is_none());
-        assert_eq!(d.counts.duplicates(), 0);
-        assert_eq!(d.counts.unique(), 2);
+        assert_eq!(tally(&run(&mut d, &[DOX_A, DOX_B])), (0, 0, 2));
     }
 
     #[test]
@@ -451,20 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn fuzzy_pass_catches_near_duplicates_without_accounts() {
-        let base = "long dox text about a victim name address phone city \
-                    state zip isp details here padding words to stabilize simhash \
-                    more words that remain identical across the two versions";
-        let near = format!("{base} tiny edit");
-        let mut d = Deduplicator::with_fuzzy(8);
-        assert!(d.check(1, base, &extract(base)).is_none());
-        let dup = d.check(2, &near, &extract(&near));
-        assert_eq!(dup, Some((DuplicateKind::Fuzzy, 1)));
-        assert_eq!(d.counts.fuzzy, 1);
-    }
-
-    #[test]
-    fn paper_config_has_no_fuzzy_pass() {
+    fn near_duplicates_without_accounts_stay_unique() {
         let mut d = Deduplicator::new();
         let base = "text without any osn accounts mentioned at all padding";
         let near = format!("{base} x");
@@ -475,15 +393,9 @@ mod tests {
     #[test]
     fn counters_add_up() {
         let mut d = Deduplicator::new();
-        let e = extract(DOX_A);
-        d.check(1, DOX_A, &e);
-        d.check(2, DOX_A, &e);
-        d.check(3, DOX_A_REWORDED, &extract(DOX_A_REWORDED));
-        d.check(4, DOX_B, &extract(DOX_B));
-        assert_eq!(d.counts.total, 4);
-        assert_eq!(d.counts.exact, 1);
-        assert_eq!(d.counts.account_set, 1);
-        assert_eq!(d.counts.unique(), 2);
+        let verdicts = run(&mut d, &[DOX_A, DOX_A, DOX_A_REWORDED, DOX_B]);
+        assert_eq!(verdicts.len(), 4);
+        assert_eq!(tally(&verdicts), (1, 1, 2));
     }
 
     #[test]
@@ -524,15 +436,10 @@ mod tests {
 
         let mut restored = Deduplicator::restore(parsed);
         // Both instances must agree on every future verdict.
-        for (id, body) in [(4u64, DOX_A), (5, DOX_A_REWORDED), (6, DOX_B), (7, DOX_B)] {
-            let rec = extract(body);
-            assert_eq!(
-                restored.check(id, body, &rec),
-                live.check(id, body, &rec),
-                "doc {id}"
-            );
-        }
-        assert_eq!(restored.counts, live.counts);
+        let later = [DOX_A, DOX_A_REWORDED, DOX_B, DOX_B];
+        let verdicts = run(&mut restored, &later);
+        assert_eq!(verdicts, run(&mut live, &later));
+        assert_eq!(tally(&verdicts), (3, 0, 1));
     }
 
     #[test]
@@ -569,21 +476,16 @@ mod tests {
                 _ => format!("unique paste number {i} with no accounts"),
             })
             .collect();
+        let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
 
         let mut plain = Deduplicator::new();
         let mut spilled = Deduplicator::new();
         // A tiny cap forces several drain cycles over this stream.
         spilled.attach_spill(DedupSpill::new(Arc::clone(&store), 0, 3));
 
-        for (i, body) in docs.iter().enumerate() {
-            let rec = extract(body);
-            assert_eq!(
-                spilled.check(i as u64, body, &rec),
-                plain.check(i as u64, body, &rec),
-                "doc {i}"
-            );
-        }
-        assert_eq!(spilled.counts, plain.counts);
+        let verdicts = run(&mut spilled, &docs);
+        assert_eq!(verdicts, run(&mut plain, &docs));
+        assert_eq!(tally(&verdicts), (15, 1, 8));
         // The snapshot carries only the in-memory remainder; the drained
         // entries live in the store.
         let remainder = spilled.snapshot();

@@ -66,7 +66,7 @@ pub mod stage;
 
 pub use checkpoint::{
     SessionCheckpoint, Staged, StampedCheckpoint, StoreCheckpoint, StoreCheckpointError,
-    CHECKPOINT_VERSION, STORE_LAYOUT_VERSION,
+    CHECKPOINT_VERSION,
 };
 pub use dedup::{DedupSnapshot, DedupSpill, DedupSpillConfig, Deduplicator, DuplicateKind};
 pub use output::{DetectedDox, PipelineCounters, PipelineOutput, StagedDoc};

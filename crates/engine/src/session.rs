@@ -244,12 +244,6 @@ impl Session {
         let commit = {
             let shared = Arc::clone(&shared);
             let shards = config.shards;
-            let partition_docs: Vec<Counter> = (0..shards)
-                .map(|i| registry.counter(&format!("engine.shard.{i}.docs")))
-                .collect();
-            let partition_ns: Vec<Histogram> = (0..shards)
-                .map(|i| registry.histogram(&format!("engine.shard.{i}.dedup_ns")))
-                .collect();
             let collected = registry.counter("pipeline.funnel.collected");
             let classified_dox = registry.counter("pipeline.funnel.classified_dox");
             let duplicates = registry.counter("pipeline.funnel.duplicates");
@@ -315,14 +309,12 @@ impl Session {
                                 ),
                             );
                         }
-                        partition_docs[shard].inc();
-                        // dox-lint:allow(determinism) per-partition dedup latency histogram; never enters the report
+                        // dox-lint:allow(determinism) dedup latency histogram; never enters the report
                         let dedup_start = Instant::now();
                         let duplicate = state.dedups[shard].check(doc.id, &text, &extracted);
                         let elapsed = dedup_start.elapsed();
                         dedup_total += elapsed;
                         dedup_ns.observe_duration(elapsed);
-                        partition_ns[shard].observe_duration(elapsed);
                         if sampled {
                             let (note, fate) = match &duplicate {
                                 None => ("unique".to_string(), "unique"),
@@ -351,7 +343,6 @@ impl Session {
                                     DuplicateKind::AccountSet => {
                                         state.dedup_counters.account_set_duplicates += 1
                                     }
-                                    DuplicateKind::Fuzzy => {}
                                 }
                             }
                             None => unique.inc(),
@@ -782,7 +773,6 @@ mod tests {
                 match kind {
                     DuplicateKind::ExactBody => out.counters.exact_duplicates += 1,
                     DuplicateKind::AccountSet => out.counters.account_set_duplicates += 1,
-                    DuplicateKind::Fuzzy => {}
                 }
             }
             out.detected.push(DetectedDox {

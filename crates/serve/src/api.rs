@@ -678,6 +678,31 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_version_2_tenant_row() {
+        let dir = std::env::temp_dir().join(format!("dox_serve_{}_v2", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServeState::new(Registry::new());
+        assert!(state.insert(Tenant::start(spec("alpha"), &state.registry).expect("starts")));
+        state.drain_checkpoints(&dir).expect("drain");
+
+        let store = Arc::new(Store::open(dir.join("store"), &Registry::new()).expect("open"));
+        let table: StoreTable<String, String> = StoreTable::new(Arc::clone(&store), TENANT_TABLE);
+        let row = table.get(&"alpha".to_string()).expect("get").expect("row");
+        let v2 = row.replace("\"version\":3", "\"version\":2");
+        assert_ne!(v2, row);
+        table.put(&"alpha".to_string(), &v2).expect("put");
+        store.checkpoint().expect("commit");
+        drop((table, store));
+
+        let err = ServeState::new(Registry::new())
+            .restore_checkpoints(&dir)
+            .expect_err("a version 2 tenant row must be refused, not misread");
+        assert!(err.contains("'alpha'"), "{err}");
+        assert!(err.contains("checkpoint version 2, expected 3"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn restore_refuses_pre_store_tenant_files_loudly() {
         let dir = std::env::temp_dir().join(format!("dox_serve_{}_old", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

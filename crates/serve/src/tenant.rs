@@ -18,7 +18,7 @@ use crate::quota::QuotaSpec;
 use dox_core::error::{Error, Result};
 use dox_core::study::{Study, StudyConfig};
 use dox_engine::output::DetectedDox;
-use dox_engine::{Engine, EngineConfig, Session, SessionCheckpoint};
+use dox_engine::{Engine, EngineConfig, Session, SessionCheckpoint, CHECKPOINT_VERSION};
 use dox_obs::{redact, Registry};
 use dox_sites::collect::CollectedDoc;
 use serde::value::{Number, Value};
@@ -641,8 +641,9 @@ impl Tenant {
     /// Restore a tenant from a [`Tenant::checkpoint_value`] object.
     ///
     /// # Errors
-    /// [`Error::Checkpoint`] on malformed or fingerprint-mismatched
-    /// files, plus anything [`Tenant::resume`] can raise.
+    /// [`Error::Checkpoint`] on malformed, fingerprint-mismatched or
+    /// other-[`CHECKPOINT_VERSION`] checkpoints, plus anything
+    /// [`Tenant::resume`] can raise.
     pub fn from_checkpoint_value(value: &Value, registry: &Registry) -> Result<Self> {
         let malformed = || Error::Checkpoint("malformed tenant checkpoint".into());
         let spec = value
@@ -656,6 +657,17 @@ impl Tenant {
         if saved_fp != u64::from(spec.fingerprint()) {
             return Err(Error::Checkpoint(format!(
                 "tenant '{}': config fingerprint mismatch (checkpoint {saved_fp:08x})",
+                spec.id
+            )));
+        }
+        let version = value
+            .get("session")
+            .and_then(|session| session.get("version"))
+            .and_then(Value::as_u64)
+            .ok_or_else(malformed)?;
+        if version != u64::from(CHECKPOINT_VERSION) {
+            return Err(Error::Checkpoint(format!(
+                "tenant '{}': checkpoint version {version}, expected {CHECKPOINT_VERSION}",
                 spec.id
             )));
         }

@@ -1,6 +1,5 @@
 //! FNV-1a, the workspace's stable non-cryptographic hash: the dedup
-//! stage keys exact bodies and account-set signatures with it, and the
-//! similarity module hashes shingles and SimHash features with it.
+//! stage keys exact bodies and account-set signatures with it.
 
 /// FNV-1a 64-bit — tiny, fast and stable across platforms.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -22,9 +22,7 @@
 //! - [`tfidf`] — a `TfidfVectorizer` at scikit-learn 0.17's defaults and
 //!   only those (unigrams, raw tf, smooth idf, l2 normalization, no
 //!   pruning), with a fused allocation-free scorer for inference.
-//! - [`hashing`] — FNV-1a, the stable hash behind dedup keys and shingles.
-//! - [`similarity`] — shingling, Jaccard similarity and SimHash used by the
-//!   de-duplication stage (§3.1.4).
+//! - [`hashing`] — FNV-1a, the stable hash behind dedup keys.
 //!
 //! All types are deterministic: no randomness, no hash-map iteration order
 //! leaks into observable output.
@@ -36,7 +34,6 @@ pub mod corpus;
 pub mod hashing;
 pub mod html;
 pub mod normalize;
-pub mod similarity;
 pub mod sparse;
 mod table;
 pub mod tfidf;
