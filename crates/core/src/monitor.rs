@@ -11,6 +11,11 @@
 //! [`Monitor`] executes it against the simulated OSN world through the
 //! [`dox_osn::scraper::Scraper`] — the same restricted vantage point the
 //! paper had.
+//!
+//! A monitor keeps no durable state. Its probes are a pure function of
+//! the schedule, the simulated world and the fault plan, so a resumed
+//! study replays monitoring in full and emits the same events, fault
+//! tallies and trace hops as an uninterrupted run.
 
 use dox_fault::{
     run_op, BreakerConfig, BreakerSet, CoverageGaps, FaultDomain, FaultPlan, FaultPlanConfig,
@@ -22,21 +27,17 @@ use dox_osn::clock::{SimDuration, SimTime, MINUTES_PER_DAY};
 use dox_osn::comments::Comment;
 use dox_osn::platform::SimOsnWorld;
 use dox_osn::scraper::{Observation, ScrapeError, Scraper};
-use dox_store::{Store, StoreError, Table as StoreTable};
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Bound on rate-limit retries per probe: the limiter always names a
 /// concrete `retry_at`, so a handful of hops reaches an admissible slot.
 const MAX_RATE_LIMIT_RETRIES: u32 = 8;
 
 /// The visit schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Day offsets of the fixed early probes (paper: 0, 1, 2, 3, 7).
     pub early_days: Vec<u64>,
@@ -94,8 +95,7 @@ impl Schedule {
 }
 
 /// The complete observation history of one monitored account.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccountHistory {
     /// The account.
     pub account: AccountId,
@@ -164,23 +164,6 @@ pub struct ProbeRound {
     pub breaker_trips: u32,
 }
 
-/// Store tables backing a persistent monitor: the visit schedule under
-/// a fixed key and one JSON-encoded [`AccountHistory`] row per account
-/// (its probe cursor — the observations already taken).
-struct MonitorStore {
-    schedule: StoreTable<String, String>,
-    histories: StoreTable<Vec<u8>, String>,
-}
-
-/// Stable store key for an account: one network byte followed by the
-/// big-endian uid, so rows scan grouped by network in uid order.
-fn account_store_key(account: AccountId) -> Vec<u8> {
-    let mut key = Vec::with_capacity(9);
-    key.push(account.network as u8);
-    key.extend_from_slice(&account.uid.to_be_bytes());
-    key
-}
-
 /// Fault machinery for a monitor: the plan, the retry policy, one
 /// breaker per network, and the running gap/retry tallies.
 struct MonitorFaults {
@@ -205,7 +188,6 @@ pub struct Monitor {
     scraper: Scraper,
     histories: HashMap<AccountId, AccountHistory>,
     faults: Option<MonitorFaults>,
-    store: Option<MonitorStore>,
     enrollments: Counter,
     probes: Counter,
     probe_failures: Counter,
@@ -227,7 +209,6 @@ impl Monitor {
             scraper: Scraper::unlimited(),
             histories: HashMap::new(),
             faults: None,
-            store: None,
             enrollments: registry.counter("monitor.enrollments"),
             probes: registry.counter("monitor.probes"),
             probe_failures: registry.counter("monitor.probe_failures"),
@@ -433,6 +414,11 @@ impl Monitor {
         self.histories.values()
     }
 
+    /// Every history, in the order [`Monitor::histories`] yields them.
+    pub fn into_histories(self) -> Vec<AccountHistory> {
+        self.histories.into_values().collect()
+    }
+
     /// History of one account.
     pub fn history(&self, account: AccountId) -> Option<&AccountHistory> {
         self.histories.get(&account)
@@ -457,72 +443,6 @@ impl Monitor {
     /// Total scrape requests issued.
     pub fn requests_made(&self) -> u64 {
         self.scraper.requests_made()
-    }
-
-    /// Borrow the scraper (comment fetches in the §5.3.2 analysis).
-    pub fn scraper_mut(&mut self) -> &mut Scraper {
-        &mut self.scraper
-    }
-
-    /// Attach a store and restore any previously persisted state: the
-    /// visit schedule (the persisted one wins, so probe cursors stay
-    /// consistent with the schedule that produced them) and every
-    /// account history. Restored accounts re-enroll as no-ops —
-    /// [`Monitor::enroll_and_probe`] sees them already monitored — so a
-    /// resumed study re-probes nothing. Returns the number of restored
-    /// histories.
-    ///
-    /// # Errors
-    /// [`StoreError::Corrupt`] when a persisted row fails to parse;
-    /// I/O errors bubble from the store.
-    pub fn attach_store(&mut self, store: Arc<Store>) -> Result<usize, StoreError> {
-        let tables = MonitorStore {
-            schedule: StoreTable::new(Arc::clone(&store), "monitor.schedule"),
-            histories: StoreTable::new(store, "monitor.histories"),
-        };
-        if let Some(json) = tables.schedule.get(&"schedule".to_string())? {
-            self.schedule = serde_json::from_str(&json).map_err(|e| StoreError::Corrupt {
-                detail: format!("monitor schedule: {e}"),
-            })?;
-        }
-        let mut restored = 0;
-        for (_, json) in tables.histories.scan()? {
-            let history: AccountHistory =
-                serde_json::from_str(&json).map_err(|e| StoreError::Corrupt {
-                    detail: format!("monitor history: {e}"),
-                })?;
-            self.histories.insert(history.account, history);
-            restored += 1;
-        }
-        self.store = Some(tables);
-        Ok(restored)
-    }
-
-    /// Persist the schedule and every history into the attached store
-    /// and commit them with one store checkpoint (a no-op without
-    /// [`Monitor::attach_store`]). Rows are staged in sorted account
-    /// order so the segment bytes are deterministic.
-    ///
-    /// # Errors
-    /// Store staging or commit failures; serialization itself cannot
-    /// fail for these derived types.
-    pub fn persist(&self) -> Result<(), StoreError> {
-        let Some(tables) = &self.store else {
-            return Ok(());
-        };
-        let encode = |e: serde_json::Error| StoreError::Corrupt {
-            detail: format!("encode monitor state: {e}"),
-        };
-        let json = serde_json::to_string(&self.schedule).map_err(encode)?;
-        tables.schedule.put(&"schedule".to_string(), &json)?;
-        let mut accounts: Vec<AccountId> = self.histories.keys().copied().collect();
-        accounts.sort_unstable();
-        for account in accounts {
-            let history = &self.histories[&account];
-            let json = serde_json::to_string(history).map_err(encode)?;
-            tables.histories.put(&account_store_key(account), &json)?;
-        }
-        tables.histories.store().checkpoint()
     }
 }
 
@@ -631,42 +551,5 @@ mod tests {
         assert_eq!(h.status_as_of_day(2), Some(AccountStatus::Private));
         assert_eq!(h.status_as_of_day(5), Some(AccountStatus::Private));
         assert_eq!(h.status_as_of_day(10), Some(AccountStatus::Public));
-    }
-
-    #[test]
-    fn store_round_trips_schedule_and_probe_cursors() {
-        let dir = std::env::temp_dir().join(format!("dox_store_{}_monitor", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut w, id) = world_with_reacting_account();
-        w.notify_doxed(id, SimTime::from_days(3));
-
-        let store = Arc::new(Store::open(&dir, &dox_obs::Registry::new()).expect("open"));
-        let mut m = Monitor::new(Schedule::paper());
-        assert_eq!(m.attach_store(Arc::clone(&store)).expect("attach"), 0);
-        m.enroll_and_probe(&w, id, SimTime::from_days(3));
-        m.persist().expect("persist");
-        let before = m.history(id).unwrap().clone();
-        drop(m);
-        drop(store);
-
-        let store = Arc::new(Store::open(&dir, &dox_obs::Registry::new()).expect("reopen"));
-        let mut restored = Monitor::new(Schedule {
-            jitter_minutes: 0,
-            ..Schedule::paper()
-        });
-        assert_eq!(restored.attach_store(store).expect("attach"), 1);
-        assert_eq!(
-            restored.schedule,
-            Schedule::paper(),
-            "persisted schedule wins over the constructor's"
-        );
-        assert_eq!(restored.history(id).unwrap(), &before);
-        // The restored cursor says every probe already ran, so
-        // re-enrollment stays a no-op and issues zero scrapes.
-        let requests = restored.requests_made();
-        let round = restored.enroll_and_probe(&w, id, SimTime::from_days(20));
-        assert_eq!(round, ProbeRound::default());
-        assert_eq!(restored.requests_made(), requests);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -409,10 +409,6 @@ struct AnalysisInputs<'a> {
     classifier_summary: ClassifierSummary,
     extractor_eval: ExtractorEvaluation,
     output: &'a PipelineOutput,
-    /// The run's open store, if it has one; configs with a checkpoint dir
-    /// but no open store (reference and service-mode runs) open
-    /// `checkpoint_dir/store`.
-    store: Option<Arc<Store>>,
 }
 
 /// The complete result set — one field per paper table/figure.
@@ -675,7 +671,6 @@ impl Study {
             classifier_summary: trained.summary,
             extractor_eval: trained.extractor_eval,
             output,
-            store: None,
         })
     }
 
@@ -754,7 +749,7 @@ impl Study {
         // sequential collection boundary — the head of every causal trace.
         collector.instrument(obs, &self.tracer);
         let mut events: Vec<DoxEvent> = Vec::new();
-        let (output, store) = if reference {
+        let output = if reference {
             let mut pipeline = Pipeline::with_registry(classifier, obs);
             for period in [1u8, 2] {
                 let _ = collector.collect_period(&mut gen, period, &mut |collected| {
@@ -763,7 +758,7 @@ impl Study {
                     ControlFlow::Continue(())
                 });
             }
-            (pipeline.into_output(), None)
+            pipeline.into_output()
         } else {
             let mut engine_cfg = cfg.engine.clone();
             if let Some(plan) = &cfg.faults {
@@ -901,7 +896,7 @@ impl Study {
                     docs_ingested: delivered.saturating_sub(1),
                 });
             }
-            (session.finish()?, store)
+            session.finish()?
         };
         // The first unique dox doubles as a sanity probe in the event
         // log. Its body is PII-dense by construction, so only a redacted
@@ -934,7 +929,6 @@ impl Study {
             classifier_summary,
             extractor_eval,
             output: &output,
-            store,
         })
     }
 
@@ -954,7 +948,6 @@ impl Study {
             classifier_summary,
             extractor_eval,
             output,
-            store,
         } = inputs;
         let cfg = &self.config;
         let seed = cfg.seed;
@@ -1021,23 +1014,6 @@ impl Study {
             ),
             None => Monitor::with_registry(cfg.schedule.clone(), obs),
         };
-        // Store-backed runs persist the monitor's schedule and probe
-        // cursors: a restored account re-enrolls as a no-op, so a
-        // re-run over an already-monitored store issues zero probes for
-        // covered accounts and still reports identical histories.
-        let store = match (store, &cfg.durability.checkpoint_dir) {
-            (Some(store), _) => Some(store),
-            (None, Some(dir)) => Some(Arc::new(
-                Store::open(dir.join("store"), obs)
-                    .map_err(|e| Error::Checkpoint(format!("open store for monitor: {e}")))?,
-            )),
-            _ => None,
-        };
-        if let Some(store) = store {
-            monitor
-                .attach_store(store)
-                .map_err(|e| Error::Checkpoint(format!("restore monitor state: {e}")))?;
-        }
         let mut monitored_ids: Vec<AccountId> = Vec::new();
         let unique: Vec<&crate::pipeline::DetectedDox> = output.unique_doxes().collect();
         for d in &unique {
@@ -1105,13 +1081,6 @@ impl Study {
         // Comment streams for monitored accounts, then §5.3.2.
         osn.generate_baseline_comments(&monitored_ids, (periods.period1.0, periods.period2.1));
         let comments = analyze_comments(&osn, &mut monitor);
-        monitor.persist().map_err(|e| match e {
-            // The run's kill drill counts every commit on its store.
-            StoreError::Killed { .. } => Error::Halted {
-                docs_ingested: output.counters().total,
-            },
-            e => Error::Checkpoint(format!("persist monitor state: {e}")),
-        })?;
         obs.events().emit(
             Level::Info,
             "study",
@@ -1122,6 +1091,9 @@ impl Study {
             ],
         );
         drop(phase);
+        let monitor_gaps = monitor.coverage_gaps();
+        let monitor_faults = monitor.fault_stats();
+        let histories = monitor.into_histories();
 
         // 6. Analyses.
         let phase = StageSpan::enter(obs, "study.phase.analysis");
@@ -1153,8 +1125,7 @@ impl Study {
         };
         let doxer_network = summarize(&build_graph(detected, &follow_oracle));
 
-        let status_changes = status_change_table(monitor.histories(), &filters);
-        let histories: Vec<_> = monitor.histories().cloned().collect();
+        let status_changes = status_change_table(histories.iter(), &filters);
         let timelines = vec![
             timeline_panel(
                 histories.iter(),
@@ -1209,11 +1180,11 @@ impl Study {
 
         // Coverage gaps: everything the fault plan cost us, explicitly.
         let mut coverage = collector.coverage_gaps();
-        coverage.absorb(&monitor.coverage_gaps());
+        coverage.absorb(&monitor_gaps);
         coverage.stage_exhausted_docs += output.stage_gap_docs;
         if cfg.faults.is_some() {
             let mut fault_stats: FaultStats = collector.fault_stats();
-            fault_stats.absorb(&monitor.fault_stats());
+            fault_stats.absorb(&monitor_faults);
             obs.events().emit(
                 Level::Info,
                 "study",

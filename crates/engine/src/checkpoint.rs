@@ -17,14 +17,19 @@
 //!
 //! ## Store layout
 //!
-//! [`StoreCheckpoint`] keeps a checkpoint in a [`dox_store`] segment
-//! store as one small **header** row (the snapshot minus its detected
-//! log, plus `detected_len` and the caller's fingerprint and ingest
-//! count) and one **detected row** per committed dox, keyed by its
-//! big-endian log index. The log only ever grows, so each checkpoint
+//! [`StoreCheckpoint`] is the one format in which session state
+//! persists: the study's under table `study`, each `dox-serve` tenant's
+//! under `serve.tenant.<id>`. It keeps a checkpoint in a [`dox_store`]
+//! segment store as one small **header** row (the snapshot minus its
+//! detected log, plus `detected_len` and the caller's fingerprint and
+//! ingest count) and one **detected row** per committed dox, keyed by
+//! its big-endian log index. The log only ever grows, so each checkpoint
 //! appends the rows committed since the previous one and rewrites the
 //! header: O(new doxes + header) bytes per checkpoint, and the only dead
 //! bytes the store accumulates are superseded headers.
+//!
+//! [`StoreCheckpoint::load`] is the one place that checks a checkpoint's
+//! version against [`CHECKPOINT_VERSION`], before it decodes any field.
 
 use crate::dedup::DedupSnapshot;
 use crate::output::{DetectedDox, PipelineCounters};
@@ -35,11 +40,12 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Format version stamped into every checkpoint; bumped on any encoding
-/// change so a stale checkpoint is rejected instead of misread.
+/// change so [`StoreCheckpoint::load`] refuses a stale checkpoint
+/// instead of misreading it.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The complete quiescent state of a [`Session`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     /// Encoding version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
@@ -64,28 +70,6 @@ pub struct SessionCheckpoint {
     pub detected: Vec<DetectedDox>,
     /// One snapshot per dedup partition, partition order.
     pub dedups: Vec<DedupSnapshot>,
-}
-
-// Hand-written for the version gate: a checkpoint in another encoding
-// version is rejected, never misread.
-impl Deserialize for SessionCheckpoint {
-    fn from_value(value: &Value) -> Option<Self> {
-        fn field<T: Deserialize>(value: &Value, key: &str) -> Option<T> {
-            T::from_value(value.get(key)?)
-        }
-        let checkpoint = SessionCheckpoint {
-            version: field(value, "version")?,
-            shards: field(value, "shards")?,
-            next_chunk_seq: field(value, "next_chunk_seq")?,
-            dox_seq: field(value, "dox_seq")?,
-            doc_counters: field(value, "doc_counters")?,
-            stage_gap_docs: field(value, "stage_gap_docs")?,
-            dedup_counters: field(value, "dedup_counters")?,
-            detected: field(value, "detected")?,
-            dedups: field(value, "dedups")?,
-        };
-        (checkpoint.version == CHECKPOINT_VERSION).then_some(checkpoint)
-    }
 }
 
 /// Key of the header row inside the checkpoint table.
@@ -470,17 +454,6 @@ mod tests {
             let rewritten = serde_json::to_string(&parsed).expect("serializes again");
             assert_eq!(rewritten, json, "round trip is byte-stable");
         }
-    }
-
-    #[test]
-    fn version_mismatch_is_rejected() {
-        let mut stale = sample();
-        stale.version = CHECKPOINT_VERSION + 1;
-        let json = serde_json::to_string(&stale).expect("serializes");
-        assert!(
-            serde_json::from_str::<SessionCheckpoint>(&json).is_err(),
-            "future version must not parse"
-        );
     }
 
     /// Store-layout tests: a keyword-detector session over a scratch

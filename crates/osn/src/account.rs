@@ -9,14 +9,13 @@
 
 use crate::clock::SimTime;
 use crate::network::Network;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of an account: its network plus a per-network numeric uid.
 ///
 /// For Instagram the uid is monotonically increasing with registration
 /// order, which is what makes the paper's random-sampling control possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct AccountId {
     /// The network this account lives on.
     pub network: Network,
@@ -25,7 +24,7 @@ pub struct AccountId {
 }
 
 /// The externally observable status of an account.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AccountStatus {
     /// Content visible without any social tie to the account.
     Public,

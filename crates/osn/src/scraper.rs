@@ -16,11 +16,10 @@ use crate::account::{AccountId, AccountStatus};
 use crate::clock::{SimDuration, SimTime};
 use crate::comments::Comment;
 use crate::platform::SimOsnWorld;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One observation of an account.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observation {
     /// The account observed.
     pub account: AccountId,

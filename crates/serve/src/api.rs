@@ -28,6 +28,7 @@
 
 use crate::quota::QuotaState;
 use crate::tenant::{Tenant, TenantSpec};
+use dox_engine::StoreCheckpoint;
 use dox_obs::http::{Request, Response, Router};
 use dox_obs::{Registry, Tracer};
 use dox_sites::collect::CollectedDoc;
@@ -43,8 +44,19 @@ use std::time::Duration;
 /// Alert records returned per `GET /v1/alerts` page by default.
 const DEFAULT_ALERT_PAGE: usize = 256;
 
-/// Store table holding one JSON checkpoint per tenant, keyed by id.
+/// Prefix of every key the daemon keeps in its store.
+const SERVE_PREFIX: &str = "serve.";
+
+/// Store table holding each tenant's [`TenantSpec::to_value`] JSON,
+/// keyed by id.
 const TENANT_TABLE: &str = "serve.tenants";
+
+/// The store checkpoint holding tenant `id`'s session, under table
+/// `serve.tenant.<id>`. Ids are `[A-Za-z0-9_-]`, so no two tenants'
+/// tables collide.
+fn session_checkpoint(store: &Arc<Store>, id: &str) -> StoreCheckpoint {
+    StoreCheckpoint::new(Arc::clone(store), &format!("serve.tenant.{id}"))
+}
 
 /// Shared daemon state: the tenant map and the drain flag.
 ///
@@ -188,50 +200,39 @@ impl ServeState {
     /// Quiesce every tenant and commit all checkpoints into the segment
     /// store at `dir/store` with a single manifest swap — the drain is
     /// all-or-nothing, and a restore after a mid-drain crash sees the
-    /// previous complete tenant set. Returns the drained tenant ids.
+    /// previous complete tenant set. Each tenant's spec goes in table
+    /// `serve.tenants` and its session in a [`StoreCheckpoint`] under
+    /// `serve.tenant.<id>`. Returns the drained tenant ids.
     ///
     /// # Errors
     /// A message naming the first tenant that failed to quiesce, or the
     /// store operation that failed.
     pub fn drain_checkpoints(&self, dir: &Path) -> Result<Vec<String>, String> {
         self.begin_drain();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("checkpoint dir {}: {e}", dir.display()))?;
         let store_dir = dir.join("store");
         let store = Arc::new(
             Store::open(&store_dir, &self.registry)
                 .map_err(|e| format!("open {}: {e}", store_dir.display()))?,
         );
-        let table: StoreTable<String, String> = StoreTable::new(Arc::clone(&store), TENANT_TABLE);
-        // Tenants removed since the last drain must not resurrect on
-        // the next restore: clear the table before staging the live set.
-        for (id, _) in table
-            .scan()
-            .map_err(|e| format!("scan {}: {e}", store_dir.display()))?
-        {
-            table
-                .delete(&id)
-                .map_err(|e| format!("clear tenant '{id}': {e}"))?;
+        // Clear the previous drain: a tenant removed since must not come
+        // back, and one re-created under the same id must not find its
+        // predecessor's rows.
+        let clear = |e| format!("clear {}: {e}", store_dir.display());
+        for (key, _) in store.scan_prefix(SERVE_PREFIX.as_bytes()).map_err(clear)? {
+            store.delete(&key).map_err(clear)?;
         }
+        let specs: StoreTable<String, String> = StoreTable::new(Arc::clone(&store), TENANT_TABLE);
         let tenants: Vec<Arc<Mutex<Tenant>>> = self.map().values().cloned().collect();
         let mut drained = Vec::new();
         for tenant in tenants {
-            // Serialize under the tenant lock, but stage with it
-            // dropped: staging only appends to the store's in-memory
-            // buffer, so no tenant waits on another's quiesce.
-            let (id, payload) = {
-                let mut tenant = tenant.lock().unwrap_or_else(PoisonError::into_inner);
-                let id = tenant.spec().id.clone();
-                let value = tenant
-                    .checkpoint_value()
-                    .map_err(|e| format!("tenant '{id}': {e}"))?;
-                let payload =
-                    serde_json::to_string(&value).map_err(|e| format!("tenant '{id}': {e}"))?;
-                (id, payload)
-            };
-            table
-                .put(&id, &payload)
-                .map_err(|e| format!("stage tenant '{id}': {e}"))?;
+            let mut tenant = lock(&tenant);
+            let id = tenant.spec().id.clone();
+            let stage = |e: &dyn std::fmt::Display| format!("stage tenant '{id}': {e}");
+            let spec = serde_json::to_string(&tenant.spec().to_value()).map_err(|e| stage(&e))?;
+            specs.put(&id, &spec).map_err(|e| stage(&e))?;
+            tenant
+                .stage_checkpoint(&mut session_checkpoint(&store, &id))
+                .map_err(|e| stage(&e))?;
             drained.push(id);
         }
         store
@@ -240,13 +241,16 @@ impl ServeState {
         Ok(drained)
     }
 
-    /// Restore every tenant checkpoint from the segment store at
-    /// `dir/store`. Returns the restored tenant ids; a directory with no
+    /// Restore every tenant a drain left in the segment store at
+    /// `dir/store`: each spec in `serve.tenants` resumes from its
+    /// session's [`StoreCheckpoint`], whose fingerprint must match the
+    /// spec's. Returns the restored tenant ids; a directory with no
     /// store restores none.
     ///
     /// # Errors
-    /// A message naming the first unreadable, malformed or mismatched
-    /// checkpoint, or `dir` itself when it cannot be read. A directory
+    /// A message naming, once, the first tenant whose spec is malformed
+    /// or whose checkpoint is missing, unreadable, of another version or
+    /// fingerprint; or `dir` itself when it cannot be read. A directory
     /// with no store but a pre-store `tenant_*.json` file is an error
     /// naming that file: restoring nothing would drop its tenant
     /// without a word.
@@ -277,22 +281,45 @@ impl ServeState {
             Store::open(&store_dir, &self.registry)
                 .map_err(|e| format!("open {}: {e}", store_dir.display()))?,
         );
-        let table: StoreTable<String, String> = StoreTable::new(store, TENANT_TABLE);
+        let specs: StoreTable<String, String> = StoreTable::new(Arc::clone(&store), TENANT_TABLE);
         let mut restored = Vec::new();
-        for (id, payload) in table
+        for (id, spec) in specs
             .scan()
             .map_err(|e| format!("scan {}: {e}", store_dir.display()))?
         {
-            let value: Value =
-                serde_json::from_str(&payload).map_err(|e| format!("tenant '{id}': {e}"))?;
-            let tenant = Tenant::from_checkpoint_value(&value, &self.registry)
+            let tenant = self
+                .restore_tenant(&store, &id, &spec)
                 .map_err(|e| format!("tenant '{id}': {e}"))?;
             if !self.insert(tenant) {
-                return Err(format!("store tenant '{id}': duplicate"));
+                return Err(format!("tenant '{id}': already resident"));
             }
             restored.push(id);
         }
         Ok(restored)
+    }
+
+    /// Resume tenant `id` from its drained `spec` JSON and its session
+    /// checkpoint in `store`. Errors never name the tenant; the caller
+    /// does, once.
+    fn restore_tenant(&self, store: &Arc<Store>, id: &str, spec: &str) -> Result<Tenant, String> {
+        let spec = serde_json::from_str::<Value>(spec)
+            .ok()
+            .and_then(|value| TenantSpec::from_value(&value))
+            .filter(|spec| spec.id == id)
+            .ok_or("malformed spec")?;
+        let saved = session_checkpoint(store, id)
+            .load()
+            .map_err(|e| e.to_string())?
+            .ok_or("no session checkpoint")?;
+        let fingerprint = u64::from(spec.fingerprint());
+        if saved.fingerprint != fingerprint {
+            return Err(format!(
+                "config fingerprint mismatch (checkpoint {:08x}, spec {fingerprint:08x})",
+                saved.fingerprint
+            ));
+        }
+        Tenant::resume(spec, saved.session, saved.docs_ingested, &self.registry)
+            .map_err(|e| e.to_string())
     }
 
     /// Resolve the tenant a request addresses: the explicit name when
@@ -653,10 +680,47 @@ mod tests {
         assert!(state.draining());
     }
 
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dox_serve_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Drain tenant `alpha`, rewrite row `key` of `table` with `edit`
+    /// (`None` deletes it), and return the error a fresh daemon's
+    /// restore reports, after checking that it names the tenant once.
+    fn tampered_restore(
+        tag: &str,
+        table: &str,
+        key: &str,
+        edit: fn(String) -> Option<String>,
+    ) -> String {
+        let dir = scratch(tag);
+        let state = ServeState::new(Registry::new());
+        assert!(state.insert(Tenant::start(spec("alpha"), &state.registry).expect("starts")));
+        state.drain_checkpoints(&dir).expect("drain");
+        let store = Arc::new(Store::open(dir.join("store"), &Registry::new()).expect("open"));
+        let rows: StoreTable<String, String> = StoreTable::new(Arc::clone(&store), table);
+        let key = key.to_string();
+        match edit(rows.get(&key).expect("get").expect("row")) {
+            Some(row) => rows.put(&key, &row).expect("put"),
+            None => assert!(rows.delete(&key).expect("delete")),
+        }
+        store.checkpoint().expect("commit");
+        drop((rows, store));
+        let err = ServeState::new(Registry::new())
+            .restore_checkpoints(&dir)
+            .expect_err("a tampered drain must be refused, not misread");
+        assert_eq!(err.matches("'alpha'").count(), 1, "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+        err
+    }
+
+    const ALPHA_SESSION: &str = "serve.tenant.alpha";
+
     #[test]
     fn drain_and_restore_round_trip_through_the_store() {
-        let dir = std::env::temp_dir().join(format!("dox_serve_{}_drain", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("drain");
         let registry = Registry::new();
         let state = ServeState::new(registry.clone());
         let tenant = Tenant::start(spec("alpha"), &registry).expect("tenant starts");
@@ -674,38 +738,62 @@ mod tests {
         assert_eq!(restored, vec!["alpha".to_string()]);
         let alpha = resumed.get("alpha").expect("alpha resident");
         assert_eq!(lock(&alpha).docs_ingested(), ingested);
+        assert_eq!(lock(&alpha).spec(), &spec("alpha"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_refuses_a_version_2_tenant_row() {
-        let dir = std::env::temp_dir().join(format!("dox_serve_{}_v2", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let state = ServeState::new(Registry::new());
-        assert!(state.insert(Tenant::start(spec("alpha"), &state.registry).expect("starts")));
-        state.drain_checkpoints(&dir).expect("drain");
-
-        let store = Arc::new(Store::open(dir.join("store"), &Registry::new()).expect("open"));
-        let table: StoreTable<String, String> = StoreTable::new(Arc::clone(&store), TENANT_TABLE);
-        let row = table.get(&"alpha".to_string()).expect("get").expect("row");
-        let v2 = row.replace("\"version\":3", "\"version\":2");
-        assert_ne!(v2, row);
-        table.put(&"alpha".to_string(), &v2).expect("put");
-        store.checkpoint().expect("commit");
-        drop((table, store));
-
-        let err = ServeState::new(Registry::new())
-            .restore_checkpoints(&dir)
-            .expect_err("a version 2 tenant row must be refused, not misread");
-        assert!(err.contains("'alpha'"), "{err}");
+        let err = tampered_restore("v2", ALPHA_SESSION, "checkpoint", |header| {
+            Some(header.replace("\"version\":3", "\"version\":2"))
+        });
         assert!(err.contains("checkpoint version 2, expected 3"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_rejects_fingerprint_mismatch() {
+        // The tenant's seed changed between drain and restore.
+        let err = tampered_restore("changed_spec", TENANT_TABLE, "alpha", |spec| {
+            Some(spec.replace("\"seed\":11", "\"seed\":12"))
+        });
+        assert!(err.contains("config fingerprint mismatch"), "{err}");
+    }
+
+    /// With the two tests above, every way a restore can refuse a
+    /// tenant: [`tampered_restore`] checks each names it once.
+    #[test]
+    fn every_restore_error_names_the_tenant_once() {
+        let err = tampered_restore("spec", TENANT_TABLE, "alpha", |_| Some("{}".into()));
+        assert!(err.contains("malformed spec"), "{err}");
+        let err = tampered_restore("no_header", ALPHA_SESSION, "checkpoint", |_| None);
+        assert!(err.contains("no session checkpoint"), "{err}");
+        let err = tampered_restore("junk", ALPHA_SESSION, "checkpoint", |_| Some("[".into()));
+        assert!(err.contains("checkpoint header: not JSON"), "{err}");
+    }
+
+    #[test]
+    fn a_tenant_deleted_before_a_drain_does_not_come_back() {
+        let dir = scratch("deleted");
+        let state = ServeState::new(Registry::new());
+        for id in ["alpha", "beta"] {
+            assert!(state.insert(Tenant::start(spec(id), &state.registry).expect("starts")));
+        }
+        assert_eq!(state.drain_checkpoints(&dir).expect("drain").len(), 2);
+        assert!(state.remove("beta"));
+        state.drain_checkpoints(&dir).expect("drain");
+        let store = Store::open(dir.join("store"), &Registry::new()).expect("open");
+        let rows = store.scan_prefix(SERVE_PREFIX.as_bytes()).expect("scan");
+        assert_eq!(rows.len(), 2, "alpha's spec and header; nothing of beta");
+        drop(store);
+        let resumed = ServeState::new(Registry::new());
+        let restored = resumed.restore_checkpoints(&dir).expect("restore");
+        assert_eq!(restored, vec!["alpha".to_string()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_refuses_pre_store_tenant_files_loudly() {
-        let dir = std::env::temp_dir().join(format!("dox_serve_{}_old", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("old");
         let state = ServeState::new(Registry::new());
         assert!(
             state.restore_checkpoints(&dir).is_err(),

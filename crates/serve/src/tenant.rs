@@ -15,14 +15,15 @@
 //! and bodies never leave the engine's output buffer.
 
 use crate::quota::QuotaSpec;
-use dox_core::error::{Error, Result};
+use dox_core::error::Result;
 use dox_core::study::{Study, StudyConfig};
 use dox_engine::output::DetectedDox;
-use dox_engine::{Engine, EngineConfig, Session, SessionCheckpoint, CHECKPOINT_VERSION};
+use dox_engine::{
+    Engine, EngineConfig, Session, SessionCheckpoint, Staged, StoreCheckpoint, StoreCheckpointError,
+};
 use dox_obs::{redact, Registry};
 use dox_sites::collect::CollectedDoc;
 use serde::value::{Number, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything needed to (re)create a tenant deterministically.
@@ -616,77 +617,30 @@ impl Tenant {
         ])
     }
 
-    /// Quiesce the session and serialize the complete tenant state for
-    /// the drain protocol: spec, config fingerprint, lifetime ingest
-    /// count, and the engine's [`SessionCheckpoint`].
+    /// Quiesce the session and stage its state into `checkpoint`,
+    /// stamped with the spec's fingerprint and the lifetime ingest
+    /// count. The caller's store commit makes it durable.
     ///
     /// # Errors
-    /// Engine errors while quiescing.
-    pub fn checkpoint_value(&mut self) -> Result<Value> {
-        let checkpoint = self.session.checkpoint()?;
-        Ok(Value::Object(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            (
-                "fingerprint".to_string(),
-                Value::Number(Number::U64(u64::from(self.spec.fingerprint()))),
-            ),
-            (
-                "docs_ingested".to_string(),
-                Value::Number(Number::U64(self.docs_ingested)),
-            ),
-            ("session".to_string(), checkpoint.to_value()),
-        ]))
-    }
-
-    /// Restore a tenant from a [`Tenant::checkpoint_value`] object.
-    ///
-    /// # Errors
-    /// [`Error::Checkpoint`] on malformed, fingerprint-mismatched or
-    /// other-[`CHECKPOINT_VERSION`] checkpoints, plus anything
-    /// [`Tenant::resume`] can raise.
-    pub fn from_checkpoint_value(value: &Value, registry: &Registry) -> Result<Self> {
-        let malformed = || Error::Checkpoint("malformed tenant checkpoint".into());
-        let spec = value
-            .get("spec")
-            .and_then(TenantSpec::from_value)
-            .ok_or_else(malformed)?;
-        let saved_fp = value
-            .get("fingerprint")
-            .and_then(Value::as_u64)
-            .ok_or_else(malformed)?;
-        if saved_fp != u64::from(spec.fingerprint()) {
-            return Err(Error::Checkpoint(format!(
-                "tenant '{}': config fingerprint mismatch (checkpoint {saved_fp:08x})",
-                spec.id
-            )));
-        }
-        let version = value
-            .get("session")
-            .and_then(|session| session.get("version"))
-            .and_then(Value::as_u64)
-            .ok_or_else(malformed)?;
-        if version != u64::from(CHECKPOINT_VERSION) {
-            return Err(Error::Checkpoint(format!(
-                "tenant '{}': checkpoint version {version}, expected {CHECKPOINT_VERSION}",
-                spec.id
-            )));
-        }
-        let docs_ingested = value
-            .get("docs_ingested")
-            .and_then(Value::as_u64)
-            .ok_or_else(malformed)?;
-        let session = value
-            .get("session")
-            .and_then(SessionCheckpoint::from_value)
-            .ok_or_else(malformed)?;
-        Self::resume(spec, session, docs_ingested, registry)
+    /// Quiesce or store-staging failures.
+    pub fn stage_checkpoint(
+        &mut self,
+        checkpoint: &mut StoreCheckpoint,
+    ) -> std::result::Result<Staged, StoreCheckpointError> {
+        checkpoint.stage(
+            &mut self.session,
+            u64::from(self.spec.fingerprint()),
+            self.docs_ingested,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ServeState;
     use std::ops::ControlFlow;
+    use std::sync::{Arc, Mutex};
 
     fn spec(id: &str) -> TenantSpec {
         TenantSpec {
@@ -732,20 +686,15 @@ mod tests {
         assert!(TenantSpec::from_value(&bad_scale).is_none());
     }
 
-    #[test]
-    fn tenant_ingests_queries_and_checkpoints() {
-        let registry = Registry::new();
-        let mut tenant = Tenant::start(spec("t0"), &registry).expect("tenant starts");
-        let study = Study::with_registry(tenant.spec().study_config(), Registry::new());
-
-        // Feed the first 400 documents of the tenant's own stream.
+    /// The first `n` documents of `spec`'s study stream and the period
+    /// of the first one.
+    fn head_of_stream(spec: &TenantSpec, n: usize) -> (u8, Vec<CollectedDoc>) {
+        let study = Study::with_registry(spec.study_config(), Registry::new());
         let mut batch: Vec<(u8, CollectedDoc)> = Vec::new();
-        let mut taken = 0usize;
         study
             .synthetic_stream(&mut |period, doc| {
                 batch.push((period, doc));
-                taken += 1;
-                if taken >= 400 {
+                if batch.len() >= n {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
@@ -753,7 +702,31 @@ mod tests {
             })
             .expect("stream replays");
         let period = batch.first().expect("docs yielded").0;
-        let docs: Vec<CollectedDoc> = batch.into_iter().map(|(_, d)| d).collect();
+        (period, batch.into_iter().map(|(_, d)| d).collect())
+    }
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dox_tenant_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Restore the drain in `dir` into a fresh daemon, which must hold
+    /// tenant `id` alone.
+    fn restore_one(dir: &std::path::Path, id: &str) -> Arc<Mutex<Tenant>> {
+        let resumed = ServeState::new(Registry::new());
+        let restored = resumed.restore_checkpoints(dir).expect("restore");
+        assert_eq!(restored, [id]);
+        resumed.get(id).expect("restored tenant resident")
+    }
+
+    #[test]
+    fn tenant_ingests_queries_and_checkpoints() {
+        let registry = Registry::new();
+        let mut tenant = Tenant::start(spec("t0"), &registry).expect("tenant starts");
+
+        // Feed the first 400 documents of the tenant's own stream.
+        let (period, docs) = head_of_stream(tenant.spec(), 400);
         let submitted = docs.len();
 
         let outcome = tenant.ingest_batch(period, docs).expect("batch ingests");
@@ -783,36 +756,47 @@ mod tests {
             }
         }
 
-        // Checkpoint → resume → identical indexes and counters.
-        let saved = tenant.checkpoint_value().expect("checkpoint");
-        let resumed = Tenant::from_checkpoint_value(&saved, &registry).expect("resume from value");
-        assert_eq!(resumed.docs_ingested(), tenant.docs_ingested());
-        assert_eq!(resumed.committed_len(), tenant.committed_len());
-        assert_eq!(resumed.alerts_len(), tenant.alerts_len());
-        let (_, original) = tenant.alerts_page(0, 1000);
+        // Drain → restore → identical indexes and counters.
+        let (docs_ingested, committed) = (tenant.docs_ingested(), tenant.committed_len());
+        let dir = scratch("round_trip");
+        let state = ServeState::new(registry);
+        assert!(state.insert(tenant));
+        state.drain_checkpoints(&dir).expect("drain");
+        let resumed = restore_one(&dir, "t0");
+        let resumed = resumed.lock().expect("tenant lock");
+        assert_eq!(resumed.docs_ingested(), docs_ingested);
+        assert_eq!(resumed.committed_len(), committed);
+        assert_eq!(resumed.alerts_len(), page.len());
         let (_, rebuilt) = resumed.alerts_page(0, 1000);
         assert_eq!(
-            serde_json::to_string(&Value::Array(original)).expect("json"),
+            serde_json::to_string(&Value::Array(page)).expect("json"),
             serde_json::to_string(&Value::Array(rebuilt)).expect("json"),
             "alert stream rebuilds byte-identically from the checkpoint"
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn checkpoint_rejects_fingerprint_mismatch() {
+    fn a_recreated_tenant_restores_with_its_shorter_log() {
         let registry = Registry::new();
-        let mut tenant = Tenant::start(spec("t1"), &registry).expect("tenant starts");
-        let saved = tenant.checkpoint_value().expect("checkpoint");
-        let Value::Object(mut entries) = saved else {
-            panic!("object checkpoint");
-        };
-        for (key, value) in &mut entries {
-            if key == "fingerprint" {
-                *value = Value::Number(Number::U64(1));
-            }
-        }
-        let err = Tenant::from_checkpoint_value(&Value::Object(entries), &registry)
-            .expect_err("mismatch rejected");
-        assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+        let dir = scratch("recreated");
+        let mut first = Tenant::start(spec("t1"), &registry).expect("tenant starts");
+        let (period, docs) = head_of_stream(first.spec(), 2_000);
+        first.ingest_batch(period, docs).expect("batch ingests");
+        assert!(first.committed_len() > 0, "the first tenant detected doxes");
+        let state = ServeState::new(registry.clone());
+        assert!(state.insert(first));
+        state.drain_checkpoints(&dir).expect("drain");
+
+        // Delete the tenant and create it afresh under the same id: its
+        // detected log is now shorter than the drained one.
+        assert!(state.remove("t1"));
+        assert!(state.insert(Tenant::start(spec("t1"), &registry).expect("tenant starts")));
+        state.drain_checkpoints(&dir).expect("drain");
+        let t1 = restore_one(&dir, "t1");
+        let t1 = t1.lock().expect("tenant lock");
+        assert_eq!((t1.committed_len(), t1.alerts_len()), (0, 0));
+        assert_eq!(t1.docs_ingested(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

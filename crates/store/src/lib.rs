@@ -1,8 +1,8 @@
 //! dox-store: a dependency-free embedded log-structured segment store.
 //!
 //! The crash-safety workhorse behind the pipeline's hot state: dedup
-//! shard spill, the OSN monitor schedule, study checkpoints and serve
-//! tenant sessions all persist through this crate. Data lives in
+//! shard spill, study checkpoints and serve tenant sessions all persist
+//! through this crate. Data lives in
 //! append-only segments of CRC-framed records (see [`scan`]); the single
 //! durable commit point is an atomically swapped manifest
 //! (see [`Manifest`]); recovery truncates torn tails instead of failing

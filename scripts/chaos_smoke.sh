@@ -37,17 +37,39 @@ step "baseline: uninterrupted fault-free run"
 step "store determinism: spilling runs at --workers 1 and --workers 4"
 # Spill drains and checkpoint rows are segment bytes: two uninterrupted
 # store-backed runs that differ only in worker count must leave
-# byte-identical stores behind.
+# byte-identical stores behind. Their events go to stderr files for the
+# resume check below.
 for workers in 1 4; do
-    "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
+    "$REPRO" --scale "$SCALE" --seed "$SEED" --table t1 \
         --workers "$workers" \
         --checkpoint-dir "$scratch/spill_w$workers" --checkpoint-every 5000 \
-        --spill-cap 8 > /dev/null
+        --spill-cap 8 --json "$scratch/spill.json" \
+        > /dev/null 2> "$scratch/spill_w$workers.err"
 done
 if diff -r "$scratch/spill_w1/store" "$scratch/spill_w4/store"; then
     echo "identical: $(ls "$scratch/spill_w1/store" | wc -l) store files"
 else
     echo "FAIL: store bytes depend on the worker count" >&2
+    exit 1
+fi
+
+step "store resume over a finished run: same report, same events"
+# Everything after the last checkpoint replays, monitoring included, so
+# the report and the Info/Warn event lines (wall-clock fields dropped)
+# must match the original run's.
+"$REPRO" --scale "$SCALE" --seed "$SEED" --table t1 --workers 1 \
+    --checkpoint-dir "$scratch/spill_w1" --checkpoint-every 5000 \
+    --spill-cap 8 --resume --json "$scratch/spill.json" \
+    > /dev/null 2> "$scratch/spill_resumed.err"
+events() { sed -n '/^\[\(INFO\|WARN\)/{s/ elapsed=[^ ]*//;p}' "$1"; }
+if ! cmp -s "$scratch/clean.json" "$scratch/spill.json"; then
+    echo "FAIL: a resume over a finished store changed the report" >&2
+    exit 1
+fi
+if diff <(events "$scratch/spill_w1.err") <(events "$scratch/spill_resumed.err"); then
+    echo "identical: report and $(events "$scratch/spill_w1.err" | wc -l) event lines"
+else
+    echo "FAIL: a resume over a finished store changed the event stream" >&2
     exit 1
 fi
 

@@ -20,7 +20,10 @@
 //! * a store kill at every commit point (before the segment write,
 //!   between write and manifest swap, after the swap), on the first and
 //!   the last checkpoint commit, resumes from the last durable commit to
-//!   the same bytes;
+//!   the same bytes and the same Info-level event stream;
+//! * a resume over the store of a run that already finished replays
+//!   everything after its last checkpoint, monitoring included, to the
+//!   same bytes and the same Info-level event stream;
 //! * store checkpoints append each detected dox once: many checkpoints
 //!   never trigger compaction, and superseded headers are the only dead
 //!   bytes.
@@ -353,8 +356,55 @@ fn store_kill_at_every_commit_point_resumes_byte_identically() {
                 400 * durable,
                 "commit {nth} {point:?}: resume must start at the last durable commit"
             );
+            assert_eq!(
+                info_stream(&registry),
+                info_stream(&clean_registry),
+                "commit {nth} {point:?}: resume must not perturb the Info-level event stream"
+            );
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resume_over_a_finished_store_replays_the_run_exactly() {
+    let (workers, shards) = (4, 8);
+    let dir = scratch_dir("store_finished");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_base = |b: StudyConfigBuilder| {
+        b.faults(recoverable_plan())
+            .checkpoint_dir(&dir)
+            .checkpoint_every(400)
+            .spill_cap(64)
+    };
+    let first_registry = Registry::new();
+    let first = Study::with_registry(
+        store_base(base(workers, shards)).build(),
+        first_registry.clone(),
+    )
+    .run()
+    .expect("store-backed study runs");
+
+    // Resume over the store the finished run left behind: everything
+    // after its last checkpoint, monitoring included, runs again.
+    let registry = Registry::new();
+    let resumed = Study::with_registry(
+        store_base(base(workers, shards)).resume(true).build(),
+        registry.clone(),
+    )
+    .run()
+    .expect("resume over a finished store runs");
+    assert_eq!(
+        to_json(&resumed).expect("report serializes"),
+        to_json(&first).expect("report serializes"),
+        "a resume over a finished store must re-emit the exact bytes"
+    );
+    assert!(registry.counter("study.resume.skipped_docs").get() > 0);
+    assert_eq!(
+        info_stream(&registry),
+        info_stream(&first_registry),
+        "a resume over a finished store must not perturb the Info-level event stream"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
