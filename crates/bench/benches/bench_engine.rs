@@ -209,7 +209,7 @@ impl EngineFixture {
                 let registry = Registry::new();
                 let store = Arc::new(Store::open(dir, &registry).expect("store reopens"));
                 let checkpoint = StoreCheckpoint::new(Arc::clone(&store), "bench")
-                    .load()
+                    .load(self.seed)
                     .expect("checkpoint loads")
                     .expect("checkpoint exists")
                     .session;
@@ -246,17 +246,32 @@ impl EngineFixture {
         pipeline.unique_doxes().count()
     }
 
-    /// Fastest seconds per full-corpus pass over `samples` runs. The
-    /// trace-overhead gate compares against a pinned baseline, so it
-    /// wants the low-noise statistic, not the median.
-    fn time_min(&self, samples: usize, mut run: impl FnMut(&Self) -> usize) -> f64 {
-        (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(run(self));
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+    /// Seconds of one full-corpus pass of `run`.
+    fn time_once(&self, run: &mut impl FnMut(&Self) -> usize) -> f64 {
+        let start = Instant::now();
+        black_box(run(self));
+        start.elapsed().as_secs_f64()
+    }
+
+    /// Fastest seconds per pass of `run` and of the plain engine at
+    /// `(workers, shards)` over `samples` pairs of passes, each pair one
+    /// plain pass then one `run` pass. Both sides are timed under the same
+    /// ambient load, so a burst of interference slows both minima instead
+    /// of only one, and the ratio of the two is the row's overhead. The
+    /// overhead gates want this low-noise statistic, not the median.
+    fn time_min_against_plain(
+        &self,
+        samples: usize,
+        (workers, shards): (usize, usize),
+        mut run: impl FnMut(&Self) -> usize,
+    ) -> (f64, f64) {
+        let mut plain = |f: &Self| f.run_engine(workers, shards);
+        (0..samples).fold((f64::INFINITY, f64::INFINITY), |(p, r), _| {
+            (
+                p.min(self.time_once(&mut plain)),
+                r.min(self.time_once(&mut run)),
+            )
+        })
     }
 }
 
@@ -268,52 +283,52 @@ fn write_json(fixture: &EngineFixture, samples: usize) {
         .filter(|&n: &usize| n > 0)
         .unwrap_or(samples);
     let docs = fixture.docs.len();
-    // Every row is timed with `time_min` — see its doc comment — and
-    // priced against the plain engine.
+    // Every compared row is timed in alternation with its own plain
+    // passes (see `time_min_against_plain`) and priced against them; the
+    // plain row reports the fastest plain pass of them all.
     let (tw, ts) = TIMED_TOPOLOGY;
-    let plain = fixture.time_min(samples, |f| f.run_engine(tw, ts));
-    let mut entries = vec![format!(
-        "    {{ \"config\": \"engine w{tw} s{ts}\", \"workers\": {tw}, \"shards\": {ts}, \
-         \"timer\": \"min\", \"seconds\": {plain:.6}, \"docs_per_sec\": {:.0} }}",
-        docs as f64 / plain
-    )];
+    let mut fastest_plain = f64::INFINITY;
+    let mut rows = Vec::new();
+    let mut compared = |label: &str, overhead: &str, run: &dyn Fn(&EngineFixture) -> usize| {
+        let (plain, t) = fixture.time_min_against_plain(samples, TIMED_TOPOLOGY, run);
+        fastest_plain = fastest_plain.min(plain);
+        rows.push(format!(
+            "    {{ \"config\": \"engine w{tw} s{ts} {label}\", \"workers\": {tw}, \
+             \"shards\": {ts}, \"timer\": \"min\", \"seconds\": {t:.6}, \
+             \"docs_per_sec\": {:.0}, \"plain_seconds\": {plain:.6}, \"{overhead}\": {:.3} }}",
+            docs as f64 / t,
+            t / plain
+        ));
+        t
+    };
     // The fault layer armed with an all-healthy plan: the overhead of
     // resilience when nothing goes wrong (contract: within a few percent
     // of the plain engine).
-    let healthy = fixture.time_min(samples, |f| f.run_engine_healthy_plan(tw, ts));
-    entries.push(format!(
-        "    {{ \"config\": \"engine w{tw} s{ts} healthy-plan\", \"workers\": {tw}, \
-         \"shards\": {ts}, \"timer\": \"min\", \"seconds\": {healthy:.6}, \
-         \"docs_per_sec\": {:.0}, \"overhead_vs_no_plan\": {:.3} }}",
-        docs as f64 / healthy,
-        healthy / plain
-    ));
+    compared("healthy-plan", "overhead_vs_no_plan", &|f| {
+        f.run_engine_healthy_plan(tw, ts)
+    });
     // Tracing overhead: disabled must price out at zero
     // (scripts/trace_overhead_gate.sh holds it within 2% of the
     // pre-tracing baseline) and 1% sampling at low single digits.
     for (label, ppm) in [("trace-off", 0u32), ("trace-1pct", 10_000)] {
-        let t = fixture.time_min(samples, |f| f.run_engine_traced(tw, ts, ppm));
-        entries.push(format!(
-            "    {{ \"config\": \"engine w{tw} s{ts} {label}\", \"workers\": {tw}, \
-             \"shards\": {ts}, \"timer\": \"min\", \"seconds\": {t:.6}, \
-             \"docs_per_sec\": {:.0}, \"overhead_vs_plain\": {:.3} }}",
-            docs as f64 / t,
-            t / plain
-        ));
+        compared(label, "overhead_vs_plain", &|f| {
+            f.run_engine_traced(tw, ts, ppm)
+        });
     }
     // Store-backed dedup + durable checkpoints:
-    // scripts/store_overhead_gate.sh holds this within 10%
-    // of the plain engine (best-of-N, like the trace gate), and the
-    // resume row records the O(checkpoint) restart the store buys.
+    // scripts/store_overhead_gate.sh holds this within 10% of the plain
+    // engine, and the resume row records the O(checkpoint) restart the
+    // store buys.
     let store_dir = std::env::temp_dir().join(format!("dox_bench_store_{}", std::process::id()));
-    let t_store = fixture.time_min(samples, |f| f.run_engine_store(tw, ts, &store_dir));
-    entries.push(format!(
-        "    {{ \"config\": \"engine w{tw} s{ts} store-dedup\", \"workers\": {tw}, \
-         \"shards\": {ts}, \"timer\": \"min\", \"seconds\": {t_store:.6}, \
-         \"docs_per_sec\": {:.0}, \"overhead_vs_plain\": {:.3} }}",
-        docs as f64 / t_store,
-        t_store / plain
-    ));
+    let t_store = compared("store-dedup", "overhead_vs_plain", &|f| {
+        f.run_engine_store(tw, ts, &store_dir)
+    });
+    let mut entries = vec![format!(
+        "    {{ \"config\": \"engine w{tw} s{ts}\", \"workers\": {tw}, \"shards\": {ts}, \
+         \"timer\": \"min\", \"seconds\": {fastest_plain:.6}, \"docs_per_sec\": {:.0} }}",
+        docs as f64 / fastest_plain
+    )];
+    entries.append(&mut rows);
     let t_resume = fixture.store_resume_seconds(samples, tw, ts, &store_dir);
     entries.push(format!(
         "    {{ \"config\": \"engine w{tw} s{ts} store-resume\", \"workers\": {tw}, \

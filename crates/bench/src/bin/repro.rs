@@ -314,8 +314,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Debug level: wall time would make the Info-level stream differ
+    // between two runs of the same study (the stderr profile table
+    // carries the per-phase timings).
     dox_obs::emit!(
-        Level::Info,
+        Level::Debug,
         "repro",
         "study completed",
         elapsed = format!("{:.1?}", start.elapsed()),

@@ -24,40 +24,26 @@ pub struct LabeledDox {
     pub truth: DoxTruth,
 }
 
-/// Sample sizes per period: the paper labeled 270 in period 1 and 194 in
-/// period 2 (of 2,976 / 2,554 classified), i.e. ≈ 9 % and ≈ 7.6 %.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LabelingPlan {
-    /// Fraction of period-1 detections to label.
-    pub frac_period1: f64,
-    /// Fraction of period-2 detections to label.
-    pub frac_period2: f64,
-    /// Never label fewer than this many per period (small-scale runs).
-    pub min_per_period: usize,
-}
-
-impl Default for LabelingPlan {
-    fn default() -> Self {
-        // The divisor 0.9 compensates for stub doxes being skipped by the
-        // annotator (they carry nothing labelable), so the drawn sample
-        // still lands on the paper's 270 + 194.
-        Self {
-            frac_period1: 270.0 / 2976.0 / 0.9,
-            frac_period2: 194.0 / 2554.0 / 0.9,
-            min_per_period: 40,
-        }
-    }
-}
+/// Fraction of period-1 detections to label. The paper labeled 270 in
+/// period 1 and 194 in period 2 (of 2,976 / 2,554 classified), i.e. ≈ 9 %
+/// and ≈ 7.6 %; the divisor 0.9 compensates for stub doxes being skipped
+/// by the annotator (they carry nothing labelable), so the drawn sample
+/// still lands on the paper's 270 + 194.
+const FRAC_PERIOD1: f64 = 270.0 / 2976.0 / 0.9;
+/// Fraction of period-2 detections to label (see [`FRAC_PERIOD1`]).
+const FRAC_PERIOD2: f64 = 194.0 / 2554.0 / 0.9;
+/// Never label fewer than this many per period (small-scale runs).
+const MIN_PER_PERIOD: usize = 40;
 
 /// Draw the labeling sample. Only true doxes can be labeled — an annotator
 /// looking at a false positive would discard it, as the paper's labelers
 /// implicitly did (their demographic tables describe actual victims).
 /// Screencap-mirror stubs are likewise skipped: their text carries nothing
 /// to put in Tables 5–8. Returns labeled doxes in document order.
-pub fn label_sample(detected: &[DetectedDox], plan: &LabelingPlan, seed: u64) -> Vec<LabeledDox> {
+pub fn label_sample(detected: &[DetectedDox], seed: u64) -> Vec<LabeledDox> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1A8E_1E55);
     let mut out = Vec::new();
-    for (period, frac) in [(1u8, plan.frac_period1), (2u8, plan.frac_period2)] {
+    for (period, frac) in [(1u8, FRAC_PERIOD1), (2u8, FRAC_PERIOD2)] {
         let pool: Vec<&DetectedDox> = detected
             .iter()
             .filter(|d| d.period == period && d.truth.as_ref().is_some_and(|t| !t.stub))
@@ -66,7 +52,7 @@ pub fn label_sample(detected: &[DetectedDox], plan: &LabelingPlan, seed: u64) ->
             continue;
         }
         let want = ((pool.len() as f64 * frac).round() as usize)
-            .max(plan.min_per_period)
+            .max(MIN_PER_PERIOD)
             .min(pool.len());
         let mut indices: Vec<usize> = (0..pool.len()).collect();
         // Partial Fisher–Yates: shuffle the first `want` positions.
@@ -134,8 +120,7 @@ mod tests {
     fn sample_sizes_follow_plan() {
         let mut detected = fake_detected(1000, 1, true);
         detected.extend(fake_detected(1000, 2, true));
-        let plan = LabelingPlan::default();
-        let labeled = label_sample(&detected, &plan, 1);
+        let labeled = label_sample(&detected, 1);
         let p1 = labeled.iter().filter(|l| l.period == 1).count();
         let p2 = labeled.iter().filter(|l| l.period == 2).count();
         assert_eq!(p1, 101); // round(1000 * 270/2976 / 0.9)
@@ -145,14 +130,14 @@ mod tests {
     #[test]
     fn minimum_applies_at_small_scale() {
         let detected = fake_detected(60, 1, true);
-        let labeled = label_sample(&detected, &LabelingPlan::default(), 2);
+        let labeled = label_sample(&detected, 2);
         assert_eq!(labeled.len(), 40);
     }
 
     #[test]
     fn sample_never_exceeds_pool() {
         let detected = fake_detected(10, 1, true);
-        let labeled = label_sample(&detected, &LabelingPlan::default(), 3);
+        let labeled = label_sample(&detected, 3);
         assert_eq!(labeled.len(), 10);
     }
 
@@ -160,15 +145,15 @@ mod tests {
     fn false_positives_never_labeled() {
         let mut detected = fake_detected(50, 1, true);
         detected.extend(fake_detected(50, 1, false));
-        let labeled = label_sample(&detected, &LabelingPlan::default(), 4);
+        let labeled = label_sample(&detected, 4);
         assert!(labeled.len() <= 50);
     }
 
     #[test]
     fn no_duplicate_labels_and_deterministic() {
         let detected = fake_detected(500, 1, true);
-        let a = label_sample(&detected, &LabelingPlan::default(), 5);
-        let b = label_sample(&detected, &LabelingPlan::default(), 5);
+        let a = label_sample(&detected, 5);
+        let b = label_sample(&detected, 5);
         let ids_a: Vec<u64> = a.iter().map(|l| l.doc_id).collect();
         let ids_b: Vec<u64> = b.iter().map(|l| l.doc_id).collect();
         assert_eq!(ids_a, ids_b);
@@ -179,6 +164,6 @@ mod tests {
 
     #[test]
     fn empty_pool_is_fine() {
-        assert!(label_sample(&[], &LabelingPlan::default(), 6).is_empty());
+        assert!(label_sample(&[], 6).is_empty());
     }
 }

@@ -218,19 +218,14 @@ impl Monitor {
     }
 
     /// A monitor whose probes and comment fetches run through a fault
-    /// plan with retry/backoff and a per-network circuit breaker.
-    pub fn with_faults(
-        schedule: Schedule,
-        registry: &Registry,
-        plan: FaultPlanConfig,
-        policy: RetryPolicy,
-        breaker: BreakerConfig,
-    ) -> Self {
+    /// plan with the default retry/backoff policy and a per-network
+    /// circuit breaker.
+    pub fn with_faults(schedule: Schedule, registry: &Registry, plan: FaultPlanConfig) -> Self {
         let mut monitor = Self::with_registry(schedule, registry);
         monitor.faults = Some(MonitorFaults {
             plan: FaultPlan::new(plan),
-            policy,
-            breakers: BreakerSet::new(breaker),
+            policy: RetryPolicy::default(),
+            breakers: BreakerSet::new(BreakerConfig::default()),
             stats: FaultStats::default(),
             gaps: CoverageGaps::default(),
         });

@@ -29,7 +29,7 @@ use crate::analysis::status_change::{
 use crate::analysis::timeline::{reaction_timing, timeline_panel, ReactionTiming, TimelinePanel};
 use crate::analysis::validation::{validate_by_ip, DeletionValidation, IpValidation};
 use crate::error::{Error, Result};
-use crate::labeling::{label_sample, LabelingPlan};
+use crate::labeling::label_sample;
 use crate::monitor::{Monitor, Schedule};
 use crate::pipeline::{Pipeline, PipelineCounters, PipelineOutput};
 use crate::training::{ClassifierSummary, DoxClassifier};
@@ -38,18 +38,18 @@ use dox_engine::{
     StoreCheckpointError,
 };
 use dox_extract::accuracy::{evaluate_extractor, ExtractorEvaluation};
-use dox_fault::{BreakerConfig, CoverageGaps, FaultPlanConfig, FaultStats, RetryPolicy};
+use dox_fault::{CoverageGaps, FaultPlanConfig, FaultStats, RetryPolicy};
 use dox_geo::alloc::{AllocConfig, Allocation};
 use dox_geo::geoip::GeoIpDb;
 use dox_geo::model::{World, WorldConfig};
 use dox_obs::trace::fault_hop;
-use dox_obs::{redact, Level, Registry, StageSpan, TraceConfig, Tracer};
+use dox_obs::{redact, Counter, Level, Registry, StageSpan, TraceConfig, Tracer};
 use dox_osn::account::AccountId;
 use dox_osn::clock::SimTime;
 use dox_osn::filters::{FilterEra, FilterSchedule, StudyPeriods};
 use dox_osn::network::Network;
 use dox_osn::platform::SimOsnWorld;
-use dox_sites::collect::Collector;
+use dox_sites::collect::{CollectedDoc, Collector};
 use dox_store::{Store, StoreError};
 use dox_synth::config::SynthConfig;
 use dox_synth::corpus::CorpusGenerator;
@@ -118,10 +118,14 @@ impl Durability {
 
 /// Everything a full study run needs.
 ///
+/// The paper's fixed settings are not knobs: the study monitors on
+/// [`Schedule::paper`], labels the paper's 270 + 194 share of detections
+/// (§3.2), validates 50 doxes by IP (§4.1) and sizes the Instagram
+/// control from the corpus scale (13,392 accounts at scale 1.0, §6.2).
+///
 /// `#[non_exhaustive]`: construct through [`StudyConfig::builder`] (or the
-/// [`paper`](StudyConfig::paper) / [`at_scale`](StudyConfig::at_scale) /
-/// [`test_scale`](StudyConfig::test_scale) presets) so new knobs can be
-/// added without breaking downstream crates.
+/// [`at_scale`](StudyConfig::at_scale) / [`test_scale`](StudyConfig::test_scale)
+/// presets) so new knobs can be added without breaking downstream crates.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct StudyConfig {
@@ -134,16 +138,6 @@ pub struct StudyConfig {
     pub world: WorldConfig,
     /// IP allocation settings.
     pub alloc: AllocConfig,
-    /// Monitoring schedule.
-    pub schedule: Schedule,
-    /// Manual-labeling plan (Table 4's 270 + 194).
-    pub labeling: LabelingPlan,
-    /// Instagram control-sample size (paper: 13,392).
-    pub control_sample: usize,
-    /// Background (non-victim) Instagram accounts to register.
-    pub control_pool: usize,
-    /// §4.1 sample size (paper: 50).
-    pub ip_validation_sample: usize,
     /// Extractor-evaluation sample size (paper: 125).
     pub extractor_sample: usize,
     /// Ingest-engine topology ([`Study::run`]'s worker/shard/queue
@@ -154,10 +148,6 @@ pub struct StudyConfig {
     /// A plan whose faults all recover produces a report byte-identical
     /// to the fault-free run.
     pub faults: Option<FaultPlanConfig>,
-    /// Retry/backoff policy for injected faults.
-    pub retry: RetryPolicy,
-    /// Per-target circuit-breaker settings.
-    pub breaker: BreakerConfig,
     /// Checkpoint/resume settings.
     pub durability: Durability,
     /// Causal-trace sampling rate, documents per million. 0 (the default)
@@ -170,39 +160,25 @@ pub struct StudyConfig {
     pub trace_capacity: usize,
 }
 
+/// §4.1 IP-validation sample size.
+const IP_VALIDATION_SAMPLE: usize = 50;
+
 impl StudyConfig {
     /// Start building a configuration; every knob defaults to the
     /// paper-scale value.
     pub fn builder() -> StudyConfigBuilder {
         StudyConfigBuilder {
-            config: Self::paper(),
+            config: Self::at_scale(1.0),
         }
     }
 
-    /// Paper-scale configuration. A full run processes 1.74 M documents —
-    /// use `--release`.
-    pub fn paper() -> Self {
-        Self::with_synth(SynthConfig::paper(), 13_392, 40_000)
-    }
-
-    /// Scaled configuration: volumes shrink, rates stay.
+    /// Scaled configuration: volumes shrink, rates stay. Scale 1.0 is the
+    /// paper's 1.74 M documents — use `--release`.
     ///
     /// # Panics
     /// Panics unless `0 < scale <= 1`.
     pub fn at_scale(scale: f64) -> Self {
-        let control = ((13_392.0 * scale) as usize).max(300);
-        let pool = (control * 3).max(2_000);
-        Self::with_synth(SynthConfig::at_scale(scale), control, pool)
-    }
-
-    /// Fast configuration for tests (≈ 0.5 % scale — small enough for
-    /// debug-mode CI, large enough that a few dozen accounts get
-    /// monitored).
-    pub fn test_scale() -> Self {
-        Self::at_scale(0.005)
-    }
-
-    fn with_synth(synth: SynthConfig, control_sample: usize, control_pool: usize) -> Self {
+        let synth = SynthConfig::at_scale(scale);
         Self {
             seed: synth.seed,
             synth,
@@ -212,20 +188,30 @@ impl StudyConfig {
                 cities_per_state: 8,
             },
             alloc: AllocConfig::default(),
-            schedule: Schedule::paper(),
-            labeling: LabelingPlan::default(),
-            control_sample,
-            control_pool,
-            ip_validation_sample: 50,
             extractor_sample: 125,
             engine: EngineConfig::default(),
             faults: None,
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             durability: Durability::default(),
             trace_sample_ppm: 0,
             trace_capacity: 4096,
         }
+    }
+
+    /// Fast configuration for tests (≈ 0.5 % scale — small enough for
+    /// debug-mode CI, large enough that a few dozen accounts get
+    /// monitored).
+    pub fn test_scale() -> Self {
+        Self::at_scale(0.005)
+    }
+
+    /// Instagram control-sample size: the paper's 13,392 at scale 1.0.
+    fn control_sample(&self) -> usize {
+        ((13_392.0 * self.synth.scale) as usize).max(300)
+    }
+
+    /// Background (non-victim) Instagram accounts to register.
+    fn control_pool(&self) -> usize {
+        (self.control_sample() * 3).max(2_000)
     }
 }
 
@@ -258,42 +244,10 @@ impl StudyConfigBuilder {
     /// # Panics
     /// Panics unless `0 < scale <= 1`.
     pub fn scale(mut self, scale: f64) -> Self {
-        let seed = self.config.seed;
-        let engine = self.config.engine.clone();
-        let faults = self.config.faults.clone();
-        let retry = self.config.retry;
-        let breaker = self.config.breaker;
-        let durability = self.config.durability.clone();
-        let trace_sample_ppm = self.config.trace_sample_ppm;
-        let trace_capacity = self.config.trace_capacity;
-        self.config = StudyConfig::at_scale(scale);
-        self.config.seed = seed;
-        self.config.synth.seed = seed;
-        self.config.engine = engine;
-        self.config.faults = faults;
-        self.config.retry = retry;
-        self.config.breaker = breaker;
-        self.config.durability = durability;
-        self.config.trace_sample_ppm = trace_sample_ppm;
-        self.config.trace_capacity = trace_capacity;
-        self
-    }
-
-    /// Replace the corpus configuration wholesale.
-    pub fn synth(mut self, synth: SynthConfig) -> Self {
-        self.config.synth = synth;
-        self
-    }
-
-    /// Replace the monitoring schedule.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.config.schedule = schedule;
-        self
-    }
-
-    /// Replace the manual-labeling plan.
-    pub fn labeling(mut self, labeling: LabelingPlan) -> Self {
-        self.config.labeling = labeling;
+        self.config.synth = SynthConfig {
+            seed: self.config.seed,
+            ..SynthConfig::at_scale(scale)
+        };
         self
     }
 
@@ -306,18 +260,6 @@ impl StudyConfigBuilder {
     /// Inject a deterministic fault plan at every I/O boundary.
     pub fn faults(mut self, plan: FaultPlanConfig) -> Self {
         self.config.faults = Some(plan);
-        self
-    }
-
-    /// Set the retry/backoff policy for injected faults.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Set the circuit-breaker settings.
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.config.breaker = breaker;
         self
     }
 
@@ -374,41 +316,135 @@ struct DoxEvent {
     handles: Vec<(Network, String)>,
 }
 
-/// Record the ground-truth dox event carried by a collected document (if
-/// any). Rebuilt on every pass over the corpus — resume and service-mode
-/// replay regenerate the same events, so the OSN world sees the same
-/// reactions either way.
-fn record_dox_event(events: &mut Vec<DoxEvent>, collected: &dox_sites::collect::CollectedDoc) {
-    if let Some(truth) = collected.doc.truth.as_dox() {
-        if truth.duplicate_of.is_none() {
-            events.push(DoxEvent {
-                posted_at: collected.doc.posted_at,
-                handles: truth.osn_handles.clone(),
+/// Phases 1–2 as every entry point replays them — the synthetic world,
+/// the corpus generator after training, the Table 1 and Table 2
+/// evaluations — plus the ground-truth dox events that
+/// [`collect`](Replay::collect) records. `geoip` is the [`GeoIpDb`] on
+/// the paths that analyze, `()` on those that only train or stream.
+struct Replay<'w, G> {
+    world: &'w World,
+    geoip: G,
+    gen: CorpusGenerator<'w>,
+    classifier: ClassifierSummary,
+    extractor: ExtractorEvaluation,
+    events: Vec<DoxEvent>,
+}
+
+impl<G> Replay<'_, G> {
+    /// Phase 3: collect both study periods through `collector` into
+    /// `sink`, recording each document's ground-truth dox event first.
+    /// [`ControlFlow::Break`] from `sink` stops the collection.
+    ///
+    /// The events are rebuilt on every pass over the corpus — resume and
+    /// service-mode replay regenerate the same events, so the OSN world
+    /// sees the same reactions either way.
+    fn collect(
+        &mut self,
+        collector: &mut Collector,
+        sink: &mut dyn FnMut(u8, CollectedDoc) -> ControlFlow<()>,
+    ) {
+        let events = &mut self.events;
+        for period in [1u8, 2] {
+            let flow = collector.collect_period(&mut self.gen, period, &mut |collected| {
+                let doc = &collected.doc;
+                if let Some(truth) = doc.truth.as_dox().filter(|t| t.duplicate_of.is_none()) {
+                    events.push(DoxEvent {
+                        posted_at: doc.posted_at,
+                        handles: truth.osn_handles.clone(),
+                    });
+                }
+                sink(period, collected)
             });
+            if flow.is_break() {
+                return;
+            }
         }
     }
 }
 
-/// What phase 2 (labeled data) produces: the trained classifier and the
-/// two evaluation tables derived alongside it.
-struct TrainedStage {
-    classifier: DoxClassifier,
-    summary: ClassifierSummary,
-    extractor_eval: ExtractorEvaluation,
+/// Where [`Study::run`] and [`Study::run_reference`] send the collected
+/// documents: the streaming engine or the sequential reference pipeline.
+trait Sink {
+    /// Take one collected document; [`ControlFlow::Break`] stops the
+    /// collection, and [`finish`](Sink::finish) then reports why.
+    fn deliver(&mut self, period: u8, doc: CollectedDoc) -> ControlFlow<()>;
+
+    /// The output of everything delivered, or the error that stopped it.
+    fn finish(self) -> Result<PipelineOutput>;
 }
 
-/// Everything phases 4–6 need from the earlier phases: the world, the
-/// post-collection generator and collector state, the recorded
-/// ground-truth events, the evaluation tables and the pipeline output.
-struct AnalysisInputs<'a> {
-    world: &'a World,
-    geoip: &'a GeoIpDb,
-    gen: &'a CorpusGenerator<'a>,
-    collector: &'a Collector,
-    events: &'a [DoxEvent],
-    classifier_summary: ClassifierSummary,
-    extractor_eval: ExtractorEvaluation,
-    output: &'a PipelineOutput,
+impl Sink for Pipeline {
+    fn deliver(&mut self, period: u8, doc: CollectedDoc) -> ControlFlow<()> {
+        self.process(&doc, period);
+        ControlFlow::Continue(())
+    }
+
+    fn finish(self) -> Result<PipelineOutput> {
+        Ok(self.into_output())
+    }
+}
+
+/// The engine session [`Study::run`] ingests into, with its durability:
+/// resume skipping, the kill switch and periodic store checkpoints.
+struct EngineSink {
+    session: Session,
+    checkpoint: Option<StoreCheckpoint>,
+    fingerprint: u64,
+    every: u64,
+    kill_after: Option<u64>,
+    /// Deliveries a resumed checkpoint already covers.
+    skip: u64,
+    delivered: u64,
+    resume_skipped: Counter,
+    obs: Registry,
+    /// Why ingest stopped early, if it did.
+    stopped: Option<Error>,
+}
+
+impl Sink for EngineSink {
+    fn deliver(&mut self, period: u8, doc: CollectedDoc) -> ControlFlow<()> {
+        self.delivered += 1;
+        if self.delivered <= self.skip {
+            // Replay accounting: the checkpoint already covers this doc,
+            // so only generation replays, not ingest.
+            self.resume_skipped.inc();
+            return ControlFlow::Continue(());
+        }
+        if self.kill_after.is_some_and(|k| self.delivered > k) {
+            // Simulated SIGKILL: stop dead, do NOT checkpoint — resume
+            // must work from the last periodic snapshot.
+            self.stopped = Some(Error::Halted {
+                docs_ingested: self.delivered - 1,
+            });
+            return ControlFlow::Break(());
+        }
+        if let Err(e) = self.session.ingest(period, doc) {
+            self.stopped = Some(e.into());
+            return ControlFlow::Break(());
+        }
+        if let Some(ck) = &mut self.checkpoint {
+            if self.delivered.is_multiple_of(self.every) {
+                if let Err(e) = commit_checkpoint_to_store(
+                    ck,
+                    &mut self.session,
+                    self.fingerprint,
+                    self.delivered,
+                    &self.obs,
+                ) {
+                    self.stopped = Some(e);
+                    return ControlFlow::Break(());
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn finish(self) -> Result<PipelineOutput> {
+        match self.stopped {
+            Some(e) => Err(e),
+            None => Ok(self.session.finish()?),
+        }
+    }
 }
 
 /// The complete result set — one field per paper table/figure.
@@ -547,7 +583,7 @@ impl Study {
     /// shard count produces byte-identical output (asserted by the
     /// engine determinism suite against [`Study::run_reference`]).
     pub fn run(&self) -> Result<ExperimentReport> {
-        self.run_inner(false)
+        self.run_into(|classifier| self.engine_sink(classifier))
     }
 
     /// Execute the full reproduction through the sequential reference
@@ -555,43 +591,7 @@ impl Study {
     /// writes no checkpoints. Kept as the executable specification the
     /// engine is compared against.
     pub fn run_reference(&self) -> Result<ExperimentReport> {
-        self.run_inner(true)
-    }
-
-    /// Phases 1–2: the synthetic world and the trained classifier +
-    /// extractor evaluation. Every entry point — [`Study::run`],
-    /// [`Study::train_detector`], [`Study::report_from_ingest`] — replays
-    /// these phases identically, which is what keeps the corpus stream
-    /// and every downstream table a pure function of `(config, seed)`.
-    fn train_stage(&self, gen: &mut CorpusGenerator<'_>) -> Result<TrainedStage> {
-        let cfg = &self.config;
-        let obs = &self.registry;
-        let phase = StageSpan::enter(obs, "study.phase.training");
-        let (texts, labels) = gen.training_sets();
-        let (classifier, summary) = DoxClassifier::train(&texts, &labels, cfg.seed);
-        obs.events().emit(
-            Level::Info,
-            "study",
-            "classifier trained",
-            vec![
-                ("corpus".into(), texts.len().to_string()),
-                ("dox_f1".into(), format!("{:.3}", summary.report.dox.f1)),
-            ],
-        );
-        let mut extractor_sample = Vec::with_capacity(cfg.extractor_sample);
-        for (doc, persona) in gen.proof_of_work_sample(cfg.extractor_sample) {
-            let truth = doc.truth.as_dox().cloned().ok_or_else(|| {
-                Error::Training(format!("proof-of-work doc {} is not labeled a dox", doc.id))
-            })?;
-            extractor_sample.push((doc.body, truth, persona));
-        }
-        let extractor_eval = evaluate_extractor(&extractor_sample);
-        drop(phase);
-        Ok(TrainedStage {
-            classifier,
-            summary,
-            extractor_eval,
-        })
+        self.run_into(|classifier| Ok(Pipeline::with_registry(classifier, &self.registry)))
     }
 
     /// Train the study's classifier and hand it back as an engine
@@ -608,14 +608,10 @@ impl Study {
     /// [`Error::Training`] if the generated proof-of-work corpus violates
     /// its labeling invariant.
     pub fn train_detector(&self) -> Result<Arc<dyn DoxDetector>> {
-        let cfg = &self.config;
-        let phase = StageSpan::enter(&self.registry, "study.phase.world_gen");
-        let world = World::generate(&cfg.world, cfg.seed);
-        let alloc = Allocation::generate(&world, &cfg.alloc, cfg.seed);
-        drop(phase);
-        let mut gen = CorpusGenerator::new(&world, &alloc, cfg.synth.clone());
-        let trained = self.train_stage(&mut gen)?;
-        Ok(Arc::new(trained.classifier))
+        self.replay(
+            |_, _| (),
+            |_, classifier| Ok(Arc::new(classifier) as Arc<dyn DoxDetector>),
+        )
     }
 
     /// Build the full [`ExperimentReport`] from a
@@ -636,41 +632,15 @@ impl Study {
     /// injected collection faults cannot be replayed here, so resident
     /// sessions must run fault-free.
     pub fn report_from_ingest(&self, output: &PipelineOutput) -> Result<ExperimentReport> {
-        let cfg = &self.config;
-        if cfg.faults.is_some() {
-            return Err(Error::ServiceMode(
-                "fault plans are not supported for resident sessions".into(),
-            ));
-        }
-        let phase = StageSpan::enter(&self.registry, "study.phase.world_gen");
-        let world = World::generate(&cfg.world, cfg.seed);
-        let alloc = Allocation::generate(&world, &cfg.alloc, cfg.seed);
-        let geoip = GeoIpDb::build(&world, &alloc);
-        drop(phase);
-        let mut gen = CorpusGenerator::new(&world, &alloc, cfg.synth.clone());
-        let trained = self.train_stage(&mut gen)?;
-
-        // Replay collection without a pipeline behind it: the sink only
-        // records ground-truth events, but the pass still advances the
-        // generator RNG, persona store and site hubs exactly as the batch
-        // run does — the deletion survey and OSN world depend on it.
-        let mut collector = Collector::new(cfg.seed);
-        let mut events: Vec<DoxEvent> = Vec::new();
-        for period in [1u8, 2] {
-            let _ = collector.collect_period(&mut gen, period, &mut |collected| {
-                record_dox_event(&mut events, &collected);
-                ControlFlow::Continue(())
-            });
-        }
-        self.analyze(AnalysisInputs {
-            world: &world,
-            geoip: &geoip,
-            gen: &gen,
-            collector: &collector,
-            events: &events,
-            classifier_summary: trained.summary,
-            extractor_eval: trained.extractor_eval,
-            output,
+        self.fault_free()?;
+        self.replay(GeoIpDb::build, |mut replay, _| {
+            // Replay collection without a pipeline behind it: the pass
+            // still advances the generator RNG, persona store and site
+            // hubs exactly as the batch run does — the deletion survey
+            // and OSN world depend on it.
+            let mut collector = Collector::new(self.config.seed);
+            replay.collect(&mut collector, &mut |_, _| ControlFlow::Continue(()));
+            self.analyze(replay, &collector, output)
         })
     }
 
@@ -691,244 +661,227 @@ impl Study {
     /// labeling invariant.
     pub fn synthetic_stream(
         &self,
-        sink: &mut dyn FnMut(u8, dox_sites::collect::CollectedDoc) -> ControlFlow<()>,
+        sink: &mut dyn FnMut(u8, CollectedDoc) -> ControlFlow<()>,
     ) -> Result<()> {
-        let cfg = &self.config;
-        if cfg.faults.is_some() {
-            return Err(Error::ServiceMode(
-                "fault plans are not supported for resident sessions".into(),
-            ));
-        }
-        let world = World::generate(&cfg.world, cfg.seed);
-        let alloc = Allocation::generate(&world, &cfg.alloc, cfg.seed);
-        let mut gen = CorpusGenerator::new(&world, &alloc, cfg.synth.clone());
-        // Advance the generator through training exactly as run() does —
-        // the corpus stream is a pure function of the whole call sequence.
-        self.train_stage(&mut gen)?;
-        let mut collector = Collector::new(cfg.seed);
-        for period in [1u8, 2] {
-            let flow = collector
-                .collect_period(&mut gen, period, &mut |collected| sink(period, collected));
-            if flow == ControlFlow::Break(()) {
-                return Ok(());
-            }
-        }
-        Ok(())
+        self.fault_free()?;
+        self.replay(
+            |_, _| (),
+            |mut replay, _| {
+                replay.collect(&mut Collector::new(self.config.seed), sink);
+                Ok(())
+            },
+        )
     }
 
-    fn run_inner(&self, reference: bool) -> Result<ExperimentReport> {
-        let cfg = &self.config;
-        let seed = cfg.seed;
-        let obs = &self.registry;
+    /// Refuse a fault plan on the service-mode paths.
+    fn fault_free(&self) -> Result<()> {
+        match self.config.faults {
+            Some(_) => Err(Error::ServiceMode(
+                "fault plans are not supported for resident sessions".into(),
+            )),
+            None => Ok(()),
+        }
+    }
 
-        // 1. Synthetic world.
+    /// The one replay every entry point starts with: phase 1 builds the
+    /// world, its IP allocation and what `extra` derives from them (the
+    /// [`GeoIpDb`] on the paths that analyze, `()` elsewhere); phase 2
+    /// trains the classifier and evaluates the extractor on the corpus
+    /// generator's labeled sets. `then` receives the [`Replay`], ready to
+    /// [`collect`](Replay::collect), and the trained classifier.
+    ///
+    /// Every entry point advancing the generator through the same calls
+    /// is what keeps the corpus stream and every downstream table a pure
+    /// function of `(config, seed)`.
+    fn replay<G, T>(
+        &self,
+        extra: impl FnOnce(&World, &Allocation) -> G,
+        then: impl FnOnce(Replay<'_, G>, DoxClassifier) -> Result<T>,
+    ) -> Result<T> {
+        let cfg = &self.config;
+        let obs = &self.registry;
         let phase = StageSpan::enter(obs, "study.phase.world_gen");
-        let world = World::generate(&cfg.world, seed);
-        let alloc = Allocation::generate(&world, &cfg.alloc, seed);
-        let geoip = GeoIpDb::build(&world, &alloc);
+        let world = World::generate(&cfg.world, cfg.seed);
+        let alloc = Allocation::generate(&world, &cfg.alloc, cfg.seed);
+        let geoip = extra(&world, &alloc);
         drop(phase);
 
-        // 2. Labeled data: classifier + extractor evaluation.
         let mut gen = CorpusGenerator::new(&world, &alloc, cfg.synth.clone());
-        let TrainedStage {
-            classifier,
-            summary: classifier_summary,
-            extractor_eval,
-        } = self.train_stage(&mut gen)?;
-
-        // 3. Collection + pipeline, recording ground-truth dox events.
-        // The streaming engine fans the pure classify/extract work over
-        // its worker pool and shards dedup state; results are
-        // bit-identical to the sequential reference pipeline.
-        let phase = StageSpan::enter(obs, "study.phase.collection");
-        let mut collector = match &cfg.faults {
-            Some(plan) => Collector::with_faults(seed, plan.clone(), cfg.retry, cfg.breaker),
-            None => Collector::new(seed),
+        // The training sets and the extractor sample are dropped before
+        // collection starts; only the model and the two tables live on.
+        let (classifier, summary, extractor) = {
+            let phase = StageSpan::enter(obs, "study.phase.training");
+            let (texts, labels) = gen.training_sets();
+            let (classifier, summary) = DoxClassifier::train(&texts, &labels, cfg.seed);
+            obs.events().emit(
+                Level::Info,
+                "study",
+                "classifier trained",
+                vec![
+                    ("corpus".into(), texts.len().to_string()),
+                    ("dox_f1".into(), format!("{:.3}", summary.report.dox.f1)),
+                ],
+            );
+            let mut extractor_sample = Vec::with_capacity(cfg.extractor_sample);
+            for (doc, persona) in gen.proof_of_work_sample(cfg.extractor_sample) {
+                let truth = doc.truth.as_dox().cloned().ok_or_else(|| {
+                    Error::Training(format!("proof-of-work doc {} is not labeled a dox", doc.id))
+                })?;
+                extractor_sample.push((doc.body, truth, persona));
+            }
+            let extractor = evaluate_extractor(&extractor_sample);
+            drop(phase);
+            (classifier, summary, extractor)
         };
-        // Sampled documents are admitted to the tracer here, at the
-        // sequential collection boundary — the head of every causal trace.
-        collector.instrument(obs, &self.tracer);
-        let mut events: Vec<DoxEvent> = Vec::new();
-        let output = if reference {
-            let mut pipeline = Pipeline::with_registry(classifier, obs);
-            for period in [1u8, 2] {
-                let _ = collector.collect_period(&mut gen, period, &mut |collected| {
-                    record_dox_event(&mut events, &collected);
-                    pipeline.process(&collected, period);
-                    ControlFlow::Continue(())
-                });
-            }
-            pipeline.into_output()
-        } else {
-            let mut engine_cfg = cfg.engine.clone();
-            if let Some(plan) = &cfg.faults {
-                engine_cfg.faults = Some(EngineFaults {
-                    plan: plan.clone(),
-                    policy: cfg.retry,
-                });
-            }
-            let engine = Engine::from_config(engine_cfg)?;
-            let detector: Arc<dyn DoxDetector> = Arc::new(classifier);
 
-            // Durability: `resume` replays the deterministic corpus and
-            // skips the deliveries the checkpointed engine has already
-            // absorbed; periodic checkpoints commit into the segment store
-            // under `checkpoint_dir`, so one manifest swap commits spilled
-            // dedup entries and the study checkpoint atomically.
-            let fingerprint = config_fingerprint(cfg);
-            let every = cfg.durability.every();
+        then(
+            Replay {
+                world: &world,
+                geoip,
+                gen,
+                classifier: summary,
+                extractor,
+                events: Vec::new(),
+            },
+            classifier,
+        )
+    }
+
+    /// The batch run: replay, then collect into the [`Sink`] that `open`
+    /// builds from the trained classifier, then analyze its output.
+    fn run_into<S: Sink>(
+        &self,
+        open: impl FnOnce(DoxClassifier) -> Result<S>,
+    ) -> Result<ExperimentReport> {
+        let cfg = &self.config;
+        let obs = &self.registry;
+        self.replay(GeoIpDb::build, |mut replay, classifier| {
+            let phase = StageSpan::enter(obs, "study.phase.collection");
+            let mut collector = match &cfg.faults {
+                Some(plan) => Collector::with_faults(cfg.seed, plan.clone()),
+                None => Collector::new(cfg.seed),
+            };
+            // Sampled documents are admitted to the tracer here, at the
+            // sequential collection boundary — the head of every causal
+            // trace.
+            collector.instrument(obs, &self.tracer);
+            let mut sink = open(classifier)?;
+            replay.collect(&mut collector, &mut |period, doc| sink.deliver(period, doc));
+            let output = sink.finish()?;
+            // The first unique dox doubles as a sanity probe in the event
+            // log. Its body is PII-dense by construction, so only a
+            // redacted length + fingerprint may leave the pipeline
+            // (dox-lint pii-taint).
+            let first_dox = output.unique_doxes().next();
+            obs.events().emit(
+                Level::Info,
+                "study",
+                "collection complete",
+                vec![
+                    ("documents".into(), output.counters().total.to_string()),
+                    (
+                        "classified_dox".into(),
+                        output.counters().classified_dox.to_string(),
+                    ),
+                    (
+                        "first_dox".into(),
+                        first_dox.map_or_else(|| "[none]".into(), |d| redact(&d.text).to_string()),
+                    ),
+                ],
+            );
+            drop(phase);
+            self.analyze(replay, &collector, &output)
+        })
+    }
+
+    /// Start the engine session [`Study::run`] ingests into. The engine
+    /// fans the pure classify/extract work over its worker pool; results
+    /// are bit-identical to the sequential reference pipeline.
+    ///
+    /// Durability: `resume` replays the deterministic corpus and skips
+    /// the deliveries the checkpointed engine has already absorbed;
+    /// periodic checkpoints commit into the segment store under
+    /// `checkpoint_dir`, so one manifest swap commits spilled dedup
+    /// entries and the study checkpoint atomically.
+    fn engine_sink(&self, classifier: DoxClassifier) -> Result<EngineSink> {
+        let cfg = &self.config;
+        let obs = &self.registry;
+        let mut engine_cfg = cfg.engine.clone();
+        if let Some(plan) = &cfg.faults {
+            engine_cfg.faults = Some(EngineFaults {
+                plan: plan.clone(),
+                policy: RetryPolicy::default(),
+            });
+        }
+        let engine = Engine::from_config(engine_cfg)?;
+        let detector: Arc<dyn DoxDetector> = Arc::new(classifier);
+        let fingerprint = config_fingerprint(cfg);
+        let store = open_checkpoint_store(cfg, obs)?;
+        let mut checkpoint = store
+            .as_ref()
+            .map(|s| StoreCheckpoint::new(Arc::clone(s), "study"));
+        let resume_skipped = obs.counter("study.resume.skipped_docs");
+        let mut builder = engine
+            .session_builder()
+            .detector(detector)
+            .registry(obs)
+            .tracer(&self.tracer);
+        if let Some(store) = &store {
+            builder = builder.spill(DedupSpillConfig {
+                store: Arc::clone(store),
+                cap_entries: cfg.durability.spill_cap(),
+            });
+        }
+        let loaded = match &mut checkpoint {
+            Some(ck) if cfg.durability.resume => {
+                let loaded = ck
+                    .load(fingerprint)
+                    .map_err(|e| Error::Checkpoint(format!("read store checkpoint: {e}")))?;
+                // Killed before its first commit, a run leaves an empty
+                // store: resuming it starts from the top.
+                if loaded.is_none() && !ck.store().is_empty() {
+                    return Err(Error::Checkpoint(
+                        "store holds no checkpoint to resume".into(),
+                    ));
+                }
+                loaded
+            }
+            _ => None,
+        };
+        let mut skip = 0;
+        let session = match loaded {
+            Some(loaded) => {
+                skip = loaded.docs_ingested;
+                // Debug level: the resume notice must not perturb the
+                // Info-level event stream, which stays byte-identical
+                // between a clean run and a killed+resumed one.
+                obs.events().emit(
+                    Level::Debug,
+                    "study",
+                    "resuming from checkpoint",
+                    vec![("docs_ingested".into(), skip.to_string())],
+                );
+                builder.resume_from(loaded.session).start()?
+            }
+            None => builder.start()?,
+        };
+        Ok(EngineSink {
+            session,
+            checkpoint,
+            fingerprint,
+            every: cfg.durability.every(),
             // The kill switches model an external SIGKILL; a resumed run
             // has already "survived" them, so they only arm on fresh runs.
-            let kill_after = if cfg.durability.resume {
-                None
-            } else {
-                cfg.faults.as_ref().and_then(|p| p.kill_after_docs)
-            };
-            let store = open_checkpoint_store(cfg, obs)?;
-            let mut store_ck: Option<StoreCheckpoint> = store
+            kill_after: cfg
+                .faults
                 .as_ref()
-                .map(|s| StoreCheckpoint::new(Arc::clone(s), "study"));
-            let resume_skipped = obs.counter("study.resume.skipped_docs");
-            let mut skip: u64 = 0;
-            let mut session = {
-                let mut builder = engine
-                    .session_builder()
-                    .detector(detector)
-                    .registry(obs)
-                    .tracer(&self.tracer);
-                if let Some(store) = &store {
-                    builder = builder.spill(DedupSpillConfig {
-                        store: Arc::clone(store),
-                        cap_entries: cfg.durability.spill_cap(),
-                    });
-                }
-                let loaded = match &mut store_ck {
-                    Some(ck) if cfg.durability.resume => {
-                        let loaded = ck.load().map_err(|e| {
-                            Error::Checkpoint(format!("read store checkpoint: {e}"))
-                        })?;
-                        // Killed before its first commit, a run leaves an
-                        // empty store: resuming it starts from the top.
-                        if loaded.is_none() && !ck.store().is_empty() {
-                            return Err(Error::Checkpoint(
-                                "store holds no checkpoint to resume".into(),
-                            ));
-                        }
-                        loaded
-                    }
-                    _ => None,
-                };
-                if let Some(loaded) = loaded {
-                    if loaded.fingerprint != fingerprint {
-                        return Err(Error::Checkpoint(
-                            "checkpoint belongs to a different experiment \
-                             (seed, scale, shard count or fault plan changed)"
-                                .into(),
-                        ));
-                    }
-                    skip = loaded.docs_ingested;
-                    // Debug level: the resume notice must not perturb the
-                    // Info-level event stream, which stays byte-identical
-                    // between a clean run and a killed+resumed one.
-                    obs.events().emit(
-                        Level::Debug,
-                        "study",
-                        "resuming from checkpoint",
-                        vec![("docs_ingested".into(), skip.to_string())],
-                    );
-                    builder.resume_from(loaded.session).start()?
-                } else {
-                    builder.start()?
-                }
-            };
-
-            let mut delivered: u64 = 0;
-            let mut halted = false;
-            let mut ingest_err: Option<Error> = None;
-            'collect: for period in [1u8, 2] {
-                let flow = collector.collect_period(&mut gen, period, &mut |collected| {
-                    // Ground-truth dox events are rebuilt on every pass —
-                    // resume replays generation, so the OSN world sees the
-                    // same reactions either way.
-                    record_dox_event(&mut events, &collected);
-                    delivered += 1;
-                    if delivered <= skip {
-                        // Replay accounting: the checkpoint already covers
-                        // this doc, so only generation replays, not ingest.
-                        resume_skipped.inc();
-                        return ControlFlow::Continue(());
-                    }
-                    if kill_after.is_some_and(|k| delivered > k) {
-                        // Simulated SIGKILL: stop dead, do NOT checkpoint —
-                        // resume must work from the last periodic snapshot.
-                        halted = true;
-                        return ControlFlow::Break(());
-                    }
-                    if let Err(e) = session.ingest(period, collected) {
-                        ingest_err = Some(e.into());
-                        return ControlFlow::Break(());
-                    }
-                    if let Some(ck) = &mut store_ck {
-                        if delivered.is_multiple_of(every) {
-                            if let Err(e) = commit_checkpoint_to_store(
-                                ck,
-                                &mut session,
-                                fingerprint,
-                                delivered,
-                                obs,
-                            ) {
-                                ingest_err = Some(e);
-                                return ControlFlow::Break(());
-                            }
-                        }
-                    }
-                    ControlFlow::Continue(())
-                });
-                if flow == ControlFlow::Break(()) {
-                    break 'collect;
-                }
-            }
-            if let Some(e) = ingest_err {
-                return Err(e);
-            }
-            if halted {
-                return Err(Error::Halted {
-                    docs_ingested: delivered.saturating_sub(1),
-                });
-            }
-            session.finish()?
-        };
-        // The first unique dox doubles as a sanity probe in the event
-        // log. Its body is PII-dense by construction, so only a redacted
-        // length + fingerprint may leave the pipeline (dox-lint pii-taint).
-        let first_dox = output.unique_doxes().next();
-        obs.events().emit(
-            Level::Info,
-            "study",
-            "collection complete",
-            vec![
-                ("documents".into(), output.counters().total.to_string()),
-                (
-                    "classified_dox".into(),
-                    output.counters().classified_dox.to_string(),
-                ),
-                (
-                    "first_dox".into(),
-                    first_dox.map_or_else(|| "[none]".into(), |d| redact(&d.text).to_string()),
-                ),
-            ],
-        );
-        drop(phase);
-
-        self.analyze(AnalysisInputs {
-            world: &world,
-            geoip: &geoip,
-            gen: &gen,
-            collector: &collector,
-            events: &events,
-            classifier_summary,
-            extractor_eval,
-            output: &output,
+                .and_then(|p| p.kill_after_docs)
+                .filter(|_| !cfg.durability.resume),
+            skip,
+            delivered: 0,
+            resume_skipped,
+            obs: obs.clone(),
+            stopped: None,
         })
     }
 
@@ -938,17 +891,20 @@ impl Study {
     /// [`PipelineOutput`] was produced — batch ingest ([`Study::run`])
     /// and service-mode ingest ([`Study::report_from_ingest`]) of the
     /// same document stream yield byte-identical reports.
-    fn analyze(&self, inputs: AnalysisInputs<'_>) -> Result<ExperimentReport> {
-        let AnalysisInputs {
+    fn analyze(
+        &self,
+        replay: Replay<'_, GeoIpDb>,
+        collector: &Collector,
+        output: &PipelineOutput,
+    ) -> Result<ExperimentReport> {
+        let Replay {
             world,
             geoip,
             gen,
-            collector,
+            classifier,
+            extractor,
             events,
-            classifier_summary,
-            extractor_eval,
-            output,
-        } = inputs;
+        } = replay;
         let cfg = &self.config;
         let seed = cfg.seed;
         let obs = &self.registry;
@@ -961,7 +917,7 @@ impl Study {
         let mix = osn.behavior().mix;
         let mut reg_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0C0A_7E57);
 
-        for i in 0..cfg.control_pool {
+        for i in 0..cfg.control_pool() {
             osn.register_with_status_mix(
                 Network::Instagram,
                 &format!("bg_user_{i}"),
@@ -985,7 +941,7 @@ impl Study {
             }
         }
         // Victim reactions fire at ground-truth dox posting times.
-        for event in events {
+        for event in &events {
             for (network, handle) in &event.handles {
                 if let Some(id) = osn.resolve(*network, handle) {
                     osn.notify_doxed(id, event.posted_at);
@@ -1005,14 +961,8 @@ impl Study {
         // comparison wants its weather constant.
         let phase = StageSpan::enter(obs, "study.phase.monitoring");
         let mut monitor = match &cfg.faults {
-            Some(plan) => Monitor::with_faults(
-                cfg.schedule.clone(),
-                obs,
-                plan.clone(),
-                cfg.retry,
-                cfg.breaker,
-            ),
-            None => Monitor::with_registry(cfg.schedule.clone(), obs),
+            Some(plan) => Monitor::with_faults(Schedule::paper(), obs, plan.clone()),
+            None => Monitor::with_registry(Schedule::paper(), obs),
         };
         let mut monitored_ids: Vec<AccountId> = Vec::new();
         let unique: Vec<&crate::pipeline::DetectedDox> = output.unique_doxes().collect();
@@ -1067,7 +1017,7 @@ impl Study {
         let mut control_monitor = Monitor::with_registry(control_schedule, obs);
         let mut control_row = StatusChangeRow::default();
         let mut control_row_active = StatusChangeRow::default();
-        for id in osn.sample_instagram_uids(cfg.control_sample) {
+        for id in osn.sample_instagram_uids(cfg.control_sample()) {
             control_monitor.enroll_and_probe(&osn, id, periods.period1.0);
             let Some(h) = control_monitor.take_history(id) else {
                 continue;
@@ -1098,7 +1048,7 @@ impl Study {
         // 6. Analyses.
         let phase = StageSpan::enter(obs, "study.phase.analysis");
         let detected = output.detected();
-        let labeled = label_sample(detected, &cfg.labeling, seed);
+        let labeled = label_sample(detected, seed);
         let labeled_per_period = [
             labeled.iter().filter(|l| l.period == 1).count(),
             labeled.iter().filter(|l| l.period == 2).count(),
@@ -1175,7 +1125,7 @@ impl Study {
             .deletion_survey(detected.iter().map(|d| (d.source, d.doc_id, d.posted_at)))
             .into();
 
-        let ip_validation = validate_by_ip(detected, world, geoip, cfg.ip_validation_sample, seed);
+        let ip_validation = validate_by_ip(detected, world, &geoip, IP_VALIDATION_SAMPLE, seed);
         drop(phase);
 
         // Coverage gaps: everything the fault plan cost us, explicitly.
@@ -1211,8 +1161,8 @@ impl Study {
 
         Ok(ExperimentReport {
             pipeline: output.counters().clone(),
-            classifier: classifier_summary,
-            extractor: extractor_eval,
+            classifier,
+            extractor,
             deletion,
             labeled_per_period,
             demographics: demographics(&labeled),

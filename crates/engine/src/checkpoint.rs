@@ -29,7 +29,8 @@
 //! bytes the store accumulates are superseded headers.
 //!
 //! [`StoreCheckpoint::load`] is the one place that checks a checkpoint's
-//! version against [`CHECKPOINT_VERSION`], before it decodes any field.
+//! identity: its version against [`CHECKPOINT_VERSION`], before it
+//! decodes any field, then its fingerprint against the caller's.
 
 use crate::dedup::DedupSnapshot;
 use crate::output::{DetectedDox, PipelineCounters};
@@ -90,6 +91,14 @@ pub enum StoreCheckpointError {
         /// What failed validation.
         detail: String,
     },
+    /// The checkpoint was written under another configuration: its
+    /// fingerprint is not the one the caller expects.
+    Fingerprint {
+        /// The caller's fingerprint.
+        expected: u64,
+        /// The checkpoint's fingerprint.
+        found: u64,
+    },
     /// The number of detected rows disagrees with the header's
     /// `detected_len` (a missing or an extra row).
     RowCount {
@@ -119,6 +128,11 @@ impl std::fmt::Display for StoreCheckpointError {
             Self::Store(e) => write!(f, "checkpoint store: {e}"),
             Self::Encode(e) => write!(f, "checkpoint encode: {e}"),
             Self::Header { detail } => write!(f, "checkpoint header: {detail}"),
+            Self::Fingerprint { expected, found } => write!(
+                f,
+                "config fingerprint mismatch: the checkpoint was written under \
+                 {found:#x}, this configuration is {expected:#x}"
+            ),
             Self::RowCount { expected, found } => write!(
                 f,
                 "checkpoint header promises {expected} detected rows, store holds {found}"
@@ -152,8 +166,8 @@ impl From<StoreError> for StoreCheckpointError {
 /// [`StoreCheckpoint::load`] returns.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StampedCheckpoint {
-    /// Fingerprint of the configuration the state belongs to; a resume
-    /// under another configuration must refuse it.
+    /// Fingerprint of the configuration the state belongs to;
+    /// [`StoreCheckpoint::load`] returns only the one it was given.
     pub fingerprint: u64,
     /// Documents ingested into the session so far.
     pub docs_ingested: u64,
@@ -266,16 +280,21 @@ impl StoreCheckpoint {
         })
     }
 
-    /// Read the committed checkpoint back, detected log included;
-    /// `Ok(None)` when the store holds no header. Later
-    /// [`stage`](Self::stage) calls append after the loaded log.
+    /// Read the committed checkpoint back, detected log included, if it
+    /// was staged under `fingerprint`; `Ok(None)` when the store holds no
+    /// header. Later [`stage`](Self::stage) calls append after the
+    /// loaded log.
     ///
     /// # Errors
     /// A typed [`StoreCheckpointError`] — never a panic, never a partial
     /// checkpoint — when the header is unreadable or carries another
-    /// [`CHECKPOINT_VERSION`], or the detected rows disagree with its
-    /// `detected_len`.
-    pub fn load(&mut self) -> Result<Option<StampedCheckpoint>, StoreCheckpointError> {
+    /// [`CHECKPOINT_VERSION`], when it carries another fingerprint
+    /// ([`StoreCheckpointError::Fingerprint`]), or when the detected rows
+    /// disagree with its `detected_len`.
+    pub fn load(
+        &mut self,
+        fingerprint: u64,
+    ) -> Result<Option<StampedCheckpoint>, StoreCheckpointError> {
         let Some(text) = self.header.get(&HEADER_KEY.to_string())? else {
             return Ok(None);
         };
@@ -297,7 +316,7 @@ impl StoreCheckpoint {
             )));
         }
         let Some(Header {
-            fingerprint,
+            fingerprint: found,
             docs_ingested,
             detected_len,
             mut session,
@@ -305,6 +324,12 @@ impl StoreCheckpoint {
         else {
             return Err(header_err("fields do not decode".into()));
         };
+        if found != fingerprint {
+            return Err(StoreCheckpointError::Fingerprint {
+                expected: fingerprint,
+                found,
+            });
+        }
         if !session.detected.is_empty() {
             return Err(header_err("session state inlines a detected log".into()));
         }
@@ -566,7 +591,7 @@ mod tests {
 
             let store = Arc::new(Store::open(&dir, &Registry::new()).expect("reopen"));
             let loaded = StoreCheckpoint::new(store, "t")
-                .load()
+                .load(7)
                 .expect("loads")
                 .expect("has a header");
             assert_eq!(loaded.fingerprint, 7);
@@ -580,9 +605,31 @@ mod tests {
             let dir = scratch("empty");
             let store = Arc::new(Store::open(&dir, &Registry::new()).expect("open"));
             assert!(StoreCheckpoint::new(store, "t")
-                .load()
+                .load(7)
                 .expect("no error")
                 .is_none());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_foreign_fingerprint_is_a_typed_error() {
+            let dir = scratch("fingerprint");
+            let (mut ck, _) = staged(&dir);
+            let err = ck.load(8).expect_err("a foreign fingerprint is refused");
+            assert!(
+                matches!(
+                    err,
+                    StoreCheckpointError::Fingerprint {
+                        expected: 8,
+                        found: 7
+                    }
+                ),
+                "{err:?}"
+            );
+            assert!(
+                err.to_string().contains("config fingerprint mismatch"),
+                "{err}"
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
 
@@ -593,7 +640,7 @@ mod tests {
             let last = expected.detected.len() as u64 - 1;
             assert!(ck.rows.delete(&last).expect("delete"));
             assert!(matches!(
-                ck.load(),
+                ck.load(7),
                 Err(StoreCheckpointError::RowCount { expected: e, found: f })
                     if e == last + 1 && f == last
             ));
@@ -607,7 +654,7 @@ mod tests {
             let len = expected.detected.len() as u64;
             ck.rows.put(&len, &b"{}".to_vec()).expect("put");
             assert!(matches!(
-                ck.load(),
+                ck.load(7),
                 Err(StoreCheckpointError::RowCount { expected: e, found: f })
                     if e == len && f == len + 1
             ));
@@ -624,7 +671,7 @@ mod tests {
             assert!(ck.rows.delete(&2).expect("delete"));
             ck.rows.put(&len, &row).expect("put");
             assert!(matches!(
-                ck.load(),
+                ck.load(7),
                 Err(StoreCheckpointError::KeyGap {
                     expected: 2,
                     found: 3
@@ -639,12 +686,12 @@ mod tests {
             let (mut ck, _) = staged(&dir);
             ck.rows.put(&1, &b"{\"doc_id\": 1}".to_vec()).expect("put");
             assert!(matches!(
-                ck.load(),
+                ck.load(7),
                 Err(StoreCheckpointError::Row { index: 1 })
             ));
             ck.rows.put(&1, &vec![0xFF, 0xFE]).expect("put");
             assert!(matches!(
-                ck.load(),
+                ck.load(7),
                 Err(StoreCheckpointError::Row { index: 1 })
             ));
             let _ = std::fs::remove_dir_all(&dir);
@@ -672,7 +719,7 @@ mod tests {
                 );
             assert!(v2.contains("\"version\":2") && v2.contains("\"counts\""));
             ck.header.put(&HEADER_KEY.to_string(), &v2).expect("put");
-            match ck.load() {
+            match ck.load(7) {
                 Err(e @ StoreCheckpointError::Header { .. }) => assert!(
                     e.to_string().contains("checkpoint version 2, expected 3"),
                     "{e}"
@@ -696,14 +743,14 @@ mod tests {
             .expect("encodes");
             ck.header.put(&HEADER_KEY.to_string(), &old).expect("put");
             assert!(matches!(
-                ck.load(),
+                ck.load(7),
                 Err(StoreCheckpointError::Header { .. })
             ));
             ck.header
                 .put(&HEADER_KEY.to_string(), &"not json".to_string())
                 .expect("put");
             assert!(matches!(
-                ck.load(),
+                ck.load(7),
                 Err(StoreCheckpointError::Header { .. })
             ));
             let _ = std::fs::remove_dir_all(&dir);

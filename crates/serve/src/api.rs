@@ -308,16 +308,9 @@ impl ServeState {
             .filter(|spec| spec.id == id)
             .ok_or("malformed spec")?;
         let saved = session_checkpoint(store, id)
-            .load()
+            .load(u64::from(spec.fingerprint()))
             .map_err(|e| e.to_string())?
             .ok_or("no session checkpoint")?;
-        let fingerprint = u64::from(spec.fingerprint());
-        if saved.fingerprint != fingerprint {
-            return Err(format!(
-                "config fingerprint mismatch (checkpoint {:08x}, spec {fingerprint:08x})",
-                saved.fingerprint
-            ));
-        }
         Tenant::resume(spec, saved.session, saved.docs_ingested, &self.registry)
             .map_err(|e| e.to_string())
     }

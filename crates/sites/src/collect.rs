@@ -112,18 +112,14 @@ impl Collector {
         self.tracer = tracer.clone();
     }
 
-    /// Create a collector whose fetches run through a fault plan.
-    pub fn with_faults(
-        seed: u64,
-        plan: FaultPlanConfig,
-        policy: RetryPolicy,
-        breaker: BreakerConfig,
-    ) -> Self {
+    /// Create a collector whose fetches run through a fault plan, with
+    /// the default retry policy and per-source circuit breakers.
+    pub fn with_faults(seed: u64, plan: FaultPlanConfig) -> Self {
         let mut collector = Self::new(seed);
         collector.faults = Some(CollectorFaults {
             plan: FaultPlan::new(plan),
-            policy,
-            breakers: BreakerSet::new(breaker),
+            policy: RetryPolicy::default(),
+            breakers: BreakerSet::new(BreakerConfig::default()),
             stats: FaultStats::default(),
             gaps: CoverageGaps::default(),
         });
@@ -364,12 +360,7 @@ mod tests {
             max_transient_failures: 2,
             ..FaultPlanConfig::default()
         };
-        let mut faulty = Collector::with_faults(
-            9,
-            plan,
-            RetryPolicy::default(),
-            dox_fault::BreakerConfig::default(),
-        );
+        let mut faulty = Collector::with_faults(9, plan);
         let recovered = collect_all(&mut faulty, config);
         assert_eq!(recovered, baseline, "recovery must not change the stream");
         assert!(faulty.fault_stats().retries > 0, "weather actually blew");
@@ -384,12 +375,7 @@ mod tests {
             hard_ppm: 100_000, // ~10% of fetches permanently fail
             ..FaultPlanConfig::default()
         };
-        let mut collector = Collector::with_faults(
-            9,
-            plan,
-            RetryPolicy::default(),
-            dox_fault::BreakerConfig::default(),
-        );
+        let mut collector = Collector::with_faults(9, plan);
         let delivered = collect_all(&mut collector, config).len() as u64;
         let gaps = collector.coverage_gaps();
         assert!(gaps.missed_collection_total() > 0, "hard faults must bite");
@@ -415,12 +401,7 @@ mod tests {
             max_transient_failures: 2,
             ..FaultPlanConfig::default()
         };
-        let mut collector = Collector::with_faults(
-            9,
-            plan,
-            RetryPolicy::default(),
-            dox_fault::BreakerConfig::default(),
-        );
+        let mut collector = Collector::with_faults(9, plan);
         let registry = Registry::new();
         let tracer = Tracer::new(TraceConfig {
             seed: 9,

@@ -24,6 +24,8 @@
 //! * a resume over the store of a run that already finished replays
 //!   everything after its last checkpoint, monitoring included, to the
 //!   same bytes and the same Info-level event stream;
+//! * a resume under another seed or shard count is refused with a
+//!   checkpoint error and no report, and leaves the store resumable;
 //! * store checkpoints append each detected dox once: many checkpoints
 //!   never trigger compaction, and superseded headers are the only dead
 //!   bytes.
@@ -404,6 +406,56 @@ fn a_resume_over_a_finished_store_replays_the_run_exactly() {
         info_stream(&registry),
         info_stream(&first_registry),
         "a resume over a finished store must not perturb the Info-level event stream"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resume_under_another_experiment_is_refused() {
+    let (workers, shards) = (1, 8);
+    let dir = scratch_dir("foreign_resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_base = |b: StudyConfigBuilder| b.checkpoint_dir(&dir).checkpoint_every(400);
+    let killed_plan = FaultPlanConfig {
+        kill_after_docs: Some(1_500),
+        ..FaultPlanConfig::default()
+    };
+    let killed_cfg = store_base(base(workers, shards).faults(killed_plan)).build();
+    match Study::with_registry(killed_cfg, Registry::new()).run() {
+        Err(Error::Halted { docs_ingested }) => assert_eq!(docs_ingested, 1_500),
+        other => panic!("expected the kill switch to halt the run, got {other:?}"),
+    }
+
+    // The checkpoint's fingerprint covers the seed and the dedup
+    // partitioning; a resume under either changed must not adopt it.
+    for (what, foreign) in [
+        ("seed", base(workers, shards).seed(SEED + 1)),
+        ("shard count", base(workers, 1)),
+    ] {
+        let cfg = store_base(foreign.faults(FaultPlanConfig::default()))
+            .resume(true)
+            .build();
+        match Study::with_registry(cfg, Registry::new()).run() {
+            Err(Error::Checkpoint(msg)) => {
+                assert!(msg.contains("fingerprint"), "another {what}: {msg}")
+            }
+            Ok(_) => panic!("a resume under another {what} returned a report"),
+            Err(e) => panic!("a resume under another {what} must be a checkpoint error, got {e}"),
+        }
+    }
+
+    // The refusals left the store as it was: the matching resume still
+    // re-emits the uninterrupted run's bytes.
+    let cfg = store_base(base(workers, shards).faults(FaultPlanConfig::default()))
+        .resume(true)
+        .build();
+    let resumed = Study::with_registry(cfg, Registry::new())
+        .run()
+        .expect("the matching resume runs");
+    assert_eq!(
+        to_json(&resumed).expect("report serializes"),
+        clean_json(workers, shards),
+        "refused resumes must leave the store resumable"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
