@@ -148,7 +148,7 @@ impl EngineFixture {
     }
 
     /// The same ingest with dedup shards spilling to the crash-safe
-    /// segment store and a durable checkpoint (quiesce, stage the
+    /// segment store and a durable checkpoint (barrier, stage the
     /// [`StoreCheckpoint`] rows and header, commit) every
     /// [`STORE_CHECKPOINT_EVERY`] documents — the full price of
     /// store-backed durability. Leaves the populated store in `dir` so

@@ -386,6 +386,13 @@ impl Sink for Pipeline {
 
 /// The engine session [`Study::run`] ingests into, with its durability:
 /// resume skipping, the kill switch and periodic store checkpoints.
+///
+/// A periodic checkpoint is a barrier the producer does not wait on: it
+/// sets it and keeps ingesting, and takes the checkpoint once the stage
+/// workers have committed up to it (checked at each dispatch). The next
+/// checkpoint, the kill switch and `finish` take a pending one first, so
+/// every durable state is the one a checkpoint at exactly that document
+/// count would leave.
 struct EngineSink {
     session: Session,
     checkpoint: Option<StoreCheckpoint>,
@@ -401,6 +408,72 @@ struct EngineSink {
     stopped: Option<Error>,
 }
 
+impl EngineSink {
+    /// Take the pending store checkpoint: when it is due, or, with
+    /// `now`, whenever one is pending. Times the producer's part in
+    /// `study.checkpoint.producer_ns`.
+    ///
+    /// A fault-drill kill armed on the store commit surfaces as
+    /// [`Error::Halted`] at the checkpoint's document count, the same way
+    /// the ingest kill switch does: the process is "dead" and must resume
+    /// from the last durable commit.
+    fn settle(&mut self, now: bool) -> Result<()> {
+        let Some(ck) = &mut self.checkpoint else {
+            return Ok(());
+        };
+        let ready = if now {
+            ck.is_pending()
+        } else {
+            ck.is_due(&self.session)
+        };
+        if !ready {
+            return Ok(());
+        }
+        let _span = StageSpan::enter(&self.obs, "study.checkpoint.producer_ns");
+        let staged = ck.complete(&mut self.session).map_err(|e| match e {
+            StoreCheckpointError::Engine(e) => Error::from(e),
+            StoreCheckpointError::Commit {
+                docs_ingested,
+                source: StoreError::Killed { .. },
+            } => Error::Halted { docs_ingested },
+            StoreCheckpointError::Commit { source, .. } => {
+                Error::Checkpoint(format!("commit store checkpoint: {source}"))
+            }
+            e => Error::Checkpoint(format!("stage store checkpoint: {e}")),
+        })?;
+        if let Some(staged) = staged {
+            self.obs.counter("study.checkpoint.commits").inc();
+            self.obs
+                .counter("study.checkpoint.detected_rows")
+                .add(staged.rows);
+            self.obs
+                .counter("study.checkpoint.row_bytes")
+                .add(staged.row_bytes);
+            self.obs
+                .counter("study.checkpoint.header_bytes")
+                .add(staged.header_bytes);
+        }
+        Ok(())
+    }
+
+    /// Ingest one document, then take a due checkpoint; at a checkpoint
+    /// boundary, take the pending one and set the next barrier.
+    fn ingest(&mut self, period: u8, doc: CollectedDoc) -> Result<()> {
+        self.session.ingest(period, doc)?;
+        let boundary = self.delivered.is_multiple_of(self.every);
+        self.settle(boundary)?;
+        match &mut self.checkpoint {
+            Some(ck) if boundary => ck
+                .begin(&mut self.session, self.fingerprint, self.delivered)
+                .map_err(|e| match e {
+                    StoreCheckpointError::Engine(e) => Error::from(e),
+                    e => Error::Checkpoint(format!("set store checkpoint: {e}")),
+                }),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl Sink for EngineSink {
     fn deliver(&mut self, period: u8, doc: CollectedDoc) -> ControlFlow<()> {
         self.delivered += 1;
@@ -410,40 +483,30 @@ impl Sink for EngineSink {
             self.resume_skipped.inc();
             return ControlFlow::Continue(());
         }
-        if self.kill_after.is_some_and(|k| self.delivered > k) {
-            // Simulated SIGKILL: stop dead, do NOT checkpoint — resume
-            // must work from the last periodic snapshot.
-            self.stopped = Some(Error::Halted {
+        let step = if self.kill_after.is_some_and(|k| self.delivered > k) {
+            // Simulated SIGKILL: stop dead, take no new checkpoint —
+            // resume must work from the last periodic one.
+            self.settle(true).and(Err(Error::Halted {
                 docs_ingested: self.delivered - 1,
-            });
-            return ControlFlow::Break(());
-        }
-        if let Err(e) = self.session.ingest(period, doc) {
-            self.stopped = Some(e.into());
-            return ControlFlow::Break(());
-        }
-        if let Some(ck) = &mut self.checkpoint {
-            if self.delivered.is_multiple_of(self.every) {
-                if let Err(e) = commit_checkpoint_to_store(
-                    ck,
-                    &mut self.session,
-                    self.fingerprint,
-                    self.delivered,
-                    &self.obs,
-                ) {
-                    self.stopped = Some(e);
-                    return ControlFlow::Break(());
-                }
+            }))
+        } else {
+            self.ingest(period, doc)
+        };
+        match step {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(e) => {
+                self.stopped = Some(e);
+                ControlFlow::Break(())
             }
         }
-        ControlFlow::Continue(())
     }
 
-    fn finish(self) -> Result<PipelineOutput> {
-        match self.stopped {
-            Some(e) => Err(e),
-            None => Ok(self.session.finish()?),
+    fn finish(mut self) -> Result<PipelineOutput> {
+        if let Some(e) = self.stopped {
+            return Err(e);
         }
+        self.settle(true)?;
+        Ok(self.session.finish()?)
     }
 }
 
@@ -1224,42 +1287,6 @@ fn open_checkpoint_store(cfg: &StudyConfig, obs: &Registry) -> Result<Option<Arc
         }
     }
     Ok(Some(Arc::new(store)))
-}
-
-/// Persist a checkpoint into the segment store: stage the detected rows
-/// committed since the last checkpoint plus a fresh header (see
-/// [`StoreCheckpoint`]), then one store checkpoint's manifest swap
-/// commits them *and* any dedup entries spilled since the last commit in
-/// one atomic step — a crash can never separate them.
-///
-/// A fault-drill kill armed on this commit surfaces as [`Error::Halted`],
-/// the same way the ingest kill switch does: the process is "dead" and
-/// must resume from the last durable commit.
-fn commit_checkpoint_to_store(
-    checkpoint: &mut StoreCheckpoint,
-    session: &mut Session,
-    fingerprint: u64,
-    docs_ingested: u64,
-    obs: &Registry,
-) -> Result<()> {
-    let staged = checkpoint
-        .stage(session, fingerprint, docs_ingested)
-        .map_err(|e| match e {
-            StoreCheckpointError::Engine(e) => Error::from(e),
-            e => Error::Checkpoint(format!("stage store checkpoint: {e}")),
-        })?;
-    checkpoint.store().checkpoint().map_err(|e| match e {
-        StoreError::Killed { .. } => Error::Halted { docs_ingested },
-        e => Error::Checkpoint(format!("commit store checkpoint: {e}")),
-    })?;
-    obs.counter("study.checkpoint.commits").inc();
-    obs.counter("study.checkpoint.detected_rows")
-        .add(staged.rows);
-    obs.counter("study.checkpoint.row_bytes")
-        .add(staged.row_bytes);
-    obs.counter("study.checkpoint.header_bytes")
-        .add(staged.header_bytes);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,18 +1,19 @@
-//! Session checkpoints: the serializable quiescent state of an ingest
-//! run.
+//! Session checkpoints: the serializable state of an ingest run at a
+//! barrier.
 //!
-//! A checkpoint is taken only at **quiescence** — every dispatched chunk
-//! committed (see [`Session::checkpoint`](crate::Session::checkpoint)).
-//! At that moment the reorder buffer is empty, so the only sequencing
-//! state worth persisting is the pair of cursors (`next_chunk_seq`,
-//! `dox_seq`); the heavy state is the dedup partitions, the funnel
-//! counters and the detected log. Restoring a checkpoint into a fresh
-//! session and replaying the remaining document stream yields output
-//! byte-identical to the uninterrupted run — the property the
-//! fault-matrix test enforces.
+//! A checkpoint is taken only at a **barrier** — every chunk dispatched
+//! before it committed, none after (see the
+//! [`session`](crate::session) module docs). Later chunks may wait in
+//! the reorder buffer, but they are not part of the checkpoint, so the
+//! only sequencing state worth persisting is the pair of cursors
+//! (`next_chunk_seq`, `dox_seq`); the heavy state is the dedup
+//! partitions, the funnel counters and the detected log. Restoring a
+//! checkpoint into a fresh session and replaying the remaining document
+//! stream yields output byte-identical to the uninterrupted run — the
+//! property the fault-matrix test enforces.
 //!
-//! The format is JSON via the workspace's value-tree serde; field order
-//! and the sorted [`DedupSnapshot`] entry lists make the encoding a pure
+//! The format is JSON written by the workspace's serde; field order and
+//! the sorted [`DedupSnapshot`] entry lists make the encoding a pure
 //! function of the state, so identical states produce identical bytes.
 //!
 //! ## Store layout
@@ -28,6 +29,12 @@
 //! header: O(new doxes + header) bytes per checkpoint, and the only dead
 //! bytes the store accumulates are superseded headers.
 //!
+//! A checkpoint is either staged on the spot ([`StoreCheckpoint::stage`]:
+//! wait for everything ingested so far, stage, let the caller commit) or
+//! taken behind the producer ([`StoreCheckpoint::begin`] sets the
+//! barrier and returns; [`StoreCheckpoint::complete`] stages it, commits
+//! the store while later chunks are still held, and lifts the barrier).
+//!
 //! [`StoreCheckpoint::load`] is the one place that checks a checkpoint's
 //! identity: its version against [`CHECKPOINT_VERSION`], before it
 //! decodes any field, then its fingerprint against the caller's.
@@ -37,7 +44,7 @@ use crate::output::{DetectedDox, PipelineCounters};
 use crate::{EngineError, Session};
 use dox_store::{Store, StoreError, Table};
 use serde::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 use std::sync::Arc;
 
 /// Format version stamped into every checkpoint; bumped on any encoding
@@ -45,7 +52,7 @@ use std::sync::Arc;
 /// instead of misreading it.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
-/// The complete quiescent state of a [`Session`].
+/// The complete state of a [`Session`] at a checkpoint barrier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     /// Encoding version ([`CHECKPOINT_VERSION`]).
@@ -54,8 +61,9 @@ pub struct SessionCheckpoint {
     /// be resumed under any worker count but **only** the same partition
     /// count — dedup state is partitioned by `signature % shards`.
     pub shards: usize,
-    /// The next chunk sequence number the session will stamp (and the
-    /// commit reorder cursor — equal at quiescence).
+    /// The checkpoint barrier: the first chunk sequence number the
+    /// checkpoint does not cover, and the commit reorder cursor at the
+    /// barrier.
     pub next_chunk_seq: u64,
     /// The next dox sequence number a commit pass will stamp.
     pub dox_seq: u64,
@@ -79,10 +87,19 @@ const HEADER_KEY: &str = "checkpoint";
 /// Why a [`StoreCheckpoint`] could not be staged or loaded.
 #[derive(Debug)]
 pub enum StoreCheckpointError {
-    /// The session failed to quiesce.
+    /// The session failed to reach the barrier.
     Engine(EngineError),
     /// The store failed to read or stage a row.
     Store(StoreError),
+    /// The store commit of a [`StoreCheckpoint::complete`] failed; the
+    /// checkpoint was stamped with `docs_ingested`.
+    Commit {
+        /// Documents the checkpoint covers.
+        docs_ingested: u64,
+        /// Why the commit failed (a fault-drill kill is
+        /// [`StoreError::Killed`]).
+        source: StoreError,
+    },
     /// JSON encoding failed.
     Encode(serde_json::Error),
     /// The header row is unreadable or written in another checkpoint
@@ -124,8 +141,9 @@ pub enum StoreCheckpointError {
 impl std::fmt::Display for StoreCheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Engine(e) => write!(f, "checkpoint quiesce: {e}"),
+            Self::Engine(e) => write!(f, "checkpoint barrier: {e}"),
             Self::Store(e) => write!(f, "checkpoint store: {e}"),
+            Self::Commit { source, .. } => write!(f, "checkpoint commit: {source}"),
             Self::Encode(e) => write!(f, "checkpoint encode: {e}"),
             Self::Header { detail } => write!(f, "checkpoint header: {detail}"),
             Self::Fingerprint { expected, found } => write!(
@@ -149,7 +167,7 @@ impl std::error::Error for StoreCheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Engine(e) => Some(e),
-            Self::Store(e) => Some(e),
+            Self::Store(e) | Self::Commit { source: e, .. } => Some(e),
             Self::Encode(e) => Some(e),
             _ => None,
         }
@@ -162,13 +180,11 @@ impl From<StoreError> for StoreCheckpointError {
     }
 }
 
-/// A session checkpoint stamped with its owner's identity: what
-/// [`StoreCheckpoint::load`] returns.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// What [`StoreCheckpoint::load`] returns: a session checkpoint with
+/// the ingest count it was stamped with (its fingerprint is the one the
+/// caller passed).
+#[derive(Debug, Clone, PartialEq)]
 pub struct StampedCheckpoint {
-    /// Fingerprint of the configuration the state belongs to;
-    /// [`StoreCheckpoint::load`] returns only the one it was given.
-    pub fingerprint: u64,
     /// Documents ingested into the session so far.
     pub docs_ingested: u64,
     /// The session state, detected log included, ready for
@@ -187,8 +203,8 @@ pub struct Staged {
     pub header_bytes: u64,
 }
 
-/// The header row: a [`StampedCheckpoint`] whose session has an empty
-/// detected log, plus the log's length.
+/// The header row: the caller's fingerprint and ingest count, the
+/// session state with an empty detected log, and the log's length.
 #[derive(Serialize, Deserialize)]
 struct Header {
     fingerprint: u64,
@@ -204,7 +220,8 @@ struct Header {
 /// [`stage`](StoreCheckpoint::stage) only buffers puts; the caller's
 /// [`Store::checkpoint`] commits rows, header and any dedup spill
 /// together, so a crash leaves either the previous checkpoint or the new
-/// one, never a mix.
+/// one, never a mix. [`complete`](StoreCheckpoint::complete) runs that
+/// commit itself, before it lifts the barrier.
 #[derive(Debug)]
 pub struct StoreCheckpoint {
     header: Table<String, String>,
@@ -212,6 +229,11 @@ pub struct StoreCheckpoint {
     /// Detected rows already staged (or loaded) — the log prefix the
     /// store holds.
     persisted: u64,
+    /// One detected row's JSON, reused from row to row.
+    row: Vec<u8>,
+    /// `(fingerprint, docs_ingested)` of the barrier
+    /// [`begin`](Self::begin) set and no call has completed yet.
+    pending: Option<(u64, u64)>,
 }
 
 impl StoreCheckpoint {
@@ -221,6 +243,8 @@ impl StoreCheckpoint {
             header: Table::new(Arc::clone(&store), name),
             rows: Table::new(store, &format!("{name}.detected")),
             persisted: 0,
+            row: Vec::new(),
+            pending: None,
         }
     }
 
@@ -229,13 +253,16 @@ impl StoreCheckpoint {
         self.header.store()
     }
 
-    /// Quiesce `session` and stage its checkpoint: the detected rows
-    /// committed since the last `stage` (or [`load`](Self::load)),
+    /// Stage a checkpoint of everything ingested into `session` so far:
+    /// set a barrier after it, wait for it, then stage the detected rows
+    /// committed since the last checkpoint (or [`load`](Self::load)),
     /// serialized straight from the session's log, and a fresh header
-    /// carrying `fingerprint` and `docs_ingested`.
+    /// carrying `fingerprint` and `docs_ingested`. Nothing was
+    /// dispatched past the barrier, so lifting it before the caller's
+    /// [`Store::checkpoint`] lets no later write into the commit.
     ///
     /// # Errors
-    /// Quiesce and store failures, or [`StoreCheckpointError::RowCount`]
+    /// Barrier and store failures, or [`StoreCheckpointError::RowCount`]
     /// when the session's log is shorter than what was already staged
     /// (it belongs to another run).
     pub fn stage(
@@ -244,10 +271,95 @@ impl StoreCheckpoint {
         fingerprint: u64,
         docs_ingested: u64,
     ) -> Result<Staged, StoreCheckpointError> {
+        session
+            .set_barrier()
+            .map_err(StoreCheckpointError::Engine)?;
+        let staged = self.stage_at_barrier(session, fingerprint, docs_ingested);
+        session.release_barrier();
+        staged
+    }
+
+    /// Set a checkpoint barrier after everything ingested into `session`
+    /// so far, stamped with `fingerprint` and `docs_ingested`, and return
+    /// at once: the producer keeps ingesting while the stage workers
+    /// commit up to the barrier. Take the checkpoint with
+    /// [`complete`](Self::complete) once [`is_due`](Self::is_due), and
+    /// before the session's next barrier, flush or finish.
+    ///
+    /// # Errors
+    /// [`EngineError::BarrierPending`] while a barrier is pending, or a
+    /// dead stage worker.
+    pub fn begin(
+        &mut self,
+        session: &mut Session,
+        fingerprint: u64,
+        docs_ingested: u64,
+    ) -> Result<(), StoreCheckpointError> {
+        session
+            .set_barrier()
+            .map_err(StoreCheckpointError::Engine)?;
+        self.pending = Some((fingerprint, docs_ingested));
+        Ok(())
+    }
+
+    /// Whether a barrier set by [`begin`](Self::begin) is pending.
+    pub fn is_pending(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Whether the pending barrier should be completed now: checked
+    /// right after the producer dispatched a chunk, it is due once every
+    /// chunk before it committed, or once the chunks it holds reached
+    /// the session's bound.
+    pub fn is_due(&self, session: &Session) -> bool {
+        self.is_pending() && session.barrier_due()
+    }
+
+    /// Take the pending checkpoint, if any: wait for the barrier, stage
+    /// the rows and header, run [`Store::checkpoint`] while the barrier
+    /// still holds every later chunk (so no dedup spill from after the
+    /// barrier enters the commit), then lift the barrier and commit the
+    /// held chunks. Returns what was staged, or `None` when nothing was
+    /// pending.
+    ///
+    /// # Errors
+    /// Like [`stage`](Self::stage), plus [`StoreCheckpointError::Commit`]
+    /// when the store commit fails.
+    pub fn complete(
+        &mut self,
+        session: &mut Session,
+    ) -> Result<Option<Staged>, StoreCheckpointError> {
+        let Some((fingerprint, docs_ingested)) = self.pending.take() else {
+            return Ok(None);
+        };
+        let committed = self
+            .stage_at_barrier(session, fingerprint, docs_ingested)
+            .and_then(|staged| {
+                self.store()
+                    .checkpoint()
+                    .map(|()| staged)
+                    .map_err(|source| StoreCheckpointError::Commit {
+                        docs_ingested,
+                        source,
+                    })
+            });
+        session.release_barrier();
+        committed.map(Some)
+    }
+
+    /// Wait for `session`'s barrier and stage its checkpoint: the new
+    /// detected rows, each encoded into the one reused row buffer under
+    /// the state lock, then the header.
+    fn stage_at_barrier(
+        &mut self,
+        session: &Session,
+        fingerprint: u64,
+        docs_ingested: u64,
+    ) -> Result<Staged, StoreCheckpointError> {
         let persisted = self.persisted;
-        let rows = &self.rows;
+        let (rows, row) = (&self.rows, &mut self.row);
         let (checkpoint, detected_len, row_bytes) = session
-            .with_quiescent(|checkpoint, detected| -> Result<_, StoreCheckpointError> {
+            .at_barrier(|checkpoint, detected| -> Result<_, StoreCheckpointError> {
                 let fresh = usize::try_from(persisted)
                     .ok()
                     .and_then(|from| detected.get(from..))
@@ -257,9 +369,10 @@ impl StoreCheckpoint {
                     })?;
                 let mut row_bytes = 0u64;
                 for (index, dox) in (persisted..).zip(fresh) {
-                    let json = serde_json::to_string(dox).map_err(StoreCheckpointError::Encode)?;
-                    row_bytes += json.len() as u64;
-                    rows.put(&index, &json.into_bytes())?;
+                    row.clear();
+                    dox.write_json(&mut JsonWriter::compact(row));
+                    row_bytes += row.len() as u64;
+                    rows.put(&index, row)?;
                 }
                 Ok((checkpoint, detected.len() as u64, row_bytes))
             })
@@ -357,7 +470,6 @@ impl StoreCheckpoint {
         }
         self.persisted = detected_len;
         Ok(Some(StampedCheckpoint {
-            fingerprint,
             docs_ingested,
             session,
         }))
@@ -594,7 +706,6 @@ mod tests {
                 .load(7)
                 .expect("loads")
                 .expect("has a header");
-            assert_eq!(loaded.fingerprint, 7);
             assert_eq!(loaded.docs_ingested, 60);
             assert_eq!(loaded.session, expected);
             let _ = std::fs::remove_dir_all(&dir);
@@ -735,11 +846,11 @@ mod tests {
             let (mut ck, expected) = staged(&dir);
             // The older layout: one row holding the whole stamped
             // checkpoint, detected log inlined.
-            let old = serde_json::to_string(&StampedCheckpoint {
-                fingerprint: 7,
-                docs_ingested: 60,
-                session: expected,
-            })
+            let old = serde_json::to_string(&Value::Object(vec![
+                ("fingerprint".to_string(), 7u64.to_value()),
+                ("docs_ingested".to_string(), 60u64.to_value()),
+                ("session".to_string(), expected.to_value()),
+            ]))
             .expect("encodes");
             ck.header.put(&HEADER_KEY.to_string(), &old).expect("put");
             assert!(matches!(

@@ -127,8 +127,14 @@ pub enum EngineError {
         /// Shards the checkpoint was taken with.
         found: usize,
     },
-    /// The pipeline failed to quiesce within the checkpoint deadline.
+    /// The pipeline failed to reach a checkpoint barrier (every chunk
+    /// dispatched before it committed) within the deadline.
     CheckpointStalled,
+    /// A checkpoint barrier is still pending: a session holds one at a
+    /// time, and its [`StoreCheckpoint`] must
+    /// [`complete`](StoreCheckpoint::complete) it before the session takes
+    /// another.
+    BarrierPending,
     /// [`SessionBuilder::start`] was called without a detector — there is
     /// no default classifier, so the session could never label anything.
     MissingDetector,
@@ -151,7 +157,10 @@ impl std::fmt::Display for EngineError {
                 "checkpoint was taken with {found} dedup shards but the engine has {expected}"
             ),
             EngineError::CheckpointStalled => {
-                write!(f, "engine failed to quiesce within the checkpoint deadline")
+                write!(f, "engine failed to reach the checkpoint barrier in time")
+            }
+            EngineError::BarrierPending => {
+                write!(f, "a checkpoint barrier is still pending on this session")
             }
             EngineError::MissingDetector => {
                 write!(f, "session builder needs a detector before start()")

@@ -30,8 +30,9 @@ impl<T> ReorderBuffer<T> {
     }
 
     /// An empty buffer expecting `next` first — how a resumed session
-    /// restores its sequence cursor (checkpoints are taken at quiescence,
-    /// so only the cursor needs to survive, never pending items).
+    /// restores its sequence cursor (checkpoints are taken at a barrier,
+    /// and items held past it are not part of them, so only the cursor
+    /// needs to survive, never pending items).
     pub fn with_next(next: u64) -> Self {
         Self {
             next,

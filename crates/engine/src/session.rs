@@ -29,13 +29,26 @@
 //!
 //! The commit state lives in one mutex-guarded block rather than
 //! thread-local state, so every worker can commit to it and the session
-//! can observe it mid-run. [`Session::checkpoint`] flushes the partial
-//! chunk, waits on the same mutex's condvar for **quiescence** (the
-//! reorder cursor has reached every dispatched chunk), then snapshots the
-//! state under that lock. The reorder buffer is provably empty at
-//! quiescence, so only its cursor is persisted. Workers take the lock
-//! only after the stage, never while waiting on a queue, so they never
-//! block on each other for longer than one commit pass.
+//! can observe it mid-run. Every checkpoint and every live observation
+//! goes through a **barrier**: the producer dispatches its partial chunk
+//! and records the next chunk sequence number N as the barrier. Commits
+//! of chunks below N go on; chunks from N on are staged as usual and
+//! wait in the reorder buffer. Once the reorder cursor reaches N the
+//! committed state is exactly "every chunk before the barrier", so the
+//! producer reads it under the lock (a [`SessionCheckpoint`] persists
+//! only the cursor N of the reorder buffer), then lifts the barrier and
+//! commits the chunks it held.
+//!
+//! A [`StoreCheckpoint`](crate::StoreCheckpoint) barrier does not block
+//! the producer: it keeps ingesting, checks the cursor at each dispatch,
+//! and takes the checkpoint once the cursor has reached N, or waits for
+//! it once `queue_depth + workers + 1` chunks were dispatched past N, so
+//! the chunks a barrier holds stay bounded. The blocking calls
+//! ([`flush`](Session::flush), [`output_snapshot`](Session::output_snapshot),
+//! [`checkpoint`](Session::checkpoint)) set a barrier at "now" and wait
+//! for it. Workers take the lock only after the stage, never while
+//! waiting on a queue, so they never block on each other for longer than
+//! one commit pass.
 //!
 //! A worker that panics, in the stage or mid-commit, closes the work
 //! queue as it unwinds, so the producer fails with
@@ -65,16 +78,16 @@ use crate::stage::{classify_and_extract, DoxDetector, StageLocal, StageMetrics};
 use crate::{EngineConfig, EngineError, StagePanic};
 use dox_fault::{FaultPlan, StageDirective};
 use dox_obs::trace::{fault_hop, hop};
-use dox_obs::{Counter, Gauge, Histogram, Registry, Tracer};
+use dox_obs::{Gauge, Histogram, Registry, Tracer};
 use dox_sites::collect::CollectedDoc;
 use dox_synth::truth::GroundTruth;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long [`Session::checkpoint`] waits for the pipeline to quiesce
+/// How long the producer waits for the commit cursor to reach a barrier
 /// before giving up with [`EngineError::CheckpointStalled`].
-const QUIESCE_TIMEOUT: Duration = Duration::from_secs(60);
+const BARRIER_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A batch of collected documents, stamped with the chunk sequence
 /// number the commit pass reorders on. Each document carries its
@@ -103,6 +116,9 @@ type StagedItems = Vec<(u8, CollectedDoc, StageOutcome)>;
 #[derive(Default)]
 struct CommitState {
     reorder: ReorderBuffer<StagedItems>,
+    /// The pending checkpoint barrier: chunks from this sequence number
+    /// on wait in the reorder buffer until the producer lifts it.
+    hold: Option<u64>,
     doc_counters: PipelineCounters,
     dedup_counters: PipelineCounters,
     dox_seq: u64,
@@ -113,8 +129,8 @@ struct CommitState {
 }
 
 /// The commit state plus the condvar signalled after every commit pass,
-/// shared by the workers and the session handle so checkpoints can
-/// observe the state at quiescence.
+/// shared by the workers and the session handle so the producer can
+/// wait for the commit cursor to reach a barrier.
 struct Shared {
     state: Mutex<CommitState>,
     committed: Condvar,
@@ -142,6 +158,28 @@ fn stage_failed(payload: Box<dyn std::any::Any + Send>) -> EngineError {
     }
 }
 
+/// Why a [`CommitPass`] runs.
+enum CommitCall {
+    /// A stage worker staged this chunk.
+    Staged(u64, StagedItems),
+    /// The producer lifts the pending barrier.
+    Release,
+}
+
+/// The commit pass the stage workers and the producer share.
+type CommitPass = dyn Fn(CommitCall) + Send + Sync;
+
+impl CommitState {
+    /// The next chunk in sequence, unless it is missing or a barrier
+    /// holds it.
+    fn pop_committable(&mut self) -> Option<StagedItems> {
+        if self.hold.is_some_and(|n| self.reorder.next_seq() >= n) {
+            return None;
+        }
+        self.reorder.pop_ready()
+    }
+}
+
 /// Closes the work queue when its stage worker unwinds, so the producer's
 /// next push fails instead of blocking on a queue nobody drains.
 struct CloseOnPanic(Arc<Queue<WorkChunk>>);
@@ -162,9 +200,10 @@ impl Drop for CloseOnPanic {
 /// the work queue is full, `ingest` blocks — that backpressure is what
 /// bounds the documents in flight to `(queue_depth + workers + 1) × chunk`
 /// regardless of corpus size: `queue_depth` chunks queued, one per stage
-/// worker, and the one the producer is filling.
-/// [`checkpoint`](Session::checkpoint) captures a resumable snapshot
-/// mid-stream.
+/// worker, and the one the producer is filling (a pending checkpoint
+/// barrier holds at most as many chunks again, see the
+/// [module docs](self)). [`checkpoint`](Session::checkpoint) captures a
+/// resumable snapshot mid-stream.
 ///
 /// For resident (service-mode) sessions that never `finish`,
 /// [`flush`](Session::flush) forces everything ingested so far through
@@ -180,8 +219,13 @@ pub struct Session {
     shared: Arc<Shared>,
     work: Arc<Queue<WorkChunk>>,
     stage_workers: Vec<JoinHandle<()>>,
+    commit: Arc<CommitPass>,
+    /// The chunk sequence number of the pending checkpoint barrier.
+    barrier: Option<u64>,
+    /// Chunks the producer dispatches past a pending barrier before it
+    /// waits for the barrier: `queue_depth + workers + 1`.
+    held_bound: u64,
     queue_depth: Gauge,
-    stalls: Counter,
     stall_ns: Histogram,
     tracer: Tracer,
 }
@@ -217,10 +261,12 @@ impl Session {
                     .collect(),
                 ..CommitState::default()
             },
-            // A checkpoint is taken at quiescence: everything dispatched
-            // was committed, so only the reorder cursor carries over.
+            // A checkpoint is taken at a barrier: every chunk before it
+            // was committed and none after, so only the reorder cursor
+            // carries over.
             Some(cp) => CommitState {
                 reorder: ReorderBuffer::with_next(cp.next_chunk_seq),
+                hold: None,
                 doc_counters: cp.doc_counters,
                 dedup_counters: cp.dedup_counters,
                 dox_seq: cp.dox_seq,
@@ -238,10 +284,14 @@ impl Session {
             state: Mutex::new(state),
             committed: Condvar::new(),
         });
-        // The commit pass each worker runs after its stage: hand the
-        // staged chunk to the reorder buffer, then commit every chunk it
-        // releases, in stream order, under the state lock.
-        let commit = {
+        // The one commit pass: each worker runs it after its stage to
+        // hand the staged chunk to the reorder buffer, the producer to
+        // lift a barrier; either way it then commits every chunk the
+        // buffer releases below a pending barrier, in stream order, under
+        // the state lock: per document, count it, stamp `dox_seq`, pick
+        // the dedup partition by `shard_signature`, dedup, append to the
+        // detected log.
+        let commit: Arc<CommitPass> = {
             let shared = Arc::clone(&shared);
             let shards = config.shards;
             let collected = registry.counter("pipeline.funnel.collected");
@@ -252,14 +302,17 @@ impl Session {
             let route_ns = registry.histogram("pipeline.stage.route");
             let dedup_ns = registry.histogram("pipeline.stage.dedup");
             let tracer = tracer.clone();
-            Arc::new(move |seq: u64, items: StagedItems| {
+            Arc::new(move |call| {
                 let mut guard = lock(&shared.state);
+                let state = &mut *guard;
+                match call {
+                    CommitCall::Staged(seq, items) => state.reorder.push(seq, items),
+                    CommitCall::Release => state.hold = None,
+                }
                 // dox-lint:allow(determinism) route-stage timing histogram; observation only
                 let route_start = Instant::now();
                 let mut dedup_total = Duration::ZERO;
-                let state = &mut *guard;
-                state.reorder.push(seq, items);
-                while let Some(items) = state.reorder.pop_ready() {
+                while let Some(items) = state.pop_committable() {
                     for (period, doc, outcome) in items {
                         let CollectedDoc { doc, collected_at } = doc;
                         let slot = usize::from(period - 1);
@@ -474,7 +527,7 @@ impl Session {
                             })
                             .collect();
                         timings.merge_into(&stage_metrics);
-                        commit(chunk.seq, items);
+                        commit(CommitCall::Staged(chunk.seq, items));
                     }
                 })
             })
@@ -488,8 +541,10 @@ impl Session {
             shared,
             work,
             stage_workers,
+            commit,
+            barrier: None,
+            held_bound: (config.queue_depth + config.workers + 1) as u64,
             queue_depth: registry.gauge("engine.queue.depth"),
-            stalls: registry.counter("engine.queue.stalls"),
             stall_ns: registry.histogram("engine.queue.stall_ns"),
             tracer: tracer.clone(),
         }
@@ -529,7 +584,6 @@ impl Session {
             Ok(pushed) => {
                 self.queue_depth.set(pushed.depth as i64);
                 if pushed.stalled_for > Duration::ZERO {
-                    self.stalls.inc();
                     self.stall_ns.observe_duration(pushed.stalled_for);
                 }
                 Ok(())
@@ -538,13 +592,44 @@ impl Session {
         }
     }
 
-    /// Block until the pipeline is quiescent — every dispatched chunk
-    /// committed, so the reorder buffer is empty — and return the
-    /// committed state, still locked.
-    fn wait_quiescent(&self) -> Result<MutexGuard<'_, CommitState>, EngineError> {
-        let target_chunks = self.next_chunk_seq;
+    /// Dispatch the buffered partial chunk and set a checkpoint barrier
+    /// after it: every chunk dispatched from now on waits in the reorder
+    /// buffer until [`release_barrier`](Session::release_barrier).
+    ///
+    /// # Errors
+    /// [`EngineError::BarrierPending`] while another barrier is pending;
+    /// [`EngineError::Disconnected`] if a stage worker died.
+    pub(crate) fn set_barrier(&mut self) -> Result<(), EngineError> {
+        if self.barrier.is_some() {
+            return Err(EngineError::BarrierPending);
+        }
+        self.dispatch()?;
+        lock(&self.shared.state).hold = Some(self.next_chunk_seq);
+        self.barrier = Some(self.next_chunk_seq);
+        Ok(())
+    }
+
+    /// Whether the pending barrier is ready to be taken, checked once
+    /// the producer has just dispatched: the commit cursor has reached
+    /// it, or the chunks dispatched past it reached `held_bound` and the
+    /// producer must wait for it before dispatching more.
+    pub(crate) fn barrier_due(&self) -> bool {
+        match self.barrier {
+            Some(seq) if self.buf.is_empty() => {
+                self.next_chunk_seq - seq >= self.held_bound
+                    || lock(&self.shared.state).reorder.next_seq() >= seq
+            }
+            _ => false,
+        }
+    }
+
+    /// Wait until the commit cursor reaches the pending barrier — every
+    /// chunk before it committed, none after — and return the committed
+    /// state, still locked, with the barrier's chunk sequence number.
+    fn wait_for_barrier(&self) -> Result<(MutexGuard<'_, CommitState>, u64), EngineError> {
+        let seq = self.barrier.ok_or(EngineError::CheckpointStalled)?;
         // dox-lint:allow(determinism) wall-clock deadline guards liveness of the wait only; it never shapes results
-        let deadline = Instant::now() + QUIESCE_TIMEOUT;
+        let deadline = Instant::now() + BARRIER_TIMEOUT;
         let mut state = lock(&self.shared.state);
         loop {
             // A dead worker first: one that died mid-commit may have moved
@@ -555,8 +640,8 @@ impl Session {
             {
                 return Err(EngineError::Disconnected);
             }
-            if state.reorder.next_seq() == target_chunks {
-                return Ok(state);
+            if state.reorder.next_seq() == seq {
+                return Ok((state, seq));
             }
             // dox-lint:allow(determinism) liveness deadline, see above
             if Instant::now() >= deadline {
@@ -571,6 +656,49 @@ impl Session {
         }
     }
 
+    /// Wait for the pending barrier, then hand `f` the snapshot at the
+    /// barrier *without* its detected log plus the committed log itself,
+    /// borrowed under the state lock. The store encoder serializes only
+    /// the log's new tail from the borrow instead of cloning the whole
+    /// log. The barrier stays set: later chunks stay held until
+    /// [`release_barrier`](Session::release_barrier).
+    pub(crate) fn at_barrier<R>(
+        &self,
+        f: impl FnOnce(SessionCheckpoint, &[DetectedDox]) -> R,
+    ) -> Result<R, EngineError> {
+        let (state, seq) = self.wait_for_barrier()?;
+        let checkpoint = SessionCheckpoint {
+            version: CHECKPOINT_VERSION,
+            shards: self.shards,
+            next_chunk_seq: seq,
+            dox_seq: state.dox_seq,
+            doc_counters: state.doc_counters.clone(),
+            stage_gap_docs: state.stage_gap_docs,
+            dedup_counters: state.dedup_counters.clone(),
+            detected: Vec::new(),
+            dedups: state.dedups.iter().map(Deduplicator::snapshot).collect(),
+        };
+        Ok(f(checkpoint, &state.detected))
+    }
+
+    /// Lift the pending barrier, if any, and commit the chunks it held.
+    pub(crate) fn release_barrier(&mut self) {
+        if self.barrier.take().is_some() {
+            (self.commit)(CommitCall::Release);
+        }
+    }
+
+    /// Set a barrier at "now", wait for everything ingested so far to
+    /// commit, and read the committed state under the lock. Nothing is
+    /// dispatched past the barrier while this runs, so lifting it
+    /// commits nothing.
+    fn at_now<R>(&mut self, f: impl FnOnce(&CommitState) -> R) -> Result<R, EngineError> {
+        self.set_barrier()?;
+        let read = self.wait_for_barrier().map(|(state, _)| f(&state));
+        self.release_barrier();
+        read
+    }
+
     /// Push everything ingested so far through the pipeline and wait for
     /// it to commit. On return, [`committed_len`](Session::committed_len)
     /// and [`detected_since`](Session::detected_since) reflect every
@@ -582,12 +710,13 @@ impl Session {
     /// chunk boundaries are invisible to the commit protocol.
     ///
     /// # Errors
-    /// [`EngineError::Disconnected`] if a stage worker died, or
+    /// [`EngineError::Disconnected`] if a stage worker died,
     /// [`EngineError::CheckpointStalled`] if the pipeline failed to
-    /// drain within the quiesce deadline.
+    /// commit within the barrier deadline, or
+    /// [`EngineError::BarrierPending`] while a
+    /// [`StoreCheckpoint`](crate::StoreCheckpoint) barrier is pending.
     pub fn flush(&mut self) -> Result<(), EngineError> {
-        self.dispatch()?;
-        self.wait_quiescent().map(drop)
+        self.at_now(|_| ())
     }
 
     /// How many classified doxes have been committed so far (unique and
@@ -615,55 +744,37 @@ impl Session {
     /// # Errors
     /// Propagates [`flush`](Session::flush) errors.
     pub fn output_snapshot(&mut self) -> Result<PipelineOutput, EngineError> {
-        self.dispatch()?;
-        let state = self.wait_quiescent()?;
-        let mut counters = state.doc_counters.clone();
-        counters.absorb(&state.dedup_counters);
-        Ok(PipelineOutput {
-            detected: state.detected.clone(),
-            counters,
-            stage_gap_docs: state.stage_gap_docs,
+        self.at_now(|state| {
+            let mut counters = state.doc_counters.clone();
+            counters.absorb(&state.dedup_counters);
+            PipelineOutput {
+                detected: state.detected.clone(),
+                counters,
+                stage_gap_docs: state.stage_gap_docs,
+            }
         })
     }
 
     /// Capture a resumable snapshot of the session without closing it.
     ///
-    /// Flushes the buffered partial chunk (chunk boundaries never affect
-    /// results), waits for the pipeline to quiesce, then snapshots the
-    /// committed state. Feed the snapshot to
+    /// Sets a barrier after everything ingested so far (dispatching the
+    /// buffered partial chunk; chunk boundaries never affect results),
+    /// waits for it, then snapshots the committed state. Feed the
+    /// snapshot to
     /// [`SessionBuilder::resume_from`](crate::SessionBuilder::resume_from)
     /// to continue the stream in a later process; replaying the remaining
     /// documents yields output byte-identical to the uninterrupted run.
+    ///
+    /// # Errors
+    /// Like [`flush`](Session::flush).
     pub fn checkpoint(&mut self) -> Result<SessionCheckpoint, EngineError> {
-        self.with_quiescent(|mut checkpoint, detected| {
+        self.set_barrier()?;
+        let snapshot = self.at_barrier(|mut checkpoint, detected| {
             checkpoint.detected = detected.to_vec();
             checkpoint
-        })
-    }
-
-    /// Quiesce like [`checkpoint`](Session::checkpoint), then hand `f`
-    /// the snapshot *without* its detected log plus the committed log
-    /// itself, borrowed under the state lock. The store encoder
-    /// serializes only the log's new tail from the borrow instead of
-    /// cloning the whole log.
-    pub(crate) fn with_quiescent<R>(
-        &mut self,
-        f: impl FnOnce(SessionCheckpoint, &[DetectedDox]) -> R,
-    ) -> Result<R, EngineError> {
-        self.dispatch()?;
-        let state = self.wait_quiescent()?;
-        let checkpoint = SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
-            shards: self.shards,
-            next_chunk_seq: self.next_chunk_seq,
-            dox_seq: state.dox_seq,
-            doc_counters: state.doc_counters.clone(),
-            stage_gap_docs: state.stage_gap_docs,
-            dedup_counters: state.dedup_counters.clone(),
-            detected: Vec::new(),
-            dedups: state.dedups.iter().map(Deduplicator::snapshot).collect(),
-        };
-        Ok(f(checkpoint, &state.detected))
+        });
+        self.release_barrier();
+        snapshot
     }
 
     /// Close the stream and wait for every stage to drain, returning the
@@ -683,6 +794,9 @@ impl Session {
             result.map_err(stage_failed)?;
         }
         dispatched?;
+        // A barrier its checkpoint never took is dropped: commit what it
+        // held.
+        self.release_barrier();
         let state = std::mem::take(&mut *lock(&self.shared.state));
         let mut counters = state.doc_counters;
         counters.absorb(&state.dedup_counters);
@@ -1077,6 +1191,102 @@ mod tests {
         let out = session.finish().expect("drains");
         assert_same(&out, &sequential(&corpus()));
         assert_same(&out, &snapshot);
+    }
+
+    /// A keyword detector that blocks on the body "gate" until the test
+    /// opens it.
+    struct GatedDetector(Arc<(Mutex<bool>, Condvar)>);
+
+    impl DoxDetector for GatedDetector {
+        fn is_dox(&self, text: &str) -> bool {
+            if text == "gate" {
+                let (open, changed) = &*self.0;
+                let mut open = lock(open);
+                while !*open {
+                    open = changed.wait(open).unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+            KeywordDetector.is_dox(text)
+        }
+    }
+
+    #[test]
+    fn a_pending_barrier_holds_a_bounded_number_of_chunks() {
+        // Chunk 0 carries the gate, so the commit cursor cannot reach a
+        // barrier at chunk 1 while the gate is shut: the producer must
+        // stop dispatching once queue_depth + workers + 1 chunks wait
+        // past the barrier, and only then wait for it.
+        let mut docs = corpus();
+        docs[3].1.doc.body = "gate".to_string();
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let engine = Engine::from_config(EngineConfig {
+            workers: 2,
+            shards: 2,
+            queue_depth: 2,
+            chunk: 4,
+            ..EngineConfig::default()
+        })
+        .expect("valid config");
+        let registry = Registry::new();
+        let mut session = engine
+            .session_builder()
+            .detector(Arc::new(GatedDetector(Arc::clone(&gate))))
+            .registry(&registry)
+            .start()
+            .expect("detector set");
+        assert_eq!(session.held_bound, 5);
+        for (period, doc) in &docs[..4] {
+            session.ingest(*period, doc.clone()).expect("valid");
+        }
+        session.set_barrier().expect("no barrier pending");
+        assert_eq!(session.barrier, Some(1));
+        assert_eq!(session.flush(), Err(EngineError::BarrierPending));
+        // Open the gate only once every chunk the producer may dispatch
+        // past the barrier is staged and held (each staged chunk signals
+        // `committed`), or after a deadline.
+        let opener = {
+            let (shared, gate, bound) = (
+                Arc::clone(&session.shared),
+                Arc::clone(&gate),
+                session.held_bound,
+            );
+            std::thread::spawn(move || {
+                let mut state = lock(&shared.state);
+                while (state.reorder.pending() as u64) < bound {
+                    let (guard, waited) = shared
+                        .committed
+                        .wait_timeout(state, Duration::from_secs(10))
+                        .unwrap_or_else(PoisonError::into_inner);
+                    state = guard;
+                    if waited.timed_out() {
+                        break;
+                    }
+                }
+                drop(state);
+                *lock(&gate.0) = true;
+                gate.1.notify_all();
+            })
+        };
+        let (mut peak, mut taken) = (0, false);
+        for (period, doc) in &docs[4..] {
+            session.ingest(*period, doc.clone()).expect("valid");
+            if let Some(seq) = session.barrier {
+                peak = peak.max(session.next_chunk_seq - seq);
+                if session.barrier_due() {
+                    let held = lock(&session.shared.state).reorder.pending() as u64;
+                    assert!(held <= session.held_bound, "{held} chunks held");
+                    let at = session.at_barrier(|cp, _| cp.next_chunk_seq);
+                    assert_eq!(at, Ok(1), "the checkpoint covers chunk 0 only");
+                    session.release_barrier();
+                    taken = true;
+                }
+            }
+        }
+        opener.join().expect("opener");
+        assert!(taken, "the barrier was taken");
+        assert_eq!(peak, session.held_bound, "dispatch stops at the bound");
+        let out = session.finish().expect("drains");
+        assert_same(&out, &sequential(&docs));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`tenant`] — one resident session per tenant: a trained detector,
 //!   a live engine [`dox_engine::Session`], and the PII-safe query
 //!   indexes (victims, accounts, alerts) maintained from committed
-//!   detections. Checkpoint/resume wraps the engine's quiesce protocol.
+//!   detections. Checkpoint/resume wraps the engine's checkpoint barrier.
 //! * [`api`] — the route table over [`dox_obs::http`]: tenant CRUD,
 //!   batch ingest with per-document verdicts, victim/account lookups,
 //!   the cursor-paged alert stream, and the full report. The telemetry

@@ -465,7 +465,7 @@ impl Tenant {
     /// (or dropped as a non-dox) before this returns.
     ///
     /// # Errors
-    /// Engine errors (invalid period, dead workers, quiesce timeout).
+    /// Engine errors (invalid period, dead workers, barrier timeout).
     pub fn ingest_batch(&mut self, period: u8, docs: Vec<CollectedDoc>) -> Result<IngestOutcome> {
         let submitted: Vec<u64> = docs.iter().map(|c| c.doc.id).collect();
         let before = self.session.committed_len();
@@ -617,12 +617,13 @@ impl Tenant {
         ])
     }
 
-    /// Quiesce the session and stage its state into `checkpoint`,
-    /// stamped with the spec's fingerprint and the lifetime ingest
-    /// count. The caller's store commit makes it durable.
+    /// Wait for everything ingested to commit and stage the session's
+    /// state into `checkpoint`, stamped with the spec's fingerprint and
+    /// the lifetime ingest count. The caller's store commit makes it
+    /// durable.
     ///
     /// # Errors
-    /// Quiesce or store-staging failures.
+    /// Barrier or store-staging failures.
     pub fn stage_checkpoint(
         &mut self,
         checkpoint: &mut StoreCheckpoint,

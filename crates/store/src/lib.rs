@@ -22,6 +22,7 @@ pub use manifest::{Manifest, SegmentMeta, MANIFEST_NAME, MANIFEST_VERSION};
 pub use segment::{crc32, decode_record, encode_record, scan, Record, Scan};
 pub use store::{RawEntry, Store, StoreOptions};
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Everything that can go wrong inside the store.
@@ -87,8 +88,8 @@ pub trait KeyCodec: Sized {
 
 /// How a type is stored as a table value.
 pub trait ValueCodec: Sized {
-    /// Serialize the value to bytes.
-    fn encode_value(&self) -> Vec<u8>;
+    /// The value's bytes, borrowed when the value already holds them.
+    fn encode_value(&self) -> Cow<'_, [u8]>;
     /// Decode a value previously produced by [`ValueCodec::encode_value`].
     fn decode_value(bytes: &[u8]) -> Option<Self>;
 }
@@ -122,8 +123,8 @@ impl KeyCodec for String {
 }
 
 impl ValueCodec for u64 {
-    fn encode_value(&self) -> Vec<u8> {
-        self.to_be_bytes().to_vec()
+    fn encode_value(&self) -> Cow<'_, [u8]> {
+        Cow::Owned(self.to_be_bytes().to_vec())
     }
     fn decode_value(bytes: &[u8]) -> Option<Self> {
         Some(u64::from_be_bytes(bytes.try_into().ok()?))
@@ -131,8 +132,8 @@ impl ValueCodec for u64 {
 }
 
 impl ValueCodec for Vec<u8> {
-    fn encode_value(&self) -> Vec<u8> {
-        self.clone()
+    fn encode_value(&self) -> Cow<'_, [u8]> {
+        Cow::Borrowed(self)
     }
     fn decode_value(bytes: &[u8]) -> Option<Self> {
         Some(bytes.to_vec())
@@ -140,8 +141,8 @@ impl ValueCodec for Vec<u8> {
 }
 
 impl ValueCodec for String {
-    fn encode_value(&self) -> Vec<u8> {
-        self.as_bytes().to_vec()
+    fn encode_value(&self) -> Cow<'_, [u8]> {
+        Cow::Borrowed(self.as_bytes())
     }
     fn decode_value(bytes: &[u8]) -> Option<Self> {
         String::from_utf8(bytes.to_vec()).ok()

@@ -13,8 +13,9 @@
 //! durable reads happen after the relevant guard is dropped.
 //! [`Store::checkpoint`] — flush, fsync, manifest swap, compaction — is
 //! the only place file writes happen, and it must be called with no
-//! concurrent readers or writers (the engine quiesces its shard workers
-//! first; the study and serve drains are single-threaded coordinators).
+//! concurrent readers or writers (the engine holds every commit pass
+//! behind a checkpoint barrier first; the study and serve drains are
+//! single-threaded coordinators).
 //!
 //! # Commit protocol
 //!
@@ -347,21 +348,7 @@ impl Store {
 
     /// Insert or replace `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let mut frame = Vec::new();
-        let frame_len = segment::encode_record(key, value, false, &mut frame) as u32;
-        let loc = {
-            let mut log = self.log.lock();
-            let offset = log.active_len + log.pending.len() as u64;
-            let seg = log.active_id;
-            log.pending.extend_from_slice(&frame);
-            Loc {
-                seg,
-                offset,
-                frame_len,
-            }
-        };
-        let mut index = self.index.lock();
-        index.apply(key, false, loc);
+        self.append(key, value, false);
         Ok(())
     }
 
@@ -369,25 +356,28 @@ impl Store {
     /// the deletion survives a reopen.
     pub fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
         let existed = { self.index.lock().map.contains_key(key) };
-        if !existed {
-            return Ok(false);
+        if existed {
+            self.append(key, b"", true);
         }
-        let mut frame = Vec::new();
-        let frame_len = segment::encode_record(key, b"", true, &mut frame) as u32;
+        Ok(existed)
+    }
+
+    /// Frame one record straight into the pending buffer (the value is
+    /// copied once, and the CRC is computed over the appended bytes),
+    /// then index it.
+    fn append(&self, key: &[u8], value: &[u8], tombstone: bool) {
         let loc = {
             let mut log = self.log.lock();
             let offset = log.active_len + log.pending.len() as u64;
             let seg = log.active_id;
-            log.pending.extend_from_slice(&frame);
+            let frame_len = segment::encode_record(key, value, tombstone, &mut log.pending) as u32;
             Loc {
                 seg,
                 offset,
                 frame_len,
             }
         };
-        let mut index = self.index.lock();
-        index.apply(key, true, loc);
-        Ok(true)
+        self.index.lock().apply(key, tombstone, loc);
     }
 
     /// Fetch the current value of `key`.
@@ -474,7 +464,7 @@ impl Store {
     ///
     /// Must not race `put`/`get`/`delete` (see the module docs).
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        let (batch, active_id, ordinal, armed) = {
+        let (mut batch, active_id, ordinal, armed) = {
             let mut log = self.log.lock();
             let batch = std::mem::take(&mut log.pending);
             (batch, log.active_id, log.commits + 1, log.armed_kill)
@@ -528,7 +518,16 @@ impl Store {
             }
         };
         manifest.write_atomic(&self.dir.join(MANIFEST_NAME))?;
-        self.log.lock().commits += 1;
+        {
+            let mut log = self.log.lock();
+            log.commits += 1;
+            // The next batch reuses this one's allocation: growing a
+            // fresh buffer page-faults through every checkpoint's puts.
+            if log.pending.is_empty() {
+                batch.clear();
+                log.pending = batch;
+            }
+        }
         if kill_at(StoreKillPoint::AfterManifestSwap) {
             return Err(StoreError::Killed {
                 ordinal,

@@ -76,68 +76,81 @@ fi
 # The drill: dedup partitions spill to disk, the checkpoint commits inside
 # the segment store, and recovery must also survive a *torn segment
 # tail* we forge by appending garbage past the committed length — the
-# exact on-disk state a crash mid-append leaves behind.
+# exact on-disk state a crash mid-append leaves behind. It runs twice:
+# checkpointing every 200 documents, below the engine's 256-document
+# chunk, where each checkpoint waits for the pipeline, and every 1000,
+# where the producer keeps ingesting past a pending checkpoint barrier,
+# so the SIGKILL most likely lands while one is pending.
+store_drill() {
+    local every=$1
+    local dir="$scratch/store_ckpt_$every"
 
-step "store victim: store-backed run, killed with SIGKILL mid-ingest"
-"$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
-    --fault-plan "$scratch/plan.json" \
-    --checkpoint-dir "$scratch/store_ckpt" --checkpoint-every 200 \
-    --spill-cap 64 \
-    --json "$scratch/store_killed.json" > /dev/null 2>&1 &
-victim=$!
+    step "store victim (every $every): store-backed run, killed with SIGKILL mid-ingest"
+    "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
+        --fault-plan "$scratch/plan.json" \
+        --checkpoint-dir "$dir" --checkpoint-every "$every" \
+        --spill-cap 64 \
+        --json "$scratch/store_killed.json" > /dev/null 2>&1 &
+    local victim=$!
 
-# Kill as soon as the first store commit publishes its manifest.
-for _ in $(seq 1 600); do
-    [ -f "$scratch/store_ckpt/store/MANIFEST.json" ] && break
-    kill -0 "$victim" 2> /dev/null || break
-    sleep 0.05
-done
-if kill -9 "$victim" 2> /dev/null; then
-    echo "killed pid $victim after the first store commit"
-else
-    echo "note: victim finished before the kill landed (still a valid resume test)"
-fi
-wait "$victim" 2> /dev/null || true
+    # Kill as soon as the first store commit publishes its manifest.
+    for _ in $(seq 1 600); do
+        [ -f "$dir/store/MANIFEST.json" ] && break
+        kill -0 "$victim" 2> /dev/null || break
+        sleep 0.05
+    done
+    if kill -9 "$victim" 2> /dev/null; then
+        echo "killed pid $victim after the first store commit"
+    else
+        echo "note: victim finished before the kill landed (still a valid resume test)"
+    fi
+    wait "$victim" 2> /dev/null || true
 
-if [ ! -f "$scratch/store_ckpt/store/MANIFEST.json" ]; then
-    echo "FAIL: no store manifest was committed before the kill" >&2
-    exit 1
-fi
+    if [ ! -f "$dir/store/MANIFEST.json" ]; then
+        echo "FAIL: no store manifest was committed before the kill" >&2
+        exit 1
+    fi
 
-step "store sabotage: append a torn tail past the committed segment length"
-seg=$(ls -t "$scratch/store_ckpt/store"/*.seg 2> /dev/null | head -n 1)
-if [ -z "$seg" ]; then
-    echo "FAIL: no segment file found to sabotage" >&2
-    exit 1
-fi
-printf 'torn tail: bytes a crash left past the committed length' >> "$seg"
-echo "appended garbage to $(basename "$seg")"
+    step "store sabotage (every $every): append a torn tail past the committed segment length"
+    local seg
+    seg=$(ls -t "$dir/store"/*.seg 2> /dev/null | head -n 1)
+    if [ -z "$seg" ]; then
+        echo "FAIL: no segment file found to sabotage" >&2
+        exit 1
+    fi
+    printf 'torn tail: bytes a crash left past the committed length' >> "$seg"
+    echo "appended garbage to $(basename "$seg")"
 
-step "store resume: recover the store and continue from its checkpoint"
-"$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
-    --fault-plan "$scratch/plan.json" \
-    --checkpoint-dir "$scratch/store_ckpt" --resume \
-    --spill-cap 64 \
-    --metrics "$scratch/store_metrics.json" \
-    --json "$scratch/store_resumed.json" > /dev/null
+    step "store resume (every $every): recover the store and continue from its checkpoint"
+    "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
+        --fault-plan "$scratch/plan.json" \
+        --checkpoint-dir "$dir" --resume \
+        --spill-cap 64 \
+        --metrics "$scratch/store_metrics.json" \
+        --json "$scratch/store_resumed.json" > /dev/null
 
-step "verify: store-resumed report is byte-identical to the baseline"
-if cmp -s "$scratch/clean.json" "$scratch/store_resumed.json"; then
-    echo "identical: $(wc -c < "$scratch/clean.json") bytes"
-else
-    echo "FAIL: store-resumed report differs from the uninterrupted baseline" >&2
-    cmp "$scratch/clean.json" "$scratch/store_resumed.json" || true
-    exit 1
-fi
+    step "verify (every $every): store-resumed report is byte-identical to the baseline"
+    if cmp -s "$scratch/clean.json" "$scratch/store_resumed.json"; then
+        echo "identical: $(wc -c < "$scratch/clean.json") bytes"
+    else
+        echo "FAIL: store-resumed report differs from the uninterrupted baseline" >&2
+        cmp "$scratch/clean.json" "$scratch/store_resumed.json" || true
+        exit 1
+    fi
 
-step "verify: recovery counted the torn tail (store.recovered_truncations)"
-truncations=$(sed -n 's/.*"store\.recovered_truncations": \([0-9][0-9]*\).*/\1/p' \
-    "$scratch/store_metrics.json")
-if [ -z "$truncations" ] || [ "$truncations" -lt 1 ]; then
-    echo "FAIL: store.recovered_truncations missing or zero in the metrics snapshot" >&2
-    grep -n "store\." "$scratch/store_metrics.json" >&2 || true
-    exit 1
-fi
-echo "store.recovered_truncations = $truncations"
+    step "verify (every $every): recovery counted the torn tail (store.recovered_truncations)"
+    local truncations
+    truncations=$(sed -n 's/.*"store\.recovered_truncations": \([0-9][0-9]*\).*/\1/p' \
+        "$scratch/store_metrics.json")
+    if [ -z "$truncations" ] || [ "$truncations" -lt 1 ]; then
+        echo "FAIL: store.recovered_truncations missing or zero in the metrics snapshot" >&2
+        grep -n "store\." "$scratch/store_metrics.json" >&2 || true
+        exit 1
+    fi
+    echo "store.recovered_truncations = $truncations"
+}
+
+store_drill 200
+store_drill 1000
 
 printf '\nChaos smoke test passed.\n'
