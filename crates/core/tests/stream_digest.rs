@@ -39,10 +39,31 @@ impl Fnv {
 }
 
 /// Digests of `(stream, training set, chan html_to_text)` and the number
-/// of collected documents.
+/// of collected documents, for the paper mix at scale 0.01.
 fn digests(seed: u64) -> (u64, u64, u64, u64) {
-    let cfg = StudyConfig::builder().seed(seed).scale(0.01).build();
+    digests_of(StudyConfig::builder().seed(seed).scale(0.01).build())
+}
 
+/// The same digests for a dox-dense mix: every source's dox share raised
+/// to 6 % of its documents (perfbench's `study-dense` mix), so the dox
+/// renderer writes ~1k doxes here instead of the paper mix's ~50.
+fn dense_digests(seed: u64) -> (u64, u64, u64, u64) {
+    let mut cfg = StudyConfig::builder().seed(seed).scale(0.01).build();
+    for period in [&mut cfg.synth.period1, &mut cfg.synth.period2] {
+        for source in [
+            &mut period.pastebin,
+            &mut period.chan4_b,
+            &mut period.chan4_pol,
+            &mut period.chan8_pol,
+            &mut period.chan8_baphomet,
+        ] {
+            source.doxes = source.doxes.max(source.total * 6 / 100);
+        }
+    }
+    digests_of(cfg)
+}
+
+fn digests_of(cfg: StudyConfig) -> (u64, u64, u64, u64) {
     // The study's first generator call is the training set.
     let world = World::generate(&cfg.world, cfg.seed);
     let alloc = Allocation::generate(&world, &cfg.alloc, cfg.seed);
@@ -89,6 +110,32 @@ fn stream_is_pinned_seed_11() {
             10_801_560_210_673_792_011,
             9_865_763_345_683_302_591,
             12_106_121_167_717_501_721,
+            17_379
+        )
+    );
+}
+
+#[test]
+fn dense_stream_is_pinned_seed_7() {
+    assert_eq!(
+        dense_digests(7),
+        (
+            1_551_349_059_905_737_060,
+            2_928_196_981_343_708_424,
+            17_234_087_010_323_812_963,
+            17_379
+        )
+    );
+}
+
+#[test]
+fn dense_stream_is_pinned_seed_11() {
+    assert_eq!(
+        dense_digests(11),
+        (
+            13_649_831_551_643_266_951,
+            9_865_763_345_683_302_591,
+            12_447_357_918_032_755_179,
             17_379
         )
     );

@@ -16,11 +16,16 @@
 //!   function of that name when there is one (Rust scoping never looks
 //!   past it), else by bare name across the workspace.
 //!
+//! Library code never resolves into a test, bench or example file: those
+//! are separate targets that depend on the library, never the reverse,
+//! so a test helper named like a library function is no callee of it.
+//!
 //! Resolution never leaves the workspace: calls into `std` or vendored
 //! crates return no candidates, and each rule models the handful of
 //! std methods it cares about (e.g. `Condvar::wait`) explicitly.
 
 use crate::parser::{Expr, Ty};
+use crate::rules::FileClass;
 use crate::symbols::{merge_type_table, FileModel, FnInfo, TypeEnv, TypeTable};
 use std::collections::BTreeMap;
 
@@ -129,18 +134,21 @@ impl Workspace {
         let Some(name) = segs.last() else {
             return Vec::new();
         };
+        let callable = |ids: Option<&Vec<FnId>>| -> Vec<FnId> {
+            ids.into_iter()
+                .flatten()
+                .copied()
+                .filter(|&to| self.callable_from(from, to))
+                .collect()
+        };
         if segs.len() >= 2 {
             let qual = &segs[segs.len() - 2];
             if qual.chars().next().is_some_and(char::is_uppercase) {
                 // `Type::method` — exact impl lookup only.
-                return self
-                    .by_qual
-                    .get(&(qual.clone(), name.clone()))
-                    .cloned()
-                    .unwrap_or_default();
+                return callable(self.by_qual.get(&(qual.clone(), name.clone())));
             }
         }
-        let all = self.by_name.get(name).cloned().unwrap_or_default();
+        let all = callable(self.by_name.get(name));
         if segs.len() == 1 {
             let file = self.entry(from).file;
             let local: Vec<FnId> = all
@@ -153,6 +161,16 @@ impl Workspace {
             }
         }
         all
+    }
+
+    /// Whether code in `from`'s file can call `to`: a library file cannot
+    /// reach into a test, bench or example file.
+    fn callable_from(&self, from: FnId, to: FnId) -> bool {
+        self.file_of(from).class != FileClass::Library
+            || !matches!(
+                self.file_of(to).class,
+                FileClass::Test | FileClass::Bench | FileClass::Example
+            )
     }
 
     /// Resolve `recv.method(…)` to candidate definitions. When the
@@ -267,6 +285,34 @@ mod tests {
         ]);
         let ids = w.resolve_call(&path(&["fixture"]), fn_in(&w, 0, "caller"));
         assert_eq!(ids.len(), 2);
+    }
+
+    #[test]
+    fn library_calls_never_resolve_into_tests_benches_or_examples() {
+        // A test helper `render` that serializes its argument must not
+        // become a callee of a library `render(…)` call with no
+        // same-file definition.
+        let helper = "fn render(value: &impl Serialize) -> String { value.to_value().to_string() }";
+        let w = ws(&[
+            ("crates/core/src/analysis.rs", "fn caller() { render(x) }"),
+            ("crates/core/src/report.rs", "fn render() {}"),
+            ("tests/report_shape.rs", helper),
+            ("crates/bench/benches/bench_report.rs", helper),
+            ("examples/report.rs", helper),
+            ("crates/core/tests/report.rs", "fn caller() { render(x) }"),
+        ]);
+        let ids = w.resolve_call(&path(&["render"]), fn_in(&w, 0, "caller"));
+        assert_eq!(ids, vec![fn_in(&w, 1, "render")]);
+        // Test code still reaches library code and other test files.
+        let ids = w.resolve_call(&path(&["render"]), fn_in(&w, 5, "caller"));
+        assert_eq!(ids.len(), 4);
+        // Qualified paths are held to the same rule.
+        let w = ws(&[
+            ("crates/core/src/lib.rs", "fn caller() {}"),
+            ("tests/helpers.rs", "impl Fixture { fn render() {} }"),
+        ]);
+        let ids = w.resolve_call(&path(&["Fixture", "render"]), fn_in(&w, 0, "caller"));
+        assert!(ids.is_empty());
     }
 
     #[test]

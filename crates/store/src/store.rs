@@ -2,11 +2,15 @@
 //!
 //! # Concurrency and lock discipline
 //!
-//! Two locks, never nested and never held across file I/O:
+//! Three locks, never nested and never held across file I/O:
 //!
 //! * `index` — the key → location map plus live/dead byte accounting;
 //! * `log` — the append state: the pending (unflushed) byte buffer,
-//!   segment roster and commit bookkeeping.
+//!   segment roster and commit bookkeeping;
+//! * `readers` — one open read handle per segment read so far. A
+//!   committed read clones its segment's handle out and reads
+//!   positionally (`pread`) with the guard dropped; compaction drops the
+//!   handles of the segments it deletes.
 //!
 //! `put`/`delete`/`get` are safe to call concurrently: mutations under
 //! a lock touch memory only (appends go to the pending buffer), and
@@ -37,8 +41,10 @@ use dox_obs::{Gauge, Registry};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Tuning knobs for a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +134,8 @@ pub struct Store {
     opts: StoreOptions,
     index: Mutex<IndexState>,
     log: Mutex<LogState>,
+    /// Segment id → a read handle shared by every committed read.
+    readers: Mutex<BTreeMap<u64, Arc<File>>>,
     gauges: StoreGauges,
 }
 
@@ -258,6 +266,7 @@ impl Store {
             opts,
             index: Mutex::new(index),
             log: Mutex::new(log),
+            readers: Mutex::new(BTreeMap::new()),
             gauges,
         };
         store.publish_gauges();
@@ -641,10 +650,15 @@ impl Store {
             index.live_bytes = live_bytes;
             index.dead_bytes = 0;
         }
-        for meta in old_sealed {
-            let _ = std::fs::remove_file(segment_path(&self.dir, meta.id));
+        let deleted: Vec<u64> = old_sealed
+            .iter()
+            .map(|meta| meta.id)
+            .chain([old_active])
+            .collect();
+        self.readers.lock().retain(|seg, _| !deleted.contains(seg));
+        for seg in deleted {
+            let _ = std::fs::remove_file(segment_path(&self.dir, seg));
         }
-        let _ = std::fs::remove_file(segment_path(&self.dir, old_active));
         self.gauges.compactions.add(1);
         Ok(())
     }
@@ -668,16 +682,27 @@ impl Store {
         self.read_span(loc.seg, loc.offset, loc.frame_len as usize)
     }
 
-    /// Read `len` committed bytes of segment `seg` from `offset`.
+    /// Read `len` committed bytes of segment `seg` from `offset`, through
+    /// the segment's cached read handle.
     fn read_span(&self, seg: u64, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
-        let path = segment_path(&self.dir, seg);
-        let mut file = File::open(&path).map_err(io_err("open segment"))?;
-        file.seek(SeekFrom::Start(offset))
-            .map_err(io_err("seek segment"))?;
+        let file = self.reader(seg)?;
         let mut bytes = vec![0u8; len];
-        file.read_exact(&mut bytes)
+        file.read_exact_at(&mut bytes, offset)
             .map_err(io_err("read segment"))?;
         Ok(bytes)
+    }
+
+    /// The read handle of segment `seg`, opened on first use. The file
+    /// is opened with no lock held; if two readers race, the first
+    /// handle published wins and the other is dropped.
+    fn reader(&self, seg: u64) -> Result<Arc<File>, StoreError> {
+        if let Some(file) = self.readers.lock().get(&seg) {
+            return Ok(Arc::clone(file));
+        }
+        let file = File::open(segment_path(&self.dir, seg)).map_err(io_err("open segment"))?;
+        Ok(Arc::clone(
+            self.readers.lock().entry(seg).or_insert(Arc::new(file)),
+        ))
     }
 
     /// Decode the value behind `loc`, verifying the frame CRC.
@@ -923,6 +948,79 @@ mod tests {
         drop(store);
         let store = Store::open_with(&dir, opts, &registry()).expect("reopen after compaction");
         assert_eq!(store.len(), 32);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cached_read_handles_follow_rotation_and_compaction() {
+        let dir = scratch("readers");
+        let reg = registry();
+        // 27-byte frames: a segment seals every second 4-record commit.
+        let opts = StoreOptions {
+            segment_max_bytes: 200,
+            compact_min_bytes: 64,
+            compact_dead_ppm: 300_000,
+        };
+        let store = Store::open_with(&dir, opts, &reg).expect("open");
+        let cached = |store: &Store| store.readers.lock().keys().copied().collect::<Vec<_>>();
+        let check = |store: &Store, round: u64| {
+            for i in 0..24u64 {
+                assert_eq!(
+                    store.get(format!("key-{i:02}").as_bytes()).expect("get"),
+                    Some((round * 100 + i).to_le_bytes().to_vec()),
+                    "round {round}, key {i}"
+                );
+            }
+        };
+        // Round 0 spans several sealed segments; every read after the
+        // rotation goes through one cached handle per segment.
+        for i in 0..24u64 {
+            store
+                .put(format!("key-{i:02}").as_bytes(), &i.to_le_bytes())
+                .expect("put");
+            if i % 4 == 3 {
+                store.checkpoint().expect("checkpoint");
+            }
+        }
+        assert!(reg.gauge("store.segments").get() > 1, "rotation happened");
+        check(&store, 0);
+        let before = cached(&store);
+        assert!(before.len() > 1, "one handle per segment read: {before:?}");
+        check(&store, 0);
+        assert_eq!(cached(&store), before, "handles are reused");
+
+        // Overwrite everything: compaction rewrites the live records into
+        // new segments and deletes every old one, handles included.
+        let compactions = reg.gauge("store.compactions").get();
+        for round in 1..4u64 {
+            for i in 0..24u64 {
+                store
+                    .put(
+                        format!("key-{i:02}").as_bytes(),
+                        &(round * 100 + i).to_le_bytes(),
+                    )
+                    .expect("put");
+            }
+            store.checkpoint().expect("checkpoint");
+            check(&store, round);
+        }
+        assert!(
+            reg.gauge("store.compactions").get() > compactions,
+            "compaction ran"
+        );
+        let live: Vec<u64> = {
+            let log = store.log.lock();
+            log.sealed
+                .iter()
+                .map(|m| m.id)
+                .chain([log.active_id])
+                .collect()
+        };
+        for seg in cached(&store) {
+            assert!(live.contains(&seg), "handle of deleted segment {seg} kept");
+            assert!(segment_path(&dir, seg).exists());
+        }
+        check(&store, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

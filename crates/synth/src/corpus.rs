@@ -6,12 +6,21 @@
 //! (exercising the `html2text` pre-processing path). Also builds the
 //! classifier's labeled training sets: 749 "proof-of-work" positives and
 //! 4,220 random-crawl negatives (§3.1.2), scaled.
+//!
+//! The generator runs on the study's one producer thread, so its cost per
+//! document bounds the whole pipeline. Where it goes at scale 0.03 (seed
+//! 7, 52,137 documents, ~73 `next_u64` draws each): the paste bodies,
+//! then [`wrap_chan_html`] on every chan post, then dox rendering and
+//! the day batch's sort. The RNG draws are the largest single share of
+//! the bodies; they are fixed by the stream contract (DESIGN.md), so the
+//! renderers only cut what surrounds them.
 
 use crate::config::{SourceVolume, SynthConfig};
 use crate::dox_render::{render, sample_plan, truth_of, RenderPlan, Variation};
 use crate::doxers::DoxerPopulation;
 use crate::pastes::PasteGenerator;
 use crate::persona::{Persona, PersonaGenerator};
+use crate::text::push_decimal;
 use crate::truth::GroundTruth;
 use dox_geo::alloc::Allocation;
 use dox_geo::model::World;
@@ -21,7 +30,6 @@ use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write;
 use std::ops::ControlFlow;
 
 /// The text-sharing sources the paper scrapes.
@@ -469,44 +477,81 @@ fn pick_slots(n: u64, k: u64, rng: &mut ChaCha8Rng) -> Vec<u64> {
     slots
 }
 
+/// How many bytes a chan post's escaping adds for `b`: `&amp;` 4,
+/// `&lt;`, `&gt;` and `<br>` (for `\n`) 3, `&#039;` 5, any other byte 0.
+/// Branch-free, so the sizing loop over it vectorizes.
+const fn escape_growth(b: u8) -> u8 {
+    (b == b'&') as u8 * 4
+        + ((b == b'<') | (b == b'>') | (b == b'\n')) as u8 * 3
+        + (b == b'\'') as u8 * 5
+}
+
+/// [`escape_growth`] of every byte, for the byte-at-a-time escape loop.
+const ESCAPE_GROWTH: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = escape_growth(b as u8);
+        b += 1;
+    }
+    table
+};
+
+/// The length of `plain` once escaped. Each 32-byte chunk's growth is
+/// summed in a `u8` (at most 32 × 5).
+fn escaped_len(plain: &str) -> usize {
+    let mut chunks = plain.as_bytes().chunks_exact(32);
+    let chunked: usize = (&mut chunks)
+        .map(|chunk| usize::from(chunk.iter().fold(0, |sum, &b| sum + escape_growth(b))))
+        .sum();
+    let tail: usize = chunks
+        .remainder()
+        .iter()
+        .map(|&b| usize::from(escape_growth(b)))
+        .sum();
+    plain.len() + chunked + tail
+}
+
 /// Wrap plain text as a chan post: escaped HTML with `<br>` line breaks and
 /// an optional quotelink header, as the boards serve it.
 ///
-/// One pass into a pre-sized `String`. Escaping draws nothing, so the
-/// quotelink coin and its two ids are drawn first, in that order.
-fn wrap_chan_html(plain: &str, rng: &mut ChaCha8Rng) -> String {
-    let escaped_len: usize = plain
-        .bytes()
-        .map(|b| match b {
-            b'&' => 5,
-            b'<' | b'>' | b'\n' => 4,
-            b'\'' => 6,
-            _ => 1,
-        })
-        .sum();
-    // The quotelink's fixed markup plus its two 8-digit ids.
-    const QUOTELINK: usize = r##"<a href="#p" class="quotelink">&gt;&gt;</a><br>"##.len() + 16;
-    let mut out = String::with_capacity(QUOTELINK + escaped_len);
-    if rng.random_range(0.0..1.0) < 0.3 {
-        let _ = write!(
-            out,
-            "<a href=\"#p{}\" class=\"quotelink\">&gt;&gt;{}</a><br>",
-            rng.random_range(10_000_000..99_999_999u64),
-            rng.random_range(10_000_000..99_999_999u64),
+/// The body is sized exactly, then written in one pass that copies the
+/// text between escapes whole. Escaping draws nothing, so the quotelink
+/// coin and its two ids are drawn first, in that order.
+pub fn wrap_chan_html(plain: &str, rng: &mut ChaCha8Rng) -> String {
+    const QUOTELINK: &str = r##"<a href="#p" class="quotelink">&gt;&gt;</a><br>"##;
+    let quotelink = rng.random_range(0.0..1.0) < 0.3;
+    let mut len = escaped_len(plain);
+    let mut out = if quotelink {
+        // Both ids have 8 digits.
+        len += QUOTELINK.len() + 2 * 8;
+        let (post, thread) = (
+            rng.random_range(10_000_000..99_999_999u32),
+            rng.random_range(10_000_000..99_999_999u32),
         );
-    }
+        let mut out = String::with_capacity(len);
+        out.push_str("<a href=\"#p");
+        push_decimal(&mut out, post, 1);
+        out.push_str("\" class=\"quotelink\">&gt;&gt;");
+        push_decimal(&mut out, thread, 1);
+        out.push_str("</a><br>");
+        out
+    } else {
+        String::with_capacity(len)
+    };
     let mut verbatim = 0;
-    for (i, b) in plain.bytes().enumerate() {
-        let escape = match b {
-            b'&' => "&amp;",
-            b'<' => "&lt;",
-            b'>' => "&gt;",
-            b'\'' => "&#039;",
-            b'\n' => "<br>",
-            _ => continue,
-        };
+    for (i, &b) in plain.as_bytes().iter().enumerate() {
+        if ESCAPE_GROWTH[usize::from(b)] == 0 {
+            continue;
+        }
         out.push_str(&plain[verbatim..i]);
-        out.push_str(escape);
+        match b {
+            b'&' => out.push_str("&amp;"),
+            b'<' => out.push_str("&lt;"),
+            b'>' => out.push_str("&gt;"),
+            b'\'' => out.push_str("&#039;"),
+            _ => out.push_str("<br>"),
+        }
         verbatim = i + 1;
     }
     out.push_str(&plain[verbatim..]);

@@ -15,6 +15,9 @@ use crate::config::SynthConfig;
 use crate::doxers::DoxerPopulation;
 use crate::handles;
 use crate::persona::Persona;
+use crate::text::{
+    lowercase_from, push_decimal, push_hex8, push_ipv4, push_lowercase, push_uppercase,
+};
 use crate::truth::{Community, DoxTruth, Gender, IncludedFields, Motivation};
 use dox_osn::network::Network;
 use rand::RngExt;
@@ -123,7 +126,7 @@ pub fn sample_plan(
                 let d = doxers.get(id);
                 match (&d.twitter, rng.random_range(0..3u8)) {
                     (Some(tw), 0) => tw.clone(),
-                    (Some(tw), 1) => format!("{} ({})", d.alias, tw),
+                    (Some(tw), 1) => [d.alias.as_str(), " (", tw, ")"].concat(),
                     _ => d.alias.clone(),
                 }
             })
@@ -191,7 +194,9 @@ pub fn render(
 ) -> String {
     let mut out = String::new();
     if let Some(ts) = variation.timestamp {
-        out.push_str(&format!("[posted {}]\n", format_ts(ts)));
+        out.push_str("[posted ");
+        push_ts(&mut out, ts);
+        out.push_str("]\n");
     }
     if plan.stub {
         render_stub(&mut out, persona, plan, rng);
@@ -212,12 +217,12 @@ pub fn render(
     }
     if let Some(motivation) = plan.motivation {
         out.push('\n');
-        out.push_str(&motivation_text(motivation, persona, rng));
+        push_motivation(&mut out, motivation, persona, rng);
         out.push('\n');
     }
     if !plan.credits.is_empty() {
         out.push('\n');
-        out.push_str(&credit_line(&plan.credits, rng));
+        push_credit_line(&mut out, &plan.credits, rng);
         out.push('\n');
     }
     if variation.update_section {
@@ -238,6 +243,38 @@ const INSIGNIA_B: &str = r"
  ==============================
 ";
 
+/// Append `label`, `value` and a newline.
+fn push_line(out: &mut String, label: &str, value: &str) {
+    out.push_str(label);
+    out.push_str(value);
+    out.push('\n');
+}
+
+/// Append `first last`.
+fn push_full_name(out: &mut String, persona: &Persona) {
+    out.push_str(&persona.first_name);
+    out.push(' ');
+    out.push_str(&persona.last_name);
+}
+
+/// Append the postal address as `PostalAddress::format` writes it
+/// (`number street, city, ST zip`), without the zip unless `zip`.
+fn push_address(out: &mut String, persona: &Persona, world: &dox_geo::model::World, zip: bool) {
+    let address = &persona.address;
+    let city = world.city(address.city);
+    push_decimal(out, address.number, 1);
+    out.push(' ');
+    out.push_str(&address.street);
+    out.push_str(", ");
+    out.push_str(&city.name);
+    out.push_str(", ");
+    out.push_str(&world.state(city.state).abbrev);
+    if zip {
+        out.push(' ');
+        push_decimal(out, address.zip, 1);
+    }
+}
+
 fn render_labeled(
     out: &mut String,
     persona: &Persona,
@@ -257,16 +294,26 @@ fn render_labeled(
     }
     let f = &plan.fields;
     if f.real_name {
-        out.push_str(&format!("Name: {}\n", persona.full_name()));
+        out.push_str("Name: ");
+        push_full_name(out, persona);
+        out.push('\n');
     } else {
-        out.push_str(&format!("Alias: {}\n", persona.usernames[0]));
+        push_line(out, "Alias: ", &persona.usernames[0]);
     }
     if f.age {
-        out.push_str(&format!("Age: {}\n", persona.age));
+        out.push_str("Age: ");
+        push_decimal(out, persona.age, 1);
+        out.push('\n');
     }
     if f.dob {
         let (y, m, d) = persona.dob;
-        out.push_str(&format!("DOB: {m:02}/{d:02}/{y}\n"));
+        out.push_str("DOB: ");
+        push_decimal(out, m, 2);
+        out.push('/');
+        push_decimal(out, d, 2);
+        out.push('/');
+        push_decimal(out, y, 1);
+        out.push('\n');
     }
     match persona.gender {
         Gender::Male => out.push_str("Gender: M\n"),
@@ -274,67 +321,75 @@ fn render_labeled(
         Gender::Other => out.push_str("Gender: other\n"),
     }
     if f.address {
-        let addr = if f.zip {
-            persona.address.format(world)
-        } else {
-            // Address without zip-level precision: drop the zip.
-            let full = persona.address.format(world);
-            full.rsplit_once(' ')
-                .map(|(a, _)| a.to_string())
-                .unwrap_or(full)
-        };
-        out.push_str(&format!("Address: {addr}\n"));
+        // Without zip-level precision the zip is dropped.
+        out.push_str("Address: ");
+        push_address(out, persona, world, f.zip);
+        out.push('\n');
     }
     if f.phone {
-        out.push_str(&format!("Phone: {}\n", persona.phone));
+        push_line(out, "Phone: ", &persona.phone);
     }
     if f.email {
-        out.push_str(&format!("Email: {}\n", persona.email));
+        push_line(out, "Email: ", &persona.email);
     }
     if f.ip {
-        out.push_str(&format!("IP: {}\n", persona.ip));
+        out.push_str("IP: ");
+        push_ipv4(out, persona.ip);
+        out.push('\n');
     }
     if f.isp {
-        out.push_str(&format!("ISP: {}\n", persona.isp_name));
+        push_line(out, "ISP: ", &persona.isp_name);
     }
     if f.school {
-        out.push_str(&format!("School: {}\n", persona.school));
+        push_line(out, "School: ", &persona.school);
     }
     if f.passwords {
-        out.push_str(&format!("Password: {}\n", persona.password));
+        push_line(out, "Password: ", &persona.password);
     }
     if f.ssn {
-        out.push_str(&format!("SSN: {}\n", persona.ssn));
+        push_line(out, "SSN: ", &persona.ssn);
     }
     if f.credit_card {
-        out.push_str(&format!("CC: {}\n", persona.credit_card));
+        push_line(out, "CC: ", &persona.credit_card);
     }
     if f.financial {
-        out.push_str(&format!("Financial: {}\n", persona.financial));
+        push_line(out, "Financial: ", &persona.financial);
     }
     if f.physical {
-        out.push_str(&format!("Description: {}\n", persona.physical));
+        push_line(out, "Description: ", &persona.physical);
     }
     if f.criminal {
-        out.push_str(&format!("Criminal record: {}\n", persona.criminal));
+        push_line(out, "Criminal record: ", &persona.criminal);
     }
     if f.family {
         out.push_str("Family:\n");
         for fam in &persona.family {
-            out.push_str(&format!("  {}: {}\n", fam.relation, fam.name));
+            out.push_str("  ");
+            out.push_str(&fam.relation);
+            push_line(out, ": ", &fam.name);
         }
     }
     if f.usernames {
-        out.push_str(&format!(
-            "Known aliases: {}\n",
-            persona.usernames.join(", ")
-        ));
+        out.push_str("Known aliases: ");
+        push_joined(out, &persona.usernames, ", ");
+        out.push('\n');
     }
     render_osn_block(out, plan, rng);
     if plan.show_community {
         for (site, handle) in &persona.community_accounts {
-            out.push_str(&format!("{site}: {handle}\n"));
+            out.push_str(site);
+            push_line(out, ": ", handle);
         }
+    }
+}
+
+/// Append `items` separated by `sep` (the bytes of `items.join(sep)`).
+fn push_joined(out: &mut String, items: &[String], sep: &str) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        out.push_str(item);
     }
 }
 
@@ -348,35 +403,51 @@ fn render_compact(
     out.push_str("=== dox ===\n");
     let f = &plan.fields;
     if f.real_name {
-        out.push_str(&format!("name; {}\n", persona.full_name().to_lowercase()));
+        out.push_str("name; ");
+        let start = out.len();
+        push_full_name(out, persona);
+        lowercase_from(out, start);
+        out.push('\n');
     }
     if f.age {
-        out.push_str(&format!("age; {}\n", persona.age));
+        out.push_str("age; ");
+        push_decimal(out, persona.age, 1);
+        out.push('\n');
     }
     if f.address {
-        out.push_str(&format!("addy; {}\n", persona.address.format(world)));
+        out.push_str("addy; ");
+        push_address(out, persona, world, true);
+        out.push('\n');
     }
     if f.phone {
-        out.push_str(&format!("phone; {}\n", persona.phone));
+        push_line(out, "phone; ", &persona.phone);
     }
     if f.email {
-        out.push_str(&format!("email; {}\n", persona.email));
+        push_line(out, "email; ", &persona.email);
     }
     if f.ip {
-        out.push_str(&format!("ip; {}\n", persona.ip));
+        out.push_str("ip; ");
+        push_ipv4(out, persona.ip);
+        out.push('\n');
     }
     if f.family {
-        let fam: Vec<String> = persona
-            .family
-            .iter()
-            .map(|m| format!("{} ({})", m.name, m.relation))
-            .collect();
-        out.push_str(&format!("family; {}\n", fam.join(" - ")));
+        out.push_str("family; ");
+        for (i, member) in persona.family.iter().enumerate() {
+            if i > 0 {
+                out.push_str(" - ");
+            }
+            out.push_str(&member.name);
+            out.push_str(" (");
+            out.push_str(&member.relation);
+            out.push(')');
+        }
+        out.push('\n');
     }
     render_osn_block(out, plan, rng);
     if plan.show_community {
         for (site, handle) in &persona.community_accounts {
-            out.push_str(&format!("{site}; {handle}\n"));
+            out.push_str(site);
+            push_line(out, "; ", handle);
         }
     }
 }
@@ -403,38 +474,58 @@ fn render_sloppy(
     out.push_str(openers[rng.random_range(0..openers.len())]);
     out.push(' ');
     if f.real_name {
-        let forms = [
-            format!("goes by {} irl. ", persona.full_name()),
-            format!("real one is {}. ", persona.full_name()),
-            format!("{} if you were wondering. ", persona.full_name()),
-        ];
-        out.push_str(&forms[rng.random_range(0..forms.len())]);
+        match rng.random_range(0..3) {
+            0 => {
+                out.push_str("goes by ");
+                push_full_name(out, persona);
+                out.push_str(" irl. ");
+            }
+            1 => {
+                out.push_str("real one is ");
+                push_full_name(out, persona);
+                out.push_str(". ");
+            }
+            _ => {
+                push_full_name(out, persona);
+                out.push_str(" if you were wondering. ");
+            }
+        }
     }
     if f.age && rng.random_range(0.0..1.0) < 0.7 {
-        out.push_str(&format!("{} years old. ", persona.age));
+        push_decimal(out, persona.age, 1);
+        out.push_str(" years old. ");
     }
     if f.address && rng.random_range(0.0..1.0) < 0.8 {
-        out.push_str(&format!("lives around {}. ", persona.address.format(world)));
+        out.push_str("lives around ");
+        push_address(out, persona, world, true);
+        out.push_str(". ");
     }
     if f.phone && rng.random_range(0.0..1.0) < 0.6 {
-        out.push_str(&format!("reachable at {}. ", persona.phone));
+        out.push_str("reachable at ");
+        out.push_str(&persona.phone);
+        out.push_str(". ");
     }
     if f.ip && rng.random_range(0.0..1.0) < 0.6 {
-        out.push_str(&format!("posts from {}", persona.ip));
+        out.push_str("posts from ");
+        push_ipv4(out, persona.ip);
         if f.isp {
-            out.push_str(&format!(" ({})", persona.isp_name));
+            out.push_str(" (");
+            out.push_str(&persona.isp_name);
+            out.push(')');
         }
         out.push_str(". ");
     }
     if f.email {
-        out.push_str(&format!("inbox is {} ", persona.email));
+        out.push_str("inbox is ");
+        out.push_str(&persona.email);
+        out.push(' ');
     }
     for (network, handle) in &plan.osn {
-        out.push_str(&format!(
-            "{} {} ",
-            network.label_aliases()[rng.random_range(0..network.label_aliases().len())],
-            handles::render_reference(*network, handle, rng)
-        ));
+        let aliases = network.label_aliases();
+        out.push_str(aliases[rng.random_range(0..aliases.len())]);
+        out.push(' ');
+        out.push_str(&handles::render_reference(*network, handle, rng));
+        out.push(' ');
     }
     out.push('\n');
 }
@@ -450,9 +541,11 @@ fn render_fragment(out: &mut String, persona: &Persona, plan: &RenderPlan, rng: 
         out.push('\n');
     }
     if plan.fields.real_name && rng.random_range(0.0..1.0) < 0.85 {
-        out.push_str(&format!("first name {}", persona.first_name.to_lowercase()));
+        out.push_str("first name ");
+        push_lowercase(out, &persona.first_name);
         if rng.random_range(0.0..1.0) < 0.6 {
-            out.push_str(&format!(" last name {}", persona.last_name.to_lowercase()));
+            out.push_str(" last name ");
+            push_lowercase(out, &persona.last_name);
         }
         out.push('\n');
     }
@@ -463,20 +556,21 @@ fn render_fragment(out: &mut String, persona: &Persona, plan: &RenderPlan, rng: 
     let with_alias = rng.random_range(0.0..1.0) < 0.5;
     for (network, handle) in plan.osn.iter().take(2) {
         if with_alias {
-            out.push_str(&format!(
-                "{} is {}\n",
-                network.label_aliases()[rng.random_range(0..network.label_aliases().len())],
-                handle
-            ));
+            let aliases = network.label_aliases();
+            out.push_str(aliases[rng.random_range(0..aliases.len())]);
+            push_line(out, " is ", handle);
         } else {
-            out.push_str(&format!("goes by {handle} most places\n"));
+            out.push_str("goes by ");
+            out.push_str(handle);
+            out.push_str(" most places\n");
         }
     }
     if plan.fields.phone && rng.random_range(0.0..1.0) < 0.4 {
-        out.push_str(&format!(
-            "number ends {}\n",
-            &persona.phone[persona.phone.len() - 4..]
-        ));
+        push_line(
+            out,
+            "number ends ",
+            &persona.phone[persona.phone.len() - 4..],
+        );
     }
 }
 
@@ -484,16 +578,14 @@ fn render_fragment(out: &mut String, persona: &Persona, plan: &RenderPlan, rng: 
 /// names only the victim's alias (and at most one account). Uses the same
 /// mirror/screencap vocabulary as benign link-sharing chat.
 fn render_stub(out: &mut String, persona: &Persona, plan: &RenderPlan, rng: &mut ChaCha8Rng) {
-    out.push_str(&format!(
-        "dox of {} in the screencap, too long to type out\n",
-        persona.usernames[0]
-    ));
-    out.push_str(&format!(
-        "mirror: files.archive.example/{:08x}\n",
-        rng.random_range(0..u32::MAX)
-    ));
+    out.push_str("dox of ");
+    out.push_str(&persona.usernames[0]);
+    out.push_str(" in the screencap, too long to type out\n");
+    out.push_str("mirror: files.archive.example/");
+    push_hex8(out, rng.random_range(0..u32::MAX));
+    out.push('\n');
     if let Some((_, handle)) = plan.osn.first() {
-        out.push_str(&format!("{handle} btw\n"));
+        push_line(out, handle, " btw");
     }
     let chatter = crate::names::THREAD_CHATTER;
     out.push_str(chatter[rng.random_range(0..chatter.len())]);
@@ -507,68 +599,105 @@ fn render_osn_block(out: &mut String, plan: &RenderPlan, rng: &mut ChaCha8Rng) {
         let alias = network.label_aliases()[rng.random_range(0..network.label_aliases().len())];
         match style {
             // "Facebook: https://facebook.com/example"
-            0 => out.push_str(&format!("{}: {}\n", network.name(), reference)),
+            0 => {
+                out.push_str(network.name());
+                push_line(out, ": ", &reference);
+            }
             // "FB example"
-            1 => out.push_str(&format!("{} {}\n", alias.to_uppercase(), handle)),
+            1 => {
+                push_uppercase(out, alias);
+                push_line(out, " ", handle);
+            }
             // "fbs: example"
-            2 => out.push_str(&format!("{alias}: {reference}\n")),
+            2 => {
+                out.push_str(alias);
+                push_line(out, ": ", &reference);
+            }
             // "facebooks; example"
-            _ => out.push_str(&format!("{alias}; {handle}\n")),
+            _ => {
+                out.push_str(alias);
+                push_line(out, "; ", handle);
+            }
         }
     }
 }
 
-fn motivation_text(motivation: Motivation, persona: &Persona, rng: &mut ChaCha8Rng) -> String {
-    let first = &persona.first_name;
-    match motivation {
-        Motivation::Justice => [
-            format!("why? {first} scammed half the forum and thought we forgot. justice served."),
-            "this one snitched to the mods and got three people banned. now everyone knows who you are."
-                .to_string(),
-            format!("{first} ripped off buyers for months. consider this justice."),
-        ][rng.random_range(0..3)]
-        .clone(),
-        Motivation::Revenge => [
-            format!("you stole my girl {first}, now the internet knows everything about you. revenge is sweet."),
-            "payback for what you did to me last summer. enjoy the attention.".to_string(),
-            format!("{first} thought they could trash talk me and walk away. this is revenge."),
-        ][rng.random_range(0..3)]
-        .clone(),
-        Motivation::Competitive => [
-            "claimed to be undoxable. took us 20 minutes. better luck next time.".to_string(),
-            "another 'anonymous' wannabe. we are simply better at this.".to_string(),
-        ][rng.random_range(0..2)]
-        .clone(),
-        Motivation::Political => [
-            "exposing another member of this hate group. they do not get to hide.".to_string(),
-            "this person profits from animal abuse. the public deserves to know.".to_string(),
-        ][rng.random_range(0..2)]
-        .clone(),
-    }
-}
-
-fn credit_line(credits: &[String], rng: &mut ChaCha8Rng) -> String {
-    match (credits.len(), rng.random_range(0..2u8)) {
-        (1, _) => format!("dropped by {}", credits[0]),
-        (_, 0) => {
-            let (last, rest) = credits.split_last().expect("len >= 2");
-            format!("dropped by {} and {}", rest.join(", "), last)
-        }
-        _ => {
-            let (first, rest) = credits.split_first().expect("len >= 2");
-            format!(
-                "dropped by {}, thanks to {} for the info",
+/// Append the motivation statement (Table 8); draws which of its
+/// phrasings to use.
+fn push_motivation(
+    out: &mut String,
+    motivation: Motivation,
+    persona: &Persona,
+    rng: &mut ChaCha8Rng,
+) {
+    let first = persona.first_name.as_str();
+    let parts: &[&str] = match motivation {
+        Motivation::Justice => match rng.random_range(0..3) {
+            0 => &[
+                "why? ",
                 first,
-                rest.join(" and ")
-            )
-        }
+                " scammed half the forum and thought we forgot. justice served.",
+            ],
+            1 => &["this one snitched to the mods and got three people banned. now everyone knows who you are."],
+            _ => &[first, " ripped off buyers for months. consider this justice."],
+        },
+        Motivation::Revenge => match rng.random_range(0..3) {
+            0 => &[
+                "you stole my girl ",
+                first,
+                ", now the internet knows everything about you. revenge is sweet.",
+            ],
+            1 => &["payback for what you did to me last summer. enjoy the attention."],
+            _ => &[
+                first,
+                " thought they could trash talk me and walk away. this is revenge.",
+            ],
+        },
+        Motivation::Competitive => match rng.random_range(0..2) {
+            0 => &["claimed to be undoxable. took us 20 minutes. better luck next time."],
+            _ => &["another 'anonymous' wannabe. we are simply better at this."],
+        },
+        Motivation::Political => match rng.random_range(0..2) {
+            0 => &["exposing another member of this hate group. they do not get to hide."],
+            _ => &["this person profits from animal abuse. the public deserves to know."],
+        },
+    };
+    for part in parts {
+        out.push_str(part);
     }
 }
 
-fn format_ts(minutes: u64) -> String {
-    let day = minutes / 1440;
-    let rem = minutes % 1440;
-    format!("2016-day{:03} {:02}:{:02}", day, rem / 60, rem % 60)
+/// Append the credits line (Figure 2); the draw picks the phrasing for
+/// two or more credited doxers, and is made for one as well.
+fn push_credit_line(out: &mut String, credits: &[String], rng: &mut ChaCha8Rng) {
+    out.push_str("dropped by ");
+    match (credits, rng.random_range(0..2u8)) {
+        ([only], _) => out.push_str(only),
+        ([rest @ .., last], 0) => {
+            push_joined(out, rest, ", ");
+            out.push_str(" and ");
+            out.push_str(last);
+        }
+        ([first, rest @ ..], _) => {
+            out.push_str(first);
+            out.push_str(", thanks to ");
+            push_joined(out, rest, " and ");
+            out.push_str(" for the info");
+        }
+        ([], _) => {}
+    }
+}
+
+/// Append a `[posted …]` timestamp: `2016-dayDDD HH:MM` for `minutes`
+/// into the study year.
+fn push_ts(out: &mut String, minutes: u64) {
+    let (day, rem) = (minutes / 1440, minutes % 1440);
+    out.push_str("2016-day");
+    push_decimal(out, day, 3);
+    out.push(' ');
+    push_decimal(out, rem / 60, 2);
+    out.push(':');
+    push_decimal(out, rem % 60, 2);
 }
 
 /// Build the [`DoxTruth`] record matching a rendered plan.
@@ -750,7 +879,8 @@ mod tests {
             "DoxerC".to_string(),
         ];
         for _ in 0..10 {
-            let line = credit_line(&credits, &mut rng);
+            let mut line = String::new();
+            push_credit_line(&mut line, &credits, &mut rng);
             for c in &credits {
                 assert!(line.contains(c.as_str()), "{line} missing {c}");
             }
@@ -831,6 +961,20 @@ mod tests {
             crate::names::THREAD_CHATTER.contains(&first_line),
             "fragment opens with shared chatter: {first_line}"
         );
+    }
+
+    #[test]
+    fn addresses_are_written_as_postal_format_writes_them() {
+        let f = fixture();
+        for p in &f.personas {
+            let full = p.address.format(&f.world);
+            let mut out = String::new();
+            push_address(&mut out, p, &f.world, true);
+            assert_eq!(out, full);
+            out.clear();
+            push_address(&mut out, p, &f.world, false);
+            assert_eq!(Some(out.as_str()), full.rsplit_once(' ').map(|(a, _)| a));
+        }
     }
 
     #[test]

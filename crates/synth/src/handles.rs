@@ -6,6 +6,7 @@
 //! `dox_textkit`-style handle grammar (ASCII alphanumerics, `_`, `-`, `.`),
 //! so the extractor can validate candidates.
 
+use crate::text::push_decimal;
 use dox_osn::network::Network;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
@@ -16,23 +17,33 @@ pub fn base_handle(first: &str, last: &str, rng: &mut ChaCha8Rng) -> String {
     let l = last.to_lowercase();
     let style = rng.random_range(0..6u8);
     match style {
-        0 => format!("{f}{l}"),
-        1 => format!("{f}.{l}"),
-        2 => format!("{f}_{l}"),
-        3 => format!("{}{}", &f[..1.min(f.len())], l),
-        4 => format!("{f}{}", rng.random_range(10..99u32)),
-        _ => format!("{l}{f}"),
+        0 => [f.as_str(), &l].concat(),
+        1 => [f.as_str(), &l].join("."),
+        2 => [f.as_str(), &l].join("_"),
+        3 => [&f[..1.min(f.len())], &l].concat(),
+        4 => {
+            let mut handle = String::with_capacity(f.len() + 2);
+            handle.push_str(&f);
+            push_decimal(&mut handle, rng.random_range(10..99u32), 1);
+            handle
+        }
+        _ => [l, f].concat(),
     }
 }
 
 /// Decorate a base handle in gamer/doxer style.
 pub fn decorate(base: &str, rng: &mut ChaCha8Rng) -> String {
     match rng.random_range(0..8u8) {
-        0 => format!("xX_{base}_Xx"),
-        1 => format!("{base}{}", rng.random_range(1990..2010u32)),
+        0 => ["xX_", base, "_Xx"].concat(),
+        1 => {
+            let mut handle = String::with_capacity(base.len() + 4);
+            handle.push_str(base);
+            push_decimal(&mut handle, rng.random_range(1990..2010u32), 1);
+            handle
+        }
         2 => base.replace('e', "3").replace('o', "0"),
-        3 => format!("the_{base}"),
-        4 => format!("{base}_tv"),
+        3 => ["the_", base].concat(),
+        4 => [base, "_tv"].concat(),
         _ => base.to_string(),
     }
 }
@@ -47,18 +58,24 @@ pub fn network_handle(base: &str, network: Network, uid: u64, rng: &mut ChaCha8R
         Network::GooglePlus => base.to_string(),
         Network::Twitter => truncate(base, 15),
         Network::Instagram => base.to_string(),
-        Network::YouTube => format!("{base}channel"),
-        Network::Twitch => format!("{base}_live"),
-        Network::Skype => format!("live.{base}"),
+        Network::YouTube => [base, "channel"].concat(),
+        Network::Twitch => [base, "_live"].concat(),
+        Network::Skype => ["live.", base].concat(),
     };
     // A per-network numeric suffix keeps handles globally unique across
     // personas (uid folds the persona id in).
     let salt = rng.random_range(0..10u32);
-    let cleaned: String = variant
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '+'))
-        .collect();
-    format!("{cleaned}{}{salt}", uid % 997)
+    // The variant's handle-grammar chars, then up to three digits of the
+    // uid and one of salt.
+    let mut handle = String::with_capacity(variant.len() + 4);
+    handle.extend(
+        variant
+            .chars()
+            .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '+')),
+    );
+    push_decimal(&mut handle, uid % 997, 1);
+    push_decimal(&mut handle, salt, 1);
+    handle
 }
 
 fn truncate(s: &str, n: usize) -> String {
@@ -72,18 +89,19 @@ pub fn render_reference(network: Network, handle: &str, rng: &mut ChaCha8Rng) ->
     if hosts.is_empty() || rng.random_range(0.0..1.0) < 0.4 {
         // Bare references sometimes carry the network's sigil.
         match network {
-            Network::GooglePlus if rng.random_range(0.0..1.0) < 0.5 => format!("+{handle}"),
-            Network::Twitter if rng.random_range(0.0..1.0) < 0.5 => format!("@{handle}"),
+            Network::GooglePlus if rng.random_range(0.0..1.0) < 0.5 => ["+", handle].concat(),
+            Network::Twitter if rng.random_range(0.0..1.0) < 0.5 => ["@", handle].concat(),
             _ => handle.to_string(),
         }
     } else {
         let host = hosts[rng.random_range(0..hosts.len())];
         let path_handle = handle.trim_start_matches('+');
-        match rng.random_range(0..3u8) {
-            0 => format!("https://{host}/{path_handle}"),
-            1 => format!("http://{host}/{path_handle}"),
-            _ => format!("{host}/{path_handle}"),
-        }
+        let scheme = match rng.random_range(0..3u8) {
+            0 => "https://",
+            1 => "http://",
+            _ => "",
+        };
+        [scheme, host, "/", path_handle].concat()
     }
 }
 

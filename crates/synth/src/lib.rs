@@ -43,6 +43,7 @@ pub mod markov;
 pub mod names;
 pub mod pastes;
 pub mod persona;
+mod text;
 pub mod truth;
 
 pub use config::SynthConfig;

@@ -19,17 +19,15 @@ const DEAD_END: u32 = u32::MAX;
 /// frequency-weighted draw of the string-keyed chain it replaces.
 #[derive(Debug, Clone)]
 pub struct MarkovChain {
-    /// Distinct words, indexed by word id.
-    words: Vec<Box<str>>,
+    /// Distinct words, indexed by word id, each after one space (`" word"`):
+    /// every word but the first is appended with a single push.
+    spaced_words: Vec<Box<str>>,
     /// Per state: its two word ids and its range in `successors`.
     states: Vec<([u32; 2], std::ops::Range<usize>)>,
     /// Every state's successor list, concatenated.
     successors: Vec<(u32, u32)>,
     /// One state id per training trigram, for choosing start states.
     starts: Vec<u32>,
-    /// Bytes to reserve per generated word: mean training word length,
-    /// rounded up, plus the separating space.
-    bytes_per_word: usize,
 }
 
 impl MarkovChain {
@@ -41,13 +39,13 @@ impl MarkovChain {
         let tokens: Vec<&str> = text.split_whitespace().collect();
         assert!(tokens.len() >= 3, "need at least three words to train");
         let mut word_ids: HashMap<&str, u32> = HashMap::new();
-        let mut words = Vec::new();
+        let mut spaced_words = Vec::new();
         let ids: Vec<u32> = tokens
             .iter()
             .map(|&w| {
                 *word_ids.entry(w).or_insert_with(|| {
-                    words.push(Box::from(w));
-                    (words.len() - 1) as u32
+                    spaced_words.push(Box::from(format!(" {w}")));
+                    (spaced_words.len() - 1) as u32
                 })
             })
             .collect();
@@ -79,13 +77,11 @@ impl MarkovChain {
             }));
             states.push((*key, begin..successors.len()));
         }
-        let word_bytes: usize = tokens.iter().map(|w| w.len()).sum();
         Self {
-            words,
+            spaced_words,
             states,
             successors,
             starts,
-            bytes_per_word: word_bytes.div_ceil(tokens.len()) + 1,
         }
     }
 
@@ -98,32 +94,33 @@ impl MarkovChain {
     ///
     /// Draws one start state, then one successor per further word; a
     /// transition into a bigram that starts no trigram (a dead end)
-    /// redraws a start state without emitting a word.
+    /// redraws a start state without emitting a word. The walk comes
+    /// first, as word ids, so the text is sized exactly before it is
+    /// written.
     pub fn generate(&self, n_words: usize, rng: &mut ChaCha8Rng) -> String {
         if n_words == 0 {
             return String::new();
         }
         let mut state = self.random_start(rng);
-        let [first, second] = self.states[state as usize].0;
-        let mut out = String::with_capacity(n_words * self.bytes_per_word);
-        out.push_str(&self.words[first as usize]);
-        if n_words == 1 {
-            return out;
-        }
-        out.push(' ');
-        out.push_str(&self.words[second as usize]);
-        let mut emitted = 2;
-        while emitted < n_words {
+        let mut walk = Vec::with_capacity(n_words);
+        walk.extend_from_slice(&self.states[state as usize].0[..n_words.min(2)]);
+        while walk.len() < n_words {
             if state == DEAD_END {
                 state = self.random_start(rng);
                 continue;
             }
             let nexts = &self.successors[self.states[state as usize].1.clone()];
             let (word, to) = nexts[rng.random_range(0..nexts.len())];
-            out.push(' ');
-            out.push_str(&self.words[word as usize]);
-            emitted += 1;
+            walk.push(word);
             state = to;
+        }
+        let spaced = |id: u32| &*self.spaced_words[id as usize];
+        // One space before every word but the first.
+        let len = walk.iter().map(|&id| spaced(id).len()).sum::<usize>() - 1;
+        let mut out = String::with_capacity(len);
+        out.push_str(&spaced(walk[0])[1..]);
+        for &id in &walk[1..] {
+            out.push_str(spaced(id));
         }
         out
     }

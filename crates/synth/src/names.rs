@@ -162,29 +162,23 @@ pub fn first_name(rng: &mut ChaCha8Rng, feminine: bool) -> String {
 
 /// Compose a synthetic surname.
 pub fn last_name(rng: &mut ChaCha8Rng) -> String {
-    format!(
-        "{}{}",
-        SURNAME_FIRST[rng.random_range(0..SURNAME_FIRST.len())],
-        SURNAME_SECOND[rng.random_range(0..SURNAME_SECOND.len())]
-    )
+    let first = SURNAME_FIRST[rng.random_range(0..SURNAME_FIRST.len())];
+    let second = SURNAME_SECOND[rng.random_range(0..SURNAME_SECOND.len())];
+    [first, second].concat()
 }
 
 /// Compose a street name ("Maple Street").
 pub fn street_name(rng: &mut ChaCha8Rng) -> String {
-    format!(
-        "{} {}",
-        STREET_FIRST[rng.random_range(0..STREET_FIRST.len())],
-        STREET_SECOND[rng.random_range(0..STREET_SECOND.len())]
-    )
+    let first = STREET_FIRST[rng.random_range(0..STREET_FIRST.len())];
+    let second = STREET_SECOND[rng.random_range(0..STREET_SECOND.len())];
+    [first, second].join(" ")
 }
 
 /// Compose a school name ("Riverview High School").
 pub fn school_name(rng: &mut ChaCha8Rng) -> String {
-    format!(
-        "{} {}",
-        SCHOOL_FIRST[rng.random_range(0..SCHOOL_FIRST.len())],
-        SCHOOL_KIND[rng.random_range(0..SCHOOL_KIND.len())]
-    )
+    let first = SCHOOL_FIRST[rng.random_range(0..SCHOOL_FIRST.len())];
+    let kind = SCHOOL_KIND[rng.random_range(0..SCHOOL_KIND.len())];
+    [first, kind].join(" ")
 }
 
 /// Pick an email domain.

@@ -6,12 +6,19 @@
 //! that superficially resemble doxes (credential combo dumps, member lists
 //! with emails, filled registration forms). Each generator here produces
 //! one paste kind; [`PasteGenerator::sample_paste`] mixes them at configurable rates.
+//!
+//! The bodies are built with `push_str` and the crate's decimal writer,
+//! not `core::fmt`, and reserve their measured size up front: the literal
+//! bytes plus the widest value of each drawn field, or the exact length
+//! where the draws come before the text (chat). They are byte for byte,
+//! draw for draw, what the `write!`-based generators wrote; the reference
+//! copies in `crates/synth/tests/oracle/` check that for every kind.
 
 use crate::markov::MarkovChain;
+use crate::text::{push_decimal, push_lowercase};
 use crate::truth::PasteKind;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
-use std::fmt::Write;
 
 /// A generated non-dox paste.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,7 +100,8 @@ impl PasteGenerator {
 /// dox-indicative vocabulary (name, address, phone, ip, dox, drop) while
 /// containing no victim data — the canonical false-positive source.
 fn dox_tutorial(rng: &mut ChaCha8Rng) -> String {
-    let mut out = String::from("so you want to dox someone, a beginner guide\n");
+    const HEAD: &str = "so you want to dox someone, a beginner guide\n";
+    const TAIL: &str = "remember: this guide is hypothetical obviously\n";
     let steps = [
         "step: start with the username and search every site for reuse",
         "step: the full name usually falls out of an old forum signature",
@@ -105,11 +113,15 @@ fn dox_tutorial(rng: &mut ChaCha8Rng) -> String {
         "step: keep receipts or nobody believes the dox is real",
     ];
     let n = rng.random_range(4..=steps.len());
-    for s in steps.iter().take(n) {
+    let taken = &steps[..n];
+    let len = HEAD.len() + TAIL.len() + taken.iter().map(|s| s.len() + 1).sum::<usize>();
+    let mut out = String::with_capacity(len);
+    out.push_str(HEAD);
+    for s in taken {
         out.push_str(s);
         out.push('\n');
     }
-    out.push_str("remember: this guide is hypothetical obviously\n");
+    out.push_str(TAIL);
     out
 }
 
@@ -126,11 +138,9 @@ fn dox_discussion(rng: &mut ChaCha8Rng) -> String {
     }
     if rng.random_range(0.0..1.0) < 0.5 {
         let feminine = rng.random_range(0.0..1.0) < 0.3;
-        let _ = writeln!(
-            out,
-            "pretty sure the guy is called {} or something",
-            crate::names::first_name(rng, feminine).to_lowercase()
-        );
+        out.push_str("pretty sure the guy is called ");
+        push_lowercase(&mut out, &crate::names::first_name(rng, feminine));
+        out.push_str(" or something\n");
     }
     out
 }
@@ -144,66 +154,95 @@ fn profile_card(rng: &mut ChaCha8Rng) -> String {
     let first = crate::names::first_name(rng, feminine);
     let last = crate::names::last_name(rng);
     let age = rng.random_range(14..40u32);
-    format!(
-        "~~ about me ~~\n\
-         Name: {first} {last}\n\
-         Age: {age}\n\
-         From: {}\n\
-         Email: {}{}@webmail.example (mods only pls)\n\
-         hobbies: {}\n\
-         add me on discord or whatever, looking for a duo partner.\n\
-         my setup: {} keyboard, decent headset, mid pc\n",
-        [
-            "the midwest",
-            "up north",
-            "the coast",
-            "nowhere interesting"
-        ][rng.random_range(0..4)],
-        first.to_lowercase(),
-        rng.random_range(10..99u32),
-        [
-            "speedrunning and modding",
-            "drawing and ranked grind",
-            "maps and strategy games"
-        ][rng.random_range(0..3)],
-        ["mech", "60%", "old laptop"][rng.random_range(0..3)],
-    )
+    let from = [
+        "the midwest",
+        "up north",
+        "the coast",
+        "nowhere interesting",
+    ][rng.random_range(0..4)];
+    let mail_number = rng.random_range(10..99u32);
+    let hobbies = [
+        "speedrunning and modding",
+        "drawing and ranked grind",
+        "maps and strategy games",
+    ][rng.random_range(0..3)];
+    let setup = ["mech", "60%", "old laptop"][rng.random_range(0..3)];
+    let mut out = String::with_capacity(320);
+    out.push_str("~~ about me ~~\nName: ");
+    out.push_str(&first);
+    out.push(' ');
+    out.push_str(&last);
+    out.push_str("\nAge: ");
+    push_decimal(&mut out, age, 1);
+    out.push_str("\nFrom: ");
+    out.push_str(from);
+    out.push_str("\nEmail: ");
+    push_lowercase(&mut out, &first);
+    push_decimal(&mut out, mail_number, 1);
+    out.push_str("@webmail.example (mods only pls)\nhobbies: ");
+    out.push_str(hobbies);
+    out.push_str("\nadd me on discord or whatever, looking for a duo partner.\nmy setup: ");
+    out.push_str(setup);
+    out.push_str(" keyboard, decent headset, mid pc\n");
+    out
 }
 
 fn code_paste(rng: &mut ChaCha8Rng) -> String {
+    // Per template: the header, each line's literal bytes plus its widest
+    // numbers (a 2-digit index, the drawn values), and the footer.
+    const PY_HEAD: &str = "#!/usr/bin/env python\n";
+    const PY_LINE: usize =
+        "def handler_(payload):\n    value = payload.get('field_', )\n    return value * \n\n"
+            .len()
+            + 2 * 2
+            + 2
+            + 1;
+    const C_HEAD: &str = "// build helper\n#include <stdio.h>\n";
+    const C_LINE: usize = "static int step_(int x) { return x + ; }\n".len() + 2 + 2;
+    const C_TAIL: &str = "int main(void) { printf(\"ok\\n\"); return 0; }\n";
+    const JS_LINE: usize =
+        "function render(el) {\n  el.innerText = 'section ';\n  return ;\n}\n".len() + 2 * 2 + 1;
     let lang = rng.random_range(0..3u8);
     let n = rng.random_range(3..12u32);
-    let mut out = String::new();
+    let mut out;
     match lang {
         0 => {
-            out.push_str("#!/usr/bin/env python\n");
+            out = String::with_capacity(PY_HEAD.len() + n as usize * PY_LINE);
+            out.push_str(PY_HEAD);
             for i in 0..n {
-                let _ = write!(
-                    out,
-                    "def handler_{i}(payload):\n    value = payload.get('field_{i}', {})\n    return value * {}\n\n",
-                    rng.random_range(0..100u32),
-                    rng.random_range(2..9u32)
-                );
+                out.push_str("def handler_");
+                push_decimal(&mut out, i, 1);
+                out.push_str("(payload):\n    value = payload.get('field_");
+                push_decimal(&mut out, i, 1);
+                out.push_str("', ");
+                push_decimal(&mut out, rng.random_range(0..100u32), 1);
+                out.push_str(")\n    return value * ");
+                push_decimal(&mut out, rng.random_range(2..9u32), 1);
+                out.push_str("\n\n");
             }
         }
         1 => {
-            out.push_str("// build helper\n#include <stdio.h>\n");
+            out = String::with_capacity(C_HEAD.len() + n as usize * C_LINE + C_TAIL.len());
+            out.push_str(C_HEAD);
             for i in 0..n {
-                let _ = writeln!(
-                    out,
-                    "static int step_{i}(int x) {{ return x + {}; }}",
-                    rng.random_range(1..50u32)
-                );
+                out.push_str("static int step_");
+                push_decimal(&mut out, i, 1);
+                out.push_str("(int x) { return x + ");
+                push_decimal(&mut out, rng.random_range(1..50u32), 1);
+                out.push_str("; }\n");
             }
-            out.push_str("int main(void) { printf(\"ok\\n\"); return 0; }\n");
+            out.push_str(C_TAIL);
         }
         _ => {
+            out = String::with_capacity(n as usize * JS_LINE);
             for i in 0..n {
-                let _ = writeln!(
-                    out,
-                    "function render{i}(el) {{\n  el.innerText = 'section {i}';\n  return {};\n}}",
-                    rng.random_range(0..2u32)
-                );
+                out.push_str("function render");
+                push_decimal(&mut out, i, 1);
+                out.push_str("(el) {\n  el.innerText = 'section ");
+                push_decimal(&mut out, i, 1);
+                out.push_str("';\n  return ");
+                push_decimal(&mut out, rng.random_range(0..2u32), 1);
+                out.push_str(";\n}\n");
             }
         }
     }
@@ -211,11 +250,16 @@ fn code_paste(rng: &mut ChaCha8Rng) -> String {
 }
 
 fn log_paste(rng: &mut ChaCha8Rng) -> String {
+    // The widest line: "2016-08-DDTHH:MM:SSZ ERROR worker-N: request
+    // NNNNN completed in NNNms\n".
+    const LINE: usize =
+        "2016-08-DDTHH:MM:SSZ ERROR worker-N: request NNNNN completed in NNNms\n".len();
     let n = rng.random_range(10..40u32);
-    // ~70 bytes a line; the fields are appended without `core::fmt`.
-    let mut out = String::with_capacity(n as usize * 72);
+    let mut out = String::with_capacity(n as usize * LINE);
     for _ in 0..n {
-        let level = ["INFO", "WARN", "ERROR", "DEBUG"][rng.random_range(0..4)];
+        // The level is drawn first and written after the timestamp; each
+        // arm of the match below writes its level with its neighbours.
+        let level = rng.random_range(0..4u8);
         out.push_str("2016-08-");
         push_decimal(&mut out, rng.random_range(1..29u32), 2);
         out.push('T');
@@ -224,9 +268,12 @@ fn log_paste(rng: &mut ChaCha8Rng) -> String {
         push_decimal(&mut out, rng.random_range(0..60u32), 2);
         out.push(':');
         push_decimal(&mut out, rng.random_range(0..60u32), 2);
-        out.push_str("Z ");
-        out.push_str(level);
-        out.push_str(" worker-");
+        out.push_str(match level {
+            0 => "Z INFO worker-",
+            1 => "Z WARN worker-",
+            2 => "Z ERROR worker-",
+            _ => "Z DEBUG worker-",
+        });
         push_decimal(&mut out, rng.random_range(1..8u32), 1);
         out.push_str(": request ");
         push_decimal(&mut out, rng.random_range(1000..99999u32), 1);
@@ -237,36 +284,21 @@ fn log_paste(rng: &mut ChaCha8Rng) -> String {
     out
 }
 
-/// Append `n` in decimal, zero-padded to at least `width` digits (the
-/// bytes `format!("{n:0width$}")` writes).
-fn push_decimal(out: &mut String, mut n: u32, width: usize) {
-    let mut digits = [0u8; 10];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    for _ in digits.len() - start..width {
-        out.push('0');
-    }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
-}
-
 fn config_paste(rng: &mut ChaCha8Rng) -> String {
-    let mut out = String::from("[server]\n");
-    let _ = writeln!(out, "port = {}", rng.random_range(1024..65535u32));
-    let _ = writeln!(out, "workers = {}", rng.random_range(1..32u32));
-    out.push_str("bind = 0.0.0.0\n\n[cache]\n");
-    let _ = writeln!(out, "ttl_seconds = {}", rng.random_range(30..3600u32));
-    let _ = writeln!(
-        out,
-        "max_entries = {}\n\n[logging]\nlevel = info\nfile = /var/log/app.log",
-        rng.random_range(100..100_000u32)
-    );
+    const LITERAL: &str = "[server]\nport = \nworkers = \nbind = 0.0.0.0\n\n[cache]\n\
+                           ttl_seconds = \nmax_entries = \n\n[logging]\nlevel = info\n\
+                           file = /var/log/app.log\n";
+    // The widest port, worker count, TTL and entry cap.
+    let mut out = String::with_capacity(LITERAL.len() + 5 + 2 + 4 + 5);
+    out.push_str("[server]\nport = ");
+    push_decimal(&mut out, rng.random_range(1024..65535u32), 1);
+    out.push_str("\nworkers = ");
+    push_decimal(&mut out, rng.random_range(1..32u32), 1);
+    out.push_str("\nbind = 0.0.0.0\n\n[cache]\nttl_seconds = ");
+    push_decimal(&mut out, rng.random_range(30..3600u32), 1);
+    out.push_str("\nmax_entries = ");
+    push_decimal(&mut out, rng.random_range(100..100_000u32), 1);
+    out.push_str("\n\n[logging]\nlevel = info\nfile = /var/log/app.log\n");
     out
 }
 
@@ -285,15 +317,26 @@ fn chat_paste(rng: &mut ChaCha8Rng) -> String {
         "the screencap is in the mirror, too long to type out",
         "upload died, check the archive mirror",
     ];
-    let n = rng.random_range(8..25u32);
-    let mut out = String::new();
-    for _ in 0..n {
-        let _ = writeln!(
-            out,
-            "<{}> {}",
+    // Draw every line's speaker and text first (same order as writing
+    // them), so the body is sized exactly before it is written.
+    let n = rng.random_range(8..25u32) as usize;
+    let mut picks = [("", ""); 24];
+    let picks = &mut picks[..n];
+    for pick in picks.iter_mut() {
+        *pick = (
             users[rng.random_range(0..users.len())],
-            lines[rng.random_range(0..lines.len())]
+            lines[rng.random_range(0..lines.len())],
         );
+    }
+    // "<user> line\n"
+    let len = picks.iter().map(|(u, l)| u.len() + l.len() + 4).sum();
+    let mut out = String::with_capacity(len);
+    for (user, line) in picks.iter() {
+        out.push('<');
+        out.push_str(user);
+        out.push_str("> ");
+        out.push_str(line);
+        out.push('\n');
     }
     out
 }
@@ -301,32 +344,42 @@ fn chat_paste(rng: &mut ChaCha8Rng) -> String {
 /// Hard negative: email:password combo dump. Looks sensitive, contains
 /// emails and passwords — but no identities, addresses or OSN labels.
 fn credential_dump(rng: &mut ChaCha8Rng) -> String {
+    const HEAD: &str = "combo list fresh checked\n";
+    // "user{i}{nnn}@mailbox.example:pass{nn}{sigil}\n" at its widest.
+    const LINE: usize = "user@mailbox.example:pass\n".len() + 2 + 3 + 2 + 1;
     let n = rng.random_range(20..80u32);
-    let mut out = String::from("combo list fresh checked\n");
+    let mut out = String::with_capacity(HEAD.len() + n as usize * LINE);
+    out.push_str(HEAD);
     for i in 0..n {
-        let _ = writeln!(
-            out,
-            "user{}{}@mailbox.example:pass{}{}",
-            i,
-            rng.random_range(100..999u32),
-            rng.random_range(10..99u32),
-            ["!", "", "#", "x"][rng.random_range(0..4)]
-        );
+        out.push_str("user");
+        push_decimal(&mut out, i, 1);
+        push_decimal(&mut out, rng.random_range(100..999u32), 1);
+        out.push_str("@mailbox.example:pass");
+        push_decimal(&mut out, rng.random_range(10..99u32), 1);
+        out.push_str(["!", "", "#", "x"][rng.random_range(0..4)]);
+        out.push('\n');
     }
     out
 }
 
 /// Hard negative: a forum member list with join dates.
 fn user_list(rng: &mut ChaCha8Rng) -> String {
+    const HEAD: &str = "member export 2016\nusername, email, joined\n";
+    // "member_{i}, member_{i}@postal.example, 2015-MM-DD\n" at its widest.
+    const LINE: usize = "member_, member_@postal.example, 2015-MM-DD\n".len() + 2 * 2;
     let n = rng.random_range(15..50u32);
-    let mut out = String::from("member export 2016\nusername, email, joined\n");
+    let mut out = String::with_capacity(HEAD.len() + n as usize * LINE);
+    out.push_str(HEAD);
     for i in 0..n {
-        let _ = writeln!(
-            out,
-            "member_{i}, member_{i}@postal.example, 2015-{:02}-{:02}",
-            rng.random_range(1..13u32),
-            rng.random_range(1..29u32)
-        );
+        out.push_str("member_");
+        push_decimal(&mut out, i, 1);
+        out.push_str(", member_");
+        push_decimal(&mut out, i, 1);
+        out.push_str("@postal.example, 2015-");
+        push_decimal(&mut out, rng.random_range(1..13u32), 2);
+        out.push('-');
+        push_decimal(&mut out, rng.random_range(1..29u32), 2);
+        out.push('\n');
     }
     out
 }
@@ -334,20 +387,19 @@ fn user_list(rng: &mut ChaCha8Rng) -> String {
 /// Hard negative: a filled-in contact/registration form — has Name:,
 /// Email:, Phone: labels like a dox, but describes a business inquiry.
 fn form_data(rng: &mut ChaCha8Rng) -> String {
-    format!(
-        "--- contact form submission ---\n\
-         Name: Sales Inquiry {}\n\
-         Company: Widgets Unlimited\n\
-         Email: purchasing{}@inbox.example\n\
-         Phone: (800) 555-01{:02}\n\
-         Message: we would like a quote for {} units of part {} delivered\n\
-         to our warehouse. please respond during business hours.\n",
-        rng.random_range(1..999u32),
-        rng.random_range(1..99u32),
-        rng.random_range(0..100u32),
-        rng.random_range(10..5000u32),
-        rng.random_range(1000..9999u32),
-    )
+    let mut out = String::with_capacity(320);
+    out.push_str("--- contact form submission ---\nName: Sales Inquiry ");
+    push_decimal(&mut out, rng.random_range(1..999u32), 1);
+    out.push_str("\nCompany: Widgets Unlimited\nEmail: purchasing");
+    push_decimal(&mut out, rng.random_range(1..99u32), 1);
+    out.push_str("@inbox.example\nPhone: (800) 555-01");
+    push_decimal(&mut out, rng.random_range(0..100u32), 2);
+    out.push_str("\nMessage: we would like a quote for ");
+    push_decimal(&mut out, rng.random_range(10..5000u32), 1);
+    out.push_str(" units of part ");
+    push_decimal(&mut out, rng.random_range(1000..9999u32), 1);
+    out.push_str(" delivered\nto our warehouse. please respond during business hours.\n");
+    out
 }
 
 #[cfg(test)]

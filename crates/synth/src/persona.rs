@@ -10,6 +10,7 @@
 use crate::config::{DemographicRates, SynthConfig};
 use crate::handles;
 use crate::names;
+use crate::text::push_decimal;
 use crate::truth::{Community, Gender};
 use dox_geo::alloc::Allocation;
 use dox_geo::model::{CityId, World};
@@ -87,7 +88,7 @@ pub struct Persona {
 impl Persona {
     /// Full display name.
     pub fn full_name(&self) -> String {
-        format!("{} {}", self.first_name, self.last_name)
+        [self.first_name.as_str(), &self.last_name].join(" ")
     }
 
     /// The handle this persona uses on `network`, if they have an account.
@@ -162,16 +163,19 @@ impl<'w> PersonaGenerator<'w> {
 
         let base = handles::base_handle(&first_name, &last_name, rng);
         let base = handles::decorate(&base, rng);
-        let email = format!(
-            "{}@{}",
-            base.replace(['-', '.'], "_"),
-            names::email_domain(rng)
+        let domain = names::email_domain(rng);
+        let mut email = String::with_capacity(base.len() + 1 + domain.len());
+        email.extend(
+            base.chars()
+                .map(|c| if matches!(c, '-' | '.') { '_' } else { c }),
         );
-        let phone = format!(
-            "({:03}) 555-01{:02}",
-            rng.random_range(200..989u32),
-            rng.random_range(0..100u32)
-        );
+        email.push('@');
+        email.push_str(domain);
+        let mut phone = String::with_capacity("(NNN) 555-01NN".len());
+        phone.push('(');
+        push_decimal(&mut phone, rng.random_range(200..989u32), 3);
+        phone.push_str(") 555-01");
+        push_decimal(&mut phone, rng.random_range(0..100u32), 2);
 
         // Every persona owns every network account with some probability;
         // dox files later reveal a subset. Ownership is generous so the
@@ -193,7 +197,7 @@ impl<'w> PersonaGenerator<'w> {
                 let fem = matches!(rel, "mother" | "sister" | "aunt" | "grandmother");
                 FamilyMember {
                     relation: rel.to_string(),
-                    name: format!("{} {}", names::first_name(rng, fem), last_name.clone()),
+                    name: [names::first_name(rng, fem).as_str(), &last_name].join(" "),
                 }
             })
             .collect();
@@ -216,29 +220,18 @@ impl<'w> PersonaGenerator<'w> {
             email,
             ip,
             isp_name,
-            password: format!("hunter{}", rng.random_range(10..9999u32)),
-            ssn: format!(
-                "9{:02}-{:02}-{:04}",
-                rng.random_range(0..100u32),
-                rng.random_range(10..99u32),
-                rng.random_range(0..10000u32)
-            ),
-            credit_card: format!(
-                "9999 {:04} {:04} {:04}",
-                rng.random_range(0..10000u32),
-                rng.random_range(0..10000u32),
-                rng.random_range(0..10000u32)
-            ),
+            password: digits_after("hunter", rng.random_range(10..9999u32)),
+            ssn: sample_ssn(rng),
+            credit_card: sample_credit_card(rng),
             school: names::school_name(rng),
-            physical: format!(
-                "{}'{}\" {} hair",
-                rng.random_range(5..7u32),
-                rng.random_range(0..12u32),
-                ["brown", "black", "blond", "red"][rng.random_range(0..4)]
-            ),
+            physical: sample_physical(rng),
             criminal: ["shoplifting 2014", "vandalism 2013", "none found"][rng.random_range(0..3)]
                 .to_string(),
-            financial: format!("owes ${} on a car loan", rng.random_range(500..20000u32)),
+            financial: {
+                let mut financial = digits_after("owes $", rng.random_range(500..20000u32));
+                financial.push_str(" on a car loan");
+                financial
+            },
             family,
             usernames,
             accounts,
@@ -366,6 +359,49 @@ fn sample_gamma(shape: f64, scale: f64, rng: &mut ChaCha8Rng) -> f64 {
     }
 }
 
+/// `prefix` then `n` in decimal.
+fn digits_after(prefix: &str, n: u32) -> String {
+    let mut out = String::with_capacity(prefix.len() + 10);
+    out.push_str(prefix);
+    push_decimal(&mut out, n, 1);
+    out
+}
+
+/// An SSN-shaped `9NN-NN-NNNN` (the 900 area is never issued).
+fn sample_ssn(rng: &mut ChaCha8Rng) -> String {
+    let mut ssn = String::with_capacity("9NN-NN-NNNN".len());
+    ssn.push('9');
+    push_decimal(&mut ssn, rng.random_range(0..100u32), 2);
+    ssn.push('-');
+    push_decimal(&mut ssn, rng.random_range(10..99u32), 2);
+    ssn.push('-');
+    push_decimal(&mut ssn, rng.random_range(0..10000u32), 4);
+    ssn
+}
+
+/// A card-shaped `9999 NNNN NNNN NNNN` (no issuer uses the 9999 prefix).
+fn sample_credit_card(rng: &mut ChaCha8Rng) -> String {
+    let mut card = String::with_capacity("9999 NNNN NNNN NNNN".len());
+    card.push_str("9999");
+    for _ in 0..3 {
+        card.push(' ');
+        push_decimal(&mut card, rng.random_range(0..10000u32), 4);
+    }
+    card
+}
+
+/// Height and hair colour: `5'11" brown hair`.
+fn sample_physical(rng: &mut ChaCha8Rng) -> String {
+    let mut physical = String::with_capacity("N'NN\" blond hair".len());
+    push_decimal(&mut physical, rng.random_range(5..7u32), 1);
+    physical.push('\'');
+    push_decimal(&mut physical, rng.random_range(0..12u32), 1);
+    physical.push_str("\" ");
+    physical.push_str(["brown", "black", "blond", "red"][rng.random_range(0..4)]);
+    physical.push_str(" hair");
+    physical
+}
+
 fn sample_dob(age: u8, rng: &mut ChaCha8Rng) -> (u16, u8, u8) {
     // Study year 2016.
     let year = 2016 - u16::from(age);
@@ -390,7 +426,7 @@ fn sample_community(
             .map(|i| {
                 (
                     names::HACKING_SITES[i % names::HACKING_SITES.len()].to_string(),
-                    format!("{base}_{i}"),
+                    community_handle(base, i),
                 )
             })
             .collect();
@@ -401,7 +437,7 @@ fn sample_community(
             .map(|i| {
                 (
                     names::GAMING_SITES[i % names::GAMING_SITES.len()].to_string(),
-                    format!("{base}_{i}"),
+                    community_handle(base, i),
                 )
             })
             .collect();
@@ -409,6 +445,15 @@ fn sample_community(
     } else {
         (None, Vec::new())
     }
+}
+
+/// `base_i`, the handle a persona uses on its `i`-th community site.
+fn community_handle(base: &str, i: usize) -> String {
+    let mut handle = String::with_capacity(base.len() + 2);
+    handle.push_str(base);
+    handle.push('_');
+    push_decimal(&mut handle, i as u64, 1);
+    handle
 }
 
 #[cfg(test)]

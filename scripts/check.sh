@@ -111,6 +111,11 @@ classifier_bench() {
 }
 step "classifier and TF-IDF bench smoke (every row runs once)" classifier_bench
 
+# The corpus generator's rows (one period, Markov prose, every paste kind,
+# html_to_text over the chan bodies) run here, not only compile.
+step "corpus bench smoke (every bench_corpus row runs once)" \
+    cargo bench -p dox-bench --bench bench_corpus -- --test
+
 # perfbench is a workspace of its own that links the library crates by
 # path, so no step above builds it; this one does, and runs each workload.
 step "perfbench smoke test (every workload on tiny inputs, outputs checked)" \
