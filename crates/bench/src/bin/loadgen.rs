@@ -532,43 +532,13 @@ fn recovery_pass(addr: &str, bodies: &[String]) -> (usize, usize) {
     (successes, retries)
 }
 
-/// Two-space-indented JSON so merged `BENCH_serve.json` output stays
-/// diffable next to the hand-formatted bench writer.
-fn pretty(value: &Value, depth: usize) -> String {
-    let pad = "  ".repeat(depth + 1);
-    let close = "  ".repeat(depth);
-    match value {
-        Value::Object(fields) if !fields.is_empty() => {
-            let body = fields
-                .iter()
-                .map(|(k, v)| {
-                    let key = serde_json::to_string(&Value::String(k.clone()))
-                        .unwrap_or_else(|_| format!("{k:?}"));
-                    format!("{pad}{key}: {}", pretty(v, depth + 1))
-                })
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!("{{\n{body}\n{close}}}")
-        }
-        Value::Array(items) if !items.is_empty() => {
-            let body = items
-                .iter()
-                .map(|v| format!("{pad}{}", pretty(v, depth + 1)))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!("[\n{body}\n{close}]")
-        }
-        other => serde_json::to_string(other).unwrap_or_else(|_| "null".to_string()),
-    }
-}
-
 /// The checked-in results file `loadgen overload` writes by default.
 const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
 
 /// Write `path` as the overload section alone.
 fn write_overload_section(path: &str, section: Value) {
     let doc = Value::Object(vec![("overload".to_string(), section)]);
-    let text = format!("{}\n", pretty(&doc, 0));
+    let text = serde_json::to_string_pretty(&doc).expect("a JSON value always encodes") + "\n";
     match std::fs::write(path, text) {
         Ok(()) => println!("wrote {path} (overload section)"),
         Err(e) => eprintln!("cannot write {path}: {e}"),

@@ -43,6 +43,7 @@
 //! time and thread scheduling are fine in this module.
 
 use crate::metrics::{Counter, Gauge, Registry};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -208,6 +209,12 @@ impl Request {
     }
 }
 
+/// The body of every [`Response::error`].
+#[derive(Serialize)]
+struct ErrorEnvelope {
+    error: String,
+}
+
 /// An HTTP response: status, content type, extra headers and payload.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -239,8 +246,10 @@ impl Response {
 
     /// A JSON error envelope: `{"error":"…"}`.
     pub fn error(status: u16, message: &str) -> Self {
-        let escaped: String = message.chars().flat_map(char::escape_default).collect();
-        Self::json(status, format!("{{\"error\":\"{escaped}\"}}"))
+        let envelope = ErrorEnvelope {
+            error: message.to_string(),
+        };
+        Self::json(status, serde_json::to_string(&envelope).unwrap_or_default())
     }
 
     /// Add a header, builder style.
@@ -323,11 +332,12 @@ impl Route {
 ///
 /// ```
 /// use dox_obs::http::{Request, Response, Router};
+/// use std::collections::BTreeMap;
 ///
-/// let router = Router::new()
-///     .route("GET", "/v1/victims/:id", |req: &Request| {
-///         Response::ok(format!("{{\"id\":\"{}\"}}", req.param("id").unwrap_or("")))
-///     });
+/// let router = Router::new().route("GET", "/v1/victims/:id", |req: &Request| {
+///     let body = BTreeMap::from([("id", req.param("id").unwrap_or_default())]);
+///     Response::ok(serde_json::to_string(&body).unwrap_or_default())
+/// });
 /// ```
 #[must_use = "a router does nothing until served by HttpServer::start"]
 #[derive(Default)]
@@ -1037,6 +1047,24 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn error_bodies_are_json_that_round_trips_the_message() {
+        for message in [
+            "unknown tenant 'x'",
+            "a \"quoted\" word",
+            "back\\slash",
+            "two\nlines",
+            "control \u{1} byte",
+            "caf\u{e9}",
+        ] {
+            let body = Response::error(404, message).payload;
+            let parsed: serde_json::Value =
+                serde_json::from_str(&body).unwrap_or_else(|e| panic!("{body:?} is not JSON: {e}"));
+            assert_eq!(parsed["error"].as_str(), Some(message), "{body}");
+            assert_eq!(parsed.as_object().map(<[_]>::len), Some(1), "{body}");
+        }
+    }
 
     fn test_router() -> Router {
         Router::new()

@@ -7,10 +7,10 @@
 //!   and log₂-bucketed [`Histogram`]s. Handles are `Arc`-backed and cheap
 //!   to clone, so hot paths resolve them once and update lock-free.
 //! * **Spans** — [`StageSpan`] is an RAII timer that records its elapsed
-//!   wall-clock time into a histogram on drop, via the [`Recorder`] trait
-//!   so callers can instrument against any registry (or a
-//!   [`NoopRecorder`]) rather than a process-global. A default process
-//!   [`global`] registry exists for the common case.
+//!   wall-clock time into a histogram of the [`Registry`] it is handed,
+//!   so callers instrument against their own registry rather than a
+//!   process-global. A default process [`global`] registry exists for
+//!   the common case.
 //! * **Events** — a ring-buffered structured [`EventLog`] (level, target,
 //!   message, key/value fields) that replaces scattered `eprintln!` calls.
 //!   Echoing to stderr is a runtime toggle, so `--quiet` is one call.
@@ -51,7 +51,7 @@ pub use http::{HttpServer, Request, Response, Router, ServerConfig};
 pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, Registry};
 pub use redact::{redact, Redacted};
 pub use snapshot::{HistogramSnapshot, Snapshot};
-pub use span::{NoopRecorder, Recorder, StageSpan};
+pub use span::StageSpan;
 pub use telemetry::Telemetry;
 pub use trace::{Trace, TraceConfig, TraceHop, Tracer, SAMPLE_ALL};
 

@@ -1,48 +1,7 @@
-//! RAII stage timers and the recorder abstraction they write through.
+//! RAII stage timers that record into a [`Registry`] histogram.
 
 use crate::metrics::Registry;
 use std::time::Instant;
-
-/// Where instrumentation lands. Implemented by [`Registry`] (records into
-/// named metrics) and [`NoopRecorder`] (discards everything), so library
-/// code can take `&dyn Recorder` instead of reaching for a process-global.
-pub trait Recorder {
-    /// Add `delta` to the counter named `name`.
-    fn add(&self, name: &str, delta: u64);
-
-    /// Set the gauge named `name`.
-    fn set_gauge(&self, name: &str, value: i64);
-
-    /// Record one observation into the histogram named `name`.
-    fn observe(&self, name: &str, value: u64);
-}
-
-impl Recorder for Registry {
-    fn add(&self, name: &str, delta: u64) {
-        self.counter(name).add(delta);
-    }
-
-    fn set_gauge(&self, name: &str, value: i64) {
-        self.gauge(name).set(value);
-    }
-
-    fn observe(&self, name: &str, value: u64) {
-        self.histogram(name).observe(value);
-    }
-}
-
-/// A recorder that discards everything — instrument unconditionally, pay
-/// nothing when observability is off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn add(&self, _name: &str, _delta: u64) {}
-
-    fn set_gauge(&self, _name: &str, _value: i64) {}
-
-    fn observe(&self, _name: &str, _value: u64) {}
-}
 
 /// An RAII wall-clock timer: records its elapsed nanoseconds into the
 /// histogram named after the span when dropped.
@@ -56,16 +15,16 @@ impl Recorder for NoopRecorder {
 /// assert_eq!(registry.histogram("study.phase.demo").count(), 1);
 /// ```
 pub struct StageSpan<'a> {
-    recorder: &'a dyn Recorder,
+    registry: &'a Registry,
     name: &'a str,
     start: Instant,
 }
 
 impl<'a> StageSpan<'a> {
-    /// Start timing `name` against `recorder`.
-    pub fn enter(recorder: &'a dyn Recorder, name: &'a str) -> Self {
+    /// Start timing `name` into `registry`.
+    pub fn enter(registry: &'a Registry, name: &'a str) -> Self {
         Self {
-            recorder,
+            registry,
             name,
             start: Instant::now(),
         }
@@ -80,7 +39,7 @@ impl<'a> StageSpan<'a> {
 impl Drop for StageSpan<'_> {
     fn drop(&mut self) {
         let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.recorder.observe(self.name, nanos);
+        self.registry.histogram(self.name).observe(nanos);
     }
 }
 
@@ -98,38 +57,5 @@ mod tests {
         assert_eq!(registry.histogram("stage.alpha").count(), 1);
         assert_eq!(registry.histogram("stage.beta").count(), 1);
         assert!(registry.histogram("stage.alpha").sum() > 0);
-    }
-
-    #[test]
-    fn noop_recorder_discards() {
-        let noop = NoopRecorder;
-        {
-            let _span = StageSpan::enter(&noop, "ignored");
-        }
-        noop.add("ignored", 5);
-        noop.set_gauge("ignored", 5);
-        // Nothing to assert beyond "it runs" — there is no state.
-    }
-
-    #[test]
-    fn recorder_trait_reaches_named_metrics() {
-        let registry = Registry::new();
-        let r: &dyn Recorder = &registry;
-        r.add("c", 3);
-        r.set_gauge("g", -2);
-        r.observe("h", 10);
-        assert_eq!(registry.counter("c").get(), 3);
-        assert_eq!(registry.gauge("g").get(), -2);
-        assert_eq!(registry.histogram("h").count(), 1);
-    }
-
-    #[test]
-    fn dyn_recorder_spans_compile_and_record() {
-        let registry = Registry::new();
-        let r: &dyn Recorder = &registry;
-        {
-            let _span = StageSpan::enter(r, "dyn.span");
-        }
-        assert_eq!(registry.histogram("dyn.span").count(), 1);
     }
 }

@@ -18,8 +18,8 @@
 
 use crate::http::{HttpServer, Response, Router};
 use crate::metrics::Registry;
-use crate::trace::Tracer;
-use serde::value::{Number, Value};
+use crate::snapshot::Snapshot;
+use crate::trace::{Trace, Tracer};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -77,10 +77,15 @@ pub fn router(registry: Registry, tracer: Tracer) -> Router {
     Router::new()
         .route("GET", "/metrics", move |_req| {
             let mut baseline = baseline.lock().unwrap_or_else(PoisonError::into_inner);
-            Response::ok(metrics_body(&registry, &tracer, &mut baseline))
+            let body = metrics_body(&registry, &tracer, &mut baseline);
+            Response::ok(serde_json::to_string(&body).unwrap_or_default())
         })
         .route("GET", "/traces", move |_req| {
-            Response::ok(traces_body(&traces_tracer))
+            let body = TracesBody {
+                dropped: traces_tracer.dropped(),
+                traces: traces_tracer.recent(TRACES_LIMIT),
+            };
+            Response::ok(serde_json::to_string(&body).unwrap_or_default())
         })
 }
 
@@ -93,7 +98,7 @@ struct RateBaseline {
 /// Current per-stage completion counts: every counter's value plus every
 /// histogram's observation count — the quantities whose deltas are
 /// "documents per second" for a stage.
-fn stage_counts(snapshot: &crate::Snapshot) -> BTreeMap<String, u64> {
+fn stage_counts(snapshot: &Snapshot) -> BTreeMap<String, u64> {
     let mut counts: BTreeMap<String, u64> = snapshot.counters.clone();
     for (name, h) in &snapshot.spans {
         counts.insert(name.clone(), h.count);
@@ -101,16 +106,39 @@ fn stage_counts(snapshot: &crate::Snapshot) -> BTreeMap<String, u64> {
     counts
 }
 
+/// The `GET /metrics` body.
+#[derive(Serialize)]
+struct MetricsBody {
+    snapshot: Snapshot,
+    rates_per_s: BTreeMap<String, f64>,
+    trace: TraceStats,
+}
+
+/// The tracer's tallies in a `GET /metrics` body.
+#[derive(Serialize)]
+struct TraceStats {
+    admitted: u64,
+    buffered: usize,
+    dropped: u64,
+}
+
+/// The `GET /traces` body.
+#[derive(Serialize)]
+struct TracesBody {
+    dropped: u64,
+    traces: Vec<Trace>,
+}
+
 #[allow(clippy::cast_precision_loss)]
 fn metrics_body(
     registry: &Registry,
     tracer: &Tracer,
     baseline: &mut Option<RateBaseline>,
-) -> String {
+) -> MetricsBody {
     let snapshot = registry.snapshot();
     let now = Instant::now();
     let counts = stage_counts(&snapshot);
-    let mut rates: Vec<(String, Value)> = Vec::new();
+    let mut rates_per_s = BTreeMap::new();
     if let Some(prev) = baseline.as_ref() {
         let elapsed = now.duration_since(prev.at).as_secs_f64();
         if elapsed > 0.0 {
@@ -119,50 +147,20 @@ fn metrics_body(
                 let per_s = (count.saturating_sub(before)) as f64 / elapsed;
                 // Keep the JSON readable: three decimals is plenty for an
                 // operator eyeballing throughput.
-                rates.push((
-                    name.clone(),
-                    Value::Number(Number::F64((per_s * 1000.0).round() / 1000.0)),
-                ));
+                rates_per_s.insert(name.clone(), (per_s * 1000.0).round() / 1000.0);
             }
         }
     }
     *baseline = Some(RateBaseline { at: now, counts });
-    let trace_stats = Value::Object(vec![
-        (
-            "admitted".to_string(),
-            Value::Number(Number::U64(tracer.admitted())),
-        ),
-        (
-            "buffered".to_string(),
-            Value::Number(Number::U64(tracer.buffered() as u64)),
-        ),
-        (
-            "dropped".to_string(),
-            Value::Number(Number::U64(tracer.dropped())),
-        ),
-    ]);
-    let body = Value::Object(vec![
-        ("snapshot".to_string(), snapshot.to_value()),
-        ("rates_per_s".to_string(), Value::Object(rates)),
-        ("trace".to_string(), trace_stats),
-    ]);
-    serde_json::to_string(&body).unwrap_or_else(|_| "{}".to_string())
-}
-
-fn traces_body(tracer: &Tracer) -> String {
-    let traces: Vec<Value> = tracer
-        .recent(TRACES_LIMIT)
-        .iter()
-        .map(Serialize::to_value)
-        .collect();
-    let body = Value::Object(vec![
-        (
-            "dropped".to_string(),
-            Value::Number(Number::U64(tracer.dropped())),
-        ),
-        ("traces".to_string(), Value::Array(traces)),
-    ]);
-    serde_json::to_string(&body).unwrap_or_else(|_| "{}".to_string())
+    MetricsBody {
+        snapshot,
+        rates_per_s,
+        trace: TraceStats {
+            admitted: tracer.admitted(),
+            buffered: tracer.buffered(),
+            dropped: tracer.dropped(),
+        },
+    }
 }
 
 #[cfg(test)]

@@ -27,14 +27,14 @@
 //! reaches the checkpoint that follows a drain (no torn drain).
 
 use crate::quota::QuotaState;
-use crate::tenant::{Tenant, TenantSpec};
+use crate::tenant::{AlertRecord, Tenant, TenantSpec};
 use dox_engine::StoreCheckpoint;
 use dox_obs::http::{Request, Response, Router};
 use dox_obs::{Registry, Tracer};
 use dox_sites::collect::CollectedDoc;
 use dox_store::{Store, Table as StoreTable};
-use serde::value::{Number, Value};
-use serde::Deserialize;
+use serde::value::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,8 +47,7 @@ const DEFAULT_ALERT_PAGE: usize = 256;
 /// Prefix of every key the daemon keeps in its store.
 const SERVE_PREFIX: &str = "serve.";
 
-/// Store table holding each tenant's [`TenantSpec::to_value`] JSON,
-/// keyed by id.
+/// Store table holding each tenant's [`TenantSpec`] JSON, keyed by id.
 const TENANT_TABLE: &str = "serve.tenants";
 
 /// The store checkpoint holding tenant `id`'s session, under table
@@ -228,7 +227,7 @@ impl ServeState {
             let mut tenant = lock(&tenant);
             let id = tenant.spec().id.clone();
             let stage = |e: &dyn std::fmt::Display| format!("stage tenant '{id}': {e}");
-            let spec = serde_json::to_string(&tenant.spec().to_value()).map_err(|e| stage(&e))?;
+            let spec = serde_json::to_string(tenant.spec()).map_err(|e| stage(&e))?;
             specs.put(&id, &spec).map_err(|e| stage(&e))?;
             tenant
                 .stage_checkpoint(&mut session_checkpoint(&store, &id))
@@ -302,9 +301,8 @@ impl ServeState {
     /// checkpoint in `store`. Errors never name the tenant; the caller
     /// does, once.
     fn restore_tenant(&self, store: &Arc<Store>, id: &str, spec: &str) -> Result<Tenant, String> {
-        let spec = serde_json::from_str::<Value>(spec)
+        let spec = serde_json::from_str::<TenantSpec>(spec)
             .ok()
-            .and_then(|value| TenantSpec::from_value(&value))
             .filter(|spec| spec.id == id)
             .ok_or("malformed spec")?;
         let saved = session_checkpoint(store, id)
@@ -363,6 +361,62 @@ impl Drop for MutationGuard<'_> {
 /// Lock a tenant for the duration of one handler.
 fn lock(tenant: &Arc<Mutex<Tenant>>) -> MutexGuard<'_, Tenant> {
     tenant.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The `GET /v1/tenants` body.
+#[derive(Serialize)]
+struct TenantList {
+    tenants: Vec<TenantSummary>,
+}
+
+/// One tenant's line in `GET /v1/tenants`.
+#[derive(Serialize)]
+struct TenantSummary {
+    id: String,
+    seed: u64,
+    scale: f64,
+    docs_ingested: u64,
+    committed: usize,
+    alerts: usize,
+}
+
+impl TenantSummary {
+    fn of(tenant: &Tenant) -> Self {
+        let spec = tenant.spec();
+        Self {
+            id: spec.id.clone(),
+            seed: spec.seed,
+            scale: spec.scale,
+            docs_ingested: tenant.docs_ingested(),
+            committed: tenant.committed_len(),
+            alerts: tenant.alerts_len(),
+        }
+    }
+}
+
+/// The `201` body of `POST /v1/tenants`.
+#[derive(Serialize)]
+struct Created {
+    id: String,
+    fingerprint: u32,
+}
+
+/// The body of a successful `DELETE /v1/tenants/:id`.
+#[derive(Serialize)]
+struct Removed {
+    removed: String,
+}
+
+/// The `GET /v1/alerts` body: where the next poll starts, and the page.
+#[derive(Serialize)]
+struct AlertsPage {
+    cursor: usize,
+    alerts: Vec<AlertRecord>,
+}
+
+/// `body` as compact JSON.
+fn encode(body: &impl Serialize) -> String {
+    serde_json::to_string(body).unwrap_or_default()
 }
 
 fn parse_json(bytes: &[u8]) -> Result<Value, Response> {
@@ -438,32 +492,16 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
                 return Response::error(409, &format!("tenant '{id}' already exists"));
             }
             // dox-lint:allow(pii-taint) payload is the validated id plus a numeric fingerprint
-            Response::json(
-                201,
-                serde_json::to_string(&Value::Object(vec![
-                    ("id".to_string(), Value::String(id)),
-                    (
-                        "fingerprint".to_string(),
-                        Value::Number(Number::U64(u64::from(fingerprint))),
-                    ),
-                ]))
-                .unwrap_or_else(|_| "{}".to_string()),
-            )
+            Response::json(201, encode(&Created { id, fingerprint }))
         })
         .route("GET", "/v1/tenants", move |_req| {
-            let summaries: Vec<Value> = list_state
+            let tenants = list_state
                 .tenant_ids()
                 .iter()
                 .filter_map(|id| list_state.get(id))
-                .map(|t| lock(&t).summary_value())
+                .map(|t| TenantSummary::of(&lock(&t)))
                 .collect();
-            Response::ok(
-                serde_json::to_string(&Value::Object(vec![(
-                    "tenants".to_string(),
-                    Value::Array(summaries),
-                )]))
-                .unwrap_or_else(|_| "{}".to_string()),
-            )
+            Response::ok(encode(&TenantList { tenants }))
         })
         .route("DELETE", "/v1/tenants/:id", move |req: &Request| {
             let Some(_admitted) = delete_state.admit_mutation() else {
@@ -471,7 +509,9 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
             };
             let id = req.param("id").unwrap_or_default();
             if delete_state.remove(id) {
-                Response::ok(format!("{{\"removed\":\"{id}\"}}"))
+                Response::ok(encode(&Removed {
+                    removed: id.to_string(),
+                }))
             } else {
                 Response::error(404, &format!("unknown tenant '{id}'"))
             }
@@ -535,9 +575,7 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
             let outcome = lock(&tenant).ingest_batch(period, docs);
             match outcome {
                 // dox-lint:allow(pii-taint) IngestOutcome is counts, ids and static verdict strings
-                Ok(outcome) => Response::ok(
-                    serde_json::to_string(&outcome.to_value()).unwrap_or_else(|_| "{}".to_string()),
-                ),
+                Ok(outcome) => Response::ok(encode(&outcome)),
                 // dox-lint:allow(pii-taint) ingest errors are engine-structural, never doc content
                 Err(e) => Response::error(400, &e.to_string()),
             }
@@ -562,11 +600,9 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
                 Ok(t) => t,
                 Err(response) => return response,
             };
-            let found = lock(&tenant).victim_value(fp);
+            let found = lock(&tenant).victim(fp).map(encode);
             match found {
-                Some(value) => {
-                    Response::ok(serde_json::to_string(&value).unwrap_or_else(|_| "{}".to_string()))
-                }
+                Some(body) => Response::ok(body),
                 None => Response::error(404, "no victim with that fingerprint"),
             }
         })
@@ -579,11 +615,9 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
                 Ok(t) => t,
                 Err(response) => return response,
             };
-            let found = lock(&tenant).account_value(fp);
+            let found = lock(&tenant).account(fp).map(encode);
             match found {
-                Some(value) => {
-                    Response::ok(serde_json::to_string(&value).unwrap_or_else(|_| "{}".to_string()))
-                }
+                Some(body) => Response::ok(body),
                 None => Response::error(404, "no account with that fingerprint"),
             }
         })
@@ -604,17 +638,11 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
                 .and_then(|raw| raw.parse::<usize>().ok())
                 .unwrap_or(DEFAULT_ALERT_PAGE)
                 .clamp(1, 4096);
-            let (next, page) = lock(&tenant).alerts_page(cursor, limit);
-            Response::ok(
-                serde_json::to_string(&Value::Object(vec![
-                    (
-                        "cursor".to_string(),
-                        Value::Number(Number::U64(next as u64)),
-                    ),
-                    ("alerts".to_string(), Value::Array(page)),
-                ]))
-                .unwrap_or_else(|_| "{}".to_string()),
-            )
+            let alerts = lock(&tenant).alerts(cursor, limit).to_vec();
+            Response::ok(encode(&AlertsPage {
+                cursor: cursor + alerts.len(),
+                alerts,
+            }))
         })
         .merge(telemetry)
 }
@@ -679,15 +707,14 @@ mod tests {
         dir
     }
 
-    /// Drain tenant `alpha`, rewrite row `key` of `table` with `edit`
-    /// (`None` deletes it), and return the error a fresh daemon's
-    /// restore reports, after checking that it names the tenant once.
-    fn tampered_restore(
+    /// Drain tenant `alpha` into a fresh `dir`, then rewrite row `key`
+    /// of `table` with `edit` (`None` deletes it).
+    fn drain_and_edit(
         tag: &str,
         table: &str,
         key: &str,
-        edit: fn(String) -> Option<String>,
-    ) -> String {
+        edit: impl FnOnce(String) -> Option<String>,
+    ) -> std::path::PathBuf {
         let dir = scratch(tag);
         let state = ServeState::new(Registry::new());
         assert!(state.insert(Tenant::start(spec("alpha"), &state.registry).expect("starts")));
@@ -700,7 +727,18 @@ mod tests {
             None => assert!(rows.delete(&key).expect("delete")),
         }
         store.checkpoint().expect("commit");
-        drop((rows, store));
+        dir
+    }
+
+    /// [`drain_and_edit`], then return the error a fresh daemon's
+    /// restore reports, after checking that it names the tenant once.
+    fn tampered_restore(
+        tag: &str,
+        table: &str,
+        key: &str,
+        edit: fn(String) -> Option<String>,
+    ) -> String {
+        let dir = drain_and_edit(tag, table, key, edit);
         let err = ServeState::new(Registry::new())
             .restore_checkpoints(&dir)
             .expect_err("a tampered drain must be refused, not misread");
@@ -733,6 +771,64 @@ mod tests {
         assert_eq!(lock(&alpha).docs_ingested(), ingested);
         assert_eq!(lock(&alpha).spec(), &spec("alpha"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_spec_row_without_a_quota_key_restores() {
+        // A drain writes `"quota":null`; rows drained before it did omit
+        // the key, and must restore the same tenant.
+        let dir = drain_and_edit("no_quota_key", TENANT_TABLE, "alpha", |row| {
+            assert_eq!(
+                row,
+                r#"{"id":"alpha","seed":11,"scale":0.005,"workers":2,"shards":4,"quota":null}"#
+            );
+            Some(r#"{"id":"alpha","seed":11,"scale":0.005,"workers":2,"shards":4}"#.into())
+        });
+        let resumed = ServeState::new(Registry::new());
+        assert_eq!(
+            resumed.restore_checkpoints(&dir).expect("restore"),
+            ["alpha"]
+        );
+        let alpha = resumed.get("alpha").expect("alpha resident");
+        assert_eq!(lock(&alpha).spec(), &spec("alpha"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn refusals_naming_a_tenant_are_json() {
+        let state = Arc::new(ServeState::new(Registry::new()));
+        assert!(state.insert(Tenant::start(spec("alpha"), &state.registry).expect("starts")));
+        let router = router(Arc::clone(&state), &Tracer::disabled());
+        let spec_body = serde_json::to_string(&spec("alpha")).expect("encodes");
+        for (method, path, body, status, message) in [
+            ("GET", "/v1/alerts", "", 404, "unknown tenant 'gh\"ost'"),
+            (
+                "DELETE",
+                "/v1/tenants/gh\"ost",
+                "",
+                404,
+                "unknown tenant 'gh\"ost'",
+            ),
+            (
+                "POST",
+                "/v1/tenants",
+                &spec_body,
+                409,
+                "tenant 'alpha' already exists",
+            ),
+        ] {
+            let mut request = Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: Some("tenant=gh\"ost".to_string()),
+                params: Vec::new(),
+                body: body.as_bytes().to_vec(),
+            };
+            let response = router.dispatch(&mut request);
+            assert_eq!(response.status, status, "{method} {path}");
+            let parsed: Value = serde_json::from_str(&response.payload).expect("JSON body");
+            assert_eq!(parsed["error"].as_str(), Some(message));
+        }
     }
 
     #[test]

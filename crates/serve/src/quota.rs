@@ -15,14 +15,19 @@
 //! wall-clock refill is fine.
 
 use dox_obs::{Counter, Gauge, Registry};
-use serde::value::{Number, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Operator-set ingest limits for one tenant. Every field is optional;
-/// an absent field means "unlimited" on that axis.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// an absent (or `null`) field means "unlimited" on that axis.
+///
+/// The derived `Deserialize` checks only the shape; a spec is in range
+/// once [`QuotaSpec::validate`] accepts it, which decoding a
+/// [`TenantSpec`](crate::tenant::TenantSpec) does.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct QuotaSpec {
     /// Sustained document ingest rate (token-bucket refill, docs/s).
     pub docs_per_sec: Option<f64>,
@@ -35,49 +40,14 @@ pub struct QuotaSpec {
 }
 
 impl QuotaSpec {
-    /// Parse from a JSON object. Returns `None` when the value is not
-    /// an object or any present field is out of range (`docs_per_sec`
-    /// must be finite and positive, the integer caps at least 1).
-    pub fn from_value(value: &Value) -> Option<Self> {
-        let Value::Object(_) = value else {
-            return None;
-        };
-        let docs_per_sec = match value.get("docs_per_sec") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_f64().filter(|r| r.is_finite() && *r > 0.0)?),
-        };
-        let burst_docs = match value.get("burst_docs") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_u64().filter(|b| *b >= 1)?),
-        };
-        let max_inflight_bytes = match value.get("max_inflight_bytes") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_u64().filter(|b| *b >= 1)?),
-        };
-        Some(Self {
-            docs_per_sec,
-            burst_docs,
-            max_inflight_bytes,
-        })
-    }
-
-    /// The spec as a JSON object (inverse of [`QuotaSpec::from_value`]);
-    /// absent fields are omitted.
-    pub fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        if let Some(rate) = self.docs_per_sec {
-            fields.push(("docs_per_sec".to_string(), Value::Number(Number::F64(rate))));
-        }
-        if let Some(burst) = self.burst_docs {
-            fields.push(("burst_docs".to_string(), Value::Number(Number::U64(burst))));
-        }
-        if let Some(bytes) = self.max_inflight_bytes {
-            fields.push((
-                "max_inflight_bytes".to_string(),
-                Value::Number(Number::U64(bytes)),
-            ));
-        }
-        Value::Object(fields)
+    /// The spec when every present field is in range: `docs_per_sec`
+    /// finite and positive, the integer caps at least 1.
+    pub fn validate(self) -> Option<Self> {
+        let rate_ok = self.docs_per_sec.is_none_or(|r| r.is_finite() && r > 0.0);
+        let caps_ok = [self.burst_docs, self.max_inflight_bytes]
+            .iter()
+            .all(|cap| cap.is_none_or(|c| c >= 1));
+        (rate_ok && caps_ok).then_some(self)
     }
 
     /// Whether any axis is actually limited.
@@ -231,6 +201,12 @@ mod tests {
         Arc::new(QuotaState::new(spec, "t", &Registry::new()))
     }
 
+    fn decode(json: &str) -> Option<QuotaSpec> {
+        serde_json::from_str::<QuotaSpec>(json)
+            .ok()
+            .and_then(QuotaSpec::validate)
+    }
+
     #[test]
     fn quota_spec_round_trips_and_rejects_bad_fields() {
         let spec = QuotaSpec {
@@ -238,17 +214,19 @@ mod tests {
             burst_docs: Some(40),
             max_inflight_bytes: Some(1 << 20),
         };
-        assert_eq!(QuotaSpec::from_value(&spec.to_value()), Some(spec));
+        let json = serde_json::to_string(&spec).expect("encodes");
+        assert_eq!(decode(&json), Some(spec));
+        assert_eq!(decode("{}"), Some(QuotaSpec::default()));
         assert_eq!(
-            QuotaSpec::from_value(&Value::Object(Vec::new())),
+            decode(r#"{"docs_per_sec":null}"#),
             Some(QuotaSpec::default())
         );
-        let zero_rate = Value::Object(vec![(
-            "docs_per_sec".to_string(),
-            Value::Number(Number::F64(0.0)),
-        )]);
-        assert_eq!(QuotaSpec::from_value(&zero_rate), None);
-        assert_eq!(QuotaSpec::from_value(&Value::String("x".into())), None);
+        assert_eq!(decode(r#"{"docs_per_sec":0.0}"#), None);
+        assert_eq!(decode(r#"{"docs_per_sec":-1}"#), None);
+        assert_eq!(decode(r#"{"burst_docs":0}"#), None);
+        assert_eq!(decode(r#"{"max_inflight_bytes":0}"#), None);
+        assert_eq!(decode(r#"{"burst_docs":1.5}"#), None);
+        assert_eq!(decode(r#""x""#), None);
     }
 
     #[test]

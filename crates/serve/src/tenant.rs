@@ -23,13 +23,20 @@ use dox_engine::{
 };
 use dox_obs::{redact, Registry};
 use dox_sites::collect::CollectedDoc;
-use serde::value::{Number, Value};
+use serde::value::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything needed to (re)create a tenant deterministically.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Encodes in field order, `"quota":null` when unset. Decodes through
+/// a wire form where a missing key and a `null` read alike: `id`,
+/// `seed` and `scale` are required, `workers`/`shards` default to the
+/// engine defaults, and any field out of its documented range refuses
+/// the spec.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantSpec {
-    /// Tenant name (ASCII alphanumeric plus `-`/`_`).
+    /// Tenant name (ASCII alphanumeric plus `-`/`_`, 1–64 bytes).
     pub id: String,
     /// Master seed for the tenant's study config.
     pub seed: u64,
@@ -47,70 +54,50 @@ pub struct TenantSpec {
     pub quota: Option<QuotaSpec>,
 }
 
-impl TenantSpec {
-    /// Parse a spec from a JSON object: `id`, `seed` and `scale` are
-    /// required, `workers`/`shards` default to the engine defaults.
-    /// Returns `None` on missing fields, a malformed id, or an
-    /// out-of-range scale.
-    pub fn from_value(value: &Value) -> Option<Self> {
-        let id = value.get("id")?.as_str()?.to_string();
-        let valid_id = !id.is_empty()
-            && id.len() <= 64
-            && id
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_');
-        if !valid_id {
-            return None;
-        }
-        let seed = value.get("seed")?.as_u64()?;
-        let scale = value.get("scale")?.as_f64()?;
-        if !(scale > 0.0 && scale <= 1.0) {
-            return None;
-        }
-        let defaults = EngineConfig::default();
-        let workers = match value.get("workers") {
-            Some(v) => usize::try_from(v.as_u64()?).ok().filter(|w| *w > 0)?,
-            None => defaults.workers,
-        };
-        let shards = match value.get("shards") {
-            Some(v) => usize::try_from(v.as_u64()?).ok().filter(|s| *s > 0)?,
-            None => defaults.shards,
-        };
-        let quota = match value.get("quota") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(QuotaSpec::from_value(v)?),
-        };
-        Some(Self {
-            id,
-            seed,
-            scale,
-            workers,
-            shards,
-            quota,
-        })
-    }
+/// The wire form of a [`TenantSpec`], before validation.
+#[derive(Default, Deserialize)]
+#[serde(default)]
+struct SpecWire {
+    id: Option<String>,
+    seed: Option<u64>,
+    scale: Option<f64>,
+    workers: Option<usize>,
+    shards: Option<usize>,
+    quota: Option<QuotaSpec>,
+}
 
-    /// The spec as a JSON object (inverse of [`TenantSpec::from_value`]).
-    /// The `quota` key is emitted only when set, so pre-quota
-    /// checkpoints and new quota-less ones stay byte-identical.
+impl SpecWire {
+    /// The spec, when every field is present or defaulted, and in range.
+    fn validate(self) -> Option<TenantSpec> {
+        let legal = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+        let defaults = EngineConfig::default();
+        let spec = TenantSpec {
+            id: self
+                .id
+                .filter(|id| (1..=64).contains(&id.len()) && id.chars().all(legal))?,
+            seed: self.seed?,
+            scale: self.scale.filter(|s| *s > 0.0 && *s <= 1.0)?,
+            workers: self.workers.unwrap_or(defaults.workers),
+            shards: self.shards.unwrap_or(defaults.shards),
+            quota: match self.quota {
+                None => None,
+                Some(quota) => Some(quota.validate()?),
+            },
+        };
+        (spec.workers > 0 && spec.shards > 0).then_some(spec)
+    }
+}
+
+impl Deserialize for TenantSpec {
+    fn from_value(value: &Value) -> Option<Self> {
+        SpecWire::from_value(value)?.validate()
+    }
+}
+
+impl TenantSpec {
+    /// The spec as a JSON value tree.
     pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("id".to_string(), Value::String(self.id.clone())),
-            ("seed".to_string(), Value::Number(Number::U64(self.seed))),
-            ("scale".to_string(), Value::Number(Number::F64(self.scale))),
-            (
-                "workers".to_string(),
-                Value::Number(Number::U64(self.workers as u64)),
-            ),
-            (
-                "shards".to_string(),
-                Value::Number(Number::U64(self.shards as u64)),
-            ),
-        ];
-        if let Some(quota) = &self.quota {
-            fields.push(("quota".to_string(), quota.to_value()));
-        }
-        Value::Object(fields)
+        Serialize::to_value(self)
     }
 
     /// The derived study configuration: the scaled paper config with
@@ -147,7 +134,7 @@ impl TenantSpec {
 }
 
 /// One committed dox, redacted for the alert stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AlertRecord {
     /// Position in the tenant's alert stream (the cursor unit).
     pub seq: u64,
@@ -166,76 +153,43 @@ pub struct AlertRecord {
     pub victim: Option<u32>,
     /// Fingerprints of every referenced `network:handle` pair.
     pub accounts: Vec<u32>,
-    /// De-duplication verdict: `(kind, original doc id)`.
-    pub duplicate: Option<(String, u64)>,
+    /// De-duplication verdict, when the dox repeats an earlier one.
+    pub duplicate: Option<DuplicateRef>,
 }
 
-impl AlertRecord {
-    /// The record as a JSON object.
-    pub fn to_value(&self) -> Value {
-        let duplicate = match &self.duplicate {
-            None => Value::Null,
-            Some((kind, of)) => Value::Object(vec![
-                ("kind".to_string(), Value::String(kind.clone())),
-                ("of_doc".to_string(), Value::Number(Number::U64(*of))),
-            ]),
-        };
-        Value::Object(vec![
-            ("seq".to_string(), Value::Number(Number::U64(self.seq))),
-            (
-                "doc_id".to_string(),
-                Value::Number(Number::U64(self.doc_id)),
-            ),
-            ("source".to_string(), Value::String(self.source.clone())),
-            (
-                "period".to_string(),
-                Value::Number(Number::U64(u64::from(self.period))),
-            ),
-            (
-                "posted_at".to_string(),
-                Value::Number(Number::U64(self.posted_at)),
-            ),
-            (
-                "observed_at".to_string(),
-                Value::Number(Number::U64(self.observed_at)),
-            ),
-            (
-                "victim".to_string(),
-                self.victim
-                    .map_or(Value::Null, |fp| Value::Number(Number::U64(u64::from(fp)))),
-            ),
-            (
-                "accounts".to_string(),
-                Value::Array(
-                    self.accounts
-                        .iter()
-                        .map(|fp| Value::Number(Number::U64(u64::from(*fp))))
-                        .collect(),
-                ),
-            ),
-            ("duplicate".to_string(), duplicate),
-        ])
-    }
+/// The earlier dox an alert duplicates, and by which §3.1.4 rule.
+#[derive(Debug, Clone, Serialize)]
+pub struct DuplicateRef {
+    /// The matching rule (`Exact`, `AccountSet`, …).
+    pub kind: String,
+    /// Document id of the original dox.
+    pub of_doc: u64,
 }
 
-/// Per-victim index entry (keyed by account-set fingerprint).
-#[derive(Debug, Clone)]
-struct VictimEntry {
+/// Per-victim index entry, serialized as `GET /v1/victims/:id`
+/// answers it: its own (account-set) fingerprint, the networks, the
+/// doxes' ids in commit order, the earliest collection time, the count.
+#[derive(Debug, Clone, Serialize)]
+pub(crate) struct VictimEntry {
+    fingerprint: u32,
     networks: BTreeSet<String>,
     doc_ids: Vec<u64>,
     first_seen: u64,
     doxes: u64,
 }
 
-/// Per-account index entry (keyed by `network:handle` fingerprint).
-#[derive(Debug, Clone)]
-struct AccountEntry {
+/// Per-account index entry, serialized as `GET /v1/accounts/:id`
+/// answers it: its own (`network:handle`) fingerprint, the network, and
+/// the ids of the doxes naming it in commit order.
+#[derive(Debug, Clone, Serialize)]
+pub(crate) struct AccountEntry {
+    fingerprint: u32,
     network: String,
     doc_ids: Vec<u64>,
 }
 
 /// Per-document verdicts for one ingest batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct IngestOutcome {
     /// Documents the engine absorbed without flagging.
     pub accepted: usize,
@@ -243,38 +197,23 @@ pub struct IngestOutcome {
     pub doxes: usize,
     /// Newly committed duplicates of earlier doxes.
     pub duplicates: usize,
-    /// `(doc_id, "accepted" | "dox" | "duplicate")`, submission order.
-    pub verdicts: Vec<(u64, &'static str)>,
+    /// One verdict per submitted document, submission order.
+    pub verdicts: Vec<Verdict>,
+}
+
+/// One submitted document's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct Verdict {
+    /// The document's id.
+    pub doc_id: u64,
+    /// `"accepted"`, `"dox"` or `"duplicate"`.
+    pub verdict: &'static str,
 }
 
 impl IngestOutcome {
-    /// The outcome as a JSON object.
+    /// The outcome as a JSON value tree.
     pub fn to_value(&self) -> Value {
-        let verdicts = self
-            .verdicts
-            .iter()
-            .map(|(id, verdict)| {
-                Value::Object(vec![
-                    ("doc_id".to_string(), Value::Number(Number::U64(*id))),
-                    ("verdict".to_string(), Value::String((*verdict).to_string())),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            (
-                "accepted".to_string(),
-                Value::Number(Number::U64(self.accepted as u64)),
-            ),
-            (
-                "doxes".to_string(),
-                Value::Number(Number::U64(self.doxes as u64)),
-            ),
-            (
-                "duplicates".to_string(),
-                Value::Number(Number::U64(self.duplicates as u64)),
-            ),
-            ("verdicts".to_string(), Value::Array(verdicts)),
-        ])
+        Serialize::to_value(self)
     }
 }
 
@@ -421,6 +360,7 @@ impl Tenant {
                 let fp = account_fingerprint(&network, &osn.handle);
                 account_fps.push(fp);
                 let entry = self.accounts.entry(fp).or_insert_with(|| AccountEntry {
+                    fingerprint: fp,
                     network,
                     doc_ids: Vec::new(),
                 });
@@ -428,6 +368,7 @@ impl Tenant {
             }
             if let Some(fp) = victim {
                 let entry = self.victims.entry(fp).or_insert_with(|| VictimEntry {
+                    fingerprint: fp,
                     networks: BTreeSet::new(),
                     doc_ids: Vec::new(),
                     first_seen: detected.observed_at.0,
@@ -449,9 +390,10 @@ impl Tenant {
                 observed_at: detected.observed_at.0,
                 victim,
                 accounts: account_fps,
-                duplicate: detected
-                    .duplicate
-                    .map(|(kind, of)| (format!("{kind:?}"), of)),
+                duplicate: detected.duplicate.map(|(kind, of_doc)| DuplicateRef {
+                    kind: format!("{kind:?}"),
+                    of_doc,
+                }),
             });
         }
         self.absorbed += fresh.len();
@@ -499,7 +441,10 @@ impl Tenant {
                     "accepted"
                 }
             };
-            outcome.verdicts.push((id, verdict));
+            outcome.verdicts.push(Verdict {
+                doc_id: id,
+                verdict,
+            });
         }
         Ok(outcome)
     }
@@ -518,103 +463,41 @@ impl Tenant {
     }
 
     /// Look up a victim by account-set fingerprint.
+    pub(crate) fn victim(&self, fp: u32) -> Option<&VictimEntry> {
+        self.victims.get(&fp)
+    }
+
+    /// The victim with account-set fingerprint `fp`, as a JSON value tree.
     pub fn victim_value(&self, fp: u32) -> Option<Value> {
-        let entry = self.victims.get(&fp)?;
-        Some(Value::Object(vec![
-            (
-                "fingerprint".to_string(),
-                Value::Number(Number::U64(u64::from(fp))),
-            ),
-            (
-                "networks".to_string(),
-                Value::Array(
-                    entry
-                        .networks
-                        .iter()
-                        .map(|n| Value::String(n.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "doc_ids".to_string(),
-                Value::Array(
-                    entry
-                        .doc_ids
-                        .iter()
-                        .map(|id| Value::Number(Number::U64(*id)))
-                        .collect(),
-                ),
-            ),
-            (
-                "first_seen".to_string(),
-                Value::Number(Number::U64(entry.first_seen)),
-            ),
-            ("doxes".to_string(), Value::Number(Number::U64(entry.doxes))),
-        ]))
+        self.victim(fp).map(Serialize::to_value)
     }
 
     /// Look up an account by `network:handle` fingerprint.
+    pub(crate) fn account(&self, fp: u32) -> Option<&AccountEntry> {
+        self.accounts.get(&fp)
+    }
+
+    /// The account with `network:handle` fingerprint `fp`, as a JSON
+    /// value tree.
     pub fn account_value(&self, fp: u32) -> Option<Value> {
-        let entry = self.accounts.get(&fp)?;
-        Some(Value::Object(vec![
-            (
-                "fingerprint".to_string(),
-                Value::Number(Number::U64(u64::from(fp))),
-            ),
-            ("network".to_string(), Value::String(entry.network.clone())),
-            (
-                "doc_ids".to_string(),
-                Value::Array(
-                    entry
-                        .doc_ids
-                        .iter()
-                        .map(|id| Value::Number(Number::U64(*id)))
-                        .collect(),
-                ),
-            ),
-        ]))
+        self.account(fp).map(Serialize::to_value)
+    }
+
+    /// The alert stream from `cursor`, at most `limit` records; the
+    /// next poll starts at `cursor` plus the page's length.
+    pub(crate) fn alerts(&self, cursor: usize, limit: usize) -> &[AlertRecord] {
+        let rest = self.alerts.get(cursor..).unwrap_or_default();
+        &rest[..rest.len().min(limit)]
     }
 
     /// One page of the alert stream from `cursor`, at most `limit`
-    /// records. Returns `(next_cursor, page)`; `next_cursor` is where
-    /// the next poll should start.
+    /// records, each a JSON value tree; returns `(next_cursor, page)`.
     pub fn alerts_page(&self, cursor: usize, limit: usize) -> (usize, Vec<Value>) {
-        let page: Vec<Value> = self
-            .alerts
-            .get(cursor..)
-            .unwrap_or_default()
-            .iter()
-            .take(limit)
-            .map(AlertRecord::to_value)
-            .collect();
-        (cursor + page.len(), page)
-    }
-
-    /// One-line summary for `GET /v1/tenants`.
-    pub fn summary_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_string(), Value::String(self.spec.id.clone())),
-            (
-                "seed".to_string(),
-                Value::Number(Number::U64(self.spec.seed)),
-            ),
-            (
-                "scale".to_string(),
-                Value::Number(Number::F64(self.spec.scale)),
-            ),
-            (
-                "docs_ingested".to_string(),
-                Value::Number(Number::U64(self.docs_ingested)),
-            ),
-            (
-                "committed".to_string(),
-                Value::Number(Number::U64(self.committed_len() as u64)),
-            ),
-            (
-                "alerts".to_string(),
-                Value::Number(Number::U64(self.alerts.len() as u64)),
-            ),
-        ])
+        let page = self.alerts(cursor, limit);
+        (
+            cursor + page.len(),
+            page.iter().map(Serialize::to_value).collect(),
+        )
     }
 
     /// Wait for everything ingested to commit and stage the session's
@@ -654,10 +537,19 @@ mod tests {
         }
     }
 
+    fn decode(json: &str) -> Option<TenantSpec> {
+        serde_json::from_str(json).ok()
+    }
+
     #[test]
     fn spec_round_trips_and_validates() {
         let s = spec("alpha-1");
-        let parsed = TenantSpec::from_value(&s.to_value()).expect("round trip");
+        let json = serde_json::to_string(&s).expect("encodes");
+        assert_eq!(
+            json,
+            r#"{"id":"alpha-1","seed":11,"scale":0.005,"workers":2,"shards":4,"quota":null}"#
+        );
+        let parsed = decode(&json).expect("round trip");
         assert_eq!(parsed, s);
         assert_eq!(parsed.fingerprint(), s.fingerprint());
 
@@ -669,22 +561,34 @@ mod tests {
             burst_docs: Some(100),
             max_inflight_bytes: Some(1 << 20),
         });
-        let parsed = TenantSpec::from_value(&quotad.to_value()).expect("quota round trip");
-        assert_eq!(parsed, quotad);
+        let json = serde_json::to_string(&quotad).expect("encodes");
+        assert_eq!(decode(&json), Some(quotad.clone()));
         assert_eq!(quotad.fingerprint(), s.fingerprint());
 
-        let bad_id = Value::Object(vec![
-            ("id".to_string(), Value::String("has space".to_string())),
-            ("seed".to_string(), Value::Number(Number::U64(1))),
-            ("scale".to_string(), Value::Number(Number::F64(0.01))),
-        ]);
-        assert!(TenantSpec::from_value(&bad_id).is_none());
-        let bad_scale = Value::Object(vec![
-            ("id".to_string(), Value::String("ok".to_string())),
-            ("seed".to_string(), Value::Number(Number::U64(1))),
-            ("scale".to_string(), Value::Number(Number::F64(1.5))),
-        ]);
-        assert!(TenantSpec::from_value(&bad_scale).is_none());
+        // Rows written before `"quota":null` was emitted, and topology
+        // left to the engine defaults.
+        let defaults = EngineConfig::default();
+        assert_eq!(
+            decode(r#"{"id":"ok","seed":1,"scale":0.01}"#),
+            Some(TenantSpec {
+                id: "ok".to_string(),
+                seed: 1,
+                scale: 0.01,
+                workers: defaults.workers,
+                shards: defaults.shards,
+                quota: None,
+            })
+        );
+        assert_eq!(decode(r#"{"id":"has space","seed":1,"scale":0.01}"#), None);
+        assert_eq!(decode(r#"{"id":"ok","seed":1,"scale":1.5}"#), None);
+        assert_eq!(
+            decode(r#"{"id":"ok","seed":1,"scale":0.1,"workers":0}"#),
+            None
+        );
+        assert_eq!(
+            decode(r#"{"id":"ok","seed":1,"scale":0.1,"quota":{"burst_docs":0}}"#),
+            None
+        );
     }
 
     /// The first `n` documents of `spec`'s study stream and the period

@@ -3,9 +3,16 @@
 //! every mutant of its encoding — truncated text, a deleted key, a value
 //! of the wrong type, a negative integer, an unknown enum tag — is
 //! refused without a panic.
+//!
+//! The same holds for the tenant spec `POST /v1/tenants` and a drain's
+//! spec rows decode: a generated `TenantSpec` (with or without a quota)
+//! round-trips, and a deleted required key, a wrong type, a negative
+//! integer, an out-of-range or non-finite scale or quota, or a malformed
+//! id is refused.
 
 use doxing_repro::osn::clock::{SimDuration, SimTime};
 use doxing_repro::osn::network::Network;
+use doxing_repro::serve::{QuotaSpec, TenantSpec};
 use doxing_repro::sites::collect::CollectedDoc;
 use doxing_repro::synth::corpus::{Source, SynthDoc};
 use doxing_repro::synth::truth::{
@@ -286,5 +293,166 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check(&doc, &mut TestRng::new(seed))?;
+    }
+}
+
+/// Any valid tenant spec: an id of 1–64 legal bytes, a scale in
+/// `(0, 1]`, a nonzero topology, and maybe a quota with any subset of
+/// its fields set.
+struct AnySpec;
+
+impl Strategy for AnySpec {
+    type Value = TenantSpec;
+
+    fn generate(&self, rng: &mut TestRng) -> TenantSpec {
+        const ID_BYTES: &[u8] = b"abcXYZ0189-_";
+        let id_len = 1 + rng.below(64) as usize;
+        TenantSpec {
+            id: (0..id_len)
+                .map(|_| char::from(pick(rng, ID_BYTES)))
+                .collect(),
+            seed: rng.next_u64(),
+            scale: (1 + rng.below(1 << 20)) as f64 / f64::from(1u32 << 20),
+            workers: 1 + rng.below(16) as usize,
+            shards: 1 + rng.below(64) as usize,
+            quota: maybe(rng, |rng| QuotaSpec {
+                docs_per_sec: maybe(rng, |rng| (1 + rng.below(1 << 30)) as f64 / 1000.0),
+                burst_docs: maybe(rng, |rng| 1 + rng.below(1 << 40)),
+                max_inflight_bytes: maybe(rng, |rng| 1 + rng.below(1 << 40)),
+            }),
+        }
+    }
+}
+
+/// `value` with `edit` applied to the entry under `path`.
+fn edited(value: &Value, path: &[&str], edit: impl FnOnce(&mut Value)) -> Value {
+    let mut out = value.clone();
+    edit(path.iter().fold(&mut out, |v, key| entry_mut(v, key)));
+    out
+}
+
+/// The round trip and every mutation, for one spec.
+fn check_spec(spec: &TenantSpec, rng: &mut TestRng) -> Result<(), TestCaseError> {
+    let value = spec.to_value();
+    let json = serde_json::to_string(spec).expect("serializes");
+    prop_assert_eq!(TenantSpec::from_value(&value), Some(spec.clone()));
+    prop_assert_eq!(
+        serde_json::from_str::<TenantSpec>(&json).ok(),
+        Some(spec.clone())
+    );
+    let cut = rng.below(json.len() as u64) as usize;
+    prop_assert!(serde_json::from_str::<TenantSpec>(&json[..cut]).is_err());
+
+    let refused = |mutant: &Value, what: &str| -> Result<(), TestCaseError> {
+        prop_assert!(
+            TenantSpec::from_value(mutant).is_none(),
+            "{}: {:?}",
+            what,
+            mutant
+        );
+        Ok(())
+    };
+    let required = pick(rng, &["id", "seed", "scale"]);
+    let mut deleted = value.clone();
+    if let Value::Object(entries) = &mut deleted {
+        entries.retain(|(k, _)| k != required);
+    }
+    refused(&deleted, "required key deleted")?;
+
+    let key = pick(rng, &["id", "seed", "scale", "workers", "shards", "quota"]);
+    refused(
+        &edited(&value, &[key], |v| {
+            *v = match v {
+                Value::Number(_) | Value::Null => Value::String("7".to_string()),
+                _ => Value::Number(Number::U64(7)),
+            };
+        }),
+        "wrong type",
+    )?;
+    refused(
+        &edited(&value, &["quota"], |v| *v = Value::String("{}".to_string())),
+        "quota as a string",
+    )?;
+
+    let negative = Value::Number(Number::I64(-1 - rng.below(1 << 40) as i64));
+    let key = pick(rng, &["seed", "workers", "shards"]);
+    refused(
+        &edited(&value, &[key], |v| *v = negative.clone()),
+        "negative",
+    )?;
+
+    let bad_scale = pick(
+        rng,
+        &[
+            0.0,
+            -0.5,
+            1.0 + f64::EPSILON,
+            2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ],
+    );
+    refused(
+        &edited(&value, &["scale"], |v| {
+            *v = Value::Number(Number::F64(bad_scale))
+        }),
+        "scale out of range",
+    )?;
+    prop_assert!(serde_json::from_str::<TenantSpec>(&json.replace(
+        &format!(
+            "\"scale\":{}",
+            serde_json::to_string(&spec.scale).expect("encodes")
+        ),
+        "\"scale\":1e999",
+    ))
+    .is_err());
+
+    let key = pick(rng, &["workers", "shards"]);
+    refused(
+        &edited(&value, &[key], |v| *v = Value::Number(Number::U64(0))),
+        "zero topology",
+    )?;
+
+    let bad_id = match rng.below(3) {
+        0 => String::new(),
+        1 => "a".repeat(65),
+        _ => format!("{}/x", spec.id),
+    };
+    refused(
+        &edited(&value, &["id"], |v| *v = Value::String(bad_id)),
+        "bad id",
+    )?;
+
+    if spec.quota.is_some() {
+        let bad_rate = pick(rng, &[0.0, -1.0, f64::NAN, f64::INFINITY]);
+        refused(
+            &edited(&value, &["quota", "docs_per_sec"], |v| {
+                *v = Value::Number(Number::F64(bad_rate));
+            }),
+            "quota rate",
+        )?;
+        let cap = pick(rng, &["burst_docs", "max_inflight_bytes"]);
+        refused(
+            &edited(&value, &["quota", cap], |v| {
+                *v = Value::Number(Number::U64(0))
+            }),
+            "quota cap of 0",
+        )?;
+        refused(
+            &edited(&value, &["quota", cap], |v| *v = negative.clone()),
+            "negative quota cap",
+        )?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn tenant_specs_round_trip_and_mutants_are_refused(
+        spec in AnySpec,
+        seed in any::<u64>(),
+    ) {
+        check_spec(&spec, &mut TestRng::new(seed))?;
     }
 }

@@ -7,8 +7,9 @@
 //! change to how responses are encoded must leave this transcript as it
 //! is.
 //!
-//! On a mismatch the test prints the whole actual transcript in the
-//! form of [`EXPECTED`].
+//! Every body, error envelopes included, must also parse as JSON. On a
+//! mismatch the test prints the whole actual transcript in the form of
+//! [`EXPECTED`].
 
 use doxing_repro::core::study::Study;
 use doxing_repro::obs::http::{Request, Router};
@@ -62,7 +63,7 @@ struct Transcript<'r> {
 }
 
 impl Transcript<'_> {
-    /// Dispatch one request and return its full body.
+    /// Dispatch one request, check its body is JSON, and return it.
     fn send(&mut self, label: &str, method: &str, target: &str, body: &[u8]) -> String {
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p.to_string(), Some(q.to_string())),
@@ -76,6 +77,9 @@ impl Transcript<'_> {
             body: body.to_vec(),
         };
         let response = self.router.dispatch(&mut request);
+        if let Err(e) = serde_json::from_str::<Value>(&response.payload) {
+            panic!("{label}: {:?} is not JSON: {e}", response.payload);
+        }
         self.lines
             .push((label.to_string(), response.status, shown(&response.payload)));
         response.payload
@@ -328,7 +332,7 @@ const EXPECTED: &[(&str, u16, &str)] = &[
     (
         "create again",
         409,
-        r#"{"error":"tenant \'pin\' already exists"}"#,
+        r#"{"error":"tenant 'pin' already exists"}"#,
     ),
     (
         "list one",
@@ -338,7 +342,7 @@ const EXPECTED: &[(&str, u16, &str)] = &[
     (
         "ingest, unknown tenant",
         404,
-        r#"{"error":"unknown tenant \'ghost\'"}"#,
+        r#"{"error":"unknown tenant 'ghost'"}"#,
     ),
     (
         "ingest, no period",
@@ -425,7 +429,7 @@ const EXPECTED: &[(&str, u16, &str)] = &[
     (
         "ingest, over quota",
         429,
-        r#"{"error":"tenant \'q\' over ingest quota"}"#,
+        r#"{"error":"tenant 'q' over ingest quota"}"#,
     ),
     (
         "alerts, ambiguous tenant",
@@ -438,7 +442,7 @@ const EXPECTED: &[(&str, u16, &str)] = &[
         r#"{"tenants":[{"id":"pin","seed":81,"scale":0.005,"docs_ingested":3000,"committed":25,"alerts":25},{"id":"q","seed":3,"scale":0.005,"docs_ingested":0,"committed":0,"alerts":0}]}"#,
     ),
     ("delete", 200, r#"{"removed":"q"}"#),
-    ("delete again", 404, r#"{"error":"unknown tenant \'q\'"}"#),
+    ("delete again", 404, r#"{"error":"unknown tenant 'q'"}"#),
     ("wrong method", 405, r#"{"error":"method not allowed"}"#),
     ("unknown route", 404, r#"{"error":"not found"}"#),
     (
