@@ -633,11 +633,13 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
                     Err(_) => return Response::error(400, "cursor must be a decimal offset"),
                 },
             };
-            let limit = req
-                .query_param("limit")
-                .and_then(|raw| raw.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_ALERT_PAGE)
-                .clamp(1, 4096);
+            let limit = match req.query_param("limit") {
+                None => DEFAULT_ALERT_PAGE,
+                Some(raw) => match raw.parse::<usize>() {
+                    Ok(l) => l.clamp(1, 4096),
+                    Err(_) => return Response::error(400, "limit must be a decimal count"),
+                },
+            };
             let alerts = lock(&tenant).alerts(cursor, limit).to_vec();
             Response::ok(encode(&AlertsPage {
                 cursor: cursor + alerts.len(),

@@ -222,6 +222,8 @@ fn transcript() -> String {
     t.send("alerts page 2", "GET", &page2, "");
     let all = t.send("alerts all", "GET", "/v1/alerts?limit=4096", "");
     t.send("alerts, bad cursor", "GET", "/v1/alerts?cursor=x", "");
+    t.send("alerts, bad limit", "GET", "/v1/alerts?limit=abc", "");
+    t.send("alerts, negative limit", "GET", "/v1/alerts?limit=-1", "");
     let (victim, account) = first_fingerprints(&all);
     t.send("victim", "GET", &format!("/v1/victims/{victim}"), "");
     t.send("victim, unknown", "GET", "/v1/victims/1", "");
@@ -265,8 +267,9 @@ fn transcript() -> String {
 }
 
 /// The pinned transcript. The four error envelopes that name a tenant
-/// once escaped `'` as `\'`, which is not JSON; every other line is as
-/// first recorded.
+/// once escaped `'` as `\'`, which is not JSON, and a malformed `limit`
+/// once fell back to the default page; every other line is as first
+/// recorded.
 const EXPECTED: &str = r#"
 healthz | 200 | {"status":"ok"}
 readyz | 200 | {"status":"ready"}
@@ -290,6 +293,8 @@ alerts page 1 | 200 | {"cursor":2,"alerts":[{"seq":0,"doc_id":156,"source":"Past
 alerts page 2 | 200 | {"cursor":4,"alerts":[{"seq":2,"doc_id":242,"source":"Pastebin","period":1,"posted_at":2905,"observed_at":2910,"victim":3305280901,"accounts":[3255975835],"duplicate":{"kind":"AccountSet","of_doc":156}},{"seq":3,"doc_id":326,"source":"Pastebin","period":1,"posted_at":4550,"observed_at":4555,"victim":2789858578,"accounts":[2692002266],"duplicate":null}]}
 alerts all | 200 | fnv:64379a8f1f7c7482:3758
 alerts, bad cursor | 400 | {"error":"cursor must be a decimal offset"}
+alerts, bad limit | 400 | {"error":"limit must be a decimal count"}
+alerts, negative limit | 400 | {"error":"limit must be a decimal count"}
 victim | 200 | {"fingerprint":3305280901,"networks":["Skype"],"doc_ids":[156,222,242],"first_seen":957,"doxes":3}
 victim, unknown | 404 | {"error":"no victim with that fingerprint"}
 victim, bad id | 400 | {"error":"id must be a decimal u32 fingerprint"}
