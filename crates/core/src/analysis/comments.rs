@@ -26,13 +26,16 @@ pub struct CommentAnalysis {
     pub accounts_fetched: usize,
 }
 
-/// Fetch comments for every monitored account (at its final probe time)
-/// and run the cross-account search.
+/// Fetch comments for every monitored account (at its final probe time),
+/// in account order, and run the cross-account search. The order is
+/// fixed because a fault-injected monitor's per-network breakers see
+/// the fetches in the order they run.
 pub fn analyze_comments(world: &SimOsnWorld, monitor: &mut Monitor) -> CommentAnalysis {
-    let targets: Vec<(AccountId, dox_osn::clock::SimTime)> = monitor
+    let mut targets: Vec<(AccountId, dox_osn::clock::SimTime)> = monitor
         .histories()
         .filter_map(|h| h.observations.last().map(|o| (h.account, o.at)))
         .collect();
+    targets.sort_unstable_by_key(|&(account, _)| account);
     let mut per_commenter: BTreeMap<String, BTreeSet<AccountId>> = BTreeMap::new();
     let mut total = 0usize;
     let mut fetched = 0usize;
