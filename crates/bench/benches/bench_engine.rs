@@ -14,10 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dox_bench::BenchFixture;
 use dox_core::pipeline::Pipeline;
 use dox_core::training::DoxClassifier;
-use dox_engine::{
-    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, StoreCheckpoint,
-};
-use dox_fault::{FaultPlanConfig, RetryPolicy};
+use dox_engine::{DedupSpillConfig, DoxDetector, Engine, EngineConfig, StoreCheckpoint};
+use dox_fault::FaultPlanConfig;
 use dox_obs::{Registry, TraceConfig, Tracer};
 use dox_sites::collect::{CollectedDoc, Collector};
 use dox_store::Store;
@@ -73,18 +71,17 @@ impl EngineFixture {
     /// measures the pure bookkeeping overhead of consulting the plan on
     /// every chunk (the price every resilient run pays, faults or not).
     fn run_engine_healthy_plan(&self, workers: usize, shards: usize) -> usize {
-        let faults = EngineFaults {
-            plan: FaultPlanConfig::healthy(),
-            policy: RetryPolicy::default(),
-        };
-        self.run_engine_inner(workers, shards, Some(faults))
+        self.run_engine_inner(workers, shards, Some(FaultPlanConfig::healthy()))
     }
 
+    /// Every row starts its session on a fresh [`Registry`], as the
+    /// trace and store rows do, so no row records into metrics an
+    /// earlier pass left behind.
     fn run_engine_inner(
         &self,
         workers: usize,
         shards: usize,
-        faults: Option<EngineFaults>,
+        faults: Option<FaultPlanConfig>,
     ) -> usize {
         let engine = Engine::from_config(EngineConfig {
             workers,
@@ -94,9 +91,11 @@ impl EngineFixture {
         })
         .expect("valid engine config");
         let detector: Arc<dyn DoxDetector> = self.classifier.clone();
+        let registry = Registry::new();
         let mut session = engine
             .session_builder()
             .detector(detector)
+            .registry(&registry)
             .start()
             .expect("detector set");
         for (period, doc) in &self.docs {

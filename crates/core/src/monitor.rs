@@ -17,10 +17,7 @@
 //! study replays monitoring in full and emits the same events, fault
 //! tallies and trace hops as an uninterrupted run.
 
-use dox_fault::{
-    run_op, BreakerConfig, BreakerSet, CoverageGaps, FaultDomain, FaultPlan, FaultPlanConfig,
-    FaultStats, OpOutcome, RetryPolicy,
-};
+use dox_fault::{FaultBoundary, FaultDomain, FaultPlanConfig, OpOutcome};
 use dox_obs::{Counter, Histogram, Registry};
 use dox_osn::account::AccountId;
 use dox_osn::clock::{SimDuration, SimTime, MINUTES_PER_DAY};
@@ -164,16 +161,6 @@ pub struct ProbeRound {
     pub breaker_trips: u32,
 }
 
-/// Fault machinery for a monitor: the plan, the retry policy, one
-/// breaker per network, and the running gap/retry tallies.
-struct MonitorFaults {
-    plan: FaultPlan,
-    policy: RetryPolicy,
-    breakers: BreakerSet,
-    stats: FaultStats,
-    gaps: CoverageGaps,
-}
-
 /// Executes the monitoring schedule for a set of accounts.
 ///
 /// Scrape errors are handled, not dropped: a [`ScrapeError::RateLimited`]
@@ -181,18 +168,18 @@ struct MonitorFaults {
 /// a fixed retry ceiling), and a [`ScrapeError::UnknownAccount`] is
 /// counted in the `monitor.probe_failures` metric. A monitor built with
 /// [`Monitor::with_faults`] additionally routes every probe and comment
-/// fetch through a seeded [`FaultPlan`]; exhausted operations surface in
-/// [`Monitor::coverage_gaps`].
+/// fetch through a [`FaultBoundary`] with one breaker per network;
+/// exhausted operations surface in its coverage gaps
+/// ([`Monitor::faults`]).
 pub struct Monitor {
     schedule: Schedule,
     scraper: Scraper,
     histories: HashMap<AccountId, AccountHistory>,
-    faults: Option<MonitorFaults>,
+    faults: Option<FaultBoundary>,
     enrollments: Counter,
     probes: Counter,
     probe_failures: Counter,
     round_ns: Histogram,
-    retry_wait: Histogram,
 }
 
 impl Monitor {
@@ -213,7 +200,6 @@ impl Monitor {
             probes: registry.counter("monitor.probes"),
             probe_failures: registry.counter("monitor.probe_failures"),
             round_ns: registry.histogram("monitor.scrape_round"),
-            retry_wait: registry.histogram("pipeline.stage.retry_wait"),
         }
     }
 
@@ -221,21 +207,17 @@ impl Monitor {
     /// plan with the default retry/backoff policy and a per-network
     /// circuit breaker.
     pub fn with_faults(schedule: Schedule, registry: &Registry, plan: FaultPlanConfig) -> Self {
+        let mut faults = FaultBoundary::new(plan);
+        faults.instrument(registry);
         let mut monitor = Self::with_registry(schedule, registry);
-        monitor.faults = Some(MonitorFaults {
-            plan: FaultPlan::new(plan),
-            policy: RetryPolicy::default(),
-            breakers: BreakerSet::new(BreakerConfig::default()),
-            stats: FaultStats::default(),
-            gaps: CoverageGaps::default(),
-        });
+        monitor.faults = Some(faults);
         monitor
     }
 
     /// Run the injected-fault gauntlet for one operation; `Some` carries
     /// the (virtual) retry weather of a successful operation, `None` means
-    /// the retries exhausted. Fault-free monitors always succeed at the
-    /// first attempt. Recovered operations keep their scheduled sim time —
+    /// the retries exhausted and the boundary counted the gap. Fault-free
+    /// monitors always succeed at the first attempt. Recovered operations keep their scheduled sim time —
     /// the retries play out on the plan's virtual clock — so observations
     /// are unchanged and output stays byte-identical.
     fn faults_admit(
@@ -245,27 +227,14 @@ impl Monitor {
         key: u64,
         at: SimTime,
     ) -> Option<OpOutcome> {
-        let Some(f) = self.faults.as_mut() else {
-            return Some(OpOutcome {
+        match self.faults.as_mut() {
+            None => Some(OpOutcome {
                 attempts: 1,
                 delay: 0,
                 breaker_trips: 0,
-            });
-        };
-        // dox-lint:allow(determinism) wall time inside the backoff shim; profile only
-        let wait_start = std::time::Instant::now();
-        let outcome = run_op(
-            &f.plan,
-            &f.policy,
-            Some(f.breakers.breaker(network)),
-            &mut f.stats,
-            domain,
-            network,
-            key,
-            at.0,
-        );
-        self.retry_wait.observe_duration(wait_start.elapsed());
-        outcome.ok()
+            }),
+            Some(f) => f.run(domain, network, key, at.0).ok(),
+        }
     }
 
     /// Enroll an account first observed at `observed_at` and execute its
@@ -305,9 +274,6 @@ impl Monitor {
                 }
                 None => {
                     round.missed_probes += 1;
-                    if let Some(f) = self.faults.as_mut() {
-                        f.gaps.missed_probes += 1;
-                    }
                     continue;
                 }
             }
@@ -345,8 +311,8 @@ impl Monitor {
 
     /// Fetch an account's public comments at `at`, riding out rate limits
     /// and (for fault-injected monitors) the comment-fetch fault plan.
-    /// `None` records an explicit miss — counted in
-    /// [`Monitor::coverage_gaps`] when injected, in the
+    /// `None` records an explicit miss — counted in the fault boundary's
+    /// coverage gaps when injected, in the
     /// `monitor.probe_failures` metric when the platform itself refused.
     pub fn fetch_comments_recovering(
         &mut self,
@@ -355,15 +321,7 @@ impl Monitor {
         at: SimTime,
     ) -> Option<Vec<Comment>> {
         let key = (account.uid << 8) ^ account.network as u64 ^ 0xC033_E275;
-        if self
-            .faults_admit(FaultDomain::Comments, account.network.name(), key, at)
-            .is_none()
-        {
-            if let Some(f) = self.faults.as_mut() {
-                f.gaps.missed_comment_fetches += 1;
-            }
-            return None;
-        }
+        self.faults_admit(FaultDomain::Comments, account.network.name(), key, at)?;
         let mut attempts = 0;
         let mut at = at;
         loop {
@@ -381,27 +339,11 @@ impl Monitor {
         }
     }
 
-    /// Retry/fault accounting with breaker transitions folded in; all
-    /// zeros for a fault-free monitor.
-    pub fn fault_stats(&self) -> FaultStats {
-        let Some(f) = &self.faults else {
-            return FaultStats::default();
-        };
-        let mut stats = f.stats;
-        let transitions = f.breakers.total_transitions();
-        stats.breaker_opens = transitions.opened;
-        stats.breaker_half_opens = transitions.half_opened;
-        stats.breaker_closes = transitions.closed;
-        stats
-    }
-
-    /// Probes and comment fetches lost to exhausted fault retries. Empty
-    /// for fault-free monitors and fully-recovered plans.
-    pub fn coverage_gaps(&self) -> CoverageGaps {
-        self.faults
-            .as_ref()
-            .map(|f| f.gaps.clone())
-            .unwrap_or_default()
+    /// The probe and comment-fetch boundary — retry accounting, the
+    /// operations lost to exhausted retries, the per-network breakers;
+    /// `None` for a fault-free monitor.
+    pub fn faults(&self) -> Option<&FaultBoundary> {
+        self.faults.as_ref()
     }
 
     /// All histories.

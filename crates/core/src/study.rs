@@ -34,11 +34,11 @@ use crate::monitor::{Monitor, Schedule};
 use crate::pipeline::{Pipeline, PipelineCounters, PipelineOutput};
 use crate::training::{ClassifierSummary, DoxClassifier};
 use dox_engine::{
-    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, Session, StoreCheckpoint,
+    DedupSpillConfig, DoxDetector, Engine, EngineConfig, Session, StoreCheckpoint,
     StoreCheckpointError,
 };
 use dox_extract::accuracy::{evaluate_extractor, ExtractorEvaluation};
-use dox_fault::{CoverageGaps, FaultPlanConfig, FaultStats, RetryPolicy};
+use dox_fault::{CoverageGaps, FaultPlanConfig, FaultStats};
 use dox_geo::alloc::{AllocConfig, Allocation};
 use dox_geo::geoip::GeoIpDb;
 use dox_geo::model::{World, WorldConfig};
@@ -821,7 +821,7 @@ impl Study {
         self.replay(GeoIpDb::build, |mut replay, classifier| {
             let phase = StageSpan::enter(obs, "study.phase.collection");
             let mut collector = match &cfg.faults {
-                Some(plan) => Collector::with_faults(cfg.seed, plan.clone()),
+                Some(plan) => Collector::with_faults(plan.clone()),
                 None => Collector::new(cfg.seed),
             };
             // Sampled documents are admitted to the tracer here, at the
@@ -871,10 +871,7 @@ impl Study {
         let obs = &self.registry;
         let mut engine_cfg = cfg.engine.clone();
         if let Some(plan) = &cfg.faults {
-            engine_cfg.faults = Some(EngineFaults {
-                plan: plan.clone(),
-                policy: RetryPolicy::default(),
-            });
+            engine_cfg.faults = Some(plan.clone());
         }
         let engine = Engine::from_config(engine_cfg)?;
         let detector: Arc<dyn DoxDetector> = Arc::new(classifier);
@@ -1104,8 +1101,14 @@ impl Study {
             ],
         );
         drop(phase);
-        let monitor_gaps = monitor.coverage_gaps();
-        let monitor_faults = monitor.fault_stats();
+        // Coverage gaps: everything the fault plan cost us, explicitly.
+        let mut coverage = CoverageGaps::default();
+        let mut fault_stats = FaultStats::default();
+        for faults in collector.faults().into_iter().chain(monitor.faults()) {
+            coverage.absorb(faults.gaps());
+            fault_stats.absorb(&faults.stats());
+        }
+        coverage.stage_exhausted_docs += output.stage_gap_docs;
         let histories = monitor.into_histories();
 
         // 6. Analyses.
@@ -1191,13 +1194,7 @@ impl Study {
         let ip_validation = validate_by_ip(detected, world, &geoip, IP_VALIDATION_SAMPLE, seed);
         drop(phase);
 
-        // Coverage gaps: everything the fault plan cost us, explicitly.
-        let mut coverage = collector.coverage_gaps();
-        coverage.absorb(&monitor_gaps);
-        coverage.stage_exhausted_docs += output.stage_gap_docs;
         if cfg.faults.is_some() {
-            let mut fault_stats: FaultStats = collector.fault_stats();
-            fault_stats.absorb(&monitor_faults);
             obs.events().emit(
                 Level::Info,
                 "study",
@@ -1214,8 +1211,8 @@ impl Study {
                     ("coverage_gaps".into(), coverage.total().to_string()),
                 ],
             );
-            if let Some(breakers) = collector.breakers() {
-                for (target, breaker) in breakers.iter() {
+            if let Some(faults) = collector.faults() {
+                for (target, breaker) in faults.breakers().iter() {
                     obs.gauge(&format!("fault.breaker.{target}"))
                         .set(breaker.state().as_gauge());
                 }

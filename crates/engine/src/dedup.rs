@@ -110,7 +110,10 @@ pub struct DedupSpillConfig {
 /// store in sorted key order and memory starts empty again, so the
 /// spilled bytes are a pure function of the stream. Store appends are
 /// buffered in memory until the owning coordinator calls
-/// [`Store::checkpoint`], so the dedup hot path never does file I/O.
+/// [`Store::checkpoint`], so a spill writes no file. Reads are another
+/// matter: a lookup that hits a committed spilled entry reads its frame
+/// from the segment file, under the caller's commit lock, and the
+/// store's key index keeps every spilled key in memory.
 ///
 /// Verdicts are unaffected: the union of memory and store entries is
 /// exactly what the unbounded in-memory maps would hold, and a key is

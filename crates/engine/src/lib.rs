@@ -73,9 +73,8 @@ pub use output::{DetectedDox, PipelineCounters, PipelineOutput, StagedDoc};
 pub use session::Session;
 pub use stage::{classify_and_extract, DoxDetector, StageLocal, StageMetrics};
 
-use dox_fault::{FaultPlanConfig, RetryPolicy};
+use dox_fault::FaultPlanConfig;
 use dox_obs::{Registry, Tracer};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// The panic message recovered from a dead engine thread — the chained
@@ -178,18 +177,6 @@ impl std::error::Error for EngineError {
     }
 }
 
-/// Deterministic fault injection for the engine's stage workers: the
-/// schedule of slow/poisoned chunks and the retry budget the simulated
-/// supervisor gets before declaring a chunk lost.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct EngineFaults {
-    /// The seeded fault schedule (only its stage-domain knobs apply here).
-    pub plan: FaultPlanConfig,
-    /// Retry budget for poisoned chunks; a chunk whose poison count
-    /// exceeds `policy.max_retries` becomes an explicit coverage gap.
-    pub policy: RetryPolicy,
-}
-
 /// Tuning knobs for the ingest topology. None of them affect the result —
 /// only throughput and memory. Build an engine from one with
 /// [`Engine::from_config`].
@@ -216,8 +203,11 @@ pub struct EngineConfig {
     /// Documents per work chunk. Larger chunks amortize queue handoff
     /// and the commit lock; smaller ones shrink the in-flight window.
     pub chunk: usize,
-    /// Deterministic stage-fault injection; `None` runs fault-free.
-    pub faults: Option<EngineFaults>,
+    /// Deterministic stage-fault injection; `None` runs fault-free. Only
+    /// the plan's stage-domain knobs apply: slow chunks, and poisoned
+    /// chunks, which the simulated supervisor retries within the default
+    /// [`dox_fault::RetryPolicy`] budget before declaring them lost.
+    pub faults: Option<FaultPlanConfig>,
 }
 
 impl Default for EngineConfig {
@@ -338,8 +328,9 @@ impl Engine {
 /// * [`resume_from`](SessionBuilder::resume_from) — optional; restores a
 ///   [`SessionCheckpoint`] instead of starting empty.
 /// * [`spill`](SessionBuilder::spill) — optional; backs the dedup shards
-///   with a [`dox_store::Store`] so per-shard memory stays bounded and
-///   resume is O(checkpoint).
+///   with a [`dox_store::Store`] so each shard's dedup maps stay under a
+///   cap and resume is O(checkpoint). The store's in-memory key index
+///   still grows with every spilled entry.
 ///
 /// Invalid combinations surface as typed [`EngineError`]s from
 /// [`start`](SessionBuilder::start) rather than panics: a missing

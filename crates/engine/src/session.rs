@@ -57,13 +57,15 @@
 //!
 //! ## Fault injection
 //!
-//! When the engine config carries [`EngineFaults`](crate::EngineFaults),
-//! stage workers consult the plan's
+//! When the engine config carries a fault plan
+//! ([`EngineConfig::faults`](crate::EngineConfig::faults)), stage workers
+//! consult its
 //! [`stage_directive`](dox_fault::FaultPlan::stage_directive) per chunk:
 //! slow chunks insert cooperative yields (scheduling pressure only —
 //! results are unaffected, which the determinism tests verify), poisoned
 //! chunks simulate a worker that panics on the chunk some number of times.
-//! A poisoned chunk whose failure count exceeds the retry budget marks
+//! A poisoned chunk whose failure count exceeds the default retry budget
+//! ([`RetryPolicy::default`](dox_fault::RetryPolicy::default)) marks
 //! every document in it as a **stage coverage gap** — counted explicitly
 //! in [`PipelineOutput::stage_gap_docs`], never silently dropped.
 
@@ -76,7 +78,7 @@ use crate::queue::Queue;
 use crate::reorder::ReorderBuffer;
 use crate::stage::{classify_and_extract, DoxDetector, StageLocal, StageMetrics};
 use crate::{EngineConfig, EngineError, StagePanic};
-use dox_fault::{FaultPlan, StageDirective};
+use dox_fault::{FaultPlan, RetryPolicy, StageDirective};
 use dox_obs::trace::{fault_hop, hop};
 use dox_obs::{Gauge, Histogram, Registry, Tracer};
 use dox_sites::collect::CollectedDoc;
@@ -426,10 +428,12 @@ impl Session {
         registry.gauge("engine.workers").set(config.workers as i64);
         registry.gauge("engine.shards").set(config.shards as i64);
 
-        let fault_ctx: Option<(FaultPlan, u32)> = config
-            .faults
-            .as_ref()
-            .map(|f| (FaultPlan::new(f.plan.clone()), f.policy.max_retries));
+        let fault_ctx: Option<(FaultPlan, u32)> = config.faults.as_ref().map(|plan| {
+            (
+                FaultPlan::new(plan.clone()),
+                RetryPolicy::default().max_retries,
+            )
+        });
 
         let stage_workers = (0..config.workers)
             .map(|_| {
@@ -822,8 +826,8 @@ impl Drop for Session {
 mod tests {
     use super::*;
     use crate::checkpoint::StoreCheckpoint;
-    use crate::{Engine, EngineFaults};
-    use dox_fault::{FaultPlanConfig, RetryPolicy};
+    use crate::Engine;
+    use dox_fault::FaultPlanConfig;
     use dox_osn::clock::SimTime;
     use dox_store::Store;
     use dox_synth::corpus::{Source, SynthDoc};
@@ -1395,7 +1399,6 @@ mod tests {
         workers: usize,
         shards: usize,
         plan: FaultPlanConfig,
-        policy: RetryPolicy,
         registry: &Registry,
     ) -> PipelineOutput {
         let engine = Engine::from_config(EngineConfig {
@@ -1403,7 +1406,7 @@ mod tests {
             shards,
             queue_depth: 2,
             chunk: 16,
-            faults: Some(EngineFaults { plan, policy }),
+            faults: Some(plan),
         })
         .expect("valid config");
         let mut session = start(&engine, registry);
@@ -1424,13 +1427,7 @@ mod tests {
             ..FaultPlanConfig::default()
         };
         for (workers, shards) in [(1usize, 1usize), (4, 8)] {
-            let out = run_engine_with_faults(
-                workers,
-                shards,
-                plan.clone(),
-                RetryPolicy::default(),
-                &Registry::new(),
-            );
+            let out = run_engine_with_faults(workers, shards, plan.clone(), &Registry::new());
             assert_same(&out, &reference);
             assert_eq!(out.stage_gap_docs, 0);
         }
@@ -1438,18 +1435,15 @@ mod tests {
 
     #[test]
     fn exhausted_poison_becomes_explicit_stage_gaps() {
+        // Poison counts in 1..=12 outlast the default budget of five
+        // retries in over half the poisoned chunks.
         let plan = FaultPlanConfig {
             poison_chunk_ppm: 500_000,
-            max_transient_failures: 3,
+            max_transient_failures: 12,
             ..FaultPlanConfig::default()
         };
-        // Zero retries: every poisoned chunk exhausts.
-        let policy = RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        };
         let registry = Registry::new();
-        let out = run_engine_with_faults(2, 2, plan, policy, &registry);
+        let out = run_engine_with_faults(2, 2, plan, &registry);
         assert!(out.stage_gap_docs > 0, "poison must surface as gaps");
         assert_eq!(
             registry.counter("engine.fault.stage_exhausted_docs").get(),

@@ -9,11 +9,9 @@
 //! `crates/fault/tests/backoff_props.rs` hold the proof to account.
 
 use crate::mix;
-use serde::{Deserialize, Serialize};
 
 /// The backoff schedule: `delay(n) = min(cap, base·2ⁿ + jitter(n))`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default, deny_unknown_fields)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// First delay, in ticks (clamped to ≥ 1).
     pub base: u64,
@@ -65,8 +63,7 @@ impl Backoff {
 }
 
 /// How many times to retry, and how to wait between attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default, deny_unknown_fields)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt (an op runs at most
     /// `max_retries + 1` times).

@@ -8,7 +8,7 @@
 //! drop an operation themselves, so document fate stays with the retry
 //! budget and the coverage-gap accounting.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The three breaker states.
@@ -49,8 +49,7 @@ impl std::fmt::Display for BreakerState {
 }
 
 /// Breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default, deny_unknown_fields)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip the breaker.
     pub failure_threshold: u32,

@@ -21,27 +21,34 @@
 //!   [`CoverageGaps`] for the report — exhausted retries surface as
 //!   explicit missed-collection counts, never silent drops.
 //!
-//! The driver is [`run_op`]: it walks one operation through the plan and
-//! the policy in *simulated* time, returning how many attempts it took
-//! (and how long the recovery virtually waited) or a [`FaultError`] once
-//! retries exhaust.
+//! The call sites hold a [`FaultBoundary`]: built from a
+//! [`FaultPlanConfig`], it owns the plan, the default [`RetryPolicy`],
+//! one [`CircuitBreaker`] per target and the running tally. It walks one
+//! operation through the plan and the policy in *simulated* time,
+//! returning how many attempts it took (and how long the recovery
+//! virtually waited) or a [`FaultError`] once retries exhaust — in which
+//! case the operation is already counted as a coverage gap.
 //!
 //! ```
-//! use dox_fault::{run_op, FaultDomain, FaultPlan, FaultPlanConfig, FaultStats, RetryPolicy};
+//! use dox_fault::{FaultBoundary, FaultDomain, FaultPlanConfig};
 //!
-//! let plan = FaultPlan::new(FaultPlanConfig {
+//! let mut boundary = FaultBoundary::new(FaultPlanConfig {
 //!     transient_ppm: 1_000_000, // every op fails at least once…
 //!     max_transient_failures: 2,
 //!     ..FaultPlanConfig::default()
 //! });
-//! let policy = RetryPolicy::default();
-//! let mut stats = FaultStats::default();
-//! let outcome = run_op(
-//!     &plan, &policy, None, &mut stats,
-//!     FaultDomain::Collect, "pastebin.com", 42, 100,
-//! )
-//! .expect("transient faults recover within the retry budget");
+//! let outcome = boundary
+//!     .run(FaultDomain::Collect, "pastebin.com", 42, 100)
+//!     .expect("transient faults recover within the retry budget");
 //! assert!(outcome.attempts > 1, "…but recovers deterministically");
+//! assert!(boundary.gaps().is_empty());
+//!
+//! let mut dark = FaultBoundary::new(FaultPlanConfig {
+//!     hard_ppm: 1_000_000, // …and every op fails every attempt.
+//!     ..FaultPlanConfig::default()
+//! });
+//! assert!(dark.run(FaultDomain::Probe, "facebook.com", 7, 0).is_err());
+//! assert_eq!(dark.gaps().missed_probes, 1, "exhausted ops are gaps");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,6 +67,8 @@ pub use plan::{
     Fault, FaultDomain, FaultPlan, FaultPlanConfig, OutageWindow, StageDirective, StoreKillPoint,
 };
 pub use stats::{CoverageGaps, FaultStats};
+
+use dox_obs::{Histogram, Registry};
 
 /// SplitMix64 finalizer: the one hash every fault decision and jitter
 /// draw derives from. Pure, seedable, entropy-free.
@@ -139,58 +148,90 @@ pub struct OpOutcome {
     pub breaker_trips: u32,
 }
 
-/// Drive one operation through `plan` under `policy`, in simulated time.
-///
-/// The operation is identified by `(domain, target, key)` and scheduled
-/// at tick `at`. Each failed attempt advances a *virtual* clock by the
-/// backoff delay (stretched to honor `retry_after` hints and outage
-/// windows), so an op retried past the end of an outage recovers and an
-/// op inside a long outage exhausts — both deterministically.
-///
-/// `breaker`, when provided, is consulted before every attempt: while
-/// open it shifts the attempt to the end of its cooldown (half-open
-/// probe) rather than dropping the operation, so breakers shape retry
-/// *timing*, never document fate.
-// One op is genuinely eight independent facts (plan, policy, breaker,
-// stats, and the four-part op identity); bundling them into a one-shot
-// struct at every call site would only rename the arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn run_op(
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    mut breaker: Option<&mut CircuitBreaker>,
-    stats: &mut FaultStats,
-    domain: FaultDomain,
-    target: &str,
-    key: u64,
-    at: u64,
-) -> Result<OpOutcome, FaultError> {
-    stats.ops += 1;
-    let opened_before = breaker.as_deref().map_or(0, |b| b.transitions().opened);
-    let mut virtual_at = at;
-    let mut attempt = 0u32;
-    loop {
-        if let Some(b) = breaker.as_deref_mut() {
-            virtual_at = b.admit_at(virtual_at);
+/// One fault boundary: the seeded plan, the default [`RetryPolicy`],
+/// one [`CircuitBreaker`] per target, and the running tally of what the
+/// weather cost — retry accounting ([`FaultStats`]) and the operations
+/// it lost ([`CoverageGaps`]). The collector holds one for its fetches,
+/// the monitor one for its probes and comment fetches.
+pub struct FaultBoundary {
+    plan: FaultPlan,
+    policy: RetryPolicy,
+    breakers: BreakerSet,
+    stats: FaultStats,
+    gaps: CoverageGaps,
+    retry_wait: Option<Histogram>,
+}
+
+impl FaultBoundary {
+    /// A boundary injecting `plan`, with the default retry policy and
+    /// default per-target breakers.
+    pub fn new(plan: FaultPlanConfig) -> Self {
+        Self {
+            plan: FaultPlan::new(plan),
+            policy: RetryPolicy::default(),
+            breakers: BreakerSet::new(BreakerConfig::default()),
+            stats: FaultStats::default(),
+            gaps: CoverageGaps::default(),
+            retry_wait: None,
         }
-        match plan.fault_for(domain, target, key, virtual_at, attempt) {
-            None => {
-                let opened_after = breaker.as_deref().map_or(0, |b| b.transitions().opened);
-                if let Some(b) = breaker.as_deref_mut() {
-                    b.on_success();
-                }
-                return Ok(OpOutcome {
-                    attempts: attempt + 1,
-                    delay: virtual_at.saturating_sub(at),
-                    breaker_trips: u32::try_from(opened_after.saturating_sub(opened_before))
-                        .unwrap_or(u32::MAX),
-                });
-            }
-            Some(fault) => {
+    }
+
+    /// Time every operation's walk through the plan into `registry`'s
+    /// `pipeline.stage.retry_wait` histogram — the stderr profile row
+    /// that answers "how much wall time went to fault weather". The
+    /// timing never reaches a fault decision.
+    pub fn instrument(&mut self, registry: &Registry) {
+        self.retry_wait = Some(registry.histogram("pipeline.stage.retry_wait"));
+    }
+
+    /// Drive one operation through the plan, in simulated time.
+    ///
+    /// The operation is identified by `(domain, target, key)` and
+    /// scheduled at tick `at`. Each failed attempt advances a *virtual*
+    /// clock by the backoff delay (stretched to honor `retry_after` hints
+    /// and outage windows), so an op retried past the end of an outage
+    /// recovers and an op inside a long outage exhausts — both
+    /// deterministically. An exhausted op is recorded in
+    /// [`FaultBoundary::gaps`] under its domain before the error returns.
+    ///
+    /// `target`'s breaker is consulted before every attempt: while open
+    /// it shifts the attempt to the end of its cooldown (half-open probe)
+    /// rather than dropping the operation, so breakers shape retry
+    /// *timing*, never document fate.
+    pub fn run(
+        &mut self,
+        domain: FaultDomain,
+        target: &str,
+        key: u64,
+        at: u64,
+    ) -> Result<OpOutcome, FaultError> {
+        let Self {
+            plan,
+            policy,
+            breakers,
+            stats,
+            gaps,
+            retry_wait,
+        } = self;
+        let mut walk = || {
+            stats.ops += 1;
+            let breaker = breakers.breaker(target);
+            let opened_before = breaker.transitions().opened;
+            let mut virtual_at = at;
+            let mut attempt = 0u32;
+            loop {
+                virtual_at = breaker.admit_at(virtual_at);
+                let Some(fault) = plan.fault_for(domain, target, key, virtual_at, attempt) else {
+                    let trips = breaker.transitions().opened - opened_before;
+                    breaker.on_success();
+                    return Ok(OpOutcome {
+                        attempts: attempt + 1,
+                        delay: virtual_at.saturating_sub(at),
+                        breaker_trips: u32::try_from(trips).unwrap_or(u32::MAX),
+                    });
+                };
                 stats.faults_injected += 1;
-                if let Some(b) = breaker.as_deref_mut() {
-                    b.on_failure(virtual_at);
-                }
+                breaker.on_failure(virtual_at);
                 if attempt >= policy.max_retries {
                     stats.exhausted += 1;
                     return Err(FaultError::Exhausted {
@@ -214,7 +255,37 @@ pub fn run_op(
                 virtual_at = next;
                 attempt += 1;
             }
+        };
+        let outcome = match retry_wait {
+            Some(h) => h.time(walk),
+            None => walk(),
+        };
+        if outcome.is_err() {
+            gaps.record(domain, target);
         }
+        outcome
+    }
+
+    /// Retry accounting, with the breaker transition totals folded in.
+    pub fn stats(&self) -> FaultStats {
+        let transitions = self.breakers.total_transitions();
+        FaultStats {
+            breaker_opens: transitions.opened,
+            breaker_half_opens: transitions.half_opened,
+            breaker_closes: transitions.closed,
+            ..self.stats
+        }
+    }
+
+    /// The operations that exhausted their retries, by domain (and, for
+    /// collection, by source). Empty while every fault has recovered.
+    pub fn gaps(&self) -> &CoverageGaps {
+        &self.gaps
+    }
+
+    /// The per-target circuit breakers, target-ordered.
+    pub fn breakers(&self) -> &BreakerSet {
+        &self.breakers
     }
 }
 
@@ -222,126 +293,106 @@ pub fn run_op(
 mod tests {
     use super::*;
 
-    fn noisy_plan() -> FaultPlan {
-        FaultPlan::new(FaultPlanConfig {
+    fn noisy_plan() -> FaultPlanConfig {
+        FaultPlanConfig {
             transient_ppm: 400_000,
             max_transient_failures: 3,
             rate_limited_ppm: 300_000,
             ..FaultPlanConfig::default()
-        })
+        }
     }
 
     #[test]
     fn healthy_plan_never_faults() {
-        let plan = FaultPlan::healthy();
-        let policy = RetryPolicy::default();
-        let mut stats = FaultStats::default();
+        let mut boundary = FaultBoundary::new(FaultPlanConfig::healthy());
         for key in 0..500 {
-            let out = run_op(
-                &plan,
-                &policy,
-                None,
-                &mut stats,
-                FaultDomain::Collect,
-                "pastebin.com",
-                key,
-                key * 7,
-            )
-            .expect("healthy plan");
+            let out = boundary
+                .run(FaultDomain::Collect, "pastebin.com", key, key * 7)
+                .expect("healthy plan");
             assert_eq!(out.attempts, 1);
             assert_eq!(out.delay, 0);
         }
-        assert_eq!(stats.faults_injected, 0);
-        assert_eq!(stats.ops, 500);
+        assert_eq!(boundary.stats().faults_injected, 0);
+        assert_eq!(boundary.stats().ops, 500);
     }
 
     #[test]
     fn transient_faults_recover_within_budget() {
-        let plan = noisy_plan();
-        let policy = RetryPolicy::default();
-        let mut stats = FaultStats::default();
+        let mut boundary = FaultBoundary::new(noisy_plan());
         let mut saw_retry = false;
         for key in 0..2_000 {
-            let out = run_op(
-                &plan,
-                &policy,
-                None,
-                &mut stats,
-                FaultDomain::Collect,
-                "4chan.org/b",
-                key,
-                0,
-            )
-            .expect("max_transient_failures <= max_retries recovers by construction");
+            let out = boundary
+                .run(FaultDomain::Collect, "4chan.org/b", key, 0)
+                .expect("max_transient_failures <= max_retries recovers by construction");
             if out.attempts > 1 {
                 saw_retry = true;
                 assert!(out.delay > 0, "recovery must cost virtual time");
             }
         }
         assert!(saw_retry, "a 40% transient rate must hit some ops");
-        assert_eq!(stats.exhausted, 0);
-        assert!(stats.retries > 0);
+        assert_eq!(boundary.stats().exhausted, 0);
+        assert!(boundary.stats().retries > 0);
+        assert!(boundary.gaps().is_empty());
     }
 
     #[test]
     fn hard_faults_exhaust_and_chain_their_cause() {
-        let plan = FaultPlan::new(FaultPlanConfig {
+        let mut boundary = FaultBoundary::new(FaultPlanConfig {
             hard_ppm: 1_000_000,
             ..FaultPlanConfig::default()
         });
-        let policy = RetryPolicy {
-            max_retries: 2,
-            ..RetryPolicy::default()
-        };
-        let mut stats = FaultStats::default();
-        let err = run_op(
-            &plan,
-            &policy,
-            None,
-            &mut stats,
-            FaultDomain::Probe,
-            "facebook.com",
-            9,
-            50,
-        )
-        .unwrap_err();
+        let err = boundary
+            .run(FaultDomain::Probe, "facebook.com", 9, 50)
+            .unwrap_err();
         let FaultError::Exhausted { attempts, .. } = &err;
-        assert_eq!(*attempts, 3, "initial try + 2 retries");
+        let budget = RetryPolicy::default().max_retries;
+        assert_eq!(*attempts, budget + 1, "initial try + every retry");
         assert!(
             std::error::Error::source(&err).is_some(),
             "chains the fault"
         );
-        assert_eq!(stats.exhausted, 1);
+        assert_eq!(boundary.stats().exhausted, 1);
+    }
+
+    #[test]
+    fn exhausted_ops_are_gaps_of_their_domain() {
+        let mut boundary = FaultBoundary::new(FaultPlanConfig {
+            hard_ppm: 1_000_000,
+            ..FaultPlanConfig::default()
+        });
+        for (domain, target) in [
+            (FaultDomain::Collect, "pastebin.com"),
+            (FaultDomain::Collect, "pastebin.com"),
+            (FaultDomain::Collect, "4chan.org/b"),
+            (FaultDomain::Probe, "facebook.com"),
+            (FaultDomain::Comments, "instagram.com"),
+            (FaultDomain::Comments, "instagram.com"),
+        ] {
+            assert!(boundary.run(domain, target, 1, 0).is_err());
+        }
+        let gaps = boundary.gaps();
+        assert_eq!(gaps.missed_collections["pastebin.com"], 2);
+        assert_eq!(gaps.missed_collections["4chan.org/b"], 1);
+        assert_eq!(gaps.missed_probes, 1);
+        assert_eq!(gaps.missed_comment_fetches, 2);
+        assert_eq!(gaps.total(), boundary.stats().exhausted);
     }
 
     #[test]
     fn runs_are_byte_reproducible() {
         let run = || {
-            let plan = noisy_plan();
-            let policy = RetryPolicy::default();
-            let mut stats = FaultStats::default();
+            let mut boundary = FaultBoundary::new(noisy_plan());
             let outcomes: Vec<_> = (0..300)
-                .map(|key| {
-                    run_op(
-                        &plan,
-                        &policy,
-                        None,
-                        &mut stats,
-                        FaultDomain::Collect,
-                        "8ch.net/pol",
-                        key,
-                        key,
-                    )
-                })
+                .map(|key| boundary.run(FaultDomain::Collect, "8ch.net/pol", key, key))
                 .collect();
-            (outcomes, stats)
+            (outcomes, boundary.stats(), boundary.gaps().clone())
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn outage_windows_recover_once_the_window_passes() {
-        let plan = FaultPlan::new(FaultPlanConfig {
+        let mut boundary = FaultBoundary::new(FaultPlanConfig {
             outages: vec![OutageWindow {
                 domain: FaultDomain::Collect,
                 target: "pastebin.com".into(),
@@ -350,66 +401,49 @@ mod tests {
             }],
             ..FaultPlanConfig::default()
         });
-        let policy = RetryPolicy::default();
-        let mut stats = FaultStats::default();
         // Scheduled inside the window: the retry loop jumps to its end.
-        let out = run_op(
-            &plan,
-            &policy,
-            None,
-            &mut stats,
-            FaultDomain::Collect,
-            "pastebin.com",
-            1,
-            10,
-        )
-        .expect("retries outlive the outage");
+        let out = boundary
+            .run(FaultDomain::Collect, "pastebin.com", 1, 10)
+            .expect("retries outlive the outage");
         assert!(out.delay >= 90, "waited for the window to close");
         // Unrelated target is untouched.
-        let other = run_op(
-            &plan,
-            &policy,
-            None,
-            &mut stats,
-            FaultDomain::Collect,
-            "4chan.org/b",
-            1,
-            10,
-        )
-        .expect("no outage for this target");
+        let other = boundary
+            .run(FaultDomain::Collect, "4chan.org/b", 1, 10)
+            .expect("no outage for this target");
         assert_eq!(other.attempts, 1);
     }
 
     #[test]
     fn breaker_opens_under_hard_failure_and_shifts_attempts() {
-        let plan = FaultPlan::new(FaultPlanConfig {
+        let mut boundary = FaultBoundary::new(FaultPlanConfig {
             hard_ppm: 1_000_000,
             ..FaultPlanConfig::default()
         });
-        let policy = RetryPolicy {
-            max_retries: 1,
-            ..RetryPolicy::default()
-        };
-        let mut stats = FaultStats::default();
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 2,
-            cooldown: 1_000,
-        });
         for key in 0..5 {
-            let _ = run_op(
-                &plan,
-                &policy,
-                Some(&mut b),
-                &mut stats,
-                FaultDomain::Collect,
-                "pastebin.com",
-                key,
-                key,
-            );
+            let _ = boundary.run(FaultDomain::Collect, "pastebin.com", key, key);
         }
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.transitions().opened >= 1);
+        let breakers: Vec<_> = boundary.breakers().iter().collect();
+        let [(target, breaker)] = breakers[..] else {
+            panic!("one breaker per target, got {}", breakers.len());
+        };
+        assert_eq!(target, "pastebin.com");
+        assert_eq!(breaker.state(), BreakerState::Open);
+        let stats = boundary.stats();
+        assert!(stats.breaker_opens >= 1);
+        assert_eq!(stats.breaker_opens, breaker.transitions().opened);
         assert_eq!(stats.exhausted, 5);
+    }
+
+    #[test]
+    fn instrumented_boundaries_time_every_op() {
+        let registry = Registry::new();
+        let mut boundary = FaultBoundary::new(noisy_plan());
+        boundary.instrument(&registry);
+        for key in 0..20 {
+            let _ = boundary.run(FaultDomain::Probe, "facebook.com", key, 0);
+        }
+        let retry_wait = registry.histogram("pipeline.stage.retry_wait");
+        assert_eq!(retry_wait.count(), boundary.stats().ops);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   own §3.1.1 caveat about unobservable deleted pastes, generalized —
 //!   a gap is an explicit count, never a silent drop.
 
+use crate::FaultDomain;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -65,12 +66,20 @@ pub struct CoverageGaps {
 }
 
 impl CoverageGaps {
-    /// Record one missed collection for `source`.
-    pub fn record_missed_collection(&mut self, source: &str) {
-        *self
-            .missed_collections
-            .entry(source.to_string())
-            .or_insert(0) += 1;
+    /// Record one operation of `domain` against `target` that exhausted
+    /// its retries. A stage operation stands for one lost document.
+    pub fn record(&mut self, domain: FaultDomain, target: &str) {
+        match domain {
+            FaultDomain::Collect => {
+                *self
+                    .missed_collections
+                    .entry(target.to_string())
+                    .or_insert(0) += 1;
+            }
+            FaultDomain::Probe => self.missed_probes += 1,
+            FaultDomain::Comments => self.missed_comment_fetches += 1,
+            FaultDomain::Stage => self.stage_exhausted_docs += 1,
+        }
     }
 
     /// Missed collections across every source.
@@ -111,9 +120,9 @@ mod tests {
     fn gaps_sum_across_boundaries() {
         let mut g = CoverageGaps::default();
         assert!(g.is_empty());
-        g.record_missed_collection("pastebin.com");
-        g.record_missed_collection("pastebin.com");
-        g.record_missed_collection("4chan.org/b");
+        g.record(FaultDomain::Collect, "pastebin.com");
+        g.record(FaultDomain::Collect, "pastebin.com");
+        g.record(FaultDomain::Collect, "4chan.org/b");
         g.missed_probes = 2;
         g.stage_exhausted_docs = 5;
         assert_eq!(g.missed_collection_total(), 3);
@@ -124,12 +133,12 @@ mod tests {
     #[test]
     fn absorb_is_fieldwise() {
         let mut a = CoverageGaps::default();
-        a.record_missed_collection("pastebin.com");
+        a.record(FaultDomain::Collect, "pastebin.com");
         let mut b = CoverageGaps {
             missed_probes: 1,
             ..CoverageGaps::default()
         };
-        b.record_missed_collection("pastebin.com");
+        b.record(FaultDomain::Collect, "pastebin.com");
         a.absorb(&b);
         assert_eq!(a.missed_collections["pastebin.com"], 2);
         assert_eq!(a.missed_probes, 1);
@@ -153,8 +162,8 @@ mod tests {
     #[test]
     fn gaps_serialize_with_ordered_sources() {
         let mut g = CoverageGaps::default();
-        g.record_missed_collection("b-source");
-        g.record_missed_collection("a-source");
+        g.record(FaultDomain::Collect, "b-source");
+        g.record(FaultDomain::Collect, "a-source");
         let json = serde_json::to_string(&g).expect("serializes");
         let a = json.find("a-source").expect("present");
         let b = json.find("b-source").expect("present");

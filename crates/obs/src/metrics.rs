@@ -4,7 +4,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`, so 64 value buckets cover all of
@@ -118,6 +118,15 @@ impl Histogram {
     #[inline]
     pub fn observe_duration(&self, d: Duration) {
         self.observe(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// Run `f` and record its wall time; returns what `f` returns.
+    #[inline]
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let out = f();
+        self.observe_duration(start.elapsed());
+        out
     }
 
     /// Number of observations.

@@ -324,7 +324,8 @@ impl Tenant {
         };
         // A resumed session already carries committed detections; the
         // indexes and alert stream rebuild from them deterministically.
-        tenant.absorb_new();
+        let committed = tenant.session.detected_since(0);
+        tenant.absorb(&committed);
         Ok(tenant)
     }
 
@@ -349,10 +350,9 @@ impl Tenant {
         self.alerts.len()
     }
 
-    /// Index every not-yet-absorbed committed detection.
-    fn absorb_new(&mut self) {
-        let fresh = self.session.detected_since(self.absorbed);
-        for detected in &fresh {
+    /// Index `fresh`, the committed detections from `self.absorbed` on.
+    fn absorb(&mut self, fresh: &[DetectedDox]) {
+        for detected in fresh {
             let victim = victim_fingerprint(detected);
             let mut account_fps = Vec::new();
             for osn in &detected.extracted.osn {
@@ -416,10 +416,18 @@ impl Tenant {
             self.docs_ingested += 1;
         }
         self.session.flush()?;
-        let fresh = self.session.detected_since(before);
-        self.absorb_new();
+        let fresh = self.session.detected_since(self.absorbed);
+        let batch_start = before.saturating_sub(self.absorbed);
+        self.absorb(&fresh);
 
-        let by_id: BTreeMap<u64, &DetectedDox> = fresh.iter().map(|d| (d.doc_id, d)).collect();
+        // The engine appends detections in ingest order, so this batch's
+        // are an in-order subsequence of `submitted`: one walk answers
+        // every verdict.
+        let mut detected = fresh
+            .get(batch_start..)
+            .unwrap_or_default()
+            .iter()
+            .peekable();
         let mut outcome = IngestOutcome {
             accepted: 0,
             doxes: 0,
@@ -427,7 +435,7 @@ impl Tenant {
             verdicts: Vec::with_capacity(submitted.len()),
         };
         for id in submitted {
-            let verdict = match by_id.get(&id) {
+            let verdict = match detected.next_if(|d| d.doc_id == id) {
                 Some(d) if d.duplicate.is_some() => {
                     outcome.duplicates += 1;
                     "duplicate"

@@ -8,18 +8,14 @@
 //! Table 4 report.
 
 use crate::hub::SiteHub;
-use dox_fault::{
-    run_op, BreakerConfig, BreakerSet, CoverageGaps, FaultDomain, FaultPlan, FaultPlanConfig,
-    FaultStats, RetryPolicy,
-};
+use dox_fault::{FaultBoundary, FaultDomain, FaultPlanConfig};
 use dox_obs::trace::{fault_hop, hop};
-use dox_obs::{redact, Histogram, Registry, Tracer};
+use dox_obs::{redact, Registry, Tracer};
 use dox_osn::clock::{SimDuration, SimTime};
 use dox_synth::corpus::{CorpusGenerator, Source, SynthDoc};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 /// One collected document as the pipeline sees it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,36 +48,25 @@ impl CollectionStats {
     }
 }
 
-/// Fault machinery for a collector: the seeded plan, the retry policy,
-/// one circuit breaker per source, and the running tally of what the
-/// weather cost.
-struct CollectorFaults {
-    plan: FaultPlan,
-    policy: RetryPolicy,
-    breakers: BreakerSet,
-    stats: FaultStats,
-    gaps: CoverageGaps,
-}
-
 /// The collection client: drives the generator, feeds the hub, emits
 /// [`CollectedDoc`]s to a sink.
 ///
 /// A collector built with [`Collector::with_faults`] simulates the
 /// unreliable fetch boundary the paper's crawlers faced: each document
-/// fetch runs through a seeded [`FaultPlan`] with retry/backoff and a
-/// per-source circuit breaker, all in virtual time. Recovered fetches
-/// deliver the document unchanged (same `collected_at`, so downstream
-/// output stays byte-identical); exhausted fetches surface in
-/// [`Collector::coverage_gaps`] — never as silent drops. The hub ingests
+/// fetch runs through a [`FaultBoundary`] — a seeded fault plan with
+/// retry/backoff and a per-source circuit breaker, all in virtual time.
+/// Recovered fetches deliver the document unchanged (same
+/// `collected_at`, so downstream output stays byte-identical); exhausted
+/// fetches surface in the boundary's coverage gaps — never as silent
+/// drops. The hub ingests
 /// every generated document either way: the *site* saw the post, only the
 /// collector missed it.
 pub struct Collector {
     hub: SiteHub,
     stats_p1: CollectionStats,
     stats_p2: CollectionStats,
-    faults: Option<CollectorFaults>,
+    faults: Option<FaultBoundary>,
     tracer: Tracer,
-    retry_wait: Option<Histogram>,
     /// Scrape latency added to each document's posting time.
     pub scrape_latency: SimDuration,
 }
@@ -97,32 +82,26 @@ impl Collector {
             stats_p2: CollectionStats::default(),
             faults: None,
             tracer: Tracer::disabled(),
-            retry_wait: None,
             scrape_latency: SimDuration(5),
         }
     }
 
     /// Attach observability: sampled documents are admitted to `tracer`
-    /// with a `collect` hop (the head of their causal trace), and the wall
-    /// time spent inside the retry/backoff shim lands in the registry's
-    /// `pipeline.stage.retry_wait` histogram — the stderr profile row that
-    /// answers "how much time went to fault weather".
+    /// with a `collect` hop (the head of their causal trace), and a fault
+    /// boundary times its fetches into `registry`
+    /// ([`FaultBoundary::instrument`]).
     pub fn instrument(&mut self, registry: &Registry, tracer: &Tracer) {
-        self.retry_wait = Some(registry.histogram("pipeline.stage.retry_wait"));
+        if let Some(f) = &mut self.faults {
+            f.instrument(registry);
+        }
         self.tracer = tracer.clone();
     }
 
     /// Create a collector whose fetches run through a fault plan, with
     /// the default retry policy and per-source circuit breakers.
-    pub fn with_faults(seed: u64, plan: FaultPlanConfig) -> Self {
-        let mut collector = Self::new(seed);
-        collector.faults = Some(CollectorFaults {
-            plan: FaultPlan::new(plan),
-            policy: RetryPolicy::default(),
-            breakers: BreakerSet::new(BreakerConfig::default()),
-            stats: FaultStats::default(),
-            gaps: CoverageGaps::default(),
-        });
+    pub fn with_faults(plan: FaultPlanConfig) -> Self {
+        let mut collector = Self::new(0);
+        collector.faults = Some(FaultBoundary::new(plan));
         collector
     }
 
@@ -152,33 +131,16 @@ impl Collector {
         let latency = self.scrape_latency;
         let faults = &mut self.faults;
         let tracer = &self.tracer;
-        let retry_wait = &self.retry_wait;
         gen.generate_period(which, &mut |doc| {
             hub.ingest(&doc);
             let collected_at = doc.posted_at + latency;
             if let Some(f) = faults.as_mut() {
                 let source = doc.source.name();
-                // dox-lint:allow(determinism) wall time inside the backoff shim; profile only
-                let wait_start = Instant::now();
-                let fetched = run_op(
-                    &f.plan,
-                    &f.policy,
-                    Some(f.breakers.breaker(source)),
-                    &mut f.stats,
-                    FaultDomain::Collect,
-                    source,
-                    doc.id,
-                    collected_at.0,
-                );
-                if let Some(h) = retry_wait {
-                    h.observe_duration(wait_start.elapsed());
-                }
-                match fetched {
+                match f.run(FaultDomain::Collect, source, doc.id, collected_at.0) {
                     Err(_) => {
                         // The site has the post; the collector missed it.
-                        // Count the gap and move on — the document is not
-                        // delivered.
-                        f.gaps.record_missed_collection(source);
+                        // The boundary counted the gap — the document is
+                        // not delivered.
                         return ControlFlow::Continue(());
                     }
                     Ok(outcome) => {
@@ -229,33 +191,11 @@ impl Collector {
         &self.hub
     }
 
-    /// Retry/fault accounting, with the breaker transition totals folded
-    /// in. All zeros for a fault-free collector.
-    pub fn fault_stats(&self) -> FaultStats {
-        let Some(f) = &self.faults else {
-            return FaultStats::default();
-        };
-        let mut stats = f.stats;
-        let transitions = f.breakers.total_transitions();
-        stats.breaker_opens = transitions.opened;
-        stats.breaker_half_opens = transitions.half_opened;
-        stats.breaker_closes = transitions.closed;
-        stats
-    }
-
-    /// Documents the collector failed to fetch, per source. Empty for a
-    /// fault-free collector and for any plan whose faults all recovered.
-    pub fn coverage_gaps(&self) -> CoverageGaps {
-        self.faults
-            .as_ref()
-            .map(|f| f.gaps.clone())
-            .unwrap_or_default()
-    }
-
-    /// The per-source circuit breakers, target-ordered; `None` for a
-    /// fault-free collector.
-    pub fn breakers(&self) -> Option<&BreakerSet> {
-        self.faults.as_ref().map(|f| &f.breakers)
+    /// The fetch boundary — retry accounting, the documents missed per
+    /// source, the per-source breakers; `None` for a fault-free
+    /// collector.
+    pub fn faults(&self) -> Option<&FaultBoundary> {
+        self.faults.as_ref()
     }
 }
 
@@ -360,11 +300,12 @@ mod tests {
             max_transient_failures: 2,
             ..FaultPlanConfig::default()
         };
-        let mut faulty = Collector::with_faults(9, plan);
+        let mut faulty = Collector::with_faults(plan);
         let recovered = collect_all(&mut faulty, config);
         assert_eq!(recovered, baseline, "recovery must not change the stream");
-        assert!(faulty.fault_stats().retries > 0, "weather actually blew");
-        assert!(faulty.coverage_gaps().is_empty());
+        let faults = faulty.faults().expect("a fault boundary");
+        assert!(faults.stats().retries > 0, "weather actually blew");
+        assert!(faults.gaps().is_empty());
     }
 
     #[test]
@@ -375,9 +316,10 @@ mod tests {
             hard_ppm: 100_000, // ~10% of fetches permanently fail
             ..FaultPlanConfig::default()
         };
-        let mut collector = Collector::with_faults(9, plan);
+        let mut collector = Collector::with_faults(plan);
         let delivered = collect_all(&mut collector, config).len() as u64;
-        let gaps = collector.coverage_gaps();
+        let faults = collector.faults().expect("a fault boundary");
+        let gaps = faults.gaps();
         assert!(gaps.missed_collection_total() > 0, "hard faults must bite");
         assert_eq!(
             delivered + gaps.missed_collection_total(),
@@ -389,7 +331,7 @@ mod tests {
             total,
             "the sites saw every post even when the collector missed it"
         );
-        assert!(collector.fault_stats().exhausted > 0);
+        assert!(faults.stats().exhausted > 0);
     }
 
     #[test]
@@ -401,7 +343,7 @@ mod tests {
             max_transient_failures: 2,
             ..FaultPlanConfig::default()
         };
-        let mut collector = Collector::with_faults(9, plan);
+        let mut collector = Collector::with_faults(plan);
         let registry = Registry::new();
         let tracer = Tracer::new(TraceConfig {
             seed: 9,
@@ -429,7 +371,8 @@ mod tests {
         );
         let shim = registry.snapshot();
         let retry_wait = &shim.spans["pipeline.stage.retry_wait"];
-        assert_eq!(retry_wait.count, collector.fault_stats().ops);
+        let ops = collector.faults().expect("a fault boundary").stats().ops;
+        assert_eq!(retry_wait.count, ops);
     }
 
     #[test]
