@@ -217,9 +217,10 @@ impl Monitor {
     /// Run the injected-fault gauntlet for one operation; `Some` carries
     /// the (virtual) retry weather of a successful operation, `None` means
     /// the retries exhausted and the boundary counted the gap. Fault-free
-    /// monitors always succeed at the first attempt. Recovered operations keep their scheduled sim time —
-    /// the retries play out on the plan's virtual clock — so observations
-    /// are unchanged and output stays byte-identical.
+    /// monitors always succeed at the first attempt. Recovered operations
+    /// keep their scheduled sim time — the retries play out on the plan's
+    /// virtual clock — so observations are unchanged and output stays
+    /// byte-identical.
     fn faults_admit(
         &mut self,
         domain: FaultDomain,

@@ -428,12 +428,8 @@ impl Session {
         registry.gauge("engine.workers").set(config.workers as i64);
         registry.gauge("engine.shards").set(config.shards as i64);
 
-        let fault_ctx: Option<(FaultPlan, u32)> = config.faults.as_ref().map(|plan| {
-            (
-                FaultPlan::new(plan.clone()),
-                RetryPolicy::default().max_retries,
-            )
-        });
+        let fault_plan: Option<FaultPlan> = config.faults.clone().map(FaultPlan::new);
+        let max_retries = RetryPolicy::default().max_retries;
 
         let stage_workers = (0..config.workers)
             .map(|_| {
@@ -441,7 +437,7 @@ impl Session {
                 let commit = Arc::clone(&commit);
                 let classifier = Arc::clone(&classifier);
                 let stage_metrics = stage_metrics.clone();
-                let fault_ctx = fault_ctx.clone();
+                let fault_plan = fault_plan.clone();
                 let tracer = tracer.clone();
                 let slow_chunks = registry.counter("engine.fault.slow_chunks");
                 let poisoned_chunks = registry.counter("engine.fault.poisoned_chunks");
@@ -454,7 +450,7 @@ impl Session {
                         // documents can carry a `stage_fault` hop:
                         // (attempts the simulated supervisor made, note).
                         let mut fault_event: Option<(u32, String)> = None;
-                        if let Some((plan, max_retries)) = &fault_ctx {
+                        if let Some(plan) = &fault_plan {
                             match plan.stage_directive(chunk.seq) {
                                 StageDirective::Healthy => {}
                                 StageDirective::Slow { yields } => {
@@ -468,7 +464,7 @@ impl Session {
                                 }
                                 StageDirective::Poison { failures } => {
                                     poisoned_chunks.inc();
-                                    if failures > *max_retries {
+                                    if failures > max_retries {
                                         // The commit pass counts the
                                         // lost documents, once each.
                                         exhausted = true;

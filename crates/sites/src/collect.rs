@@ -58,9 +58,8 @@ impl CollectionStats {
 /// Recovered fetches deliver the document unchanged (same
 /// `collected_at`, so downstream output stays byte-identical); exhausted
 /// fetches surface in the boundary's coverage gaps — never as silent
-/// drops. The hub ingests
-/// every generated document either way: the *site* saw the post, only the
-/// collector missed it.
+/// drops. The hub ingests every generated document either way: the
+/// *site* saw the post, only the collector missed it.
 pub struct Collector {
     hub: SiteHub,
     stats_p1: CollectionStats,
