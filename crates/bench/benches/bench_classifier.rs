@@ -2,7 +2,9 @@
 //!
 //! Regenerates Table 1's evaluation (TF-IDF + SGD, 2/3–1/3 split), times
 //! it alone (`train_paper_protocol`) and with the deployed full-corpus fit
-//! the study pays for (`train_deployed`, `DoxClassifier::train`). The
+//! the study pays for (`train_deployed`, `DoxClassifier::train`), and
+//! the one tokenizing pass both fits share (`tokenize_corpus`,
+//! `TokenizedCorpus::new`, in bytes per second). The
 //! `classify` group times one document at a time through the deployed
 //! classifier's fused `is_dox` and through the materialised `transform` +
 //! `decision_function` it is checked against. The
@@ -18,6 +20,7 @@ use dox_core::training::DoxClassifier;
 use dox_ml::eval::evaluate_classifier;
 use dox_ml::metrics::ClassificationReport;
 use dox_ml::sgd::SgdConfig;
+use dox_textkit::corpus::TokenizedCorpus;
 use dox_textkit::html::html_to_text;
 use std::hint::black_box;
 use std::ops::ControlFlow;
@@ -68,6 +71,11 @@ fn bench_training(c: &mut Criterion) {
                 7,
             ))
         })
+    });
+    let bytes: usize = texts.iter().map(String::len).sum();
+    group.throughput(Throughput::Bytes(bytes as u64));
+    group.bench_function("tokenize_corpus", |b| {
+        b.iter(|| black_box(TokenizedCorpus::new(black_box(&texts))))
     });
 
     group.finish();

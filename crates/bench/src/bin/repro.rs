@@ -6,8 +6,9 @@
 //! OPTIONS:
 //!   --scale <0..1]     corpus scale (default 0.05; 1.0 = paper scale)
 //!   --seed <u64>       master seed (default: the study default)
-//!   --workers <n>      ingest-engine stage workers (default: all cores)
-//!   --shards <n>       ingest-engine dedup shards (default: 8)
+//!   --workers <n>      ingest-engine stage workers, at least 1 (default:
+//!                      all cores)
+//!   --shards <n>       ingest-engine dedup shards, at least 1 (default: 8)
 //!   --table <id>       print one result only: fig1, t1..t10, fig2, fig3,
 //!                      v-ip, v-comments (default: everything)
 //!   --json <path>      also write the machine-readable report
@@ -25,6 +26,7 @@
 //!   --trace <path>     export sampled causal traces as JSONL (samples
 //!                      every document unless --trace-sample is given)
 //!   --trace-sample <ppm>  trace sampling rate, documents per million
+//!                      (0 to 1000000)
 //!   --telemetry <addr> serve live metrics at http://<addr>/metrics and
 //!                      recent traces at /traces for the duration of the run
 //!   --quiet            suppress progress notes and the profile on stderr
@@ -111,11 +113,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
-                args.workers = Some(v.parse().map_err(|_| format!("bad workers {v:?}"))?);
+                args.workers = Some(at_least_one("--workers", &v)?);
             }
             "--shards" => {
                 let v = it.next().ok_or("--shards needs a value")?;
-                args.shards = Some(v.parse().map_err(|_| format!("bad shards {v:?}"))?);
+                args.shards = Some(at_least_one("--shards", &v)?);
             }
             "--table" => {
                 // Validated here, not after the study runs: a bad id must
@@ -154,7 +156,13 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?),
             "--trace-sample" => {
                 let v = it.next().ok_or("--trace-sample needs a value")?;
-                args.trace_sample = Some(v.parse().map_err(|_| format!("bad sample rate {v:?}"))?);
+                let ppm = v.parse().map_err(|_| format!("bad sample rate {v:?}"))?;
+                if ppm > 1_000_000 {
+                    return Err(format!(
+                        "--trace-sample must be at most 1000000 per million, got {ppm}"
+                    ));
+                }
+                args.trace_sample = Some(ppm);
             }
             "--telemetry" => {
                 args.telemetry = Some(it.next().ok_or("--telemetry needs an address")?);
@@ -171,6 +179,17 @@ fn parse_args() -> Result<Args, String> {
         return Err("--spill-cap needs --checkpoint-dir".to_string());
     }
     Ok(args)
+}
+
+/// `v` as a count of at least one, for `flag`: the engine needs one
+/// worker and one shard, and a zero must fail here, before the study
+/// generates and trains.
+fn at_least_one(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1, got 0")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {} {v:?}", flag.trim_start_matches('-'))),
+    }
 }
 
 /// Every `--table` id, in presentation order. `parse_args` rejects
@@ -208,7 +227,8 @@ const HELP: &str = "repro — regenerate every table/figure of the doxing study
   --spill-cap <n>  in-memory dedup entries per shard before spilling
                    (needs --checkpoint-dir)
   --trace <path>   export sampled causal traces as JSONL
-  --trace-sample <ppm>   trace sampling rate per million (default: all)
+  --trace-sample <ppm>   trace sampling rate per million, 0..=1000000
+                         (default: all)
   --telemetry <addr>     serve GET /metrics and /traces on <addr>
   --quiet          no progress or profile output";
 

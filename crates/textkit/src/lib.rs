@@ -30,6 +30,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+// The crate's unit tests share the integration tests' reference fit,
+// which names the crate by its own name.
+#[cfg(test)]
+extern crate self as dox_textkit;
+
 pub mod corpus;
 pub mod hashing;
 pub mod html;

@@ -11,9 +11,10 @@
 //! its feature index. The head word and the length decide every lookup
 //! of a token of at most 8 bytes with two integer compares; a longer
 //! token then compares its bytes past the eighth against the stored
-//! ones, kept in one packed buffer in feature-index order. Slots are
-//! filled in descending training document frequency, so the most common
-//! words sit in their home slot and a typical hit probes one slot.
+//! ones, eight at a time ([`folded_eq`]), kept in one packed buffer in
+//! feature-index order. Slots are filled in descending training document
+//! frequency, so the most common words sit in their home slot and a
+//! typical hit probes one slot.
 //!
 //! **Hash.** One xorshift-multiply over (length, head word, tail word),
 //! where the tail word is the token's last 8 bytes (0 for tokens of at
@@ -29,7 +30,7 @@
 //! exists, ending at its first empty slot — it cannot grow one.
 
 /// Marks an empty slot.
-const EMPTY: u32 = u32::MAX;
+pub(crate) const EMPTY: u32 = u32::MAX;
 /// `2^64 / φ`, the Fibonacci-hashing multiplier.
 const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Every byte of a word set to `b`.
@@ -37,15 +38,16 @@ const fn splat(b: u8) -> u64 {
     u64::from_le_bytes([b; 8])
 }
 
-/// One slot: the token's head word and length, and its feature index.
+/// One slot: the token's head word and length, and its feature index
+/// (the training corpus's interner keeps a token id there instead).
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: u64,
-    len: u32,
-    idx: u32,
+pub(crate) struct Slot {
+    pub(crate) key: u64,
+    pub(crate) len: u32,
+    pub(crate) idx: u32,
 }
 
-const VACANT: Slot = Slot {
+pub(crate) const VACANT: Slot = Slot {
     key: 0,
     len: 0,
     idx: EMPTY,
@@ -120,10 +122,7 @@ impl TokenTable {
         let (head, tail) = words(text, start, end);
         let (head, tail) = (fold(head), fold(tail));
         self.find(end - start, head, tail, |rest| {
-            text[start + 8..end]
-                .iter()
-                .zip(rest)
-                .all(|(a, b)| a.to_ascii_lowercase() == *b)
+            folded_eq(&text[start + 8..end], rest)
         })
     }
 
@@ -175,7 +174,7 @@ impl TokenTable {
 /// The head and tail words of `bytes[start..end]`: its first 8 bytes
 /// zero-padded, and its last 8 bytes when it is longer than 8 (else 0).
 #[inline]
-fn words(bytes: &[u8], start: usize, end: usize) -> (u64, u64) {
+pub(crate) fn words(bytes: &[u8], start: usize, end: usize) -> (u64, u64) {
     let len = end - start;
     let mut head = match bytes[start..].first_chunk::<8>() {
         Some(word) => u64::from_le_bytes(*word),
@@ -199,7 +198,7 @@ fn words(bytes: &[u8], start: usize, end: usize) -> (u64, u64) {
 /// `u8::to_ascii_lowercase` on each byte of `word`: an `A`..=`Z` byte
 /// gains `0x20`, every other byte (non-ASCII ones too) is kept.
 #[inline]
-fn fold(word: u64) -> u64 {
+pub(crate) fn fold(word: u64) -> u64 {
     let low7 = word & splat(0x7f);
     // Top bit of each byte: set where its low seven bits are >= b'A'
     // and clear where they are > b'Z'; no carry crosses a byte.
@@ -209,9 +208,30 @@ fn fold(word: u64) -> u64 {
     word | upper >> 2
 }
 
+/// Whether `probe` lowercased as `u8::to_ascii_lowercase` does equals
+/// `stored`, a slice as long: eight bytes at a time through [`fold`],
+/// then byte by byte.
+#[inline]
+pub(crate) fn folded_eq(probe: &[u8], stored: &[u8]) -> bool {
+    let word = |chunk: &[u8]| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    };
+    let (probe_words, stored_words) = (probe.chunks_exact(8), stored.chunks_exact(8));
+    let (probe_rest, stored_rest) = (probe_words.remainder(), stored_words.remainder());
+    probe_words
+        .zip(stored_words)
+        .all(|(a, b)| fold(word(a)) == word(b))
+        && probe_rest
+            .iter()
+            .zip(stored_rest)
+            .all(|(a, b)| a.to_ascii_lowercase() == *b)
+}
+
 /// One xorshift-multiply over a token's length, head and tail words.
 #[inline]
-fn hash(len: usize, head: u64, tail: u64) -> u64 {
+pub(crate) fn hash(len: usize, head: u64, tail: u64) -> u64 {
     let x = head.wrapping_add(tail.rotate_left(29)) ^ len as u64;
     (x ^ x >> 32).wrapping_mul(MIX)
 }
@@ -276,6 +296,26 @@ mod tests {
                 let want = word.map(|c| c.to_ascii_lowercase());
                 assert_eq!(fold(u64::from_le_bytes(word)), u64::from_le_bytes(want));
             }
+        }
+    }
+
+    #[test]
+    fn folded_eq_is_byte_by_byte_lowercase_equality() {
+        let stored = b"abcdefghijklmnopqrstu_0123456789";
+        for len in 0..=stored.len() {
+            let stored = &stored[..len];
+            let upper = stored.to_ascii_uppercase();
+            assert!(
+                folded_eq(stored, stored) && folded_eq(&upper, stored),
+                "{len}"
+            );
+            for at in 0..len {
+                let mut probe = upper.clone();
+                probe[at] ^= 0x01;
+                assert!(!folded_eq(&probe, stored), "{len} {at}");
+            }
+            // Capitals stored are never matched by a folded probe.
+            assert_eq!(folded_eq(stored, &upper), upper == stored, "{len}");
         }
     }
 

@@ -270,8 +270,9 @@ thread_local! {
 }
 
 /// A document vector from its term counts: tf·idf per feature (zeros
-/// dropped), then l2-normalized. The one tail of
-/// [`TfidfVectorizer::transform`] and [`crate::corpus::CorpusFit::transform`].
+/// dropped), then l2-normalized: the tail of
+/// [`TfidfVectorizer::transform`]. [`crate::corpus::CorpusFit::transform`]
+/// evaluates the same operations in one pass over its counts.
 pub(crate) fn weigh(idf: &[f64], counts: &SparseVec) -> SparseVec {
     let mut vec = counts.map_values(|idx, tf| tf * idf[idx as usize]);
     vec.l2_normalize();

@@ -52,6 +52,30 @@ const WORDS: &[&str] = &[
     "unseen",
     "😀",
     "١٢٣",
+    // The interner's key compare: 9, 16 and 17+ bytes; pairs sharing
+    // the first or the last 8 bytes; equal lengths a middle byte apart
+    // (past 16 bytes, one the head and tail words both miss); capitals.
+    "addresses",
+    "Addresses",
+    "pastebin_user_01",
+    "pastebin_user_02",
+    "PASTEBIN_USER_01",
+    "contact_information",
+    "facebook_profile_url",
+    "password",
+    "passwords",
+    "password_hash",
+    "PASSWORD_HASH",
+    "home_address",
+    "email_address",
+    "Email_Address",
+    "dox_a_bin",
+    "dox_b_bin",
+    "accounts1_numbers",
+    "accounts2_numbers",
+    "ACCOUNTS2_NUMBERS",
+    "screen_name_a_handle_alias",
+    "screen_name_b_handle_alias",
 ];
 
 /// Word separators, including ones that glue words together.
